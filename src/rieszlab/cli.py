@@ -22,6 +22,7 @@ the inputs; reruns with the same hash produce byte-identical CSVs.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -138,8 +139,8 @@ def _cmd_exponents(args):
 
 
 def _solve_settings(args):
-    settings = {"damping": 0.5, "maxIters": 400, "tol": 1e-6,
-                "normalizeAtOrigin": True}
+    defaults = {f.name: f.default for f in dataclasses.fields(SolveConfig)}
+    settings = {key: defaults[name] for key, name in _SOLVE_KEYS.items()}
     if args.config is not None:
         path = Path(args.config)
         if not path.is_file():
@@ -192,10 +193,8 @@ def _cmd_solve(args):
     params = _resolve_params(args)
     grid = _resolve_grid(args, params)
     settings = _solve_settings(args)
-    config = SolveConfig(
-        damping=settings["damping"], max_iters=settings["maxIters"],
-        tol=settings["tol"],
-        normalize_at_origin=settings["normalizeAtOrigin"])
+    config = SolveConfig(**{name: settings[key]
+                             for key, name in _SOLVE_KEYS.items()})
     pair = solve_picard(params, grid, config)
     report = _solution_report(pair)
     _print_json(report)

@@ -88,13 +88,17 @@ class Params:
             raise ValidationError(
                 "operator order must satisfy 0 < alpha < n, got alpha=%r, n=%d"
                 % (self.alpha, self.n))
-        if not (self.p > 0.0 and self.q > 0.0):
+        if not (0.0 < self.p < math.inf and 0.0 < self.q < math.inf):
             raise ValidationError(
-                "exponents must be positive, got p=%r, q=%r" % (self.p, self.q))
-        if not self.p * self.q > 1.0:
+                "exponents must be positive and finite, got p=%r, q=%r"
+                % (self.p, self.q))
+        if not 1.0 < self.p * self.q < math.inf:
             raise ValidationError(
-                "exponent product must satisfy p*q > 1, got p*q=%r"
+                "exponent product must satisfy 1 < p*q < inf, got p*q=%r"
                 % (self.p * self.q,))
+        if not self.alpha * (max(self.p, self.q) + 1.0) < math.inf:
+            raise ValidationError(
+                "decay rates overflow for p=%r, q=%r" % (self.p, self.q))
         p, q = float(self.p), float(self.q)
         if p > q:
             p, q = q, p

@@ -10,6 +10,7 @@ that cell.  The weighted sum of node values is therefore exact for
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,11 +75,23 @@ class RadialGrid:
             raise ValidationError("scale factor must be positive")
         nodes = self.nodes * lam
         edges = self.edges * lam
-        weights = (edges[1:] ** self.n - edges[:-1] ** self.n) / self.n
         return RadialGrid(
             r_min=self.r_min * lam, r_max=self.r_max * lam,
             count=self.count, n=self.n,
-            nodes=nodes, edges=edges, weights=weights)
+            nodes=nodes, edges=edges, weights=_cell_weights(edges, self.n))
+
+
+def _cell_weights(edges, n):
+    """Exact cell moments of ``s^{n-1}``, rejected unless all are finite
+    and positive (``edges^n`` must stay inside the double range)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        weights = (edges[1:] ** n - edges[:-1] ** n) / n
+    if not np.all((weights > 0.0) & np.isfinite(weights)):
+        raise ValidationError(
+            "cell weights leave the double range: r^%d must stay finite "
+            "and nonzero on [%r, %r]"
+            % (n, float(edges[0]), float(edges[-1])))
+    return weights
 
 
 def make_grid(r_min=1e-4, r_max=1e4, count=512, n=3):
@@ -93,9 +106,10 @@ def make_grid(r_min=1e-4, r_max=1e4, count=512, n=3):
     n : int
         Space dimension for the quadrature measure ``s^{n-1} ds``.
     """
-    if not (0.0 < r_min < r_max):
+    if not (0.0 < r_min < r_max < math.inf):
         raise ValidationError(
-            "need 0 < r_min < r_max, got r_min=%r, r_max=%r" % (r_min, r_max))
+            "need 0 < r_min < r_max < inf, got r_min=%r, r_max=%r"
+            % (r_min, r_max))
     if count < 16:
         raise ValidationError("grid needs at least 16 nodes, got %r" % count)
     if n < 1:
@@ -104,8 +118,9 @@ def make_grid(r_min=1e-4, r_max=1e4, count=512, n=3):
     nodes = np.geomspace(r_min, r_max, count)
     nodes[0] = r_min
     nodes[-1] = r_max
-    mids = np.sqrt(nodes[:-1] * nodes[1:])
+    with np.errstate(over="ignore"):
+        mids = np.sqrt(nodes[:-1] * nodes[1:])
     edges = np.concatenate(([r_min], mids, [r_max]))
-    weights = (edges[1:] ** n - edges[:-1] ** n) / n
+    weights = _cell_weights(edges, n)
     return RadialGrid(r_min=float(r_min), r_max=float(r_max), count=int(count),
                       n=int(n), nodes=nodes, edges=edges, weights=weights)

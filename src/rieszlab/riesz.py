@@ -25,6 +25,14 @@ the cell weights (``w_i M[i][j] == w_j M[j][i]`` to rounding) and
 second-order accurate in the log mesh width.  On the log grid all
 interior cell pairs with the same index offset share one reduced 1D
 integral, so assembly costs O(count) kernel quadratures.
+
+The response to the power-law tail model beyond ``r_max`` is one matrix
+product per call: assembly also samples the kernel once on a fixed
+graded quadrature in ``y = ln(s/r_max)`` over ``[0, ln TAIL_RANGE_CAP]``
+and keeps it, weighted, as ``KernelOperator.tail_kernel``: ``count x Q``
+doubles with ``Q = 336`` nodes, about 11 MB at 4096 grid nodes, built by
+``count * Q`` hypergeometric evaluations.  The response to a tail of
+any decay exponent is then one ``O(count * Q)`` product.
 """
 
 from __future__ import annotations
@@ -45,6 +53,17 @@ from .grid import RadialGrid
 TAIL_REMAINDER = 1e-8
 #: Hard cap on the tail integration range, as a multiple of r_max.
 TAIL_RANGE_CAP = 1e6
+#: ``1 - w`` below which :func:`kernel_ratio` evaluates 2F1 by the
+#: connection formula for ``1 < alpha < 2`` (``|1 - rho|`` below ~0.1).
+#: Above 1e-4 it is needed too: for ``alpha -> 1`` scipy's 2F1 is off by
+#: up to 1e-3 there.
+CUSP_PATCH_RADIUS = 1e-2
+#: ``(alpha - 1)/2`` below which the connection formula is summed in the
+#: cancellation-free form of :func:`_near_log_2f1`.
+_NEAR_LOG_EXPONENT = 1e-2
+#: Grid nodes whose tail kernel rows are sampled in one ``kernel_ratio``
+#: call; bounds the transient arrays of the build to about a MB each.
+_TAIL_BUILD_ROWS = 256
 
 
 def sphere_area(n):
@@ -96,15 +115,20 @@ def kernel_ratio(rho, n, alpha):
     rho = np.asarray(rho, dtype=float)
     a = 0.25 * (n - alpha)
     w = np.square(2.0 * rho / (1.0 + rho * rho))
-    if alpha <= 1.0:
-        # The kernel diverges on the diagonal: w -> 1 loses all precision
-        # in double arithmetic, so patch a neighborhood of rho = 1 with
-        # the w -> 1 connection formula, using 1 - w computed stably.
+    if alpha < 2.0:
+        # Near the diagonal w -> 1 loses all precision in double
+        # arithmetic, and 2F1 with it: the kernel diverges there for
+        # alpha <= 1 and has a cusp ~ (1 - w)^{(alpha-1)/2} for
+        # 1 < alpha < 2.  Patch a neighborhood of rho = 1 with the w -> 1
+        # connection formula, using 1 - w computed stably.
         one_mw = np.square((1.0 - rho) * (1.0 + rho) / (1.0 + rho * rho))
-        near = one_mw < 1e-10
+        near = one_mw < (1e-10 if alpha <= 1.0 else CUSP_PATCH_RADIUS)
         w = np.where(near, 0.0, w)
         hyp = special.hyp2f1(a, a + 0.5, 0.5 * n, w)
-        if np.any(near):
+        if np.any(near) and alpha > 1.0:
+            hyp = np.array(hyp)
+            hyp[near] = _finite_cusp_2f1(np.asarray(one_mw)[near], n, alpha)
+        elif np.any(near):
             gc = math.gamma(0.5 * n)
             if alpha < 1.0:
                 const = (gc * math.gamma(0.5 * (alpha - 1.0))
@@ -125,6 +149,64 @@ def kernel_ratio(rho, n, alpha):
     else:
         hyp = special.hyp2f1(a, a + 0.5, 0.5 * n, w)
     return sphere_area(n) * (1.0 + rho * rho) ** (0.5 * (alpha - n)) * hyp
+
+
+def _finite_cusp_2f1(x, n, alpha):
+    """``2F1(a, a + 1/2; n/2; 1 - x)`` for small ``x`` and ``1 < alpha < 2``.
+
+    The w -> 1 connection formula with ``e = c - a - b = (alpha - 1)/2``
+    in ``(0, 1/2)``, both series in ``x`` kept in full:
+
+        2F1 = G(c)G(e)/(G(c-a)G(c-b)) 2F1(a, b; 1-e; x)
+              + x^e G(c)G(-e)/(G(a)G(b)) 2F1(c-a, c-b; 1+e; x).
+    """
+    a = 0.25 * (n - alpha)
+    b = a + 0.5
+    c = 0.5 * n
+    e = 0.5 * (alpha - 1.0)
+    if e < _NEAR_LOG_EXPONENT:
+        return _near_log_2f1(x, a, b, c, e)
+    gc = math.gamma(c)
+    regular = (gc * math.gamma(e) / (math.gamma(c - a) * math.gamma(c - b))
+               * special.hyp2f1(a, b, 1.0 - e, x))
+    cusp = (gc * math.gamma(-e) / (math.gamma(a) * math.gamma(b))
+            * x ** e * special.hyp2f1(c - a, c - b, 1.0 + e, x))
+    return regular + cusp
+
+
+def _near_log_2f1(x, a, b, c, e, terms=12, order=8):
+    """The connection formula of :func:`_finite_cusp_2f1` for small ``e``.
+
+    Its two terms grow like ``+-1/e`` and cancel, losing about
+    ``log10(1/(e |ln x|))`` digits.  Here they are paired term by term in
+    ``x``: with ``c - a = b + e`` and ``c - b = a + e`` the k-th pair is
+
+        G(c)/(G(a+e)G(b+e)) (a)_k (b)_k x^k / (k! G(k+1-e))
+        * G(e)G(1-e) * (-expm1(D_k)),
+        D_k = ln[G(a+k+e)G(b+k+e)G(k+1-e) x^e / (G(a+k)G(b+k)G(k+1+e))],
+
+    and ``D_k`` is summed from its Taylor series in ``e`` (polygamma), so
+    nothing cancels.  As ``e -> 0`` it tends to the logarithmic
+    ``alpha == 1`` form of :func:`kernel_ratio`.  ``x`` is below
+    ``CUSP_PATCH_RADIUS``, so twelve terms in ``x`` and eight in ``e``
+    reach rounding for ``e < _NEAR_LOG_EXPONENT``.
+    """
+    k = np.arange(terms, dtype=float)
+    # D_k - e ln x, from the Taylor series of the log-gamma differences
+    delta = 0.0
+    for j in range(1, order + 1):
+        psi = special.polygamma(j - 1, a + k) + special.polygamma(j - 1, b + k)
+        if j % 2:
+            psi -= 2.0 * special.polygamma(j - 1, k + 1.0)
+        delta = delta + e ** j / math.factorial(j) * psi
+    coef = (math.gamma(c) * math.gamma(e) * math.gamma(1.0 - e)
+            / (math.gamma(a + e) * math.gamma(b + e))
+            * special.poch(a, k) * special.poch(b, k)
+            / (special.factorial(k) * special.gamma(k + 1.0 - e)))
+    x = np.asarray(x, dtype=float)[..., None]
+    with np.errstate(divide="ignore"):
+        d = e * np.log(x) + delta
+    return -np.sum(coef * x ** k * np.expm1(d), axis=-1)
 
 
 def angular_kernel(r, s, n, alpha, rtol=1e-10):
@@ -219,6 +301,10 @@ class KernelOperator:
 
     ``matrix`` maps node values to bare integral values,
     ``(matrix @ f)[i] ~ int_{rMin}^{rMax} K(r_i, s) f(s) s^{n-1} ds``.
+    ``head_response`` is the bare response to the unit profile below
+    ``rMin``; ``tail_kernel[i, k]`` is ``K(1, s_k/r_i)`` times the weight
+    of the fixed tail quadrature node ``y_k = ln(s_k/rMax)``, from which
+    :func:`tail_response` builds the response beyond ``rMax``.
     The classical normalization is applied by the ``apply_*`` functions.
     """
 
@@ -227,7 +313,7 @@ class KernelOperator:
     alpha: float = 0.0
     n: int = 0
     head_response: np.ndarray = field(repr=False, default=None)
-    _tail_cache: dict = field(repr=False, default_factory=dict, compare=False)
+    tail_kernel: np.ndarray = field(repr=False, default=None)
 
     @property
     def normalization(self):
@@ -254,6 +340,14 @@ def _graded_breaks(lo, hi, toward_lo, levels=12, ratio=0.5):
         return np.concatenate(([lo], pts))
     pts = hi - np.concatenate((steps, [span]))[::-1]
     return np.concatenate((pts, [hi]))
+
+
+#: Fixed tail quadrature in ``y = ln(s/r_max)`` over ``[0, ln
+#: TAIL_RANGE_CAP]``: panels graded toward the kernel cusp at ``y = 0``
+#: on ``[0, 1]``, then uniform panels out to the cap.
+_TAIL_NODES, _TAIL_WEIGHTS = _gauss_panels(np.concatenate(
+    (_graded_breaks(0.0, 1.0, True),
+     np.linspace(1.0, math.log(TAIL_RANGE_CAP), 16)[1:])), order=12)
 
 
 def _overlap_weight(z, la, lb, lc, ld, npa):
@@ -377,10 +471,13 @@ def assemble(grid, n, alpha):
             sym[i, j] = v
             sym[j, i] = v
 
-    matrix = sym / grid.weights[:, None]
-    head = _head_response(grid, n, alpha)
+    # Divide in place: a second count x count array would double the
+    # peak memory of large grids.
+    matrix = sym
+    matrix /= grid.weights[:, None]
     return KernelOperator(grid=grid, matrix=matrix, alpha=alpha, n=n,
-                          head_response=head)
+                          head_response=_head_response(grid, n, alpha),
+                          tail_kernel=_tail_kernel(grid, n, alpha))
 
 
 def _head_response(grid, n, alpha):
@@ -402,25 +499,39 @@ def _head_response(grid, n, alpha):
     return (grid.nodes ** (alpha - n)) * (integrand @ yweights)
 
 
-def _tail_range(r_max, tail_exponent, alpha):
-    """Upper integration limit for the tail extension.
+def _tail_kernel(grid, n, alpha):
+    """Weighted kernel samples on the fixed tail quadrature, ``count x Q``.
 
-    Chosen so the neglected remainder of the tail integral is below
-    ``TAIL_REMAINDER`` relative; capped at ``TAIL_RANGE_CAP * r_max``
-    with a :class:`TruncationWarning`.
+    Row ``i`` holds ``K(1, s_k/r_i) * w_k`` for ``s_k = r_max e^{y_k}``.
+    Rows are sampled in blocks so the transient arrays stay small next to
+    the table itself.
+    """
+    s = grid.r_max * np.exp(_TAIL_NODES)
+    table = np.empty((grid.count, s.size))
+    for lo in range(0, grid.count, _TAIL_BUILD_ROWS):
+        rows = slice(lo, lo + _TAIL_BUILD_ROWS)
+        ratio = s[None, :] / grid.nodes[rows, None]
+        table[rows] = kernel_ratio(ratio, n, alpha) * _TAIL_WEIGHTS
+    return table
+
+
+def _check_tail(tail_exponent, alpha):
+    """Reject divergent tails; warn when the range cap truncates one.
+
+    The tail integral converges only for ``tail_exponent > alpha``.  Its
+    remainder beyond the cap ``TAIL_RANGE_CAP * r_max`` is above
+    ``TAIL_REMAINDER`` relative when the exponent is that close to
+    ``alpha``; this emits a :class:`TruncationWarning`.
     """
     if tail_exponent <= alpha:
         raise DivergentTailError(
             "tail extension diverges: tail exponent %r <= alpha %r"
             % (tail_exponent, alpha))
-    factor = TAIL_REMAINDER ** (-1.0 / (tail_exponent - alpha))
-    if factor > TAIL_RANGE_CAP:
+    if TAIL_REMAINDER ** (-1.0 / (tail_exponent - alpha)) > TAIL_RANGE_CAP:
         warnings.warn(
             "tail integral truncated at the range cap before reaching "
             "the %g relative remainder target" % TAIL_REMAINDER,
             TruncationWarning, stacklevel=3)
-        factor = TAIL_RANGE_CAP
-    return r_max * factor
 
 
 def tail_response(op, tail_exponent, tail_log_power=0.0):
@@ -429,33 +540,22 @@ def tail_response(op, tail_exponent, tail_log_power=0.0):
     The tail model is ``(s/r_max)^{-tau} (ln s/ln r_max)^m`` for
     ``s > r_max``; the caller scales by the boundary value.  ``m`` may
     be any nonnegative real (powered fields carry real log powers).
-    Results are cached per ``(tau, m)``.
+    The profile is integrated against ``op.tail_kernel`` over the whole
+    fixed range up to ``TAIL_RANGE_CAP * r_max``, so each call costs one
+    ``count x Q`` matrix-vector product and the operator keeps no state
+    per ``(tau, m)``.
     """
-    key = (float(tail_exponent), float(tail_log_power))
-    cached = op._tail_cache.get(key)
-    if cached is not None:
-        return cached
+    _check_tail(tail_exponent, op.alpha)
     grid = op.grid
-    r_inf = _tail_range(grid.r_max, tail_exponent, op.alpha)
-    y_max = math.log(r_inf / grid.r_max)
     if tail_log_power != 0.0 and grid.r_max <= math.e:
         raise ValidationError(
             "log-corrected tails need r_max > e for a meaningful model")
-    breaks = np.concatenate(
-        (_graded_breaks(0.0, min(1.0, y_max), True),
-         np.linspace(min(1.0, y_max), y_max, 12)[1:]))
-    ynodes, yweights = _gauss_panels(breaks, order=12)
-    s = grid.r_max * np.exp(ynodes)
-    profile = np.exp((float(grid.n) - tail_exponent) * ynodes)
+    profile = np.exp((float(grid.n) - tail_exponent) * _TAIL_NODES)
     if tail_log_power != 0.0:
         lr = math.log(grid.r_max)
-        profile = profile * (1.0 + ynodes / lr) ** tail_log_power
-    ratio = s[None, :] / grid.nodes[:, None]
-    kv = kernel_ratio(ratio, op.n, op.alpha)
-    out = (grid.nodes ** (op.alpha - op.n)
-           * ((kv * profile[None, :]) @ yweights) * grid.r_max ** op.n)
-    op._tail_cache[key] = out
-    return out
+        profile = profile * (1.0 + _TAIL_NODES / lr) ** tail_log_power
+    return (grid.nodes ** (op.alpha - op.n)
+            * (op.tail_kernel @ profile) * grid.r_max ** op.n)
 
 
 def apply_extended(op, values, tail_exponent, tail_log_power=0.0,

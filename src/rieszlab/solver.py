@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import optimize
 
+from .analysis import default_window
 from .errors import (CollapseError, NonConvergenceError, PreconditionError,
                      ValidationError)
 from .exponents import Params, Regime, classify
@@ -134,17 +135,9 @@ def default_init(params, grid):
             RadialField(grid, v / v[0], tail_exponent=mv))
 
 
-def _tail_window(grid):
-    """Node slice for tail fitting: outer decade, last 10% excluded."""
-    hi = int(math.floor(grid.count * 0.9))
-    lo = int(np.searchsorted(grid.nodes, grid.r_max / 10.0))
-    lo = min(lo, hi - 10)
-    return slice(max(lo, 0), hi)
-
-
 def _tail_slope(grid, values, alpha, n):
     """Refit a power-law tail exponent from the outer-decade data."""
-    sl = _tail_window(grid)
+    sl = slice(*default_window(grid.nodes))
     vals = values[sl]
     if np.any(vals <= 0.0):
         return alpha + 1.0

@@ -44,6 +44,16 @@ class TestValidation:
         with pytest.raises(ValidationError):
             Params(n=4, alpha=2.0, p=0.5, q=2.0)
 
+    def test_nonfinite_rates_rejected(self):
+        # p = q = inf used to classify as supercritical with NaN rates;
+        # finite exponents can still overflow p*q or alpha*(q+1)
+        with pytest.raises(ValidationError):
+            Params(n=4, alpha=2.0, p=math.inf, q=math.inf)
+        with pytest.raises(ValidationError):
+            Params(n=4, alpha=2.0, p=1e200, q=1e200)
+        with pytest.raises(ValidationError):
+            Params(n=4, alpha=2.0, p=1e-300, q=1.7e308)
+
     def test_from_order_k(self):
         params = Params.from_order_k(n=5, k=1, p=3.0, q=3.0)
         assert params.alpha == 2.0

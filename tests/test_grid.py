@@ -43,6 +43,17 @@ class TestConstruction:
         with pytest.raises(ValidationError):
             make_grid(1e-2, 1e2, 32, 0)
 
+    def test_infinite_endpoint_rejected(self):
+        # an infinite r_max would put NaN into the log-spaced nodes
+        with pytest.raises(ValidationError):
+            make_grid(1e-4, np.inf, 32, 3)
+
+    def test_weight_overflow_rejected(self):
+        # r^3 overflows at 1e300 and underflows at 1e-300, so the exact
+        # cell moments would be inf/NaN and zero
+        with pytest.raises(ValidationError):
+            make_grid(1e-300, 1e300, 32, 3)
+
 
 class TestWeights:
     def test_weights_are_exact_cell_moments(self):

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rieszlab.errors import SingularKernelError, ValidationError
-from rieszlab.riesz import (angular_kernel, kernel_ratio,
+from rieszlab.riesz import (CUSP_PATCH_RADIUS, angular_kernel, kernel_ratio,
                             power_law_constant, riesz_normalization,
                             sphere_area)
 
@@ -116,6 +116,50 @@ class TestKernelValues:
             got = angular_kernel(1.0, s, 3, 0.8)
             want = closed_form_oracle(1.0, s, 3, 0.8)
             assert got == pytest.approx(want, rel=1e-7)
+
+
+def _diagonal_cases():
+    # the alpha <= 1 branch switches from 2F1 to its connection-formula
+    # patch at 1 - w = 1e-10 (offset ~1e-5); that seam is off by up to
+    # 2.7e-7 relative and is kept bit for bit
+    # 1 + 1e-12 and 1 + 1e-9 sit where the two connection terms cancel;
+    # 1.0199 and 1.0201 straddle the switch to the cancellation-free sum;
+    # offsets 1e-3 and 3e-2 are where scipy's 2F1 fails for alpha -> 1
+    for alpha in (0.55, 0.8, 1.0, 1.0 + 1e-12, 1.0 + 1e-9, 1.001, 1.0199,
+                  1.0201, 1.05, 1.2, 1.5, 1.8, 1.95):
+        for offset in (1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 3e-2):
+            seam = alpha <= 1.0 and offset == 1e-5
+            marks = pytest.mark.xfail(
+                strict=True, reason="alpha <= 1 patch seam") if seam else ()
+            yield pytest.param(alpha, offset, marks=marks)
+
+
+class TestKernelRatioNearDiagonal:
+    @pytest.mark.parametrize("alpha,offset", list(_diagonal_cases()))
+    def test_against_closed_form(self, alpha, offset):
+        # both sides of the diagonal; the oracle sees the same rounded rho
+        for n in (3, 5):
+            rho = np.array([1.0 - offset, 1.0 + offset])
+            got = kernel_ratio(rho, n, alpha)
+            want = [closed_form_oracle(1.0, float(x), n, alpha) for x in rho]
+            assert np.max(np.abs(got / want - 1.0)) <= 1e-8
+
+    def test_finite_cusp_patch_seam(self):
+        # 1 < alpha < 2 switches to the connection formula at
+        # 1 - w = CUSP_PATCH_RADIUS, i.e. (1 - rho^2)/(1 + rho^2) = t;
+        # both sides match the oracle
+        for alpha in (1.0 + 1e-9, 1.05, 1.5):
+            t = math.sqrt(CUSP_PATCH_RADIUS) * np.array([0.99, 1.01])
+            rho = np.sqrt((1.0 - t) / (1.0 + t))
+            got = kernel_ratio(rho, 4, alpha)
+            want = [closed_form_oracle(1.0, float(x), 4, alpha) for x in rho]
+            assert np.max(np.abs(got / want - 1.0)) <= 1e-10
+
+    def test_scalar_input(self):
+        got = kernel_ratio(1.0 + 1e-8, 3, 1.2)
+        assert np.ndim(got) == 0
+        assert got == pytest.approx(
+            closed_form_oracle(1.0, 1.0 + 1e-8, 3, 1.2), rel=1e-12)
 
 
 class TestKernelStructure:

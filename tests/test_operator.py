@@ -1,16 +1,18 @@
 """Discrete radial potential operator: adjointness, accuracy, extensions."""
 
+import math
 import warnings
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from rieszlab.errors import (DivergentTailError, TruncationWarning,
                              ValidationError)
 from rieszlab.grid import make_grid
-from rieszlab.riesz import (RadialField, apply_extended, apply_with_tail,
-                            assemble, field_integral, power_law_constant,
-                            tail_response)
+from rieszlab.riesz import (TAIL_RANGE_CAP, RadialField, apply_extended,
+                            apply_with_tail, assemble, field_integral,
+                            kernel_ratio, power_law_constant, tail_response)
 
 
 @pytest.fixture(autouse=True)
@@ -127,6 +129,61 @@ class TestExtensions:
         sl = grid.interior_slice()
         want = power_law_constant(5, 2.0, 3.0) * grid.nodes ** -1.0
         assert np.max(np.abs(out.values[sl] / want[sl] - 1.0)) <= 1e-4
+
+
+def tail_oracle(op, i, tau, m, upper=math.inf):
+    """Adaptive quadrature of the bare tail response at node ``i``.
+
+    ``int_{r_max}^{upper} K(r_i, s) (s/r_max)^-tau (ln s/ln r_max)^m
+    s^(n-1) ds``, split at ``2 r_max`` so the kernel peak at ``s = r_max``
+    and the decay beyond are resolved separately.
+    """
+    grid, n, alpha = op.grid, op.n, op.alpha
+    r_i, r_max, lr = grid.nodes[i], grid.r_max, math.log(grid.r_max)
+
+    def integrand(s):
+        return (r_i ** (alpha - n) * float(kernel_ratio(s / r_i, n, alpha))
+                * (s / r_max) ** -tau * (math.log(s) / lr) ** m
+                * s ** (n - 1))
+
+    total = 0.0
+    for lo, hi in ((r_max, 2.0 * r_max), (2.0 * r_max, upper)):
+        val, _ = integrate.quad(integrand, lo, hi, epsabs=0.0, epsrel=1e-11,
+                                limit=400)
+        total += val
+    return total
+
+
+class TestTailResponse:
+    @pytest.mark.parametrize("m", [0.0, 1.0, 2.5])
+    @pytest.mark.parametrize("tau", [2.05, 4.0, 6.0, 18.0])
+    def test_against_adaptive_quadrature(self, op4, tau, m):
+        # tau = alpha + 0.05 is cut at the range cap (and says so); the
+        # other tails are integrated out to infinity by the oracle
+        capped = tau - op4.alpha < 0.1
+        if capped:
+            with pytest.warns(TruncationWarning):
+                got = tail_response(op4, tau, m)
+        else:
+            got = tail_response(op4, tau, m)
+        upper = TAIL_RANGE_CAP * op4.grid.r_max if capped else math.inf
+        count = op4.grid.count
+        for i in (0, count // 2, count - 1):
+            want = tail_oracle(op4, i, tau, m, upper)
+            assert got[i] == pytest.approx(want, rel=1e-7)
+
+    def test_operator_state_bounded(self, op4):
+        # every call uses the one table built at assembly; nothing is
+        # cached per tail exponent
+        def state():
+            return {k: v.shape if isinstance(v, np.ndarray) else repr(v)
+                    for k, v in vars(op4).items()}
+
+        before = state()
+        for tau in np.linspace(2.05, 20.0, 200):
+            tail_response(op4, float(tau), 1.0)
+        assert state() == before
+        assert op4.tail_kernel.shape[0] == op4.grid.count
 
 
 class TestFieldIntegral:
