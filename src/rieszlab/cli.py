@@ -37,7 +37,7 @@ from .grid import make_grid
 from .shooting import ShotConfig, bisect_ground_state, shoot
 from .solver import (Branch, SolveConfig, SolutionPair, singular_solution,
                      solve_picard)
-from .riesz import RadialField
+from .riesz import RadialField, check_dense_count
 
 DEFAULT_GRID = "1e-4:1e4:512"
 
@@ -87,6 +87,8 @@ def _resolve_grid(args, params):
         r_min, r_max, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise ValidationError("malformed --grid %r: %s" % (args.grid, exc)) from exc
+    # every --grid command assembles a dense operator on the grid
+    check_dense_count(count)
     return make_grid(r_min=r_min, r_max=r_max, count=count, n=params.n)
 
 

@@ -24,7 +24,14 @@ which makes the discrete operator exactly self-adjoint with respect to
 the cell weights (``w_i M[i][j] == w_j M[j][i]`` to rounding) and
 second-order accurate in the log mesh width.  On the log grid all
 interior cell pairs with the same index offset share one reduced 1D
-integral, so assembly costs O(count) kernel quadratures.
+integral, so assembly needs O(count) reduced integrals: one per offset
+and one per pair in the two boundary strips (cells 0 and count-1).
+Every pair whose log-ratio window stays off the kernel cusp is
+integrated on fixed Gauss panels, all of them in a few batched
+:func:`kernel_ratio` calls of O(count) samples; adaptive quadrature is
+left for the three pairs whose window straddles the cusp (offset 0 and
+the two boundary cells with themselves).  Grids above
+``MAX_DENSE_COUNT`` nodes are refused before anything is allocated.
 
 The response to the power-law tail model beyond ``r_max`` is one matrix
 product per call: assembly also samples the kernel once on a fixed
@@ -64,6 +71,19 @@ _NEAR_LOG_EXPONENT = 1e-2
 #: Grid nodes whose tail kernel rows are sampled in one ``kernel_ratio``
 #: call; bounds the transient arrays of the build to about a MB each.
 _TAIL_BUILD_ROWS = 256
+#: Cell pairs integrated in one ``kernel_ratio`` call by
+#: :func:`_pair_integrals`; at 72 samples a pair, under a MB per array.
+_PAIR_BLOCK_ROWS = 1024
+#: Largest grid :func:`assemble` accepts: the dense operator is
+#: ``count x count`` doubles, 2 GB at this size.
+MAX_DENSE_COUNT = 16384
+#: The 12-point Gauss-Legendre rule on [-1, 1] used by every panel
+#: quadrature of this module.
+_GAUSS_X, _GAUSS_W = leggauss(12)
+#: Panel breaks of an off-cusp window, as fractions of its width: six
+#: uniform panels put a break on each kink of the overlap weight, at the
+#: middle (equal cells) or the thirds (a half-width boundary cell).
+_UNIFORM_PANELS = np.linspace(0.0, 1.0, 7)
 
 
 def sphere_area(n):
@@ -320,14 +340,30 @@ class KernelOperator:
         return riesz_normalization(self.n, self.alpha)
 
 
-def _gauss_panels(breaks, order=12):
-    """Gauss-Legendre nodes/weights on a sequence of panels."""
-    x0, w0 = leggauss(order)
+def check_dense_count(count):
+    """Refuse a grid too large for a dense ``count x count`` operator.
+
+    Raises :class:`ValidationError` above ``MAX_DENSE_COUNT`` nodes.
+    """
+    if count > MAX_DENSE_COUNT:
+        raise ValidationError(
+            "a dense operator on %d nodes needs %.3g GB; at most %d nodes "
+            "are supported" % (count, 8e-9 * count * count, MAX_DENSE_COUNT))
+
+
+def _gauss_panels(breaks):
+    """12-point Gauss-Legendre nodes and weights on a sequence of panels.
+
+    ``breaks`` holds the panel ends along its last axis; a 2-D array is
+    one row of panels per integral, and the nodes and weights come back
+    with one row each.
+    """
     breaks = np.asarray(breaks, dtype=float)
-    mid = 0.5 * (breaks[1:] + breaks[:-1])
-    half = 0.5 * (breaks[1:] - breaks[:-1])
-    nodes = (mid[:, None] + half[:, None] * x0[None, :]).ravel()
-    weights = (half[:, None] * w0[None, :]).ravel()
+    mid = 0.5 * (breaks[..., 1:] + breaks[..., :-1])
+    half = 0.5 * (breaks[..., 1:] - breaks[..., :-1])
+    shape = breaks.shape[:-1] + (-1,)
+    nodes = (mid[..., None] + half[..., None] * _GAUSS_X).reshape(shape)
+    weights = (half[..., None] * _GAUSS_W).reshape(shape)
     return nodes, weights
 
 
@@ -347,7 +383,7 @@ def _graded_breaks(lo, hi, toward_lo, levels=12, ratio=0.5):
 #: on ``[0, 1]``, then uniform panels out to the cap.
 _TAIL_NODES, _TAIL_WEIGHTS = _gauss_panels(np.concatenate(
     (_graded_breaks(0.0, 1.0, True),
-     np.linspace(1.0, math.log(TAIL_RANGE_CAP), 16)[1:])), order=12)
+     np.linspace(1.0, math.log(TAIL_RANGE_CAP), 16)[1:])))
 
 
 def _overlap_weight(z, la, lb, lc, ld, npa):
@@ -363,53 +399,94 @@ def _overlap_weight(z, la, lb, lc, ld, npa):
     return out
 
 
+def _pair_integrand(z, la, lb, lc, ld, n, alpha):
+    """Integrand of the double-cell integral reduced to the log-ratio ``z``."""
+    return (kernel_ratio(np.exp(z), n, alpha) * np.exp(n * z)
+            * _overlap_weight(z, la, lb, lc, ld, n + alpha))
+
+
 def _pair_cell_quadrature(la, lb, lc, ld, n, alpha, adaptive_budget=10 ** 6):
-    """Exact-to-tolerance double-cell integral, reduced to 1D.
+    """Double-cell integral of a pair whose window straddles the cusp.
 
     Returns ``int_{cell_s} int_{cell_t} K(s,t) s^{n-1} t^{n-1} ds dt`` for
-    log-cells ``[la, lb] x [lc, ld]``.  When the log-ratio window contains
-    zero (cells touch or overlap the diagonal) the kernel cusp is handled
-    by adaptive quadrature split at zero; otherwise fixed Gauss panels
-    suffice.
+    log-cells ``[la, lb] x [lc, ld]`` that overlap, so that the log-ratio
+    window ``(lc - lb, ld - la)`` contains the kernel cusp at ``z = 0``:
+    adaptive quadrature split there.  Off-cusp pairs go through
+    :func:`_pair_integrals`.
+    """
+    out = integrate.quad(
+        lambda z: float(_pair_integrand(z, la, lb, lc, ld, n, alpha)),
+        lc - lb, ld - la, points=[0.0], epsabs=0.0, epsrel=1e-11, limit=400,
+        full_output=True)
+    val, err, info = out[0], out[1], out[2]
+    if (info["neval"] > adaptive_budget or not math.isfinite(val)
+            or err > 1e-6 * abs(val) + 1e-300):
+        raise AssemblyError(
+            "diagonal-cell quadrature did not converge within budget")
+    return val
+
+
+def _pair_integrals(cells, breaks, n, alpha):
+    """Double-cell integrals of many cell pairs on fixed Gauss panels.
+
+    ``cells`` is the ``4 x P`` array of log-cells ``(la, lb, lc, ld)``;
+    row ``k`` of ``breaks`` holds the panel breaks of pair ``k``'s window
+    ``[lc - lb, ld - la]``, which may end at the cusp ``z = 0`` but not
+    contain it.  Pairs are sampled ``_PAIR_BLOCK_ROWS`` at a time.
+    """
+    out = np.empty(breaks.shape[0])
+    for lo in range(0, out.size, _PAIR_BLOCK_ROWS):
+        rows = slice(lo, lo + _PAIR_BLOCK_ROWS)
+        z, wts = _gauss_panels(breaks[rows])
+        vals = _pair_integrand(z, *cells[:, rows, None], n, alpha)
+        out[rows] = np.sum(vals * wts, axis=-1)
+    return out
+
+
+def _pair_cells(ledges, i, js):
+    """Log-cells ``(la, lb, lc, ld)`` of the cell pairs ``(i, j)`` for
+    ``j`` in ``js``, stacked as a ``4 x len(js)`` array."""
+    return np.array(np.broadcast_arrays(ledges[i], ledges[i + 1],
+                                        ledges[js], ledges[js + 1]))
+
+
+def _touching_breaks(la, lb, lc, ld):
+    """Panel breaks of a boundary pair whose window ends at the cusp.
+
+    The half-width boundary cell puts the kinks of the overlap weight,
+    at ``lc - la`` and ``ld - lb``, on the thirds of the window: grade
+    toward the cusp up to the nearer kink and break at the other.  Its
+    16 levels take the integrand's ``|z|^alpha`` end to rounding
+    (1e-14 relative at alpha = 0.8, against 2e-12 with 12 levels).
     """
     zlo, zhi = lc - lb, ld - la
-    npa = n + alpha
-
-    def zintegrand(z):
-        z = np.asarray(z, dtype=float)
-        return (kernel_ratio(np.exp(z), n, alpha) * np.exp(n * z)
-                * _overlap_weight(z, la, lb, lc, ld, npa))
-
-    if zlo < 0.0 < zhi:
-        out = integrate.quad(
-            lambda z: float(zintegrand(z)), zlo, zhi, points=[0.0],
-            epsabs=0.0, epsrel=1e-11, limit=400, full_output=True)
-        val, err, info = out[0], out[1], out[2]
-        if (info["neval"] > adaptive_budget or not math.isfinite(val)
-                or err > 1e-6 * abs(val) + 1e-300):
-            raise AssemblyError(
-                "diagonal-cell quadrature did not converge within budget")
-        return val
-    # The kernel cusp can sit at a window end (touching cells); the
-    # weight vanishes there, but grade toward it for low orders alpha.
+    near, far = sorted((lc - la, ld - lb), key=abs)
     if zlo == 0.0:
-        breaks = _graded_breaks(zlo, zhi, toward_lo=True)
-    elif zhi == 0.0:
-        breaks = _graded_breaks(zlo, zhi, toward_lo=False)
-    else:
-        breaks = np.linspace(zlo, zhi, 7)
-    nodes, wts = _gauss_panels(breaks, order=12)
-    return float(np.dot(wts, zintegrand(nodes)))
+        return np.concatenate((_graded_breaks(zlo, near, True, levels=16),
+                               [far, zhi]))
+    return np.concatenate(([zlo, far],
+                           _graded_breaks(near, zhi, False, levels=16)))
 
 
 def assemble(grid, n, alpha):
     """Assemble the dense bare-kernel operator on ``grid``.
 
     Interior cell pairs are filled from per-offset reduced integrals
-    (the log grid makes them a one-parameter family); pairs involving
-    the two clipped boundary cells are integrated individually.  The
-    construction is symmetric in the pair of cells, so the adjoint
-    identity ``w_i M[i][j] = w_j M[j][i]`` holds to rounding.
+    (the log grid makes them a one-parameter family, laid out through a
+    strided Toeplitz view); pairs involving the two clipped boundary
+    cells are integrated individually.  Off-cusp integrals are fixed
+    Gauss-panel sums, their kernel samples, O(count) in all, taken in a
+    few large ``kernel_ratio`` calls; only the three pairs straddling
+    the cusp use adaptive quadrature.  The construction is symmetric in
+    the pair of cells, so the adjoint identity ``w_i M[i][j] = w_j
+    M[j][i]`` holds to rounding.
+
+    Raises
+    ------
+    ValidationError
+        For a bad grid or order, and, by :func:`check_dense_count`
+        before anything is allocated, for more than ``MAX_DENSE_COUNT``
+        nodes.
     """
     if not isinstance(grid, RadialGrid):
         raise ValidationError("assemble needs a RadialGrid")
@@ -418,58 +495,66 @@ def assemble(grid, n, alpha):
     if grid.n != n:
         raise ValidationError(
             "grid was built for dimension %d, not %d" % (grid.n, n))
-
     count = grid.count
-    h = grid.log_step
-    lnodes = np.log(grid.nodes)
-    ledges = np.log(grid.edges)
-    npa = n + alpha
+    check_dense_count(count)
 
-    # Reduced family integrals for full-width interior cell pairs:
-    # sym(i, i+d) = r_i^{n+alpha} * fam[d] for 1 <= i, i+d <= count-2.
-    fam = np.empty(count)
-    # d = 0: kernel cusp at z = 0, adaptive split quadrature.  d = 1 has
-    # the cusp at a window end; the graded path handles it.
+    h = grid.log_step
+    ledges = np.log(grid.edges)
+    last = count - 1
+
+    # Full-width interior cells i, i+d give sym(i, i+d) = r_i^{n+alpha}
+    # * fam[d], with fam[d] the pair (-h/2, h/2) x (dh - h/2, dh + h/2).
+    # Offsets 2 .. count-3 and the boundary strips, (0, j) for j = 2 ..
+    # count-2 and (count-1, j) for j = 0 .. count-3, are off the cusp:
+    # one batch on uniform panels.
+    dh = np.arange(2, count - 2) * h
+    strips = np.concatenate((_pair_cells(ledges, 0, np.arange(2, last)),
+                             _pair_cells(ledges, last, np.arange(last - 1))),
+                            axis=1)
+    cells = np.concatenate((np.array(np.broadcast_arrays(
+        -0.5 * h, 0.5 * h, dh - 0.5 * h, dh + 0.5 * h)), strips), axis=1)
+    zlo = np.concatenate((dh - h, strips[2] - strips[1]))
+    zhi = np.concatenate((dh + h, strips[3] - strips[0]))
+    breaks = zlo[:, None] + (zhi - zlo)[:, None] * _UNIFORM_PANELS
+    fam = np.empty(count - 2)
+    integrals = _pair_integrals(cells, breaks, n, alpha)
+    fam[2:], strip0, stripl = np.split(integrals,
+                                       [dh.size, dh.size + last - 2])
+
+    # Windows ending at the cusp, on panels graded toward it.  Offset 1
+    # has its one kink at the window middle, a break of that grading.
+    la, lb, lc, ld = -0.5 * h, 0.5 * h, 0.5 * h, 1.5 * h
+    z, wts = _gauss_panels(_graded_breaks(lc - lb, ld - la, True))
+    fam[1] = np.dot(wts, _pair_integrand(z, la, lb, lc, ld, n, alpha))
+    touching = np.stack((_pair_cells(ledges, 0, 1),
+                         _pair_cells(ledges, last, last - 1)), axis=1)
+    touch0, touchl = _pair_integrals(
+        touching, np.array([_touching_breaks(*c) for c in touching.T]),
+        n, alpha)
+
+    # Windows straddling the cusp: adaptive quadrature.
     fam[0] = _pair_cell_quadrature(-0.5 * h, 0.5 * h, -0.5 * h, 0.5 * h,
                                    n, alpha)
-    if count > 1:
-        fam[1] = _pair_cell_quadrature(-0.5 * h, 0.5 * h, 0.5 * h, 1.5 * h,
-                                       n, alpha)
-    dvals = np.arange(2, count)
-    zlo = dvals * h - h
-    zhi = dvals * h + h
-    # 6 Gauss panels per offset; the integrand vanishes linearly at the
-    # window ends, so fixed panels converge fast.
-    panels = np.linspace(0.0, 1.0, 7)
-    breaks = zlo[:, None] + (zhi - zlo)[:, None] * panels[None, :]
-    x0, w0 = leggauss(12)
-    mids = 0.5 * (breaks[:, 1:] + breaks[:, :-1])
-    halfs = 0.5 * (breaks[:, 1:] - breaks[:, :-1])
-    znodes = mids[:, :, None] + halfs[:, :, None] * x0[None, None, :]
-    zweights = halfs[:, :, None] * np.broadcast_to(w0, znodes.shape)
-    kvals = kernel_ratio(np.exp(znodes), n, alpha)
-    wvals = _overlap_weight(znodes, -0.5 * h, 0.5 * h,
-                            dvals[:, None, None] * h - 0.5 * h,
-                            dvals[:, None, None] * h + 0.5 * h, npa)
-    fam[2:] = np.sum(kvals * np.exp(n * znodes) * wvals * zweights,
-                     axis=(1, 2))
+    diag0 = _pair_cell_quadrature(*_pair_cells(ledges, 0, 0), n, alpha)
+    diagl = _pair_cell_quadrature(*_pair_cells(ledges, last, last), n, alpha)
 
-    sym = np.zeros((count, count))
-    base = np.exp(npa * lnodes)
-    for d in range(count):
-        idx = np.arange(max(1, 0), count - d)
-        idx = idx[(idx >= 1) & (idx + d <= count - 2)]
-        if idx.size:
-            sym[idx, idx + d] = base[idx] * fam[d]
-            sym[idx + d, idx] = sym[idx, idx + d]
+    # Boundary rows; the corner pair is integrated once, as (count-1, 0).
+    row0 = np.concatenate(([diag0, touch0], strip0, stripl[:1]))
+    rowl = np.concatenate((stripl, [touchl, diagl]))
 
-    # Boundary strips: any pair involving cell 0 or cell count-1.
-    for i in (0, count - 1):
-        for j in range(count):
-            v = _pair_cell_quadrature(ledges[i], ledges[i + 1],
-                                      ledges[j], ledges[j + 1], n, alpha)
-            sym[i, j] = v
-            sym[j, i] = v
+    # The only count x count array: base grows with the node index, so
+    # base[min(i, j)] = min(base[i], base[j]), and a strided view of fam
+    # gives fam[|i - j|] with no index matrix.
+    sym = np.empty((count, count))
+    inner = sym[1:last, 1:last]
+    base = np.exp((n + alpha) * np.log(grid.nodes))[1:last]
+    np.minimum(base[:, None], base[None, :], out=inner)
+    inner *= np.lib.stride_tricks.sliding_window_view(
+        np.concatenate((fam[:0:-1], fam)), fam.size)[::-1]
+    sym[0] = row0
+    sym[:, 0] = row0
+    sym[last] = rowl
+    sym[:, last] = rowl
 
     # Divide in place: a second count x count array would double the
     # peak memory of large grids.
@@ -491,7 +576,7 @@ def _head_response(grid, n, alpha):
     y_max = 40.0 / n
     breaks = np.concatenate((_graded_breaks(0.0, min(2.0, y_max), True),
                              np.linspace(min(2.0, y_max), y_max, 8)[1:]))
-    ynodes, yweights = _gauss_panels(breaks, order=12)
+    ynodes, yweights = _gauss_panels(breaks)
     s = grid.r_min * np.exp(-ynodes)
     ratio = s[None, :] / grid.nodes[:, None]
     kv = kernel_ratio(ratio, n, alpha)
@@ -638,8 +723,7 @@ def field_integral(f, power=1.0, weight_exponent=0.0, include_head=True,
             tail = vals[-1] * grid.r_max ** n_eff / (tau_eff - n_eff)
         else:
             y_max = -math.log(TAIL_REMAINDER) / (tau_eff - n_eff)
-            ynodes, yweights = _gauss_panels(
-                np.linspace(0.0, y_max, 17), order=12)
+            ynodes, yweights = _gauss_panels(np.linspace(0.0, y_max, 17))
             lr = math.log(grid.r_max)
             if lr <= 1.0:
                 raise ValidationError(

@@ -6,6 +6,7 @@ import math
 import pytest
 
 from rieszlab.cli import main
+from rieszlab.riesz import MAX_DENSE_COUNT
 
 SING = ["singular", "--n", "5", "--alpha", "2", "--p", "3", "--q", "3",
         "--grid", "1e-4:1e4:256"]
@@ -123,6 +124,15 @@ class TestSolve:
         code, _, _ = run(capsys, ["solve", "--n", "4", "--alpha", "2",
                                   "--p", "3", "--q", "3", "--grid", "oops"])
         assert code == 2
+
+    @pytest.mark.parametrize("count", [MAX_DENSE_COUNT + 1, 10 ** 12])
+    def test_oversized_grid_exits_2(self, capsys, count):
+        # refused on the count alone, before the grid's nodes exist
+        code, _, err = run(capsys, ["solve", "--n", "4", "--alpha", "2",
+                                    "--p", "3", "--q", "3", "--grid",
+                                    "1e-4:1e4:%d" % count])
+        assert code == 2
+        assert err.startswith("error:") and "Traceback" not in err
 
     def test_solve_writes_fields(self, tmp_path, capsys):
         out_dir = tmp_path / "solved"

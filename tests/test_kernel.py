@@ -179,7 +179,10 @@ class TestKernelStructure:
            st.floats(min_value=0.1, max_value=10.0))
     @settings(max_examples=60, deadline=None)
     def test_homogeneity(self, r, s, lam):
-        if r == s:
+        # lam*r and lam*s round independently, which moves |r - s| by up
+        # to an ulp and the kernel's |r - s|^(alpha-1) cusp term with it:
+        # 1e-8 relative one ulp apart, 1e-11 at the 1e-9 gap kept here
+        if abs(r - s) <= 1e-9 * max(r, s):
             return
         base = angular_kernel(r, s, 4, 1.5)
         scaled = angular_kernel(lam * r, lam * s, 4, 1.5)

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,9 @@ from scipy import integrate
 from rieszlab.errors import (DivergentTailError, TruncationWarning,
                              ValidationError)
 from rieszlab.grid import make_grid
-from rieszlab.riesz import (TAIL_RANGE_CAP, RadialField, apply_extended,
+from rieszlab.riesz import (MAX_DENSE_COUNT, TAIL_RANGE_CAP, RadialField,
+                            _head_response, _pair_cell_quadrature,
+                            _pair_integrand, apply_extended,
                             apply_with_tail, assemble, field_integral,
                             kernel_ratio, power_law_constant, tail_response)
 
@@ -59,6 +62,52 @@ class TestAssembly:
             assemble(grid, 3, 3.0)
         with pytest.raises(ValidationError):
             assemble("grid", 3, 1.0)
+
+    def test_dense_count_guard(self):
+        # the guard reads the count alone: the small arrays behind this
+        # grid would break any step that ran before it
+        grid = replace(make_grid(1e-2, 1e2, 32, 3), count=MAX_DENSE_COUNT + 1)
+        with pytest.raises(ValidationError, match="nodes"):
+            assemble(grid, 3, 2.0)
+
+
+def pair_oracle(grid, n, alpha, i, j):
+    """Double-cell integral of cells ``i`` and ``j``, pair by pair.
+
+    Windows straddling the kernel cusp use the assembly's adaptive path;
+    the others are integrated by ``quad``, split at the kinks of the
+    overlap weight.
+    """
+    le = np.log(grid.edges)
+    la, lb, lc, ld = le[i], le[i + 1], le[j], le[j + 1]
+    zlo, zhi = lc - lb, ld - la
+    if zlo < 0.0 < zhi:
+        return _pair_cell_quadrature(la, lb, lc, ld, n, alpha)
+
+    kinks = sorted(k for k in (lc - la, ld - lb) if zlo < k < zhi)
+    val, _ = integrate.quad(
+        lambda z: float(_pair_integrand(z, la, lb, lc, ld, n, alpha)),
+        zlo, zhi, points=kinks or None, epsabs=0.0, epsrel=1e-13, limit=200)
+    return val
+
+
+class TestBoundaryStrips:
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    @pytest.mark.parametrize("n, alpha", [(3, 0.8), (4, 1.5), (5, 2.0)])
+    def test_against_pairwise_quadrature(self, n, alpha):
+        grid = make_grid(1e-4, 1e4, 64, n)
+        op = assemble(grid, n, alpha)
+        w, count = grid.weights, grid.count
+        for i in (0, count - 1):
+            want = [pair_oracle(grid, n, alpha, i, j) for j in range(count)]
+            np.testing.assert_allclose(w[i] * op.matrix[i], want,
+                                       rtol=1e-12, atol=0.0)
+            # one integral per pair, corner (0, count-1) included; each
+            # side divides it by one weight and multiplies by the same
+            # weight again, so the two agree to two roundings
+            row, col = w[i] * op.matrix[i], w * op.matrix[:, i]
+            assert np.all(np.abs(row - col)
+                          <= 2.0 * np.spacing(np.maximum(row, col)))
 
 
 class TestPowerLawAccuracy:
@@ -152,6 +201,41 @@ def tail_oracle(op, i, tau, m, upper=math.inf):
                                 limit=400)
         total += val
     return total
+
+
+def head_oracle(grid, n, alpha, i):
+    """Adaptive quadrature of the bare head response at node ``i``,
+    ``int_0^{r_min} K(r_i, s) s^(n-1) ds``."""
+    r_i = grid.nodes[i]
+
+    def integrand(s):
+        return (r_i ** (alpha - n) * float(kernel_ratio(s / r_i, n, alpha))
+                * s ** (n - 1))
+
+    val, _ = integrate.quad(integrand, 0.0, grid.r_min, epsabs=0.0,
+                            epsrel=1e-13, limit=400)
+    return val
+
+
+#: Node 0 sits on the kernel cusp at s = r_min, and the graded head
+#: mesh resolves it only to 3e-5 (alpha = 0.8) and 3e-9 (alpha = 1.5).
+_HEAD_CUSP = pytest.mark.xfail(
+    strict=True, reason="head mesh under-resolves node 0's kernel cusp")
+
+
+class TestHeadResponse:
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    @pytest.mark.parametrize("i", [0, 1, 32, 63])
+    @pytest.mark.parametrize("n, alpha", [(3, 0.8), (4, 1.5), (5, 2.0)])
+    def test_against_adaptive_quadrature(self, n, alpha, i, request):
+        if i == 0 and alpha < 2.0:
+            request.applymarker(_HEAD_CUSP)
+        # alpha = 0.8 at node 0 fails even this looser bound
+        rtol = 1e-8 if (i, alpha) == (0, 0.8) else 1e-10
+        grid = make_grid(1e-4, 1e4, 64, n)
+        got = _head_response(grid, n, alpha)[i]
+        want = head_oracle(grid, n, alpha, i)
+        assert got == pytest.approx(want, rel=rtol, abs=0.0)
 
 
 class TestTailResponse:
