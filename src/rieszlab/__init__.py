@@ -28,22 +28,22 @@ from .errors import (AssemblyError, BracketError, CollapseError,
                      PreconditionError, RieszLabError, SingularKernelError,
                      TruncationWarning, ValidationError)
 from .exponents import (Params, Regime, RegimeReport, VFastCase, classify,
-                        critical_q, integrability_thresholds)
+                        critical_q)
 from .grid import RadialGrid, make_grid
 from .riesz import (KernelOperator, RadialField, angular_kernel,
-                    apply_extended, apply_with_tail, assemble,
-                    field_integral, kernel_ratio, power_law_constant,
-                    riesz_normalization, sphere_area, tail_response)
+                    apply_extended, assemble, field_integral, kernel_ratio,
+                    power_law_constant, riesz_normalization, sphere_area,
+                    tail_response)
 from .solver import (Branch, SolveConfig, SolutionPair, default_init,
-                     singular_amplitudes, singular_solution, slow_exponents,
-                     solve_picard)
+                     singular_amplitudes, singular_solution, solve_picard)
 from .shooting import (BisectionResult, Outcome, ShotConfig, Trajectory,
                        bisect_ground_state, shoot)
 from .analysis import (DecayFit, FastLimitReport, RecursionTrace,
                        amplitude_b0, check_fast_limits, default_window,
-                       envelope_check, fit_tail, integrability_predicate,
-                       monotonicity_criterion, run_recursion, v_limit_pure,
-                       v_limit_log_corrected, v_limit_weakened)
+                       envelope_bands, envelope_check, fit_tail,
+                       integrability_predicate, monotonicity_criterion,
+                       run_recursion, v_limit_pure, v_limit_log_corrected,
+                       v_limit_weakened)
 from .runio import (RunManifest, config_hash, dumps_json, make_manifest,
                     read_field_csv, read_manifest, read_trajectory_csv,
                     write_field_csv, write_json, write_trajectory_csv)
@@ -56,19 +56,18 @@ __all__ = [
     "FastLimitReport", "IntegrationError", "KernelOperator",
     "NonConvergenceError", "NumericalError", "Outcome", "Params",
     "PreconditionError", "RadialField", "RadialGrid", "RecursionTrace",
-    "Regime", "RegimeReport", "RieszLabError", "RunManifest",
-    "ShotConfig", "SingularKernelError", "SolutionPair", "SolveConfig",
-    "Trajectory", "TruncationWarning", "VFastCase", "ValidationError",
-    "amplitude_b0", "angular_kernel", "apply_extended", "apply_with_tail",
-    "assemble", "bisect_ground_state", "check_fast_limits", "classify",
-    "config_hash", "critical_q", "default_init", "default_window",
-    "dumps_json", "envelope_check", "field_integral", "fit_tail",
-    "integrability_predicate", "integrability_thresholds", "kernel_ratio",
-    "make_grid", "make_manifest", "monotonicity_criterion",
+    "Regime", "RegimeReport", "RieszLabError", "RunManifest", "ShotConfig",
+    "SingularKernelError", "SolutionPair", "SolveConfig", "Trajectory",
+    "TruncationWarning", "VFastCase", "ValidationError", "amplitude_b0",
+    "angular_kernel", "apply_extended", "assemble", "bisect_ground_state",
+    "check_fast_limits", "classify", "config_hash", "critical_q",
+    "default_init", "default_window", "dumps_json", "envelope_bands",
+    "envelope_check", "field_integral", "fit_tail", "integrability_predicate",
+    "kernel_ratio", "make_grid", "make_manifest", "monotonicity_criterion",
     "power_law_constant", "read_field_csv", "read_manifest",
     "read_trajectory_csv", "riesz_normalization", "run_recursion", "shoot",
-    "singular_amplitudes", "singular_solution", "slow_exponents",
-    "solve_picard", "sphere_area", "tail_response", "v_limit_log_corrected",
-    "v_limit_pure", "v_limit_weakened", "write_field_csv", "write_json",
+    "singular_amplitudes", "singular_solution", "solve_picard", "sphere_area",
+    "tail_response", "v_limit_log_corrected", "v_limit_pure",
+    "v_limit_weakened", "write_field_csv", "write_json",
     "write_trajectory_csv",
 ]

@@ -43,7 +43,7 @@ from .riesz import (RadialField, angular_kernel, apply_extended, assemble,
                     riesz_normalization)
 from .shooting import ShotConfig, bisect_ground_state
 from .solver import (Branch, SolveConfig, SolutionPair, singular_amplitudes,
-                     singular_solution, slow_exponents, solve_picard)
+                     singular_solution, solve_picard)
 
 #: Parameter sets exercising the three fast-decay branches for ``v``
 #: (criterion 4).  The heavy-tailed weakened set sits against the tail
@@ -137,7 +137,8 @@ class Workspace:
             params = Params(n=n, alpha=alpha, p=p, q=q)
             grid = self.grid(n, count)
             amp_u, amp_v = singular_amplitudes(params)
-            th1, th2 = slow_exponents(params)
+            rep = classify(params)
+            th1, th2 = rep.slow_rate_u, rep.slow_rate_v
             u = RadialField(grid, amp_u * grid.nodes ** (-th1),
                             tail_exponent=th1)
             v = RadialField(grid, amp_v * grid.nodes ** (-th2),
@@ -169,8 +170,9 @@ class Workspace:
                 warnings.simplefilter("ignore", TruncationWarning)
                 out = apply_extended(op, nodes ** (-beta), beta)
             sl = op.grid.interior_slice()
-            slope = -float(np.polyfit(np.log(nodes[sl]),
-                                      np.log(out[sl]), 1)[0])
+            slope = analysis.fit_tail(nodes, out,
+                                      window=(nodes[sl][0], nodes[sl][-1]),
+                                      log_power=0).exponent
             amplitude = float(np.median(out[sl] * nodes[sl] ** (beta - alpha)))
             return slope, amplitude
 

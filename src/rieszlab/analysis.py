@@ -24,6 +24,8 @@ from .riesz import (field_integral, power_law_constant,
 
 #: Relative RSS improvement a log-corrected model must deliver.
 LOG_MODEL_GAIN = 0.05
+#: Relative widening of the decay envelope beyond the slow and fast rates.
+ENVELOPE_SLACK = 0.05
 
 
 @dataclass(frozen=True)
@@ -222,22 +224,24 @@ def run_recursion(b0, alpha, p, q, max_steps=64):
                           b_seq=tuple(b_seq), blowup_index=blowup)
 
 
-def envelope_check(params, exponent_u, exponent_v, slack=0.05):
-    """Whether fitted decay exponents sit inside the regime envelope.
+def envelope_bands(report, slack=ENVELOPE_SLACK):
+    """Admissible decay-exponent bands ``((lo_u, hi_u), (lo_v, hi_v))``.
 
-    The admissible band for each component spans its slow (power-law
-    separatrix) and fast (potential-driven) rates from the regime
-    classification, widened by ``slack`` relative on both sides.
+    Each band spans the component's slow (power-law separatrix) and fast
+    (potential-driven) rates from the regime classification ``report``,
+    widened by ``slack`` relative on both sides.
     """
-    report = classify(params)
-    bands = ((report.slow_rate_u, report.fast_rate_u, exponent_u),
-             (report.slow_rate_v, report.fast_rate_v, exponent_v))
-    for slow, fast, measured in bands:
-        lo = min(slow, fast) * (1.0 - slack)
-        hi = max(slow, fast) * (1.0 + slack)
-        if not lo <= measured <= hi:
-            return False
-    return True
+    return tuple((min(slow, fast) * (1.0 - slack),
+                  max(slow, fast) * (1.0 + slack))
+                 for slow, fast in ((report.slow_rate_u, report.fast_rate_u),
+                                    (report.slow_rate_v, report.fast_rate_v)))
+
+
+def envelope_check(params, exponent_u, exponent_v, slack=ENVELOPE_SLACK):
+    """Whether fitted decay exponents sit inside :func:`envelope_bands`."""
+    bands = envelope_bands(classify(params), slack)
+    return all(lo <= measured <= hi for (lo, hi), measured
+               in zip(bands, (exponent_u, exponent_v)))
 
 
 @dataclass(frozen=True)
@@ -258,6 +262,29 @@ class FastLimitReport:
     v_deviation: float
 
 
+def _fast_limit(params, field=None, power=None, label=None):
+    """``|S^{n-1}|/gamma(n, alpha)``, times the mass of ``field^power``.
+
+    The potential of an integrable profile decays like this constant
+    times its mass times ``r^{alpha-n}``.  With no ``field`` the bare
+    constant is returned.
+
+    Raises
+    ------
+    DivergentTailError
+        When ``field^power`` is not integrable (``power*tau <= n``);
+        ``label`` names it in the message.
+    """
+    const = sphere_area(params.n) / riesz_normalization(params.n, params.alpha)
+    if field is None:
+        return const
+    if field.tail_exponent * power <= params.n:
+        raise DivergentTailError(
+            "%s is not integrable: power*tail_exponent = %r <= n = %r"
+            % (label, power * field.tail_exponent, params.n))
+    return const * field_integral(field, power=power)
+
+
 def amplitude_b0(pair):
     """Predicted fast amplitude of ``u``: the full mass of ``v^q``.
 
@@ -269,15 +296,7 @@ def amplitude_b0(pair):
     DivergentTailError
         When the powered tail is not integrable (``q*tau_v <= n``).
     """
-    params = pair.params
-    v = pair.v
-    if v.tail_exponent * params.q <= params.n:
-        raise DivergentTailError(
-            "v^q is not integrable: q*tail_exponent = %r <= n = %r"
-            % (params.q * v.tail_exponent, params.n))
-    mass = field_integral(v, power=params.q)
-    return (sphere_area(params.n)
-            / riesz_normalization(params.n, params.alpha) * mass)
+    return _fast_limit(pair.params, pair.v, pair.params.q, "v^q")
 
 
 def _window_amplitude(field, exponent, log_power=0):
@@ -316,13 +335,7 @@ def v_limit_pure(pair):
     """
     params = pair.params
     _require_case(pair, VFastCase.PURE)
-    if pair.u.tail_exponent * params.p <= params.n:
-        raise DivergentTailError(
-            "u^p is not integrable: p*tail_exponent = %r <= n = %r"
-            % (params.p * pair.u.tail_exponent, params.n))
-    predicted = (sphere_area(params.n)
-                 / riesz_normalization(params.n, params.alpha)
-                 * field_integral(pair.u, power=params.p))
+    predicted = _fast_limit(params, pair.u, params.p, "u^p")
     measured = _window_amplitude(pair.v, params.n - params.alpha)
     return predicted, measured
 
@@ -338,8 +351,7 @@ def v_limit_log_corrected(pair):
     params = pair.params
     _require_case(pair, VFastCase.LOG_CORRECTED)
     b0 = amplitude_b0(pair)
-    predicted = (sphere_area(params.n)
-                 / riesz_normalization(params.n, params.alpha) * b0 ** params.p)
+    predicted = _fast_limit(params) * b0 ** params.p
     measured = _window_amplitude(pair.v, params.n - params.alpha,
                                  log_power=1)
     return predicted, measured

@@ -35,8 +35,8 @@ from .errors import RieszLabError, ValidationError
 from .exponents import Params, classify
 from .grid import make_grid
 from .shooting import ShotConfig, bisect_ground_state, shoot
-from .solver import (Branch, SolveConfig, SolutionPair, singular_solution,
-                     solve_picard)
+from .solver import (Branch, SolveConfig, SolutionPair, singular_amplitudes,
+                     singular_solution, solve_picard)
 from .riesz import RadialField, check_dense_count
 
 DEFAULT_GRID = "1e-4:1e4:512"
@@ -209,19 +209,17 @@ def _cmd_singular(args):
     params = _resolve_params(args)
     grid = _resolve_grid(args, params)
     pair = singular_solution(params, grid)
-    from .solver import singular_amplitudes, slow_exponents
-
     amp_u, amp_v = singular_amplitudes(params)
-    th1, th2 = slow_exponents(params)
+    regime = classify(params)
     report = {
         "branch": pair.branch.value,
         "amplitudeU": amp_u,
         "amplitudeV": amp_v,
-        "slowRateU": th1,
-        "slowRateV": th2,
+        "slowRateU": regime.slow_rate_u,
+        "slowRateV": regime.slow_rate_v,
         "residualU": pair.residual_u,
         "residualV": pair.residual_v,
-        "regime": classify(params).to_dict(),
+        "regime": regime.to_dict(),
     }
     _print_json(report)
     _emit_run(args, "singular", params, grid, {}, report,
@@ -349,17 +347,15 @@ def _claim_fast_decay(ctx):
 
 
 def _claim_envelope(ctx):
-    rep = ctx["regime"]
     fu, fv = ctx["fit_u"], ctx["fit_v"]
     inside = analysis.envelope_check(ctx["params"], fu.exponent, fv.exponent)
+    band_u, band_v = analysis.envelope_bands(ctx["regime"])
     eps = [ctx["eps_u"], ctx["eps_v"]]
     confirmed = inside and min(eps) > 0.0
     return confirmed, ("decay envelope confirmed" if confirmed
                        else "decay envelope violated"), {
-        "bandsU": [min(rep.slow_rate_u, rep.fast_rate_u) * 0.95,
-                   max(rep.slow_rate_u, rep.fast_rate_u) * 1.05],
-        "bandsV": [min(rep.slow_rate_v, rep.fast_rate_v) * 0.95,
-                   max(rep.slow_rate_v, rep.fast_rate_v) * 1.05],
+        "bandsU": list(band_u),
+        "bandsV": list(band_v),
         "fitted": [fu.exponent, fv.exponent],
         "epsilon0": eps,
     }

@@ -14,6 +14,8 @@ Conventions
 -----------
 * ``slowRateU = alpha*(q+1)/(pq-1)`` and ``slowRateV = alpha*(p+1)/(pq-1)``
   are the exponents of the exact scale-invariant power-law solutions.
+  They are also the integrability thresholds: a tail ``r^{-tau}`` lies
+  in ``L^{r0}`` exactly when ``tau > n/r0 = slowRateU`` (``s0`` likewise).
 * ``fastRateU = n - alpha`` always; the fast rate of ``v`` depends on the
   size of ``p*(n-alpha)`` relative to ``n`` (three cases: a clean power
   law, a logarithmically corrected one, or a weakened exponent
@@ -207,29 +209,6 @@ def classify(params):
         slow_rate_v=slow_v,
         satisfies_ncc=(regime is not Regime.SUBCRITICAL),
     )
-
-
-def integrability_thresholds(report, n):
-    """Minimal tail decay exponents for membership in L^{r0} x L^{s0}.
-
-    A radial profile with tail ``r^{-tau}`` lies in ``L^m(R^n)`` exactly
-    when ``tau*m > n``, so the thresholds are ``n/r0`` and ``n/s0``.
-    These coincide with the slow decay rates (algebraic identity).
-
-    Parameters
-    ----------
-    report : RegimeReport
-    n : int
-        Space dimension the report was computed for.
-
-    Returns
-    -------
-    (float, float)
-        ``(tau_u, tau_v) = (n/r0, n/s0)``.
-    """
-    if report.r0 <= 0.0 or report.s0 <= 0.0:
-        raise ValidationError("report has nonpositive integrability exponents")
-    return n / report.r0, n / report.s0
 
 
 def critical_q(n, alpha, p):

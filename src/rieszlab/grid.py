@@ -54,15 +54,14 @@ class RadialGrid:
         """Uniform node spacing in log space."""
         return np.log(self.r_max / self.r_min) / (self.count - 1)
 
-    def interior_slice(self, fraction=0.5):
-        """Index slice selecting the central ``fraction`` of the nodes.
+    def interior_slice(self):
+        """Index slice selecting the central half of the nodes.
 
         Residuals and identity checks are evaluated here because both
         domain truncations pollute the outermost cells.
         """
-        lo = int(round(self.count * (1.0 - fraction) / 2.0))
-        hi = self.count - lo
-        return slice(lo, hi)
+        lo = int(round(self.count / 4.0))
+        return slice(lo, self.count - lo)
 
     def scaled(self, lam):
         """Return the grid with all radii multiplied by ``lam > 0``.

@@ -13,7 +13,7 @@ over directions of ``y`` with ``|x| = r``, ``|y| = s``, and
 is the constant that makes ``I_alpha`` invert the fractional Laplacian of
 order ``alpha`` (so for ``alpha = 2``, ``I_2 f`` solves ``-Delta u = f``).
 The kernel matrix and :func:`angular_kernel` are kept bare; the
-normalization is applied by the ``apply_*`` routines, so power-law and
+normalization is applied by :func:`apply_extended`, so power-law and
 closed-form solution identities hold with their classical constants.
 
 The matrix is assembled from exact double-cell integrals
@@ -74,6 +74,9 @@ _TAIL_BUILD_ROWS = 256
 #: Cell pairs integrated in one ``kernel_ratio`` call by
 #: :func:`_pair_integrals`; at 72 samples a pair, under a MB per array.
 _PAIR_BLOCK_ROWS = 1024
+#: Integrand evaluations one adaptive cusp-pair quadrature may spend
+#: before :func:`assemble` gives up with :class:`AssemblyError`.
+_ADAPTIVE_BUDGET = 10 ** 6
 #: Largest grid :func:`assemble` accepts: the dense operator is
 #: ``count x count`` doubles, 2 GB at this size.
 MAX_DENSE_COUNT = 16384
@@ -305,15 +308,6 @@ class RadialField:
             raise ValidationError("tail_log_power must be 0 or 1")
         object.__setattr__(self, "values", vals)
 
-    def with_values(self, values, tail_exponent=None, tail_log_power=None):
-        """Copy with replaced values and, optionally, tail model."""
-        return RadialField(
-            grid=self.grid, values=values,
-            tail_exponent=(self.tail_exponent if tail_exponent is None
-                           else float(tail_exponent)),
-            tail_log_power=(self.tail_log_power if tail_log_power is None
-                            else int(tail_log_power)))
-
 
 @dataclass(frozen=True)
 class KernelOperator:
@@ -325,7 +319,7 @@ class KernelOperator:
     ``rMin``; ``tail_kernel[i, k]`` is ``K(1, s_k/r_i)`` times the weight
     of the fixed tail quadrature node ``y_k = ln(s_k/rMax)``, from which
     :func:`tail_response` builds the response beyond ``rMax``.
-    The classical normalization is applied by the ``apply_*`` functions.
+    The classical normalization is applied by :func:`apply_extended`.
     """
 
     grid: RadialGrid
@@ -367,10 +361,10 @@ def _gauss_panels(breaks):
     return nodes, weights
 
 
-def _graded_breaks(lo, hi, toward_lo, levels=12, ratio=0.5):
-    """Panel breakpoints of [lo, hi] geometrically graded toward one end."""
+def _graded_breaks(lo, hi, toward_lo, levels=12):
+    """Panel breakpoints of [lo, hi] halving ``levels`` times toward one end."""
     span = hi - lo
-    steps = span * ratio ** np.arange(levels, 0, -1)
+    steps = span * 0.5 ** np.arange(levels, 0, -1)
     if toward_lo:
         pts = lo + np.concatenate((steps, [span]))
         return np.concatenate(([lo], pts))
@@ -405,7 +399,7 @@ def _pair_integrand(z, la, lb, lc, ld, n, alpha):
             * _overlap_weight(z, la, lb, lc, ld, n + alpha))
 
 
-def _pair_cell_quadrature(la, lb, lc, ld, n, alpha, adaptive_budget=10 ** 6):
+def _pair_cell_quadrature(la, lb, lc, ld, n, alpha):
     """Double-cell integral of a pair whose window straddles the cusp.
 
     Returns ``int_{cell_s} int_{cell_t} K(s,t) s^{n-1} t^{n-1} ds dt`` for
@@ -419,7 +413,7 @@ def _pair_cell_quadrature(la, lb, lc, ld, n, alpha, adaptive_budget=10 ** 6):
         lc - lb, ld - la, points=[0.0], epsabs=0.0, epsrel=1e-11, limit=400,
         full_output=True)
     val, err, info = out[0], out[1], out[2]
-    if (info["neval"] > adaptive_budget or not math.isfinite(val)
+    if (info["neval"] > _ADAPTIVE_BUDGET or not math.isfinite(val)
             or err > 1e-6 * abs(val) + 1e-300):
         raise AssemblyError(
             "diagonal-cell quadrature did not converge within budget")
@@ -643,46 +637,22 @@ def tail_response(op, tail_exponent, tail_log_power=0.0):
             * (op.tail_kernel @ profile) * grid.r_max ** op.n)
 
 
-def apply_extended(op, values, tail_exponent, tail_log_power=0.0,
-                   head_value=None):
+def apply_extended(op, values, tail_exponent, tail_log_power=0.0):
     """Normalized operator action on raw node values with extensions.
 
     Computes ``(matrix @ values + head + tail) / gamma(n, alpha)`` where
-    the head extends the profile as a constant (``head_value``, default
-    ``values[0]``) on ``(0, rMin)`` and the tail as the power-law model
-    anchored at ``values[-1]``.  ``tail_log_power`` may be real.
+    the head extends the profile as the constant ``values[0]`` on
+    ``(0, rMin)`` and the tail as the power-law model anchored at
+    ``values[-1]``.  ``tail_log_power`` may be real.
     """
     values = np.asarray(values, dtype=float)
-    if head_value is None:
-        head_value = values[0]
     out = op.matrix @ values
-    if head_value != 0.0:
-        out = out + head_value * op.head_response
+    if values[0] != 0.0:
+        out = out + values[0] * op.head_response
     if values[-1] != 0.0:
         out = out + values[-1] * tail_response(op, tail_exponent,
                                                tail_log_power)
     return out / op.normalization
-
-
-def apply_with_tail(op, f):
-    """Normalized Riesz potential of a :class:`RadialField`.
-
-    Returns a new field on the same grid.  The returned tail exponent is
-    a provisional estimate (``min(tau - alpha, n - alpha)``); callers
-    that iterate refit it from the data.
-    """
-    if f.grid is not op.grid and (f.grid.count != op.grid.count
-                                  or not np.allclose(f.grid.nodes,
-                                                     op.grid.nodes)):
-        raise ValidationError("field and operator live on different grids")
-    if not np.any(f.values):
-        return f.with_values(np.zeros_like(f.values),
-                             tail_exponent=max(f.tail_exponent, 1.0),
-                             tail_log_power=0)
-    out = apply_extended(op, f.values, f.tail_exponent, f.tail_log_power)
-    provisional = min(f.tail_exponent - op.alpha, op.n - op.alpha)
-    return RadialField(grid=f.grid, values=out,
-                       tail_exponent=provisional, tail_log_power=0)
 
 
 def field_integral(f, power=1.0, weight_exponent=0.0, include_head=True,

@@ -198,7 +198,8 @@ def shoot(params, config=None, source_strength=1.0):
 class BisectionResult:
     """Separatrix estimate from :func:`bisect_ground_state`.
 
-    ``xi`` is the midpoint of the final bracket ``(lo, hi)``;
+    ``xi`` is the midpoint of the final bracket ``(lo, hi)``, or the
+    midpoint that decayed, with ``lo == hi == xi``;
     ``trajectory`` is the shot at ``xi``.
     """
 
@@ -237,11 +238,10 @@ def bisect_ground_state(params, lo, hi, config=None, iters=60,
             "got %s / %s" % (out_lo.value, out_hi.value))
     for _ in range(int(iters)):
         mid = 0.5 * (lo + hi)
-        out_mid = shooter(params, config.with_xi(mid)).outcome
-        if out_mid is Outcome.DECAYING:
-            lo = hi = mid
-            break
-        if out_mid is out_lo:
+        traj = shooter(params, config.with_xi(mid))
+        if traj.outcome is Outcome.DECAYING:
+            return BisectionResult(xi=mid, trajectory=traj, lo=mid, hi=mid)
+        if traj.outcome is out_lo:
             lo = mid
         else:
             hi = mid

@@ -109,13 +109,6 @@ class SolutionPair:
     branch: Branch
 
 
-def slow_exponents(params):
-    """Decay exponents of the singular power-law pair, ``(theta1, theta2)``."""
-    n, alpha, p, q = params.n, params.alpha, params.p, params.q
-    return (alpha * (q + 1.0) / (p * q - 1.0),
-            alpha * (p + 1.0) / (p * q - 1.0))
-
-
 def default_init(params, grid):
     """Smooth decaying initial guess for the Picard iteration.
 
@@ -124,10 +117,10 @@ def default_init(params, grid):
     the slow rate is a repelling fixed direction of the iteration, and
     starting at the fast rate gives a slightly slower approach.
     """
-    th1, th2 = slow_exponents(params)
+    report = classify(params)
     fast = params.n - params.alpha
-    mu = 0.5 * (th1 + fast)
-    mv = 0.5 * (th2 + fast)
+    mu = 0.5 * (report.slow_rate_u + fast)
+    mv = 0.5 * (report.slow_rate_v + fast)
     r2 = grid.nodes ** 2
     u = (1.0 + r2) ** (-0.5 * mu)
     v = (1.0 + r2) ** (-0.5 * mv)
@@ -220,7 +213,7 @@ def solve_picard(params, grid=None, config=None, init=None, monitor=None,
     sl = grid.interior_slice()
     omega = config.damping
 
-    th1, th2 = slow_exponents(params)
+    th1, th2 = report.slow_rate_u, report.slow_rate_v
     lnodes = np.log(grid.nodes)
     floor = alpha + 0.05  # powered-tail clamp while iterating
     iterations = 0
@@ -341,7 +334,8 @@ def singular_amplitudes(params):
         corresponding potential diverges.
     """
     n, alpha, p, q = params.n, params.alpha, params.p, params.q
-    th1, th2 = slow_exponents(params)
+    report = classify(params)
+    th1, th2 = report.slow_rate_u, report.slow_rate_v
     for label, beta in (("q*theta2", q * th2), ("p*theta1", p * th1)):
         if not (alpha < beta < n):
             raise PreconditionError(
@@ -363,7 +357,8 @@ def singular_solution(params, grid=None, operator=None):
     closed-form identity on the interior half of the grid.
     """
     a, b = singular_amplitudes(params)
-    th1, th2 = slow_exponents(params)
+    report = classify(params)
+    th1, th2 = report.slow_rate_u, report.slow_rate_v
     if grid is None:
         grid = make_grid(n=params.n)
     u = a * grid.nodes ** (-th1)

@@ -5,7 +5,9 @@ import math
 
 import pytest
 
+from rieszlab.analysis import envelope_bands, envelope_check
 from rieszlab.cli import main
+from rieszlab.exponents import Params, classify
 from rieszlab.riesz import MAX_DENSE_COUNT
 
 SING = ["singular", "--n", "5", "--alpha", "2", "--p", "3", "--q", "3",
@@ -99,6 +101,21 @@ class TestSingular:
         assert data["claim"]["confirmed"] is True
         assert data["claim"]["verdict"] == "slow rates confirmed"
         assert data["integrable"] == {"u": False, "v": False}
+
+    def test_analyze_envelope_claim(self, tmp_path, capsys):
+        out_dir = tmp_path / "run1"
+        run(capsys, SING + ["--out", str(out_dir)])
+        code, out, _ = run(capsys, ["analyze", str(out_dir), "--claim",
+                                    "envelope"])
+        assert code == 0
+        claim = json.loads(out)["claim"]
+        details = claim["details"]
+        params = Params(5, 2.0, 3.0, 3.0)
+        band_u, band_v = envelope_bands(classify(params))
+        assert details["bandsU"] == list(band_u) == [1.0 * 0.95, 3.0 * 1.05]
+        assert details["bandsV"] == list(band_v)
+        inside = envelope_check(params, *details["fitted"])
+        assert claim["confirmed"] is inside is True
 
     def test_analyze_unknown_claim(self, tmp_path, capsys):
         out_dir = tmp_path / "run1"

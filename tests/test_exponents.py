@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from rieszlab.errors import ValidationError
 from rieszlab.exponents import (Params, Regime, VFastCase, classify,
-                                critical_q, integrability_thresholds)
+                                critical_q)
 
 
 def valid_params():
@@ -91,14 +91,6 @@ class TestIdentities:
         rep = classify(params)
         assert rep.r0 * rep.slow_rate_u == pytest.approx(params.n, rel=1e-13)
         assert rep.s0 * rep.slow_rate_v == pytest.approx(params.n, rel=1e-13)
-
-    @given(valid_params())
-    @settings(max_examples=200, deadline=None)
-    def test_thresholds_equal_slow_rates(self, params):
-        rep = classify(params)
-        tu, tv = integrability_thresholds(rep, params.n)
-        assert tu == pytest.approx(rep.slow_rate_u, rel=1e-13)
-        assert tv == pytest.approx(rep.slow_rate_v, rel=1e-13)
 
     @given(st.integers(min_value=4, max_value=12),
            st.floats(min_value=0.2, max_value=0.8),

@@ -85,7 +85,7 @@ class TestSlicesAndScaling:
         g = make_grid(1e-4, 1e4, 100, 3)
         sl = g.interior_slice()
         assert sl == slice(25, 75)
-        assert g.interior_slice(fraction=1.0) == slice(0, 100)
+        assert make_grid(1e-4, 1e4, 102, 3).interior_slice() == slice(26, 76)
 
     def test_scaled_preserves_structure(self):
         g = make_grid(1e-3, 1e3, 40, 5)

@@ -13,9 +13,9 @@ from rieszlab.errors import (DivergentTailError, TruncationWarning,
 from rieszlab.grid import make_grid
 from rieszlab.riesz import (MAX_DENSE_COUNT, TAIL_RANGE_CAP, RadialField,
                             _head_response, _pair_cell_quadrature,
-                            _pair_integrand, apply_extended,
-                            apply_with_tail, assemble, field_integral,
-                            kernel_ratio, power_law_constant, tail_response)
+                            _pair_integrand, apply_extended, assemble,
+                            field_integral, kernel_ratio, power_law_constant,
+                            tail_response)
 
 
 @pytest.fixture(autouse=True)
@@ -167,17 +167,6 @@ class TestExtensions:
     def test_truncation_warning_emitted(self, op5):
         with pytest.warns(TruncationWarning):
             tail_response(op5, 2.05)
-
-    def test_apply_with_tail_exponent_rule(self, op5):
-        grid = op5.grid
-        f = RadialField(grid, grid.nodes ** -3.0, tail_exponent=3.0)
-        out = apply_with_tail(op5, f)
-        # potential of an r^-3 source decays like r^(alpha-3) = r^-1,
-        # capped by the fast rate n - alpha = 3
-        assert out.tail_exponent == pytest.approx(1.0)
-        sl = grid.interior_slice()
-        want = power_law_constant(5, 2.0, 3.0) * grid.nodes ** -1.0
-        assert np.max(np.abs(out.values[sl] / want[sl] - 1.0)) <= 1e-4
 
 
 def tail_oracle(op, i, tau, m, upper=math.inf):
@@ -333,10 +322,3 @@ class TestRadialField:
             RadialField(grid, -np.ones(32))
         with pytest.raises(ValidationError):
             RadialField(grid, np.ones(32), tail_log_power=2)
-
-    def test_with_values(self):
-        grid = make_grid(1e-2, 1e2, 32, 5)
-        f = RadialField(grid, np.ones(32), tail_exponent=3.0)
-        g = f.with_values(2.0 * np.ones(32))
-        assert g.tail_exponent == 3.0
-        assert np.all(g.values == 2.0)

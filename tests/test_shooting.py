@@ -137,3 +137,20 @@ class TestBisection:
         # the separatrix decays at the slow rates (1, 1)
         assert fit_u.exponent == pytest.approx(1.0, rel=0.05)
         assert fit_v.exponent == pytest.approx(1.0, rel=0.05)
+
+    def test_decaying_midpoint_is_not_reshot(self):
+        config = ShotConfig(r_end=1e3)
+        shots = []
+
+        def counting_shooter(params, cfg):
+            shots.append(cfg.xi)
+            return shoot(params, cfg)
+
+        res = bisect_ground_state(PARAMS, 0.5, 2.0, config=config, iters=48,
+                                  shooter=counting_shooter)
+        assert len(shots) == len(set(shots))
+        # the bisection stopped on a decaying midpoint, whose shot is kept
+        assert res.trajectory.outcome is Outcome.DECAYING
+        assert res.lo == res.hi == res.xi == shots[-1]
+        again = shoot(PARAMS, config.with_xi(res.xi))
+        assert np.array_equal(res.trajectory.samples, again.samples)

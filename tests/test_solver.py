@@ -9,12 +9,12 @@ import pytest
 from rieszlab.errors import (CollapseError, NonConvergenceError,
                              PreconditionError, TruncationWarning,
                              ValidationError)
-from rieszlab.exponents import Params
+from rieszlab.exponents import Params, classify
 from rieszlab.grid import make_grid
 from rieszlab.riesz import RadialField, power_law_constant
 from rieszlab.solver import (Branch, SolveConfig, default_init,
                              singular_amplitudes, singular_solution,
-                             slow_exponents, solve_picard)
+                             solve_picard)
 
 
 @pytest.fixture(autouse=True)
@@ -98,8 +98,10 @@ class TestPicard:
         grid = make_grid(1e-4, 1e4, 128, 4)
         params = Params(4, 2.0, 3.0, 3.0)
         fu, fv = default_init(params, grid)
-        tiny = (fu.with_values(fu.values * 1e-3),
-                fv.with_values(fv.values * 1e-3))
+        tiny = (RadialField(grid, fu.values * 1e-3,
+                            tail_exponent=fu.tail_exponent),
+                RadialField(grid, fv.values * 1e-3,
+                            tail_exponent=fv.tail_exponent))
         with pytest.raises(CollapseError):
             solve_picard(params, grid=grid, init=tiny,
                          config=SolveConfig(normalize_at_origin=False,
@@ -124,7 +126,8 @@ class TestSingularBranch:
         # the amplitudes solve A = c1 B^q, B = c2 A^p to high accuracy
         params = Params(7, 2.0, 3.0, 3.0)
         a, b = singular_amplitudes(params)
-        th1, th2 = slow_exponents(params)
+        rep = classify(params)
+        th1, th2 = rep.slow_rate_u, rep.slow_rate_v
         c1 = power_law_constant(7, 2.0, params.q * th2)
         c2 = power_law_constant(7, 2.0, params.p * th1)
         assert a == pytest.approx(c1 * b ** params.q, rel=1e-10)
@@ -149,8 +152,9 @@ class TestSingularBranch:
             singular_amplitudes(Params(5, 2.0, 1.2, 1.2))
 
     def test_slow_exponents_values(self):
-        assert slow_exponents(Params(5, 2.0, 3.0, 3.0)) == (
+        rep = classify(Params(5, 2.0, 3.0, 3.0))
+        assert (rep.slow_rate_u, rep.slow_rate_v) == (
             pytest.approx(1.0), pytest.approx(1.0))
-        th1, th2 = slow_exponents(Params(6, 2.0, 2.5, 2.5))
-        assert th1 == pytest.approx(4.0 / 3.0)
-        assert th2 == pytest.approx(4.0 / 3.0)
+        rep = classify(Params(6, 2.0, 2.5, 2.5))
+        assert rep.slow_rate_u == pytest.approx(4.0 / 3.0)
+        assert rep.slow_rate_v == pytest.approx(4.0 / 3.0)
