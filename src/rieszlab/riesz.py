@@ -28,9 +28,11 @@ integral, so assembly needs O(count) reduced integrals: one per offset
 and one per pair in the two boundary strips (cells 0 and count-1).
 Every pair whose log-ratio window stays off the kernel cusp is
 integrated on fixed Gauss panels, all of them in a few batched
-:func:`kernel_ratio` calls of O(count) samples; adaptive quadrature is
-left for the three pairs whose window straddles the cusp (offset 0 and
-the two boundary cells with themselves).  Grids above
+:func:`kernel_ratio` calls of O(count) samples; the three windows that
+end at the cusp (offset 1 and the two touching boundary pairs) take one
+more call on panels graded toward it.  Adaptive quadrature is left for
+the three pairs whose window straddles the cusp (offset 0 and the two
+boundary cells with themselves).  Grids above
 ``MAX_DENSE_COUNT`` nodes are refused before anything is allocated.
 
 The response to the power-law tail model beyond ``r_max`` is one matrix
@@ -445,11 +447,12 @@ def _pair_cells(ledges, i, js):
 
 
 def _touching_breaks(la, lb, lc, ld):
-    """Panel breaks of a boundary pair whose window ends at the cusp.
+    """Panel breaks of a cell pair whose window ends at the cusp.
 
-    The half-width boundary cell puts the kinks of the overlap weight,
-    at ``lc - la`` and ``ld - lb``, on the thirds of the window: grade
-    toward the cusp up to the nearer kink and break at the other.  Its
+    The kinks of the overlap weight sit at ``lc - la`` and ``ld - lb``:
+    on the thirds of the window for a half-width boundary cell, both on
+    the middle for offset 1 (which leaves one empty panel there).  Grade
+    toward the cusp up to the nearer kink and break at the other.  The
     16 levels take the integrand's ``|z|^alpha`` end to rounding
     (1e-14 relative at alpha = 0.8, against 2e-12 with 12 levels).
     """
@@ -470,8 +473,10 @@ def assemble(grid, n, alpha):
     strided Toeplitz view); pairs involving the two clipped boundary
     cells are integrated individually.  Off-cusp integrals are fixed
     Gauss-panel sums, their kernel samples, O(count) in all, taken in a
-    few large ``kernel_ratio`` calls; only the three pairs straddling
-    the cusp use adaptive quadrature.  The construction is symmetric in
+    few large ``kernel_ratio`` calls; the three windows ending at the
+    cusp (offset 1 and the two touching boundary pairs) share one call
+    on panels graded toward it, and only the three pairs straddling the
+    cusp use adaptive quadrature.  The construction is symmetric in
     the pair of cells, so the adjoint identity ``w_i M[i][j] = w_j
     M[j][i]`` holds to rounding.
 
@@ -515,14 +520,12 @@ def assemble(grid, n, alpha):
     fam[2:], strip0, stripl = np.split(integrals,
                                        [dh.size, dh.size + last - 2])
 
-    # Windows ending at the cusp, on panels graded toward it.  Offset 1
-    # has its one kink at the window middle, a break of that grading.
-    la, lb, lc, ld = -0.5 * h, 0.5 * h, 0.5 * h, 1.5 * h
-    z, wts = _gauss_panels(_graded_breaks(lc - lb, ld - la, True))
-    fam[1] = np.dot(wts, _pair_integrand(z, la, lb, lc, ld, n, alpha))
-    touching = np.stack((_pair_cells(ledges, 0, 1),
+    # Windows ending at the cusp, on panels graded toward it: offset 1
+    # and the two touching boundary pairs.
+    touching = np.stack(([-0.5 * h, 0.5 * h, 0.5 * h, 1.5 * h],
+                         _pair_cells(ledges, 0, 1),
                          _pair_cells(ledges, last, last - 1)), axis=1)
-    touch0, touchl = _pair_integrals(
+    fam[1], touch0, touchl = _pair_integrals(
         touching, np.array([_touching_breaks(*c) for c in touching.T]),
         n, alpha)
 

@@ -108,6 +108,10 @@ class TestBoundaryStrips:
             row, col = w[i] * op.matrix[i], w * op.matrix[:, i]
             assert np.all(np.abs(row - col)
                           <= 2.0 * np.spacing(np.maximum(row, col)))
+        # the interior offset-1 pair ends at the cusp like (0, 1)
+        np.testing.assert_allclose(w[1] * op.matrix[1, 2],
+                                   pair_oracle(grid, n, alpha, 1, 2),
+                                   rtol=1e-12, atol=0.0)
 
 
 class TestPowerLawAccuracy:
