@@ -15,6 +15,10 @@ order ``alpha`` (so for ``alpha = 2``, ``I_2 f`` solves ``-Delta u = f``).
 The kernel matrix and :func:`angular_kernel` are kept bare; the
 normalization is applied by :func:`apply_extended`, so power-law and
 closed-form solution identities hold with their classical constants.
+:func:`kernel_ratio` evaluates ``K`` by its hypergeometric closed form;
+for ``alpha < 2`` it switches near the diagonal to one w -> 1 connection
+formula, which covers the finite cusp (``1 < alpha < 2``), the
+logarithmic one (``alpha == 1``) and the infinite one (``alpha < 1``).
 
 The matrix is assembled from exact double-cell integrals
 
@@ -63,11 +67,11 @@ TAIL_REMAINDER = 1e-8
 #: Hard cap on the tail integration range, as a multiple of r_max.
 TAIL_RANGE_CAP = 1e6
 #: ``1 - w`` below which :func:`kernel_ratio` evaluates 2F1 by the
-#: connection formula for ``1 < alpha < 2`` (``|1 - rho|`` below ~0.1).
+#: connection formula for every ``alpha < 2`` (``|1 - rho|`` below ~0.1).
 #: Above 1e-4 it is needed too: for ``alpha -> 1`` scipy's 2F1 is off by
 #: up to 1e-3 there.
 CUSP_PATCH_RADIUS = 1e-2
-#: ``(alpha - 1)/2`` below which the connection formula is summed in the
+#: ``|alpha - 1|/2`` below which the connection formula is summed in the
 #: cancellation-free form of :func:`_near_log_2f1`.
 _NEAR_LOG_EXPONENT = 1e-2
 #: Grid nodes whose tail kernel rows are sampled in one ``kernel_ratio``
@@ -135,106 +139,100 @@ def kernel_ratio(rho, n, alpha):
                     * 2F1(a, a + 1/2; n/2; w),
 
     with ``a = (n - alpha)/4`` and ``w = (2 rho / (1 + rho^2))^2``.  The
-    value at ``rho = 1`` is finite only for ``alpha > 1``.
+    value at ``rho = 1`` is finite only for ``alpha > 1``; it is +inf for
+    ``alpha <= 1``.
     """
     rho = np.asarray(rho, dtype=float)
     a = 0.25 * (n - alpha)
     w = np.square(2.0 * rho / (1.0 + rho * rho))
     if alpha < 2.0:
         # Near the diagonal w -> 1 loses all precision in double
-        # arithmetic, and 2F1 with it: the kernel diverges there for
-        # alpha <= 1 and has a cusp ~ (1 - w)^{(alpha-1)/2} for
-        # 1 < alpha < 2.  Patch a neighborhood of rho = 1 with the w -> 1
+        # arithmetic, and 2F1 with it: the kernel has a cusp
+        # ~ (1 - w)^{(alpha-1)/2}, infinite for alpha < 1 and logarithmic
+        # for alpha == 1.  Patch a neighborhood of rho = 1 with the w -> 1
         # connection formula, using 1 - w computed stably.
         one_mw = np.square((1.0 - rho) * (1.0 + rho) / (1.0 + rho * rho))
-        near = one_mw < (1e-10 if alpha <= 1.0 else CUSP_PATCH_RADIUS)
+        near = one_mw < CUSP_PATCH_RADIUS
         w = np.where(near, 0.0, w)
         hyp = special.hyp2f1(a, a + 0.5, 0.5 * n, w)
-        if np.any(near) and alpha > 1.0:
+        if np.any(near):
             hyp = np.array(hyp)
-            hyp[near] = _finite_cusp_2f1(np.asarray(one_mw)[near], n, alpha)
-        elif np.any(near):
-            gc = math.gamma(0.5 * n)
-            if alpha < 1.0:
-                const = (gc * math.gamma(0.5 * (alpha - 1.0))
-                         / (math.gamma(0.25 * (n + alpha))
-                            * math.gamma(0.25 * (n + alpha - 2.0))))
-                sing = (gc * math.gamma(0.5 * (1.0 - alpha))
-                        / (math.gamma(a) * math.gamma(a + 0.5)))
-                with np.errstate(divide="ignore"):
-                    patch = const + sing * one_mw ** (0.5 * (alpha - 1.0))
-            else:
-                # alpha == 1: logarithmic divergence.
-                pref = gc / (math.gamma(a) * math.gamma(a + 0.5))
-                dig = (2.0 * special.digamma(1.0) - special.digamma(a)
-                       - special.digamma(a + 0.5))
-                with np.errstate(divide="ignore"):
-                    patch = pref * (dig - np.log(one_mw))
-            hyp = np.where(near, patch, hyp)
+            hyp[near] = _cusp_2f1(np.asarray(one_mw)[near], n, alpha)
     else:
         hyp = special.hyp2f1(a, a + 0.5, 0.5 * n, w)
     return sphere_area(n) * (1.0 + rho * rho) ** (0.5 * (alpha - n)) * hyp
 
 
-def _finite_cusp_2f1(x, n, alpha):
-    """``2F1(a, a + 1/2; n/2; 1 - x)`` for small ``x`` and ``1 < alpha < 2``.
+def _cusp_2f1(x, n, alpha):
+    """``2F1(a, a + 1/2; n/2; 1 - x)`` for small ``x`` and ``0 < alpha < 2``.
 
     The w -> 1 connection formula with ``e = c - a - b = (alpha - 1)/2``
-    in ``(0, 1/2)``, both series in ``x`` kept in full:
+    in ``(-1/2, 1/2)``, both series in ``x`` kept in full:
 
         2F1 = G(c)G(e)/(G(c-a)G(c-b)) 2F1(a, b; 1-e; x)
               + x^e G(c)G(-e)/(G(a)G(b)) 2F1(c-a, c-b; 1+e; x).
+
+    The cusp term ``x^e`` is infinite at ``x = 0`` (``rho = 1``) for
+    ``e < 0``; ``e = 0`` is the logarithmic limit of
+    :func:`_near_log_2f1`.
     """
     a = 0.25 * (n - alpha)
     b = a + 0.5
     c = 0.5 * n
     e = 0.5 * (alpha - 1.0)
-    if e < _NEAR_LOG_EXPONENT:
+    if abs(e) < _NEAR_LOG_EXPONENT:
         return _near_log_2f1(x, a, b, c, e)
     gc = math.gamma(c)
     regular = (gc * math.gamma(e) / (math.gamma(c - a) * math.gamma(c - b))
                * special.hyp2f1(a, b, 1.0 - e, x))
-    cusp = (gc * math.gamma(-e) / (math.gamma(a) * math.gamma(b))
-            * x ** e * special.hyp2f1(c - a, c - b, 1.0 + e, x))
+    with np.errstate(divide="ignore"):
+        cusp = (gc * math.gamma(-e) / (math.gamma(a) * math.gamma(b))
+                * x ** e * special.hyp2f1(c - a, c - b, 1.0 + e, x))
     return regular + cusp
 
 
 def _near_log_2f1(x, a, b, c, e, terms=12, order=8):
-    """The connection formula of :func:`_finite_cusp_2f1` for small ``e``.
+    """The connection formula of :func:`_cusp_2f1` for small ``|e|``.
 
     Its two terms grow like ``+-1/e`` and cancel, losing about
-    ``log10(1/(e |ln x|))`` digits.  Here they are paired term by term in
+    ``log10(1/(|e ln x|))`` digits.  Here they are paired term by term in
     ``x``: with ``c - a = b + e`` and ``c - b = a + e`` the k-th pair is
 
         G(c)/(G(a+e)G(b+e)) (a)_k (b)_k x^k / (k! G(k+1-e))
-        * G(e)G(1-e) * (-expm1(D_k)),
-        D_k = ln[G(a+k+e)G(b+k+e)G(k+1-e) x^e / (G(a+k)G(b+k)G(k+1+e))],
+        * G(e)G(1-e) * (-expm1(e g_k)),
+        e g_k = ln[G(a+k+e)G(b+k+e)G(k+1-e) x^e / (G(a+k)G(b+k)G(k+1+e))],
 
-    and ``D_k`` is summed from its Taylor series in ``e`` (polygamma), so
-    nothing cancels.  As ``e -> 0`` it tends to the logarithmic
-    ``alpha == 1`` form of :func:`kernel_ratio`.  ``x`` is below
-    ``CUSP_PATCH_RADIUS``, so twelve terms in ``x`` and eight in ``e``
-    reach rounding for ``e < _NEAR_LOG_EXPONENT``.
+    and ``g_k - ln x`` is summed from the Taylor series of the log-gamma
+    differences in ``e`` (polygamma), so nothing cancels.  With
+    ``G(e)G(1-e) = 1/(e sinc e)`` the last factor is
+    ``-g_k exprel(e g_k)/sinc(e)``, which is ``-g_k`` at ``e = 0``: the
+    logarithmic ``alpha == 1`` case needs no form of its own.  ``x`` is
+    below ``CUSP_PATCH_RADIUS``, so twelve terms in ``x`` and eight in
+    ``e`` reach rounding for ``|e| < _NEAR_LOG_EXPONENT``.  At ``x = 0``
+    only the k = 0 pair is left, ``1/e`` times its coefficient for
+    ``e > 0`` and +inf otherwise.
     """
     k = np.arange(terms, dtype=float)
-    # D_k - e ln x, from the Taylor series of the log-gamma differences
-    delta = 0.0
+    # g_k - ln x, from the Taylor series of the log-gamma differences
+    shift = 0.0
     for j in range(1, order + 1):
         psi = special.polygamma(j - 1, a + k) + special.polygamma(j - 1, b + k)
         if j % 2:
             psi -= 2.0 * special.polygamma(j - 1, k + 1.0)
-        delta = delta + e ** j / math.factorial(j) * psi
-    coef = (math.gamma(c) * math.gamma(e) * math.gamma(1.0 - e)
-            / (math.gamma(a + e) * math.gamma(b + e))
+        shift = shift + e ** (j - 1) / math.factorial(j) * psi
+    coef = (math.gamma(c) / (math.gamma(a + e) * math.gamma(b + e))
             * special.poch(a, k) * special.poch(b, k)
-            / (special.factorial(k) * special.gamma(k + 1.0 - e)))
-    x = np.asarray(x, dtype=float)[..., None]
-    with np.errstate(divide="ignore"):
-        d = e * np.log(x) + delta
-    return -np.sum(coef * x ** k * np.expm1(d), axis=-1)
+            / (special.factorial(k) * special.gamma(k + 1.0 - e)
+               * np.sinc(e)))
+    x = np.asarray(x, dtype=float)
+    on_cusp = x == 0.0
+    xs = np.where(on_cusp, 1.0, x)[..., None]
+    g = np.log(xs) + shift
+    pairs = -np.sum(coef * xs ** k * g * special.exprel(e * g), axis=-1)
+    return np.where(on_cusp, coef[0] / e if e > 0.0 else np.inf, pairs)
 
 
-def angular_kernel(r, s, n, alpha, rtol=1e-10):
+def angular_kernel(r, s, n, alpha):
     """Bare angular kernel ``K(r, s)`` by adaptive quadrature.
 
     Integrates ``|S^{n-2}| (r^2 + s^2 - 2 r s cos(t))^{(alpha-n)/2}
@@ -269,7 +267,7 @@ def angular_kernel(r, s, n, alpha, rtol=1e-10):
     near_diag = abs(r - s) <= 1e-3 * max(r, s)
     pts = [1e-8, 1e-4, 1e-2, 0.1] if near_diag else None
     val, err = integrate.quad(integrand, 0.0, math.pi, points=pts,
-                              epsabs=0.0, epsrel=rtol, limit=300)
+                              epsabs=0.0, epsrel=1e-10, limit=300)
     if not math.isfinite(val) or (val > 0 and err > 1e-6 * val):
         raise SingularKernelError(
             "adaptive angular quadrature failed to converge for "
@@ -658,51 +656,43 @@ def apply_extended(op, values, tail_exponent, tail_log_power=0.0):
     return out / op.normalization
 
 
-def field_integral(f, power=1.0, weight_exponent=0.0, include_head=True,
-                   include_tail=True):
+def field_integral(f, power=1.0):
     """Full-line radial integral of a powered field.
 
-    Computes ``int_0^inf f(s)^power s^{n-1+weight_exponent} ds`` using
-    the grid quadrature on ``[rMin, rMax]``, the constant extension of
-    ``f`` below ``rMin`` and its power-law tail model above ``rMax``.
+    Computes ``int_0^inf f(s)^power s^{n-1} ds`` using the grid
+    quadrature on ``[rMin, rMax]``, the constant extension of ``f`` below
+    ``rMin`` and its power-law tail model above ``rMax``.
 
     Raises
     ------
     DivergentTailError
-        When the powered tail is not integrable,
-        ``power*tau <= n + weight_exponent``.
+        When the powered tail is not integrable, ``power*tau <= n``.
     """
     grid = f.grid
-    n_eff = grid.n + weight_exponent
+    n = float(grid.n)
     vals = f.values ** power
-    core = float(np.dot(grid.weights * grid.nodes ** weight_exponent, vals))
-
-    head = 0.0
-    if include_head and vals[0] != 0.0:
-        if n_eff <= 0.0:
-            raise DivergentTailError(
-                "head extension diverges: effective dimension <= 0")
-        head = vals[0] * grid.r_min ** n_eff / n_eff
+    core = float(np.dot(grid.weights, vals))
+    head = vals[0] * grid.r_min ** n / n
 
     tail = 0.0
-    if include_tail and vals[-1] != 0.0:
+    if vals[-1] != 0.0:
         tau_eff = power * f.tail_exponent
         m_eff = power * f.tail_log_power
-        if tau_eff <= n_eff:
+        if tau_eff <= n:
             raise DivergentTailError(
                 "tail integral diverges: tail exponent*power %r <= %r"
-                % (tau_eff, n_eff))
+                % (tau_eff, n))
         if m_eff == 0.0:
-            tail = vals[-1] * grid.r_max ** n_eff / (tau_eff - n_eff)
+            tail = vals[-1] * grid.r_max ** n / (tau_eff - n)
         else:
-            y_max = -math.log(TAIL_REMAINDER) / (tau_eff - n_eff)
+            y_max = -math.log(TAIL_REMAINDER) / (tau_eff - n)
             ynodes, yweights = _gauss_panels(np.linspace(0.0, y_max, 17))
             lr = math.log(grid.r_max)
             if lr <= 1.0:
                 raise ValidationError(
                     "log-corrected tails need r_max > e")
-            prof = (np.exp((n_eff - tau_eff) * ynodes)
+            prof = (np.exp((n - tau_eff) * ynodes)
                     * (1.0 + ynodes / lr) ** m_eff)
-            tail = vals[-1] * grid.r_max ** n_eff * float(
+            tail = vals[-1] * grid.r_max ** n * float(
                 np.dot(yweights, prof))
     return core + head + tail

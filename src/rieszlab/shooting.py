@@ -12,9 +12,10 @@ ground-state separatrix between the two crossing outcomes.
 
 Numerics: the first step leaves the coordinate singularity at the
 origin on the exact quadratic Taylor profile; the integration then uses
-a high-order adaptive Runge-Kutta method with zero-crossing event
-termination.  Component powers are clamped at zero so fractional
-exponents stay real on the overshoot of the final internal step.
+a high-order adaptive Runge-Kutta method (local error target 1e-10
+relative, 1e-14 absolute) with zero-crossing event termination.
+Component powers are clamped at zero so fractional exponents stay real
+on the overshoot of the final internal step.
 """
 
 from __future__ import annotations
@@ -44,31 +45,25 @@ class Outcome(str, enum.Enum):
 
 @dataclass(frozen=True)
 class ShotConfig:
-    """Initial data and integration controls for one shot.
+    """Initial data and integration range for one shot.
 
-    ``u0`` and ``xi`` are the origin values of ``u`` and ``v``;
-    ``step_control`` is the (relative, absolute) local error target of
-    the adaptive integrator.
+    ``u0`` and ``xi`` are the origin values of ``u`` and ``v``.
     """
 
     u0: float = 1.0
     xi: float = 1.0
     r_start: float = 1e-6
     r_end: float = 1e6
-    step_control: tuple = (1e-10, 1e-14)
 
     def __post_init__(self):
         if not (self.u0 > 0.0 and self.xi > 0.0):
             raise ValidationError("origin values u0, xi must be positive")
         if not 0.0 < self.r_start < self.r_end:
             raise ValidationError("need 0 < r_start < r_end")
-        rtol, atol = self.step_control
-        if not (rtol > 0.0 and atol > 0.0):
-            raise ValidationError("step_control tolerances must be positive")
 
     def with_xi(self, xi):
         return ShotConfig(u0=self.u0, xi=xi, r_start=self.r_start,
-                          r_end=self.r_end, step_control=self.step_control)
+                          r_end=self.r_end)
 
 
 @dataclass(frozen=True)
@@ -154,12 +149,11 @@ def shoot(params, config=None, source_strength=1.0):
     v_zero.terminal = True
     v_zero.direction = -1.0
 
-    rtol, atol = config.step_control
     t_eval = np.geomspace(config.r_start, config.r_end, SAMPLE_COUNT)
     sol = solve_ivp(rhs, (config.r_start, config.r_end),
                     _taylor_start(params, config), method="DOP853",
                     t_eval=t_eval, events=(u_zero, v_zero),
-                    rtol=rtol, atol=atol)
+                    rtol=1e-10, atol=1e-14)
     if sol.status == -1:
         last = float(sol.t[-1]) if sol.t.size else config.r_start
         raise IntegrationError(

@@ -12,10 +12,9 @@ from rieszlab.errors import (DivergentTailError, TruncationWarning,
                              ValidationError)
 from rieszlab.grid import make_grid
 from rieszlab.riesz import (MAX_DENSE_COUNT, TAIL_RANGE_CAP, RadialField,
-                            _head_response, _pair_cell_quadrature,
-                            _pair_integrand, apply_extended, assemble,
-                            field_integral, kernel_ratio, power_law_constant,
-                            tail_response)
+                            _head_response, _pair_integrand, apply_extended,
+                            assemble, field_integral, kernel_ratio,
+                            power_law_constant, tail_response)
 
 
 @pytest.fixture(autouse=True)
@@ -74,20 +73,16 @@ class TestAssembly:
 def pair_oracle(grid, n, alpha, i, j):
     """Double-cell integral of cells ``i`` and ``j``, pair by pair.
 
-    Windows straddling the kernel cusp use the assembly's adaptive path;
-    the others are integrated by ``quad``, split at the kinks of the
-    overlap weight.
+    ``quad`` over the log-ratio window, split at the kernel cusp ``z = 0``
+    and at the kinks of the overlap weight where they fall inside it.
     """
     le = np.log(grid.edges)
     la, lb, lc, ld = le[i], le[i + 1], le[j], le[j + 1]
     zlo, zhi = lc - lb, ld - la
-    if zlo < 0.0 < zhi:
-        return _pair_cell_quadrature(la, lb, lc, ld, n, alpha)
-
-    kinks = sorted(k for k in (lc - la, ld - lb) if zlo < k < zhi)
+    points = sorted({z for z in (0.0, lc - la, ld - lb) if zlo < z < zhi})
     val, _ = integrate.quad(
         lambda z: float(_pair_integrand(z, la, lb, lc, ld, n, alpha)),
-        zlo, zhi, points=kinks or None, epsabs=0.0, epsrel=1e-13, limit=200)
+        zlo, zhi, points=points or None, epsabs=0.0, epsrel=1e-13, limit=200)
     return val
 
 
@@ -108,10 +103,12 @@ class TestBoundaryStrips:
             row, col = w[i] * op.matrix[i], w * op.matrix[:, i]
             assert np.all(np.abs(row - col)
                           <= 2.0 * np.spacing(np.maximum(row, col)))
-        # the interior offset-1 pair ends at the cusp like (0, 1)
-        np.testing.assert_allclose(w[1] * op.matrix[1, 2],
-                                   pair_oracle(grid, n, alpha, 1, 2),
-                                   rtol=1e-12, atol=0.0)
+        # interior offsets 1 (ending at the cusp like (0, 1)) and 0
+        # (straddling it like (0, 0))
+        for j in (2, 1):
+            np.testing.assert_allclose(w[1] * op.matrix[1, j],
+                                       pair_oracle(grid, n, alpha, 1, j),
+                                       rtol=1e-12, atol=0.0)
 
 
 class TestPowerLawAccuracy:
@@ -265,12 +262,14 @@ class TestTailResponse:
 
 class TestFieldIntegral:
     def test_constant_field_exact(self):
-        # constant integrand: the cell weights are exact moments, so the
-        # head + core reproduce 2^3 * rMax^5/5 to rounding
+        # f = 2 up to rMax and 2 (s/rMax)^-2 beyond: the cell weights are
+        # exact moments, so core + head + tail reproduce
+        # 2^3 rMax^5 (1/5 + 1/(3*2 - 5)) to rounding
         grid = make_grid(1e-1, 1e5, 64, 5)
-        f = RadialField(grid, 2.0 * np.ones(grid.count))
-        got = field_integral(f, power=3.0, include_tail=False)
-        assert got == pytest.approx(8.0 * grid.r_max ** 5 / 5.0, rel=1e-13)
+        f = RadialField(grid, 2.0 * np.ones(grid.count), tail_exponent=2.0)
+        got = field_integral(f, power=3.0)
+        assert got == pytest.approx(8.0 * grid.r_max ** 5 * (0.2 + 1.0),
+                                    rel=1e-13)
 
     def test_power_law_closed_form_converges(self):
         # int_0^inf f(s)^4 s^4 ds with f = r^-2 and the constant head
@@ -286,35 +285,22 @@ class TestFieldIntegral:
         assert errs[1] <= 0.4 * errs[0]
 
     def test_head_and_tail_toggles(self):
-        # shallow decay makes both extensions visibly positive
+        # shallow decay makes both extensions visibly positive: the total
+        # is the grid quadrature plus the closed-form head and tail
         grid = make_grid(1e-1, 1e3, 128, 5)
         f = RadialField(grid, grid.nodes ** -1.3, tail_exponent=1.3)
-        full = field_integral(f, power=4.0)
-        no_head = field_integral(f, power=4.0, include_head=False)
-        no_tail = field_integral(f, power=4.0, include_tail=False)
-        assert no_head < full
-        assert no_tail < full
+        core = np.dot(grid.weights, f.values ** 4)
         head = f.values[0] ** 4 * grid.r_min ** 5 / 5.0
         tail = f.values[-1] ** 4 * grid.r_max ** 5 / (4 * 1.3 - 5.0)
-        assert full - no_head == pytest.approx(head, rel=1e-10)
-        assert full - no_tail == pytest.approx(tail, rel=1e-10)
+        assert min(head, tail) > 0.01 * core
+        assert field_integral(f, power=4.0) == pytest.approx(
+            core + head + tail, rel=1e-14)
 
     def test_divergent_power_rejected(self):
         grid = make_grid(1e-1, 1e5, 128, 5)
         f = RadialField(grid, grid.nodes ** -2.0, tail_exponent=2.0)
         with pytest.raises(DivergentTailError):
             field_integral(f, power=2.0)   # 2*2 = 4 <= n = 5
-
-    def test_weight_exponent_exact(self):
-        # f = r with power 2 and weight -2 gives the integrand s^(n-1)
-        # exactly, isolating the weight plumbing from quadrature error
-        grid = make_grid(1e-2, 1e2, 64, 5)
-        f = RadialField(grid, grid.nodes.copy())
-        got = field_integral(f, power=2.0, weight_exponent=-2.0,
-                             include_tail=False)
-        want = (grid.r_min ** 5 / 3.0
-                + (grid.r_max ** 5 - grid.r_min ** 5) / 5.0)
-        assert got == pytest.approx(want, rel=1e-13)
 
 
 class TestRadialField:

@@ -20,8 +20,6 @@ class TestShotConfig:
             ShotConfig(xi=-1.0)
         with pytest.raises(ValidationError):
             ShotConfig(r_start=1.0, r_end=0.5)
-        with pytest.raises(ValidationError):
-            ShotConfig(step_control=(0.0, 1e-14))
 
     def test_with_xi(self):
         cfg = ShotConfig(u0=2.0, r_end=10.0)
