@@ -19,6 +19,9 @@ closed-form solution identities hold with their classical constants.
 for ``alpha < 2`` it switches near the diagonal to one w -> 1 connection
 formula, which covers the finite cusp (``1 < alpha < 2``), the
 logarithmic one (``alpha == 1``) and the infinite one (``alpha < 1``).
+For even ``alpha = 2k`` the series terminates: ``K`` is ``max(r, s)^
+(alpha-n)`` times a polynomial of degree ``k - 1`` in ``(r_</r_>)^2``
+(Newton's shell theorem at ``k = 1``), summed exactly with no 2F1 call.
 
 The matrix is assembled from exact double-cell integrals
 
@@ -44,7 +47,7 @@ product per call: assembly also samples the kernel once on a fixed
 graded quadrature in ``y = ln(s/r_max)`` over ``[0, ln TAIL_RANGE_CAP]``
 and keeps it, weighted, as ``KernelOperator.tail_kernel``: ``count x Q``
 doubles with ``Q = 336`` nodes, about 11 MB at 4096 grid nodes, built by
-``count * Q`` hypergeometric evaluations.  The response to a tail of
+``count * Q`` kernel evaluations.  The response to a tail of
 any decay exponent is then one ``O(count * Q)`` product.
 """
 
@@ -141,8 +144,16 @@ def kernel_ratio(rho, n, alpha):
     with ``a = (n - alpha)/4`` and ``w = (2 rho / (1 + rho^2))^2``.  The
     value at ``rho = 1`` is finite only for ``alpha > 1``; it is +inf for
     ``alpha <= 1``.
+
+    For even ``alpha = 2k`` the equivalent form in ``t = (r_</r_>)^2``,
+    ``|S^{n-1}| R^{alpha-n} 2F1((n-alpha)/2, 1-k; n/2; t)`` with
+    ``R = max(1, rho)``, is a polynomial of degree ``k - 1`` in ``t``
+    (Newton's shell theorem ``|S^{n-1}| R^{2-n}`` at ``k = 1``); it is
+    summed exactly, with no 2F1 call and no loss near the diagonal.
     """
     rho = np.asarray(rho, dtype=float)
+    if alpha % 2.0 == 0.0:
+        return _terminating_kernel(rho, n, alpha)
     a = 0.25 * (n - alpha)
     w = np.square(2.0 * rho / (1.0 + rho * rho))
     if alpha < 2.0:
@@ -161,6 +172,27 @@ def kernel_ratio(rho, n, alpha):
     else:
         hyp = special.hyp2f1(a, a + 0.5, 0.5 * n, w)
     return sphere_area(n) * (1.0 + rho * rho) ** (0.5 * (alpha - n)) * hyp
+
+
+def _terminating_kernel(rho, n, alpha):
+    """``K(1, rho)`` for even ``alpha = 2k``: the terminating 2F1 series.
+
+    ``|S^{n-1}| R^{alpha-n} sum_{l<k} c_l t^l`` with ``R = max(1, rho)``,
+    ``t = (min(1, rho)/R)^2`` and ``c_l = ((n-alpha)/2)_l (1-k)_l /
+    ((n/2)_l l!)``, summed by Horner's rule.
+    """
+    k = int(alpha) // 2
+    coef = [1.0]
+    for j in range(k - 1):
+        coef.append(coef[-1] * (0.5 * (n - alpha) + j) * (1 - k + j)
+                    / ((0.5 * n + j) * (j + 1)))
+    big = np.maximum(1.0, rho)
+    poly = coef[-1]
+    if k > 1:
+        t = np.square(np.minimum(1.0, rho) / big)
+        for c in reversed(coef[:-1]):
+            poly = poly * t + c
+    return (sphere_area(n) * poly) * big ** (alpha - n)
 
 
 def _cusp_2f1(x, n, alpha):
@@ -385,12 +417,15 @@ def _overlap_weight(z, la, lb, lc, ld, npa):
 
     For log-cells ``sigma in [la, lb]`` and ``tau in [lc, ld]`` and fixed
     log-ratio ``z = tau - sigma``, integrates ``e^{(n+alpha) sigma}`` over
-    the admissible overlap of ``sigma`` ranges.
+    the admissible overlap of ``sigma`` ranges.  The difference of the
+    two exponentials is formed with ``expm1``, so it is accurate to the
+    rounding of ``s2 - s1``: in coordinates where ``sigma`` stays near 0
+    (see :func:`_pair_cells`) that is relative to the cell width.
     """
     s1 = np.maximum(la, lc - z)
     s2 = np.minimum(lb, ld - z)
-    out = np.where(s2 > s1, (np.exp(npa * s2) - np.exp(npa * s1)) / npa, 0.0)
-    return out
+    return np.where(s2 > s1,
+                    np.exp(npa * s1) * np.expm1(npa * (s2 - s1)) / npa, 0.0)
 
 
 def _pair_integrand(z, la, lb, lc, ld, n, alpha):
@@ -437,11 +472,24 @@ def _pair_integrals(cells, breaks, n, alpha):
     return out
 
 
-def _pair_cells(ledges, i, js):
+def _pair_cells(edges, i, js):
     """Log-cells ``(la, lb, lc, ld)`` of the cell pairs ``(i, j)`` for
-    ``j`` in ``js``, stacked as a ``4 x len(js)`` array."""
-    return np.array(np.broadcast_arrays(ledges[i], ledges[i + 1],
-                                        ledges[js], ledges[js + 1]))
+    ``j`` in ``js``, stacked as a ``4 x len(js)`` array.
+
+    The coordinates are ``ln(r/edges[i])``, so cell ``i`` is ``[0, w]``
+    and its pair integrals scale back by ``edges[i]^(n+alpha)``.  The
+    widths of cell ``i`` and its lower neighbour come from ``log1p``
+    (accurate to the rounding of the width, not of ``|ln r|``), and
+    the edges a touching pair shares are the same float on both sides,
+    so its window ends at exactly 0.
+    """
+    lead = edges[i]
+    rel = np.log(edges / lead)
+    rel[i + 1] = np.log1p((edges[i + 1] - lead) / lead)
+    if i > 0:
+        rel[i - 1] = -np.log1p((lead - edges[i - 1]) / edges[i - 1])
+    return np.array(np.broadcast_arrays(rel[i], rel[i + 1],
+                                        rel[js], rel[js + 1]))
 
 
 def _touching_breaks(la, lb, lc, ld):
@@ -496,8 +544,10 @@ def assemble(grid, n, alpha):
     check_dense_count(count)
 
     h = grid.log_step
-    ledges = np.log(grid.edges)
+    edges = grid.edges
     last = count - 1
+    # boundary-row integrals come relative to the row cell's left edge
+    scale0, scalel = edges[[0, last]] ** (n + alpha)
 
     # Full-width interior cells i, i+d give sym(i, i+d) = r_i^{n+alpha}
     # * fam[d], with fam[d] the pair (-h/2, h/2) x (dh - h/2, dh + h/2).
@@ -505,8 +555,8 @@ def assemble(grid, n, alpha):
     # count-2 and (count-1, j) for j = 0 .. count-3, are off the cusp:
     # one batch on uniform panels.
     dh = np.arange(2, count - 2) * h
-    strips = np.concatenate((_pair_cells(ledges, 0, np.arange(2, last)),
-                             _pair_cells(ledges, last, np.arange(last - 1))),
+    strips = np.concatenate((_pair_cells(edges, 0, np.arange(2, last)),
+                             _pair_cells(edges, last, np.arange(last - 1))),
                             axis=1)
     cells = np.concatenate((np.array(np.broadcast_arrays(
         -0.5 * h, 0.5 * h, dh - 0.5 * h, dh + 0.5 * h)), strips), axis=1)
@@ -521,8 +571,8 @@ def assemble(grid, n, alpha):
     # Windows ending at the cusp, on panels graded toward it: offset 1
     # and the two touching boundary pairs.
     touching = np.stack(([-0.5 * h, 0.5 * h, 0.5 * h, 1.5 * h],
-                         _pair_cells(ledges, 0, 1),
-                         _pair_cells(ledges, last, last - 1)), axis=1)
+                         _pair_cells(edges, 0, 1),
+                         _pair_cells(edges, last, last - 1)), axis=1)
     fam[1], touch0, touchl = _pair_integrals(
         touching, np.array([_touching_breaks(*c) for c in touching.T]),
         n, alpha)
@@ -530,12 +580,13 @@ def assemble(grid, n, alpha):
     # Windows straddling the cusp: adaptive quadrature.
     fam[0] = _pair_cell_quadrature(-0.5 * h, 0.5 * h, -0.5 * h, 0.5 * h,
                                    n, alpha)
-    diag0 = _pair_cell_quadrature(*_pair_cells(ledges, 0, 0), n, alpha)
-    diagl = _pair_cell_quadrature(*_pair_cells(ledges, last, last), n, alpha)
+    diag0 = _pair_cell_quadrature(*_pair_cells(edges, 0, 0), n, alpha)
+    diagl = _pair_cell_quadrature(*_pair_cells(edges, last, last), n, alpha)
 
     # Boundary rows; the corner pair is integrated once, as (count-1, 0).
-    row0 = np.concatenate(([diag0, touch0], strip0, stripl[:1]))
-    rowl = np.concatenate((stripl, [touchl, diagl]))
+    rowl = scalel * np.concatenate((stripl, [touchl, diagl]))
+    row0 = np.concatenate(
+        (scale0 * np.concatenate(([diag0, touch0], strip0)), rowl[:1]))
 
     # The only count x count array: base grows with the node index, so
     # base[min(i, j)] = min(base[i], base[j]), and a strided view of fam

@@ -56,10 +56,11 @@ class ShotConfig:
     r_end: float = 1e6
 
     def __post_init__(self):
-        if not (self.u0 > 0.0 and self.xi > 0.0):
-            raise ValidationError("origin values u0, xi must be positive")
-        if not 0.0 < self.r_start < self.r_end:
-            raise ValidationError("need 0 < r_start < r_end")
+        if not (0.0 < self.u0 < math.inf and 0.0 < self.xi < math.inf):
+            raise ValidationError(
+                "origin values u0, xi must be positive and finite")
+        if not 0.0 < self.r_start < self.r_end < math.inf:
+            raise ValidationError("need 0 < r_start < r_end < inf")
 
     def with_xi(self, xi):
         return ShotConfig(u0=self.u0, xi=xi, r_start=self.r_start,
@@ -100,11 +101,19 @@ def _taylor_start(params, config):
     """
     n = params.n
     r = config.r_start
-    su = config.xi ** params.q
-    sv = config.u0 ** params.p
-    return np.array([
+    try:
+        su = config.xi ** params.q
+        sv = config.u0 ** params.p
+    except OverflowError:
+        su = sv = math.inf
+    start = np.array([
         config.u0 - su * r * r / (2.0 * n), -su * r / n,
         config.xi - sv * r * r / (2.0 * n), -sv * r / n])
+    if not np.all(np.isfinite(start)):
+        raise ValidationError(
+            "the origin profile overflows at r_start=%r for u0=%r, xi=%r"
+            % (r, config.u0, config.xi))
+    return start
 
 
 def shoot(params, config=None, source_strength=1.0):
@@ -122,6 +131,9 @@ def shoot(params, config=None, source_strength=1.0):
 
     Raises
     ------
+    ValidationError
+        For ``alpha != 2``, or origin values whose Taylor start at
+        ``r_start`` overflows.
     IntegrationError
         If the adaptive integrator fails; carries ``last_radius``.
     """

@@ -1,9 +1,13 @@
 """Command-line interface: exit codes, artifacts, determinism."""
 
+import contextlib
+import io
 import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rieszlab.analysis import envelope_bands, envelope_check
 from rieszlab.cli import main
@@ -211,3 +215,48 @@ class TestVerifyAll:
         assert report["seed"] == 3
         assert report["results"][0]["key"] == "exponent-algebra"
         assert report["results"][0]["passed"] is True
+
+
+#: Malformed flag values: not a number, infinite, negative, zero,
+#: overflowing (1e400 parses as inf), underflowing, empty and junk.
+_BAD_VALUES = ["nan", "inf", "-inf", "-1", "0", "1e400", "1e-400", "",
+               "junk"]
+#: A small grid keeps a valid draw cheap; its count is never drawn
+#: large, so no dense operator is ever big.
+_GRID = "1e-2:1e2:32"
+_BAD_GRIDS = _BAD_VALUES + [
+    ":".join(bad if k == i else part
+             for k, part in enumerate(_GRID.split(":")))
+    for i in range(3) for bad in _BAD_VALUES]
+
+
+@st.composite
+def _argv(draw, command, **valid):
+    """``command`` with every flag of ``valid``, up to two of them
+    malformed (none, for the success path)."""
+    bad = draw(st.sets(st.sampled_from(sorted(valid)), max_size=2))
+    argv = [command]
+    for name, value in valid.items():
+        if name in bad:
+            value = draw(st.sampled_from(
+                _BAD_GRIDS if name == "grid" else _BAD_VALUES))
+        argv += ["--" + name.replace("_", "-"), value]
+    return argv
+
+
+class TestArgvFuzz:
+    @pytest.mark.filterwarnings("ignore::rieszlab.errors.TruncationWarning")
+    @given(st.one_of(
+        _argv("exponents", n="5", alpha="2", p="3", q="3"),
+        _argv("singular", k="1", n="5", p="3", q="3", grid=_GRID),
+        _argv("shoot", n="5", alpha="2", p="3", q="3", xi="0.8", u0="1",
+              r_start="1e-6", r_end="1e3")))
+    @settings(max_examples=150, deadline=None)
+    def test_exit_code_and_no_traceback(self, argv):
+        # malformed input exits 2 (or 1 for a numerical failure), never
+        # with an uncaught exception
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()

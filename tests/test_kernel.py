@@ -172,6 +172,29 @@ class TestKernelRatioNearDiagonal:
             closed_form_oracle(1.0, 1.0 + 1e-8, 3, 1.2), rel=1e-12)
 
 
+class TestKernelRatioEvenAlpha:
+    # alpha = 2k sums the terminating series: exact up to the diagonal,
+    # where scipy's 2F1 was off by up to 2.5e-7 (n = 7, |1 - rho| = 1e-7)
+    @pytest.mark.parametrize("n, alpha", (
+        [(n, 2.0) for n in range(3, 10)] + [(n, 4.0) for n in range(5, 10)]
+        + [(n, 6.0) for n in range(7, 10)]))
+    def test_against_closed_form(self, n, alpha):
+        offsets = 10.0 ** np.arange(-9, -2)
+        rho = np.concatenate(([0.0, 0.1, 1.0, 3.0, 20.0],
+                              1.0 - offsets, 1.0 + offsets))
+        got = kernel_ratio(rho, n, alpha)
+        want = [closed_form_oracle(1.0, float(x), n, alpha) for x in rho]
+        assert np.max(np.abs(got / want - 1.0)) <= 1e-14
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 7, 9])
+    def test_newton_shell_theorem(self, n):
+        rho = np.array([0.0, 0.1, 1.0 - 1e-7, 1.0 - 1e-9, 1.0, 1.0 + 1e-9,
+                        1.0 + 1e-7, 3.0, 20.0])
+        want = sphere_area(n) * np.maximum(1.0, rho) ** (2 - n)
+        np.testing.assert_allclose(kernel_ratio(rho, n, 2.0), want,
+                                   rtol=1e-15, atol=0.0)
+
+
 class TestKernelStructure:
     @given(st.floats(min_value=0.1, max_value=10.0),
            st.floats(min_value=0.1, max_value=10.0))

@@ -4,6 +4,7 @@ import math
 import warnings
 from dataclasses import replace
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import integrate
@@ -109,6 +110,48 @@ class TestBoundaryStrips:
             np.testing.assert_allclose(w[1] * op.matrix[1, j],
                                        pair_oracle(grid, n, alpha, 1, j),
                                        rtol=1e-12, atol=0.0)
+
+
+def newton_pair(edges, n, i, j):
+    """Exact double-cell integral ``w_i M[i, j]`` at alpha = 2.
+
+    Newton's shell theorem, ``K(s, t) = |S| max(s, t)^(2-n)``, splits
+    the integral into power moments of the cells: ``|S| (b^n - a^n)/n
+    (d^2 - c^2)/2`` for a lower cell ``[a, b]`` and an upper ``[c, d]``,
+    and one closed form for a cell with itself.  Summed in 40 digits
+    on the float edges.
+    """
+    i, j = sorted((i, j))
+    with mp.workdps(40):
+        area = 2 * mp.pi ** (mp.mpf(n) / 2) / mp.gamma(mp.mpf(n) / 2)
+        a, b = mp.mpf(edges[i]), mp.mpf(edges[i + 1])
+        if i < j:
+            c, d = mp.mpf(edges[j]), mp.mpf(edges[j + 1])
+            return float(area * (b ** n - a ** n) / n * (d * d - c * c) / 2)
+        return float(2 * area / n * ((b ** (n + 2) - a ** (n + 2)) / (n + 2)
+                                     - a ** n * (b * b - a * a) / 2))
+
+
+class TestNewtonOperator:
+    @pytest.mark.parametrize("count", [64, 512])
+    def test_rows_against_power_moments(self, count):
+        grid = make_grid(1e-4, 1e4, count, 5)
+        op = assemble(grid, 5, 2.0)
+        for i in (0, 1, 2, count // 2, count - 2, count - 1):
+            want = [newton_pair(grid.edges, 5, i, j) for j in range(count)]
+            np.testing.assert_allclose(grid.weights[i] * op.matrix[i], want,
+                                       rtol=3e-13, atol=0.0)
+
+    def test_last_cell_on_a_fine_grid(self):
+        # the half-width last cell, ln r = 9.2, h/2 = 4.5e-3: the overlap
+        # weight must round at the scale of the cell, not of ln r
+        count = 2048
+        grid = make_grid(1e-4, 1e4, count, 5)
+        op = assemble(grid, 5, 2.0)
+        last = count - 1
+        got = grid.weights[last] * op.matrix[last, last]
+        assert got == pytest.approx(
+            newton_pair(grid.edges, 5, last, last), rel=1e-13, abs=0.0)
 
 
 class TestPowerLawAccuracy:

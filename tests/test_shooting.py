@@ -20,6 +20,9 @@ class TestShotConfig:
             ShotConfig(xi=-1.0)
         with pytest.raises(ValidationError):
             ShotConfig(r_start=1.0, r_end=0.5)
+        for bad in ({"u0": np.inf}, {"xi": np.inf}, {"r_end": np.inf}):
+            with pytest.raises(ValidationError):
+                ShotConfig(**bad)
 
     def test_with_xi(self):
         cfg = ShotConfig(u0=2.0, r_end=10.0)
@@ -33,6 +36,13 @@ class TestShoot:
     def test_second_order_only(self):
         with pytest.raises(ValidationError):
             shoot(Params(5, 1.5, 3.0, 3.0))
+
+    def test_overflowing_origin_profile(self):
+        # xi^q overflows a double; so does xi^q r_start^2 at a far start
+        with pytest.raises(ValidationError, match="overflows"):
+            shoot(PARAMS, ShotConfig(xi=1e300))
+        with pytest.raises(ValidationError, match="overflows"):
+            shoot(PARAMS, ShotConfig(xi=1e100, r_start=1e10, r_end=1e11))
 
     def test_zero_source_stays_constant(self):
         traj = shoot(PARAMS, ShotConfig(r_end=1e3), source_strength=0.0)
