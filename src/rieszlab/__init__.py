@@ -9,8 +9,8 @@ potential form of a polyharmonic Lane-Emden system):
 - :mod:`rieszlab.grid` — log-radial grids;
 - :mod:`rieszlab.riesz` — the radial potential operator: exact kernel,
   conservative cell quadrature, head/tail extensions;
-- :mod:`rieszlab.solver` — damped Picard iteration for the regular
-  decaying pair and the exact singular power-law pair;
+- :mod:`rieszlab.solver` — Anderson-accelerated Picard iteration for
+  the regular decaying pair and the exact singular power-law pair;
 - :mod:`rieszlab.shooting` — radial ODE shooting (``alpha = 2``) and
   bisection for the separatrix ground state;
 - :mod:`rieszlab.analysis` — tail fitting with log-correction

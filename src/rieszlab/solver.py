@@ -3,12 +3,15 @@
 Solves the radial system ``u = I_alpha[v^q]``, ``v = I_alpha[u^p]`` on a
 log grid.  Two branches:
 
-* :func:`solve_picard` — damped Picard sweeps for the regular decaying
-  (bubble) profile in the critical regime.  The plain iteration has two
-  quasi-null directions inherited from the scaling family (overall
-  amplitude and dilation); both are removed by renormalizing each field
-  at the first node every sweep, and the physical amplitudes are
-  restored afterwards from the measured proportionality constants.
+* :func:`solve_picard` — Picard sweeps for the regular decaying
+  (bubble) profile in the critical regime, accelerated by type-II
+  Anderson mixing (Walker & Ni, SIAM J. Numer. Anal. 49, 2011) on the
+  log fields over the last ``ANDERSON_DEPTH`` sweeps.  The plain
+  iteration has two quasi-null directions inherited from the scaling
+  family (overall amplitude and dilation); both are removed by
+  renormalizing each field at the first node every sweep, and the
+  physical amplitudes are restored afterwards from the measured
+  proportionality constants.
 * :func:`singular_solution` — the exact singular pair
   ``A r^{-theta1}, B r^{-theta2}`` with amplitudes solved in closed form
   from the power-law identity of the potential.
@@ -41,6 +44,11 @@ from .riesz import (KernelOperator, RadialField, apply_extended, assemble,
 
 #: Fields whose sup drops below this are considered collapsed.
 COLLAPSE_FLOOR = 1e-12
+#: Iterate/residual pairs kept by the Anderson step; 0 gives plain
+#: damped Picard.
+ANDERSON_DEPTH = 5
+#: Presentation dilations tried before giving up on the residual.
+PRESENTATION_CYCLES = 3
 
 
 class Branch(str, enum.Enum):
@@ -52,12 +60,16 @@ class Branch(str, enum.Enum):
 
 @dataclass(frozen=True)
 class SolveConfig:
-    """Controls for the damped Picard iteration.
+    """Controls for the Anderson-accelerated Picard iteration.
 
     Attributes
     ----------
     damping : float
-        Fraction of the fresh sweep mixed into the iterate, in (0, 1].
+        Anderson mixing ``b`` in (0, 1]: the step is ``x + b f`` minus
+        the history correction, where ``x`` is the log fields and ``f``
+        the log change of a fresh sweep.  With ``ANDERSON_DEPTH = 0``,
+        or ``normalize_at_origin=False``, it is the fraction of the
+        fresh sweep mixed linearly into the iterate.
     max_iters : int
         Sweep budget (>= 0; a zero budget always fails to converge).
     tol : float
@@ -128,13 +140,28 @@ def default_init(params, grid):
             RadialField(grid, v / v[0], tail_exponent=mv))
 
 
-def _tail_slope(grid, values, alpha, n):
-    """Refit a power-law tail exponent from the outer-decade data."""
+def _tail_window(grid):
+    """Fit slice and least-squares slope weights of the outer decade.
+
+    The slope of the log-log line through samples ``y`` on the window is
+    ``weights @ (y - mean(y))``, with ``weights`` the centred log nodes
+    divided by their sum of squares.  Centring ``y`` too keeps the
+    rounding of the weights' sum, times ``|y|``, out of the slope.
+    """
     sl = slice(*default_window(grid.nodes))
+    t = np.log(grid.nodes[sl])
+    t -= t.mean()
+    return sl, t / (t @ t)
+
+
+def _tail_slope(window, values, alpha, n):
+    """Refit a power-law tail exponent from the outer-decade data."""
+    sl, weights = window
     vals = values[sl]
     if np.any(vals <= 0.0):
         return alpha + 1.0
-    slope = np.polyfit(np.log(grid.nodes[sl]), np.log(vals), 1)[0]
+    lv = np.log(vals)
+    slope = weights @ (lv - lv.mean())
     return float(min(max(-slope, 0.05), 3.0 * n))
 
 
@@ -144,6 +171,61 @@ def _proportionality(image, values, sl):
     med = float(np.median(ratio))
     spread = float(np.max(np.abs(ratio / med - 1.0)))
     return med, spread
+
+
+def _anderson_step(history, x, f, mixing):
+    """Next pair of type-II Anderson mixing (Walker & Ni 2011).
+
+    ``x`` is ``[ln u, ln v]`` and ``f = G(x) - x`` its Picard residual;
+    ``history`` holds this cycle's ``x`` and ``f`` and is updated in
+    place, keeping the last ``ANDERSON_DEPTH + 1``.  The step is
+    ``x + mixing f - (dX + mixing dF) gamma`` with ``gamma`` the
+    least-squares solution of ``dF gamma = f`` over the history
+    differences.  The correction is dropped, leaving the damped log
+    step, while the history is short or rank-deficient (singular values
+    below 1e-10 of the largest), or when the corrected fields are not
+    finite.  Returns ``u`` and ``v`` concatenated, each renormalized to
+    1 at its first node.
+    """
+    xs, fs = history
+    xs.append(x)
+    fs.append(f)
+    del xs[:-ANDERSON_DEPTH - 1], fs[:-ANDERSON_DEPTH - 1]
+    step = x + mixing * f
+    if len(xs) > 1:
+        dx = np.diff(xs, axis=0).T
+        df = np.diff(fs, axis=0).T
+        gamma, _, rank, _ = np.linalg.lstsq(df, f, rcond=1e-10)
+        if rank == df.shape[1]:
+            fields = _origin_normalized(step - (dx + mixing * df) @ gamma)
+            if np.all(np.isfinite(fields)):
+                return fields
+    return _origin_normalized(step)
+
+
+def _origin_normalized(logs):
+    """Exponentiate the two concatenated log fields, each divided by its
+    value at the first node; overflow gives inf, for the caller to test.
+    """
+    half = logs.size // 2
+    lu, lv = logs[:half], logs[half:]
+    with np.errstate(over="ignore"):
+        return np.exp(np.concatenate((lu - lu[0], lv - lv[0])))
+
+
+def _origin_gap(log_lam, lnodes, lv, tau, rate):
+    """Log of the dilated profile ``lam^rate f(lam r)`` at the first node.
+
+    ``rate * log_lam + ln f(lam * r_min)`` for the profile with log
+    values ``lv`` on ``lnodes``: log-log interpolation inside the grid,
+    constant below it and the power-law tail ``tau`` above it, as in
+    :func:`_log_dilate`.  Takes a scalar or an array of ``log_lam``.
+    """
+    lq = lnodes[0] + log_lam
+    inside = np.interp(lq, lnodes, lv, left=lv[0])
+    val = np.where(lq <= lnodes[-1], inside,
+                   lv[-1] - tau * (lq - lnodes[-1]))
+    return rate * log_lam + val
 
 
 def _log_dilate(grid, values, tail_exponent, log_lam, rate):
@@ -165,7 +247,7 @@ def _log_dilate(grid, values, tail_exponent, log_lam, rate):
 
 def solve_picard(params, grid=None, config=None, init=None, monitor=None,
                  operator=None):
-    """Damped Picard solve for the regular decaying pair.
+    """Anderson-accelerated Picard solve for the regular decaying pair.
 
     Parameters
     ----------
@@ -188,7 +270,10 @@ def solve_picard(params, grid=None, config=None, init=None, monitor=None,
         For non-critical parameters.
     NonConvergenceError
         When the sweep budget ends before both the update size and the
-        interior proportionality spread drop below ``config.tol``.
+        interior proportionality spread drop below ``config.tol``, when
+        the re-measured residual stays above ``config.tol`` after
+        ``PRESENTATION_CYCLES`` presentation dilations, or when the
+        dilation root cannot be bracketed; the message names which.
     CollapseError
         When a field degenerates to zero (possible only with
         ``normalize_at_origin=False``).
@@ -209,9 +294,11 @@ def solve_picard(params, grid=None, config=None, init=None, monitor=None,
     else:
         fu, fv = init
     u, v = fu.values.copy(), fv.values.copy()
+    window = _tail_window(grid)
     tau_u, tau_v = fu.tail_exponent, fv.tail_exponent
     sl = grid.interior_slice()
     omega = config.damping
+    accelerate = config.normalize_at_origin and ANDERSON_DEPTH > 0
 
     th1, th2 = report.slow_rate_u, report.slow_rate_v
     lnodes = np.log(grid.nodes)
@@ -219,20 +306,29 @@ def solve_picard(params, grid=None, config=None, init=None, monitor=None,
     iterations = 0
     spread_u = spread_v = delta = math.inf
     res_u = res_v = math.inf
+    limit = ("the re-measured residual stayed above tol=%g after %d "
+             "presentation cycles; the achievable floor is set by the grid "
+             "resolution" % (config.tol, PRESENTATION_CYCLES))
 
     # The presentation dilation resamples the fields, which adds a small
     # interpolation error to the residual; re-entering the sweep loop
     # from the transformed pair removes it (the follow-up shift is tiny).
-    for _cycle in range(3):
+    for _cycle in range(PRESENTATION_CYCLES):
         converged = False
         cu = cv = 1.0
+        history = ([], [])  # Anderson iterates and residuals, this cycle
         while iterations < config.max_iters:
             iterations += 1
             tu = apply_extended(op, v ** q, max(q * tau_v, floor))
             tv = apply_extended(op, u ** p, max(p * tau_u, floor))
             cu, spread_u = _proportionality(tu, u, sl)
             cv, spread_v = _proportionality(tv, v, sl)
-            if config.normalize_at_origin:
+            if accelerate:
+                x = np.log(np.concatenate((u, v)))
+                image = np.log(np.concatenate((tu / tu[0], tv / tv[0])))
+                fields = _anderson_step(history, x, image - x, omega)
+                nu, nv = fields[:u.size], fields[u.size:]
+            elif config.normalize_at_origin:
                 nu = (1.0 - omega) * u + omega * tu / tu[0]
                 nv = (1.0 - omega) * v + omega * tv / tv[0]
                 nu /= nu[0]
@@ -249,8 +345,8 @@ def solve_picard(params, grid=None, config=None, init=None, monitor=None,
                     float(np.max(np.abs(nu - u) / np.maximum(u, 1e-300))),
                     float(np.max(np.abs(nv - v) / np.maximum(v, 1e-300))))
             u, v = nu, nv
-            tau_u = _tail_slope(grid, u, alpha, n)
-            tau_v = _tail_slope(grid, v, alpha, n)
+            tau_u = _tail_slope(window, u, alpha, n)
+            tau_v = _tail_slope(window, v, alpha, n)
             if monitor is not None:
                 monitor(iterations, delta, spread_u, spread_v)
             if (delta < config.tol
@@ -258,6 +354,8 @@ def solve_picard(params, grid=None, config=None, init=None, monitor=None,
                 converged = True
                 break
         if not converged:
+            limit = ("did not reach tol=%g within %d sweeps"
+                     % (config.tol, config.max_iters))
             break
 
         # Restore physical amplitudes: with U = e*u, V = f*v the pair
@@ -272,32 +370,28 @@ def solve_picard(params, grid=None, config=None, init=None, monitor=None,
             # Present the scaling-family member with u = 1 at the first
             # node; dilation is an exact symmetry of the system.
             lv = np.log(uu)
-
-            def origin_gap(log_lam, lv=lv, tau=tau_u):
-                lq = lnodes[0] + log_lam
-                val = (np.interp(lq, lnodes, lv, left=lv[0])
-                       if lq <= lnodes[-1]
-                       else lv[-1] - tau * (lq - lnodes[-1]))
-                return th1 * log_lam + val
-
+            gap_args = (lnodes, lv, tau_u, th1)
             # The gap vanishes on the origin plateau (near -ln u(rMin)
             # / th1) and possibly again out on the tail; bracket the
             # plateau root by scanning around its flat-profile estimate.
             guess = -lv[0] / th1
             span = np.linspace(guess - 8.0, guess + 8.0, 257)
-            gap = np.array([origin_gap(x) for x in span])
+            gap = _origin_gap(span, *gap_args)
             change = np.nonzero(np.diff(np.signbit(gap)))[0]
             if change.size == 0:
+                limit = ("no root of the presentation dilation within 8 "
+                         "log units of its estimate %.3g" % guess)
                 break
             pick = change[np.argmin(np.abs(span[change] - guess))]
-            log_lam = optimize.brentq(origin_gap, span[pick],
-                                      span[pick + 1], xtol=1e-14)
+            log_lam = optimize.brentq(_origin_gap, span[pick],
+                                      span[pick + 1], args=gap_args,
+                                      xtol=1e-14)
             uu = _log_dilate(grid, uu, tau_u, log_lam, th1)
             vv = _log_dilate(grid, vv, tau_v, log_lam, th2)
             uu /= uu[0]
 
-        tau_u = _tail_slope(grid, uu, alpha, n)
-        tau_v = _tail_slope(grid, vv, alpha, n)
+        tau_u = _tail_slope(window, uu, alpha, n)
+        tau_v = _tail_slope(window, vv, alpha, n)
         res_u = float(np.max(np.abs(
             apply_extended(op, vv ** q, q * tau_v)[sl] / uu[sl] - 1.0)))
         res_v = float(np.max(np.abs(
@@ -311,11 +405,9 @@ def solve_picard(params, grid=None, config=None, init=None, monitor=None,
         u, v = uu, vv
 
     raise NonConvergenceError(
-        "Picard iteration did not reach tol=%g within %d sweeps "
-        "(update %.3g, interior spread %.3g/%.3g, residual %.3g/%.3g); "
-        "the achievable floor is set by the grid resolution" % (
-            config.tol, config.max_iters, delta, spread_u, spread_v,
-            res_u, res_v),
+        "Picard iteration stopped after %d sweeps: %s (update %.3g, "
+        "interior spread %.3g/%.3g, residual %.3g/%.3g)" % (
+            iterations, limit, delta, spread_u, spread_v, res_u, res_v),
         iterations=iterations, residual_u=min(res_u, spread_u),
         residual_v=min(res_v, spread_v), last_delta=delta)
 
