@@ -33,22 +33,34 @@ second-order accurate in the log mesh width.  On the log grid all
 interior cell pairs with the same index offset share one reduced 1D
 integral, so assembly needs O(count) reduced integrals: one per offset
 and one per pair in the two boundary strips (cells 0 and count-1).
-Every pair whose log-ratio window stays off the kernel cusp is
-integrated on fixed Gauss panels, all of them in a few batched
-:func:`kernel_ratio` calls of O(count) samples; the three windows that
+
+Where two radii stay at ``r_</r_> <= FAR_RATIO`` (1/2), ``K`` is its
+series ``|S^{n-1}| r_>^{alpha-n} sum_l c_l (r_</r_>)^{2l}``
+(:func:`_series_coefficients`): J terms, k for ``alpha = 2k`` and 20 to
+27 for ``alpha < 2``, each a product of a power of ``r_<`` and one of
+``r_>``.  Cell pairs that far apart are J-term sums of closed-form cell
+moments, with no kernel samples.  The near band, about ``ln 2 / h``
+offsets and strip pairs, is integrated on fixed Gauss panels, all of
+it in a few batched :func:`kernel_ratio` calls; the three windows that
 end at the cusp (offset 1 and the two touching boundary pairs) take one
 more call on panels graded toward it.  Adaptive quadrature is left for
 the three pairs whose window straddles the cusp (offset 0 and the two
-boundary cells with themselves).  Grids above
-``MAX_DENSE_COUNT`` nodes are refused before anything is allocated.
+boundary cells with themselves).  Grids above ``MAX_DENSE_COUNT`` nodes
+are refused before anything is allocated.
 
-The response to the power-law tail model beyond ``r_max`` is one matrix
-product per call: assembly also samples the kernel once on a fixed
-graded quadrature in ``y = ln(s/r_max)`` over ``[0, ln TAIL_RANGE_CAP]``
-and keeps it, weighted, as ``KernelOperator.tail_kernel``: ``count x Q``
-doubles with ``Q = 336`` nodes, about 11 MB at 4096 grid nodes, built by
-``count * Q`` kernel evaluations.  The response to a tail of
-any decay exponent is then one ``O(count * Q)`` product.
+The responses to the constant head below ``r_min`` and to the
+power-law tail model beyond ``r_max`` take the series too, except at
+the nodes within a factor 2 of the domain end.  The head is then one
+closed form per node.  The tail is integrated on a fixed graded
+quadrature in ``y = ln(s/r_max)`` over ``[0, ln TAIL_RANGE_CAP]`` (Q =
+336 nodes): assembly keeps the weighted kernel samples of the near
+rows, ``KernelOperator.tail_kernel``, about ``ln 2 / h`` x Q doubles,
+and factors the far rows into a ``count x J`` and a ``J x Q`` table.
+The response to a tail of any decay exponent is then
+``O((count + Q) J + Q ln 2 / h)`` work, with no state kept per call.
+An assembly on 4096 nodes over eight decades samples the kernel about
+0.13M times, where sampling every pair, head and tail row would take
+3.2M.
 """
 
 from __future__ import annotations
@@ -59,6 +71,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
+from numpy.polynomial.polynomial import polyval
 from scipy import integrate, special
 
 from .errors import (AssemblyError, DivergentTailError, SingularKernelError,
@@ -77,6 +90,13 @@ CUSP_PATCH_RADIUS = 1e-2
 #: ``|alpha - 1|/2`` below which the connection formula is summed in the
 #: cancellation-free form of :func:`_near_log_2f1`.
 _NEAR_LOG_EXPONENT = 1e-2
+#: Largest ratio ``r_</r_>`` of two radii at which the kernel is taken
+#: from its series (:func:`_series_coefficients`) instead of sampled:
+#: there ``t = (r_</r_>)^2 <= 1/4`` and the series converges like 4^-l.
+FAR_RATIO = 0.5
+#: Size of a series term, relative to the first, below which the sum
+#: stops: half an ulp of 1.
+_SERIES_CUT = 0.5 * np.finfo(float).eps
 #: Grid nodes whose tail kernel rows are sampled in one ``kernel_ratio``
 #: call; bounds the transient arrays of the build to about a MB each.
 _TAIL_BUILD_ROWS = 256
@@ -174,24 +194,43 @@ def kernel_ratio(rho, n, alpha):
     return sphere_area(n) * (1.0 + rho * rho) ** (0.5 * (alpha - n)) * hyp
 
 
+def _series_coefficients(n, alpha):
+    """Coefficients ``c_l`` of the kernel's series in ``t = (r_</r_>)^2``.
+
+    ``K(r, s) = |S^{n-1}| r_>^{alpha-n} sum_l c_l t^l`` with ``c_l =
+    ((n-alpha)/2)_l (1-alpha/2)_l / ((n/2)_l l!)``, by their two-term
+    recurrence.  For even ``alpha = 2k`` it stops by itself, ``c_k = 0``:
+    the k terms are the whole kernel.  Otherwise the terms run up to the
+    first one below rounding at ``t = FAR_RATIO^2``, looked for only from
+    ``l >= alpha/2 - 1`` on, where ``|c_l|`` no longer grows, so the
+    terms cut off sum to less than rounding too (20 to 27 terms for
+    ``alpha < 2`` and n = 3..7).
+    """
+    a, b, c = 0.5 * (n - alpha), 1.0 - 0.5 * alpha, 0.5 * n
+    even = alpha % 2.0 == 0.0
+    coef = [1.0]
+    j = 0
+    while True:
+        nxt = coef[-1] * (a + j) * (b + j) / ((c + j) * (j + 1))
+        j += 1
+        below = abs(nxt) * FAR_RATIO ** (2 * j) < _SERIES_CUT
+        if nxt == 0.0 or (not even and j >= -b and below):
+            return np.array(coef)
+        coef.append(nxt)
+
+
 def _terminating_kernel(rho, n, alpha):
     """``K(1, rho)`` for even ``alpha = 2k``: the terminating 2F1 series.
 
     ``|S^{n-1}| R^{alpha-n} sum_{l<k} c_l t^l`` with ``R = max(1, rho)``,
-    ``t = (min(1, rho)/R)^2`` and ``c_l = ((n-alpha)/2)_l (1-k)_l /
-    ((n/2)_l l!)``, summed by Horner's rule.
+    ``t = (min(1, rho)/R)^2`` and the ``c_l`` of
+    :func:`_series_coefficients`, summed by Horner's rule.
     """
-    k = int(alpha) // 2
-    coef = [1.0]
-    for j in range(k - 1):
-        coef.append(coef[-1] * (0.5 * (n - alpha) + j) * (1 - k + j)
-                    / ((0.5 * n + j) * (j + 1)))
+    coef = _series_coefficients(n, alpha)
     big = np.maximum(1.0, rho)
-    poly = coef[-1]
-    if k > 1:
-        t = np.square(np.minimum(1.0, rho) / big)
-        for c in reversed(coef[:-1]):
-            poly = poly * t + c
+    poly = coef[0]
+    if coef.size > 1:
+        poly = polyval(np.square(np.minimum(1.0, rho) / big), coef)
     return (sphere_area(n) * poly) * big ** (alpha - n)
 
 
@@ -348,9 +387,14 @@ class KernelOperator:
     ``matrix`` maps node values to bare integral values,
     ``(matrix @ f)[i] ~ int_{rMin}^{rMax} K(r_i, s) f(s) s^{n-1} ds``.
     ``head_response`` is the bare response to the unit profile below
-    ``rMin``; ``tail_kernel[i, k]`` is ``K(1, s_k/r_i)`` times the weight
-    of the fixed tail quadrature node ``y_k = ln(s_k/rMax)``, from which
-    :func:`tail_response` builds the response beyond ``rMax``.
+    ``rMin``.  :func:`tail_response` builds the response beyond ``rMax``
+    on the fixed tail quadrature ``y_k = ln(s_k/rMax)`` from three
+    tables.  The last ``tail_kernel.shape[0]`` nodes, those with
+    ``r_i/rMax > FAR_RATIO``, have a row of ``tail_kernel``:
+    ``K(1, s_k/r_i)`` times the weight ``w_k``.  The first nodes factor
+    through the kernel's J-term series: ``tail_series[i, l] = |S^{n-1}|
+    rMax^alpha c_l (r_i/rMax)^{2l}``, one row per such node, and
+    ``tail_moments[l, k] = w_k e^{(alpha-n-2l) y_k}`` (J x Q).
     The classical normalization is applied by :func:`apply_extended`.
     """
 
@@ -360,6 +404,8 @@ class KernelOperator:
     n: int = 0
     head_response: np.ndarray = field(repr=False, default=None)
     tail_kernel: np.ndarray = field(repr=False, default=None)
+    tail_series: np.ndarray = field(repr=False, default=None)
+    tail_moments: np.ndarray = field(repr=False, default=None)
 
     @property
     def normalization(self):
@@ -511,20 +557,51 @@ def _touching_breaks(la, lb, lc, ld):
                            _graded_breaks(near, zhi, False, levels=16)))
 
 
+def _far_pairs(b, wa, c, wc, n, alpha):
+    """Double-cell integrals of cell pairs far apart, by the series.
+
+    The lower cells end at ``b`` and the upper cells start at ``c``
+    (arrays), with log widths ``wa`` and ``wc`` and ``b/c <=
+    FAR_RATIO``.  With ``s < t`` the kernel is ``|S^{n-1}| sum_l c_l
+    s^{2l} t^{alpha-n-2l}``, so the pair integral is a sum of products
+    of cell moments ``m(p) = int s^{p-1} ds``:
+
+        |S^{n-1}| sum_l c_l m_lower(2l+n) m_upper(alpha-2l).
+
+    Each moment is taken from the end ``x`` of its cell where ``s^p``
+    is largest, ``x^p w exprel(-|p| w)``: nothing cancels, and the
+    powers combine to ``b^n x^alpha (b/x)^{2l}`` with ``x`` an end of
+    the upper cell, which stays in the double range.  The widths are
+    passed, not taken from the edges: for the ideal interior cells they
+    are exactly ``h``, and the difference of two rounded edges far from
+    r = 1 would lose digits in proportion to ``|ln r|/h``.
+    """
+    coef = _series_coefficients(n, alpha)[:, None]
+    l2 = 2.0 * np.arange(coef.size)[:, None]
+    upper_exp = alpha - l2
+    top = np.where(upper_exp > 0.0, c * np.exp(wc), c)
+    terms = (coef * (b / top) ** l2 * top ** alpha
+             * wa * special.exprel(-(l2 + n) * wa)
+             * wc * special.exprel(-np.abs(upper_exp) * wc))
+    return sphere_area(n) * b ** n * np.sum(terms, axis=0)
+
+
 def assemble(grid, n, alpha):
     """Assemble the dense bare-kernel operator on ``grid``.
 
     Interior cell pairs are filled from per-offset reduced integrals
     (the log grid makes them a one-parameter family, laid out through a
     strided Toeplitz view); pairs involving the two clipped boundary
-    cells are integrated individually.  Off-cusp integrals are fixed
-    Gauss-panel sums, their kernel samples, O(count) in all, taken in a
-    few large ``kernel_ratio`` calls; the three windows ending at the
-    cusp (offset 1 and the two touching boundary pairs) share one call
-    on panels graded toward it, and only the three pairs straddling the
-    cusp use adaptive quadrature.  The construction is symmetric in
-    the pair of cells, so the adjoint identity ``w_i M[i][j] = w_j
-    M[j][i]`` holds to rounding.
+    cells are integrated individually.  Pairs whose radii stay within
+    ``FAR_RATIO`` across both cells are closed-form sums of cell
+    moments (:func:`_far_pairs`).  The off-cusp pairs of the near band,
+    about ``3 ln 2 / h`` of them, are fixed Gauss-panel sums, their
+    kernel samples taken in a few large ``kernel_ratio`` calls; the
+    three windows ending at the cusp (offset 1 and the two touching
+    boundary pairs) share one call on panels graded toward it, and only
+    the three pairs straddling the cusp use adaptive quadrature.  The
+    construction is symmetric in the pair of cells, so the adjoint
+    identity ``w_i M[i][j] = w_j M[j][i]`` holds to rounding.
 
     Raises
     ------
@@ -552,21 +629,41 @@ def assemble(grid, n, alpha):
     # Full-width interior cells i, i+d give sym(i, i+d) = r_i^{n+alpha}
     # * fam[d], with fam[d] the pair (-h/2, h/2) x (dh - h/2, dh + h/2).
     # Offsets 2 .. count-3 and the boundary strips, (0, j) for j = 2 ..
-    # count-2 and (count-1, j) for j = 0 .. count-3, are off the cusp:
-    # one batch on uniform panels.
-    dh = np.arange(2, count - 2) * h
-    strips = np.concatenate((_pair_cells(edges, 0, np.arange(2, last)),
-                             _pair_cells(edges, last, np.arange(last - 1))),
-                            axis=1)
+    # count-2 and (count-1, j) for j = 0 .. count-3, are off the cusp.
+    # Pairs whose radii stay within FAR_RATIO of each other form the
+    # near band: one batch on uniform panels.  The rest take the series.
+    offsets = np.arange(2, count - 2)
+    js0, jsl = np.arange(2, last), np.arange(last - 1)
+    near_off = np.exp(-(offsets - 1) * h) > FAR_RATIO
+    near0 = edges[1] / edges[js0] > FAR_RATIO
+    nearl = edges[jsl + 1] / edges[last] > FAR_RATIO
+
+    dh = offsets[near_off] * h
+    strips = np.concatenate((_pair_cells(edges, 0, js0[near0]),
+                             _pair_cells(edges, last, jsl[nearl])), axis=1)
     cells = np.concatenate((np.array(np.broadcast_arrays(
         -0.5 * h, 0.5 * h, dh - 0.5 * h, dh + 0.5 * h)), strips), axis=1)
     zlo = np.concatenate((dh - h, strips[2] - strips[1]))
     zhi = np.concatenate((dh + h, strips[3] - strips[0]))
     breaks = zlo[:, None] + (zhi - zlo)[:, None] * _UNIFORM_PANELS
     fam = np.empty(count - 2)
-    integrals = _pair_integrals(cells, breaks, n, alpha)
-    fam[2:], strip0, stripl = np.split(integrals,
-                                       [dh.size, dh.size + last - 2])
+    strip0, stripl = np.empty(js0.size), np.empty(jsl.size)
+    fam[2:][near_off], band0, bandl = np.split(
+        _pair_integrals(cells, breaks, n, alpha),
+        [dh.size, dh.size + np.count_nonzero(near0)])
+    strip0[near0] = scale0 * band0
+    stripl[nearl] = scalel * bandl
+
+    # Far pairs: closed-form cell moments, the interior ones on the same
+    # ideal cells as the near band, the strips on the grid's cells.
+    d, j, k = offsets[~near_off], js0[~near0], jsl[~nearl]
+    fam[2:][~near_off] = _far_pairs(math.exp(0.5 * h), h,
+                                    np.exp((d - 0.5) * h), h, n, alpha)
+    widths = np.log1p(np.diff(edges) / edges[:-1])
+    strip0[~near0] = _far_pairs(edges[1], widths[0], edges[j], widths[j],
+                                n, alpha)
+    stripl[~nearl] = _far_pairs(edges[k + 1], widths[k], edges[last],
+                                widths[last], n, alpha)
 
     # Windows ending at the cusp, on panels graded toward it: offset 1
     # and the two touching boundary pairs.
@@ -584,9 +681,9 @@ def assemble(grid, n, alpha):
     diagl = _pair_cell_quadrature(*_pair_cells(edges, last, last), n, alpha)
 
     # Boundary rows; the corner pair is integrated once, as (count-1, 0).
-    rowl = scalel * np.concatenate((stripl, [touchl, diagl]))
-    row0 = np.concatenate(
-        (scale0 * np.concatenate(([diag0, touch0], strip0)), rowl[:1]))
+    rowl = np.concatenate((stripl, scalel * np.array([touchl, diagl])))
+    row0 = np.concatenate((scale0 * np.array([diag0, touch0]), strip0,
+                           rowl[:1]))
 
     # The only count x count array: base grows with the node index, so
     # base[min(i, j)] = min(base[i], base[j]), and a strided view of fam
@@ -606,44 +703,73 @@ def assemble(grid, n, alpha):
     # peak memory of large grids.
     matrix = sym
     matrix /= grid.weights[:, None]
+    tail_kernel, tail_series, tail_moments = _tail_tables(grid, n, alpha)
     return KernelOperator(grid=grid, matrix=matrix, alpha=alpha, n=n,
                           head_response=_head_response(grid, n, alpha),
-                          tail_kernel=_tail_kernel(grid, n, alpha))
+                          tail_kernel=tail_kernel, tail_series=tail_series,
+                          tail_moments=tail_moments)
 
 
 def _head_response(grid, n, alpha):
     """Response at each node to the constant unit profile on (0, rMin).
 
-    ``H_i = int_0^{rMin} K(r_i, s) s^{n-1} ds``, bare.  The substitution
+    ``H_i = int_0^{rMin} K(r_i, s) s^{n-1} ds``, bare.  Nodes with
+    ``r_min/r_i <= FAR_RATIO`` take the series term by term,
+
+        H_i = |S^{n-1}| r_i^{alpha-n} r_min^n
+              * sum_l c_l/(2l+n) (r_min/r_i)^{2l},
+
+    with no quadrature.  For the nodes nearer ``r_min`` the substitution
     ``s = rMin e^{-y}`` gives an integrand decaying like ``e^{-n y}``;
     the ``i = 0`` node sees the kernel cusp at ``y = 0``, handled by a
     graded mesh.
     """
+    nodes = grid.nodes
+    near = np.count_nonzero(grid.r_min / nodes > FAR_RATIO)
+    coef = _series_coefficients(n, alpha)
+    far = nodes[near:]
+    out = np.empty(grid.count)
+    out[near:] = (sphere_area(n) * far ** (alpha - n) * grid.r_min ** n
+                  * polyval(np.square(grid.r_min / far),
+                            coef / (2.0 * np.arange(coef.size) + n)))
+
     y_max = 40.0 / n
     breaks = np.concatenate((_graded_breaks(0.0, min(2.0, y_max), True),
                              np.linspace(min(2.0, y_max), y_max, 8)[1:]))
     ynodes, yweights = _gauss_panels(breaks)
     s = grid.r_min * np.exp(-ynodes)
-    ratio = s[None, :] / grid.nodes[:, None]
+    ratio = s[None, :] / nodes[:near, None]
     kv = kernel_ratio(ratio, n, alpha)
     integrand = kv * (s ** n)[None, :]
-    return (grid.nodes ** (alpha - n)) * (integrand @ yweights)
+    out[:near] = (nodes[:near] ** (alpha - n)) * (integrand @ yweights)
+    return out
 
 
-def _tail_kernel(grid, n, alpha):
-    """Weighted kernel samples on the fixed tail quadrature, ``count x Q``.
+def _tail_tables(grid, n, alpha):
+    """The tail quadrature, sampled near ``r_max`` and factored beyond.
 
-    Row ``i`` holds ``K(1, s_k/r_i) * w_k`` for ``s_k = r_max e^{y_k}``.
-    Rows are sampled in blocks so the transient arrays stay small next to
-    the table itself.
+    Returns ``(kernel, series, moments)``.  ``kernel`` has one row per
+    node with ``r_i/r_max > FAR_RATIO``, about ``ln 2 / h`` of them:
+    ``K(1, s_k/r_i) * w_k`` for ``s_k = r_max e^{y_k}``, sampled in
+    blocks so the transient arrays stay small.  The other nodes, the
+    first ``series.shape[0]``, take the series, which factors their rows
+    into ``series[i, l] = |S^{n-1}| r_max^alpha c_l (r_i/r_max)^{2l}``
+    and ``moments[l, k] = w_k e^{(alpha-n-2l) y_k}``.
     """
+    far = np.count_nonzero(grid.nodes / grid.r_max <= FAR_RATIO)
     s = grid.r_max * np.exp(_TAIL_NODES)
-    table = np.empty((grid.count, s.size))
-    for lo in range(0, grid.count, _TAIL_BUILD_ROWS):
+    near = grid.nodes[far:]
+    kernel = np.empty((near.size, s.size))
+    for lo in range(0, near.size, _TAIL_BUILD_ROWS):
         rows = slice(lo, lo + _TAIL_BUILD_ROWS)
-        ratio = s[None, :] / grid.nodes[rows, None]
-        table[rows] = kernel_ratio(ratio, n, alpha) * _TAIL_WEIGHTS
-    return table
+        ratio = s[None, :] / near[rows, None]
+        kernel[rows] = kernel_ratio(ratio, n, alpha) * _TAIL_WEIGHTS
+    coef = _series_coefficients(n, alpha)
+    l2 = 2.0 * np.arange(coef.size)
+    series = (sphere_area(n) * grid.r_max ** alpha * coef
+              * (grid.nodes[:far, None] / grid.r_max) ** l2)
+    moments = _TAIL_WEIGHTS * np.exp((alpha - n - l2)[:, None] * _TAIL_NODES)
+    return kernel, series, moments
 
 
 def _check_tail(tail_exponent, alpha):
@@ -671,10 +797,12 @@ def tail_response(op, tail_exponent, tail_log_power=0.0):
     The tail model is ``(s/r_max)^{-tau} (ln s/ln r_max)^m`` for
     ``s > r_max``; the caller scales by the boundary value.  ``m`` may
     be any nonnegative real (powered fields carry real log powers).
-    The profile is integrated against ``op.tail_kernel`` over the whole
-    fixed range up to ``TAIL_RANGE_CAP * r_max``, so each call costs one
-    ``count x Q`` matrix-vector product and the operator keeps no state
-    per ``(tau, m)``.
+    The profile is integrated over the whole fixed range up to
+    ``TAIL_RANGE_CAP * r_max``: against ``op.tail_kernel`` at the nodes
+    near ``r_max``, and through ``op.tail_series @ (op.tail_moments @
+    profile)`` at the others.  Each call costs a few small
+    matrix-vector products, and the operator keeps no state per
+    ``(tau, m)``.
     """
     _check_tail(tail_exponent, op.alpha)
     grid = op.grid
@@ -685,8 +813,10 @@ def tail_response(op, tail_exponent, tail_log_power=0.0):
     if tail_log_power != 0.0:
         lr = math.log(grid.r_max)
         profile = profile * (1.0 + _TAIL_NODES / lr) ** tail_log_power
-    return (grid.nodes ** (op.alpha - op.n)
+    far = op.tail_series @ (op.tail_moments @ profile)
+    near = (grid.nodes[far.size:] ** (op.alpha - op.n)
             * (op.tail_kernel @ profile) * grid.r_max ** op.n)
+    return np.concatenate((far, near))
 
 
 def apply_extended(op, values, tail_exponent, tail_log_power=0.0):

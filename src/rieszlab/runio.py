@@ -19,12 +19,14 @@ import csv
 import hashlib
 import json
 import json.encoder
+import platform
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
 import numpy as np
+import scipy
 
 from .errors import ValidationError
 from .grid import RadialGrid
@@ -127,7 +129,8 @@ class RunManifest:
 
     ``config_hash`` is derived from the command, parameters, grid and
     settings only; two manifests with equal hashes describe runs whose
-    CSV outputs are byte-identical.  The timestamp is informational and
+    CSV outputs are byte-identical.  The timestamp and the ``versions``
+    of the package, Python, numpy and scipy are informational and
     excluded from the hash.
     """
 
@@ -138,6 +141,7 @@ class RunManifest:
     outputs: tuple[str, ...]
     config_hash: str
     timestamp: str
+    versions: Mapping[str, str]
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -148,10 +152,21 @@ class RunManifest:
             "outputs": list(self.outputs),
             "configHash": self.config_hash,
             "timestamp": self.timestamp,
+            "versions": dict(self.versions),
         }
 
     def write(self, directory: Path | str) -> Path:
         return write_json(Path(directory) / MANIFEST_NAME, self.to_dict())
+
+
+def _runtime_versions() -> dict[str, str]:
+    """Versions of rieszlab, Python, numpy and scipy, as the manifest
+    records them: the ``__version__`` attributes and the running
+    interpreter's version."""
+    from . import __version__
+
+    return {"rieszlab": __version__, "python": platform.python_version(),
+            "numpy": np.__version__, "scipy": scipy.__version__}
 
 
 def make_manifest(
@@ -176,6 +191,7 @@ def make_manifest(
         outputs=tuple(str(o) for o in outputs),
         config_hash=digest,
         timestamp=datetime.now(timezone.utc).isoformat(),
+        versions=_runtime_versions(),
     )
 
 

@@ -353,6 +353,9 @@ def solve_picard(params, grid=None, config=None, init=None, monitor=None,
                     and max(spread_u, spread_v) < 0.9 * config.tol):
                 converged = True
                 break
+        # the error reports the residual measured last: this interior
+        # spread, or the re-measure below once the cycles run out
+        measured = (spread_u, spread_v)
         if not converged:
             limit = ("did not reach tol=%g within %d sweeps"
                      % (config.tol, config.max_iters))
@@ -396,6 +399,7 @@ def solve_picard(params, grid=None, config=None, init=None, monitor=None,
             apply_extended(op, vv ** q, q * tau_v)[sl] / uu[sl] - 1.0)))
         res_v = float(np.max(np.abs(
             apply_extended(op, uu ** p, p * tau_u)[sl] / vv[sl] - 1.0)))
+        measured = (res_u, res_v)
         if max(res_u, res_v) <= config.tol:
             return SolutionPair(
                 u=RadialField(grid, uu, tail_exponent=tau_u),
@@ -408,8 +412,8 @@ def solve_picard(params, grid=None, config=None, init=None, monitor=None,
         "Picard iteration stopped after %d sweeps: %s (update %.3g, "
         "interior spread %.3g/%.3g, residual %.3g/%.3g)" % (
             iterations, limit, delta, spread_u, spread_v, res_u, res_v),
-        iterations=iterations, residual_u=min(res_u, spread_u),
-        residual_v=min(res_v, spread_v), last_delta=delta)
+        iterations=iterations, residual_u=measured[0],
+        residual_v=measured[1], last_delta=delta)
 
 
 def singular_amplitudes(params):

@@ -18,9 +18,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rieszlab.errors import SingularKernelError, ValidationError
-from rieszlab.riesz import (CUSP_PATCH_RADIUS, angular_kernel, kernel_ratio,
-                            power_law_constant, riesz_normalization,
-                            sphere_area)
+from rieszlab.riesz import (CUSP_PATCH_RADIUS, FAR_RATIO,
+                            _series_coefficients, angular_kernel,
+                            kernel_ratio, power_law_constant,
+                            riesz_normalization, sphere_area)
 
 
 def polar_oracle(r, s, n, alpha):
@@ -192,6 +193,34 @@ class TestKernelRatioEvenAlpha:
                         1.0 + 1e-7, 3.0, 20.0])
         want = sphere_area(n) * np.maximum(1.0, rho) ** (2 - n)
         np.testing.assert_allclose(kernel_ratio(rho, n, 2.0), want,
+                                   rtol=1e-15, atol=0.0)
+
+
+class TestSeriesCoefficients:
+    # the series in t = (r_</r_>)^2 that replaces kernel samples for
+    # radii at most FAR_RATIO apart
+    @pytest.mark.parametrize("n, alpha",
+                             [(3, 0.8), (4, 1.5), (5, 2.5), (7, 4.0)])
+    def test_sum_at_far_ratio(self, n, alpha):
+        coef = _series_coefficients(n, alpha)
+        got = sphere_area(n) * np.sum(
+            coef * FAR_RATIO ** (2.0 * np.arange(coef.size)))
+        assert got == pytest.approx(float(kernel_ratio(FAR_RATIO, n, alpha)),
+                                    rel=1e-15, abs=0.0)
+        assert got == pytest.approx(
+            closed_form_oracle(1.0, FAR_RATIO, n, alpha), rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("n, alpha", [(3, 2.0), (5, 4.0), (7, 4.0),
+                                          (7, 6.0), (9, 8.0)])
+    def test_terminates_for_even_alpha(self, n, alpha):
+        # (1 - alpha/2)_l vanishes from l = k = alpha/2 on
+        coef = _series_coefficients(n, alpha)
+        assert coef.size == int(alpha) // 2
+        with mp.workdps(30):
+            want = [mp.rf(mp.mpf(n - alpha) / 2, k) * mp.rf(1 - alpha / 2, k)
+                    / (mp.rf(mp.mpf(n) / 2, k) * mp.factorial(k))
+                    for k in range(coef.size)]
+        np.testing.assert_allclose(coef, [float(c) for c in want],
                                    rtol=1e-15, atol=0.0)
 
 

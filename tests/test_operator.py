@@ -12,10 +12,11 @@ from scipy import integrate
 from rieszlab.errors import (DivergentTailError, TruncationWarning,
                              ValidationError)
 from rieszlab.grid import make_grid
-from rieszlab.riesz import (MAX_DENSE_COUNT, TAIL_RANGE_CAP, RadialField,
+from rieszlab.riesz import (_TAIL_NODES, _TAIL_WEIGHTS, FAR_RATIO,
+                            MAX_DENSE_COUNT, TAIL_RANGE_CAP, RadialField,
                             _head_response, _pair_integrand, apply_extended,
                             assemble, field_integral, kernel_ratio,
-                            power_law_constant, tail_response)
+                            power_law_constant, sphere_area, tail_response)
 
 
 @pytest.fixture(autouse=True)
@@ -152,6 +153,153 @@ class TestNewtonOperator:
         got = grid.weights[last] * op.matrix[last, last]
         assert got == pytest.approx(
             newton_pair(grid.edges, 5, last, last), rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("count", [512, 2048])
+    def test_far_boundary_pairs_to_rounding(self, count):
+        # beyond the near band the boundary rows are products of cell
+        # moments on the float edges: no loss growing with |ln(r_j/r_i)|/h
+        grid = make_grid(1e-4, 1e4, count, 5)
+        op = assemble(grid, 5, 2.0)
+        e, last = grid.edges, count - 1
+        cols = np.arange(count)
+        for i, far in ((0, e[1] / e[cols] <= FAR_RATIO),
+                       (last, e[cols + 1] / e[last] <= FAR_RATIO)):
+            want = [newton_pair(e, 5, i, j) for j in cols[far]]
+            np.testing.assert_allclose(grid.weights[i] * op.matrix[i, far],
+                                       want, rtol=4e-15, atol=0.0)
+
+
+def series_pair(lower, upper, n, alpha):
+    """Double-cell integral of a lower cell ``[a, b]`` and an upper cell
+    ``[c, d]``, ``b < c``, from the kernel's series in 40 digits.
+
+    ``|S| sum_l c_l (b^p - a^p)/p (d^q - c^q)/q`` with ``p = 2l + n``,
+    ``q = alpha - 2l`` and ``c_l`` from rising factorials, summed until
+    the terms fall below 1e-36 of the total.
+    """
+    with mp.workdps(40):
+        a, b = (mp.mpf(x) for x in lower)
+        c, d = (mp.mpf(x) for x in upper)
+        al = mp.mpf(alpha)
+        total = mp.mpf(0)
+        for k in range(2000):
+            coef = (mp.rf((n - al) / 2, k) * mp.rf(1 - al / 2, k)
+                    / (mp.rf(mp.mpf(n) / 2, k) * mp.factorial(k)))
+            if coef == 0:
+                break
+            p, q = 2 * k + n, al - 2 * k
+            term = coef * (b ** p - a ** p) / p * (d ** q - c ** q) / q
+            total += term
+            if abs(term) < mp.mpf(10) ** -36 * abs(total):
+                break
+        area = 2 * mp.pi ** (mp.mpf(n) / 2) / mp.gamma(mp.mpf(n) / 2)
+        return float(area * total)
+
+
+def ideal_pair(grid, i, d):
+    """Series oracle of the interior pair ``(i, i + d)`` on the ideal
+    cells of width h about ``r_i`` and ``r_i e^{dh}``, which the
+    assembled interior is built from."""
+    r, h = mp.mpf(grid.nodes[i]), mp.mpf(grid.log_step)
+    with mp.workdps(40):
+        return ((r * mp.exp(-h / 2), r * mp.exp(h / 2)),
+                (r * mp.exp((d - mp.mpf(0.5)) * h),
+                 r * mp.exp((d + mp.mpf(0.5)) * h)))
+
+
+class TestFarField:
+    @pytest.mark.parametrize("count", [64, 512])
+    @pytest.mark.parametrize("n, alpha", [(3, 0.8), (4, 1.5), (6, 4.0)])
+    def test_far_entries_against_power_moments(self, n, alpha, count):
+        grid = make_grid(1e-4, 1e4, count, n)
+        op = assemble(grid, n, alpha)
+        e, w, last = grid.edges, grid.weights, count - 1
+        step = 1 if count == 64 else 7
+        cols = np.arange(count)
+        # boundary strips, on the grid's own cells
+        for i, far in ((0, e[1] / e[cols] <= FAR_RATIO),
+                       (last, e[cols + 1] / e[last] <= FAR_RATIO)):
+            for j in cols[far][::step]:
+                lo, hi = sorted((i, j))
+                want = series_pair(e[lo:lo + 2], e[hi:hi + 2], n, alpha)
+                assert w[i] * op.matrix[i, j] == pytest.approx(
+                    want, rel=4e-15, abs=0.0)
+        # interior rows, on ideal cells about the nodes
+        h = grid.log_step
+        for i in (1, count // 4):
+            for d in range(2, last - i)[::step]:
+                if math.exp(-(d - 1) * h) <= FAR_RATIO:
+                    want = series_pair(*ideal_pair(grid, i, d), n, alpha)
+                    assert w[i] * op.matrix[i, i + d] == pytest.approx(
+                        want, rel=2e-14, abs=0.0)
+
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    @pytest.mark.parametrize("n, alpha", [(3, 0.8), (5, 2.5)])
+    def test_band_seam(self, n, alpha):
+        # the last pair on panels and the first on the series agree with
+        # the same oracle, in the interior and in both strips; the whole
+        # near band and a few pairs beyond it agree with per-pair quad
+        count = 512
+        grid = make_grid(1e-4, 1e4, count, n)
+        op = assemble(grid, n, alpha)
+        e, w, last, h = grid.edges, grid.weights, count - 1, grid.log_step
+        seam = next(d for d in range(2, count)
+                    if math.exp(-(d - 1) * h) <= FAR_RATIO)
+        i = count // 2
+        for d in (seam - 1, seam):
+            assert w[i] * op.matrix[i, i + d] == pytest.approx(
+                series_pair(*ideal_pair(grid, i, d), n, alpha),
+                rel=5e-14, abs=0.0)
+        got = w[i] * op.matrix[i, i + 2:i + seam + 3]
+        want = [pair_oracle(grid, n, alpha, i, i + d)
+                for d in range(2, seam + 3)]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+        j0 = next(j for j in range(2, count) if e[1] / e[j] <= FAR_RATIO)
+        jl = next(j for j in range(last, 0, -1)
+                  if e[j + 1] / e[last] <= FAR_RATIO)
+        for i, js in ((0, (j0 - 1, j0)), (last, (jl, jl + 1))):
+            for j in js:
+                lo, hi = sorted((i, j))
+                assert w[i] * op.matrix[i, j] == pytest.approx(
+                    series_pair(e[lo:lo + 2], e[hi:hi + 2], n, alpha),
+                    rel=5e-14, abs=0.0)
+        for i, js in ((0, range(2, j0 + 3)), (last, range(jl - 2, last))):
+            want = [pair_oracle(grid, n, alpha, i, j) for j in js]
+            np.testing.assert_allclose(w[i] * op.matrix[i, js], want,
+                                       rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("n, alpha", [(3, 0.8), (6, 4.0)])
+    def test_weighted_adjointness_to_rounding(self, n, alpha):
+        # one integral per pair: each side divides it by a weight and
+        # multiplies the same weight back
+        grid = make_grid(1e-4, 1e4, 512, n)
+        m = grid.weights[:, None] * assemble(grid, n, alpha).matrix
+        assert np.all(np.abs(m - m.T)
+                      <= 2.0 * np.spacing(np.maximum(m, m.T)))
+
+    def test_head_newton_every_node(self):
+        # alpha = 2: int_0^{r_min} |S| max(r_i, s)^(2-n) s^(n-1) ds
+        grid = make_grid(1e-4, 1e4, 512, 5)
+        want = sphere_area(5) * grid.nodes ** -3.0 * grid.r_min ** 5 / 5.0
+        np.testing.assert_allclose(_head_response(grid, 5, 2.0), want,
+                                   rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("n, alpha", [(3, 0.8), (4, 2.0), (5, 2.5)])
+    def test_tail_against_full_table(self, n, alpha):
+        # the factored far rows reproduce the count x Q kernel table
+        grid = make_grid(1e-4, 1e4, 256, n)
+        op = assemble(grid, n, alpha)
+        s = grid.r_max * np.exp(_TAIL_NODES)
+        table = (kernel_ratio(s[None, :] / grid.nodes[:, None], n, alpha)
+                 * _TAIL_WEIGHTS)
+        for tau in (alpha + 0.3, 2.0 * alpha, 6.0, 18.0):
+            for m in (0.0, 1.0, 2.5):
+                profile = (np.exp((n - tau) * _TAIL_NODES)
+                           * (1.0 + _TAIL_NODES / math.log(grid.r_max)) ** m)
+                want = (grid.nodes ** (alpha - n) * (table @ profile)
+                        * grid.r_max ** n)
+                np.testing.assert_allclose(tail_response(op, tau, m), want,
+                                           rtol=1e-14, atol=0.0)
 
 
 class TestPowerLawAccuracy:
@@ -290,8 +438,9 @@ class TestTailResponse:
             assert got[i] == pytest.approx(want, rel=1e-7)
 
     def test_operator_state_bounded(self, op4):
-        # every call uses the one table built at assembly; nothing is
-        # cached per tail exponent
+        # every call uses the tables built at assembly; nothing is
+        # cached per tail exponent, and only the nodes within FAR_RATIO
+        # of r_max, about ln 2 / h of them, keep kernel samples
         def state():
             return {k: v.shape if isinstance(v, np.ndarray) else repr(v)
                     for k, v in vars(op4).items()}
@@ -300,7 +449,9 @@ class TestTailResponse:
         for tau in np.linspace(2.05, 20.0, 200):
             tail_response(op4, float(tau), 1.0)
         assert state() == before
-        assert op4.tail_kernel.shape[0] == op4.grid.count
+        near = op4.tail_kernel.shape[0]
+        assert near <= math.log(1.0 / FAR_RATIO) / op4.grid.log_step + 1.0
+        assert near + op4.tail_series.shape[0] == op4.grid.count
 
 
 class TestFieldIntegral:

@@ -2,12 +2,15 @@
 
 import json
 import math
+import platform
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rieszlab
 from rieszlab.errors import ValidationError
 from rieszlab.runio import (canonical_json, config_hash, dumps_json,
                             format_float, grid_spec_of, make_manifest,
@@ -64,8 +67,19 @@ class TestConfigHash:
         m = make_manifest("exponents", {"n": 5}, outputs=("report.json",))
         d = m.to_dict()
         assert set(d) == {"command", "params", "gridSpec", "settings",
-                          "outputs", "configHash", "timestamp"}
+                          "outputs", "configHash", "timestamp", "versions"}
         assert d["outputs"] == ["report.json"]
+
+    def test_manifest_records_versions_outside_the_hash(self):
+        params = {"n": 4, "alpha": 2.0}
+        m = make_manifest("solve", params, settings={"tol": 1e-6})
+        assert m.to_dict()["versions"] == {
+            "rieszlab": rieszlab.__version__,
+            "python": platform.python_version(),
+            "numpy": np.__version__, "scipy": scipy.__version__}
+        assert m.config_hash == config_hash(
+            {"command": "solve", "params": params, "gridSpec": None,
+             "settings": {"tol": 1e-6}})
 
 
 class TestManifestFiles:
