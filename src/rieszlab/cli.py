@@ -87,7 +87,7 @@ def _resolve_grid(args, params):
         r_min, r_max, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise ValidationError("malformed --grid %r: %s" % (args.grid, exc)) from exc
-    # every --grid command assembles a dense operator on the grid
+    # refused on the count alone, before any array of the grid exists
     check_dense_count(count)
     return make_grid(r_min=r_min, r_max=r_max, count=count, n=params.n)
 

@@ -1,4 +1,4 @@
-"""Dense radial discretization of the Riesz potential.
+"""Matrix-free radial discretization of the Riesz potential.
 
 For radial ``f`` the 1D reduction of the classically normalized Riesz
 potential of order ``alpha`` reads
@@ -12,7 +12,7 @@ over directions of ``y`` with ``|x| = r``, ``|y| = s``, and
 
 is the constant that makes ``I_alpha`` invert the fractional Laplacian of
 order ``alpha`` (so for ``alpha = 2``, ``I_2 f`` solves ``-Delta u = f``).
-The kernel matrix and :func:`angular_kernel` are kept bare; the
+The kernel operator and :func:`angular_kernel` are kept bare; the
 normalization is applied by :func:`apply_extended`, so power-law and
 closed-form solution identities hold with their classical constants.
 :func:`kernel_ratio` evaluates ``K`` by its hypergeometric closed form;
@@ -23,7 +23,7 @@ For even ``alpha = 2k`` the series terminates: ``K`` is ``max(r, s)^
 (alpha-n)`` times a polynomial of degree ``k - 1`` in ``(r_</r_>)^2``
 (Newton's shell theorem at ``k = 1``), summed exactly with no 2F1 call.
 
-The matrix is assembled from exact double-cell integrals
+The operator's matrix is made of exact double-cell integrals
 
     M[i][j] = (1/w_i) * int_{cell_i} int_{cell_j} K(s,t) s^{n-1} t^{n-1} ds dt,
 
@@ -45,8 +45,20 @@ it in a few batched :func:`kernel_ratio` calls; the three windows that
 end at the cusp (offset 1 and the two touching boundary pairs) take one
 more call on panels graded toward it.  Adaptive quadrature is left for
 the three pairs whose window straddles the cusp (offset 0 and the two
-boundary cells with themselves).  Grids above ``MAX_DENSE_COUNT`` nodes
-are refused before anything is allocated.
+boundary cells with themselves).  For even ``alpha`` the series is the
+whole kernel, and every interior pair of distinct cells takes it.
+
+No ``count x count`` array is formed.  The interior pairs below the
+first far offset D, about ``ln 2 / h`` (D = 1 for even ``alpha``), are
+``r_<^{n+alpha}`` times one value per offset, applied as a direct band
+convolution; the interior pairs beyond are J products of a power of
+``r_<`` and one of ``r_>``, applied as J forward and J backward prefix
+sums over scale tables; the two boundary rows are stored.  One
+:meth:`KernelOperator.apply` is O(count (D + J)) work on O(count J)
+stored numbers, where a dense product is O(count^2) on a matrix of 134
+MB at 4096 nodes.  ``KernelOperator.matrix`` builds the dense array
+from the apply on first use, for tests and small grids.  Grids above
+``MAX_DENSE_COUNT`` nodes are refused before anything is allocated.
 
 The responses to the constant head below ``r_min`` and to the
 power-law tail model beyond ``r_max`` take the series too, except at
@@ -68,6 +80,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -106,9 +119,13 @@ _PAIR_BLOCK_ROWS = 1024
 #: Integrand evaluations one adaptive cusp-pair quadrature may spend
 #: before :func:`assemble` gives up with :class:`AssemblyError`.
 _ADAPTIVE_BUDGET = 10 ** 6
-#: Largest grid :func:`assemble` accepts: the dense operator is
-#: ``count x count`` doubles, 2 GB at this size.
+#: Largest grid :func:`assemble` accepts; the dense
+#: ``KernelOperator.matrix`` of it is ``count x count`` doubles, 2 GB.
 MAX_DENSE_COUNT = 16384
+#: Largest ``|ln|`` of an entry of the far-field scale tables
+#: (:func:`_far_tables`).  With the swept values scaled to at most 1,
+#: a sum of ``MAX_DENSE_COUNT`` such products stays below e^690.
+_SCALE_LOG_LIMIT = 680.0
 #: The 12-point Gauss-Legendre rule on [-1, 1] used by every panel
 #: quadrature of this module.
 _GAUSS_X, _GAUSS_W = leggauss(12)
@@ -382,10 +399,23 @@ class RadialField:
 
 @dataclass(frozen=True)
 class KernelOperator:
-    """Dense bare-kernel discretization on one grid.
+    """Bare-kernel discretization on one grid, kept matrix-free.
 
-    ``matrix`` maps node values to bare integral values,
-    ``(matrix @ f)[i] ~ int_{rMin}^{rMax} K(r_i, s) f(s) s^{n-1} ds``.
+    :meth:`apply` maps node values to bare integral values,
+    ``apply(f)[i] ~ int_{rMin}^{rMax} K(r_i, s) f(s) s^{n-1} ds``, in
+    O(count (D + J)) work from O(count J) numbers; ``matrix`` is the
+    same map as a dense array, built on first use.  With ``w`` the cell
+    weights, the symmetric pair integrals ``w_i M[i][j]`` are:
+
+    - rows (and columns) 0 and count-1: the two rows of ``boundary``;
+    - interior pairs ``0 < i, j < count-1`` closer than ``D =
+      band.size`` offsets: ``base[min(i, j) - 1] * band[|i - j|]``,
+      with ``base = r^{n+alpha}`` at the interior nodes;
+    - interior pairs ``D`` or more offsets apart: a J-term sum of
+      products of a power of the inner and one of the outer radius,
+      held in ``far_gather``, ``far_scatter`` and ``far_carry`` (see
+      :func:`_far_tables`).
+
     ``head_response`` is the bare response to the unit profile below
     ``rMin``.  :func:`tail_response` builds the response beyond ``rMax``
     on the fixed tail quadrature ``y_k = ln(s_k/rMax)`` from three
@@ -399,9 +429,14 @@ class KernelOperator:
     """
 
     grid: RadialGrid
-    matrix: np.ndarray = field(repr=False)
     alpha: float = 0.0
     n: int = 0
+    boundary: np.ndarray = field(repr=False, default=None)
+    base: np.ndarray = field(repr=False, default=None)
+    band: np.ndarray = field(repr=False, default=None)
+    far_gather: np.ndarray = field(repr=False, default=None)
+    far_scatter: np.ndarray = field(repr=False, default=None)
+    far_carry: np.ndarray = field(repr=False, default=None)
     head_response: np.ndarray = field(repr=False, default=None)
     tail_kernel: np.ndarray = field(repr=False, default=None)
     tail_series: np.ndarray = field(repr=False, default=None)
@@ -411,16 +446,82 @@ class KernelOperator:
     def normalization(self):
         return riesz_normalization(self.n, self.alpha)
 
+    def apply(self, values):
+        """Bare operator action on node values: ``matrix @ values``.
+
+        A direct band convolution over the near interior pairs, two
+        blocked prefix sums per series term over the far ones (see
+        :func:`_far_tables`), and the boundary rows as dot products,
+        divided by the cell weights.
+
+        Raises
+        ------
+        ValidationError
+            Unless ``values`` holds one finite value per node.
+        """
+        count = self.grid.count
+        f = np.asarray(values, dtype=float)
+        if f.shape != (count,):
+            raise ValidationError(
+                "operator input must be %d node values, got shape %r"
+                % (count, f.shape))
+        peak = max(f.max(), -f.min())
+        if not math.isfinite(peak):
+            raise ValidationError("operator input must be finite")
+        inner = f[1:-1]
+        base, band, m, d = self.base, self.band, inner.size, self.band.size
+        # One convolution gives the band pairs j <= i and, on the
+        # reversed values past a gap, those j >= i; each side takes
+        # half of the diagonal.
+        kernel = np.concatenate(([0.5 * band[0]], band[1:]))
+        sums = np.convolve(np.concatenate(
+            (base * inner, np.zeros(d - 1), inner[::-1])), kernel)
+        mid = sums[:m] + base * sums[2 * m + d - 2:m + d - 2:-1]
+        if m > d:
+            lower, upper = _far_sweeps(self.far_gather, self.far_scatter,
+                                       self.far_carry, inner, m - d,
+                                       math.frexp(peak)[1])
+            mid[d:] += lower
+            mid[:m - d] += upper
+        out = np.empty(count)
+        out[0], out[-1] = self.boundary @ f
+        out[1:-1] = (mid + self.boundary[0, 1:-1] * f[0]
+                     + self.boundary[1, 1:-1] * f[-1])
+        return out / self.grid.weights
+
+    @cached_property
+    def matrix(self):
+        """The operator as a dense ``count x count`` array, one
+        :meth:`apply` per column; built on first access and kept, for
+        tests and small grids.
+
+        Raises
+        ------
+        ValidationError
+            By :func:`check_dense_count`, above ``MAX_DENSE_COUNT``
+            nodes.
+        """
+        count = self.grid.count
+        check_dense_count(count)
+        out = np.empty((count, count))
+        unit = np.zeros(count)
+        for j in range(count):
+            unit[j] = 1.0
+            out[:, j] = self.apply(unit)
+            unit[j] = 0.0
+        return out
+
 
 def check_dense_count(count):
-    """Refuse a grid too large for a dense ``count x count`` operator.
+    """Refuse a grid larger than ``MAX_DENSE_COUNT`` nodes.
 
-    Raises :class:`ValidationError` above ``MAX_DENSE_COUNT`` nodes.
+    The bound keeps the dense ``matrix`` of any operator within 2 GB.
+    Raises :class:`ValidationError` above it.
     """
     if count > MAX_DENSE_COUNT:
         raise ValidationError(
-            "a dense operator on %d nodes needs %.3g GB; at most %d nodes "
-            "are supported" % (count, 8e-9 * count * count, MAX_DENSE_COUNT))
+            "grids of at most %d nodes are supported, got %d nodes"
+            % (MAX_DENSE_COUNT, count))
 
 
 def _gauss_panels(breaks):
@@ -576,37 +677,136 @@ def _far_pairs(b, wa, c, wc, n, alpha):
     are exactly ``h``, and the difference of two rounded edges far from
     r = 1 would lose digits in proportion to ``|ln r|/h``.
     """
+    return sphere_area(n) * b ** n * np.sum(
+        _far_terms(b, wa, c, wc, n, alpha), axis=0)
+
+
+def _far_terms(b, wa, c, wc, n, alpha):
+    """The J terms of :func:`_far_pairs` before the sum, one row per
+    term, without the common factor ``|S^{n-1}| b^n``."""
     coef = _series_coefficients(n, alpha)[:, None]
     l2 = 2.0 * np.arange(coef.size)[:, None]
     upper_exp = alpha - l2
     top = np.where(upper_exp > 0.0, c * np.exp(wc), c)
-    terms = (coef * (b / top) ** l2 * top ** alpha
-             * wa * special.exprel(-(l2 + n) * wa)
-             * wc * special.exprel(-np.abs(upper_exp) * wc))
-    return sphere_area(n) * b ** n * np.sum(terms, axis=0)
+    return (coef * (b / top) ** l2 * top ** alpha
+            * wa * special.exprel(-(l2 + n) * wa)
+            * wc * special.exprel(-np.abs(upper_exp) * wc))
+
+
+def _far_tables(top, lam, base, grow):
+    """Scale tables of the interior pairs at least D offsets apart.
+
+    With ``top[l]`` the l-th series term of the pair integral at offset
+    D (``base`` excluded) and ``lam[l] = (alpha - 2l) h``, the pair of
+    interior nodes t and ``u + D``, ``t <= u``, integrates to
+    ``base[t] sum_l top[l] e^{lam[l] (u - t)}``: a power ``r_t^{n+2l}``
+    of the inner radius times a power ``r^{alpha-2l}`` of the outer one.
+    ``base`` holds ``r^{n+alpha}`` at the first ``F = base.size``
+    interior nodes, ``grow = (n + alpha) h`` is its log step, and ``u``
+    runs over the same F positions.  They are cut into nb blocks of B,
+    ``t = kB + s``, each with its own centre ``c``:
+
+        inner[l, t] = base[t] e^{-lam[l] (t - c)} 2^{-e[l, k]},
+        outer[l, t] = top[l] e^{lam[l] (t - c)} 2^{e[l, k]},
+
+    so a pair within one block is ``sum_l inner[l, t] outer[l, u]``,
+    and ``carry[l, k] = e^{lam[l] B} 2^{e[l, k] - e[l, k+1]}`` turns a
+    partial sum of inner values from block k to block k+1 units, or
+    one of outer values from block k+1 to block k units.  The integer
+    ``e`` gives both tables the same size at the block centre; blocks
+    are as long as keeps every entry within ``e^{+-_SCALE_LOG_LIMIT}``,
+    one block on ordinary grids (eight decades, J up to 27).
+
+    Returns ``(gather, scatter, carry)`` for the two sweeps of
+    :func:`_far_sweeps`, shaped ``(2, J, nb, B)`` twice and ``(2, J,
+    nb - 1)``.  Sweep 0 gathers inner over the lower nodes, scatters
+    outer to the upper ones and runs forward; sweep 1 gathers outer and
+    scatters inner, with its positions (and blocks) reversed so that it
+    runs forward too.  Entries past F are 0.  With no far pairs (F = 0)
+    all three are None.
+    """
+    size = base.size
+    if not size:
+        return None, None, None
+    log_top = np.log(np.abs(top))
+    centre = 0.5 * np.max(np.abs(log_top[:, None]
+                                 + np.log(base[[0, -1]])[None, :]))
+    rate = np.max(np.maximum(np.abs(lam), grow - lam))
+    room = max(_SCALE_LOG_LIMIT - centre, 0.0)
+    blocks = -(-size // max(int(2.0 * room / rate), 1))
+    length = -(-size // blocks)
+    t = np.arange(blocks * length)
+    s = (t % length - 0.5 * (length - 1))[None, :]
+    mid = np.minimum(np.arange(blocks) * length + length // 2, size - 1)
+    e = np.rint(0.5 * (np.log2(base[mid])[None, :]
+                       - log_top[:, None] / math.log(2.0))).astype(int)
+    shift = e[:, t // length]
+    padded = np.zeros(t.size)
+    padded[:size] = base
+    inner = np.ldexp(padded, -shift) * np.exp(-lam[:, None] * s)
+    outer = np.ldexp(top[:, None], shift) * np.exp(lam[:, None] * s)
+    outer[:, size:] = 0.0
+    half = np.exp(0.5 * length * lam)[:, None]
+    carry = np.ldexp(half, e[:, :-1] - e[:, 1:]) * half
+    shape = (2, top.size, blocks, length)
+    return (np.stack((inner, outer[:, ::-1])).reshape(shape),
+            np.stack((outer, inner[:, ::-1])).reshape(shape),
+            np.stack((carry, carry[:, ::-1])))
+
+
+def _far_sweeps(gather, scatter, carry, values, far, shift):
+    """The far interior pairs of :meth:`KernelOperator.apply`.
+
+    ``values`` are the interior node values, at most ``2^shift`` in
+    size; returns the sums over the pairs at least ``D = values.size -
+    far`` offsets apart, at the upper nodes ``D ..`` and at the lower
+    nodes ``.. far - 1``.  Each sweep (see :func:`_far_tables`) takes
+    the prefix sums of ``gather[l] * values`` within each block, adds
+    the sum of the blocks before it moved by ``carry``, and contracts
+    them with ``scatter`` over the J terms.  A far pair within one
+    block is the product of the same two table entries in both sweeps,
+    so the operator stays symmetric there to the last bit.
+    """
+    blocks, length = gather.shape[2:]
+    # scaled to at most 1 by a power of two, so no partial sum overflows
+    lined = np.zeros((2, blocks * length))
+    lined[0, :far] = values[:far]
+    lined[1, lined.shape[1] - far:] = values[:values.size - far - 1:-1]
+    lined = np.ldexp(lined, -shift)
+    sums = np.add.accumulate(gather * lined.reshape(2, 1, blocks, length),
+                             axis=3)
+    for k in range(1, blocks):
+        sums[:, :, k] += carry[:, :, k - 1, None] * sums[:, :, k - 1, -1:]
+    out = np.ldexp((scatter * sums).sum(axis=1).reshape(2, -1), shift)
+    return out[0, :far], out[1, ::-1][:far]
 
 
 def assemble(grid, n, alpha):
-    """Assemble the dense bare-kernel operator on ``grid``.
+    """Assemble the bare-kernel operator on ``grid``, matrix-free.
 
-    Interior cell pairs are filled from per-offset reduced integrals
-    (the log grid makes them a one-parameter family, laid out through a
-    strided Toeplitz view); pairs involving the two clipped boundary
-    cells are integrated individually.  Pairs whose radii stay within
-    ``FAR_RATIO`` across both cells are closed-form sums of cell
-    moments (:func:`_far_pairs`).  The off-cusp pairs of the near band,
-    about ``3 ln 2 / h`` of them, are fixed Gauss-panel sums, their
-    kernel samples taken in a few large ``kernel_ratio`` calls; the
-    three windows ending at the cusp (offset 1 and the two touching
-    boundary pairs) share one call on panels graded toward it, and only
-    the three pairs straddling the cusp use adaptive quadrature.  The
-    construction is symmetric in the pair of cells, so the adjoint
-    identity ``w_i M[i][j] = w_j M[j][i]`` holds to rounding.
+    Interior cell pairs form a one-parameter family in the index offset;
+    pairs involving the two clipped boundary cells are integrated
+    individually, into the two ``boundary`` rows.  Pairs whose
+    radii stay within ``FAR_RATIO`` across both cells are closed-form
+    sums of cell moments (:func:`_far_pairs`): for the interior ones the
+    operator keeps only the J terms at the first far offset D and their
+    scale tables (:func:`_far_tables`), O(count J) numbers.  For even
+    ``alpha`` the series is exact for any two distinct cells, so D = 1
+    and the interior band is the diagonal alone.  The
+    off-cusp pairs of the near band, about ``3 ln 2 / h`` of them, are
+    fixed Gauss-panel sums, their kernel samples taken in a few large
+    ``kernel_ratio`` calls; the three windows ending at the cusp (offset
+    1 and the two touching boundary pairs) share one call on panels
+    graded toward it, and only the three pairs straddling the cusp use
+    adaptive quadrature.  Nothing of size ``count x count`` is
+    allocated.  The construction is symmetric in the pair of cells, so
+    the adjoint identity ``w_i M[i][j] = w_j M[j][i]`` holds to rounding.
 
     Raises
     ------
     ValidationError
-        For a bad grid or order, and, by :func:`check_dense_count`
+        For a bad grid or order, for ``r^{n+alpha}`` out of the normal
+        double range at a node or edge, and, by :func:`check_dense_count`
         before anything is allocated, for more than ``MAX_DENSE_COUNT``
         nodes.
     """
@@ -623,22 +823,32 @@ def assemble(grid, n, alpha):
     h = grid.log_step
     edges = grid.edges
     last = count - 1
+    with np.errstate(over="ignore", under="ignore"):
+        powers = np.concatenate((edges ** (n + alpha),
+                                 np.exp((n + alpha) * np.log(grid.nodes))))
+    if not np.all((powers >= np.finfo(float).tiny) & (powers < math.inf)):
+        raise ValidationError(
+            "r^(n+alpha) = r^%g leaves the double range on [%r, %r]"
+            % (n + alpha, grid.r_min, grid.r_max))
     # boundary-row integrals come relative to the row cell's left edge
-    scale0, scalel = edges[[0, last]] ** (n + alpha)
+    scale0, scalel = powers[[0, last]]
+    base = powers[count + 2:-1]
 
     # Full-width interior cells i, i+d give sym(i, i+d) = r_i^{n+alpha}
     # * fam[d], with fam[d] the pair (-h/2, h/2) x (dh - h/2, dh + h/2).
     # Offsets 2 .. count-3 and the boundary strips, (0, j) for j = 2 ..
     # count-2 and (count-1, j) for j = 0 .. count-3, are off the cusp.
     # Pairs whose radii stay within FAR_RATIO of each other form the
-    # near band: one batch on uniform panels.  The rest take the series.
-    offsets = np.arange(2, count - 2)
+    # near band, offsets below D: one batch on uniform panels.  The rest
+    # take the series.  For alpha = 2k the series is the whole kernel,
+    # so every interior pair of distinct cells takes it: D = 1.
+    near_off = np.exp(-(np.arange(2, count - 2) - 1) * h) > FAR_RATIO
+    width = 1 if alpha % 2.0 == 0.0 else 2 + np.count_nonzero(near_off)
     js0, jsl = np.arange(2, last), np.arange(last - 1)
-    near_off = np.exp(-(offsets - 1) * h) > FAR_RATIO
     near0 = edges[1] / edges[js0] > FAR_RATIO
     nearl = edges[jsl + 1] / edges[last] > FAR_RATIO
 
-    dh = offsets[near_off] * h
+    dh = np.arange(2, width) * h
     strips = np.concatenate((_pair_cells(edges, 0, js0[near0]),
                              _pair_cells(edges, last, jsl[nearl])), axis=1)
     cells = np.concatenate((np.array(np.broadcast_arrays(
@@ -646,9 +856,9 @@ def assemble(grid, n, alpha):
     zlo = np.concatenate((dh - h, strips[2] - strips[1]))
     zhi = np.concatenate((dh + h, strips[3] - strips[0]))
     breaks = zlo[:, None] + (zhi - zlo)[:, None] * _UNIFORM_PANELS
-    fam = np.empty(count - 2)
+    band = np.empty(width)
     strip0, stripl = np.empty(js0.size), np.empty(jsl.size)
-    fam[2:][near_off], band0, bandl = np.split(
+    band[2:], band0, bandl = np.split(
         _pair_integrals(cells, breaks, n, alpha),
         [dh.size, dh.size + np.count_nonzero(near0)])
     strip0[near0] = scale0 * band0
@@ -656,9 +866,17 @@ def assemble(grid, n, alpha):
 
     # Far pairs: closed-form cell moments, the interior ones on the same
     # ideal cells as the near band, the strips on the grid's cells.
-    d, j, k = offsets[~near_off], js0[~near0], jsl[~nearl]
-    fam[2:][~near_off] = _far_pairs(math.exp(0.5 * h), h,
-                                    np.exp((d - 0.5) * h), h, n, alpha)
+    # Interior pairs keep the J terms at offset D, less those below
+    # rounding there (a term's share only falls with the offset).
+    b = math.exp(0.5 * h)
+    top = (sphere_area(n) * b ** n
+           * _far_terms(b, h, math.exp((width - 0.5) * h), h, n, alpha)[:, 0])
+    keep = np.abs(top) > _SERIES_CUT ** 2 * abs(top[0])
+    lam = (alpha - 2.0 * np.arange(top.size)) * h
+    far_gather, far_scatter, far_carry = _far_tables(
+        top[keep], lam[keep], base[:max(count - 2 - width, 0)],
+        (n + alpha) * h)
+    j, k = js0[~near0], jsl[~nearl]
     widths = np.log1p(np.diff(edges) / edges[:-1])
     strip0[~near0] = _far_pairs(edges[1], widths[0], edges[j], widths[j],
                                 n, alpha)
@@ -667,16 +885,17 @@ def assemble(grid, n, alpha):
 
     # Windows ending at the cusp, on panels graded toward it: offset 1
     # and the two touching boundary pairs.
-    touching = np.stack(([-0.5 * h, 0.5 * h, 0.5 * h, 1.5 * h],
-                         _pair_cells(edges, 0, 1),
-                         _pair_cells(edges, last, last - 1)), axis=1)
-    fam[1], touch0, touchl = _pair_integrals(
+    touching = np.stack((_pair_cells(edges, 0, 1),
+                         _pair_cells(edges, last, last - 1),
+                         [-0.5 * h, 0.5 * h, 0.5 * h, 1.5 * h]),
+                        axis=1)[:, :1 + width]
+    touch0, touchl, *band[1:2] = _pair_integrals(
         touching, np.array([_touching_breaks(*c) for c in touching.T]),
         n, alpha)
 
     # Windows straddling the cusp: adaptive quadrature.
-    fam[0] = _pair_cell_quadrature(-0.5 * h, 0.5 * h, -0.5 * h, 0.5 * h,
-                                   n, alpha)
+    band[0] = _pair_cell_quadrature(-0.5 * h, 0.5 * h, -0.5 * h, 0.5 * h,
+                                    n, alpha)
     diag0 = _pair_cell_quadrature(*_pair_cells(edges, 0, 0), n, alpha)
     diagl = _pair_cell_quadrature(*_pair_cells(edges, last, last), n, alpha)
 
@@ -684,27 +903,11 @@ def assemble(grid, n, alpha):
     rowl = np.concatenate((stripl, scalel * np.array([touchl, diagl])))
     row0 = np.concatenate((scale0 * np.array([diag0, touch0]), strip0,
                            rowl[:1]))
-
-    # The only count x count array: base grows with the node index, so
-    # base[min(i, j)] = min(base[i], base[j]), and a strided view of fam
-    # gives fam[|i - j|] with no index matrix.
-    sym = np.empty((count, count))
-    inner = sym[1:last, 1:last]
-    base = np.exp((n + alpha) * np.log(grid.nodes))[1:last]
-    np.minimum(base[:, None], base[None, :], out=inner)
-    inner *= np.lib.stride_tricks.sliding_window_view(
-        np.concatenate((fam[:0:-1], fam)), fam.size)[::-1]
-    sym[0] = row0
-    sym[:, 0] = row0
-    sym[last] = rowl
-    sym[:, last] = rowl
-
-    # Divide in place: a second count x count array would double the
-    # peak memory of large grids.
-    matrix = sym
-    matrix /= grid.weights[:, None]
     tail_kernel, tail_series, tail_moments = _tail_tables(grid, n, alpha)
-    return KernelOperator(grid=grid, matrix=matrix, alpha=alpha, n=n,
+    return KernelOperator(grid=grid, alpha=alpha, n=n,
+                          boundary=np.array([row0, rowl]), base=base,
+                          band=band, far_gather=far_gather,
+                          far_scatter=far_scatter, far_carry=far_carry,
                           head_response=_head_response(grid, n, alpha),
                           tail_kernel=tail_kernel, tail_series=tail_series,
                           tail_moments=tail_moments)
@@ -822,13 +1025,21 @@ def tail_response(op, tail_exponent, tail_log_power=0.0):
 def apply_extended(op, values, tail_exponent, tail_log_power=0.0):
     """Normalized operator action on raw node values with extensions.
 
-    Computes ``(matrix @ values + head + tail) / gamma(n, alpha)`` where
-    the head extends the profile as the constant ``values[0]`` on
+    Computes ``(op.apply(values) + head + tail) / gamma(n, alpha)``
+    where the head extends the profile as the constant ``values[0]`` on
     ``(0, rMin)`` and the tail as the power-law model anchored at
-    ``values[-1]``.  ``tail_log_power`` may be real.
+    ``values[-1]``.  ``tail_log_power`` may be real.  The cost is that
+    of :meth:`KernelOperator.apply`, O(count (D + J)), plus a
+    :func:`tail_response` when ``values[-1]`` is not 0; no dense matrix
+    is used.
+
+    Raises
+    ------
+    ValidationError
+        Unless ``values`` holds one finite value per node.
     """
     values = np.asarray(values, dtype=float)
-    out = op.matrix @ values
+    out = op.apply(values)
     if values[0] != 0.0:
         out = out + values[0] * op.head_response
     if values[-1] != 0.0:
