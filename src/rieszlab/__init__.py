@@ -22,11 +22,11 @@ potential form of a polyharmonic Lane-Emden system):
 - :mod:`rieszlab.acceptance` — end-to-end acceptance criteria.
 """
 
-from .errors import (AssemblyError, BracketError, CollapseError,
-                     DegenerateFitError, DivergentTailError,
-                     IntegrationError, NonConvergenceError, NumericalError,
-                     PreconditionError, RieszLabError, SingularKernelError,
-                     TruncationWarning, ValidationError)
+from .errors import (BracketError, CollapseError, DegenerateFitError,
+                     DivergentTailError, IntegrationError,
+                     NonConvergenceError, NumericalError, PreconditionError,
+                     RieszLabError, SingularKernelError, TruncationWarning,
+                     ValidationError)
 from .exponents import (Params, Regime, RegimeReport, VFastCase, classify,
                         critical_q)
 from .grid import RadialGrid, make_grid
@@ -51,8 +51,8 @@ from .runio import (RunManifest, config_hash, dumps_json, make_manifest,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AssemblyError", "BisectionResult", "BracketError", "Branch",
-    "CollapseError", "DecayFit", "DegenerateFitError", "DivergentTailError",
+    "BisectionResult", "BracketError", "Branch", "CollapseError",
+    "DecayFit", "DegenerateFitError", "DivergentTailError",
     "FastLimitReport", "IntegrationError", "KernelOperator",
     "NonConvergenceError", "NumericalError", "Outcome", "Params",
     "PreconditionError", "RadialField", "RadialGrid", "RecursionTrace",

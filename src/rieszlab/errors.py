@@ -63,10 +63,6 @@ class SingularKernelError(NumericalError):
     """Pointwise kernel evaluation requested where the kernel is infinite."""
 
 
-class AssemblyError(NumericalError):
-    """Operator assembly quadrature failed to reach its tolerance budget."""
-
-
 class DegenerateFitError(NumericalError):
     """Tail fit impossible: zero abscissa variance or nonpositive samples."""
 

@@ -43,10 +43,15 @@ moments, with no kernel samples.  The near band, about ``ln 2 / h``
 offsets and strip pairs, is integrated on fixed Gauss panels, all of
 it in a few batched :func:`kernel_ratio` calls; the three windows that
 end at the cusp (offset 1 and the two touching boundary pairs) take one
-more call on panels graded toward it.  Adaptive quadrature is left for
-the three pairs whose window straddles the cusp (offset 0 and the two
-boundary cells with themselves).  For even ``alpha`` the series is the
-whole kernel, and every interior pair of distinct cells takes it.
+more call on panels graded toward it.  The three pairs whose window
+straddles the cusp (offset 0 and the two boundary cells with
+themselves) take one fixed rule in one more call (:func:`_cusp_rule`):
+48 halvings toward the cusp, Gauss-Legendre panels, and a Gauss-Jacobi
+innermost panel of weight ``|z|^{alpha-1}``.  Its kernel samples are
+formed from the log-ratio ``z`` (:func:`_log_kernel`), since ``e^z``
+rounds to 1 on the innermost panels.  No adaptive quadrature is left.
+For even ``alpha`` the series is the whole kernel, and every interior
+pair of distinct cells takes it.
 
 No ``count x count`` array is formed.  The interior pairs below the
 first far offset D, about ``ln 2 / h`` (D = 1 for even ``alpha``), are
@@ -87,7 +92,7 @@ from numpy.polynomial.legendre import leggauss
 from numpy.polynomial.polynomial import polyval
 from scipy import integrate, special
 
-from .errors import (AssemblyError, DivergentTailError, SingularKernelError,
+from .errors import (DivergentTailError, SingularKernelError,
                      TruncationWarning, ValidationError)
 from .grid import RadialGrid
 
@@ -116,9 +121,10 @@ _TAIL_BUILD_ROWS = 256
 #: Cell pairs integrated in one ``kernel_ratio`` call by
 #: :func:`_pair_integrals`; at 72 samples a pair, under a MB per array.
 _PAIR_BLOCK_ROWS = 1024
-#: Integrand evaluations one adaptive cusp-pair quadrature may spend
-#: before :func:`assemble` gives up with :class:`AssemblyError`.
-_ADAPTIVE_BUDGET = 10 ** 6
+#: Halvings toward the cusp of :func:`_cusp_rule`: its innermost panel
+#: is 3.6e-15 of the interval, and 64 levels move no cusp pair by more
+#: than 7e-16 (n = 3..7, alpha = 0.3..6.5, 64 to 4096 nodes).
+_CUSP_LEVELS = 48
 #: Largest grid :func:`assemble` accepts; the dense
 #: ``KernelOperator.matrix`` of it is ``count x count`` doubles, 2 GB.
 MAX_DENSE_COUNT = 16384
@@ -191,15 +197,24 @@ def kernel_ratio(rho, n, alpha):
     rho = np.asarray(rho, dtype=float)
     if alpha % 2.0 == 0.0:
         return _terminating_kernel(rho, n, alpha)
+    lift = 1.0 + rho * rho
+    # 1 - w, computed stably: (1 - rho)(1 + rho)/(1 + rho^2), squared
+    one_mw = np.square((1.0 - rho) * (1.0 + rho) / lift)
+    return _hyp_kernel(lift, np.square(2.0 * rho / lift), one_mw, n, alpha)
+
+
+def _hyp_kernel(lift, w, one_mw, n, alpha):
+    """``|S^{n-1}| lift^{(alpha-n)/2} 2F1(a, a + 1/2; n/2; w)``, the closed
+    form of :func:`kernel_ratio` with ``lift = 1 + rho^2``, given ``w``
+    and ``one_mw = 1 - w`` computed apart, each to its own rounding.
+    """
     a = 0.25 * (n - alpha)
-    w = np.square(2.0 * rho / (1.0 + rho * rho))
     if alpha < 2.0:
         # Near the diagonal w -> 1 loses all precision in double
         # arithmetic, and 2F1 with it: the kernel has a cusp
         # ~ (1 - w)^{(alpha-1)/2}, infinite for alpha < 1 and logarithmic
         # for alpha == 1.  Patch a neighborhood of rho = 1 with the w -> 1
-        # connection formula, using 1 - w computed stably.
-        one_mw = np.square((1.0 - rho) * (1.0 + rho) / (1.0 + rho * rho))
+        # connection formula in 1 - w.
         near = one_mw < CUSP_PATCH_RADIUS
         w = np.where(near, 0.0, w)
         hyp = special.hyp2f1(a, a + 0.5, 0.5 * n, w)
@@ -208,7 +223,24 @@ def kernel_ratio(rho, n, alpha):
             hyp[near] = _cusp_2f1(np.asarray(one_mw)[near], n, alpha)
     else:
         hyp = special.hyp2f1(a, a + 0.5, 0.5 * n, w)
-    return sphere_area(n) * (1.0 + rho * rho) ** (0.5 * (alpha - n)) * hyp
+    return sphere_area(n) * lift ** (0.5 * (alpha - n)) * hyp
+
+
+def _log_kernel(z, n, alpha):
+    """``K(1, e^z)``, as :func:`kernel_ratio` but from the log-ratio ``z``.
+
+    For ``alpha < 2``, where the kernel has its cusp, ``1 - w =
+    tanh(z)^2``, ``w = 1/cosh(z)^2`` and ``1 + rho^2 = 2 e^z cosh(z)`` are
+    formed from ``z`` itself: ``rho = e^z`` rounds to 1 for ``|z|`` below
+    about 1e-16, where the cusp term of an ``alpha < 1`` kernel is still
+    finite and large.  Every other ``alpha`` takes ``kernel_ratio(e^z)``.
+    """
+    z = np.asarray(z, dtype=float)
+    if alpha >= 2.0:
+        return kernel_ratio(np.exp(z), n, alpha)
+    cosh = np.cosh(z)
+    return _hyp_kernel(2.0 * np.exp(z) * cosh, 1.0 / np.square(cosh),
+                       np.square(np.tanh(z)), n, alpha)
 
 
 def _series_coefficients(n, alpha):
@@ -581,25 +613,61 @@ def _pair_integrand(z, la, lb, lc, ld, n, alpha):
             * _overlap_weight(z, la, lb, lc, ld, n + alpha))
 
 
-def _pair_cell_quadrature(la, lb, lc, ld, n, alpha):
-    """Double-cell integral of a pair whose window straddles the cusp.
+def _gauss_jacobi(b):
+    """12-point Gauss rule of weight ``(1 + x)^b`` on [-1, 1], ``b > -1``.
 
-    Returns ``int_{cell_s} int_{cell_t} K(s,t) s^{n-1} t^{n-1} ds dt`` for
-    log-cells ``[la, lb] x [lc, ld]`` that overlap, so that the log-ratio
-    window ``(lc - lb, ld - la)`` contains the kernel cusp at ``z = 0``:
-    adaptive quadrature split there.  Off-cusp pairs go through
-    :func:`_pair_integrals`.
+    Golub-Welsch: the nodes are the eigenvalues of the symmetric Jacobi
+    matrix of the weight's three-term recurrence, the weights ``2^{b+1}
+    /(b+1)`` times the squared first components of its eigenvectors.
+    The weights are within 1.4e-13 of ``scipy.special.roots_jacobi(12,
+    0, b)`` for b in [-0.7, 5.5].  That one takes 0.2 to 1 ms a call and
+    runs on scipy's LAPACK, about a MB of resident memory that nothing
+    else in an assembly touches; this one runs on numpy's, in 0.1 ms.
     """
-    out = integrate.quad(
-        lambda z: float(_pair_integrand(z, la, lb, lc, ld, n, alpha)),
-        lc - lb, ld - la, points=[0.0], epsabs=0.0, epsrel=1e-11, limit=400,
-        full_output=True)
-    val, err, info = out[0], out[1], out[2]
-    if (info["neval"] > _ADAPTIVE_BUDGET or not math.isfinite(val)
-            or err > 1e-6 * abs(val) + 1e-300):
-        raise AssemblyError(
-            "diagonal-cell quadrature did not converge within budget")
-    return val
+    k = np.arange(1.0, _GAUSS_X.size)
+    s = 2.0 * k + b
+    diag = np.concatenate(([b / (b + 2.0)], b * b / (s * (s + 2.0))))
+    off = 2.0 * k * (k + b) / (s * np.sqrt(s * s - 1.0))
+    x, vec = np.linalg.eigh(np.diag(diag) + np.diag(off, 1)
+                            + np.diag(off, -1))
+    return x, 2.0 ** (b + 1.0) / (b + 1.0) * np.square(vec[0])
+
+
+def _cusp_rule(alpha):
+    """Fixed rule for ``int_0^1 f(u) du`` with ``f ~ u^{alpha-1}`` at 0.
+
+    ``_CUSP_LEVELS`` halvings toward 0 (:func:`_graded_breaks`), 12-point
+    Gauss-Legendre on every panel but the innermost, ``[0, d]`` with ``d
+    = 2^-_CUSP_LEVELS``, which takes the 12-point Gauss-Jacobi rule of
+    weight ``u^{alpha-1}``; its weights are divided by ``u^{alpha-1}`` at
+    the nodes, so the rule is applied to ``f`` itself.  Returns the nodes
+    and weights, innermost first.
+    """
+    nodes, weights = _gauss_panels(
+        _graded_breaks(0.0, 1.0, True, levels=_CUSP_LEVELS)[1:])
+    x, wx = _gauss_jacobi(alpha - 1.0)
+    half = 0.5 ** (_CUSP_LEVELS + 1)
+    return (np.concatenate((half * (1.0 + x), nodes)),
+            np.concatenate((half * wx * (1.0 + x) ** (1.0 - alpha), weights)))
+
+
+def _cusp_pairs(cells, n, alpha):
+    """Double-cell integrals of cells with themselves, across the cusp.
+
+    ``cells`` is the ``4 x P`` array of log-cells ``(la, lb, la, lb)``,
+    whose log-ratio window ``(-w, w)``, ``w = lb - la``, holds the kernel
+    cusp at ``z = 0`` and the overlap weight's only kink.  The integrand
+    is even in ``z``: ``K(1, e^{-z}) = e^{(n-alpha) z} K(1, e^z)`` and
+    ``W(-z) = e^{(n+alpha) z} W(z)`` for the overlap weight ``W``.  So
+    each pair is twice its half ``(0, w)`` on :func:`_cusp_rule`, all
+    pairs in one :func:`_log_kernel` call.
+    """
+    u, wu = _cusp_rule(alpha)
+    width = (cells[1] - cells[0])[:, None]
+    z = width * u
+    vals = (_log_kernel(z, n, alpha) * np.exp(n * z)
+            * _overlap_weight(z, *cells[:, :, None], n + alpha))
+    return 2.0 * width[:, 0] * (vals @ wu)
 
 
 def _pair_integrals(cells, breaks, n, alpha):
@@ -797,10 +865,11 @@ def assemble(grid, n, alpha):
     fixed Gauss-panel sums, their kernel samples taken in a few large
     ``kernel_ratio`` calls; the three windows ending at the cusp (offset
     1 and the two touching boundary pairs) share one call on panels
-    graded toward it, and only the three pairs straddling the cusp use
-    adaptive quadrature.  Nothing of size ``count x count`` is
-    allocated.  The construction is symmetric in the pair of cells, so
-    the adjoint identity ``w_i M[i][j] = w_j M[j][i]`` holds to rounding.
+    graded toward it, and the three pairs straddling the cusp one more
+    on the fixed rule of :func:`_cusp_pairs`.  Nothing of size ``count x
+    count`` is allocated.  The construction is symmetric in the pair of
+    cells, so the adjoint identity ``w_i M[i][j] = w_j M[j][i]`` holds to
+    rounding.
 
     Raises
     ------
@@ -893,11 +962,11 @@ def assemble(grid, n, alpha):
         touching, np.array([_touching_breaks(*c) for c in touching.T]),
         n, alpha)
 
-    # Windows straddling the cusp: adaptive quadrature.
-    band[0] = _pair_cell_quadrature(-0.5 * h, 0.5 * h, -0.5 * h, 0.5 * h,
-                                    n, alpha)
-    diag0 = _pair_cell_quadrature(*_pair_cells(edges, 0, 0), n, alpha)
-    diagl = _pair_cell_quadrature(*_pair_cells(edges, last, last), n, alpha)
+    # Windows straddling the cusp: the offset-0 pair and the two
+    # boundary cells with themselves, on the fixed cusp rule.
+    band[0], diag0, diagl = _cusp_pairs(np.stack(
+        ([-0.5 * h, 0.5 * h, -0.5 * h, 0.5 * h], _pair_cells(edges, 0, 0),
+         _pair_cells(edges, last, last)), axis=1), n, alpha)
 
     # Boundary rows; the corner pair is integrated once, as (count-1, 0).
     rowl = np.concatenate((stripl, scalel * np.array([touchl, diagl])))
@@ -923,9 +992,10 @@ def _head_response(grid, n, alpha):
               * sum_l c_l/(2l+n) (r_min/r_i)^{2l},
 
     with no quadrature.  For the nodes nearer ``r_min`` the substitution
-    ``s = rMin e^{-y}`` gives an integrand decaying like ``e^{-n y}``;
-    the ``i = 0`` node sees the kernel cusp at ``y = 0``, handled by a
-    graded mesh.
+    ``s = rMin e^{-y}`` gives an integrand decaying like ``e^{-n y}``,
+    on a mesh graded toward ``y = 0``.  The ``i = 0`` node sees the
+    kernel cusp there; its first stretch takes :func:`_cusp_rule`, with
+    the kernel from :func:`_log_kernel` at ``z = -y``.
     """
     nodes = grid.nodes
     near = np.count_nonzero(grid.r_min / nodes > FAR_RATIO)
@@ -936,15 +1006,25 @@ def _head_response(grid, n, alpha):
                   * polyval(np.square(grid.r_min / far),
                             coef / (2.0 * np.arange(coef.size) + n)))
 
+    # Node 0 = r_min sits on the kernel cusp at y = 0: the cusp rule on
+    # the first stretch, its kernel taken from the log-ratio -y.  The
+    # other near nodes share one mesh graded toward y = 0.
     y_max = 40.0 / n
-    breaks = np.concatenate((_graded_breaks(0.0, min(2.0, y_max), True),
-                             np.linspace(min(2.0, y_max), y_max, 8)[1:]))
-    ynodes, yweights = _gauss_panels(breaks)
+    stretch = min(2.0, y_max)
+    rest = np.linspace(stretch, y_max, 8)
+    ynodes, yweights = _gauss_panels(np.concatenate(
+        (_graded_breaks(0.0, stretch, True), rest[1:])))
     s = grid.r_min * np.exp(-ynodes)
-    ratio = s[None, :] / nodes[:near, None]
+    ratio = s[None, :] / nodes[1:near, None]
     kv = kernel_ratio(ratio, n, alpha)
     integrand = kv * (s ** n)[None, :]
-    out[:near] = (nodes[:near] ** (alpha - n)) * (integrand @ yweights)
+    out[1:near] = (nodes[1:near] ** (alpha - n)) * (integrand @ yweights)
+    u, wu = _cusp_rule(alpha)
+    rest_y, rest_w = _gauss_panels(rest)
+    y0 = np.concatenate((stretch * u, rest_y))
+    out[0] = grid.r_min ** alpha * np.dot(
+        _log_kernel(-y0, n, alpha) * np.exp(-n * y0),
+        np.concatenate((stretch * wu, rest_w)))
     return out
 
 

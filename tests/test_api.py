@@ -14,11 +14,13 @@ def test_all_has_no_duplicates():
 
 
 def test_deleted_names_are_gone():
-    from rieszlab import exponents, riesz, solver
+    from rieszlab import errors, exponents, riesz, solver
 
     gone = {rieszlab: ("apply_with_tail", "integrability_thresholds",
-                       "slow_exponents"),
-            riesz: ("apply_with_tail",),
+                       "slow_exponents", "AssemblyError"),
+            errors: ("AssemblyError",),
+            riesz: ("apply_with_tail", "_pair_cell_quadrature",
+                    "_ADAPTIVE_BUDGET"),
             exponents: ("integrability_thresholds",),
             solver: ("slow_exponents",)}
     for module, names in gone.items():

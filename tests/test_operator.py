@@ -15,10 +15,10 @@ from rieszlab.errors import (DivergentTailError, TruncationWarning,
 from rieszlab.grid import make_grid
 from rieszlab.riesz import (_TAIL_NODES, _TAIL_WEIGHTS, FAR_RATIO,
                             MAX_DENSE_COUNT, TAIL_RANGE_CAP, RadialField,
-                            _far_pairs, _head_response, _pair_integrand,
-                            apply_extended, assemble, field_integral,
-                            kernel_ratio, power_law_constant, sphere_area,
-                            tail_response)
+                            _far_pairs, _head_response, _pair_cells,
+                            _pair_integrand, apply_extended, assemble,
+                            field_integral, kernel_ratio, power_law_constant,
+                            sphere_area, tail_response)
 
 
 @pytest.fixture(autouse=True)
@@ -122,6 +122,71 @@ class TestBoundaryStrips:
             np.testing.assert_allclose(w[1] * op.matrix[1, j],
                                        pair_oracle(grid, n, alpha, 1, j),
                                        rtol=1e-12, atol=0.0)
+
+
+def cusp_pair_quadrature(cells, n, alpha):
+    """Adaptive ``quad`` of a pair whose window straddles the cusp, split
+    there at ``epsrel`` 1e-11: an oracle apart from the fixed cusp rule."""
+    la, lb, lc, ld = cells
+    val, _ = integrate.quad(
+        lambda z: float(_pair_integrand(z, la, lb, lc, ld, n, alpha)),
+        lc - lb, ld - la, points=[0.0], epsabs=0.0, epsrel=1e-11, limit=400)
+    return val
+
+
+def cusp_pairs(op):
+    """The three straddling pair integrals of ``op``, each with its cells
+    in the coordinates ``assemble`` integrates it in and the factor that
+    scales it back: offset 0 and the two boundary cells with
+    themselves."""
+    grid, h = op.grid, op.grid.log_step
+    edges, last, npa = grid.edges, grid.count - 1, op.n + op.alpha
+    return [(op.band[0], (-0.5 * h, 0.5 * h, -0.5 * h, 0.5 * h), 1.0),
+            (op.boundary[0, 0], _pair_cells(edges, 0, 0), edges[0] ** npa),
+            (op.boundary[1, -1], _pair_cells(edges, last, last),
+             edges[last] ** npa)]
+
+
+#: The offset-0 pair integral ``op.band[0]`` at n = 3 on ``make_grid(1e-4,
+#: 1e4, count, 3)``, keyed by ``(alpha, count)``: ``int_{-h}^{h} K(1,
+#: e^z) e^{3z} W(z) dz`` over the cells ``(-h/2, h/2)``.  Made offline
+#: with mpmath at 60 digits: tanh-sinh ``mp.quad`` on ``[-h, 0]`` and
+#: ``[0, h]``, split at ``h 2^-k`` for k in (1, 3, 6, 10, 20, 40, 80),
+#: with ``2F1`` at ``w = 1/cosh(z)^2`` in enough extra digits that ``1 -
+#: w`` keeps 60 of them down to ``z = 0``.  Adaptive ``quad`` on double
+#: ``rho = e^z``, which rounds to 1 on ``|z| < 1e-16``, is off by 8.6e-14,
+#: 1.3e-11 and 2.4e-10.
+CUSP_PAIR_MPMATH = {(0.55, 64): 4.12301720766866972816177637617,
+                    (0.3, 64): 9.11293917555379630002384651878,
+                    (0.3, 4096): 0.0408159235888059578423287766583}
+
+
+class TestCuspPairs:
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    @pytest.mark.parametrize("n, alpha, count", [
+        (3, 0.8, 64), (3, 0.8, 4096), (4, 1.0, 64), (4, 1.5, 64),
+        (4, 1.5, 4096), (5, 2.0, 64), (5, 2.0, 4096), (5, 3.5, 64),
+        (5, 3.5, 4096)])
+    def test_against_adaptive_quadrature(self, n, alpha, count):
+        op = assemble(make_grid(1e-4, 1e4, count, n), n, alpha)
+        for got, cells, scale in cusp_pairs(op):
+            want = scale * cusp_pair_quadrature(cells, n, alpha)
+            assert got == pytest.approx(want, rel=1e-11, abs=0.0)
+
+    @pytest.mark.parametrize("alpha, count", sorted(CUSP_PAIR_MPMATH))
+    def test_against_mpmath(self, alpha, count):
+        op = assemble(make_grid(1e-4, 1e4, count, 3), 3, alpha)
+        assert op.band[0] == pytest.approx(CUSP_PAIR_MPMATH[alpha, count],
+                                           rel=1e-14, abs=0.0)
+
+    def test_domain_edge(self):
+        # alpha = 0.3: the cusp ~ |z|^-0.7 holds a share ~ eps^0.3 of a
+        # pair within |z| < eps, where e^z rounds to 1
+        grid = make_grid(1e-4, 1e4, 512, 3)
+        m = grid.weights[:, None] * assemble(grid, 3, 0.3).matrix
+        assert np.all(np.isfinite(m)) and np.all(m > 0.0)
+        assert np.all(np.abs(m - m.T)
+                      <= 2.0 * np.spacing(np.maximum(m, m.T)))
 
 
 def newton_pair(edges, n, i, j):
@@ -511,25 +576,16 @@ def head_oracle(grid, n, alpha, i):
     return val
 
 
-#: Node 0 sits on the kernel cusp at s = r_min, and the graded head
-#: mesh resolves it only to 3e-5 (alpha = 0.8) and 3e-9 (alpha = 1.5).
-_HEAD_CUSP = pytest.mark.xfail(
-    strict=True, reason="head mesh under-resolves node 0's kernel cusp")
-
-
 class TestHeadResponse:
     @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
     @pytest.mark.parametrize("i", [0, 1, 32, 63])
     @pytest.mark.parametrize("n, alpha", [(3, 0.8), (4, 1.5), (5, 2.0)])
-    def test_against_adaptive_quadrature(self, n, alpha, i, request):
-        if i == 0 and alpha < 2.0:
-            request.applymarker(_HEAD_CUSP)
-        # alpha = 0.8 at node 0 fails even this looser bound
-        rtol = 1e-8 if (i, alpha) == (0, 0.8) else 1e-10
+    def test_against_adaptive_quadrature(self, n, alpha, i):
+        # node 0 sits on the kernel cusp at s = r_min
         grid = make_grid(1e-4, 1e4, 64, n)
         got = _head_response(grid, n, alpha)[i]
         want = head_oracle(grid, n, alpha, i)
-        assert got == pytest.approx(want, rel=rtol, abs=0.0)
+        assert got == pytest.approx(want, rel=1e-10, abs=0.0)
 
 
 class TestTailResponse:
