@@ -36,8 +36,8 @@ from .riesz import (KernelOperator, RadialField, angular_kernel,
                     tail_response)
 from .solver import (Branch, SolveConfig, SolutionPair, default_init,
                      singular_amplitudes, singular_solution, solve_picard)
-from .shooting import (BisectionResult, Outcome, ShotConfig, Trajectory,
-                       bisect_ground_state, shoot)
+from .shooting import (BisectionResult, Outcome, ShotConfig, ShotRecord,
+                       Trajectory, bisect_ground_state, shoot)
 from .analysis import (DecayFit, FastLimitReport, RecursionTrace,
                        amplitude_b0, check_fast_limits, default_window,
                        envelope_bands, envelope_check, fit_tail,
@@ -57,8 +57,9 @@ __all__ = [
     "NonConvergenceError", "NumericalError", "Outcome", "Params",
     "PreconditionError", "RadialField", "RadialGrid", "RecursionTrace",
     "Regime", "RegimeReport", "RieszLabError", "RunManifest", "ShotConfig",
-    "SingularKernelError", "SolutionPair", "SolveConfig", "Trajectory",
-    "TruncationWarning", "VFastCase", "ValidationError", "amplitude_b0",
+    "ShotRecord", "SingularKernelError", "SolutionPair", "SolveConfig",
+    "Trajectory", "TruncationWarning", "VFastCase", "ValidationError",
+    "amplitude_b0",
     "angular_kernel", "apply_extended", "assemble", "bisect_ground_state",
     "check_fast_limits", "classify", "config_hash", "critical_q",
     "default_init", "default_window", "dumps_json", "envelope_bands",

@@ -271,8 +271,12 @@ def _cmd_bisect(args):
     result = bisect_ground_state(params, args.lo, args.hi, config=config,
                                  iters=args.iters)
     traj = result.trajectory
+    # per-shot records without their wall times, so reruns stay identical
+    shots = [{"xi": shot.xi, "outcome": shot.outcome.value,
+              "crossingRadius": shot.crossing_radius,
+              "rhsEvaluations": shot.rhs_evals} for shot in result.shots]
     extra = {"xi": result.xi, "bracketLo": result.lo, "bracketHi": result.hi,
-             "iters": args.iters}
+             "iters": args.iters, "shots": shots}
     report = _trajectory_report(traj, extra)
     _print_json(report)
     settings = _shot_settings(args, result.xi)

@@ -11,20 +11,37 @@ both decay through the far boundary.  A bisection on ``xi`` locates the
 ground-state separatrix between the two crossing outcomes.
 
 Numerics: the first step leaves the coordinate singularity at the
-origin on the exact quadratic Taylor profile; the integration then uses
-a high-order adaptive Runge-Kutta method (local error target 1e-10
-relative, 1e-14 absolute) with zero-crossing event termination.
-Component powers are clamped at zero so fractional exponents stay real
-on the overshoot of the final internal step.
+origin on the exact quadratic Taylor profile.  Each shot then runs a
+crossing scan: scipy's compiled DOP853 (``integrate.ode``, local error
+target 1e-10 relative, 1e-14 absolute, at most ``SCAN_STEPS`` steps)
+whose step callback stops the run at the first step end where ``u`` or
+``v`` is no longer positive.  A short ``solve_ivp`` DOP853 run with
+zero-crossing events, from the last positive step end to that one,
+refines the crossing radius inside the step.  A scan that reaches
+``r_end`` without a crossing hands the shot to the sampled path: one
+``solve_ivp`` DOP853 run over the whole range with the same tolerances
+and events, recorded at ``SAMPLE_COUNT`` log-spaced radii, whose last
+decade decides between decaying and inconclusive.  A crossing shot
+runs that sampled path only when its ``samples`` are first read, so a
+bisection integrates them for the shot it returns at most.  Component
+powers are clamped at zero so fractional exponents stay real on the
+overshoot of the final internal step.
+
+The scan reuses one integrator for the whole process, because scipy's
+wrapper keeps every integrator it has run alive; :func:`shoot` is
+therefore not thread-safe.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+import time
+import warnings
+from dataclasses import dataclass
 
 import numpy as np
+from scipy import integrate
 from scipy.integrate import solve_ivp
 
 from .errors import BracketError, IntegrationError, ValidationError
@@ -32,6 +49,9 @@ from .exponents import Params
 
 #: Samples recorded along a trajectory (log-spaced in radius).
 SAMPLE_COUNT = 2048
+#: Step budget of one crossing scan (the canonical shots take about 190).
+SCAN_STEPS = 100_000
+_TOLERANCES = {"rtol": 1e-10, "atol": 1e-14}
 
 
 class Outcome(str, enum.Enum):
@@ -67,17 +87,36 @@ class ShotConfig:
                           r_end=self.r_end)
 
 
-@dataclass(frozen=True)
 class Trajectory:
     """One integrated shot.
 
     ``samples`` has columns ``(r, u, du, v, dv)`` at log-spaced radii
-    (truncated at the crossing when one occurred).
+    (truncated at the crossing when one occurred).  A trajectory built
+    with a ``sampler`` instead of ``samples`` calls it on the first read
+    of ``samples`` and keeps the result.  ``rhs_evals`` counts the
+    right-hand-side evaluations that classified the shot.
     """
 
-    samples: np.ndarray = field(repr=False)
-    outcome: Outcome = Outcome.INCONCLUSIVE
-    crossing_radius: float = None
+    def __init__(self, samples=None, outcome=Outcome.INCONCLUSIVE,
+                 crossing_radius=None, rhs_evals=0, sampler=None):
+        if (samples is None) == (sampler is None):
+            raise ValidationError("a trajectory takes samples or a sampler")
+        self._samples = samples
+        self._sampler = sampler
+        self.outcome = outcome
+        self.crossing_radius = crossing_radius
+        self.rhs_evals = rhs_evals
+
+    def __repr__(self):
+        return "Trajectory(outcome=%r, crossing_radius=%r)" % (
+            self.outcome, self.crossing_radius)
+
+    @property
+    def samples(self):
+        if self._samples is None:
+            self._samples = self._sampler()
+            self._sampler = None
+        return self._samples
 
     @property
     def radii(self):
@@ -116,8 +155,159 @@ def _taylor_start(params, config):
     return start
 
 
+def _rhs(coefficients):
+    """Right-hand side of the first-order system in ``(u, u', v, v')``.
+
+    ``coefficients`` is the list ``[n, p, q, s]``, read on every call.
+    """
+
+    def rhs(r, y):
+        n, p, q, s = coefficients
+        # Python floats: four times faster than the array's numpy scalars
+        u, du, v, dv = y.tolist()
+        try:
+            fv = s * (0.0 if v < 0.0 else v) ** q
+            fu = s * (0.0 if u < 0.0 else u) ** p
+        except OverflowError:       # where a numpy power would give inf
+            fv = fu = math.inf
+        return (du, -(n - 1.0) / r * du - fv, dv, -(n - 1.0) / r * dv - fu)
+
+    return rhs
+
+
+def _u_zero(r, y):
+    return y[0]
+
+
+def _v_zero(r, y):
+    return y[2]
+
+
+for _event in (_u_zero, _v_zero):
+    _event.terminal = True
+    _event.direction = -1.0
+
+
+def _first_crossing(sol):
+    """``(radius, outcome)`` of the earliest event of ``sol``, or None."""
+    crossings = [(float(t[0]), outcome) for t, outcome in
+                 zip(sol.t_events, (Outcome.U_CROSSED, Outcome.V_CROSSED))
+                 if t.size]
+    return min(crossings) if crossings else None
+
+
+def _sampled_shot(params, config, s):
+    """The sampled path: ``solve_ivp`` over the whole range, recording
+    ``SAMPLE_COUNT`` samples, and the last-decade decay test."""
+    t_eval = np.geomspace(config.r_start, config.r_end, SAMPLE_COUNT)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sol = solve_ivp(_rhs([params.n, params.p, params.q, s]),
+                        (config.r_start, config.r_end),
+                        _taylor_start(params, config), method="DOP853",
+                        t_eval=t_eval, events=(_u_zero, _v_zero),
+                        **_TOLERANCES)
+    if sol.status == -1:
+        last = float(sol.t[-1]) if len(sol.t) else config.r_start
+        raise IntegrationError(
+            "adaptive integration failed at r=%g: %s" % (last, sol.message),
+            last_radius=last)
+
+    samples = np.column_stack((sol.t, sol.y[0], sol.y[1], sol.y[2],
+                               sol.y[3]))
+    crossing = _first_crossing(sol)
+    if crossing is not None:
+        return Trajectory(samples=samples, outcome=crossing[1],
+                          crossing_radius=crossing[0], rhs_evals=sol.nfev)
+
+    # Reached the far boundary with both components positive: decaying
+    # if both fall off meaningfully through the final decade (a flat
+    # profile fits a noise-level slope, which must not count).
+    outer = samples[:, 0] >= config.r_end / 10.0
+    outcome = Outcome.INCONCLUSIVE
+    if np.count_nonzero(outer) >= 8:
+        lr = np.log(samples[outer, 0])
+        with np.errstate(divide="ignore"):
+            su_fit = np.polyfit(lr, np.log(samples[outer, 1]), 1)[0]
+            sv_fit = np.polyfit(lr, np.log(samples[outer, 3]), 1)[0]
+        if su_fit < -0.05 and sv_fit < -0.05:
+            outcome = Outcome.DECAYING
+    return Trajectory(samples=samples, outcome=outcome, rhs_evals=sol.nfev)
+
+
+_scanner = None
+
+
+def _scan_integrator():
+    """The one compiled DOP853 of the process, built on first use.
+
+    Its step callback stops the run at the first step end where ``u`` or
+    ``v`` is not positive and keeps the last step end before it in
+    ``last``.  Its right-hand side reads the current shot's
+    ``coefficients``: scipy's wrapper keeps a reference to every function
+    it has called back, so one function serves every shot.
+    """
+    global _scanner
+    if _scanner is None:
+        ode = integrate.ode(None).set_integrator(
+            "dop853", nsteps=SCAN_STEPS, **_TOLERANCES)
+        ode.coefficients = [0.0] * 4
+        ode.f = _rhs(ode.coefficients)
+
+        def stop_at_crossing(r, y):
+            if y[0] <= 0.0 or y[2] <= 0.0:
+                return -1
+            ode.last = (r, y.copy())
+            return 0
+
+        ode.set_solout(stop_at_crossing)
+        # each set_initial_value would pass the wrapper a freshly bound
+        # _solout, which it keeps: bind it once
+        integrator = ode._integrator
+        integrator._solout = integrator._solout
+        _scanner = ode
+    return _scanner
+
+
+def _scan(coefficients, start, config):
+    """Crossing scan of one shot.
+
+    Returns ``(crossing, rhs_evals)``: ``crossing`` is ``(radius,
+    outcome)`` of the first zero crossing, or None when the scan reached
+    ``r_end`` without one or failed in a way other than running out of
+    steps, which raises :class:`IntegrationError`.
+    """
+    ode = _scan_integrator()
+    ode.coefficients[:] = coefficients
+    ode.last = (config.r_start, start)
+    ode.set_initial_value(start, config.r_start)
+    with warnings.catch_warnings():
+        # a failed run is read from the return code below
+        warnings.filterwarnings("ignore", "dop853", UserWarning)
+        ode.integrate(config.r_end)
+    code = ode.get_return_code()
+    if code == -2:
+        raise IntegrationError(
+            "crossing scan ran out of steps at r=%g" % ode.t,
+            last_radius=float(ode.t))
+    # IWORK(17) of DOP853 counts the right-hand-side evaluations
+    evals = int(ode._integrator.iwork[16])
+    r0, y0 = ode.last
+    if code != 2 or not ode.t > r0:
+        # no crossing by r_end, a failure the sampled path may get past,
+        # or a start that is not positive
+        return None, evals
+    # refine the crossing inside the step (r0, ode.t]
+    with np.errstate(over="ignore", invalid="ignore"):
+        sol = solve_ivp(ode.f, (r0, ode.t), y0, method="DOP853",
+                        events=(_u_zero, _v_zero), **_TOLERANCES)
+    return _first_crossing(sol), evals + sol.nfev
+
+
 def shoot(params, config=None, source_strength=1.0):
     """Integrate one shot and classify its outcome.
+
+    A crossing shot computes its samples on first read (see the module
+    notes).  Not thread-safe: every shot runs on one shared integrator.
 
     Parameters
     ----------
@@ -132,72 +322,44 @@ def shoot(params, config=None, source_strength=1.0):
     Raises
     ------
     ValidationError
-        For ``alpha != 2``, or origin values whose Taylor start at
+        For ``alpha != 2``, a negative or non-finite
+        ``source_strength``, or origin values whose Taylor start at
         ``r_start`` overflows.
     IntegrationError
-        If the adaptive integrator fails; carries ``last_radius``.
+        If the integration fails (an overflowing ``source_strength``
+        among others); carries ``last_radius``.
     """
     if params.alpha != 2.0:
         raise ValidationError(
             "shooting integrates the differential form, which needs "
             "alpha = 2; got alpha=%r" % (params.alpha,))
+    if not 0.0 <= source_strength < math.inf:
+        raise ValidationError("source_strength must be finite and "
+                              "nonnegative; got %r" % (source_strength,))
     config = config or ShotConfig()
-    n, p, q = params.n, params.p, params.q
     s = source_strength
+    crossing, evals = _scan([params.n, params.p, params.q, s],
+                            _taylor_start(params, config), config)
+    if crossing is None:
+        traj = _sampled_shot(params, config, s)
+        traj.rhs_evals += evals
+        return traj
+    return Trajectory(outcome=crossing[1], crossing_radius=crossing[0],
+                      rhs_evals=evals,
+                      sampler=lambda: _sampled_shot(params, config, s).samples)
 
-    def rhs(r, y):
-        u, du, v, dv = y
-        return (du, -(n - 1.0) / r * du - s * max(v, 0.0) ** q,
-                dv, -(n - 1.0) / r * dv - s * max(u, 0.0) ** p)
 
-    def u_zero(r, y):
-        return y[0]
+@dataclass(frozen=True)
+class ShotRecord:
+    """One shot of a bisection: its ``xi``, outcome, crossing radius
+    (None when nothing crossed), the right-hand-side evaluations that
+    classified it and its wall-clock seconds."""
 
-    def v_zero(r, y):
-        return y[2]
-
-    u_zero.terminal = True
-    u_zero.direction = -1.0
-    v_zero.terminal = True
-    v_zero.direction = -1.0
-
-    t_eval = np.geomspace(config.r_start, config.r_end, SAMPLE_COUNT)
-    sol = solve_ivp(rhs, (config.r_start, config.r_end),
-                    _taylor_start(params, config), method="DOP853",
-                    t_eval=t_eval, events=(u_zero, v_zero),
-                    rtol=1e-10, atol=1e-14)
-    if sol.status == -1:
-        last = float(sol.t[-1]) if sol.t.size else config.r_start
-        raise IntegrationError(
-            "adaptive integration failed at r=%g: %s" % (last, sol.message),
-            last_radius=last)
-
-    samples = np.column_stack((sol.t, sol.y[0], sol.y[1], sol.y[2],
-                               sol.y[3]))
-    crossings = []
-    if sol.t_events[0].size:
-        crossings.append((float(sol.t_events[0][0]), Outcome.U_CROSSED))
-    if sol.t_events[1].size:
-        crossings.append((float(sol.t_events[1][0]), Outcome.V_CROSSED))
-    if crossings:
-        radius, outcome = min(crossings)
-        return Trajectory(samples=samples, outcome=outcome,
-                          crossing_radius=radius)
-
-    # Reached the far boundary with both components positive: decaying
-    # if both fall off meaningfully through the final decade (a flat
-    # profile fits a noise-level slope, which must not count).
-    outer = samples[:, 0] >= config.r_end / 10.0
-    outcome = Outcome.INCONCLUSIVE
-    if np.count_nonzero(outer) >= 8:
-        lr = np.log(samples[outer, 0])
-        with np.errstate(divide="ignore"):
-            su_fit = np.polyfit(lr, np.log(samples[outer, 1]), 1)[0]
-            sv_fit = np.polyfit(lr, np.log(samples[outer, 3]), 1)[0]
-        if su_fit < -0.05 and sv_fit < -0.05:
-            outcome = Outcome.DECAYING
-    return Trajectory(samples=samples, outcome=outcome,
-                      crossing_radius=None)
+    xi: float
+    outcome: Outcome
+    crossing_radius: float | None
+    rhs_evals: int
+    seconds: float
 
 
 @dataclass(frozen=True)
@@ -206,13 +368,15 @@ class BisectionResult:
 
     ``xi`` is the midpoint of the final bracket ``(lo, hi)``, or the
     midpoint that decayed, with ``lo == hi == xi``;
-    ``trajectory`` is the shot at ``xi``.
+    ``trajectory`` is the shot at ``xi``; ``shots`` holds one
+    :class:`ShotRecord` per shot, in the order they were taken.
     """
 
     xi: float
     trajectory: Trajectory
     lo: float
     hi: float
+    shots: tuple = ()
 
 
 def bisect_ground_state(params, lo, hi, config=None, iters=60,
@@ -235,8 +399,17 @@ def bisect_ground_state(params, lo, hi, config=None, iters=60,
     if int(iters) != iters or iters < 0:
         raise ValidationError("iters must be a nonnegative integer")
     config = config or ShotConfig()
-    out_lo = shooter(params, config.with_xi(lo)).outcome
-    out_hi = shooter(params, config.with_xi(hi)).outcome
+    shots = []
+
+    def fire(xi):
+        began = time.perf_counter()
+        traj = shooter(params, config.with_xi(xi))
+        shots.append(ShotRecord(xi, traj.outcome, traj.crossing_radius,
+                                traj.rhs_evals, time.perf_counter() - began))
+        return traj
+
+    out_lo = fire(lo).outcome
+    out_hi = fire(hi).outcome
     crossing = (Outcome.U_CROSSED, Outcome.V_CROSSED)
     if out_lo not in crossing or out_hi not in crossing or out_lo == out_hi:
         raise BracketError(
@@ -244,14 +417,15 @@ def bisect_ground_state(params, lo, hi, config=None, iters=60,
             "got %s / %s" % (out_lo.value, out_hi.value))
     for _ in range(int(iters)):
         mid = 0.5 * (lo + hi)
-        traj = shooter(params, config.with_xi(mid))
+        traj = fire(mid)
         if traj.outcome is Outcome.DECAYING:
-            return BisectionResult(xi=mid, trajectory=traj, lo=mid, hi=mid)
+            return BisectionResult(xi=mid, trajectory=traj, lo=mid, hi=mid,
+                                   shots=tuple(shots))
         if traj.outcome is out_lo:
             lo = mid
         else:
             hi = mid
     xi = 0.5 * (lo + hi)
-    return BisectionResult(xi=xi, trajectory=shooter(params,
-                                                     config.with_xi(xi)),
-                           lo=lo, hi=hi)
+    traj = fire(xi)
+    return BisectionResult(xi=xi, trajectory=traj, lo=lo, hi=hi,
+                           shots=tuple(shots))

@@ -191,6 +191,12 @@ class TestShoot:
         assert report["xi"] == pytest.approx(1.0, abs=1e-4)
         assert report["bracketHi"] - report["bracketLo"] == pytest.approx(
             1.5 * 2.0 ** -20, rel=1e-12)
+        # one deterministic record per shot: endpoints, 20 midpoints, final
+        shots = report["shots"]
+        assert len(shots) == 23
+        assert set(shots[0]) == {"xi", "outcome", "crossingRadius",
+                                 "rhsEvaluations"}
+        assert shots[-1]["xi"] == report["xi"]
 
 
 class TestVerifyAll:

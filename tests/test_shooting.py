@@ -1,15 +1,22 @@
 """Radial ODE shooting and the ground-state bisection."""
 
+import gc
+import warnings
+
 import numpy as np
 import pytest
+from scipy.integrate._ode import dop853
 
+from rieszlab import shooting
 from rieszlab.analysis import fit_tail
-from rieszlab.errors import BracketError, ValidationError
+from rieszlab.errors import BracketError, IntegrationError, ValidationError
 from rieszlab.exponents import Params
-from rieszlab.shooting import (BisectionResult, Outcome, ShotConfig,
-                               Trajectory, bisect_ground_state, shoot)
+from rieszlab.shooting import (Outcome, ShotConfig, ShotRecord, Trajectory,
+                               _sampled_shot, bisect_ground_state, shoot)
 
 PARAMS = Params(5, 2.0, 3.0, 3.0)
+#: Critical (1/(p+1) + 1/(q+1) = (n-2)/n); its ground state has xi ~ 1.128.
+CRITICAL = Params(4, 2.0, 1.5, 9.0)
 
 
 class TestShotConfig:
@@ -93,6 +100,100 @@ class TestShoot:
         dev = np.max(np.abs(t2.u[mask] / (lam * interp) - 1.0))
         assert dev <= 1e-5
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0])
+    def test_source_strength_validated(self, bad):
+        with pytest.raises(ValidationError, match="source_strength"):
+            shoot(PARAMS, ShotConfig(r_end=1e5), source_strength=bad)
+
+    @pytest.mark.parametrize("huge", [1e100, 1e308])
+    def test_overflowing_source_strength(self, huge):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IntegrationError) as info:
+                shoot(PARAMS, ShotConfig(r_end=1e5), source_strength=huge)
+        assert info.value.last_radius == pytest.approx(1e-6)
+
+    def test_failed_scan_falls_back(self):
+        # the compiled scan finds no first step for this stiff start; the
+        # sampled path still sees u cross just past r_start
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = shoot(PARAMS, ShotConfig(r_end=1e5), source_strength=1e30)
+        assert traj.outcome is Outcome.U_CROSSED
+        assert traj.crossing_radius == pytest.approx(1e-6, rel=1e-6)
+
+    def test_scan_step_budget(self, monkeypatch):
+        integrator = shooting._scan_integrator()._integrator
+        monkeypatch.setattr(integrator, "nsteps", 20)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IntegrationError, match="steps") as info:
+                shoot(PARAMS, ShotConfig(xi=0.9, r_end=1e5))
+        assert 1e-6 < info.value.last_radius < 4.0
+
+
+class TestCrossingScan:
+    """The crossing scan against the sampled path it stands in for."""
+
+    @staticmethod
+    def _agree(params, xi, r_end):
+        config = ShotConfig(xi=xi, r_end=r_end)
+        scanned = shoot(params, config)
+        sampled = _sampled_shot(params, config, 1.0)
+        assert scanned.outcome is sampled.outcome
+        return scanned, sampled
+
+    @pytest.mark.parametrize("xi", [0.5, 2.0] + [
+        1.0 + sign * 10.0 ** -k for k in range(1, 10) for sign in (-1, 1)])
+    def test_ground_state_family(self, xi):
+        scanned, sampled = self._agree(PARAMS, xi, 1e5)
+        assert scanned.crossing_radius is not None
+        if abs(xi - 1.0) >= 1e-6:
+            assert scanned.crossing_radius == pytest.approx(
+                sampled.crossing_radius, rel=1e-6)
+
+    @pytest.mark.parametrize("xi", np.geomspace(0.1, 10.0, 21).tolist())
+    def test_critical_family(self, xi):
+        scanned, sampled = self._agree(CRITICAL, xi, 1e4)
+        assert scanned.crossing_radius == pytest.approx(
+            sampled.crossing_radius, rel=1e-6)
+
+    def test_samples_integrated_once_on_first_read(self, monkeypatch):
+        calls = []
+
+        def counting(params, config, s):
+            calls.append(config.xi)
+            return _sampled_shot(params, config, s)
+
+        monkeypatch.setattr(shooting, "_sampled_shot", counting)
+        config = ShotConfig(xi=0.8, r_end=1e4)
+        traj = shoot(PARAMS, config)
+        assert traj.outcome is Outcome.V_CROSSED
+        assert calls == []
+        first = traj.samples
+        assert calls == [0.8]
+        assert traj.samples is first and traj.u.size and calls == [0.8]
+        again = _sampled_shot(PARAMS, config, 1.0)
+        assert np.array_equal(first, again.samples)
+
+    def test_trajectory_needs_samples_or_sampler(self):
+        with pytest.raises(ValidationError):
+            Trajectory(outcome=Outcome.DECAYING)
+        with pytest.raises(ValidationError):
+            Trajectory(samples=np.zeros((1, 5)), sampler=lambda: None)
+
+    def test_one_integrator_for_many_shots(self):
+        shoot(PARAMS, ShotConfig(xi=0.5, r_end=1e3))
+        gc.collect()
+        before = len(gc.get_objects())
+        for xi in np.linspace(0.5, 2.0, 50):
+            shoot(PARAMS, ShotConfig(xi=float(xi), r_end=1e3))
+        gc.collect()
+        alive = [obj for obj in gc.get_objects() if isinstance(obj, dop853)]
+        assert len(alive) <= 1
+        # nothing a shot hands the compiled wrapper may pile up either
+        assert len(gc.get_objects()) - before < 25
+
 
 class TestBisection:
     def test_bracket_must_straddle(self):
@@ -134,6 +235,23 @@ class TestBisection:
                                   shooter=fake_shooter)
         assert res.hi - res.lo == (2.0 - 0.5) * 2.0 ** -10
         assert res.lo < 1.0 <= res.hi
+        # one record per shot: both endpoints, ten midpoints, the final xi
+        assert [shot.xi for shot in res.shots][:3] == [0.5, 2.0, 1.25]
+        assert len(res.shots) == 13 and res.shots[-1].xi == res.xi
+        assert all(isinstance(shot, ShotRecord) and shot.rhs_evals == 0
+                   and shot.seconds >= 0.0 for shot in res.shots)
+
+    def test_canonical_bisection_shots(self):
+        res = bisect_ground_state(PARAMS, 0.5, 2.0,
+                                  config=ShotConfig(r_end=1e5), iters=60)
+        assert abs(res.xi - 1.0) <= 1e-6
+        assert len(res.shots) <= 40
+        outcomes = [shot.outcome for shot in res.shots]
+        assert outcomes[-1] is Outcome.DECAYING is res.trajectory.outcome
+        assert set(outcomes[:-1]) == {Outcome.U_CROSSED, Outcome.V_CROSSED}
+        assert all(shot.crossing_radius > 0.0 for shot in res.shots[:-1])
+        assert res.shots[-1].crossing_radius is None
+        assert all(shot.rhs_evals > 0 for shot in res.shots)
 
     def test_ground_state_slopes(self):
         res = bisect_ground_state(PARAMS, 0.5, 2.0,
