@@ -25,8 +25,7 @@ potential form of a polyharmonic Lane-Emden system):
 from .errors import (BracketError, CollapseError, DegenerateFitError,
                      DivergentTailError, IntegrationError,
                      NonConvergenceError, NumericalError, PreconditionError,
-                     RieszLabError, SingularKernelError, TruncationWarning,
-                     ValidationError)
+                     RieszLabError, SingularKernelError, ValidationError)
 from .exponents import (Params, Regime, RegimeReport, VFastCase, classify,
                         critical_q)
 from .grid import RadialGrid, make_grid
@@ -58,7 +57,7 @@ __all__ = [
     "PreconditionError", "RadialField", "RadialGrid", "RecursionTrace",
     "Regime", "RegimeReport", "RieszLabError", "RunManifest", "ShotConfig",
     "ShotRecord", "SingularKernelError", "SolutionPair", "SolveConfig",
-    "Trajectory", "TruncationWarning", "VFastCase", "ValidationError",
+    "Trajectory", "VFastCase", "ValidationError",
     "amplitude_b0",
     "angular_kernel", "apply_extended", "assemble", "bisect_ground_state",
     "check_fast_limits", "classify", "config_hash", "critical_q",

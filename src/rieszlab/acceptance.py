@@ -29,14 +29,13 @@ from __future__ import annotations
 
 import math
 import time
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
 
 from . import analysis
-from .errors import TruncationWarning, ValidationError
+from .errors import ValidationError
 from .exponents import Params, critical_q, classify
 from .grid import make_grid
 from .riesz import (RadialField, angular_kernel, apply_extended, assemble,
@@ -104,29 +103,22 @@ class Workspace:
 
         def build():
             op = self.operator(params.n, params.alpha, count)
-            config = SolveConfig(tol=tol)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", TruncationWarning)
-                return solve_picard(params, op.grid, config, operator=op)
+            return solve_picard(params, op.grid, SolveConfig(tol=tol),
+                                operator=op)
 
         return self._memo(("solved", key, count), build)
 
     def fast_report(self, key, count):
         def build():
-            pair = self.solved(key, count)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", TruncationWarning)
-                return analysis.check_fast_limits(pair)
+            return analysis.check_fast_limits(self.solved(key, count))
 
         return self._memo(("fast", key, count), build)
 
     def singular_pair(self, count):
         def build():
             op = self.operator(5, 2.0, count)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", TruncationWarning)
-                return singular_solution(Params(n=5, alpha=2.0, p=3.0, q=3.0),
-                                         op.grid, operator=op)
+            return singular_solution(Params(n=5, alpha=2.0, p=3.0, q=3.0),
+                                     op.grid, operator=op)
 
         return self._memo(("singular-pair", count), build)
 
@@ -166,9 +158,7 @@ class Workspace:
         def build():
             op = self.operator(n, alpha, count)
             nodes = op.grid.nodes
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", TruncationWarning)
-                out = apply_extended(op, nodes ** (-beta), beta)
+            out = apply_extended(op, nodes ** (-beta), beta)
             sl = op.grid.interior_slice()
             slope = analysis.fit_tail(nodes, out,
                                       window=(nodes[sl][0], nodes[sl][-1]),
@@ -251,9 +241,7 @@ def _c_power_law(ws):
         op = ws.operator(n, alpha, 512)
         nodes = op.grid.nodes
         idx = int(np.argmin(np.abs(nodes - 1.0)))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", TruncationWarning)
-            value = apply_extended(op, nodes ** (-beta), beta)[idx]
+        value = apply_extended(op, nodes ** (-beta), beta)[idx]
         oracle = ws.quadrature_oracle(n, alpha, beta, float(nodes[idx]))
         oracle_err = abs(value / oracle - 1.0)
         worst_slope = max(worst_slope, slope_err)

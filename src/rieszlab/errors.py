@@ -86,5 +86,6 @@ class IntegrationError(NumericalError):
 
 
 class TruncationWarning(UserWarning):
-    """A tail integral was truncated at its radius cap before reaching
-    the requested relative remainder."""
+    """No longer emitted: the tail response past its quadrature range is
+    taken in closed form.  Kept only for the benchmark's import; remove
+    it at the next revision of ``bench/``."""

@@ -73,7 +73,9 @@ quadrature in ``y = ln(s/r_max)`` over ``[0, ln TAIL_RANGE_CAP]`` (Q =
 336 nodes): assembly keeps the weighted kernel samples of the near
 rows, ``KernelOperator.tail_kernel``, about ``ln 2 / h`` x Q doubles,
 and factors the far rows into a ``count x J`` and a ``J x Q`` table.
-The response to a tail of any decay exponent is then
+Past ``TAIL_RANGE_CAP * r_max`` every node is below 1e-6 of ``s``, so
+the kernel's leading series term is the rest of it, one closed-form
+number per call.  The response to a tail of any decay exponent is then
 ``O((count + Q) J + Q ln 2 / h)`` work, with no state kept per call.
 An assembly on 4096 nodes over eight decades samples the kernel about
 0.13M times, where sampling every pair, head and tail row would take
@@ -83,7 +85,6 @@ An assembly on 4096 nodes over eight decades samples the kernel about
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -92,13 +93,14 @@ from numpy.polynomial.legendre import leggauss
 from numpy.polynomial.polynomial import polyval
 from scipy import integrate, special
 
-from .errors import (DivergentTailError, SingularKernelError,
-                     TruncationWarning, ValidationError)
+from .errors import DivergentTailError, SingularKernelError, ValidationError
 from .grid import RadialGrid
 
-#: Relative remainder targeted when truncating tail-extension integrals.
+#: Relative remainder at which :func:`field_integral` cuts a
+#: log-corrected tail.
 TAIL_REMAINDER = 1e-8
-#: Hard cap on the tail integration range, as a multiple of r_max.
+#: End of the tail quadrature, as a multiple of r_max; the tail response
+#: past it is taken in closed form (:func:`tail_response`).
 TAIL_RANGE_CAP = 1e6
 #: ``1 - w`` below which :func:`kernel_ratio` evaluates 2F1 by the
 #: connection formula for every ``alpha < 2`` (``|1 - rho|`` below ~0.1).
@@ -1056,60 +1058,51 @@ def _tail_tables(grid, n, alpha):
 
 
 def _check_tail(tail_exponent, alpha):
-    """Reject divergent tails; warn when the range cap truncates one.
-
-    The tail integral converges only for ``tail_exponent > alpha``.  Its
-    remainder beyond the cap ``TAIL_RANGE_CAP * r_max`` is above
-    ``TAIL_REMAINDER`` relative when the exponent is that close to
-    ``alpha``; this emits a :class:`TruncationWarning`.
-    """
+    """Reject divergent tails: the tail integral converges only for
+    ``tail_exponent > alpha``."""
     if tail_exponent <= alpha:
         raise DivergentTailError(
             "tail extension diverges: tail exponent %r <= alpha %r"
             % (tail_exponent, alpha))
-    if TAIL_REMAINDER ** (-1.0 / (tail_exponent - alpha)) > TAIL_RANGE_CAP:
-        warnings.warn(
-            "tail integral truncated at the range cap before reaching "
-            "the %g relative remainder target" % TAIL_REMAINDER,
-            TruncationWarning, stacklevel=3)
 
 
-def tail_response(op, tail_exponent, tail_log_power=0.0):
+def tail_response(op, tail_exponent):
     """Response at each node to the unit tail profile beyond ``r_max``.
 
-    The tail model is ``(s/r_max)^{-tau} (ln s/ln r_max)^m`` for
-    ``s > r_max``; the caller scales by the boundary value.  ``m`` may
-    be any nonnegative real (powered fields carry real log powers).
-    The profile is integrated over the whole fixed range up to
-    ``TAIL_RANGE_CAP * r_max``: against ``op.tail_kernel`` at the nodes
-    near ``r_max``, and through ``op.tail_series @ (op.tail_moments @
-    profile)`` at the others.  Each call costs a few small
-    matrix-vector products, and the operator keeps no state per
-    ``(tau, m)``.
+    The tail model is ``(s/r_max)^{-tau}`` for ``s > r_max``; the caller
+    scales by the boundary value.  Up to ``X = TAIL_RANGE_CAP * r_max``
+    the profile is integrated on the fixed tail quadrature: against
+    ``op.tail_kernel`` at the nodes near ``r_max``, and through
+    ``op.tail_series @ (op.tail_moments @ profile)`` at the others.
+    Past ``X``, where ``r_i/s < 1e-6``, the kernel is its leading series
+    term ``|S^{n-1}| s^{alpha-n}``, and the rest of the integral is
+
+        |S^{n-1}| r_max^alpha TAIL_RANGE_CAP^{alpha-tau} / (tau - alpha)
+
+    at every node: exact for ``alpha = 2``, and within about ``1e-12
+    |c_1|`` of the remainder otherwise.  Each call costs a few small
+    matrix-vector products, and the operator keeps no state per ``tau``.
     """
     _check_tail(tail_exponent, op.alpha)
     grid = op.grid
-    if tail_log_power != 0.0 and grid.r_max <= math.e:
-        raise ValidationError(
-            "log-corrected tails need r_max > e for a meaningful model")
     profile = np.exp((float(grid.n) - tail_exponent) * _TAIL_NODES)
-    if tail_log_power != 0.0:
-        lr = math.log(grid.r_max)
-        profile = profile * (1.0 + _TAIL_NODES / lr) ** tail_log_power
     far = op.tail_series @ (op.tail_moments @ profile)
     near = (grid.nodes[far.size:] ** (op.alpha - op.n)
             * (op.tail_kernel @ profile) * grid.r_max ** op.n)
-    return np.concatenate((far, near))
+    rest = (sphere_area(op.n) * grid.r_max ** op.alpha
+            * TAIL_RANGE_CAP ** (op.alpha - tail_exponent)
+            / (tail_exponent - op.alpha))
+    return np.concatenate((far, near)) + rest
 
 
-def apply_extended(op, values, tail_exponent, tail_log_power=0.0):
+def apply_extended(op, values, tail_exponent):
     """Normalized operator action on raw node values with extensions.
 
     Computes ``(op.apply(values) + head + tail) / gamma(n, alpha)``
     where the head extends the profile as the constant ``values[0]`` on
-    ``(0, rMin)`` and the tail as the power-law model anchored at
-    ``values[-1]``.  ``tail_log_power`` may be real.  The cost is that
-    of :meth:`KernelOperator.apply`, O(count (D + J)), plus a
+    ``(0, rMin)`` and the tail as the power law ``values[-1] *
+    (s/rMax)^{-tail_exponent}`` out to infinity.  The cost is that of
+    :meth:`KernelOperator.apply`, O(count (D + J)), plus a
     :func:`tail_response` when ``values[-1]`` is not 0; no dense matrix
     is used.
 
@@ -1123,8 +1116,7 @@ def apply_extended(op, values, tail_exponent, tail_log_power=0.0):
     if values[0] != 0.0:
         out = out + values[0] * op.head_response
     if values[-1] != 0.0:
-        out = out + values[-1] * tail_response(op, tail_exponent,
-                                               tail_log_power)
+        out = out + values[-1] * tail_response(op, tail_exponent)
     return out / op.normalization
 
 

@@ -1,7 +1,6 @@
 """Tail fitting, envelopes, integrability, recursion, fast limits."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -15,8 +14,7 @@ from rieszlab.analysis import (amplitude_b0, check_fast_limits,
                                v_limit_log_corrected, v_limit_pure,
                                v_limit_weakened)
 from rieszlab.errors import (DegenerateFitError, DivergentTailError,
-                             PreconditionError, TruncationWarning,
-                             ValidationError)
+                             PreconditionError, ValidationError)
 from rieszlab.exponents import Params, VFastCase
 from rieszlab.grid import make_grid
 from rieszlab.riesz import RadialField
@@ -200,13 +198,10 @@ class TestEnvelope:
 
 class TestFastLimits:
     def test_exact_bubble_pair(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", TruncationWarning)
-            grid = make_grid(1e-4, 1e4, 512, 4)
-            prof = lambda r: 2.0 * math.sqrt(2.0) / (1.0 + r ** 2)
-            pair = make_pair(4, 2.0, 3.0, 3.0, prof, prof, 2.0, 2.0,
-                             grid=grid)
-            report = check_fast_limits(pair)
+        grid = make_grid(1e-4, 1e4, 512, 4)
+        prof = lambda r: 2.0 * math.sqrt(2.0) / (1.0 + r ** 2)
+        pair = make_pair(4, 2.0, 3.0, 3.0, prof, prof, 2.0, 2.0, grid=grid)
+        report = check_fast_limits(pair)
         # closed form: u r^2 -> 2 sqrt(2), matching the mass of v^3
         assert report.case is VFastCase.PURE
         assert report.b0 == pytest.approx(2.0 * math.sqrt(2.0), rel=5e-3)

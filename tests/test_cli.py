@@ -64,12 +64,7 @@ class TestExponents:
         assert len(manifest["configHash"]) == 64
 
 
-@pytest.mark.filterwarnings(
-    "ignore::rieszlab.errors.TruncationWarning")
 class TestSingular:
-    # the closed-form profile decays slowly, so the operator's tail
-    # integral legitimately hits the range cap and warns; the artifacts
-    # themselves are what these tests check
     def test_run_artifacts(self, tmp_path, capsys):
         out_dir = tmp_path / "run1"
         code, _, _ = run(capsys, SING + ["--out", str(out_dir)])
@@ -251,7 +246,6 @@ def _argv(draw, command, **valid):
 
 
 class TestArgvFuzz:
-    @pytest.mark.filterwarnings("ignore::rieszlab.errors.TruncationWarning")
     @given(st.one_of(
         _argv("exponents", n="5", alpha="2", p="3", q="3"),
         _argv("singular", k="1", n="5", p="3", q="3", grid=_GRID),

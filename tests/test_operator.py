@@ -2,16 +2,14 @@
 
 import math
 import tracemalloc
-import warnings
 from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
-from rieszlab.errors import (DivergentTailError, TruncationWarning,
-                             ValidationError)
+from rieszlab.errors import DivergentTailError, ValidationError
 from rieszlab.grid import make_grid
 from rieszlab.riesz import (_TAIL_NODES, _TAIL_WEIGHTS, FAR_RATIO,
                             MAX_DENSE_COUNT, TAIL_RANGE_CAP, RadialField,
@@ -19,15 +17,6 @@ from rieszlab.riesz import (_TAIL_NODES, _TAIL_WEIGHTS, FAR_RATIO,
                             _pair_integrand, apply_extended, assemble,
                             field_integral, kernel_ratio, power_law_constant,
                             sphere_area, tail_response)
-
-
-@pytest.fixture(autouse=True)
-def _quiet_truncation():
-    # several applies legitimately reach the tail-range cap; the one
-    # test asserting the warning uses pytest.warns, which still records
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", TruncationWarning)
-        yield
 
 
 @pytest.fixture(scope="module")
@@ -362,20 +351,21 @@ class TestFarField:
 
     @pytest.mark.parametrize("n, alpha", [(3, 0.8), (4, 2.0), (5, 2.5)])
     def test_tail_against_full_table(self, n, alpha):
-        # the factored far rows reproduce the count x Q kernel table
+        # the factored far rows reproduce the count x Q kernel table,
+        # plus the closed-form rest past the range cap
         grid = make_grid(1e-4, 1e4, 256, n)
         op = assemble(grid, n, alpha)
         s = grid.r_max * np.exp(_TAIL_NODES)
         table = (kernel_ratio(s[None, :] / grid.nodes[:, None], n, alpha)
                  * _TAIL_WEIGHTS)
         for tau in (alpha + 0.3, 2.0 * alpha, 6.0, 18.0):
-            for m in (0.0, 1.0, 2.5):
-                profile = (np.exp((n - tau) * _TAIL_NODES)
-                           * (1.0 + _TAIL_NODES / math.log(grid.r_max)) ** m)
-                want = (grid.nodes ** (alpha - n) * (table @ profile)
-                        * grid.r_max ** n)
-                np.testing.assert_allclose(tail_response(op, tau, m), want,
-                                           rtol=1e-14, atol=0.0)
+            profile = np.exp((n - tau) * _TAIL_NODES)
+            rest = (sphere_area(n) * grid.r_max ** alpha
+                    * TAIL_RANGE_CAP ** (alpha - tau) / (tau - alpha))
+            want = (grid.nodes ** (alpha - n) * (table @ profile)
+                    * grid.r_max ** n + rest)
+            np.testing.assert_allclose(tail_response(op, tau), want,
+                                       rtol=1e-14, atol=0.0)
 
 
 def dense_reference(op):
@@ -534,32 +524,55 @@ class TestExtensions:
         with pytest.raises(DivergentTailError):
             tail_response(op5, 1.9)   # tail exponent <= alpha diverges
 
-    def test_truncation_warning_emitted(self, op5):
-        with pytest.warns(TruncationWarning):
-            tail_response(op5, 2.05)
+    @pytest.mark.parametrize("n", [4, 5])
+    @pytest.mark.parametrize("tau", [2.05, 2.5, 3.0, 6.0, 18.0])
+    def test_tail_newton_every_node(self, n, tau):
+        # alpha = 2: K(r_i, s) = |S| s^(2-n) for s >= r_i (Newton's shell
+        # theorem), so every node sees |S| r_max^2 / (tau - 2)
+        grid = make_grid(1e-4, 1e4, 256, n)
+        got = tail_response(assemble(grid, n, 2.0), tau)
+        want = sphere_area(n) * grid.r_max ** 2 / (tau - 2.0)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+    def test_slow_tail_reaches_infinity(self):
+        # r^-2.5 at (4, 2) decays like r^-0.5; a cut at the range cap
+        # left -7.5e-6 r^0.5 of it
+        grid = make_grid(1e-4, 1e4, 8192, 4)
+        out = apply_extended(assemble(grid, 4, 2.0), grid.nodes ** -2.5, 2.5)
+        want = power_law_constant(4, 2.0, 2.5) * grid.nodes ** -0.5
+        for r in (1.0, 10.0, 100.0):
+            i = int(np.argmin(np.abs(np.log(grid.nodes / r))))
+            assert out[i] == pytest.approx(want[i], rel=1e-6, abs=0.0)
 
 
-def tail_oracle(op, i, tau, m, upper=math.inf):
+def tail_oracle(op, i, tau):
     """Adaptive quadrature of the bare tail response at node ``i``.
 
-    ``int_{r_max}^{upper} K(r_i, s) (s/r_max)^-tau (ln s/ln r_max)^m
-    s^(n-1) ds``, split at ``2 r_max`` so the kernel peak at ``s = r_max``
-    and the decay beyond are resolved separately.
+    ``int_{r_max}^inf K(r_i, s) (s/r_max)^-tau s^(n-1) ds`` in ``y =
+    ln(s/r_max)``, where it is ``r_max^alpha g(rho) e^{(alpha-tau) y}``
+    with ``rho = s/r_i`` and ``g(rho) = rho^(n-alpha) K(1, rho)``: split
+    at ``ln 2``, so the kernel peak at ``y = 0`` is resolved apart, and
+    at ``ln TAIL_RANGE_CAP``, with the last piece running to infinity.
+    For ``rho >= 2``, ``g`` is ``|S| 2F1((n-alpha)/2, 1-alpha/2; n/2;
+    rho^-2)``, which stays finite where ``rho^(n-alpha)`` overflows.
     """
     grid, n, alpha = op.grid, op.n, op.alpha
-    r_i, r_max, lr = grid.nodes[i], grid.r_max, math.log(grid.r_max)
+    lead = grid.r_max / grid.nodes[i]
 
-    def integrand(s):
-        return (r_i ** (alpha - n) * float(kernel_ratio(s / r_i, n, alpha))
-                * (s / r_max) ** -tau * (math.log(s) / lr) ** m
-                * s ** (n - 1))
+    def integrand(y):
+        rho = lead * math.exp(y) if y < 700.0 else math.inf
+        if rho < 2.0:
+            g = float(kernel_ratio(rho, n, alpha)) * rho ** (n - alpha)
+        else:
+            g = sphere_area(n) * special.hyp2f1(
+                0.5 * (n - alpha), 1.0 - 0.5 * alpha, 0.5 * n, rho ** -2.0)
+        return grid.r_max ** alpha * g * math.exp((alpha - tau) * y)
 
-    total = 0.0
-    for lo, hi in ((r_max, 2.0 * r_max), (2.0 * r_max, upper)):
-        val, _ = integrate.quad(integrand, lo, hi, epsabs=0.0, epsrel=1e-11,
-                                limit=400)
-        total += val
-    return total
+    cap = math.log(TAIL_RANGE_CAP)
+    return sum(integrate.quad(integrand, lo, hi, epsabs=0.0, epsrel=1e-12,
+                              limit=400)[0]
+               for lo, hi in ((0.0, math.log(2.0)),
+                              (math.log(2.0), cap), (cap, math.inf)))
 
 
 def head_oracle(grid, n, alpha, i):
@@ -589,22 +602,17 @@ class TestHeadResponse:
 
 
 class TestTailResponse:
-    @pytest.mark.parametrize("m", [0.0, 1.0, 2.5])
-    @pytest.mark.parametrize("tau", [2.05, 4.0, 6.0, 18.0])
-    def test_against_adaptive_quadrature(self, op4, tau, m):
-        # tau = alpha + 0.05 is cut at the range cap (and says so); the
-        # other tails are integrated out to infinity by the oracle
-        capped = tau - op4.alpha < 0.1
-        if capped:
-            with pytest.warns(TruncationWarning):
-                got = tail_response(op4, tau, m)
-        else:
-            got = tail_response(op4, tau, m)
-        upper = TAIL_RANGE_CAP * op4.grid.r_max if capped else math.inf
-        count = op4.grid.count
-        for i in (0, count // 2, count - 1):
-            want = tail_oracle(op4, i, tau, m, upper)
-            assert got[i] == pytest.approx(want, rel=1e-7)
+    @pytest.mark.parametrize("n, alpha, tau", [
+        (n, alpha, tau) for n, alpha in ((4, 2.0), (5, 2.5))
+        for tau in (alpha + 0.05, 4.0, 6.0, 18.0)])
+    def test_against_adaptive_quadrature(self, n, alpha, tau):
+        # the oracle runs to infinity; at tau = alpha + 0.05, 0.4% of
+        # the tail's weight lies past the range cap
+        op = assemble(make_grid(1e-4, 1e4, 256, n), n, alpha)
+        got = tail_response(op, tau)
+        for i in (0, op.grid.count // 2, op.grid.count - 1):
+            assert got[i] == pytest.approx(tail_oracle(op, i, tau),
+                                           rel=1e-12, abs=0.0)
 
     def test_operator_state_bounded(self, op4):
         # every call uses the tables built at assembly; nothing is
@@ -616,7 +624,7 @@ class TestTailResponse:
 
         before = state()
         for tau in np.linspace(2.05, 20.0, 200):
-            tail_response(op4, float(tau), 1.0)
+            tail_response(op4, float(tau))
         assert state() == before
         near = op4.tail_kernel.shape[0]
         assert near <= math.log(1.0 / FAR_RATIO) / op4.grid.log_step + 1.0

@@ -8,8 +8,7 @@ import pytest
 
 from rieszlab import solver
 from rieszlab.errors import (CollapseError, NonConvergenceError,
-                             PreconditionError, TruncationWarning,
-                             ValidationError)
+                             PreconditionError, ValidationError)
 from rieszlab.exponents import Params, classify
 from rieszlab.grid import make_grid
 from rieszlab.riesz import RadialField, assemble, power_law_constant
@@ -25,15 +24,8 @@ CANONICAL_SETS = (((4, 2.0, 3.0, 3.0), 1e-6),
 #: Plain damped Picard (depth 0, damping 0.5) on the N=512 grid: sweeps
 #: and ``float.hex`` of the residuals.
 PLAIN_512 = ((60, "0x1.06a4ab2700000p-20", "0x1.06a4ab2900000p-20"),
-             (61, "0x1.6551a49600000p-21", "0x1.792b310000000p-21"),
-             (52, "0x1.884a77e100000p-18", "0x1.83b46fc980000p-18"))
-
-
-@pytest.fixture(autouse=True)
-def _quiet_truncation():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", TruncationWarning)
-        yield
+             (61, "0x1.6551a4a000000p-21", "0x1.792b310200000p-21"),
+             (52, "0x1.884e40dbc0000p-18", "0x1.83b818c400000p-18"))
 
 
 @pytest.fixture(scope="module")
@@ -62,10 +54,8 @@ def _bubble_deviation(pair):
 
 @pytest.fixture(scope="module")
 def bubble_pair():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", TruncationWarning)
-        grid = make_grid(1e-4, 1e4, 256, 4)
-        return solve_picard(Params(4, 2.0, 3.0, 3.0), grid=grid)
+    grid = make_grid(1e-4, 1e4, 256, 4)
+    return solve_picard(Params(4, 2.0, 3.0, 3.0), grid=grid)
 
 
 class TestSolveConfig:
