@@ -195,11 +195,20 @@ def kernel_ratio(rho, n, alpha):
     ``R = max(1, rho)``, is a polynomial of degree ``k - 1`` in ``t``
     (Newton's shell theorem ``|S^{n-1}| R^{2-n}`` at ``k = 1``); it is
     summed exactly, with no 2F1 call and no loss near the diagonal.
+    Where ``rho^2`` overflows (``rho`` above about 1.3e154) the kernel is
+    its leading term ``|S^{n-1}| rho^{alpha-n}`` to rounding.
     """
     rho = np.asarray(rho, dtype=float)
     if alpha % 2.0 == 0.0:
         return _terminating_kernel(rho, n, alpha)
-    lift = 1.0 + rho * rho
+    with np.errstate(over="ignore"):
+        lift = 1.0 + rho * rho
+    huge = np.isinf(lift)
+    if np.any(huge):
+        out = np.empty(rho.shape)
+        out[huge] = sphere_area(n) * rho[huge] ** (alpha - n)
+        out[~huge] = kernel_ratio(rho[~huge], n, alpha)
+        return out
     # 1 - w, computed stably: (1 - rho)(1 + rho)/(1 + rho^2), squared
     one_mw = np.square((1.0 - rho) * (1.0 + rho) / lift)
     return _hyp_kernel(lift, np.square(2.0 * rho / lift), one_mw, n, alpha)

@@ -266,6 +266,21 @@ class TestKernelStructure:
         with pytest.raises(ValidationError):
             angular_kernel(0.0, 0.0, 5, 2.0)
 
+    @pytest.mark.parametrize("rho", [1e160, 1e300])
+    @pytest.mark.parametrize("n, alpha", [(3, 0.8), (3, 2.5), (5, 3.5)])
+    def test_huge_ratio(self, n, alpha, rho):
+        # 1 + rho^2 overflows; the kernel is |S| rho^(alpha-n) to
+        # rounding (1.26e-79 at rho = 1e160, (3, 2.5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = kernel_ratio(np.array([2.0, rho]), n, alpha)
+            scalar = kernel_ratio(rho, n, alpha)
+        with mp.workdps(30):
+            want = float(sphere_area(n) * mp.mpf(rho) ** (alpha - n))
+        assert got[1] == pytest.approx(want, rel=1e-14, abs=0.0)
+        assert scalar == got[1] and np.ndim(scalar) == 0
+        assert got[0] == kernel_ratio(2.0, n, alpha)
+
     def test_zero_radius_finite(self):
         # kernel against the origin reduces to |S^{n-1}| r^(alpha-n)
         got = angular_kernel(2.0, 0.0, 5, 2.0)
