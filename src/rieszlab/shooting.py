@@ -136,7 +136,8 @@ def _taylor_start(params, config):
 
     Near the origin ``u = u0 - xi^q r^2/(2n) + O(r^4)`` (and symmetrically
     for ``v``), which steps over the coordinate singularity of the radial
-    Laplacian.
+    Laplacian.  A start that overflows, or where ``u`` or ``v`` is
+    already not positive, raises :class:`ValidationError`.
     """
     n = params.n
     r = config.r_start
@@ -152,6 +153,10 @@ def _taylor_start(params, config):
         raise ValidationError(
             "the origin profile overflows at r_start=%r for u0=%r, xi=%r"
             % (r, config.u0, config.xi))
+    if not (start[0] > 0.0 and start[2] > 0.0):
+        raise ValidationError(
+            "the origin profile is not positive at r_start=%r for u0=%r, "
+            "xi=%r; start nearer the origin" % (r, config.u0, config.xi))
     return start
 
 
@@ -293,8 +298,7 @@ def _scan(coefficients, start, config):
     evals = int(ode._integrator.iwork[16])
     r0, y0 = ode.last
     if code != 2 or not ode.t > r0:
-        # no crossing by r_end, a failure the sampled path may get past,
-        # or a start that is not positive
+        # no crossing by r_end, or a failure the sampled path may get past
         return None, evals
     # refine the crossing inside the step (r0, ode.t]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -324,7 +328,7 @@ def shoot(params, config=None, source_strength=1.0):
     ValidationError
         For ``alpha != 2``, a negative or non-finite
         ``source_strength``, or origin values whose Taylor start at
-        ``r_start`` overflows.
+        ``r_start`` overflows or is not positive.
     IntegrationError
         If the integration fails (an overflowing ``source_strength``
         among others); carries ``last_radius``.

@@ -175,6 +175,13 @@ class TestShoot:
         assert report["crossingRadius"] > 1.0
         assert (out_dir / "trajectory.csv").is_file()
 
+    def test_non_positive_origin_profile(self, capsys):
+        code, _, err = run(capsys, ["shoot", "--n", "5", "--alpha", "2",
+                                    "--p", "3", "--q", "3", "--u0", "1e-3",
+                                    "--xi", "10", "--r-start", "1"])
+        assert code == 2
+        assert "r_start" in err
+
     def test_bisect_reports_xi(self, tmp_path, capsys):
         out_dir = tmp_path / "bisected"
         code, _, _ = run(capsys, ["bisect", "--n", "5", "--alpha", "2",

@@ -51,6 +51,14 @@ class TestShoot:
         with pytest.raises(ValidationError, match="overflows"):
             shoot(PARAMS, ShotConfig(xi=1e100, r_start=1e10, r_end=1e11))
 
+    def test_non_positive_origin_profile(self):
+        # u0 - xi^q r^2/(2n) = 1e-3 - 0.1 at r_start = 1: refused, not
+        # classified from the log of a negative u
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="r_start=1.0"):
+                shoot(PARAMS, ShotConfig(u0=1e-3, xi=10.0, r_start=1.0))
+
     def test_zero_source_stays_constant(self):
         traj = shoot(PARAMS, ShotConfig(r_end=1e3), source_strength=0.0)
         assert traj.outcome is Outcome.INCONCLUSIVE
