@@ -1,5 +1,7 @@
 """Package surface: every exported name resolves, once."""
 
+import inspect
+
 import rieszlab
 
 
@@ -17,7 +19,8 @@ def test_deleted_names_are_gone():
     from rieszlab import errors, exponents, riesz, solver
 
     gone = {rieszlab: ("apply_with_tail", "integrability_thresholds",
-                       "slow_exponents", "AssemblyError"),
+                       "slow_exponents", "AssemblyError",
+                       "TruncationWarning"),
             errors: ("AssemblyError",),
             riesz: ("apply_with_tail", "_pair_cell_quadrature",
                     "_ADAPTIVE_BUDGET"),
@@ -28,3 +31,5 @@ def test_deleted_names_are_gone():
             assert not hasattr(module, name), (module.__name__, name)
             assert name not in rieszlab.__all__
     assert not hasattr(riesz.RadialField, "with_values")
+    for func in (riesz.tail_response, riesz.apply_extended):
+        assert "tail_log_power" not in inspect.signature(func).parameters
