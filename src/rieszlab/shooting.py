@@ -297,7 +297,7 @@ def _scan(coefficients, start, config):
     # IWORK(17) of DOP853 counts the right-hand-side evaluations
     evals = int(ode._integrator.iwork[16])
     r0, y0 = ode.last
-    if code != 2 or not ode.t > r0:
+    if code != 2:
         # no crossing by r_end, or a failure the sampled path may get past
         return None, evals
     # refine the crossing inside the step (r0, ode.t]
