@@ -73,9 +73,9 @@ quadrature in ``y = ln(s/r_max)`` over ``[0, ln TAIL_RANGE_CAP]`` (Q =
 336 nodes): assembly keeps the weighted kernel samples of the near
 rows, ``KernelOperator.tail_kernel``, about ``ln 2 / h`` x Q doubles,
 and factors the far rows into a ``count x J`` and a ``J x Q`` table.
-Past ``TAIL_RANGE_CAP * r_max`` every node is below 1e-6 of ``s``, so
-the kernel's leading series term is the rest of it, one closed-form
-number per call.  The response to a tail of any decay exponent is then
+Past ``TAIL_RANGE_CAP * r_max`` every node is below 1e-6 of ``s``, and
+the kernel's leading series term gives the rest of the integral in
+closed form, one number per call.  The response to a tail of any decay exponent is then
 ``O((count + Q) J + Q ln 2 / h)`` work, with no state kept per call.
 An assembly on 4096 nodes over eight decades samples the kernel about
 0.13M times, where sampling every pair, head and tail row would take
@@ -419,7 +419,9 @@ class RadialField:
         Decay exponent ``tau``: beyond ``r_max`` the profile is modeled
         as ``values[-1] * (s/r_max)^{-tau} * (ln s / ln r_max)^kappa``.
     tail_log_power : int
-        Logarithmic correction exponent ``kappa``, 0 or 1.
+        Logarithmic correction exponent ``kappa``, 0 or 1, read by
+        :func:`field_integral`; :func:`apply_extended` takes the pure
+        power law.
     """
 
     grid: RadialGrid
@@ -462,7 +464,8 @@ class KernelOperator:
     ``head_response`` is the bare response to the unit profile below
     ``rMin``.  :func:`tail_response` builds the response beyond ``rMax``
     on the fixed tail quadrature ``y_k = ln(s_k/rMax)`` from three
-    tables.  The last ``tail_kernel.shape[0]`` nodes, those with
+    tables, up to ``TAIL_RANGE_CAP * rMax``, and adds the rest in closed
+    form.  The last ``tail_kernel.shape[0]`` nodes, those with
     ``r_i/rMax > FAR_RATIO``, have a row of ``tail_kernel``:
     ``K(1, s_k/r_i)`` times the weight ``w_k``.  The first nodes factor
     through the kernel's J-term series: ``tail_series[i, l] = |S^{n-1}|
