@@ -15,13 +15,17 @@ order ``alpha`` (so for ``alpha = 2``, ``I_2 f`` solves ``-Delta u = f``).
 The kernel operator and :func:`angular_kernel` are kept bare; the
 normalization is applied by :func:`apply_extended`, so power-law and
 closed-form solution identities hold with their classical constants.
-:func:`kernel_ratio` evaluates ``K`` by its hypergeometric closed form;
-for ``alpha < 2`` it switches near the diagonal to one w -> 1 connection
-formula, which covers the finite cusp (``1 < alpha < 2``), the
-logarithmic one (``alpha == 1``) and the infinite one (``alpha < 1``).
-For even ``alpha = 2k`` the series terminates: ``K`` is ``max(r, s)^
-(alpha-n)`` times a polynomial of degree ``k - 1`` in ``(r_</r_>)^2``
-(Newton's shell theorem at ``k = 1``), summed exactly with no 2F1 call.
+:func:`kernel_ratio` evaluates ``K`` as one of two fixed polynomial
+sums, with no 2F1 routine.  Where ``r_</r_>`` is at most ``max(FAR_RATIO,
+1 - 1.5/n)`` it is the series in ``(r_</r_>)^2`` described below.
+Nearer the diagonal it is the w -> 1 connection formula of its
+hypergeometric closed form: two polynomials in ``1 - w`` and one power
+of it, with the terms that cancel near odd ``alpha`` paired.  That covers
+the finite cusp (``alpha > 1``), the logarithmic one (``alpha == 1``)
+and the infinite one (``alpha < 1``).  For even ``alpha = 2k`` the series
+terminates: ``K`` is ``max(r, s)^(alpha-n)`` times a polynomial of
+degree ``k - 1`` in ``(r_</r_>)^2`` (Newton's shell theorem at ``k =
+1``), summed exactly at every ratio.
 
 The operator's matrix is made of exact double-cell integrals
 
@@ -75,8 +79,9 @@ rows, ``KernelOperator.tail_kernel``, about ``ln 2 / h`` x Q doubles,
 and factors the far rows into a ``count x J`` and a ``J x Q`` table.
 Past ``TAIL_RANGE_CAP * r_max`` every node is below 1e-6 of ``s``, and
 the kernel's leading series term gives the rest of the integral in
-closed form, one number per call.  The response to a tail of any decay exponent is then
-``O((count + Q) J + Q ln 2 / h)`` work, with no state kept per call.
+closed form, one number per call.  The response to a tail of any decay
+exponent is then ``O((count + Q) J + Q ln 2 / h)`` work, with no state
+kept per call.
 An assembly on 4096 nodes over eight decades samples the kernel about
 0.13M times, where sampling every pair, head and tail row would take
 3.2M.
@@ -86,7 +91,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -102,18 +107,16 @@ TAIL_REMAINDER = 1e-8
 #: End of the tail quadrature, as a multiple of r_max; the tail response
 #: past it is taken in closed form (:func:`tail_response`).
 TAIL_RANGE_CAP = 1e6
-#: ``1 - w`` below which :func:`kernel_ratio` evaluates 2F1 by the
-#: connection formula for every ``alpha < 2`` (``|1 - rho|`` below ~0.1).
-#: Above 1e-4 it is needed too: for ``alpha -> 1`` scipy's 2F1 is off by
-#: up to 1e-3 there.
-CUSP_PATCH_RADIUS = 1e-2
-#: ``|alpha - 1|/2`` below which the connection formula is summed in the
-#: cancellation-free form of :func:`_near_log_2f1`.
-_NEAR_LOG_EXPONENT = 1e-2
 #: Largest ratio ``r_</r_>`` of two radii at which the kernel is taken
 #: from its series (:func:`_series_coefficients`) instead of sampled:
 #: there ``t = (r_</r_>)^2 <= 1/4`` and the series converges like 4^-l.
 FAR_RATIO = 0.5
+#: Width of the near zone of :func:`kernel_ratio` in dimension n: there
+#: ``r_</r_> > max(FAR_RATIO, 1 - _NEAR_WIDTH/n)`` (:func:`_near_seam`).
+_NEAR_WIDTH = 1.5
+#: Terms of the near-zone series generated before the trim to rounding at
+#: the seam (:func:`_near_coefficients`); at most 36 are kept.
+_NEAR_TERMS = 64
 #: Size of a series term, relative to the first, below which the sum
 #: stops: half an ulp of 1.
 _SERIES_CUT = 0.5 * np.finfo(float).eps
@@ -181,90 +184,248 @@ def power_law_constant(n, alpha, beta):
 def kernel_ratio(rho, n, alpha):
     """Bare angular kernel at unit radius, ``K(1, rho)``, vectorized.
 
-    Uses the closed hypergeometric form of the spherical average
+    The spherical average has the closed hypergeometric form
 
         K(1, rho) = |S^{n-1}| (1 + rho^2)^{(alpha-n)/2}
                     * 2F1(a, a + 1/2; n/2; w),
 
     with ``a = (n - alpha)/4`` and ``w = (2 rho / (1 + rho^2))^2``.  The
     value at ``rho = 1`` is finite only for ``alpha > 1``; it is +inf for
-    ``alpha <= 1``.
+    ``alpha <= 1``.  No 2F1 routine is called; the kernel is one of two
+    fixed polynomial sums, split at the ratio ``r_</r_> = max(FAR_RATIO,
+    1 - 1.5/n)`` of :func:`_near_seam`:
 
-    For even ``alpha = 2k`` the equivalent form in ``t = (r_</r_>)^2``,
-    ``|S^{n-1}| R^{alpha-n} 2F1((n-alpha)/2, 1-k; n/2; t)`` with
-    ``R = max(1, rho)``, is a polynomial of degree ``k - 1`` in ``t``
-    (Newton's shell theorem ``|S^{n-1}| R^{2-n}`` at ``k = 1``); it is
-    summed exactly, with no 2F1 call and no loss near the diagonal.
-    Where ``rho^2`` overflows (``rho`` above about 1.3e154) the kernel is
-    its leading term ``|S^{n-1}| rho^{alpha-n}`` to rounding.
+    - far, ``r_</r_>`` up to the seam: the series ``|S^{n-1}|
+      R^{alpha-n} sum_l c_l t^l`` in ``t = (r_</r_>)^2``, with ``R =
+      max(1, rho)`` and the ``c_l`` of :func:`_series_coefficients`, the
+      terms the far pairs, head and tail take;
+    - near, beyond the seam: the w -> 1 connection formula in ``x = 1 -
+      w``, formed from ``(1 - rho)(1 + rho)`` so it keeps its digits at
+      the diagonal, as two polynomials in ``x`` and one power of it
+      (:func:`_near_2f1`).  It covers the infinite cusp (``alpha < 1``),
+      the logarithmic one (``alpha = 1``) and the finite ones, and every
+      ``alpha`` at which the formula is degenerate (odd ``alpha``).
+
+    For even ``alpha = 2k`` the far series terminates: ``K`` is
+    ``|S^{n-1}| R^{alpha-n}`` times a polynomial of degree ``k - 1`` in
+    ``t`` (Newton's shell theorem ``|S^{n-1}| R^{2-n}`` at ``k = 1``),
+    summed exactly at every ``rho``.
+
+    Raises
+    ------
+    ValidationError
+        Unless ``0 < alpha < n``.
     """
+    if not 0.0 < alpha < n:
+        raise ValidationError("need 0 < alpha < n for the Riesz kernel")
     rho = np.asarray(rho, dtype=float)
     if alpha % 2.0 == 0.0:
         return _terminating_kernel(rho, n, alpha)
-    with np.errstate(over="ignore"):
+    seam = _near_seam(n)
+    near = (rho > seam) & (rho < 1.0 / seam)
+    out = np.empty(rho.shape)
+    if not np.all(near):
+        far = rho[~near]
+        big = np.maximum(1.0, far)
+        out[~near] = _far_kernel(big ** (alpha - n), np.square(
+            np.minimum(1.0, far) / big), n, alpha)
+    if np.any(near):
+        rho = rho[near]
         lift = 1.0 + rho * rho
-    huge = np.isinf(lift)
-    if np.any(huge):
-        out = np.empty(rho.shape)
-        out[huge] = sphere_area(n) * rho[huge] ** (alpha - n)
-        out[~huge] = kernel_ratio(rho[~huge], n, alpha)
-        return out
-    # 1 - w, computed stably: (1 - rho)(1 + rho)/(1 + rho^2), squared
-    one_mw = np.square((1.0 - rho) * (1.0 + rho) / lift)
-    return _hyp_kernel(lift, np.square(2.0 * rho / lift), one_mw, n, alpha)
-
-
-def _hyp_kernel(lift, w, one_mw, n, alpha):
-    """``|S^{n-1}| lift^{(alpha-n)/2} 2F1(a, a + 1/2; n/2; w)``, the closed
-    form of :func:`kernel_ratio` with ``lift = 1 + rho^2``, given ``w``
-    and ``one_mw = 1 - w`` computed apart, each to its own rounding.
-    """
-    a = 0.25 * (n - alpha)
-    if alpha < 2.0:
-        # Near the diagonal w -> 1 loses all precision in double
-        # arithmetic, and 2F1 with it: the kernel has a cusp
-        # ~ (1 - w)^{(alpha-1)/2}, infinite for alpha < 1 and logarithmic
-        # for alpha == 1.  Patch a neighborhood of rho = 1 with the w -> 1
-        # connection formula in 1 - w.
-        near = one_mw < CUSP_PATCH_RADIUS
-        w = np.where(near, 0.0, w)
-        hyp = special.hyp2f1(a, a + 0.5, 0.5 * n, w)
-        if np.any(near):
-            hyp = np.array(hyp)
-            hyp[near] = _cusp_2f1(np.asarray(one_mw)[near], n, alpha)
-    else:
-        hyp = special.hyp2f1(a, a + 0.5, 0.5 * n, w)
-    return sphere_area(n) * lift ** (0.5 * (alpha - n)) * hyp
+        out[near] = _near_kernel(
+            lift, np.square((1.0 - rho) * (1.0 + rho) / lift), n, alpha)
+    return out
 
 
 def _log_kernel(z, n, alpha):
     """``K(1, e^z)``, as :func:`kernel_ratio` but from the log-ratio ``z``.
 
-    For ``alpha < 2``, where the kernel has its cusp, ``1 - w =
-    tanh(z)^2``, ``w = 1/cosh(z)^2`` and ``1 + rho^2 = 2 e^z cosh(z)`` are
-    formed from ``z`` itself: ``rho = e^z`` rounds to 1 for ``|z|`` below
-    about 1e-16, where the cusp term of an ``alpha < 1`` kernel is still
-    finite and large.  Every other ``alpha`` takes ``kernel_ratio(e^z)``.
+    In the near zone ``1 - w = tanh(z)^2`` and ``1 + rho^2 = 2 e^z
+    cosh(z)`` are formed from ``z`` itself: ``rho = e^z`` rounds to 1 for
+    ``|z|`` below about 1e-16, where the cusp term of an ``alpha < 1``
+    kernel is still finite and large.  Even ``alpha`` takes
+    ``kernel_ratio(e^z)``, which has no cusp.
     """
     z = np.asarray(z, dtype=float)
-    if alpha >= 2.0:
+    if alpha % 2.0 == 0.0:
         return kernel_ratio(np.exp(z), n, alpha)
-    cosh = np.cosh(z)
-    return _hyp_kernel(2.0 * np.exp(z) * cosh, 1.0 / np.square(cosh),
-                       np.square(np.tanh(z)), n, alpha)
+    near = np.abs(z) < -math.log(_near_seam(n))
+    out = np.empty(z.shape)
+    if not np.all(near):
+        far = z[~near]
+        out[~near] = _far_kernel(np.exp((alpha - n) * np.maximum(far, 0.0)),
+                                 np.exp(-2.0 * np.abs(far)), n, alpha)
+    if np.any(near):
+        z = z[near]
+        out[near] = _near_kernel(2.0 * np.exp(z) * np.cosh(z),
+                                 np.square(np.tanh(z)), n, alpha)
+    return out
 
 
-def _series_coefficients(n, alpha):
+def _near_seam(n):
+    """Ratio ``r_</r_>`` where :func:`kernel_ratio` turns from the far
+    series to the near zone: ``max(FAR_RATIO, 1 - _NEAR_WIDTH/n)``.
+
+    The two terms of the near-zone formula each grow like ``e^{n x/2}``
+    and cancel, so the zone narrows like ``1/n``: ``x = 1 - w`` reaches
+    0.36 at n = 3, 0.056 at n = 7 and about ``(1.5/n)^2`` for large n.
+    The far series takes the rest with more terms: 22 to 26 at n = 3,
+    48 to 74 at n = 7 and 7 n to 11 n for large n.
+    """
+    return max(FAR_RATIO, 1.0 - _NEAR_WIDTH / n)
+
+
+def _far_kernel(scale, t, n, alpha):
+    """``|S^{n-1}| scale sum_l c_l t^l``: the far zone of
+    :func:`kernel_ratio`, with ``scale = R^{alpha-n}``."""
+    return sphere_area(n) * scale * _horner(
+        t, _series_coefficients(n, alpha, _near_seam(n)))
+
+
+def _near_kernel(lift, x, n, alpha):
+    """``|S^{n-1}| lift^{(alpha-n)/2} 2F1(a, a + 1/2; n/2; 1 - x)``: the
+    near zone of :func:`kernel_ratio`, with ``lift = 1 + rho^2``."""
+    return sphere_area(n) * lift ** (0.5 * (alpha - n)) * _near_2f1(
+        x, n, alpha)
+
+
+def _horner(x, coef):
+    """``sum_k coef[k] x^k`` by Horner's rule, in place."""
+    acc = np.full(x.shape, coef[-1])
+    for c in coef[-2::-1]:
+        acc *= x
+        acc += c
+    return acc
+
+
+def _near_2f1(x, n, alpha):
+    """``2F1(a, a + 1/2; n/2; 1 - x)`` for ``alpha`` not even and ``x``
+    from 0 to its value at :func:`_near_seam`.
+
+    With ``e = (alpha - 1)/2 = m + d``, ``m`` the nearest integer, the
+    w -> 1 connection formula (DLMF 15.8.4, and 15.8.10 at ``d = 0``) is
+
+        2F1 = P(x) + E(x) Q(x),    E(x) = (x^d - 1)/d  (ln x at d = 0),
+
+    with the polynomials ``P`` and ``Q`` of :func:`_near_coefficients`.
+    Nothing cancels as ``d -> 0``.  At ``x = 0`` (``rho = 1``) the value
+    is +inf for ``alpha <= 1``.
+    """
+    p, q, d, m = _near_coefficients(n, alpha)
+    # Q carries x^m: for m >= 1 its term is below rounding long before x
+    # reaches the smallest normal double, which keeps E finite at x = 0
+    x_pos = np.maximum(x, np.finfo(float).tiny) if m else x
+    with np.errstate(divide="ignore"):
+        spread = np.log(x_pos)
+        if d:
+            # x^d - 1 by expm1 where it is small, by the correctly rounded
+            # power where d ln x, and the rounding of ln x with it, is large
+            power = d * spread
+            spread = np.where(np.abs(power) < 1.0, np.expm1(power),
+                              x_pos ** d - 1.0) / d
+    return _horner(x, p) + spread * _horner(x, q)
+
+
+@lru_cache(maxsize=16)
+def _near_coefficients(n, alpha):
+    """The polynomials ``P`` and ``Q`` of :func:`_near_2f1`, trimmed.
+
+    In the connection formula for ``2F1(a, b; c; 1 - x)``, ``b = a +
+    1/2``, ``c = n/2``, ``e = c - a - b = m + d``, the regular series
+    term ``k = m + j`` and the cusp series term ``j`` both grow like
+    ``1/d`` and cancel.  Paired, they are ``K_k x^k (1 - e^{d g_k})/d``:
+
+        K_k = (-1)^m G(c)/(G(a+e)G(b+e) sinc d) (a)_k (b)_k
+              / (G(j+1-d) k!),
+        d g_k = d ln x + d s_k,
+        d s_k = ln[G(a+k+d)G(b+k+d)G(j+1-d)G(k+1)
+                   / (G(a+k)G(b+k)G(j+1)G(k+1+d))],
+
+    so ``p_k = -K_k s_k exprel(d s_k)`` and ``q_k = -K_k e^{d s_k}``.
+    ``s_k`` is the sum of four slopes of ``ln G`` (:func:`_lgamma_slope`)
+    at ``k = m`` and of slopes of ``ln`` (:func:`_log_slope`) from there
+    on, so it keeps its digits at ``d = 0`` too.  The regular terms
+    ``k < m`` are not degenerate: ``p_k = G(c)G(e)/(G(a+e)G(b+e)) (a)_k
+    (b)_k / ((1-e)_k k!)``, ``q_k = 0``.  Both polynomials stop after
+    their last term above rounding at the seam of :func:`_near_seam`.
+
+    Returns ``(p, q, d, m)``, the arrays read-only: the last few
+    ``(n, alpha)`` are kept, since every kernel call of one assembly
+    needs the same ones.
+    """
+    a = 0.25 * (n - alpha)
+    b = a + 0.5
+    c = 0.5 * n
+    e = 0.5 * (alpha - 1.0)
+    m = math.floor(e + 0.5)
+    d = e - m
+    k = np.arange(m, m + _NEAR_TERMS, dtype=float)
+    j = k - m
+    lead = ((-1) ** m * math.gamma(c) * special.poch(a, m)
+            * special.poch(b, m)
+            / (math.gamma(a + e) * math.gamma(b + e) * np.sinc(d)
+               * math.gamma(1.0 - d) * math.factorial(m)))
+    pair = lead * np.cumprod(np.concatenate(
+        ([1.0], (a + k[:-1]) * (b + k[:-1]) / ((j[1:] - d) * k[1:]))))
+    slope = np.cumsum(np.concatenate((
+        [_lgamma_slope(a + m, d) + _lgamma_slope(b + m, d)
+         - _lgamma_slope(1.0, -d) - _lgamma_slope(m + 1.0, d)],
+        (_log_slope(a + k, d) + _log_slope(b + k, d)
+         - _log_slope(j + 1.0, -d) - _log_slope(k + 1.0, d))[:-1])))
+    p = -pair * slope * special.exprel(d * slope)
+    q = -pair * np.exp(d * slope)
+    if m:
+        i = np.arange(m - 1.0)
+        regular = np.cumprod(np.concatenate(
+            ([1.0], (a + i) * (b + i) / ((1.0 - e + i) * (i + 1.0)))))
+        p = np.concatenate((math.gamma(c) * math.gamma(e) * regular
+                            / (math.gamma(a + e) * math.gamma(b + e)), p))
+        q = np.concatenate((np.zeros(m), q))
+    t = _near_seam(n) ** 2
+    edge = ((1.0 - t) / (1.0 + t)) ** 2
+    p, q = _trim(p, edge), _trim(q, edge)
+    p.flags.writeable = q.flags.writeable = False
+    return p, q, d, m
+
+
+def _trim(coef, x):
+    """``coef`` up to its last term above rounding at ``x``, relative to
+    the largest one."""
+    size = np.abs(coef) * x ** np.arange(coef.size)
+    return coef[:np.flatnonzero(size > _SERIES_CUT * size.max())[-1] + 1]
+
+
+def _log_slope(z, d):
+    """``ln(1 + d/z)/d``, the slope of ``ln`` from ``z`` to ``z + d``;
+    ``1/z`` at ``d = 0``."""
+    return np.log1p(d / z) / d if d else 1.0 / z
+
+
+def _lgamma_slope(z, d):
+    """``(ln G(z + d) - ln G(z))/d`` for ``z > 0``, ``z + d > 0``, ``|d|
+    <= 1/2``; ``psi(z)`` at ``d = 0``.
+
+    Moved up by 8 with :func:`_log_slope`, where the Taylor series in
+    ``d`` of the polygamma functions converges like ``(d/(z + 8))^i``:
+    16 orders reach rounding.
+    """
+    i = np.arange(16)
+    taylor = np.dot(special.polygamma(i, z + 8.0),
+                    d ** i / np.cumprod(i + 1.0))
+    return taylor - np.sum(_log_slope(z + np.arange(8.0), d))
+
+
+def _series_coefficients(n, alpha, ratio=FAR_RATIO):
     """Coefficients ``c_l`` of the kernel's series in ``t = (r_</r_>)^2``.
 
     ``K(r, s) = |S^{n-1}| r_>^{alpha-n} sum_l c_l t^l`` with ``c_l =
     ((n-alpha)/2)_l (1-alpha/2)_l / ((n/2)_l l!)``, by their two-term
     recurrence.  For even ``alpha = 2k`` it stops by itself, ``c_k = 0``:
     the k terms are the whole kernel.  Otherwise the terms run up to the
-    first one below rounding at ``t = FAR_RATIO^2``, looked for only from
+    first one below rounding at ``t = ratio^2``, looked for only from
     ``l >= alpha/2 - 1`` on, where ``|c_l|`` no longer grows, so the
-    terms cut off sum to less than rounding too (20 to 27 terms for
-    ``alpha < 2`` and n = 3..7).
+    terms cut off sum to about rounding too (20 to 27 terms for ``alpha
+    < 2``, n = 3..7 and the default ``ratio = FAR_RATIO``).
     """
     a, b, c = 0.5 * (n - alpha), 1.0 - 0.5 * alpha, 0.5 * n
     even = alpha % 2.0 == 0.0
@@ -273,7 +434,7 @@ def _series_coefficients(n, alpha):
     while True:
         nxt = coef[-1] * (a + j) * (b + j) / ((c + j) * (j + 1))
         j += 1
-        below = abs(nxt) * FAR_RATIO ** (2 * j) < _SERIES_CUT
+        below = abs(nxt) * ratio ** (2 * j) < _SERIES_CUT
         if nxt == 0.0 or (not even and j >= -b and below):
             return np.array(coef)
         coef.append(nxt)
@@ -292,75 +453,6 @@ def _terminating_kernel(rho, n, alpha):
     if coef.size > 1:
         poly = polyval(np.square(np.minimum(1.0, rho) / big), coef)
     return (sphere_area(n) * poly) * big ** (alpha - n)
-
-
-def _cusp_2f1(x, n, alpha):
-    """``2F1(a, a + 1/2; n/2; 1 - x)`` for small ``x`` and ``0 < alpha < 2``.
-
-    The w -> 1 connection formula with ``e = c - a - b = (alpha - 1)/2``
-    in ``(-1/2, 1/2)``, both series in ``x`` kept in full:
-
-        2F1 = G(c)G(e)/(G(c-a)G(c-b)) 2F1(a, b; 1-e; x)
-              + x^e G(c)G(-e)/(G(a)G(b)) 2F1(c-a, c-b; 1+e; x).
-
-    The cusp term ``x^e`` is infinite at ``x = 0`` (``rho = 1``) for
-    ``e < 0``; ``e = 0`` is the logarithmic limit of
-    :func:`_near_log_2f1`.
-    """
-    a = 0.25 * (n - alpha)
-    b = a + 0.5
-    c = 0.5 * n
-    e = 0.5 * (alpha - 1.0)
-    if abs(e) < _NEAR_LOG_EXPONENT:
-        return _near_log_2f1(x, a, b, c, e)
-    gc = math.gamma(c)
-    regular = (gc * math.gamma(e) / (math.gamma(c - a) * math.gamma(c - b))
-               * special.hyp2f1(a, b, 1.0 - e, x))
-    with np.errstate(divide="ignore"):
-        cusp = (gc * math.gamma(-e) / (math.gamma(a) * math.gamma(b))
-                * x ** e * special.hyp2f1(c - a, c - b, 1.0 + e, x))
-    return regular + cusp
-
-
-def _near_log_2f1(x, a, b, c, e, terms=12, order=8):
-    """The connection formula of :func:`_cusp_2f1` for small ``|e|``.
-
-    Its two terms grow like ``+-1/e`` and cancel, losing about
-    ``log10(1/(|e ln x|))`` digits.  Here they are paired term by term in
-    ``x``: with ``c - a = b + e`` and ``c - b = a + e`` the k-th pair is
-
-        G(c)/(G(a+e)G(b+e)) (a)_k (b)_k x^k / (k! G(k+1-e))
-        * G(e)G(1-e) * (-expm1(e g_k)),
-        e g_k = ln[G(a+k+e)G(b+k+e)G(k+1-e) x^e / (G(a+k)G(b+k)G(k+1+e))],
-
-    and ``g_k - ln x`` is summed from the Taylor series of the log-gamma
-    differences in ``e`` (polygamma), so nothing cancels.  With
-    ``G(e)G(1-e) = 1/(e sinc e)`` the last factor is
-    ``-g_k exprel(e g_k)/sinc(e)``, which is ``-g_k`` at ``e = 0``: the
-    logarithmic ``alpha == 1`` case needs no form of its own.  ``x`` is
-    below ``CUSP_PATCH_RADIUS``, so twelve terms in ``x`` and eight in
-    ``e`` reach rounding for ``|e| < _NEAR_LOG_EXPONENT``.  At ``x = 0``
-    only the k = 0 pair is left, ``1/e`` times its coefficient for
-    ``e > 0`` and +inf otherwise.
-    """
-    k = np.arange(terms, dtype=float)
-    # g_k - ln x, from the Taylor series of the log-gamma differences
-    shift = 0.0
-    for j in range(1, order + 1):
-        psi = special.polygamma(j - 1, a + k) + special.polygamma(j - 1, b + k)
-        if j % 2:
-            psi -= 2.0 * special.polygamma(j - 1, k + 1.0)
-        shift = shift + e ** (j - 1) / math.factorial(j) * psi
-    coef = (math.gamma(c) / (math.gamma(a + e) * math.gamma(b + e))
-            * special.poch(a, k) * special.poch(b, k)
-            / (special.factorial(k) * special.gamma(k + 1.0 - e)
-               * np.sinc(e)))
-    x = np.asarray(x, dtype=float)
-    on_cusp = x == 0.0
-    xs = np.where(on_cusp, 1.0, x)[..., None]
-    g = np.log(xs) + shift
-    pairs = -np.sum(coef * xs ** k * g * special.exprel(e * g), axis=-1)
-    return np.where(on_cusp, coef[0] / e if e > 0.0 else np.inf, pairs)
 
 
 def angular_kernel(r, s, n, alpha):

@@ -131,19 +131,20 @@ class Trajectory:
         return self.samples[:, 3]
 
 
-def _taylor_start(params, config):
-    """Exact quadratic origin profile at ``r_start``.
+def _taylor_start(params, config, s):
+    """Exact quadratic origin profile at ``r_start``, for source strength
+    ``s``.
 
-    Near the origin ``u = u0 - xi^q r^2/(2n) + O(r^4)`` (and symmetrically
-    for ``v``), which steps over the coordinate singularity of the radial
-    Laplacian.  A start that overflows, or where ``u`` or ``v`` is
-    already not positive, raises :class:`ValidationError`.
+    Near the origin ``u = u0 - s xi^q r^2/(2n) + O(r^4)`` (and
+    symmetrically for ``v``), which steps over the coordinate singularity
+    of the radial Laplacian.  A start that overflows, or where ``u`` or
+    ``v`` is already not positive, raises :class:`ValidationError`.
     """
     n = params.n
     r = config.r_start
     try:
-        su = config.xi ** params.q
-        sv = config.u0 ** params.p
+        su = s * config.xi ** params.q
+        sv = s * config.u0 ** params.p
     except OverflowError:
         su = sv = math.inf
     start = np.array([
@@ -208,7 +209,7 @@ def _sampled_shot(params, config, s):
     with np.errstate(over="ignore", invalid="ignore"):
         sol = solve_ivp(_rhs([params.n, params.p, params.q, s]),
                         (config.r_start, config.r_end),
-                        _taylor_start(params, config), method="DOP853",
+                        _taylor_start(params, config, s), method="DOP853",
                         t_eval=t_eval, events=(_u_zero, _v_zero),
                         **_TOLERANCES)
     if sol.status == -1:
@@ -328,10 +329,11 @@ def shoot(params, config=None, source_strength=1.0):
     ValidationError
         For ``alpha != 2``, a negative or non-finite
         ``source_strength``, or origin values whose Taylor start at
-        ``r_start`` overflows or is not positive.
+        ``r_start``, with that source strength, overflows or is not
+        positive.
     IntegrationError
-        If the integration fails (an overflowing ``source_strength``
-        among others); carries ``last_radius``.
+        If the integration fails (a source too strong for any step at
+        ``r_start``, among others); carries ``last_radius``.
     """
     if params.alpha != 2.0:
         raise ValidationError(
@@ -343,7 +345,7 @@ def shoot(params, config=None, source_strength=1.0):
     config = config or ShotConfig()
     s = source_strength
     crossing, evals = _scan([params.n, params.p, params.q, s],
-                            _taylor_start(params, config), config)
+                            _taylor_start(params, config, s), config)
     if crossing is None:
         traj = _sampled_shot(params, config, s)
         traj.rhs_evals += evals

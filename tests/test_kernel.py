@@ -18,9 +18,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rieszlab.errors import SingularKernelError, ValidationError
-from rieszlab.riesz import (CUSP_PATCH_RADIUS, FAR_RATIO,
-                            _series_coefficients, angular_kernel,
-                            kernel_ratio, power_law_constant,
+from rieszlab import riesz
+from rieszlab.grid import make_grid
+from rieszlab.riesz import (FAR_RATIO, _series_coefficients, angular_kernel,
+                            assemble, kernel_ratio, power_law_constant,
                             riesz_normalization, sphere_area)
 
 
@@ -113,20 +114,24 @@ class TestKernelValues:
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_patch_seam_continuity(self):
-        # values just inside and outside the near-diagonal patch agree
-        for s in (1.0 + 1e-4, 1.0 - 1e-4, 1.0 + 1e-8):
-            got = angular_kernel(1.0, s, 3, 0.8)
-            want = closed_form_oracle(1.0, s, 3, 0.8)
-            assert got == pytest.approx(want, rel=1e-7)
+        # at n = 3 kernel_ratio takes the far series up to rho = FAR_RATIO
+        # (and from 1/FAR_RATIO on) and the near-zone formula between; the
+        # quadrature reference and kernel_ratio agree with the closed
+        # form just inside and outside both seams
+        for seam in (FAR_RATIO, 1.0 / FAR_RATIO):
+            for s in seam * np.array([1.0 - 1e-4, 1.0 + 1e-4, 1.0 + 1e-8]):
+                want = closed_form_oracle(1.0, s, 3, 0.8)
+                assert angular_kernel(1.0, s, 3, 0.8) == pytest.approx(
+                    want, rel=1e-7)
+                assert kernel_ratio(s, 3, 0.8) == pytest.approx(
+                    want, rel=1e-13, abs=0.0)
 
 
 class TestKernelRatioNearDiagonal:
-    # one connection formula covers 1 - w < CUSP_PATCH_RADIUS for every
-    # alpha < 2; 0.9799/0.9801 and 1.0199/1.0201 straddle the switch to
-    # its cancellation-free sum at |alpha - 1| = 0.02, and 1 -+ 1e-12,
-    # 1 -+ 1e-9 sit where the two connection terms cancel; offsets 1e-3
-    # and 3e-2 are where scipy's 2F1 fails for alpha -> 1, and 0.1
-    # straddles the patch edge
+    # the near zone around rho = 1 is one connection formula in 1 - w
+    # for every alpha that is not even; alpha 0.9799 .. 1.0201 and
+    # 1 -+ 1e-12, 1 -+ 1e-9 sit where its two terms cancel, and offsets
+    # 1e-3 and 3e-2 are where scipy's 2F1 failed for alpha -> 1
     @pytest.mark.parametrize("offset", [1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4,
                                         1e-3, 3e-2, 0.1])
     @pytest.mark.parametrize("alpha", [
@@ -142,15 +147,19 @@ class TestKernelRatioNearDiagonal:
             assert np.max(np.abs(got / want - 1.0)) <= 1e-12
 
     def test_finite_cusp_patch_seam(self):
-        # every alpha < 2 switches to the connection formula at
-        # 1 - w = CUSP_PATCH_RADIUS, i.e. (1 - rho^2)/(1 + rho^2) = t;
-        # both sides match the oracle
-        for alpha in (0.55, 0.8, 1.0, 1.0 + 1e-9, 1.05, 1.5):
-            t = math.sqrt(CUSP_PATCH_RADIUS) * np.array([0.99, 1.01])
-            rho = np.sqrt((1.0 - t) / (1.0 + t))
-            got = kernel_ratio(rho, 4, alpha)
-            want = [closed_form_oracle(1.0, float(x), 4, alpha) for x in rho]
-            assert np.max(np.abs(got / want - 1.0)) <= 1e-12
+        # the near zone ends at r_</r_> = max(FAR_RATIO, 1 - 1.5/n), where
+        # the far series takes over; both sides match the oracle
+        for n in (3, 4, 7):
+            seam = riesz._near_seam(n)
+            rho = np.outer([seam, 1.0 / seam], [0.99, 1.01]).ravel()
+            for alpha in (0.55, 0.8, 1.0, 1.0 + 1e-9, 1.05, 1.5, 2.5, 3.0,
+                          3.5):
+                if alpha >= n:
+                    continue
+                got = kernel_ratio(rho, n, alpha)
+                want = [closed_form_oracle(1.0, float(x), n, alpha)
+                        for x in rho]
+                assert np.max(np.abs(got / want - 1.0)) <= 1e-12
 
     @pytest.mark.parametrize("alpha", [0.8, 0.99, 1.0, 1.001, 1.5])
     def test_on_diagonal(self, alpha):
@@ -166,11 +175,75 @@ class TestKernelRatioNearDiagonal:
                 assert got == pytest.approx(
                     closed_form_oracle(1.0, 1.0, n, alpha), rel=1e-12)
 
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, 4.0, 4.5])
+    def test_order_outside_domain(self, alpha):
+        # alpha = 0 would take the terminating series, which never ends
+        with pytest.raises(ValidationError, match="alpha"):
+            kernel_ratio(np.array([0.5, 1.5]), 4, alpha)
+
     def test_scalar_input(self):
         got = kernel_ratio(1.0 + 1e-8, 3, 1.2)
         assert np.ndim(got) == 0
         assert got == pytest.approx(
             closed_form_oracle(1.0, 1.0 + 1e-8, 3, 1.2), rel=1e-12)
+
+
+class TestKernelRatioWholeDomain:
+    # every alpha in (0, n) that is not even, on both sides of the
+    # near/far seam (at rho = 1/2 and 2 for n = 3), deep in the far zone,
+    # and at 1 -+ 10^-12 .. 10^-2, where scipy's 2F1 was off by up to
+    # 1.7e-10 (alpha = 2.5, n = 7) and 4.6e-13 (alpha = 3)
+    RHO = np.concatenate((
+        [1e-6, 1e-3, 0.1, 0.3, 0.5 * (1.0 - 1e-15), 0.5, 0.5 * (1.0 + 1e-15),
+         0.7, 1.4, 2.0 * (1.0 - 1e-15), 2.0, 2.0 * (1.0 + 1e-15), 3.0, 10.0,
+         1e3, 1e6],
+        1.0 - 10.0 ** np.arange(-12.0, -1.0),
+        1.0 + 10.0 ** np.arange(-12.0, -1.0)))
+
+    @pytest.mark.parametrize("n, alpha", [
+        (n, alpha) for n in range(3, 8)
+        for alpha in (0.3, 0.8, 0.99, 1.0, 1.01, 1.05, 1.5, 1.9, 2.5, 2.9,
+                      3.0, 3.1, 3.5, 4.5, 5.5)
+        if alpha < n] + [
+        # the near zone narrows like 1/n, where its two terms cancel
+        (n, alpha) for n in (9, 12, 20) for alpha in (0.3, 1.5, 3.0, 4.5)])
+    def test_against_closed_form(self, n, alpha):
+        seam = riesz._near_seam(n)
+        rho = np.concatenate((self.RHO, np.outer(
+            [seam, 1.0 / seam], [1.0 - 1e-15, 1.0, 1.0 + 1e-15]).ravel()))
+        got = kernel_ratio(rho, n, alpha)
+        want = [closed_form_oracle(1.0, float(x), n, alpha) for x in rho]
+        assert np.max(np.abs(got / want - 1.0)) <= 1e-13
+
+    @pytest.mark.parametrize("n, alpha", [(3, 0.8), (5, 2.5), (7, 3.0)])
+    def test_log_kernel(self, n, alpha):
+        # the cusp rule's kernel, formed from z = ln rho, on both zones
+        z = np.concatenate((np.log(self.RHO), [-1e-17, 3e-16]))
+        got = riesz._log_kernel(z, n, alpha)
+        with mp.workdps(50):
+            want = [closed_form_oracle(1.0, mp.exp(mp.mpf(float(x))), n,
+                                       alpha) for x in z]
+        assert np.max(np.abs(got / want - 1.0)) <= 1e-13
+
+    def test_no_2f1_routine_called(self, monkeypatch):
+        # the kernel is its own polynomial sums: an assembly and the
+        # alpha > 2 kernel run, with the same numbers, when scipy's 2F1
+        # is not there
+        g = make_grid(1e-4, 1e4, 512, 3)
+        rho = self.RHO
+        before = assemble(g, 3, 0.8), kernel_ratio(rho, 5, 2.5)
+
+        def refuse(*args):
+            raise AssertionError("scipy.special.hyp2f1 called")
+
+        monkeypatch.setattr(riesz.special, "hyp2f1", refuse)
+        after = assemble(g, 3, 0.8), kernel_ratio(rho, 5, 2.5)
+        for name in ("boundary", "band", "far_gather", "far_scatter",
+                     "far_carry", "head_response", "tail_kernel",
+                     "tail_series", "tail_moments"):
+            np.testing.assert_array_equal(getattr(after[0], name),
+                                          getattr(before[0], name))
+        np.testing.assert_array_equal(after[1], before[1])
 
 
 class TestKernelRatioEvenAlpha:

@@ -113,22 +113,46 @@ class TestShoot:
         with pytest.raises(ValidationError, match="source_strength"):
             shoot(PARAMS, ShotConfig(r_end=1e5), source_strength=bad)
 
-    @pytest.mark.parametrize("huge", [1e100, 1e308])
+    @pytest.mark.parametrize("huge", [1e30, 1e100, 1e308])
     def test_overflowing_source_strength(self, huge):
+        # u0 - s xi^q r_start^2/(2n) is negative at the default r_start
+        with pytest.raises(ValidationError, match="not positive"):
+            shoot(PARAMS, ShotConfig(r_end=1e5), source_strength=huge)
+        if huge < 1e200:
+            return
+        # near enough the origin the start stays positive, and no step of
+        # the integrator resolves the source
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(IntegrationError) as info:
-                shoot(PARAMS, ShotConfig(r_end=1e5), source_strength=huge)
-        assert info.value.last_radius == pytest.approx(1e-6)
+                shoot(PARAMS, ShotConfig(r_start=1e-200, r_end=1e5),
+                      source_strength=huge)
+        assert info.value.last_radius == 1e-200
 
-    def test_failed_scan_falls_back(self):
-        # the compiled scan finds no first step for this stiff start; the
-        # sampled path still sees u cross just past r_start
+    def test_source_strength_scales_the_start(self):
+        # u = u0 - s xi^q r^2/(2n): s = 9e12 leaves 1 - 0.9 at r_start =
+        # 1e-6 (n = 5), and u crosses just past it
+        start = shooting._taylor_start(PARAMS, ShotConfig(), 9e12)
+        assert start[0] == pytest.approx(0.1, rel=1e-12)
+        assert start[1] == pytest.approx(-1.8e6, rel=1e-15)
+        traj = shoot(PARAMS, ShotConfig(r_end=1e5), source_strength=9e12)
+        assert traj.outcome is Outcome.U_CROSSED
+        assert 1e-6 < traj.crossing_radius < 1.1e-6
+
+    def test_failed_scan_falls_back(self, monkeypatch):
+        # DOP853 refuses a safety factor of 1 or more, so the compiled scan
+        # fails before its first step; the sampled path classifies the
+        # shot as the scan does
+        config = ShotConfig(xi=1.25, r_end=1e5)
+        scanned = shoot(PARAMS, config)
+        integrator = shooting._scan_integrator()._integrator
+        monkeypatch.setattr(integrator, "safety", 2.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            traj = shoot(PARAMS, ShotConfig(r_end=1e5), source_strength=1e30)
+            traj = shoot(PARAMS, config)
         assert traj.outcome is Outcome.U_CROSSED
-        assert traj.crossing_radius == pytest.approx(1e-6, rel=1e-6)
+        assert traj.crossing_radius == pytest.approx(
+            scanned.crossing_radius, rel=1e-6)
 
     def test_scan_step_budget(self, monkeypatch):
         integrator = shooting._scan_integrator()._integrator
