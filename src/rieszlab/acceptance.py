@@ -46,8 +46,8 @@ from .solver import (Branch, SolveConfig, SolutionPair, singular_amplitudes,
 
 #: Parameter sets exercising the three fast-decay branches for ``v``
 #: (criterion 4).  The weakened set's sweep tolerance stays at 1e-5: its
-#: update and spread stall near 2.5e-6 at 512 nodes, with or without the
-#: tail past the range cap, so no tolerance below that is reached.
+#: update and spread stall near 2.5e-6 at 512 nodes, a floor the tail
+#: extension does not set, so no tolerance below that is reached.
 FAST_LIMIT_SETS = {
     "pure": (Params(n=4, alpha=2.0, p=3.0, q=3.0), 1e-6),
     "log": (Params(n=4, alpha=2.0, p=2.0, q=5.0), 1e-6),

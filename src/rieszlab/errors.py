@@ -86,6 +86,18 @@ class IntegrationError(NumericalError):
 
 
 class TruncationWarning(UserWarning):
-    """No longer emitted: the tail response past its quadrature range is
-    taken in closed form.  Kept only for the benchmark's import; remove
-    it at the next revision of ``bench/``."""
+    """No longer emitted: the tail response has no range cap to truncate
+    at.  Kept only for the benchmark's import; remove it at the next
+    revision of ``bench/``."""
+
+
+def whole_number(value, name):
+    """``value`` as an ``int``; :class:`ValidationError` unless it is a
+    finite number equal to an integer (not NaN, inf, a bool or a
+    string)."""
+    try:
+        if int(value) == value and not isinstance(value, bool):
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValidationError("%s must be a whole number, got %r" % (name, value))

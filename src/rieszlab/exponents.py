@@ -31,7 +31,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .errors import ValidationError
+from .errors import ValidationError, whole_number
 
 #: Relative tolerance used to detect equality in the critical condition.
 CRITICAL_RTOL = 1e-12
@@ -82,7 +82,7 @@ class Params:
     swapped: bool = False
 
     def __post_init__(self):
-        if int(self.n) != self.n or self.n < 3:
+        if whole_number(self.n, "dimension n") < 3:
             raise ValidationError(
                 "dimension must be an integer n >= 3, got n=%r" % (self.n,))
         object.__setattr__(self, "n", int(self.n))

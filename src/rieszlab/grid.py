@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, whole_number
 
 
 @dataclass(frozen=True)
@@ -104,11 +104,18 @@ def make_grid(r_min=1e-4, r_max=1e4, count=512, n=3):
         Number of log-spaced nodes (>= 16).
     n : int
         Space dimension for the quadrature measure ``s^{n-1} ds``.
+
+    Raises
+    ------
+    ValidationError
+        For endpoints out of order or not finite, for a ``count`` or
+        ``n`` that is not a whole number, and for too few nodes.
     """
     if not (0.0 < r_min < r_max < math.inf):
         raise ValidationError(
             "need 0 < r_min < r_max < inf, got r_min=%r, r_max=%r"
             % (r_min, r_max))
+    count, n = whole_number(count, "count"), whole_number(n, "dimension")
     if count < 16:
         raise ValidationError("grid needs at least 16 nodes, got %r" % count)
     if n < 1:
@@ -121,5 +128,5 @@ def make_grid(r_min=1e-4, r_max=1e4, count=512, n=3):
         mids = np.sqrt(nodes[:-1] * nodes[1:])
     edges = np.concatenate(([r_min], mids, [r_max]))
     weights = _cell_weights(edges, n)
-    return RadialGrid(r_min=float(r_min), r_max=float(r_max), count=int(count),
-                      n=int(n), nodes=nodes, edges=edges, weights=weights)
+    return RadialGrid(r_min=float(r_min), r_max=float(r_max), count=count,
+                      n=n, nodes=nodes, edges=edges, weights=weights)

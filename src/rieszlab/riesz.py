@@ -23,9 +23,9 @@ hypergeometric closed form: two polynomials in ``1 - w`` and one power
 of it, with the terms that cancel near odd ``alpha`` paired.  That covers
 the finite cusp (``alpha > 1``), the logarithmic one (``alpha == 1``)
 and the infinite one (``alpha < 1``).  For even ``alpha = 2k`` the series
-terminates: ``K`` is ``max(r, s)^(alpha-n)`` times a polynomial of
-degree ``k - 1`` in ``(r_</r_>)^2`` (Newton's shell theorem at ``k =
-1``), summed exactly at every ratio.
+terminates, and it is the whole kernel at every ratio: ``max(r,
+s)^(alpha-n)`` times a polynomial of degree ``k - 1`` in ``(r_</r_>)^2``
+(Newton's shell theorem at ``k = 1``).
 
 The operator's matrix is made of exact double-cell integrals
 
@@ -54,8 +54,8 @@ themselves) take one fixed rule in one more call (:func:`_cusp_rule`):
 innermost panel of weight ``|z|^{alpha-1}``.  Its kernel samples are
 formed from the log-ratio ``z`` (:func:`_log_kernel`), since ``e^z``
 rounds to 1 on the innermost panels.  No adaptive quadrature is left.
-For even ``alpha`` the series is the whole kernel, and every interior
-pair of distinct cells takes it.
+For even ``alpha`` every pair of distinct cells takes the series
+(:func:`_series_ratio`), and only the three cusp pairs are sampled.
 
 No ``count x count`` array is formed.  The interior pairs below the
 first far offset D, about ``ln 2 / h`` (D = 1 for even ``alpha``), are
@@ -70,20 +70,17 @@ from the apply on first use, for tests and small grids.  Grids above
 ``MAX_DENSE_COUNT`` nodes are refused before anything is allocated.
 
 The responses to the constant head below ``r_min`` and to the
-power-law tail model beyond ``r_max`` take the series too, except at
-the nodes within a factor 2 of the domain end.  The head is then one
-closed form per node.  The tail is integrated on a fixed graded
-quadrature in ``y = ln(s/r_max)`` over ``[0, ln TAIL_RANGE_CAP]`` (Q =
-336 nodes): assembly keeps the weighted kernel samples of the near
-rows, ``KernelOperator.tail_kernel``, about ``ln 2 / h`` x Q doubles,
-and factors the far rows into a ``count x J`` and a ``J x Q`` table.
-Past ``TAIL_RANGE_CAP * r_max`` every node is below 1e-6 of ``s``, and
-the kernel's leading series term gives the rest of the integral in
-closed form, one number per call.  The response to a tail of any decay
-exponent is then ``O((count + Q) J + Q ln 2 / h)`` work, with no state
-kept per call.
-An assembly on 4096 nodes over eight decades samples the kernel about
-0.13M times, where sampling every pair, head and tail row would take
+power-law tail model beyond ``r_max`` follow one rule at both ends.
+Where ``r_</r_> <= FAR_RATIO`` the series integrates in closed form:
+over the whole extension for a node more than a factor 2 from the end,
+and from a factor 2 past the end for the nodes within it.  Only those,
+about ``ln 2 / h`` nodes, add the factor-2 stretch by quadrature, on
+one mesh graded toward the end (``_END_NODES``, Q = 156); the end node
+itself takes the cusp rule.  For even ``alpha`` nothing is sampled.  A
+tail of any decay exponent then costs ``O(count J + Q ln 2 / h)``, with
+no state kept per call.  An assembly on 4096 nodes over eight decades
+samples the kernel about 85k times at ``alpha = 0.8`` and 1764 times at
+``alpha = 2``, where sampling every pair, head and tail row would take
 3.2M.
 """
 
@@ -104,9 +101,6 @@ from .grid import RadialGrid
 #: Relative remainder at which :func:`field_integral` cuts a
 #: log-corrected tail.
 TAIL_REMAINDER = 1e-8
-#: End of the tail quadrature, as a multiple of r_max; the tail response
-#: past it is taken in closed form (:func:`tail_response`).
-TAIL_RANGE_CAP = 1e6
 #: Largest ratio ``r_</r_>`` of two radii at which the kernel is taken
 #: from its series (:func:`_series_coefficients`) instead of sampled:
 #: there ``t = (r_</r_>)^2 <= 1/4`` and the series converges like 4^-l.
@@ -121,10 +115,11 @@ _NEAR_TERMS = 64
 #: stops: half an ulp of 1.
 _SERIES_CUT = 0.5 * np.finfo(float).eps
 #: Grid nodes whose tail kernel rows are sampled in one ``kernel_ratio``
-#: call; bounds the transient arrays of the build to about a MB each.
+#: call; bounds the transient arrays of the build to a few hundred kB
+#: each.
 _TAIL_BUILD_ROWS = 256
 #: Cell pairs integrated in one ``kernel_ratio`` call by
-#: :func:`_pair_integrals`; at 72 samples a pair, under a MB per array.
+#: :func:`_near_pairs`; at 72 samples a pair, under a MB per array.
 _PAIR_BLOCK_ROWS = 1024
 #: Halvings toward the cusp of :func:`_cusp_rule`: its innermost panel
 #: is 3.6e-15 of the interval, and 64 levels move no cusp pair by more
@@ -206,10 +201,10 @@ def kernel_ratio(rho, n, alpha):
       the logarithmic one (``alpha = 1``) and the finite ones, and every
       ``alpha`` at which the formula is degenerate (odd ``alpha``).
 
-    For even ``alpha = 2k`` the far series terminates: ``K`` is
-    ``|S^{n-1}| R^{alpha-n}`` times a polynomial of degree ``k - 1`` in
-    ``t`` (Newton's shell theorem ``|S^{n-1}| R^{2-n}`` at ``k = 1``),
-    summed exactly at every ``rho``.
+    For even ``alpha = 2k`` there is no near zone: the far series
+    terminates, ``|S^{n-1}| R^{alpha-n}`` times a polynomial of degree
+    ``k - 1`` in ``t`` (Newton's shell theorem at ``k = 1``), and is
+    exact at every ``rho``.
 
     Raises
     ------
@@ -219,9 +214,7 @@ def kernel_ratio(rho, n, alpha):
     if not 0.0 < alpha < n:
         raise ValidationError("need 0 < alpha < n for the Riesz kernel")
     rho = np.asarray(rho, dtype=float)
-    if alpha % 2.0 == 0.0:
-        return _terminating_kernel(rho, n, alpha)
-    seam = _near_seam(n)
+    seam = max(_series_ratio(alpha), _near_seam(n))
     near = (rho > seam) & (rho < 1.0 / seam)
     out = np.empty(rho.shape)
     if not np.all(near):
@@ -243,13 +236,11 @@ def _log_kernel(z, n, alpha):
     In the near zone ``1 - w = tanh(z)^2`` and ``1 + rho^2 = 2 e^z
     cosh(z)`` are formed from ``z`` itself: ``rho = e^z`` rounds to 1 for
     ``|z|`` below about 1e-16, where the cusp term of an ``alpha < 1``
-    kernel is still finite and large.  Even ``alpha`` takes
-    ``kernel_ratio(e^z)``, which has no cusp.
+    kernel is still finite and large.  Even ``alpha`` has no near zone:
+    the far series is the whole kernel at every ``z``.
     """
     z = np.asarray(z, dtype=float)
-    if alpha % 2.0 == 0.0:
-        return kernel_ratio(np.exp(z), n, alpha)
-    near = np.abs(z) < -math.log(_near_seam(n))
+    near = np.abs(z) < -math.log(max(_series_ratio(alpha), _near_seam(n)))
     out = np.empty(z.shape)
     if not np.all(near):
         far = z[~near]
@@ -260,6 +251,14 @@ def _log_kernel(z, n, alpha):
         out[near] = _near_kernel(2.0 * np.exp(z) * np.cosh(z),
                                  np.square(np.tanh(z)), n, alpha)
     return out
+
+
+def _series_ratio(alpha):
+    """Largest ratio ``r_</r_>`` at which the kernel is its series
+    (:func:`_series_coefficients`) wherever it is used: ``FAR_RATIO``,
+    or 1 for even ``alpha = 2k``, where the k terms are the whole kernel
+    and nothing is sampled but the cells across the cusp."""
+    return 1.0 if alpha % 2.0 == 0.0 else FAR_RATIO
 
 
 def _near_seam(n):
@@ -420,39 +419,24 @@ def _series_coefficients(n, alpha, ratio=FAR_RATIO):
 
     ``K(r, s) = |S^{n-1}| r_>^{alpha-n} sum_l c_l t^l`` with ``c_l =
     ((n-alpha)/2)_l (1-alpha/2)_l / ((n/2)_l l!)``, by their two-term
-    recurrence.  For even ``alpha = 2k`` it stops by itself, ``c_k = 0``:
-    the k terms are the whole kernel.  Otherwise the terms run up to the
-    first one below rounding at ``t = ratio^2``, looked for only from
-    ``l >= alpha/2 - 1`` on, where ``|c_l|`` no longer grows, so the
-    terms cut off sum to about rounding too (20 to 27 terms for ``alpha
-    < 2``, n = 3..7 and the default ``ratio = FAR_RATIO``).
+    recurrence.  The terms run up to the first one below rounding at
+    ``t = ratio^2``, looked for only from ``l > alpha/2 - 1`` on, where
+    ``|c_l|`` no longer grows, so the terms cut off sum to about rounding
+    too (20 to 27 terms for ``alpha < 2``, n = 3..7 and the default
+    ``ratio = FAR_RATIO``).  For even ``alpha = 2k`` that first ``l`` is
+    k, where the series stops by itself, ``c_k = 0``: the k terms are
+    the whole kernel.
     """
     a, b, c = 0.5 * (n - alpha), 1.0 - 0.5 * alpha, 0.5 * n
-    even = alpha % 2.0 == 0.0
     coef = [1.0]
     j = 0
     while True:
         nxt = coef[-1] * (a + j) * (b + j) / ((c + j) * (j + 1))
         j += 1
         below = abs(nxt) * ratio ** (2 * j) < _SERIES_CUT
-        if nxt == 0.0 or (not even and j >= -b and below):
+        if nxt == 0.0 or (j > -b and below):
             return np.array(coef)
         coef.append(nxt)
-
-
-def _terminating_kernel(rho, n, alpha):
-    """``K(1, rho)`` for even ``alpha = 2k``: the terminating 2F1 series.
-
-    ``|S^{n-1}| R^{alpha-n} sum_{l<k} c_l t^l`` with ``R = max(1, rho)``,
-    ``t = (min(1, rho)/R)^2`` and the ``c_l`` of
-    :func:`_series_coefficients`, summed by Horner's rule.
-    """
-    coef = _series_coefficients(n, alpha)
-    big = np.maximum(1.0, rho)
-    poly = coef[0]
-    if coef.size > 1:
-        poly = polyval(np.square(np.minimum(1.0, rho) / big), coef)
-    return (sphere_area(n) * poly) * big ** (alpha - n)
 
 
 def angular_kernel(r, s, n, alpha):
@@ -531,6 +515,9 @@ class RadialField:
             raise ValidationError("field values must be finite and >= 0")
         if self.tail_log_power not in (0, 1):
             raise ValidationError("tail_log_power must be 0 or 1")
+        if not math.isfinite(self.tail_exponent):
+            raise ValidationError("tail_exponent must be finite, got %r"
+                                  % (self.tail_exponent,))
         object.__setattr__(self, "values", vals)
 
 
@@ -555,15 +542,13 @@ class KernelOperator:
 
     ``head_response`` is the bare response to the unit profile below
     ``rMin``.  :func:`tail_response` builds the response beyond ``rMax``
-    on the fixed tail quadrature ``y_k = ln(s_k/rMax)`` from three
-    tables, up to ``TAIL_RANGE_CAP * rMax``, and adds the rest in closed
-    form.  The last ``tail_kernel.shape[0]`` nodes, those with
-    ``r_i/rMax > FAR_RATIO``, have a row of ``tail_kernel``:
-    ``K(1, s_k/r_i)`` times the weight ``w_k``.  The first nodes factor
-    through the kernel's J-term series: ``tail_series[i, l] = |S^{n-1}|
-    rMax^alpha c_l (r_i/rMax)^{2l}``, one row per such node, and
-    ``tail_moments[l, k] = w_k e^{(alpha-n-2l) y_k}`` (J x Q).
-    The classical normalization is applied by :func:`apply_extended`.
+    from the tables of :func:`_tail_tables`: ``tail_series``, the
+    closed-form series part of every node (``count x J``);
+    ``tail_kernel``, the scaled kernel samples of the nodes within
+    ``1/FAR_RATIO`` of ``rMax`` on the shared end mesh, the last node
+    excepted; and ``tail_end``, the last node's samples on the cusp rule
+    (None, and ``tail_kernel`` empty, for even ``alpha``).  The
+    classical normalization is applied by :func:`apply_extended`.
     """
 
     grid: RadialGrid
@@ -576,9 +561,9 @@ class KernelOperator:
     far_scatter: np.ndarray = field(repr=False, default=None)
     far_carry: np.ndarray = field(repr=False, default=None)
     head_response: np.ndarray = field(repr=False, default=None)
-    tail_kernel: np.ndarray = field(repr=False, default=None)
     tail_series: np.ndarray = field(repr=False, default=None)
-    tail_moments: np.ndarray = field(repr=False, default=None)
+    tail_kernel: np.ndarray = field(repr=False, default=None)
+    tail_end: np.ndarray = field(repr=False, default=None)
 
     @property
     def normalization(self):
@@ -689,12 +674,11 @@ def _graded_breaks(lo, hi, toward_lo, levels=12):
     return np.concatenate((pts, [hi]))
 
 
-#: Fixed tail quadrature in ``y = ln(s/r_max)`` over ``[0, ln
-#: TAIL_RANGE_CAP]``: panels graded toward the kernel cusp at ``y = 0``
-#: on ``[0, 1]``, then uniform panels out to the cap.
-_TAIL_NODES, _TAIL_WEIGHTS = _gauss_panels(np.concatenate(
-    (_graded_breaks(0.0, 1.0, True),
-     np.linspace(1.0, math.log(TAIL_RANGE_CAP), 16)[1:])))
+#: Shared mesh of the sampled stretch at either domain end, in ``y =
+#: |ln(s/r_end)|`` over ``[0, ln(1/FAR_RATIO)]``: 13 panels halving
+#: toward the kernel cusp at ``y = 0``, 156 nodes.
+_END_NODES, _END_WEIGHTS = _gauss_panels(
+    _graded_breaks(0.0, -math.log(FAR_RATIO), True))
 
 
 def _overlap_weight(z, la, lb, lc, ld, npa):
@@ -757,6 +741,18 @@ def _cusp_rule(alpha):
             np.concatenate((half * wx * (1.0 + x) ** (1.0 - alpha), weights)))
 
 
+@lru_cache(maxsize=16)
+def _end_cusp_rule(alpha):
+    """:func:`_cusp_rule` on the end stretch ``[0, ln(1/FAR_RATIO)]``,
+    for the node at the domain end.  Read-only: the last few ``alpha``
+    are kept, since every :func:`tail_response` call of an operator
+    whose last node is sampled needs the nodes."""
+    u, wu = _cusp_rule(alpha)
+    y, wy = -math.log(FAR_RATIO) * u, -math.log(FAR_RATIO) * wu
+    y.flags.writeable = wy.flags.writeable = False
+    return y, wy
+
+
 def _cusp_pairs(cells, n, alpha):
     """Double-cell integrals of cells with themselves, across the cusp.
 
@@ -776,20 +772,29 @@ def _cusp_pairs(cells, n, alpha):
     return 2.0 * width[:, 0] * (vals @ wu)
 
 
-def _pair_integrals(cells, breaks, n, alpha):
-    """Double-cell integrals of many cell pairs on fixed Gauss panels.
+def _near_pairs(cells, n, alpha):
+    """Double-cell integrals of near cell pairs off the cusp, on fixed
+    Gauss panels.
 
-    ``cells`` is the ``4 x P`` array of log-cells ``(la, lb, lc, ld)``;
-    row ``k`` of ``breaks`` holds the panel breaks of pair ``k``'s window
-    ``[lc - lb, ld - la]``, which may end at the cusp ``z = 0`` but not
-    contain it.  Pairs are sampled ``_PAIR_BLOCK_ROWS`` at a time.
+    ``cells`` is the ``4 x P`` array of log-cells ``(la, lb, lc, ld)``.
+    A window ``[lc - lb, ld - la]`` that ends at the cusp ``z = 0``
+    takes panels graded toward it (:func:`_touching_breaks`), the others
+    six uniform panels.  Pairs are sampled ``_PAIR_BLOCK_ROWS`` at a
+    time.
     """
-    out = np.empty(breaks.shape[0])
-    for lo in range(0, out.size, _PAIR_BLOCK_ROWS):
-        rows = slice(lo, lo + _PAIR_BLOCK_ROWS)
-        z, wts = _gauss_panels(breaks[rows])
-        vals = _pair_integrand(z, *cells[:, rows, None], n, alpha)
-        out[rows] = np.sum(vals * wts, axis=-1)
+    zlo, zhi = cells[2] - cells[1], cells[3] - cells[0]
+    touch = (zlo == 0.0) | (zhi == 0.0)
+    out = np.empty(zlo.size)
+    for part, breaks in (
+            (~touch, zlo[~touch, None]
+             + (zhi - zlo)[~touch, None] * _UNIFORM_PANELS),
+            (touch, [_touching_breaks(*c) for c in cells[:, touch].T])):
+        part = np.flatnonzero(part)
+        for lo in range(0, part.size, _PAIR_BLOCK_ROWS):
+            rows = part[lo:lo + _PAIR_BLOCK_ROWS]
+            z, wts = _gauss_panels(breaks[lo:lo + _PAIR_BLOCK_ROWS])
+            vals = _pair_integrand(z, *cells[:, rows, None], n, alpha)
+            out[rows] = np.sum(vals * wts, axis=-1)
     return out
 
 
@@ -965,15 +970,13 @@ def assemble(grid, n, alpha):
     sums of cell moments (:func:`_far_pairs`): for the interior ones the
     operator keeps only the J terms at the first far offset D and their
     scale tables (:func:`_far_tables`), O(count J) numbers.  For even
-    ``alpha`` the series is exact for any two distinct cells, so D = 1
-    and the interior band is the diagonal alone.  The
-    off-cusp pairs of the near band, about ``3 ln 2 / h`` of them, are
-    fixed Gauss-panel sums, their kernel samples taken in a few large
-    ``kernel_ratio`` calls; the three windows ending at the cusp (offset
-    1 and the two touching boundary pairs) share one call on panels
-    graded toward it, and the three pairs straddling the cusp one more
-    on the fixed rule of :func:`_cusp_pairs`.  Nothing of size ``count x
-    count`` is allocated.  The construction is symmetric in the pair of
+    ``alpha`` the series is exact for any two distinct cells, so D = 1,
+    the interior band is the diagonal alone and the strips take the
+    series throughout.  The off-cusp pairs of the near band, about ``3 ln
+    2 / h`` of them, are fixed Gauss-panel sums (:func:`_near_pairs`),
+    and the three pairs straddling the cusp take the fixed rule of
+    :func:`_cusp_pairs`.  Nothing of size ``count x count`` is
+    allocated.  The construction is symmetric in the pair of
     cells, so the adjoint identity ``w_i M[i][j] = w_j M[j][i]`` holds to
     rounding.
 
@@ -1011,30 +1014,28 @@ def assemble(grid, n, alpha):
 
     # Full-width interior cells i, i+d give sym(i, i+d) = r_i^{n+alpha}
     # * fam[d], with fam[d] the pair (-h/2, h/2) x (dh - h/2, dh + h/2).
-    # Offsets 2 .. count-3 and the boundary strips, (0, j) for j = 2 ..
-    # count-2 and (count-1, j) for j = 0 .. count-3, are off the cusp.
-    # Pairs whose radii stay within FAR_RATIO of each other form the
-    # near band, offsets below D: one batch on uniform panels.  The rest
-    # take the series.  For alpha = 2k the series is the whole kernel,
-    # so every interior pair of distinct cells takes it: D = 1.
-    near_off = np.exp(-(np.arange(2, count - 2) - 1) * h) > FAR_RATIO
-    width = 1 if alpha % 2.0 == 0.0 else 2 + np.count_nonzero(near_off)
-    js0, jsl = np.arange(2, last), np.arange(last - 1)
-    near0 = edges[1] / edges[js0] > FAR_RATIO
-    nearl = edges[jsl + 1] / edges[last] > FAR_RATIO
+    # Pairs of distinct cells whose radii do not stay within the series
+    # ratio of each other form the near band: interior offsets 1 .. D-1
+    # and the strip pairs (0, j), j = 1 .. count-2, and (count-1, j), j
+    # = 0 .. count-2, that are near.  The rest take the series.  For
+    # alpha = 2k the series is the whole kernel and no pair is near: D =
+    # 1, and every strip pair takes the series.
+    ratio = _series_ratio(alpha)
+    width = 1 + np.count_nonzero(
+        np.exp(-(np.arange(1, count - 2) - 1) * h) > ratio)
+    js0, jsl = np.arange(1, last), np.arange(last)
+    near0 = edges[1] / edges[js0] > ratio
+    nearl = edges[jsl + 1] / edges[last] > ratio
 
-    dh = np.arange(2, width) * h
-    strips = np.concatenate((_pair_cells(edges, 0, js0[near0]),
-                             _pair_cells(edges, last, jsl[nearl])), axis=1)
+    dh = np.arange(1, width) * h
     cells = np.concatenate((np.array(np.broadcast_arrays(
-        -0.5 * h, 0.5 * h, dh - 0.5 * h, dh + 0.5 * h)), strips), axis=1)
-    zlo = np.concatenate((dh - h, strips[2] - strips[1]))
-    zhi = np.concatenate((dh + h, strips[3] - strips[0]))
-    breaks = zlo[:, None] + (zhi - zlo)[:, None] * _UNIFORM_PANELS
+        -0.5 * h, 0.5 * h, dh - 0.5 * h, dh + 0.5 * h)),
+        _pair_cells(edges, 0, js0[near0]),
+        _pair_cells(edges, last, jsl[nearl])), axis=1)
     band = np.empty(width)
     strip0, stripl = np.empty(js0.size), np.empty(jsl.size)
-    band[2:], band0, bandl = np.split(
-        _pair_integrals(cells, breaks, n, alpha),
+    band[1:], band0, bandl = np.split(
+        _near_pairs(cells, n, alpha),
         [dh.size, dh.size + np.count_nonzero(near0)])
     strip0[near0] = scale0 * band0
     stripl[nearl] = scalel * bandl
@@ -1058,16 +1059,6 @@ def assemble(grid, n, alpha):
     stripl[~nearl] = _far_pairs(edges[k + 1], widths[k], edges[last],
                                 widths[last], n, alpha)
 
-    # Windows ending at the cusp, on panels graded toward it: offset 1
-    # and the two touching boundary pairs.
-    touching = np.stack((_pair_cells(edges, 0, 1),
-                         _pair_cells(edges, last, last - 1),
-                         [-0.5 * h, 0.5 * h, 0.5 * h, 1.5 * h]),
-                        axis=1)[:, :1 + width]
-    touch0, touchl, *band[1:2] = _pair_integrals(
-        touching, np.array([_touching_breaks(*c) for c in touching.T]),
-        n, alpha)
-
     # Windows straddling the cusp: the offset-0 pair and the two
     # boundary cells with themselves, on the fixed cusp rule.
     band[0], diag0, diagl = _cusp_pairs(np.stack(
@@ -1075,95 +1066,96 @@ def assemble(grid, n, alpha):
          _pair_cells(edges, last, last)), axis=1), n, alpha)
 
     # Boundary rows; the corner pair is integrated once, as (count-1, 0).
-    rowl = np.concatenate((stripl, scalel * np.array([touchl, diagl])))
-    row0 = np.concatenate((scale0 * np.array([diag0, touch0]), strip0,
-                           rowl[:1]))
-    tail_kernel, tail_series, tail_moments = _tail_tables(grid, n, alpha)
+    rowl = np.append(stripl, scalel * diagl)
+    row0 = np.concatenate(([scale0 * diag0], strip0, rowl[:1]))
+    tail_series, tail_kernel, tail_end = _tail_tables(grid, n, alpha)
     return KernelOperator(grid=grid, alpha=alpha, n=n,
                           boundary=np.array([row0, rowl]), base=base,
                           band=band, far_gather=far_gather,
                           far_scatter=far_scatter, far_carry=far_carry,
                           head_response=_head_response(grid, n, alpha),
-                          tail_kernel=tail_kernel, tail_series=tail_series,
-                          tail_moments=tail_moments)
+                          tail_series=tail_series, tail_kernel=tail_kernel,
+                          tail_end=tail_end)
 
 
 def _head_response(grid, n, alpha):
     """Response at each node to the constant unit profile on (0, rMin).
 
-    ``H_i = int_0^{rMin} K(r_i, s) s^{n-1} ds``, bare.  Nodes with
-    ``r_min/r_i <= FAR_RATIO`` take the series term by term,
+    ``H_i = int_0^{rMin} K(r_i, s) s^{n-1} ds``, bare.  Below ``rho``
+    the kernel is its series, which integrates term by term to
 
-        H_i = |S^{n-1}| r_i^{alpha-n} r_min^n
-              * sum_l c_l/(2l+n) (r_min/r_i)^{2l},
+        |S^{n-1}| r_i^{alpha-n} sum_l c_l/(2l+n) rho^{2l+n} r_i^{-2l}:
 
-    with no quadrature.  For the nodes nearer ``r_min`` the substitution
-    ``s = rMin e^{-y}`` gives an integrand decaying like ``e^{-n y}``,
-    on a mesh graded toward ``y = 0``.  The ``i = 0`` node sees the
-    kernel cusp there; its first stretch takes :func:`_cusp_rule`, with
-    the kernel from :func:`_log_kernel` at ``z = -y``.
+    ``rho = rMin`` for the nodes ``r_i >= rMin/FAR_RATIO``.  The nodes
+    nearer take ``rho = FAR_RATIO rMin`` and add ``[rho, rMin]`` on the
+    end mesh in ``y = ln(rMin/s)``, node 0 on :func:`_end_cusp_rule`.
+    For even ``alpha`` no node is near.
     """
-    nodes = grid.nodes
-    near = np.count_nonzero(grid.r_min / nodes > FAR_RATIO)
+    nodes, r_min = grid.nodes, grid.r_min
+    near = np.count_nonzero(r_min / nodes > _series_ratio(alpha))
     coef = _series_coefficients(n, alpha)
-    far = nodes[near:]
-    out = np.empty(grid.count)
-    out[near:] = (sphere_area(n) * far ** (alpha - n) * grid.r_min ** n
-                  * polyval(np.square(grid.r_min / far),
-                            coef / (2.0 * np.arange(coef.size) + n)))
-
-    # Node 0 = r_min sits on the kernel cusp at y = 0: the cusp rule on
-    # the first stretch, its kernel taken from the log-ratio -y.  The
-    # other near nodes share one mesh graded toward y = 0.
-    y_max = 40.0 / n
-    stretch = min(2.0, y_max)
-    rest = np.linspace(stretch, y_max, 8)
-    ynodes, yweights = _gauss_panels(np.concatenate(
-        (_graded_breaks(0.0, stretch, True), rest[1:])))
-    s = grid.r_min * np.exp(-ynodes)
-    ratio = s[None, :] / nodes[1:near, None]
-    kv = kernel_ratio(ratio, n, alpha)
-    integrand = kv * (s ** n)[None, :]
-    out[1:near] = (nodes[1:near] ** (alpha - n)) * (integrand @ yweights)
-    u, wu = _cusp_rule(alpha)
-    rest_y, rest_w = _gauss_panels(rest)
-    y0 = np.concatenate((stretch * u, rest_y))
-    out[0] = grid.r_min ** alpha * np.dot(
-        _log_kernel(-y0, n, alpha) * np.exp(-n * y0),
-        np.concatenate((stretch * wu, rest_w)))
+    rho = np.full(grid.count, r_min)
+    rho[:near] *= FAR_RATIO
+    out = (sphere_area(n) * nodes ** (alpha - n) * rho ** n
+           * polyval(np.square(rho / nodes),
+                     coef / (2.0 * np.arange(coef.size) + n)))
+    if near:
+        s = r_min * np.exp(-_END_NODES)
+        kv = kernel_ratio(s[None, :] / nodes[1:near, None], n, alpha)
+        out[1:near] += nodes[1:near] ** (alpha - n) * (
+            kv @ (s ** n * _END_WEIGHTS))
+        y, wy = _end_cusp_rule(alpha)
+        out[0] += r_min ** alpha * np.dot(
+            _log_kernel(-y, n, alpha) * np.exp(-n * y), wy)
     return out
 
 
 def _tail_tables(grid, n, alpha):
-    """The tail quadrature, sampled near ``r_max`` and factored beyond.
+    """The tables of :func:`tail_response`: ``(series, kernel, end)``.
 
-    Returns ``(kernel, series, moments)``.  ``kernel`` has one row per
-    node with ``r_i/r_max > FAR_RATIO``, about ``ln 2 / h`` of them:
-    ``K(1, s_k/r_i) * w_k`` for ``s_k = r_max e^{y_k}``, sampled in
-    blocks so the transient arrays stay small.  The other nodes, the
-    first ``series.shape[0]``, take the series, which factors their rows
-    into ``series[i, l] = |S^{n-1}| r_max^alpha c_l (r_i/r_max)^{2l}``
-    and ``moments[l, k] = w_k e^{(alpha-n-2l) y_k}``.
+    Above ``k r_max`` the kernel is its series at every node, and the
+    tail ``(s/r_max)^{-tau}`` integrates term by term to
+
+        |S^{n-1}| r_max^alpha sum_l c_l (r_i/r_max)^{2l}
+                  k^{alpha-2l-tau} / (tau - alpha + 2l),
+
+    ``k = 1`` for ``r_i/r_max <= FAR_RATIO`` and ``k = 1/FAR_RATIO`` for
+    the last ``near`` nodes.  ``series`` holds the terms without
+    ``k^-tau``, ``count x J``.  The near nodes add ``[r_max, k r_max]``,
+    ``r_max^n r_i^{alpha-n} int K(1, r_max e^y/r_i) e^{(n-tau) y} dy``:
+    ``kernel`` holds the factor before the integral times the kernel
+    and the weight on the end mesh, one row per near node but the last,
+    and ``end`` the same for the last node on :func:`_end_cusp_rule`,
+    or None when no node is near (even ``alpha``).
     """
-    far = np.count_nonzero(grid.nodes / grid.r_max <= FAR_RATIO)
-    s = grid.r_max * np.exp(_TAIL_NODES)
-    near = grid.nodes[far:]
-    kernel = np.empty((near.size, s.size))
-    for lo in range(0, near.size, _TAIL_BUILD_ROWS):
-        rows = slice(lo, lo + _TAIL_BUILD_ROWS)
-        ratio = s[None, :] / near[rows, None]
-        kernel[rows] = kernel_ratio(ratio, n, alpha) * _TAIL_WEIGHTS
+    nodes, r_max = grid.nodes, grid.r_max
+    near = np.count_nonzero(nodes / r_max > _series_ratio(alpha))
     coef = _series_coefficients(n, alpha)
     l2 = 2.0 * np.arange(coef.size)
-    series = (sphere_area(n) * grid.r_max ** alpha * coef
-              * (grid.nodes[:far, None] / grid.r_max) ** l2)
-    moments = _TAIL_WEIGHTS * np.exp((alpha - n - l2)[:, None] * _TAIL_NODES)
-    return kernel, series, moments
+    series = (sphere_area(n) * r_max ** alpha * coef
+              * (nodes[:, None] / r_max) ** l2)
+    series[grid.count - near:] *= FAR_RATIO ** (l2 - alpha)
+    rows = nodes[grid.count - near:-1]
+    kernel = np.empty((rows.size, _END_NODES.size))
+    s = r_max * np.exp(_END_NODES)
+    for lo in range(0, rows.size, _TAIL_BUILD_ROWS):
+        block = slice(lo, lo + _TAIL_BUILD_ROWS)
+        kernel[block] = (rows[block, None] ** (alpha - n) * r_max ** n
+                         * kernel_ratio(s[None, :] / rows[block, None], n,
+                                        alpha) * _END_WEIGHTS)
+    end = None
+    if near:
+        y, wy = _end_cusp_rule(alpha)
+        end = r_max ** alpha * _log_kernel(y, n, alpha) * wy
+    return series, kernel, end
 
 
 def _check_tail(tail_exponent, alpha):
-    """Reject divergent tails: the tail integral converges only for
-    ``tail_exponent > alpha``."""
+    """Reject non-finite tail exponents and divergent tails: the tail
+    integral converges only for ``tail_exponent > alpha``."""
+    if not math.isfinite(tail_exponent):
+        raise ValidationError(
+            "tail exponent must be finite, got %r" % (tail_exponent,))
     if tail_exponent <= alpha:
         raise DivergentTailError(
             "tail extension diverges: tail exponent %r <= alpha %r"
@@ -1174,29 +1166,29 @@ def tail_response(op, tail_exponent):
     """Response at each node to the unit tail profile beyond ``r_max``.
 
     The tail model is ``(s/r_max)^{-tau}`` for ``s > r_max``; the caller
-    scales by the boundary value.  Up to ``X = TAIL_RANGE_CAP * r_max``
-    the profile is integrated on the fixed tail quadrature: against
-    ``op.tail_kernel`` at the nodes near ``r_max``, and through
-    ``op.tail_series @ (op.tail_moments @ profile)`` at the others.
-    Past ``X``, where ``r_i/s < 1e-6``, the kernel is its leading series
-    term ``|S^{n-1}| s^{alpha-n}``, and the rest of the integral is
+    scales by the boundary value.  The series part is one ``count x J``
+    product with ``1/(tau - alpha + 2l)``, times ``FAR_RATIO^tau`` at the
+    nodes within ``1/FAR_RATIO`` of ``r_max``, which add their sampled
+    stretch (:func:`_tail_tables`).  Each call costs a few small
+    matrix-vector products; the operator keeps no state per ``tau``.
 
-        |S^{n-1}| r_max^alpha TAIL_RANGE_CAP^{alpha-tau} / (tau - alpha)
-
-    at every node: exact for ``alpha = 2``, and within about ``1e-12
-    |c_1|`` of the remainder otherwise.  Each call costs a few small
-    matrix-vector products, and the operator keeps no state per ``tau``.
+    Raises
+    ------
+    ValidationError
+        For a non-finite ``tail_exponent``.
+    DivergentTailError
+        For ``tail_exponent <= alpha``.
     """
     _check_tail(tail_exponent, op.alpha)
-    grid = op.grid
-    profile = np.exp((float(grid.n) - tail_exponent) * _TAIL_NODES)
-    far = op.tail_series @ (op.tail_moments @ profile)
-    near = (grid.nodes[far.size:] ** (op.alpha - op.n)
-            * (op.tail_kernel @ profile) * grid.r_max ** op.n)
-    rest = (sphere_area(op.n) * grid.r_max ** op.alpha
-            * TAIL_RANGE_CAP ** (op.alpha - tail_exponent)
-            / (tail_exponent - op.alpha))
-    return np.concatenate((far, near)) + rest
+    out = op.tail_series @ (1.0 / (tail_exponent - op.alpha + 2.0
+                                   * np.arange(op.tail_series.shape[1])))
+    if op.tail_end is not None:
+        near = op.tail_kernel.shape[0] + 1
+        decay = op.n - tail_exponent
+        out[-near:] *= FAR_RATIO ** tail_exponent
+        out[-near:-1] += op.tail_kernel @ np.exp(decay * _END_NODES)
+        out[-1] += op.tail_end @ np.exp(decay * _end_cusp_rule(op.alpha)[0])
+    return out
 
 
 def apply_extended(op, values, tail_exponent):

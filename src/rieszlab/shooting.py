@@ -44,7 +44,8 @@ import numpy as np
 from scipy import integrate
 from scipy.integrate import solve_ivp
 
-from .errors import BracketError, IntegrationError, ValidationError
+from .errors import (BracketError, IntegrationError, ValidationError,
+                     whole_number)
 from .exponents import Params
 
 #: Samples recorded along a trajectory (log-spaced in radius).
@@ -402,7 +403,7 @@ def bisect_ground_state(params, lo, hi, config=None, iters=60,
     """
     if not 0.0 < lo < hi:
         raise ValidationError("need 0 < lo < hi for the bisection bracket")
-    if int(iters) != iters or iters < 0:
+    if whole_number(iters, "iters") < 0:
         raise ValidationError("iters must be a nonnegative integer")
     config = config or ShotConfig()
     shots = []

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,7 +37,7 @@ from scipy import optimize
 
 from .analysis import default_window
 from .errors import (CollapseError, NonConvergenceError, PreconditionError,
-                     ValidationError)
+                     ValidationError, whole_number)
 from .exponents import Params, Regime, classify
 from .grid import RadialGrid, make_grid
 from .riesz import (KernelOperator, RadialField, apply_extended, assemble,
@@ -90,16 +91,24 @@ class SolveConfig:
     normalize_at_origin: bool = True
 
     def __post_init__(self):
+        for name in ("damping", "tol"):
+            if not isinstance(getattr(self, name), numbers.Real):
+                raise ValidationError("%s must be a number, got %r"
+                                      % (name, getattr(self, name)))
         if not 0.0 < self.damping <= 1.0:
             raise ValidationError(
                 "damping must be in (0, 1], got %r" % (self.damping,))
-        if int(self.max_iters) != self.max_iters or self.max_iters < 0:
+        if whole_number(self.max_iters, "max_iters") < 0:
             raise ValidationError(
                 "max_iters must be a nonnegative integer, got %r"
                 % (self.max_iters,))
         if not (self.tol > 0.0 and math.isfinite(self.tol)):
             raise ValidationError("tol must be positive, got %r"
                                   % (self.tol,))
+        if not isinstance(self.normalize_at_origin, bool):
+            raise ValidationError("normalize_at_origin must be true or "
+                                  "false, got %r"
+                                  % (self.normalize_at_origin,))
         object.__setattr__(self, "max_iters", int(self.max_iters))
 
 

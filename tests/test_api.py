@@ -1,5 +1,6 @@
 """Package surface: every exported name resolves, once."""
 
+import dataclasses
 import inspect
 
 import rieszlab
@@ -23,7 +24,8 @@ def test_deleted_names_are_gone():
                        "TruncationWarning"),
             errors: ("AssemblyError",),
             riesz: ("apply_with_tail", "_pair_cell_quadrature",
-                    "_ADAPTIVE_BUDGET"),
+                    "_ADAPTIVE_BUDGET", "TAIL_RANGE_CAP",
+                    "_terminating_kernel"),
             exponents: ("integrability_thresholds",),
             solver: ("slow_exponents",)}
     for module, names in gone.items():
@@ -31,5 +33,7 @@ def test_deleted_names_are_gone():
             assert not hasattr(module, name), (module.__name__, name)
             assert name not in rieszlab.__all__
     assert not hasattr(riesz.RadialField, "with_values")
+    assert "tail_moments" not in {
+        f.name for f in dataclasses.fields(riesz.KernelOperator)}
     for func in (riesz.tail_response, riesz.apply_extended):
         assert "tail_log_power" not in inspect.signature(func).parameters

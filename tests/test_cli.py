@@ -150,6 +150,23 @@ class TestSolve:
         assert code == 2
         assert err.startswith("error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize("config", ['{"maxIters": NaN}',
+                                        '{"maxIters": 1e400}',
+                                        '{"damping": "0.5"}',
+                                        '{"maxIters": true}',
+                                        '{"normalizeAtOrigin": "false"}'])
+    def test_malformed_config_exits_2(self, tmp_path, capsys, config):
+        # a NaN or infinite (1e400) budget and a string damping raised a
+        # raw ValueError, OverflowError and TypeError; true ran one sweep
+        # and the string "false" switched the normalization on
+        path = tmp_path / "config.json"
+        path.write_text(config)
+        code, _, err = run(capsys, ["solve", "--n", "4", "--alpha", "2",
+                                    "--p", "3", "--q", "3", "--grid",
+                                    "1e-2:1e2:32", "--config", str(path)])
+        assert code == 2
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_solve_writes_fields(self, tmp_path, capsys):
         out_dir = tmp_path / "solved"
         code, _, _ = run(capsys, ["solve", "--n", "4", "--alpha", "2",

@@ -42,6 +42,12 @@ class TestConstruction:
             make_grid(1e-2, 1e2, 8, 3)
         with pytest.raises(ValidationError):
             make_grid(1e-2, 1e2, 32, 0)
+        # n = 3.5 gave a grid with n == 3 whose weights integrate s^2.5;
+        # count = 20.5 raised a raw TypeError
+        with pytest.raises(ValidationError, match="whole number"):
+            make_grid(1e-4, 1e4, 32, 3.5)
+        with pytest.raises(ValidationError, match="whole number"):
+            make_grid(1e-4, 1e4, 20.5, 3)
 
     def test_infinite_endpoint_rejected(self):
         # an infinite r_max would put NaN into the log-spaced nodes

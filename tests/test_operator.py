@@ -9,12 +9,14 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
+from rieszlab import riesz
 from rieszlab.errors import DivergentTailError, ValidationError
 from rieszlab.grid import make_grid
-from rieszlab.riesz import (_TAIL_NODES, _TAIL_WEIGHTS, FAR_RATIO,
-                            MAX_DENSE_COUNT, TAIL_RANGE_CAP, RadialField,
-                            _far_pairs, _head_response, _pair_cells,
-                            _pair_integrand, apply_extended, assemble,
+from rieszlab.riesz import (_END_NODES, _END_WEIGHTS, FAR_RATIO,
+                            MAX_DENSE_COUNT, RadialField, _cusp_rule,
+                            _far_pairs, _head_response, _log_kernel,
+                            _pair_cells, _pair_integrand,
+                            _series_coefficients, apply_extended, assemble,
                             field_integral, kernel_ratio, power_law_constant,
                             sphere_area, tail_response)
 
@@ -221,17 +223,32 @@ class TestNewtonOperator:
 
     @pytest.mark.parametrize("count", [512, 2048])
     def test_far_boundary_pairs_to_rounding(self, count):
-        # beyond the near band the boundary rows are products of cell
-        # moments on the float edges: no loss growing with |ln(r_j/r_i)|/h
+        # for alpha = 2 every boundary pair of distinct cells, the
+        # touching ones included, is a product of cell moments on the
+        # float edges: no loss growing with |ln(r_j/r_i)|/h, no samples
         grid = make_grid(1e-4, 1e4, count, 5)
         op = assemble(grid, 5, 2.0)
         e, last = grid.edges, count - 1
         cols = np.arange(count)
-        for i, far in ((0, e[1] / e[cols] <= FAR_RATIO),
-                       (last, e[cols + 1] / e[last] <= FAR_RATIO)):
-            want = [newton_pair(e, 5, i, j) for j in cols[far]]
-            np.testing.assert_allclose(grid.weights[i] * op.matrix[i, far],
-                                       want, rtol=4e-15, atol=0.0)
+        for i in (0, last):
+            off = cols != i
+            want = [newton_pair(e, 5, i, j) for j in cols[off]]
+            np.testing.assert_allclose(op.boundary[min(i, 1), off], want,
+                                       rtol=4e-15, atol=0.0)
+
+    @pytest.mark.parametrize("count", [64, 4096])
+    def test_even_alpha_samples_only_the_cusp_cells(self, count,
+                                                    monkeypatch):
+        # the k-term series is the whole kernel: the only samples are
+        # the cusp rule's, for the three cells taken with themselves
+        points = {"kernel_ratio": 0, "_log_kernel": 0}
+        for name in points:
+            def counted(z, n, alpha, _name=name, _inner=getattr(riesz, name)):
+                points[_name] += np.size(z)
+                return _inner(z, n, alpha)
+            monkeypatch.setattr(riesz, name, counted)
+        assemble(make_grid(1e-4, 1e4, count, 5), 5, 2.0)
+        assert points == {"kernel_ratio": 0, "_log_kernel": 3 * 588}
 
 
 def series_pair(lower, upper, n, alpha):
@@ -347,23 +364,31 @@ class TestFarField:
         grid = make_grid(1e-4, 1e4, 512, 5)
         want = sphere_area(5) * grid.nodes ** -3.0 * grid.r_min ** 5 / 5.0
         np.testing.assert_allclose(_head_response(grid, 5, 2.0), want,
-                                   rtol=1e-14, atol=0.0)
+                                   rtol=2e-15, atol=0.0)
 
     @pytest.mark.parametrize("n, alpha", [(3, 0.8), (4, 2.0), (5, 2.5)])
     def test_tail_against_full_table(self, n, alpha):
-        # the factored far rows reproduce the count x Q kernel table,
-        # plus the closed-form rest past the range cap
+        # every node, the far ones too: the count x Q kernel table of
+        # the end mesh on [r_max, 2 r_max] (the cusp rule at the last
+        # node), plus the series from 2 r_max on, summed term by term
         grid = make_grid(1e-4, 1e4, 256, n)
         op = assemble(grid, n, alpha)
-        s = grid.r_max * np.exp(_TAIL_NODES)
-        table = (kernel_ratio(s[None, :] / grid.nodes[:, None], n, alpha)
-                 * _TAIL_WEIGHTS)
+        r, r_max = grid.nodes, grid.r_max
+        s = r_max * np.exp(_END_NODES)
+        table = (kernel_ratio(s[None, :] / r[:-1, None], n, alpha)
+                 * _END_WEIGHTS)
+        u, wu = _cusp_rule(alpha)
+        y, wy = math.log(2.0) * u, math.log(2.0) * wu
+        coef = _series_coefficients(n, alpha)
+        l2 = 2.0 * np.arange(coef.size)
         for tau in (alpha + 0.3, 2.0 * alpha, 6.0, 18.0):
-            profile = np.exp((n - tau) * _TAIL_NODES)
-            rest = (sphere_area(n) * grid.r_max ** alpha
-                    * TAIL_RANGE_CAP ** (alpha - tau) / (tau - alpha))
-            want = (grid.nodes ** (alpha - n) * (table @ profile)
-                    * grid.r_max ** n + rest)
+            sampled = np.append(
+                table @ np.exp((n - tau) * _END_NODES),
+                (_log_kernel(y, n, alpha) * np.exp((n - tau) * y)) @ wy)
+            series = sphere_area(n) * r_max ** alpha * (
+                (r[:, None] / r_max) ** l2 * 2.0 ** (alpha - l2 - tau)
+                / (tau - alpha + l2)) @ coef
+            want = r ** (alpha - n) * sampled * r_max ** n + series
             np.testing.assert_allclose(tail_response(op, tau), want,
                                        rtol=1e-14, atol=0.0)
 
@@ -524,6 +549,14 @@ class TestExtensions:
         with pytest.raises(DivergentTailError):
             tail_response(op5, 1.9)   # tail exponent <= alpha diverges
 
+    @pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf])
+    def test_non_finite_tail_exponent_rejected(self, op5, tau):
+        # a NaN exponent gave NaN at every node
+        with pytest.raises(ValidationError):
+            tail_response(op5, tau)
+        with pytest.raises(ValidationError):
+            apply_extended(op5, np.ones(op5.grid.count), tau)
+
     @pytest.mark.parametrize("n", [4, 5])
     @pytest.mark.parametrize("tau", [2.05, 2.5, 3.0, 6.0, 18.0])
     def test_tail_newton_every_node(self, n, tau):
@@ -532,7 +565,7 @@ class TestExtensions:
         grid = make_grid(1e-4, 1e4, 256, n)
         got = tail_response(assemble(grid, n, 2.0), tau)
         want = sphere_area(n) * grid.r_max ** 2 / (tau - 2.0)
-        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(got, want, rtol=2e-15, atol=0.0)
 
     def test_slow_tail_reaches_infinity(self):
         # r^-2.5 at (4, 2) decays like r^-0.5; a cut at the range cap
@@ -552,7 +585,7 @@ def tail_oracle(op, i, tau):
     ln(s/r_max)``, where it is ``r_max^alpha g(rho) e^{(alpha-tau) y}``
     with ``rho = s/r_i`` and ``g(rho) = rho^(n-alpha) K(1, rho)``: split
     at ``ln 2``, so the kernel peak at ``y = 0`` is resolved apart, and
-    at ``ln TAIL_RANGE_CAP``, with the last piece running to infinity.
+    at ``ln 1e6``, with the last piece running to infinity.
     For ``rho >= 2``, ``g`` is ``|S| 2F1((n-alpha)/2, 1-alpha/2; n/2;
     rho^-2)``, which stays finite where ``rho^(n-alpha)`` overflows.
     """
@@ -568,7 +601,7 @@ def tail_oracle(op, i, tau):
                 0.5 * (n - alpha), 1.0 - 0.5 * alpha, 0.5 * n, rho ** -2.0)
         return grid.r_max ** alpha * g * math.exp((alpha - tau) * y)
 
-    cap = math.log(TAIL_RANGE_CAP)
+    cap = math.log(1e6)
     return sum(integrate.quad(integrand, lo, hi, epsabs=0.0, epsrel=1e-12,
                               limit=400)[0]
                for lo, hi in ((0.0, math.log(2.0)),
@@ -603,7 +636,7 @@ class TestHeadResponse:
 
 def check_tail_oracle(op, tau):
     got = tail_response(op, tau)
-    for i in (0, op.grid.count // 2, op.grid.count - 1):
+    for i in (0, op.grid.count // 2, op.grid.count - 2, op.grid.count - 1):
         assert got[i] == pytest.approx(tail_oracle(op, i, tau), rel=1e-12,
                                        abs=0.0)
 
@@ -617,26 +650,37 @@ class TestTailResponse:
 
     @pytest.mark.parametrize("tau", [2.55, 4.0, 6.0, 18.0])
     def test_non_even_alpha_against_adaptive_quadrature(self, tau):
-        # past the cap the kernel is its leading series term only to
-        # 1e-12 relative here
         check_tail_oracle(assemble(make_grid(1e-4, 1e4, 256, 5), 5, 2.5),
                           tau)
+
+    @pytest.mark.parametrize("n, alpha", [(3, 0.8), (4, 1.5)])
+    def test_last_node_on_the_cusp(self, n, alpha):
+        # node count-1 = r_max sees the kernel cusp at s = r_max, an
+        # infinite one for alpha < 1: the cusp rule resolves it
+        op = assemble(make_grid(1e-4, 1e4, 256, n), n, alpha)
+        for tau in (alpha + 0.05, 6.0, 18.0):
+            check_tail_oracle(op, tau)
 
     def test_operator_state_bounded(self, op4):
         # every call uses the tables built at assembly; nothing is
         # cached per tail exponent, and only the nodes within FAR_RATIO
-        # of r_max, about ln 2 / h of them, keep kernel samples
-        def state():
-            return {k: v.shape if isinstance(v, np.ndarray) else repr(v)
-                    for k, v in vars(op4).items()}
+        # of r_max, about ln 2 / h of them, keep kernel samples: none
+        # for even alpha
+        op3 = assemble(make_grid(1e-4, 1e4, 256, 3), 3, 0.8)
+        for op in (op4, op3):
+            def state():
+                return {k: v.shape if isinstance(v, np.ndarray) else repr(v)
+                        for k, v in vars(op).items()}
 
-        before = state()
-        for tau in np.linspace(2.05, 20.0, 200):
-            tail_response(op4, float(tau))
-        assert state() == before
-        near = op4.tail_kernel.shape[0]
-        assert near <= math.log(1.0 / FAR_RATIO) / op4.grid.log_step + 1.0
-        assert near + op4.tail_series.shape[0] == op4.grid.count
+            before = state()
+            for tau in np.linspace(op.alpha + 0.05, 20.0, 200):
+                tail_response(op, float(tau))
+            assert state() == before
+            near = op.tail_kernel.shape[0] + (op.tail_end is not None)
+            assert near <= math.log(1.0 / FAR_RATIO) / op.grid.log_step + 1.0
+            assert op.tail_series.shape[0] == op.grid.count
+        assert op4.tail_kernel.shape[0] == 0 and op4.tail_end is None
+        assert op3.tail_kernel.shape[0] > 0
 
 
 class TestFieldIntegral:
@@ -691,3 +735,7 @@ class TestRadialField:
             RadialField(grid, -np.ones(32))
         with pytest.raises(ValidationError):
             RadialField(grid, np.ones(32), tail_log_power=2)
+        # a NaN tail exponent gave a NaN field integral
+        for tau in (math.nan, math.inf):
+            with pytest.raises(ValidationError):
+                RadialField(grid, np.ones(32), tail_exponent=tau)

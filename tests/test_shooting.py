@@ -1,6 +1,7 @@
 """Radial ODE shooting and the ground-state bisection."""
 
 import gc
+import math
 import warnings
 
 import numpy as np
@@ -236,8 +237,10 @@ class TestBisection:
     def test_validation(self):
         with pytest.raises(ValidationError):
             bisect_ground_state(PARAMS, 2.0, 0.5)
-        with pytest.raises(ValidationError):
-            bisect_ground_state(PARAMS, 0.5, 2.0, iters=-1)
+        # int() of NaN and inf raised a raw ValueError and OverflowError
+        for iters in (-1, math.nan, math.inf):
+            with pytest.raises(ValidationError):
+                bisect_ground_state(PARAMS, 0.5, 2.0, iters=iters)
 
     def test_zero_iters_keeps_endpoints(self):
         calls = []
