@@ -22,10 +22,10 @@ potential form of a polyharmonic Lane-Emden system):
 - :mod:`rieszlab.acceptance` — end-to-end acceptance criteria.
 """
 
-from .errors import (BracketError, CollapseError, DegenerateFitError,
-                     DivergentTailError, IntegrationError,
-                     NonConvergenceError, NumericalError, PreconditionError,
-                     RieszLabError, SingularKernelError, ValidationError)
+from .errors import (BracketError, DegenerateFitError, DivergentTailError,
+                     IntegrationError, NonConvergenceError, NumericalError,
+                     PreconditionError, RieszLabError, SingularKernelError,
+                     ValidationError)
 from .exponents import (Params, Regime, RegimeReport, VFastCase, classify,
                         critical_q)
 from .grid import RadialGrid, make_grid
@@ -50,7 +50,7 @@ from .runio import (RunManifest, config_hash, dumps_json, make_manifest,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BisectionResult", "BracketError", "Branch", "CollapseError",
+    "BisectionResult", "BracketError", "Branch",
     "DecayFit", "DegenerateFitError", "DivergentTailError",
     "FastLimitReport", "IntegrationError", "KernelOperator",
     "NonConvergenceError", "NumericalError", "Outcome", "Params",

@@ -38,11 +38,11 @@ from . import analysis
 from .errors import ValidationError
 from .exponents import Params, critical_q, classify
 from .grid import make_grid
-from .riesz import (RadialField, angular_kernel, apply_extended, assemble,
+from .riesz import (angular_kernel, apply_extended, assemble,
                     riesz_normalization)
 from .shooting import ShotConfig, bisect_ground_state
-from .solver import (Branch, SolveConfig, SolutionPair, singular_amplitudes,
-                     singular_solution, solve_picard)
+from .solver import (SolveConfig, singular_amplitudes, singular_solution,
+                     solve_picard)
 
 #: Parameter sets exercising the three fast-decay branches for ``v``
 #: (criterion 4).  The weakened set's sweep tolerance stays at 1e-5: its
@@ -115,32 +115,15 @@ class Workspace:
 
         return self._memo(("fast", key, count), build)
 
-    def singular_pair(self, count):
+    def singular_pair(self, n, p, q, count):
+        """The singular pair at ``alpha = 2`` on the shared operator."""
+
         def build():
-            op = self.operator(5, 2.0, count)
-            return singular_solution(Params(n=5, alpha=2.0, p=3.0, q=3.0),
+            op = self.operator(n, 2.0, count)
+            return singular_solution(Params(n=n, alpha=2.0, p=p, q=q),
                                      op.grid, operator=op)
 
-        return self._memo(("singular-pair", count), build)
-
-    def singular_fields(self, n, alpha, p, q, count=512):
-        """Amplitude-constructed singular pair (no operator assembly)."""
-
-        def build():
-            params = Params(n=n, alpha=alpha, p=p, q=q)
-            grid = self.grid(n, count)
-            amp_u, amp_v = singular_amplitudes(params)
-            rep = classify(params)
-            th1, th2 = rep.slow_rate_u, rep.slow_rate_v
-            u = RadialField(grid, amp_u * grid.nodes ** (-th1),
-                            tail_exponent=th1)
-            v = RadialField(grid, amp_v * grid.nodes ** (-th2),
-                            tail_exponent=th2)
-            return SolutionPair(u=u, v=v, params=params, iterations=0,
-                                residual_u=0.0, residual_v=0.0,
-                                branch=Branch.SINGULAR)
-
-        return self._memo(("singular-fields", n, alpha, p, q, count), build)
+        return self._memo(("singular-pair", n, p, q, count), build)
 
     def ground_state(self):
         def build():
@@ -258,7 +241,7 @@ def _c_power_law(ws):
 
 
 def _c_singular_amplitude(ws):
-    pair = ws.singular_pair(512)
+    pair = ws.singular_pair(5, 3.0, 3.0, 512)
     amp_u, amp_v = singular_amplitudes(pair.params)
     dev = max(abs(amp_u / math.sqrt(2.0) - 1.0),
               abs(amp_v / math.sqrt(2.0) - 1.0))
@@ -319,7 +302,7 @@ def _envelope_sets(ws):
     sets.append(("bubble-6d-exact", params6, grid6.nodes, exact, exact, None))
 
     for n, p, q in ((5, 3.0, 3.0), (7, 3.0, 3.0), (6, 2.5, 2.5)):
-        spair = ws.singular_fields(n, 2.0, p, q)
+        spair = ws.singular_pair(n, p, q, 512)
         sets.append(("singular-%dd" % n, spair.params, spair.u.grid.nodes,
                      spair.u.values, spair.v.values, None))
 
@@ -426,8 +409,8 @@ def _c_self_convergence(ws):
 
     # criterion 3 measures: amplitude is closed-form (grid-free, delta
     # exactly 0); the interior residual must stay put
-    p512 = ws.singular_pair(512)
-    p1024 = ws.singular_pair(1024)
+    p512 = ws.singular_pair(5, 3.0, 3.0, 512)
+    p1024 = ws.singular_pair(5, 3.0, 3.0, 1024)
     r512 = max(p512.residual_u, p512.residual_v)
     r1024 = max(p1024.residual_u, p1024.residual_v)
     ratios.append(("singular-residual", abs(r512 - r1024) / 0.5e-3))

@@ -46,7 +46,6 @@ _SOLVE_KEYS = {
     "damping": "damping",
     "maxIters": "max_iters",
     "tol": "tol",
-    "normalizeAtOrigin": "normalize_at_origin",
 }
 
 

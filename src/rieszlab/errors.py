@@ -47,10 +47,6 @@ class NonConvergenceError(NumericalError):
         self.last_delta = last_delta
 
 
-class CollapseError(NumericalError):
-    """Iteration drifted to the trivial zero solution."""
-
-
 class BracketError(NumericalError):
     """Bisection endpoints do not separate two distinct shot outcomes."""
 

@@ -8,9 +8,9 @@ log grid.  Two branches:
   Anderson mixing (Walker & Ni, SIAM J. Numer. Anal. 49, 2011) on the
   log fields over the last ``ANDERSON_DEPTH`` sweeps.  The plain
   iteration has two quasi-null directions inherited from the scaling
-  family (overall amplitude and dilation); both are removed by
-  renormalizing each field at the first node every sweep, and the
-  physical amplitudes are restored afterwards from the measured
+  family (overall amplitude and dilation); the iteration removes both
+  by renormalizing each field to 1 at the first node every sweep, and
+  restores the physical amplitudes afterwards from the measured
   proportionality constants.
 * :func:`singular_solution` — the exact singular pair
   ``A r^{-theta1}, B r^{-theta2}`` with amplitudes solved in closed form
@@ -19,10 +19,12 @@ log grid.  Two branches:
 Stopping is honest: the iteration must both stall (small update) and
 satisfy the discrete equations proportionally on the interior half of
 the grid to the requested tolerance, and the reported residuals are
-re-measured on the final returned fields.  Residuals gauge how well the
-discrete system is solved; the distance to the continuum profile is a
-separate (second order in the log mesh width) discretization question,
-observable by solving on a doubled grid.
+re-measured on the final returned fields.  An accelerated cycle whose
+interior spread makes no new low for ``2 * ANDERSON_DEPTH`` sweeps is
+stopped as stagnant.  Residuals gauge how well the discrete system is
+solved; the distance to the continuum profile is a separate (second
+order in the log mesh width) discretization question, observable by
+solving on a doubled grid.
 """
 
 from __future__ import annotations
@@ -30,21 +32,18 @@ from __future__ import annotations
 import enum
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import optimize
 
 from .analysis import default_window
-from .errors import (CollapseError, NonConvergenceError, PreconditionError,
+from .errors import (NonConvergenceError, PreconditionError,
                      ValidationError, whole_number)
 from .exponents import Params, Regime, classify
-from .grid import RadialGrid, make_grid
-from .riesz import (KernelOperator, RadialField, apply_extended, assemble,
-                    power_law_constant)
+from .grid import make_grid
+from .riesz import RadialField, apply_extended, assemble, power_law_constant
 
-#: Fields whose sup drops below this are considered collapsed.
-COLLAPSE_FLOOR = 1e-12
 #: Iterate/residual pairs kept by the Anderson step; 0 gives plain
 #: damped Picard.
 ANDERSON_DEPTH = 5
@@ -68,9 +67,9 @@ class SolveConfig:
     damping : float
         Anderson mixing ``b`` in (0, 1]: the step is ``x + b f`` minus
         the history correction, where ``x`` is the log fields and ``f``
-        the log change of a fresh sweep.  With ``ANDERSON_DEPTH = 0``,
-        or ``normalize_at_origin=False``, it is the fraction of the
-        fresh sweep mixed linearly into the iterate.
+        the log change of a fresh sweep.  With ``ANDERSON_DEPTH = 0`` it
+        is the fraction of the fresh sweep mixed linearly into the
+        iterate.
     max_iters : int
         Sweep budget (>= 0; a zero budget always fails to converge).
     tol : float
@@ -79,22 +78,18 @@ class SolveConfig:
         measures satisfaction of the discrete equations; the distance
         to the continuum profile is set by the grid resolution and is
         second order in the log mesh width.
-    normalize_at_origin : bool
-        Renormalize both fields at the first node each sweep (removes
-        the amplitude/dilation quasi-null modes).  Disabling this is
-        only useful for studying the raw iteration, which can collapse.
     """
 
     damping: float = 0.5
     max_iters: int = 400
     tol: float = 1e-6
-    normalize_at_origin: bool = True
 
     def __post_init__(self):
         for name in ("damping", "tol"):
-            if not isinstance(getattr(self, name), numbers.Real):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ValidationError("%s must be a number, got %r"
-                                      % (name, getattr(self, name)))
+                                      % (name, value))
         if not 0.0 < self.damping <= 1.0:
             raise ValidationError(
                 "damping must be in (0, 1], got %r" % (self.damping,))
@@ -105,10 +100,6 @@ class SolveConfig:
         if not (self.tol > 0.0 and math.isfinite(self.tol)):
             raise ValidationError("tol must be positive, got %r"
                                   % (self.tol,))
-        if not isinstance(self.normalize_at_origin, bool):
-            raise ValidationError("normalize_at_origin must be true or "
-                                  "false, got %r"
-                                  % (self.normalize_at_origin,))
         object.__setattr__(self, "max_iters", int(self.max_iters))
 
 
@@ -222,41 +213,60 @@ def _origin_normalized(logs):
         return np.exp(np.concatenate((lu - lu[0], lv - lv[0])))
 
 
-def _origin_gap(log_lam, lnodes, lv, tau, rate):
-    """Log of the dilated profile ``lam^rate f(lam r)`` at the first node.
+def _log_dilate(log_lam, lr, rate, lnodes, lv, tau):
+    """Log of the scaling-family member ``lam^rate f(lam r)`` at ``ln r =
+    lr``, for a scalar or an array of ``log_lam`` or ``lr``.
 
-    ``rate * log_lam + ln f(lam * r_min)`` for the profile with log
-    values ``lv`` on ``lnodes``: log-log interpolation inside the grid,
-    constant below it and the power-law tail ``tau`` above it, as in
-    :func:`_log_dilate`.  Takes a scalar or an array of ``log_lam``.
+    ``f`` has log values ``lv`` on the log nodes ``lnodes``; it is
+    interpolated log-log inside the grid, constant below ``r_min``
+    (profiles are flat at the origin) and the power-law tail ``tau``
+    above ``r_max``.
     """
-    lq = lnodes[0] + log_lam
-    inside = np.interp(lq, lnodes, lv, left=lv[0])
-    val = np.where(lq <= lnodes[-1], inside,
-                   lv[-1] - tau * (lq - lnodes[-1]))
-    return rate * log_lam + val
-
-
-def _log_dilate(grid, values, tail_exponent, log_lam, rate):
-    """Exact scaling-family member ``lam^rate * f(lam * r)`` on the grid.
-
-    Log-log interpolation inside the grid, constant extension below
-    ``r_min`` (profiles are flat at the origin) and the power-law tail
-    model above ``r_max``.
-    """
-    lr = np.log(grid.nodes)
-    lv = np.log(values)
     lq = lr + log_lam
-    out = np.interp(lq, lr, lv, left=lv[0])
-    over = lq > lr[-1]
-    if np.any(over):
-        out[over] = lv[-1] - tail_exponent * (lq[over] - lr[-1])
-    return np.exp(rate * log_lam + out)
+    inside = np.interp(lq, lnodes, lv, left=lv[0])
+    return rate * log_lam + np.where(lq <= lnodes[-1], inside,
+                                     lv[-1] - tau * (lq - lnodes[-1]))
+
+
+def _grid_operator(params, grid, operator):
+    """The grid and operator of a solve: ``operator`` on its own grid
+    unless ``grid`` is given, else one assembled on ``grid`` (default:
+    the 512-node ``make_grid``).  :class:`ValidationError` when
+    ``operator`` was built for another ``(r_min, r_max, count, n)`` or
+    ``alpha``."""
+    if operator is None:
+        grid = grid if grid is not None else make_grid(n=params.n)
+        return grid, assemble(grid, params.n, params.alpha)
+    grid = grid if grid is not None else operator.grid
+    built = operator.grid
+    have = (built.r_min, built.r_max, built.count, built.n, operator.alpha)
+    want = (grid.r_min, grid.r_max, grid.count, params.n, params.alpha)
+    if have != want:
+        raise ValidationError("operator was assembled for (r_min, r_max, "
+                              "count, n, alpha) = %r, not %r" % (have, want))
+    return grid, operator
+
+
+def _residuals(op, params, u, v, tau_u, tau_v):
+    """Relative sup-deviations of ``u`` from ``I_alpha[v^q]`` and of ``v``
+    from ``I_alpha[u^p]`` on the interior half of the grid."""
+    sl = op.grid.interior_slice()
+    p, q = params.p, params.q
+    res_u = float(np.max(np.abs(
+        apply_extended(op, v ** q, q * tau_v)[sl] / u[sl] - 1.0)))
+    res_v = float(np.max(np.abs(
+        apply_extended(op, u ** p, p * tau_u)[sl] / v[sl] - 1.0)))
+    return res_u, res_v
 
 
 def solve_picard(params, grid=None, config=None, init=None, monitor=None,
                  operator=None):
     """Anderson-accelerated Picard solve for the regular decaying pair.
+
+    Every sweep renormalizes both fields to 1 at the first node, which
+    removes the amplitude and dilation freedom of the scaling family;
+    the converged pair is then given its physical amplitudes and
+    presented as the family member with ``u = 1`` at the first node.
 
     Parameters
     ----------
@@ -264,6 +274,8 @@ def solve_picard(params, grid=None, config=None, init=None, monitor=None,
         Must classify as critical: the regular fully decaying profile
         only exists on the critical scaling balance.
     grid : RadialGrid, optional
+        Defaults to the operator's grid, or to the 512-node grid of
+        ``make_grid``.
     config : SolveConfig, optional
     init : (RadialField, RadialField), optional
         Starting pair; defaults to :func:`default_init`.
@@ -276,16 +288,16 @@ def solve_picard(params, grid=None, config=None, init=None, monitor=None,
     Raises
     ------
     ValidationError
-        For non-critical parameters.
+        For non-critical parameters, or an ``operator`` assembled on
+        another grid or for another ``alpha``.
     NonConvergenceError
         When the sweep budget ends before both the update size and the
         interior proportionality spread drop below ``config.tol``, when
-        the re-measured residual stays above ``config.tol`` after
+        an accelerated cycle stagnates (no new low of the interior
+        spread for ``2 * ANDERSON_DEPTH`` sweeps), when the re-measured
+        residual stays above ``config.tol`` after
         ``PRESENTATION_CYCLES`` presentation dilations, or when the
         dilation root cannot be bracketed; the message names which.
-    CollapseError
-        When a field degenerates to zero (possible only with
-        ``normalize_at_origin=False``).
     """
     config = config or SolveConfig()
     report = classify(params)
@@ -293,10 +305,7 @@ def solve_picard(params, grid=None, config=None, init=None, monitor=None,
         raise ValidationError(
             "Picard fixed-point solve needs the critical regime; "
             "parameters classify as %s" % report.regime.value)
-    if grid is None:
-        grid = make_grid(n=params.n)
-    op = operator if operator is not None else assemble(grid, params.n,
-                                                        params.alpha)
+    grid, op = _grid_operator(params, grid, operator)
     n, alpha, p, q = params.n, params.alpha, params.p, params.q
     if init is None:
         fu, fv = default_init(params, grid)
@@ -307,7 +316,6 @@ def solve_picard(params, grid=None, config=None, init=None, monitor=None,
     tau_u, tau_v = fu.tail_exponent, fv.tail_exponent
     sl = grid.interior_slice()
     omega = config.damping
-    accelerate = config.normalize_at_origin and ANDERSON_DEPTH > 0
 
     th1, th2 = report.slow_rate_u, report.slow_rate_v
     lnodes = np.log(grid.nodes)
@@ -326,29 +334,23 @@ def solve_picard(params, grid=None, config=None, init=None, monitor=None,
         converged = False
         cu = cv = 1.0
         history = ([], [])  # Anderson iterates and residuals, this cycle
+        best, best_at = math.inf, iterations  # lowest spread this cycle
         while iterations < config.max_iters:
             iterations += 1
             tu = apply_extended(op, v ** q, max(q * tau_v, floor))
             tv = apply_extended(op, u ** p, max(p * tau_u, floor))
             cu, spread_u = _proportionality(tu, u, sl)
             cv, spread_v = _proportionality(tv, v, sl)
-            if accelerate:
+            if ANDERSON_DEPTH:
                 x = np.log(np.concatenate((u, v)))
                 image = np.log(np.concatenate((tu / tu[0], tv / tv[0])))
                 fields = _anderson_step(history, x, image - x, omega)
                 nu, nv = fields[:u.size], fields[u.size:]
-            elif config.normalize_at_origin:
+            else:
                 nu = (1.0 - omega) * u + omega * tu / tu[0]
                 nv = (1.0 - omega) * v + omega * tv / tv[0]
                 nu /= nu[0]
                 nv /= nv[0]
-            else:
-                nu = (1.0 - omega) * u + omega * tu
-                nv = (1.0 - omega) * v + omega * tv
-            if nu.max() < COLLAPSE_FLOOR or nv.max() < COLLAPSE_FLOOR:
-                raise CollapseError(
-                    "iterate collapsed below %g after %d sweeps"
-                    % (COLLAPSE_FLOOR, iterations))
             with np.errstate(divide="ignore", invalid="ignore"):
                 delta = max(
                     float(np.max(np.abs(nu - u) / np.maximum(u, 1e-300))),
@@ -358,16 +360,25 @@ def solve_picard(params, grid=None, config=None, init=None, monitor=None,
             tau_v = _tail_slope(window, v, alpha, n)
             if monitor is not None:
                 monitor(iterations, delta, spread_u, spread_v)
-            if (delta < config.tol
-                    and max(spread_u, spread_v) < 0.9 * config.tol):
+            spread = max(spread_u, spread_v)
+            if delta < config.tol and spread < 0.9 * config.tol:
                 converged = True
                 break
+            if spread < best:
+                best, best_at = spread, iterations
+            elif (ANDERSON_DEPTH
+                  and iterations - best_at == 2 * ANDERSON_DEPTH):
+                limit = ("the accelerated iteration stagnated: the interior "
+                         "spread made no new low below %.3g in %d sweeps"
+                         % (best, 2 * ANDERSON_DEPTH))
+                break
+        else:
+            limit = ("did not reach tol=%g within %d sweeps"
+                     % (config.tol, config.max_iters))
         # the error reports the residual measured last: this interior
         # spread, or the re-measure below once the cycles run out
         measured = (spread_u, spread_v)
         if not converged:
-            limit = ("did not reach tol=%g within %d sweeps"
-                     % (config.tol, config.max_iters))
             break
 
         # Restore physical amplitudes: with U = e*u, V = f*v the pair
@@ -375,40 +386,34 @@ def solve_picard(params, grid=None, config=None, init=None, monitor=None,
         expo = -1.0 / (p * q - 1.0)
         e = (cu * cv ** q) ** expo
         f = (cv * cu ** p) ** expo
-        uu = e * u
-        vv = f * v
 
-        if config.normalize_at_origin:
-            # Present the scaling-family member with u = 1 at the first
-            # node; dilation is an exact symmetry of the system.
-            lv = np.log(uu)
-            gap_args = (lnodes, lv, tau_u, th1)
-            # The gap vanishes on the origin plateau (near -ln u(rMin)
-            # / th1) and possibly again out on the tail; bracket the
-            # plateau root by scanning around its flat-profile estimate.
-            guess = -lv[0] / th1
-            span = np.linspace(guess - 8.0, guess + 8.0, 257)
-            gap = _origin_gap(span, *gap_args)
-            change = np.nonzero(np.diff(np.signbit(gap)))[0]
-            if change.size == 0:
-                limit = ("no root of the presentation dilation within 8 "
-                         "log units of its estimate %.3g" % guess)
-                break
-            pick = change[np.argmin(np.abs(span[change] - guess))]
-            log_lam = optimize.brentq(_origin_gap, span[pick],
-                                      span[pick + 1], args=gap_args,
-                                      xtol=1e-14)
-            uu = _log_dilate(grid, uu, tau_u, log_lam, th1)
-            vv = _log_dilate(grid, vv, tau_v, log_lam, th2)
-            uu /= uu[0]
+        # Present the scaling-family member with u = 1 at the first
+        # node; dilation ``lam^theta f(lam r)`` is an exact symmetry of
+        # the system.  The gap vanishes on the origin plateau (near
+        # -ln u(rMin) / th1) and possibly again out on the tail; bracket
+        # the plateau root by scanning around its flat-profile estimate.
+        lu = np.log(e * u)
+        gap_args = (lnodes[0], th1, lnodes, lu, tau_u)
+        guess = -lu[0] / th1
+        span = np.linspace(guess - 8.0, guess + 8.0, 257)
+        gap = _log_dilate(span, *gap_args)
+        change = np.nonzero(np.diff(np.signbit(gap)))[0]
+        if change.size == 0:
+            limit = ("no root of the presentation dilation within 8 "
+                     "log units of its estimate %.3g" % guess)
+            break
+        pick = change[np.argmin(np.abs(span[change] - guess))]
+        log_lam = optimize.brentq(_log_dilate, span[pick], span[pick + 1],
+                                  args=gap_args, xtol=1e-14)
+        uu = np.exp(_log_dilate(log_lam, lnodes, th1, lnodes, lu, tau_u))
+        vv = np.exp(_log_dilate(log_lam, lnodes, th2, lnodes,
+                                np.log(f * v), tau_v))
+        uu /= uu[0]
 
         tau_u = _tail_slope(window, uu, alpha, n)
         tau_v = _tail_slope(window, vv, alpha, n)
-        res_u = float(np.max(np.abs(
-            apply_extended(op, vv ** q, q * tau_v)[sl] / uu[sl] - 1.0)))
-        res_v = float(np.max(np.abs(
-            apply_extended(op, uu ** p, p * tau_u)[sl] / vv[sl] - 1.0)))
-        measured = (res_u, res_v)
+        res_u, res_v = measured = _residuals(op, params, uu, vv,
+                                             tau_u, tau_v)
         if max(res_u, res_v) <= config.tol:
             return SolutionPair(
                 u=RadialField(grid, uu, tail_exponent=tau_u),
@@ -459,26 +464,19 @@ def singular_solution(params, grid=None, operator=None):
 
     The node values are exact (``A r^{-theta1}`` etc.); the reported
     residuals measure the discrete operator's reproduction of the
-    closed-form identity on the interior half of the grid.
+    closed-form identity on the interior half of the grid.  ``grid``
+    and ``operator`` default as in :func:`solve_picard`, and a
+    mismatched ``operator`` raises :class:`ValidationError` likewise.
     """
     a, b = singular_amplitudes(params)
     report = classify(params)
     th1, th2 = report.slow_rate_u, report.slow_rate_v
-    if grid is None:
-        grid = make_grid(n=params.n)
+    grid, op = _grid_operator(params, grid, operator)
     u = a * grid.nodes ** (-th1)
     v = b * grid.nodes ** (-th2)
-    fu = RadialField(grid, u, tail_exponent=th1)
-    fv = RadialField(grid, v, tail_exponent=th2)
-    op = operator if operator is not None else assemble(grid, params.n,
-                                                        params.alpha)
-    sl = grid.interior_slice()
-    res_u = float(np.max(np.abs(
-        apply_extended(op, v ** params.q, params.q * th2)[sl] / u[sl]
-        - 1.0)))
-    res_v = float(np.max(np.abs(
-        apply_extended(op, u ** params.p, params.p * th1)[sl] / v[sl]
-        - 1.0)))
-    return SolutionPair(u=fu, v=fv, params=params, iterations=0,
+    res_u, res_v = _residuals(op, params, u, v, th1, th2)
+    return SolutionPair(u=RadialField(grid, u, tail_exponent=th1),
+                        v=RadialField(grid, v, tail_exponent=th2),
+                        params=params, iterations=0,
                         residual_u=res_u, residual_v=res_v,
                         branch=Branch.SINGULAR)

@@ -21,13 +21,14 @@ def test_deleted_names_are_gone():
 
     gone = {rieszlab: ("apply_with_tail", "integrability_thresholds",
                        "slow_exponents", "AssemblyError",
-                       "TruncationWarning"),
-            errors: ("AssemblyError",),
+                       "TruncationWarning", "CollapseError"),
+            errors: ("AssemblyError", "CollapseError"),
             riesz: ("apply_with_tail", "_pair_cell_quadrature",
                     "_ADAPTIVE_BUDGET", "TAIL_RANGE_CAP",
                     "_terminating_kernel"),
             exponents: ("integrability_thresholds",),
-            solver: ("slow_exponents",)}
+            solver: ("slow_exponents", "CollapseError", "COLLAPSE_FLOOR",
+                     "_origin_gap")}
     for module, names in gone.items():
         for name in names:
             assert not hasattr(module, name), (module.__name__, name)

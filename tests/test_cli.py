@@ -154,11 +154,16 @@ class TestSolve:
                                         '{"maxIters": 1e400}',
                                         '{"damping": "0.5"}',
                                         '{"maxIters": true}',
-                                        '{"normalizeAtOrigin": "false"}'])
+                                        '{"tol": true}',
+                                        '{"damping": true}',
+                                        '{"normalizeAtOrigin": "false"}',
+                                        '{"normalizeAtOrigin": true}',
+                                        '{"normalizeAtOrigin": false}'])
     def test_malformed_config_exits_2(self, tmp_path, capsys, config):
         # a NaN or infinite (1e400) budget and a string damping raised a
-        # raw ValueError, OverflowError and TypeError; true ran one sweep
-        # and the string "false" switched the normalization on
+        # raw ValueError, OverflowError and TypeError; a true budget ran
+        # one sweep, a true tol ran at tol 1 and exited 0, a true damping
+        # ran at damping 1; origin normalization is no longer an option
         path = tmp_path / "config.json"
         path.write_text(config)
         code, _, err = run(capsys, ["solve", "--n", "4", "--alpha", "2",
@@ -166,6 +171,8 @@ class TestSolve:
                                     "1e-2:1e2:32", "--config", str(path)])
         assert code == 2
         assert err.startswith("error:") and "Traceback" not in err
+        if "normalizeAtOrigin" in config:
+            assert "known keys: ['damping', 'maxIters', 'tol']" in err
 
     def test_solve_writes_fields(self, tmp_path, capsys):
         out_dir = tmp_path / "solved"

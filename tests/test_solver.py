@@ -1,5 +1,6 @@
 """Fixed-point solver and the singular power-law branch."""
 
+import dataclasses
 import math
 import warnings
 
@@ -7,8 +8,8 @@ import numpy as np
 import pytest
 
 from rieszlab import solver
-from rieszlab.errors import (CollapseError, NonConvergenceError,
-                             PreconditionError, ValidationError)
+from rieszlab.errors import (NonConvergenceError, PreconditionError,
+                             ValidationError)
 from rieszlab.exponents import Params, classify
 from rieszlab.grid import make_grid
 from rieszlab.riesz import RadialField, assemble, power_law_constant
@@ -68,6 +69,16 @@ class TestSolveConfig:
             SolveConfig(max_iters=-1)
         with pytest.raises(ValidationError):
             SolveConfig(tol=0.0)
+        # bool passes the numbers.Real check: True would run at 1
+        with pytest.raises(ValidationError):
+            SolveConfig(damping=True)
+        with pytest.raises(ValidationError):
+            SolveConfig(tol=True)
+
+    def test_three_fields(self):
+        # origin normalization is how the iteration works, not an option
+        assert [f.name for f in dataclasses.fields(SolveConfig)] == [
+            "damping", "max_iters", "tol"]
 
 
 class TestPicard:
@@ -127,22 +138,21 @@ class TestPicard:
         assert max(res) > 1e-6
         assert "residual %.3g/%.3g)" % res in message
 
+    def test_stagnation_stops_early(self):
+        # near the 256-node grid's residual floor the accelerated
+        # iterate keeps moving by more than tol; without the stop it ran
+        # all 400 sweeps, where plain Picard gives up after 39
+        grid = make_grid(1e-4, 1e4, 256, 4)
+        with pytest.raises(NonConvergenceError) as err:
+            solve_picard(Params(4, 2.0, 1.5, 9.0), grid,
+                         SolveConfig(tol=1e-5, damping=0.8))
+        assert "stagnated" in str(err.value)
+        assert "no new low below" in str(err.value)
+        assert err.value.iterations == 29
+
     def test_noncritical_rejected(self):
         with pytest.raises(ValidationError):
             solve_picard(Params(5, 2.0, 3.0, 3.0))
-
-    def test_collapse_without_normalization(self):
-        grid = make_grid(1e-4, 1e4, 128, 4)
-        params = Params(4, 2.0, 3.0, 3.0)
-        fu, fv = default_init(params, grid)
-        tiny = (RadialField(grid, fu.values * 1e-3,
-                            tail_exponent=fu.tail_exponent),
-                RadialField(grid, fv.values * 1e-3,
-                            tail_exponent=fv.tail_exponent))
-        with pytest.raises(CollapseError):
-            solve_picard(params, grid=grid, init=tiny,
-                         config=SolveConfig(normalize_at_origin=False,
-                                            max_iters=200))
 
     def test_default_init_tails_integrable(self):
         params = Params(4, 2.0, 3.0, 3.0)
@@ -218,27 +228,38 @@ class TestAnderson:
 
 
 class TestSolverHelpers:
-    def test_origin_gap_matches_scalar_loop(self, bubble_pair):
+    def test_log_dilate_matches_scalar_loop(self, bubble_pair):
         grid = bubble_pair.u.grid
         lnodes = np.log(grid.nodes)
         lv = np.log(bubble_pair.u.values * 3.0)
         tau, rate = bubble_pair.u.tail_exponent, 1.0
-        guess = -lv[0] / rate
-        span = np.linspace(guess - 30.0, guess + 30.0, 1025)
 
-        def scalar(log_lam):
-            lq = lnodes[0] + log_lam
+        def scalar(log_lam, lr):
+            lq = lr + log_lam
             val = (np.interp(lq, lnodes, lv, left=lv[0])
                    if lq <= lnodes[-1]
                    else lv[-1] - tau * (lq - lnodes[-1]))
             return rate * log_lam + val
 
-        reference = np.array([scalar(x) for x in span])
-        gap = solver._origin_gap(span, lnodes, lv, tau, rate)
+        # the presentation gap: the first node under an array of
+        # dilations, some of which move it past r_max
+        guess = -lv[0] / rate
+        span = np.linspace(guess - 30.0, guess + 30.0, 1025)
+        reference = np.array([scalar(x, lnodes[0]) for x in span])
+        gap = solver._log_dilate(span, lnodes[0], rate, lnodes, lv, tau)
         assert np.any(lnodes[0] + span > lnodes[-1])
         assert gap.tobytes() == reference.tobytes()
-        assert float(solver._origin_gap(span[7], lnodes, lv, tau,
-                                        rate)) == reference[7]
+        assert float(solver._log_dilate(span[7], lnodes[0], rate, lnodes,
+                                        lv, tau)) == reference[7]
+        # the dilation: every node under one dilation, an array of log
+        # radii running past r_max (or below r_min)
+        for log_lam in (2.5, -2.5):
+            reference = np.array([scalar(log_lam, x) for x in lnodes])
+            got = solver._log_dilate(log_lam, lnodes, rate, lnodes, lv, tau)
+            outside = (lnodes + log_lam > lnodes[-1]) | (lnodes + log_lam
+                                                         < lnodes[0])
+            assert 0 < outside.sum() < lnodes.size
+            assert got.tobytes() == reference.tobytes()
 
     @pytest.mark.parametrize("count", [64, 256, 512, 2048])
     def test_tail_slope_matches_polyfit(self, count):
@@ -309,3 +330,42 @@ class TestSingularBranch:
         rep = classify(Params(6, 2.0, 2.5, 2.5))
         assert rep.slow_rate_u == pytest.approx(4.0 / 3.0)
         assert rep.slow_rate_v == pytest.approx(4.0 / 3.0)
+
+
+class TestOperatorResolution:
+    """An operator passed in must fit the grid and the order it is used
+    for; without a grid, the operator's own grid is taken."""
+
+    def test_singular_other_grid_refused(self):
+        # gave a pair with residual 1869
+        op = assemble(make_grid(1e-4, 1e4, 256, 5), 5, 2.0)
+        with pytest.raises(ValidationError, match="assembled for"):
+            singular_solution(Params(5, 2.0, 3.0, 3.0),
+                              make_grid(1e-2, 1e2, 256, 5), operator=op)
+
+    def test_singular_other_alpha_refused(self):
+        # an operator for alpha = 1 gave residual 124
+        grid = make_grid(1e-4, 1e4, 128, 5)
+        with pytest.raises(ValidationError, match="assembled for"):
+            singular_solution(Params(5, 2.0, 3.0, 3.0), grid,
+                              operator=assemble(grid, 5, 1.0))
+
+    def test_picard_other_grid_refused(self):
+        # ran 17 sweeps and then blamed the grid resolution
+        op = assemble(make_grid(1e-4, 1e4, 128, 4), 4, 2.0)
+        sweeps = []
+        with pytest.raises(ValidationError, match="assembled for"):
+            solve_picard(Params(4, 2.0, 3.0, 3.0),
+                         make_grid(1e-3, 1e3, 128, 4), operator=op,
+                         monitor=lambda *args: sweeps.append(args))
+        assert sweeps == []
+
+    def test_operator_grid_taken(self):
+        # built the 512-node default grid and failed on the input shape
+        op = assemble(make_grid(1e-4, 1e4, 128, 4), 4, 2.0)
+        pair = solve_picard(Params(4, 2.0, 3.0, 3.0),
+                            config=SolveConfig(tol=5e-6), operator=op)
+        assert pair.u.grid is op.grid
+        assert max(pair.residual_u, pair.residual_v) <= 5e-6
+        spair = singular_solution(Params(4, 2.0, 3.0, 3.0), operator=op)
+        assert spair.u.grid is op.grid
