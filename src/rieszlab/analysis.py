@@ -10,7 +10,6 @@ decay rates.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -18,7 +17,7 @@ import numpy as np
 
 from .errors import (DegenerateFitError, DivergentTailError,
                      PreconditionError, ValidationError)
-from .exponents import Params, VFastCase, classify
+from .exponents import VFastCase, classify
 from .riesz import (field_integral, power_law_constant,
                     riesz_normalization, sphere_area)
 

@@ -6,7 +6,7 @@ Subcommands
 - ``solve``       Picard iteration for the regular decaying pair
 - ``singular``    exact singular power-law pair
 - ``shoot``       one shot of the radial second-order system
-- ``bisect``      bisection on the shooting parameter for the separatrix
+- ``bisect``      secant search on the shooting parameter for the separatrix
 - ``analyze``     tail fits, monotonicity ratio and claim checks on a
                   finished run directory
 - ``verify-all``  run the acceptance criteria and print a table
@@ -559,12 +559,14 @@ def build_parser():
     p_shoot.add_argument("--out", default=None, metavar="DIR")
     p_shoot.set_defaults(func=_cmd_shoot)
 
-    p_bis = sub.add_parser("bisect", help="bisect the shooting parameter")
+    p_bis = sub.add_parser("bisect", help="search the shooting parameter "
+                           "for the ground state")
     _add_param_flags(p_bis, with_grid=False)
     p_bis.add_argument("--u0", type=float, default=1.0)
     p_bis.add_argument("--lo", type=float, required=True)
     p_bis.add_argument("--hi", type=float, required=True)
-    p_bis.add_argument("--iters", type=int, default=60)
+    p_bis.add_argument("--iters", type=int, default=60,
+                       help="budget of shots inside the bracket")
     p_bis.add_argument("--r-start", type=float, default=1e-6)
     p_bis.add_argument("--r-end", type=float, default=1e6)
     p_bis.add_argument("--out", default=None, metavar="DIR")

@@ -7,8 +7,14 @@ potential pair for ``alpha = 2``,
 
 outward from near the origin with ``u(0) = u0``, ``v(0) = xi`` and zero
 slopes, classifying each shot by whether a component crosses zero or
-both decay through the far boundary.  A bisection on ``xi`` locates the
-ground-state separatrix between the two crossing outcomes.
+both decay through the far boundary.  A bracketing secant search on
+``xi`` locates the ground-state separatrix between the two crossing
+outcomes.  The ground state runs along the singular pair ``A r^-th1``,
+``B r^-th2``, and a shot off it by ``xi - xi*`` leaves that pair like
+``|xi - xi*| r^kappa`` (:func:`_crossing_rate` solves for ``kappa``), so
+its crossing radius ``R`` makes ``R^-kappa`` nearly linear in ``xi``:
+the search takes the Illinois regula falsi step on it, signed by the
+crossing outcome, and the midpoint where that step cannot be taken.
 
 Numerics: the first step leaves the coordinate singularity at the
 origin on the exact quadratic Taylor profile.  Each shot then runs a
@@ -23,7 +29,7 @@ refines the crossing radius inside the step.  A scan that reaches
 and events, recorded at ``SAMPLE_COUNT`` log-spaced radii, whose last
 decade decides between decaying and inconclusive.  A crossing shot
 runs that sampled path only when its ``samples`` are first read, so a
-bisection integrates them for the shot it returns at most.  Component
+search integrates them for the shot it returns at most.  Component
 powers are clamped at zero so fractional exponents stay real on the
 overshoot of the final internal step.
 
@@ -41,12 +47,12 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, optimize
 from scipy.integrate import solve_ivp
 
 from .errors import (BracketError, IntegrationError, ValidationError,
                      whole_number)
-from .exponents import Params
+from .exponents import classify
 
 #: Samples recorded along a trajectory (log-spaced in radius).
 SAMPLE_COUNT = 2048
@@ -356,11 +362,42 @@ def shoot(params, config=None, source_strength=1.0):
                       sampler=lambda: _sampled_shot(params, config, s).samples)
 
 
+def _crossing_rate(params):
+    """Rate ``kappa`` at which shots leave the singular pair, or None.
+
+    Linearizing the ODE system about the singular pair ``A r^-th1``,
+    ``B r^-th2`` (the slow rates of :func:`~rieszlab.exponents.classify`)
+    gives perturbations ``r^(kappa - th1)``, ``r^(kappa - th2)`` with
+
+        (th1-k)(n-2-th1+k)(th2-k)(n-2-th2+k) = pq th1(n-2-th1) th2(n-2-th2).
+
+    For ``k > max(th1, th2)`` both factor pairs are negative and
+    decreasing, so the left side rises from 0 to infinity and the
+    growing rate ``kappa`` is its one root there; a shot with origin
+    ratio ``xi`` then crosses zero near ``|xi - xi*|^(-1/kappa)``.  None
+    when a slow rate lies outside ``(0, n-2)``, where no such root
+    exists.
+    """
+    report = classify(params)
+    th1, th2 = report.slow_rate_u, report.slow_rate_v
+    m = params.n - 2.0
+    if not (0.0 < th1 < m and 0.0 < th2 < m):
+        return None
+    target = params.p * params.q * th1 * (m - th1) * th2 * (m - th2)
+
+    def excess(k):
+        return (th1 - k) * (m - th1 + k) * (th2 - k) * (m - th2 + k) - target
+
+    top = max(th1, th2)
+    # above top each factor pair is at least (k - top)^2
+    return optimize.brentq(excess, top, top + target ** 0.25, xtol=1e-15)
+
+
 @dataclass(frozen=True)
 class ShotRecord:
-    """One shot of a bisection: its ``xi``, outcome, crossing radius
-    (None when nothing crossed), the right-hand-side evaluations that
-    classified it and its wall-clock seconds."""
+    """One shot of a ground-state search: its ``xi``, outcome, crossing
+    radius (None when nothing crossed), the right-hand-side evaluations
+    that classified it and its wall-clock seconds."""
 
     xi: float
     outcome: Outcome
@@ -374,7 +411,7 @@ class BisectionResult:
     """Separatrix estimate from :func:`bisect_ground_state`.
 
     ``xi`` is the midpoint of the final bracket ``(lo, hi)``, or the
-    midpoint that decayed, with ``lo == hi == xi``;
+    shot that crossed nowhere, with ``lo == hi == xi``;
     ``trajectory`` is the shot at ``xi``; ``shots`` holds one
     :class:`ShotRecord` per shot, in the order they were taken.
     """
@@ -388,12 +425,25 @@ class BisectionResult:
 
 def bisect_ground_state(params, lo, hi, config=None, iters=60,
                         shooter=shoot):
-    """Bisect on the origin ratio ``xi`` for the decaying ground state.
+    """Locate the decaying ground state by a secant search on ``xi``.
 
     The bracket must produce two different crossing outcomes (one
     component hitting zero for ``xi`` too small, the other for ``xi``
-    too large); each bisection step keeps the endpoint whose outcome
-    differs from the midpoint's.
+    too large).  Each crossing shot is given the value
+    ``g = -R^-kappa`` on the ``lo`` outcome and ``+R^-kappa`` on the
+    ``hi`` one, with ``R`` its crossing radius and ``kappa`` from
+    :func:`_crossing_rate`; ``g`` is nearly linear in ``xi - xi*``, so
+    the next shot is the Illinois regula falsi point of the bracket (the
+    value of an endpoint kept twice in a row is halved).  A secant point
+    outside the open bracket, or a bracket with no ``kappa`` or no
+    crossing radius at an end, takes the midpoint instead.  Each step
+    keeps the endpoint whose outcome differs from the new shot's.
+
+    ``iters`` is the budget of shots inside the bracket.  A shot that
+    does not cross (decaying or inconclusive) ends the search: it is
+    returned with ``lo == hi == xi`` and its outcome.  When the budget
+    runs out, one more shot at the midpoint of the final bracket is
+    returned, so at most ``iters + 3`` shots are taken.
 
     Raises
     ------
@@ -415,23 +465,47 @@ def bisect_ground_state(params, lo, hi, config=None, iters=60,
                                 traj.rhs_evals, time.perf_counter() - began))
         return traj
 
-    out_lo = fire(lo).outcome
-    out_hi = fire(hi).outcome
+    first, last = fire(lo), fire(hi)
+    out_lo, out_hi = first.outcome, last.outcome
     crossing = (Outcome.U_CROSSED, Outcome.V_CROSSED)
     if out_lo not in crossing or out_hi not in crossing or out_lo == out_hi:
         raise BracketError(
             "bracket endpoints must give two distinct crossing outcomes, "
             "got %s / %s" % (out_lo.value, out_hi.value))
+    kappa = _crossing_rate(params)
+
+    def gap(traj):
+        radius = traj.crossing_radius
+        if kappa is None or radius is None or not 0.0 < radius < math.inf:
+            return None
+        try:
+            size = radius ** -kappa
+        except OverflowError:
+            return None
+        return -size if traj.outcome is out_lo else size
+
+    g_lo, g_hi = gap(first), gap(last)
+    kept = None     # the endpoint the last step kept
     for _ in range(int(iters)):
-        mid = 0.5 * (lo + hi)
-        traj = fire(mid)
-        if traj.outcome is Outcome.DECAYING:
-            return BisectionResult(xi=mid, trajectory=traj, lo=mid, hi=mid,
+        xi = 0.5 * (lo + hi)
+        if g_lo is not None and g_hi is not None:
+            secant = lo + (hi - lo) * g_lo / (g_lo - g_hi)
+            if lo < secant < hi:
+                xi = secant
+        traj = fire(xi)
+        if traj.outcome not in crossing:
+            return BisectionResult(xi=xi, trajectory=traj, lo=xi, hi=xi,
                                    shots=tuple(shots))
         if traj.outcome is out_lo:
-            lo = mid
+            lo, g_lo = xi, gap(traj)
+            if kept == "hi" and g_hi is not None:
+                g_hi *= 0.5
+            kept = "hi"
         else:
-            hi = mid
+            hi, g_hi = xi, gap(traj)
+            if kept == "lo" and g_lo is not None:
+                g_lo *= 0.5
+            kept = "lo"
     xi = 0.5 * (lo + hi)
     traj = fire(xi)
     return BisectionResult(xi=xi, trajectory=traj, lo=lo, hi=hi,

@@ -278,7 +278,8 @@ def solve_picard(params, grid=None, config=None, init=None, monitor=None,
         ``make_grid``.
     config : SolveConfig, optional
     init : (RadialField, RadialField), optional
-        Starting pair; defaults to :func:`default_init`.
+        Starting pair on the solve's grid; defaults to
+        :func:`default_init`.
     monitor : callable, optional
         Called as ``monitor(iteration, delta, spread_u, spread_v)``
         after each sweep.
@@ -288,8 +289,9 @@ def solve_picard(params, grid=None, config=None, init=None, monitor=None,
     Raises
     ------
     ValidationError
-        For non-critical parameters, or an ``operator`` assembled on
-        another grid or for another ``alpha``.
+        For non-critical parameters, an ``operator`` assembled on
+        another grid or for another ``alpha``, or an ``init`` field on
+        another grid.
     NonConvergenceError
         When the sweep budget ends before both the update size and the
         interior proportionality spread drop below ``config.tol``, when
@@ -311,6 +313,13 @@ def solve_picard(params, grid=None, config=None, init=None, monitor=None,
         fu, fv = default_init(params, grid)
     else:
         fu, fv = init
+        want = (grid.r_min, grid.r_max, grid.count, grid.n)
+        for name, f in (("u", fu), ("v", fv)):
+            have = (f.grid.r_min, f.grid.r_max, f.grid.count, f.grid.n)
+            if have != want:
+                raise ValidationError(
+                    "init field %s lives on (r_min, r_max, count, n) = %r, "
+                    "not the solve's %r" % (name, have, want))
     u, v = fu.values.copy(), fv.values.copy()
     window = _tail_window(grid)
     tau_u, tau_v = fu.tail_exponent, fv.tail_exponent

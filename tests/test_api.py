@@ -1,7 +1,9 @@
 """Package surface: every exported name resolves, once."""
 
+import ast
 import dataclasses
 import inspect
+from pathlib import Path
 
 import rieszlab
 
@@ -38,3 +40,25 @@ def test_deleted_names_are_gone():
         f.name for f in dataclasses.fields(riesz.KernelOperator)}
     for func in (riesz.tail_response, riesz.apply_extended):
         assert "tail_log_power" not in inspect.signature(func).parameters
+
+
+def test_no_unused_imports():
+    # every name a module imports is read somewhere in it; the package
+    # root's re-exports are read through __all__
+    unused = []
+    for path in sorted(Path(rieszlab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = set()
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"):
+                imported.update((alias.asname or alias.name).split(".")[0]
+                                for alias in node.names)
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Load)}
+        if path.name == "__init__.py":
+            read.update(rieszlab.__all__)
+        unused += ["%s: %s" % (path.name, name)
+                   for name in sorted(imported - read)]
+    assert unused == []

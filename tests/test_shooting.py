@@ -13,11 +13,18 @@ from rieszlab.analysis import fit_tail
 from rieszlab.errors import BracketError, IntegrationError, ValidationError
 from rieszlab.exponents import Params
 from rieszlab.shooting import (Outcome, ShotConfig, ShotRecord, Trajectory,
-                               _sampled_shot, bisect_ground_state, shoot)
+                               _crossing_rate, _sampled_shot,
+                               bisect_ground_state, shoot)
 
 PARAMS = Params(5, 2.0, 3.0, 3.0)
 #: Critical (1/(p+1) + 1/(q+1) = (n-2)/n); its ground state has xi ~ 1.128.
 CRITICAL = Params(4, 2.0, 1.5, 9.0)
+
+
+def fake_shot(outcome, crossing_radius=None):
+    """A classified shot without integration, for fake shooters."""
+    return Trajectory(samples=np.array([[1.0, 1.0, -0.1, 1.0, -0.1]]),
+                      outcome=outcome, crossing_radius=crossing_radius)
 
 
 class TestShotConfig:
@@ -228,6 +235,30 @@ class TestCrossingScan:
         assert len(gc.get_objects()) - before < 25
 
 
+class TestCrossingRate:
+    def test_canonical_value(self):
+        # theta1 = theta2 = 1, n - 2 = 3: (k - 1)(k + 2) = 6
+        assert abs(_crossing_rate(PARAMS) - (math.sqrt(33.0) - 1.0) / 2.0) \
+            <= 1e-14
+
+    def test_largest_root_of_the_quartic(self):
+        params = Params(5, 2.0, 2.0, 5.0)
+        m = params.n - 2.0
+        th1 = 2.0 * (params.q + 1.0) / (params.p * params.q - 1.0)
+        th2 = 2.0 * (params.p + 1.0) / (params.p * params.q - 1.0)
+        assert th1 != th2
+        target = params.p * params.q * th1 * (m - th1) * th2 * (m - th2)
+        quartic = np.polymul(np.polymul([-1.0, th1], [1.0, m - th1]),
+                             np.polymul([-1.0, th2], [1.0, m - th2]))
+        quartic[-1] -= target
+        kappa = _crossing_rate(params)
+        assert kappa > max(th1, th2)
+        assert abs(np.polyval(quartic, kappa)) <= 1e-12 * target
+        roots = np.roots(quartic)
+        real = roots[np.abs(roots.imag) < 1e-9].real
+        assert kappa == pytest.approx(real.max(), rel=1e-12)
+
+
 class TestBisection:
     def test_bracket_must_straddle(self):
         with pytest.raises(BracketError):
@@ -247,40 +278,95 @@ class TestBisection:
 
         def fake_shooter(params, config):
             calls.append(config.xi)
-            outcome = (Outcome.V_CROSSED if config.xi < 1.0
-                       else Outcome.U_CROSSED)
-            samples = np.array([[1.0, 1.0, -0.1, 1.0, -0.1]])
-            return Trajectory(samples=samples, outcome=outcome,
-                              crossing_radius=1.0)
+            return fake_shot(Outcome.V_CROSSED if config.xi < 1.0
+                             else Outcome.U_CROSSED, 1.0)
 
         res = bisect_ground_state(PARAMS, 0.5, 2.0, iters=0,
                                   shooter=fake_shooter)
         assert (res.lo, res.hi) == (0.5, 2.0)
         assert res.xi == 1.25
 
-    def test_width_halves_each_iteration(self):
+    def test_bracket_contract(self):
+        # no usable crossing law (R constant) and the root at 0.7, off
+        # the bracket's thirds, so some steps keep the same endpoint twice
         def fake_shooter(params, config):
-            outcome = (Outcome.V_CROSSED if config.xi < 1.0
-                       else Outcome.U_CROSSED)
-            samples = np.array([[1.0, 1.0, -0.1, 1.0, -0.1]])
-            return Trajectory(samples=samples, outcome=outcome,
-                              crossing_radius=1.0)
+            return fake_shot(Outcome.V_CROSSED if config.xi < 0.7
+                             else Outcome.U_CROSSED, 1.0)
 
         res = bisect_ground_state(PARAMS, 0.5, 2.0, iters=10,
                                   shooter=fake_shooter)
-        assert res.hi - res.lo == (2.0 - 0.5) * 2.0 ** -10
-        assert res.lo < 1.0 <= res.hi
-        # one record per shot: both endpoints, ten midpoints, the final xi
-        assert [shot.xi for shot in res.shots][:3] == [0.5, 2.0, 1.25]
-        assert len(res.shots) == 13 and res.shots[-1].xi == res.xi
+        outcome_at = {shot.xi: shot.outcome for shot in res.shots}
+        assert res.lo < 0.7 <= res.hi
+        assert outcome_at[res.lo] is Outcome.V_CROSSED
+        assert outcome_at[res.hi] is Outcome.U_CROSSED
+        # one record per shot: both endpoints, the budget of ten, the final
+        # midpoint; every inner shot lies inside the bracket it split
+        xis = [shot.xi for shot in res.shots]
+        assert xis[:3] == [0.5, 2.0, 1.25]
+        assert len(res.shots) == 10 + 3 and len(set(xis)) == len(xis)
+        assert res.xi == xis[-1] == 0.5 * (res.lo + res.hi)
+        assert all(0.5 < xi < 2.0 for xi in xis[2:])
         assert all(isinstance(shot, ShotRecord) and shot.rhs_evals == 0
                    and shot.seconds >= 0.0 for shot in res.shots)
+
+    def test_secant_follows_the_crossing_law(self):
+        # R = (a |xi - xi*|)^(-1/kappa), a different on the two sides as
+        # for real shots; past r_end = 1e5 a shot decays
+        kappa = _crossing_rate(PARAMS)
+        root = 1.1
+
+        def fake_shooter(params, config):
+            scale = 1.0 if config.xi < root else 4.0
+            gap = scale * abs(config.xi - root)
+            if gap <= 1e5 ** -kappa:
+                return fake_shot(Outcome.DECAYING)
+            return fake_shot(Outcome.V_CROSSED if config.xi < root
+                             else Outcome.U_CROSSED, gap ** (-1.0 / kappa))
+
+        res = bisect_ground_state(PARAMS, 0.5, 2.0, iters=60,
+                                  shooter=fake_shooter)
+        assert res.trajectory.outcome is Outcome.DECAYING
+        assert abs(res.xi - root) < 1e-12
+        assert res.lo == res.hi == res.xi == res.shots[-1].xi
+        # bisection takes about 40 shots to get there
+        assert len(res.shots) <= 20
+
+    def test_midpoints_without_crossing_rate(self):
+        # pq near 1 puts the slow rates past n - 2: no kappa, so every
+        # step halves the bracket
+        params = Params(5, 2.0, 1.2, 1.5)
+        assert _crossing_rate(params) is None
+
+        def fake_shooter(params, config):
+            return fake_shot(Outcome.V_CROSSED if config.xi < 0.7
+                             else Outcome.U_CROSSED,
+                             1.0 / abs(config.xi - 0.7))
+
+        res = bisect_ground_state(params, 0.5, 2.0, iters=10,
+                                  shooter=fake_shooter)
+        assert res.hi - res.lo == (2.0 - 0.5) * 2.0 ** -10
+        assert res.lo < 0.7 <= res.hi
+
+    def test_inconclusive_shot_ends_the_search(self):
+        def fake_shooter(params, config):
+            if abs(config.xi - 1.0) < 0.3:
+                return fake_shot(Outcome.INCONCLUSIVE)
+            return fake_shot(Outcome.V_CROSSED if config.xi < 1.0
+                             else Outcome.U_CROSSED, 1.0)
+
+        res = bisect_ground_state(PARAMS, 0.5, 2.0, iters=10,
+                                  shooter=fake_shooter)
+        # it has no crossing radius to sign: returned, not counted as hi
+        assert res.trajectory.outcome is Outcome.INCONCLUSIVE
+        assert res.lo == res.hi == res.xi == 1.25
+        assert [shot.xi for shot in res.shots] == [0.5, 2.0, 1.25]
+        assert res.shots[-1].outcome is Outcome.INCONCLUSIVE
 
     def test_canonical_bisection_shots(self):
         res = bisect_ground_state(PARAMS, 0.5, 2.0,
                                   config=ShotConfig(r_end=1e5), iters=60)
         assert abs(res.xi - 1.0) <= 1e-6
-        assert len(res.shots) <= 40
+        assert len(res.shots) <= 20
         outcomes = [shot.outcome for shot in res.shots]
         assert outcomes[-1] is Outcome.DECAYING is res.trajectory.outcome
         assert set(outcomes[:-1]) == {Outcome.U_CROSSED, Outcome.V_CROSSED}

@@ -369,3 +369,17 @@ class TestOperatorResolution:
         assert max(pair.residual_u, pair.residual_v) <= 5e-6
         spair = singular_solution(Params(4, 2.0, 3.0, 3.0), operator=op)
         assert spair.u.grid is op.grid
+
+    @pytest.mark.parametrize("init_grid", [
+        # failed inside the operator apply, naming the operator
+        make_grid(1e-4, 1e4, 64, 4),
+        # same node count, another domain: ran silently
+        make_grid(1e-2, 1e2, 128, 4)])
+    def test_picard_init_on_other_grid_refused(self, init_grid):
+        params = Params(4, 2.0, 3.0, 3.0)
+        sweeps = []
+        with pytest.raises(ValidationError, match="init field u"):
+            solve_picard(params, make_grid(1e-4, 1e4, 128, 4),
+                         init=default_init(params, init_grid),
+                         monitor=lambda *args: sweeps.append(args))
+        assert sweeps == []
