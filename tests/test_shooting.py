@@ -374,6 +374,19 @@ class TestBisection:
         assert res.shots[-1].crossing_radius is None
         assert all(shot.rhs_evals > 0 for shot in res.shots)
 
+    def test_shot_count_steady_across_brackets(self):
+        # brackets (1 - c/2, 1 + c) a few per cent apart: the crossing
+        # radii swing about the power law, and halving the kept value
+        # (Illinois) took 12 to 14 shots here
+        counts = []
+        for c in 10.0 ** np.linspace(-0.04, 0.04, 9):
+            res = bisect_ground_state(PARAMS, 1.0 - 0.5 * c, 1.0 + c,
+                                      config=ShotConfig(r_end=1e5), iters=60)
+            assert res.trajectory.outcome is Outcome.DECAYING
+            counts.append(len(res.shots))
+        assert max(counts) - min(counts) <= 1
+        assert max(counts) <= 13
+
     def test_ground_state_slopes(self):
         res = bisect_ground_state(PARAMS, 0.5, 2.0,
                                   config=ShotConfig(r_end=1e4), iters=48)
