@@ -152,8 +152,8 @@ def monotonicity_criterion(values):
     values = np.asarray(values, dtype=float)
     if values.ndim != 1 or values.size == 0:
         raise ValidationError("need a nonempty 1D profile")
-    if np.any(values <= 0.0):
-        raise ValidationError("monotonicity ratio needs positive values")
+    if not np.all((values > 0.0) & (values < math.inf)):
+        raise ValidationError("monotonicity ratio needs finite values > 0")
     suffix_max = np.maximum.accumulate(values[::-1])[::-1]
     return float(np.min(values / suffix_max))
 
@@ -164,8 +164,8 @@ def integrability_predicate(decay_exponent, power, n):
     Strict inequality: ``power * decay_exponent > n`` (against the
     ``s^{n-1}`` radial measure at infinity).
     """
-    if power <= 0.0 or n <= 0:
-        raise ValidationError("need power > 0 and n > 0")
+    if not (power > 0.0 and n > 0) or math.isnan(decay_exponent):
+        raise ValidationError("need power > 0, n > 0 and no NaN")
     return bool(power * decay_exponent > n)
 
 
@@ -200,10 +200,10 @@ def run_recursion(b0, alpha, p, q, max_steps=64):
     stops at the first negative rate, on overflow past 1e100, or after
     ``max_steps``.
     """
-    if p <= 0.0 or q <= 0.0 or p * q <= 1.0:
+    if not (p > 0.0 and q > 0.0 and p * q > 1.0):
         raise ValidationError("need p, q > 0 with p*q > 1")
-    if alpha <= 0.0:
-        raise ValidationError("need alpha > 0")
+    if not alpha > 0.0 or not math.isfinite(b0):
+        raise ValidationError("need alpha > 0 and a finite b0")
     a_seq = []
     b_seq = []
     blowup = None

@@ -69,19 +69,22 @@ MB at 4096 nodes.  ``KernelOperator.matrix`` builds the dense array
 from the apply on first use, for tests and small grids.  Grids above
 ``MAX_DENSE_COUNT`` nodes are refused before anything is allocated.
 
-The responses to the constant head below ``r_min`` and to the
-power-law tail model beyond ``r_max`` follow one rule at both ends.
-Where ``r_</r_> <= FAR_RATIO`` the series integrates in closed form:
-over the whole extension for a node more than a factor 2 from the end,
-and from a factor 2 past the end for the nodes within it.  Only those,
-about ``ln 2 / h`` nodes, add the factor-2 stretch by quadrature, on
-one mesh graded toward the end (``_END_NODES``, Q = 156); the end node
-itself takes the cusp rule.  For even ``alpha`` nothing is sampled.  A
-tail of any decay exponent then costs ``O(count J + Q ln 2 / h)``, with
-no state kept per call.  An assembly on 4096 nodes over eight decades
-samples the kernel about 85k times at ``alpha = 0.8`` and 1764 times at
-``alpha = 2``, where sampling every pair, head and tail row would take
-3.2M.
+The responses to the power-law tail beyond ``r_max`` and to the
+constant head below ``r_min`` are one computation.  The series
+integrates the tail in closed form where ``r_</r_> <= FAR_RATIO``: all
+of it for a node more than a factor 2 below ``r_max``, from ``2 r_max``
+on for the nodes within it, which add the factor-2 stretch on one mesh
+graded toward the end (``_END_NODES``, Q = 156), the end node on the
+cusp rule; for even ``alpha`` nothing is sampled.  A tail of any decay
+exponent costs ``O(count J + Q ln 2 / h)``, with no state kept per call.
+By the inversion ``s -> r_min^2/s``, with ``K(lam r, lam s) =
+lam^(alpha-n) K(r, s)`` and ``K(1/r, 1/s) = (rs)^(n-alpha) K(r, s)``,
+the head at ``r_i`` is ``(r_min/r_i)^(n-alpha)`` times the tail at ``tau
+= n + alpha`` of the grid mirrored about ``r_min``: one table builder
+and one response serve both ends.  An assembly on 4096 nodes over eight
+decades samples the kernel about 85k times at ``alpha = 0.8`` and 1764
+times at ``alpha = 2``, where sampling every pair, head and tail row
+would take 3.2M.
 """
 
 from __future__ import annotations
@@ -92,10 +95,10 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from numpy.polynomial.polynomial import polyval
 from scipy import integrate, special
 
-from .errors import DivergentTailError, SingularKernelError, ValidationError
+from .errors import (DivergentTailError, SingularKernelError, ValidationError,
+                     whole_number)
 from .grid import RadialGrid
 
 #: Relative remainder at which :func:`field_integral` cuts a
@@ -209,11 +212,14 @@ def kernel_ratio(rho, n, alpha):
     Raises
     ------
     ValidationError
-        Unless ``0 < alpha < n``.
+        Unless ``n`` is whole, ``0 < alpha < n`` and every ``rho >= 0``.
     """
+    n = whole_number(n, "dimension")
     if not 0.0 < alpha < n:
         raise ValidationError("need 0 < alpha < n for the Riesz kernel")
     rho = np.asarray(rho, dtype=float)
+    if not np.all(rho >= 0.0):
+        raise ValidationError("kernel ratios must be >= 0 and not NaN")
     seam = max(_series_ratio(alpha), _near_seam(n))
     near = (rho > seam) & (rho < 1.0 / seam)
     out = np.empty(rho.shape)
@@ -541,13 +547,14 @@ class KernelOperator:
       :func:`_far_tables`).
 
     ``head_response`` is the bare response to the unit profile below
-    ``rMin``.  :func:`tail_response` builds the response beyond ``rMax``
-    from the tables of :func:`_tail_tables`: ``tail_series``, the
-    closed-form series part of every node (``count x J``);
-    ``tail_kernel``, the scaled kernel samples of the nodes within
-    ``1/FAR_RATIO`` of ``rMax`` on the shared end mesh, the last node
-    excepted; and ``tail_end``, the last node's samples on the cusp rule
-    (None, and ``tail_kernel`` empty, for even ``alpha``).  The
+    ``rMin``: ``(rMin/r_i)^{n-alpha}`` times the tail response at ``tau =
+    n + alpha`` of the grid mirrored about ``rMin`` (:func:`_head_response`).
+    :func:`tail_response` reads the tables :func:`_tail_tables` builds for
+    the grid itself: ``tail_series``, the closed-form series part of every
+    node (``count x J``); ``tail_kernel``, the scaled kernel samples of the
+    nodes within ``1/FAR_RATIO`` of ``rMax`` on the end mesh, the last
+    node excepted; and ``tail_end``, the last node's samples on the cusp
+    rule (None, and ``tail_kernel`` empty, for even ``alpha``).  The
     classical normalization is applied by :func:`apply_extended`.
     """
 
@@ -674,9 +681,9 @@ def _graded_breaks(lo, hi, toward_lo, levels=12):
     return np.concatenate((pts, [hi]))
 
 
-#: Shared mesh of the sampled stretch at either domain end, in ``y =
-#: |ln(s/r_end)|`` over ``[0, ln(1/FAR_RATIO)]``: 13 panels halving
-#: toward the kernel cusp at ``y = 0``, 156 nodes.
+#: Mesh of the sampled stretch beyond a domain end, in ``y = ln(s/r_end)``
+#: over ``[0, ln(1/FAR_RATIO)]``: 13 panels halving toward the kernel cusp
+#: at ``y = 0``, 156 nodes.
 _END_NODES, _END_WEIGHTS = _gauss_panels(
     _graded_breaks(0.0, -math.log(FAR_RATIO), True))
 
@@ -745,8 +752,8 @@ def _cusp_rule(alpha):
 def _end_cusp_rule(alpha):
     """:func:`_cusp_rule` on the end stretch ``[0, ln(1/FAR_RATIO)]``,
     for the node at the domain end.  Read-only: the last few ``alpha``
-    are kept, since every :func:`tail_response` call of an operator
-    whose last node is sampled needs the nodes."""
+    are kept, since every :func:`_end_response` call with a sampled end
+    node needs the nodes."""
     u, wu = _cusp_rule(alpha)
     y, wy = -math.log(FAR_RATIO) * u, -math.log(FAR_RATIO) * wu
     y.flags.writeable = wy.flags.writeable = False
@@ -1068,7 +1075,8 @@ def assemble(grid, n, alpha):
     # Boundary rows; the corner pair is integrated once, as (count-1, 0).
     rowl = np.append(stripl, scalel * diagl)
     row0 = np.concatenate(([scale0 * diag0], strip0, rowl[:1]))
-    tail_series, tail_kernel, tail_end = _tail_tables(grid, n, alpha)
+    tail_series, tail_kernel, tail_end = _tail_tables(grid.nodes,
+                                                      grid.r_max, n, alpha)
     return KernelOperator(grid=grid, alpha=alpha, n=n,
                           boundary=np.array([row0, rowl]), base=base,
                           band=band, far_gather=far_gather,
@@ -1081,96 +1089,84 @@ def assemble(grid, n, alpha):
 def _head_response(grid, n, alpha):
     """Response at each node to the constant unit profile on (0, rMin).
 
-    ``H_i = int_0^{rMin} K(r_i, s) s^{n-1} ds``, bare.  Below ``rho``
-    the kernel is its series, which integrates term by term to
-
-        |S^{n-1}| r_i^{alpha-n} sum_l c_l/(2l+n) rho^{2l+n} r_i^{-2l}:
-
-    ``rho = rMin`` for the nodes ``r_i >= rMin/FAR_RATIO``.  The nodes
-    nearer take ``rho = FAR_RATIO rMin`` and add ``[rho, rMin]`` on the
-    end mesh in ``y = ln(rMin/s)``, node 0 on :func:`_end_cusp_rule`.
-    For even ``alpha`` no node is near.
+    ``H_i = int_0^{rMin} K(r_i, s) s^{n-1} ds``, bare: by the inversion
+    ``s -> rMin^2/s`` (module docstring), ``(rMin/r_i)^{n-alpha}`` times
+    the :func:`_end_response` at ``tau = n + alpha`` of the grid mirrored
+    about ``rMin``, the nodes ``rMin^2/r_i`` reversed, ending at ``rMin``.
     """
     nodes, r_min = grid.nodes, grid.r_min
-    near = np.count_nonzero(r_min / nodes > _series_ratio(alpha))
-    coef = _series_coefficients(n, alpha)
-    rho = np.full(grid.count, r_min)
-    rho[:near] *= FAR_RATIO
-    out = (sphere_area(n) * nodes ** (alpha - n) * rho ** n
-           * polyval(np.square(rho / nodes),
-                     coef / (2.0 * np.arange(coef.size) + n)))
-    if near:
-        s = r_min * np.exp(-_END_NODES)
-        kv = kernel_ratio(s[None, :] / nodes[1:near, None], n, alpha)
-        out[1:near] += nodes[1:near] ** (alpha - n) * (
-            kv @ (s ** n * _END_WEIGHTS))
-        y, wy = _end_cusp_rule(alpha)
-        out[0] += r_min ** alpha * np.dot(
-            _log_kernel(-y, n, alpha) * np.exp(-n * y), wy)
-    return out
+    mirrored = (r_min * (r_min / nodes))[::-1]
+    tail = _end_response(_tail_tables(mirrored, r_min, n, alpha), n + alpha,
+                         n, alpha)
+    return (r_min / nodes) ** (n - alpha) * tail[::-1]
 
 
-def _tail_tables(grid, n, alpha):
-    """The tables of :func:`tail_response`: ``(series, kernel, end)``.
+def _tail_tables(nodes, r_end, n, alpha):
+    """The tables of :func:`_end_response` beyond ``r_end``, the last of
+    the increasing ``nodes``: ``(series, kernel, end)``.
 
-    Above ``k r_max`` the kernel is its series at every node, and the
-    tail ``(s/r_max)^{-tau}`` integrates term by term to
+    Above ``k r_end`` the kernel is its series at every node, and the
+    tail ``(s/r_end)^{-tau}`` integrates term by term to
 
-        |S^{n-1}| r_max^alpha sum_l c_l (r_i/r_max)^{2l}
+        |S^{n-1}| r_end^alpha sum_l c_l (r_i/r_end)^{2l}
                   k^{alpha-2l-tau} / (tau - alpha + 2l),
 
-    ``k = 1`` for ``r_i/r_max <= FAR_RATIO`` and ``k = 1/FAR_RATIO`` for
+    ``k = 1`` for ``r_i/r_end <= FAR_RATIO`` and ``k = 1/FAR_RATIO`` for
     the last ``near`` nodes.  ``series`` holds the terms without
-    ``k^-tau``, ``count x J``.  The near nodes add ``[r_max, k r_max]``,
-    ``r_max^n r_i^{alpha-n} int K(1, r_max e^y/r_i) e^{(n-tau) y} dy``:
-    ``kernel`` holds the factor before the integral times the kernel
-    and the weight on the end mesh, one row per near node but the last,
-    and ``end`` the same for the last node on :func:`_end_cusp_rule`,
-    or None when no node is near (even ``alpha``).
+    ``k^-tau``, ``count x J`` in column order, one running product over
+    ``l``.  The near nodes add ``[r_end, k r_end]``, ``r_end^n
+    r_i^{alpha-n} int K(1, r_end e^y/r_i) e^{(n-tau) y} dy``: ``kernel``
+    holds the factor before the integral times the kernel and the weight
+    on the end mesh, one row per near node but the last, and ``end`` the
+    same for the last node on :func:`_end_cusp_rule`, or None when no
+    node is near (even ``alpha``).
     """
-    nodes, r_max = grid.nodes, grid.r_max
-    near = np.count_nonzero(nodes / r_max > _series_ratio(alpha))
+    near = np.count_nonzero(nodes / r_end > _series_ratio(alpha))
     coef = _series_coefficients(n, alpha)
-    l2 = 2.0 * np.arange(coef.size)
-    series = (sphere_area(n) * r_max ** alpha * coef
-              * (nodes[:, None] / r_max) ** l2)
-    series[grid.count - near:] *= FAR_RATIO ** (l2 - alpha)
-    rows = nodes[grid.count - near:-1]
+    series = np.empty((nodes.size, coef.size), order="F")
+    series[:, 0] = sphere_area(n) * r_end ** alpha
+    ratio2 = np.square(nodes / r_end)
+    for l in range(1, coef.size):
+        np.multiply(series[:, l - 1], ratio2, out=series[:, l])
+    series *= coef
+    series[nodes.size - near:] *= FAR_RATIO ** (
+        2.0 * np.arange(coef.size) - alpha)
+    rows = nodes[nodes.size - near:-1]
     kernel = np.empty((rows.size, _END_NODES.size))
-    s = r_max * np.exp(_END_NODES)
+    s = r_end * np.exp(_END_NODES)
     for lo in range(0, rows.size, _TAIL_BUILD_ROWS):
         block = slice(lo, lo + _TAIL_BUILD_ROWS)
-        kernel[block] = (rows[block, None] ** (alpha - n) * r_max ** n
+        kernel[block] = (rows[block, None] ** (alpha - n) * r_end ** n
                          * kernel_ratio(s[None, :] / rows[block, None], n,
                                         alpha) * _END_WEIGHTS)
     end = None
     if near:
         y, wy = _end_cusp_rule(alpha)
-        end = r_max ** alpha * _log_kernel(y, n, alpha) * wy
+        end = r_end ** alpha * _log_kernel(y, n, alpha) * wy
     return series, kernel, end
 
 
-def _check_tail(tail_exponent, alpha):
-    """Reject non-finite tail exponents and divergent tails: the tail
-    integral converges only for ``tail_exponent > alpha``."""
-    if not math.isfinite(tail_exponent):
-        raise ValidationError(
-            "tail exponent must be finite, got %r" % (tail_exponent,))
-    if tail_exponent <= alpha:
-        raise DivergentTailError(
-            "tail extension diverges: tail exponent %r <= alpha %r"
-            % (tail_exponent, alpha))
+def _end_response(tables, tau, n, alpha):
+    """Response to the unit tail ``(s/r_end)^{-tau}`` from the tables of
+    :func:`_tail_tables`: the series times ``1/(tau - alpha + 2l)``, and
+    ``FAR_RATIO^tau`` and the sampled stretch at the near nodes."""
+    series, kernel, end = tables
+    out = series @ (1.0 / (tau - alpha + 2.0 * np.arange(series.shape[1])))
+    if end is not None:
+        near = kernel.shape[0] + 1
+        out[-near:] *= FAR_RATIO ** tau
+        out[-near:-1] += kernel @ np.exp((n - tau) * _END_NODES)
+        out[-1] += end @ np.exp((n - tau) * _end_cusp_rule(alpha)[0])
+    return out
 
 
 def tail_response(op, tail_exponent):
     """Response at each node to the unit tail profile beyond ``r_max``.
 
     The tail model is ``(s/r_max)^{-tau}`` for ``s > r_max``; the caller
-    scales by the boundary value.  The series part is one ``count x J``
-    product with ``1/(tau - alpha + 2l)``, times ``FAR_RATIO^tau`` at the
-    nodes within ``1/FAR_RATIO`` of ``r_max``, which add their sampled
-    stretch (:func:`_tail_tables`).  Each call costs a few small
-    matrix-vector products; the operator keeps no state per ``tau``.
+    scales by the boundary value.  It is :func:`_end_response` on the
+    operator's tables of :func:`_tail_tables`: a few small matrix-vector
+    products a call, with no state kept per ``tau``.
 
     Raises
     ------
@@ -1179,16 +1175,15 @@ def tail_response(op, tail_exponent):
     DivergentTailError
         For ``tail_exponent <= alpha``.
     """
-    _check_tail(tail_exponent, op.alpha)
-    out = op.tail_series @ (1.0 / (tail_exponent - op.alpha + 2.0
-                                   * np.arange(op.tail_series.shape[1])))
-    if op.tail_end is not None:
-        near = op.tail_kernel.shape[0] + 1
-        decay = op.n - tail_exponent
-        out[-near:] *= FAR_RATIO ** tail_exponent
-        out[-near:-1] += op.tail_kernel @ np.exp(decay * _END_NODES)
-        out[-1] += op.tail_end @ np.exp(decay * _end_cusp_rule(op.alpha)[0])
-    return out
+    if not math.isfinite(tail_exponent):
+        raise ValidationError(
+            "tail exponent must be finite, got %r" % (tail_exponent,))
+    if tail_exponent <= op.alpha:
+        raise DivergentTailError(
+            "tail extension diverges: tail exponent %r <= alpha %r"
+            % (tail_exponent, op.alpha))
+    return _end_response((op.tail_series, op.tail_kernel, op.tail_end),
+                         tail_exponent, op.n, op.alpha)
 
 
 def apply_extended(op, values, tail_exponent):
@@ -1225,9 +1220,13 @@ def field_integral(f, power=1.0):
 
     Raises
     ------
+    ValidationError
+        Unless ``power`` is finite and positive.
     DivergentTailError
         When the powered tail is not integrable, ``power*tau <= n``.
     """
+    if not 0.0 < power < math.inf:
+        raise ValidationError("power must be finite and > 0, not %r" % power)
     grid = f.grid
     n = float(grid.n)
     vals = f.values ** power

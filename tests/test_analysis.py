@@ -108,6 +108,10 @@ class TestMonotonicity:
             monotonicity_criterion([1.0, -1.0])
         with pytest.raises(ValidationError):
             monotonicity_criterion([])
+        # a NaN gave a NaN ratio
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValidationError):
+                monotonicity_criterion([1.0, bad, 0.5])
 
 
 class TestIntegrability:
@@ -115,6 +119,13 @@ class TestIntegrability:
         # decay exactly at n/power integrates to a logarithm: not in L^m
         assert integrability_predicate(1.0, 5.0, 5) is False
         assert integrability_predicate(1.01, 5.0, 5) is True
+
+    def test_validation(self):
+        # a NaN exponent read as "not integrable"
+        for args in ((math.nan, 2.0, 3), (1.0, math.nan, 3),
+                     (1.0, 0.0, 3), (1.0, 2.0, 0)):
+            with pytest.raises(ValidationError):
+                integrability_predicate(*args)
 
     @given(st.floats(min_value=0.1, max_value=10.0),
            st.floats(min_value=0.1, max_value=10.0),
@@ -177,6 +188,12 @@ class TestRecursion:
             run_recursion(1.0, 2.0, 0.5, 1.0)
         with pytest.raises(ValidationError):
             run_recursion(1.0, -1.0, 2.0, 2.0)
+        # a NaN gave a NaN trace, an infinite b0 an infinite one
+        for args in ((math.nan, 2.0, 3.0, 3.0), (math.inf, 2.0, 3.0, 3.0),
+                     (1.0, math.nan, 3.0, 3.0),
+                     (1.0, 2.0, math.nan, 3.0), (1.0, 2.0, 3.0, math.nan)):
+            with pytest.raises(ValidationError):
+                run_recursion(*args)
 
 
 class TestEnvelope:

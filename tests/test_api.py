@@ -62,3 +62,29 @@ def test_no_unused_imports():
         unused += ["%s: %s" % (path.name, name)
                    for name in sorted(imported - read)]
     assert unused == []
+
+
+def test_no_orphaned_private_helpers():
+    # every module-level private function or class is named somewhere
+    # in the package outside its own definition: by a name, an
+    # attribute or an import
+    statements = []
+    for path in sorted(Path(rieszlab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for stmt in tree.body:
+            names = set()
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    names.add(node.name)
+            statements.append((path.name, stmt, names))
+    orphans = [
+        "%s: %s" % (module, stmt.name) for module, stmt, _ in statements
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+        and stmt.name.startswith("_") and not stmt.name.startswith("__")
+        and not any(stmt.name in names
+                    for _, other, names in statements if other is not stmt)]
+    assert orphans == []

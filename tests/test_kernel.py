@@ -181,6 +181,23 @@ class TestKernelRatioNearDiagonal:
         with pytest.raises(ValidationError, match="alpha"):
             kernel_ratio(np.array([0.5, 1.5]), 4, alpha)
 
+    @pytest.mark.parametrize("rho, n, match", [
+        (-1.0, 3, "kernel ratios"), (math.nan, 3, "kernel ratios"),
+        (np.array([0.5, -2.0, 1.5]), 3, "kernel ratios"),
+        (0.5, 2.5, "dimension"), (0.5, "3", "dimension")])
+    def test_malformed_input_refused(self, rho, n, match):
+        with pytest.raises(ValidationError, match=match):
+            kernel_ratio(rho, n, 0.8)
+
+    def test_ratio_range_ends(self):
+        # rho = 0 is the kernel's value at the origin, |S^2| at n = 3;
+        # rho = inf its limit 0; rho > 1 is the mirrored side of 1/rho
+        assert kernel_ratio(0.0, 3, 0.8) == pytest.approx(4.0 * math.pi,
+                                                          rel=1e-15)
+        assert kernel_ratio(math.inf, 3, 0.8) == 0.0
+        assert kernel_ratio(3.0, 3, 0.8) == pytest.approx(
+            3.0 ** (0.8 - 3) * kernel_ratio(1.0 / 3.0, 3, 0.8), rel=1e-14)
+
     def test_scalar_input(self):
         got = kernel_ratio(1.0 + 1e-8, 3, 1.2)
         assert np.ndim(got) == 0

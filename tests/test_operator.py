@@ -12,10 +12,10 @@ from scipy import integrate, special
 from rieszlab import riesz
 from rieszlab.errors import DivergentTailError, ValidationError
 from rieszlab.grid import make_grid
-from rieszlab.riesz import (_END_NODES, _END_WEIGHTS, FAR_RATIO,
-                            MAX_DENSE_COUNT, RadialField, _cusp_rule,
-                            _far_pairs, _head_response, _log_kernel,
-                            _pair_cells, _pair_integrand,
+from rieszlab.riesz import (_END_NODES, _END_WEIGHTS, _TAIL_BUILD_ROWS,
+                            FAR_RATIO, MAX_DENSE_COUNT, RadialField,
+                            _cusp_rule, _far_pairs, _head_response,
+                            _log_kernel, _pair_cells, _pair_integrand,
                             _series_coefficients, apply_extended, assemble,
                             field_integral, kernel_ratio, power_law_constant,
                             sphere_area, tail_response)
@@ -661,6 +661,26 @@ class TestTailResponse:
         for tau in (alpha + 0.05, 6.0, 18.0):
             check_tail_oracle(op, tau)
 
+    @pytest.mark.filterwarnings(
+        "ignore::scipy.integrate.IntegrationWarning")
+    def test_build_block_seam_at_both_ends(self):
+        # 617 near nodes per end take their kernel rows in blocks of
+        # _TAIL_BUILD_ROWS; check the two nodes either side of the first
+        # seam.  The head's rows are those of the mirrored grid, which
+        # run from node near-1 down, so its seam is at nodes seam-1, seam
+        n, alpha = 3, 0.8
+        op = assemble(make_grid(1.0, 10.0, 2048, n), n, alpha)
+        count, near = op.grid.count, op.tail_kernel.shape[0] + 1
+        assert near == 617 and near > _TAIL_BUILD_ROWS
+        seam = near - _TAIL_BUILD_ROWS
+        tail = tail_response(op, 3.0)
+        for i in (count - seam - 1, count - seam):
+            assert tail[i] == pytest.approx(tail_oracle(op, i, 3.0),
+                                            rel=1e-12, abs=0.0)
+        for i in (seam - 1, seam):
+            assert op.head_response[i] == pytest.approx(
+                head_oracle(op.grid, n, alpha, i), rel=1e-10, abs=0.0)
+
     def test_operator_state_bounded(self, op4):
         # every call uses the tables built at assembly; nothing is
         # cached per tail exponent, and only the nodes within FAR_RATIO
@@ -724,6 +744,15 @@ class TestFieldIntegral:
         f = RadialField(grid, grid.nodes ** -2.0, tail_exponent=2.0)
         with pytest.raises(DivergentTailError):
             field_integral(f, power=2.0)   # 2*2 = 4 <= n = 5
+
+    @pytest.mark.parametrize("power", [math.nan, 0.0, -1.0, math.inf])
+    def test_malformed_power_refused(self, power):
+        # malformed input, not a divergent tail: NaN gave a NaN
+        # integral, 0 and -1 a DivergentTailError
+        grid = make_grid(1e-1, 1e5, 128, 5)
+        f = RadialField(grid, grid.nodes ** -2.0, tail_exponent=6.0)
+        with pytest.raises(ValidationError, match="power"):
+            field_integral(f, power=power)
 
 
 class TestRadialField:
