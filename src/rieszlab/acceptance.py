@@ -313,7 +313,6 @@ def _envelope_sets(ws):
 
 
 def _c_envelope_positivity(ws):
-    slack = 0.05
     count = 0
     min_weighted = math.inf
     worst_upper = 0.0  # max fitted/fast ratio
@@ -322,6 +321,7 @@ def _c_envelope_positivity(ws):
     for label, params, radii, u, v, window in _envelope_sets(ws):
         count += 1
         rep = classify(params)
+        (lo_u, hi_u), (lo_v, hi_v) = analysis.envelope_bands(rep)
         fit_u = analysis.fit_tail(radii, u, window=window)
         fit_v = analysis.fit_tail(radii, v, window=window)
         wlo, whi = ((fit_u.window_lo, fit_u.window_hi) if window is None
@@ -330,18 +330,18 @@ def _c_envelope_positivity(ws):
         for vals, weight in ((u, rep.fast_rate_u), (v, rep.fast_rate_v)):
             min_weighted = min(min_weighted,
                                float(np.min(vals[sel] * radii[sel] ** weight)))
-        for fit, fast, slow in ((fit_u, rep.fast_rate_u, rep.slow_rate_u),
-                                (fit_v, rep.fast_rate_v, rep.slow_rate_v)):
+        for fit, fast, hi in ((fit_u, rep.fast_rate_u, hi_u),
+                              (fit_v, rep.fast_rate_v, hi_v)):
             worst_upper = max(worst_upper, fit.exponent / fast)
-            if fit.exponent > fast * (1.0 + slack):
+            if fit.exponent > hi:
                 all_ok = False
         eps = min(analysis.monotonicity_criterion(u[sel]),
                   analysis.monotonicity_criterion(v[sel]))
         if eps >= 0.1:
-            for fit, slow in ((fit_u, rep.slow_rate_u),
-                              (fit_v, rep.slow_rate_v)):
+            for fit, slow, lo in ((fit_u, rep.slow_rate_u, lo_u),
+                                  (fit_v, rep.slow_rate_v, lo_v)):
                 worst_lower = min(worst_lower, fit.exponent / slow)
-                if fit.exponent < slow * (1.0 - slack):
+                if fit.exponent < lo:
                     all_ok = False
     passed = all_ok and min_weighted > 0.0 and count >= 5
     return ("on >= 5 parameter sets: weighted tails positive, exponents "

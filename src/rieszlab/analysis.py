@@ -56,7 +56,7 @@ def default_window(radii):
     return max(lo, 0), hi
 
 
-def fit_tail(radii, values, window=None, min_points=10, log_power=None):
+def fit_tail(radii, values, window=None, log_power=None):
     """Fit a decaying power law, choosing the log correction by evidence.
 
     Both ``f = A r^-m`` and ``f = A r^-m ln r`` are fitted by least
@@ -79,10 +79,13 @@ def fit_tail(radii, values, window=None, min_points=10, log_power=None):
 
     Raises
     ------
+    ValidationError
+        Unless ``radii`` and ``values`` are congruent 1D arrays of finite
+        numbers.
     DegenerateFitError
-        For windows with fewer than ``min_points`` samples, nonpositive
-        values, no radial spread, or a forced log model on a window
-        touching radii <= 1.
+        For windows with fewer than 10 samples, nonpositive values, no
+        radial spread, or a forced log model on a window touching radii
+        <= 1.
     """
     if log_power not in (None, 0, 1):
         raise ValidationError("log_power must be None, 0 or 1")
@@ -90,6 +93,8 @@ def fit_tail(radii, values, window=None, min_points=10, log_power=None):
     values = np.asarray(values, dtype=float)
     if radii.shape != values.shape or radii.ndim != 1:
         raise ValidationError("radii and values must be 1D and congruent")
+    if not (np.all(np.isfinite(radii)) and np.all(np.isfinite(values))):
+        raise ValidationError("radii and values must be finite")
     if window is None:
         lo_i, hi_i = default_window(radii)
         sel = np.zeros(radii.size, dtype=bool)
@@ -99,10 +104,9 @@ def fit_tail(radii, values, window=None, min_points=10, log_power=None):
         sel = (radii >= wlo) & (radii <= whi)
     r = radii[sel]
     f = values[sel]
-    if r.size < min_points:
+    if r.size < 10:
         raise DegenerateFitError(
-            "fit window holds %d samples, need at least %d"
-            % (r.size, min_points))
+            "fit window holds %d samples, need at least 10" % r.size)
     if np.any(f <= 0.0):
         raise DegenerateFitError("fit window contains nonpositive values")
     lr = np.log(r)
@@ -192,13 +196,13 @@ class RecursionTrace:
     blowup_index: int | None
 
 
-def run_recursion(b0, alpha, p, q, max_steps=64):
+def run_recursion(b0, alpha, p, q):
     """Iterate the decay-exponent recursion from ``b0``.
 
     The map is affine with multiplier ``p*q > 1`` around its fixed point
     ``alpha*(q+1)/(p*q-1)``, so it always resolves quickly; iteration
     stops at the first negative rate, on overflow past 1e100, or after
-    ``max_steps``.
+    64 steps.
     """
     if not (p > 0.0 and q > 0.0 and p * q > 1.0):
         raise ValidationError("need p, q > 0 with p*q > 1")
@@ -208,7 +212,7 @@ def run_recursion(b0, alpha, p, q, max_steps=64):
     b_seq = []
     blowup = None
     b = float(b0)
-    for j in range(1, max_steps + 1):
+    for j in range(1, 65):
         a = p * b - alpha
         b = q * a - alpha
         a_seq.append(a)
@@ -223,22 +227,30 @@ def run_recursion(b0, alpha, p, q, max_steps=64):
                           b_seq=tuple(b_seq), blowup_index=blowup)
 
 
-def envelope_bands(report, slack=ENVELOPE_SLACK):
+def envelope_bands(report):
     """Admissible decay-exponent bands ``((lo_u, hi_u), (lo_v, hi_v))``.
 
     Each band spans the component's slow (power-law separatrix) and fast
     (potential-driven) rates from the regime classification ``report``,
-    widened by ``slack`` relative on both sides.
+    widened by ``ENVELOPE_SLACK`` (5%) relative on both sides.
     """
-    return tuple((min(slow, fast) * (1.0 - slack),
-                  max(slow, fast) * (1.0 + slack))
+    return tuple((min(slow, fast) * (1.0 - ENVELOPE_SLACK),
+                  max(slow, fast) * (1.0 + ENVELOPE_SLACK))
                  for slow, fast in ((report.slow_rate_u, report.fast_rate_u),
                                     (report.slow_rate_v, report.fast_rate_v)))
 
 
-def envelope_check(params, exponent_u, exponent_v, slack=ENVELOPE_SLACK):
-    """Whether fitted decay exponents sit inside :func:`envelope_bands`."""
-    bands = envelope_bands(classify(params), slack)
+def envelope_check(params, exponent_u, exponent_v):
+    """Whether fitted decay exponents sit inside :func:`envelope_bands`.
+
+    Raises
+    ------
+    ValidationError
+        Unless both exponents are finite.
+    """
+    if not (math.isfinite(exponent_u) and math.isfinite(exponent_v)):
+        raise ValidationError("decay exponents must be finite")
+    bands = envelope_bands(classify(params))
     return all(lo <= measured <= hi for (lo, hi), measured
                in zip(bands, (exponent_u, exponent_v)))
 

@@ -376,10 +376,8 @@ def _claim_fast_limits(ctx):
         raise ValidationError("stored samples do not sit on the manifest grid")
     fu, fv = ctx["fit_u"], ctx["fit_v"]
     pair = SolutionPair(
-        u=RadialField(grid, ctx["u"], tail_exponent=fu.exponent,
-                      tail_log_power=fu.log_power),
-        v=RadialField(grid, ctx["v"], tail_exponent=fv.exponent,
-                      tail_log_power=fv.log_power),
+        u=RadialField(grid, ctx["u"], tail_exponent=fu.exponent),
+        v=RadialField(grid, ctx["v"], tail_exponent=fv.exponent),
         params=params, iterations=0, residual_u=0.0, residual_v=0.0,
         branch=Branch.PICARD)
     limits = analysis.check_fast_limits(pair)

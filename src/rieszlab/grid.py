@@ -63,22 +63,6 @@ class RadialGrid:
         lo = int(round(self.count / 4.0))
         return slice(lo, self.count - lo)
 
-    def scaled(self, lam):
-        """Return the grid with all radii multiplied by ``lam > 0``.
-
-        Node ratios and the log step are preserved exactly, so operator
-        assembly on the scaled grid reproduces the exact scaling
-        covariance of the continuum operator.
-        """
-        if lam <= 0.0:
-            raise ValidationError("scale factor must be positive")
-        nodes = self.nodes * lam
-        edges = self.edges * lam
-        return RadialGrid(
-            r_min=self.r_min * lam, r_max=self.r_max * lam,
-            count=self.count, n=self.n,
-            nodes=nodes, edges=edges, weights=_cell_weights(edges, self.n))
-
 
 def _cell_weights(edges, n):
     """Exact cell moments of ``s^{n-1}``, rejected unless all are finite

@@ -65,9 +65,8 @@ convolution; the interior pairs beyond are J products of a power of
 sums over scale tables; the two boundary rows are stored.  One
 :meth:`KernelOperator.apply` is O(count (D + J)) work on O(count J)
 stored numbers, where a dense product is O(count^2) on a matrix of 134
-MB at 4096 nodes.  ``KernelOperator.matrix`` builds the dense array
-from the apply on first use, for tests and small grids.  Grids above
-``MAX_DENSE_COUNT`` nodes are refused before anything is allocated.
+MB at 4096 nodes.  Grids above ``MAX_DENSE_COUNT`` nodes are refused
+before anything is allocated.
 
 The responses to the power-law tail beyond ``r_max`` and to the
 constant head below ``r_min`` are one computation.  The series
@@ -91,7 +90,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -101,9 +100,6 @@ from .errors import (DivergentTailError, SingularKernelError, ValidationError,
                      whole_number)
 from .grid import RadialGrid
 
-#: Relative remainder at which :func:`field_integral` cuts a
-#: log-corrected tail.
-TAIL_REMAINDER = 1e-8
 #: Largest ratio ``r_</r_>`` of two radii at which the kernel is taken
 #: from its series (:func:`_series_coefficients`) instead of sampled:
 #: there ``t = (r_</r_>)^2 <= 1/4`` and the series converges like 4^-l.
@@ -128,8 +124,8 @@ _PAIR_BLOCK_ROWS = 1024
 #: is 3.6e-15 of the interval, and 64 levels move no cusp pair by more
 #: than 7e-16 (n = 3..7, alpha = 0.3..6.5, 64 to 4096 nodes).
 _CUSP_LEVELS = 48
-#: Largest grid :func:`assemble` accepts; the dense
-#: ``KernelOperator.matrix`` of it is ``count x count`` doubles, 2 GB.
+#: Largest grid :func:`assemble` accepts, refused on the count alone by
+#: :func:`check_dense_count`.
 MAX_DENSE_COUNT = 16384
 #: Largest ``|ln|`` of an entry of the far-field scale tables
 #: (:func:`_far_tables`).  With the swept values scaled to at most 1,
@@ -454,12 +450,14 @@ def angular_kernel(r, s, n, alpha):
 
     Raises
     ------
+    ValidationError
+        Unless ``r`` and ``s`` are finite, nonnegative and not both 0.
     SingularKernelError
         For ``r == s`` with ``alpha <= 1`` (the pointwise kernel is
         infinite there; cell-averaged assembly must be used instead).
     """
-    if r < 0.0 or s < 0.0 or (r == 0.0 and s == 0.0):
-        raise ValidationError("need r, s >= 0 and not both zero")
+    if not (0.0 <= r < math.inf and 0.0 <= s < math.inf) or r == s == 0.0:
+        raise ValidationError("need finite r, s >= 0, not both zero")
     if n < 3 or not (0.0 < alpha < n):
         raise ValidationError("need n >= 3 and 0 < alpha < n")
     if r == 0.0 or s == 0.0:
@@ -499,17 +497,13 @@ class RadialField:
         Nonnegative node values.
     tail_exponent : float
         Decay exponent ``tau``: beyond ``r_max`` the profile is modeled
-        as ``values[-1] * (s/r_max)^{-tau} * (ln s / ln r_max)^kappa``.
-    tail_log_power : int
-        Logarithmic correction exponent ``kappa``, 0 or 1, read by
-        :func:`field_integral`; :func:`apply_extended` takes the pure
-        power law.
+        as the pure power law ``values[-1] * (s/r_max)^{-tau}``, by
+        :func:`apply_extended` and :func:`field_integral` alike.
     """
 
     grid: RadialGrid
     values: np.ndarray = field(repr=False)
     tail_exponent: float = 0.0
-    tail_log_power: int = 0
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -519,8 +513,6 @@ class RadialField:
                 % (vals.shape, self.grid.count))
         if np.any(vals < 0.0) or not np.all(np.isfinite(vals)):
             raise ValidationError("field values must be finite and >= 0")
-        if self.tail_log_power not in (0, 1):
-            raise ValidationError("tail_log_power must be 0 or 1")
         if not math.isfinite(self.tail_exponent):
             raise ValidationError("tail_exponent must be finite, got %r"
                                   % (self.tail_exponent,))
@@ -533,9 +525,9 @@ class KernelOperator:
 
     :meth:`apply` maps node values to bare integral values,
     ``apply(f)[i] ~ int_{rMin}^{rMax} K(r_i, s) f(s) s^{n-1} ds``, in
-    O(count (D + J)) work from O(count J) numbers; ``matrix`` is the
-    same map as a dense array, built on first use.  With ``w`` the cell
-    weights, the symmetric pair integrals ``w_i M[i][j]`` are:
+    O(count (D + J)) work from O(count J) numbers, with no dense array
+    ``M`` ever formed.  With ``w`` the cell weights, the symmetric pair
+    integrals ``w_i M[i][j]`` are:
 
     - rows (and columns) 0 and count-1: the two rows of ``boundary``;
     - interior pairs ``0 < i, j < count-1`` closer than ``D =
@@ -577,7 +569,7 @@ class KernelOperator:
         return riesz_normalization(self.n, self.alpha)
 
     def apply(self, values):
-        """Bare operator action on node values: ``matrix @ values``.
+        """Bare operator action on node values: ``M @ values``.
 
         A direct band convolution over the near interior pairs, two
         blocked prefix sums per series term over the far ones (see
@@ -619,33 +611,13 @@ class KernelOperator:
                      + self.boundary[1, 1:-1] * f[-1])
         return out / self.grid.weights
 
-    @cached_property
-    def matrix(self):
-        """The operator as a dense ``count x count`` array, one
-        :meth:`apply` per column; built on first access and kept, for
-        tests and small grids.
-
-        Raises
-        ------
-        ValidationError
-            By :func:`check_dense_count`, above ``MAX_DENSE_COUNT``
-            nodes.
-        """
-        count = self.grid.count
-        check_dense_count(count)
-        out = np.empty((count, count))
-        unit = np.zeros(count)
-        for j in range(count):
-            unit[j] = 1.0
-            out[:, j] = self.apply(unit)
-            unit[j] = 0.0
-        return out
-
 
 def check_dense_count(count):
     """Refuse a grid larger than ``MAX_DENSE_COUNT`` nodes.
 
-    The bound keeps the dense ``matrix`` of any operator within 2 GB.
+    It reads the count alone, so a grid is refused before any of its
+    arrays exist; no far-field prefix sum is then longer than the
+    ``MAX_DENSE_COUNT`` terms ``_SCALE_LOG_LIMIT`` is derived for.
     Raises :class:`ValidationError` above it.
     """
     if count > MAX_DENSE_COUNT:
@@ -1216,7 +1188,8 @@ def field_integral(f, power=1.0):
 
     Computes ``int_0^inf f(s)^power s^{n-1} ds`` using the grid
     quadrature on ``[rMin, rMax]``, the constant extension of ``f`` below
-    ``rMin`` and its power-law tail model above ``rMax``.
+    ``rMin`` and its pure power-law tail above ``rMax``, each in closed
+    form.
 
     Raises
     ------
@@ -1236,22 +1209,9 @@ def field_integral(f, power=1.0):
     tail = 0.0
     if vals[-1] != 0.0:
         tau_eff = power * f.tail_exponent
-        m_eff = power * f.tail_log_power
         if tau_eff <= n:
             raise DivergentTailError(
                 "tail integral diverges: tail exponent*power %r <= %r"
                 % (tau_eff, n))
-        if m_eff == 0.0:
-            tail = vals[-1] * grid.r_max ** n / (tau_eff - n)
-        else:
-            y_max = -math.log(TAIL_REMAINDER) / (tau_eff - n)
-            ynodes, yweights = _gauss_panels(np.linspace(0.0, y_max, 17))
-            lr = math.log(grid.r_max)
-            if lr <= 1.0:
-                raise ValidationError(
-                    "log-corrected tails need r_max > e")
-            prof = (np.exp((n - tau_eff) * ynodes)
-                    * (1.0 + ynodes / lr) ** m_eff)
-            tail = vals[-1] * grid.r_max ** n * float(
-                np.dot(yweights, prof))
+        tail = vals[-1] * grid.r_max ** n / (tau_eff - n)
     return core + head + tail

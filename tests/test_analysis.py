@@ -22,12 +22,10 @@ from rieszlab.solver import Branch, SolutionPair
 
 
 def make_pair(n, alpha, p, q, values_u, values_v, tail_u, tail_v,
-              grid=None, log_u=0, log_v=0):
+              grid=None):
     grid = grid or make_grid(1e-4, 1e4, 128, n)
-    u = RadialField(grid, values_u(grid.nodes), tail_exponent=tail_u,
-                    tail_log_power=log_u)
-    v = RadialField(grid, values_v(grid.nodes), tail_exponent=tail_v,
-                    tail_log_power=log_v)
+    u = RadialField(grid, values_u(grid.nodes), tail_exponent=tail_u)
+    v = RadialField(grid, values_v(grid.nodes), tail_exponent=tail_v)
     return SolutionPair(u=u, v=v, params=Params(n, alpha, p, q),
                         iterations=0, residual_u=0.0, residual_v=0.0,
                         branch=Branch.PICARD)
@@ -76,12 +74,29 @@ class TestFitTail:
 
     def test_degenerate_windows(self):
         r = np.geomspace(1.0, 1e4, 50)
-        with pytest.raises(DegenerateFitError):
-            fit_tail(r, r ** -2.0, window=(1e3, 1e4), min_points=40)
+        # 13 samples in the last decade, 9 in its upper 0.7
+        fit_tail(r, r ** -2.0, window=(1e3, 1e4))
+        with pytest.raises(DegenerateFitError, match="at least 10"):
+            fit_tail(r, r ** -2.0, window=(2e3, 1e4))
         vals = r ** -2.0
         vals[-5] = 0.0
         with pytest.raises(DegenerateFitError):
             fit_tail(r, vals, window=(1.0, 1e4))
+
+    def test_non_finite_input_refused(self):
+        # an all-NaN profile gave a DecayFit of NaNs
+        r = np.geomspace(1.0, 1e4, 200)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValidationError, match="finite"):
+                fit_tail(r, np.full(r.size, bad))
+            vals = r ** -2.0
+            vals[3] = bad
+            with pytest.raises(ValidationError, match="finite"):
+                fit_tail(r, vals)
+            radii = r.copy()
+            radii[-1] = bad
+            with pytest.raises(ValidationError, match="finite"):
+                fit_tail(radii, r ** -2.0)
 
     def test_default_window_outer_decade(self):
         r = np.geomspace(1e-4, 1e4, 512)
@@ -147,19 +162,19 @@ class TestRecursion:
 
     def test_fixed_point_is_stationary(self):
         # theta = 2*(2+1)/(4-1) = 2 exactly in floats
-        trace = run_recursion(2.0, 2.0, 2.0, 2.0, max_steps=8)
+        trace = run_recursion(2.0, 2.0, 2.0, 2.0)
         assert trace.blowup_index is None
-        assert all(b == 2.0 for b in trace.b_seq)
+        assert trace.b_seq == (2.0,) * 64
 
     def test_above_fixed_point_never_blows_up(self):
-        trace = run_recursion(3.0, 2.0, 2.0, 2.0, max_steps=64)
+        trace = run_recursion(3.0, 2.0, 2.0, 2.0)
         assert trace.blowup_index is None
         assert all(b > 2.0 for b in trace.b_seq)
         bs = trace.b_seq
         assert all(b2 > b1 for b1, b2 in zip(bs, bs[1:]))
 
     def test_overflow_guard_stops_iteration(self):
-        trace = run_recursion(1e90, 2.0, 2.0, 2.0, max_steps=64)
+        trace = run_recursion(1e90, 2.0, 2.0, 2.0)
         assert trace.blowup_index is None
         assert len(trace.b_seq) < 64
         assert abs(trace.b_seq[-1]) > 1e100
@@ -208,9 +223,18 @@ class TestEnvelope:
         assert envelope_check(params, 2.0, 3.2) is False
 
     def test_slack_widens_band(self):
+        # the slow rate of u is 1, widened by ENVELOPE_SLACK to 0.95
         params = Params(5, 2.0, 3.0, 3.0)
         assert envelope_check(params, 0.951, 2.0) is True
-        assert envelope_check(params, 0.9, 2.0, slack=0.12) is True
+        assert envelope_check(params, 0.949, 2.0) is False
+
+    def test_non_finite_exponent_refused(self):
+        # a NaN exponent read as "outside the band"
+        params = Params(5, 2.0, 3.0, 3.0)
+        for args in ((math.nan, 1.0), (2.0, math.nan), (math.inf, 2.0),
+                     (2.0, -math.inf)):
+            with pytest.raises(ValidationError, match="finite"):
+                envelope_check(params, *args)
 
 
 class TestFastLimits:

@@ -19,7 +19,7 @@ def test_all_has_no_duplicates():
 
 
 def test_deleted_names_are_gone():
-    from rieszlab import errors, exponents, riesz, solver
+    from rieszlab import analysis, errors, exponents, grid, riesz, solver
 
     gone = {rieszlab: ("apply_with_tail", "integrability_thresholds",
                        "slow_exponents", "AssemblyError",
@@ -27,7 +27,7 @@ def test_deleted_names_are_gone():
             errors: ("AssemblyError", "CollapseError"),
             riesz: ("apply_with_tail", "_pair_cell_quadrature",
                     "_ADAPTIVE_BUDGET", "TAIL_RANGE_CAP",
-                    "_terminating_kernel"),
+                    "_terminating_kernel", "TAIL_REMAINDER"),
             exponents: ("integrability_thresholds",),
             solver: ("slow_exponents", "CollapseError", "COLLAPSE_FLOOR",
                      "_origin_gap")}
@@ -36,10 +36,19 @@ def test_deleted_names_are_gone():
             assert not hasattr(module, name), (module.__name__, name)
             assert name not in rieszlab.__all__
     assert not hasattr(riesz.RadialField, "with_values")
+    assert not hasattr(riesz.KernelOperator, "matrix")
+    assert not hasattr(grid.RadialGrid, "scaled")
     assert "tail_moments" not in {
         f.name for f in dataclasses.fields(riesz.KernelOperator)}
+    assert [f.name for f in dataclasses.fields(riesz.RadialField)] == [
+        "grid", "values", "tail_exponent"]
     for func in (riesz.tail_response, riesz.apply_extended):
         assert "tail_log_power" not in inspect.signature(func).parameters
+    for func, name in ((analysis.fit_tail, "min_points"),
+                       (analysis.run_recursion, "max_steps"),
+                       (analysis.envelope_bands, "slack"),
+                       (analysis.envelope_check, "slack")):
+        assert name not in inspect.signature(func).parameters
 
 
 def test_no_unused_imports():

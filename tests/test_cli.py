@@ -9,10 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rieszlab.analysis import envelope_bands, envelope_check
+from rieszlab.analysis import amplitude_b0, envelope_bands, envelope_check
 from rieszlab.cli import main
 from rieszlab.exponents import Params, classify
+from rieszlab.grid import make_grid
 from rieszlab.riesz import MAX_DENSE_COUNT
+from rieszlab.solver import SolveConfig, solve_picard
 
 SING = ["singular", "--n", "5", "--alpha", "2", "--p", "3", "--q", "3",
         "--grid", "1e-4:1e4:256"]
@@ -185,6 +187,28 @@ class TestSolve:
         assert report["branch"] == "PicardFixedPoint"
         assert report["residualU"] <= 5e-6
         assert report["regime"]["regime"] == "Critical"
+
+    def test_analyze_fast_limits_claim(self, tmp_path, capsys):
+        # (4,2,2,5) is on the log-corrected branch: v's fit takes the log
+        # model, and its field integrals take the pure power-law tail
+        out_dir = tmp_path / "solved"
+        code, _, _ = run(capsys, ["solve", "--n", "4", "--alpha", "2",
+                                  "--p", "2", "--q", "5", "--grid",
+                                  "1e-4:1e4:512", "--tol", "1e-5",
+                                  "--out", str(out_dir)])
+        assert code == 0
+        code, out, _ = run(capsys, ["analyze", str(out_dir), "--claim",
+                                    "fast-limits"])
+        assert code == 0
+        data = json.loads(out)
+        assert data["fits"]["v"]["logPower"] == 1
+        assert data["claim"]["confirmed"] is True
+        assert data["claim"]["details"]["case"] == "LogCorrected"
+        params = Params(4, 2.0, 2.0, 5.0)
+        pair = solve_picard(params, make_grid(1e-4, 1e4, 512, 4),
+                            SolveConfig(tol=1e-5))
+        assert data["claim"]["details"]["b0"] == pytest.approx(
+            amplitude_b0(pair), rel=1e-12, abs=0.0)
 
 
 class TestShoot:

@@ -92,16 +92,3 @@ class TestSlicesAndScaling:
         sl = g.interior_slice()
         assert sl == slice(25, 75)
         assert make_grid(1e-4, 1e4, 102, 3).interior_slice() == slice(26, 76)
-
-    def test_scaled_preserves_structure(self):
-        g = make_grid(1e-3, 1e3, 40, 5)
-        s = g.scaled(2.5)
-        assert np.allclose(s.nodes, 2.5 * g.nodes, rtol=1e-15)
-        assert s.log_step == pytest.approx(g.log_step, rel=1e-13)
-        # weights scale like lambda^n
-        assert np.allclose(s.weights, 2.5 ** 5 * g.weights, rtol=1e-12)
-
-    def test_scaled_validates(self):
-        g = make_grid(1e-3, 1e3, 40, 5)
-        with pytest.raises(ValidationError):
-            g.scaled(0.0)

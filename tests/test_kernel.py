@@ -355,6 +355,12 @@ class TestKernelStructure:
     def test_origin_pair_rejected(self):
         with pytest.raises(ValidationError):
             angular_kernel(0.0, 0.0, 5, 2.0)
+        # refused before quad: a NaN radius let IntegrationWarning escape
+        # and then raised SingularKernelError
+        for r, s in ((math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0),
+                     (0.0, math.inf)):
+            with pytest.raises(ValidationError, match="finite"):
+                angular_kernel(r, s, 3, 0.8)
 
     @pytest.mark.parametrize("rho", [1e160, 1e300])
     @pytest.mark.parametrize("n, alpha", [(3, 0.8), (3, 2.5), (5, 3.5)])

@@ -11,7 +11,7 @@ from scipy import integrate, special
 
 from rieszlab import riesz
 from rieszlab.errors import DivergentTailError, ValidationError
-from rieszlab.grid import make_grid
+from rieszlab.grid import _cell_weights, make_grid
 from rieszlab.riesz import (_END_NODES, _END_WEIGHTS, _TAIL_BUILD_ROWS,
                             FAR_RATIO, MAX_DENSE_COUNT, RadialField,
                             _cusp_rule, _far_pairs, _head_response,
@@ -19,6 +19,19 @@ from rieszlab.riesz import (_END_NODES, _END_WEIGHTS, _TAIL_BUILD_ROWS,
                             _series_coefficients, apply_extended, assemble,
                             field_integral, kernel_ratio, power_law_constant,
                             sphere_area, tail_response)
+
+
+def dense(op):
+    """The operator as a dense ``count x count`` array, one
+    ``op.apply`` per column."""
+    count = op.grid.count
+    out = np.empty((count, count))
+    unit = np.zeros(count)
+    for j in range(count):
+        unit[j] = 1.0
+        out[:, j] = op.apply(unit)
+        unit[j] = 0.0
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -35,20 +48,21 @@ def op4():
 
 class TestAssembly:
     def test_matrix_nonnegative_finite(self, op5):
-        assert np.all(np.isfinite(op5.matrix))
-        assert np.all(op5.matrix >= 0.0)
+        m = dense(op5)
+        assert np.all(np.isfinite(m))
+        assert np.all(m >= 0.0)
 
     def test_adjoint_with_weights(self, op5):
         # <M f, g w> = <f w, M g>: the bilinear form w_i M_ij is symmetric
-        m = op5.grid.weights[:, None] * op5.matrix
+        m = op5.grid.weights[:, None] * dense(op5)
         asym = np.max(np.abs(m - m.T)) / np.max(np.abs(m))
         assert asym <= 1e-8
 
     def test_low_order_assembly(self):
         grid = make_grid(1e-2, 1e2, 64, 3)
-        op = assemble(grid, 3, 0.8)
-        assert np.all(np.isfinite(op.matrix))
-        assert np.all(op.matrix >= 0.0)
+        m = dense(assemble(grid, 3, 0.8))
+        assert np.all(np.isfinite(m))
+        assert np.all(m >= 0.0)
 
     def test_assemble_validates(self):
         grid = make_grid(1e-2, 1e2, 32, 3)
@@ -95,22 +109,22 @@ class TestBoundaryStrips:
     @pytest.mark.parametrize("n, alpha", [(3, 0.8), (4, 1.5), (5, 2.0)])
     def test_against_pairwise_quadrature(self, n, alpha):
         grid = make_grid(1e-4, 1e4, 64, n)
-        op = assemble(grid, n, alpha)
+        m = dense(assemble(grid, n, alpha))
         w, count = grid.weights, grid.count
         for i in (0, count - 1):
             want = [pair_oracle(grid, n, alpha, i, j) for j in range(count)]
-            np.testing.assert_allclose(w[i] * op.matrix[i], want,
+            np.testing.assert_allclose(w[i] * m[i], want,
                                        rtol=1e-12, atol=0.0)
             # one integral per pair, corner (0, count-1) included; each
             # side divides it by one weight and multiplies by the same
             # weight again, so the two agree to two roundings
-            row, col = w[i] * op.matrix[i], w * op.matrix[:, i]
+            row, col = w[i] * m[i], w * m[:, i]
             assert np.all(np.abs(row - col)
                           <= 2.0 * np.spacing(np.maximum(row, col)))
         # interior offsets 1 (ending at the cusp like (0, 1)) and 0
         # (straddling it like (0, 0))
         for j in (2, 1):
-            np.testing.assert_allclose(w[1] * op.matrix[1, j],
+            np.testing.assert_allclose(w[1] * m[1, j],
                                        pair_oracle(grid, n, alpha, 1, j),
                                        rtol=1e-12, atol=0.0)
 
@@ -174,7 +188,7 @@ class TestCuspPairs:
         # alpha = 0.3: the cusp ~ |z|^-0.7 holds a share ~ eps^0.3 of a
         # pair within |z| < eps, where e^z rounds to 1
         grid = make_grid(1e-4, 1e4, 512, 3)
-        m = grid.weights[:, None] * assemble(grid, 3, 0.3).matrix
+        m = grid.weights[:, None] * dense(assemble(grid, 3, 0.3))
         assert np.all(np.isfinite(m)) and np.all(m > 0.0)
         assert np.all(np.abs(m - m.T)
                       <= 2.0 * np.spacing(np.maximum(m, m.T)))
@@ -204,10 +218,10 @@ class TestNewtonOperator:
     @pytest.mark.parametrize("count", [64, 512])
     def test_rows_against_power_moments(self, count):
         grid = make_grid(1e-4, 1e4, count, 5)
-        op = assemble(grid, 5, 2.0)
+        m = dense(assemble(grid, 5, 2.0))
         for i in (0, 1, 2, count // 2, count - 2, count - 1):
             want = [newton_pair(grid.edges, 5, i, j) for j in range(count)]
-            np.testing.assert_allclose(grid.weights[i] * op.matrix[i], want,
+            np.testing.assert_allclose(grid.weights[i] * m[i], want,
                                        rtol=3e-13, atol=0.0)
 
     def test_last_cell_on_a_fine_grid(self):
@@ -217,7 +231,7 @@ class TestNewtonOperator:
         grid = make_grid(1e-4, 1e4, count, 5)
         op = assemble(grid, 5, 2.0)
         last = count - 1
-        got = grid.weights[last] * op.matrix[last, last]
+        got = grid.weights[last] * op.apply(np.eye(1, count, last)[0])[last]
         assert got == pytest.approx(
             newton_pair(grid.edges, 5, last, last), rel=1e-13, abs=0.0)
 
@@ -294,7 +308,7 @@ class TestFarField:
     @pytest.mark.parametrize("n, alpha", [(3, 0.8), (4, 1.5), (6, 4.0)])
     def test_far_entries_against_power_moments(self, n, alpha, count):
         grid = make_grid(1e-4, 1e4, count, n)
-        op = assemble(grid, n, alpha)
+        m = dense(assemble(grid, n, alpha))
         e, w, last = grid.edges, grid.weights, count - 1
         step = 1 if count == 64 else 7
         cols = np.arange(count)
@@ -304,7 +318,7 @@ class TestFarField:
             for j in cols[far][::step]:
                 lo, hi = sorted((i, j))
                 want = series_pair(e[lo:lo + 2], e[hi:hi + 2], n, alpha)
-                assert w[i] * op.matrix[i, j] == pytest.approx(
+                assert w[i] * m[i, j] == pytest.approx(
                     want, rel=4e-15, abs=0.0)
         # interior rows, on ideal cells about the nodes
         h = grid.log_step
@@ -312,7 +326,7 @@ class TestFarField:
             for d in range(2, last - i)[::step]:
                 if math.exp(-(d - 1) * h) <= FAR_RATIO:
                     want = series_pair(*ideal_pair(grid, i, d), n, alpha)
-                    assert w[i] * op.matrix[i, i + d] == pytest.approx(
+                    assert w[i] * m[i, i + d] == pytest.approx(
                         want, rel=2e-14, abs=0.0)
 
     @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
@@ -323,16 +337,16 @@ class TestFarField:
         # near band and a few pairs beyond it agree with per-pair quad
         count = 512
         grid = make_grid(1e-4, 1e4, count, n)
-        op = assemble(grid, n, alpha)
+        m = dense(assemble(grid, n, alpha))
         e, w, last, h = grid.edges, grid.weights, count - 1, grid.log_step
         seam = next(d for d in range(2, count)
                     if math.exp(-(d - 1) * h) <= FAR_RATIO)
         i = count // 2
         for d in (seam - 1, seam):
-            assert w[i] * op.matrix[i, i + d] == pytest.approx(
+            assert w[i] * m[i, i + d] == pytest.approx(
                 series_pair(*ideal_pair(grid, i, d), n, alpha),
                 rel=5e-14, abs=0.0)
-        got = w[i] * op.matrix[i, i + 2:i + seam + 3]
+        got = w[i] * m[i, i + 2:i + seam + 3]
         want = [pair_oracle(grid, n, alpha, i, i + d)
                 for d in range(2, seam + 3)]
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
@@ -342,12 +356,12 @@ class TestFarField:
         for i, js in ((0, (j0 - 1, j0)), (last, (jl, jl + 1))):
             for j in js:
                 lo, hi = sorted((i, j))
-                assert w[i] * op.matrix[i, j] == pytest.approx(
+                assert w[i] * m[i, j] == pytest.approx(
                     series_pair(e[lo:lo + 2], e[hi:hi + 2], n, alpha),
                     rel=5e-14, abs=0.0)
         for i, js in ((0, range(2, j0 + 3)), (last, range(jl - 2, last))):
             want = [pair_oracle(grid, n, alpha, i, j) for j in js]
-            np.testing.assert_allclose(w[i] * op.matrix[i, js], want,
+            np.testing.assert_allclose(w[i] * m[i, js], want,
                                        rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("n, alpha", [(3, 0.8), (6, 4.0)])
@@ -355,7 +369,7 @@ class TestFarField:
         # one integral per pair: each side divides it by a weight and
         # multiplies the same weight back
         grid = make_grid(1e-4, 1e4, 512, n)
-        m = grid.weights[:, None] * assemble(grid, n, alpha).matrix
+        m = grid.weights[:, None] * dense(assemble(grid, n, alpha))
         assert np.all(np.abs(m - m.T)
                       <= 2.0 * np.spacing(np.maximum(m, m.T)))
 
@@ -475,12 +489,6 @@ class TestMatrixFreeApply:
             with pytest.raises(ValidationError):
                 apply_extended(op5, bad, 3.0)
 
-    def test_matrix_is_apply_and_kept(self, op4):
-        f = op4.grid.nodes ** -2.5
-        np.testing.assert_allclose(op4.matrix @ f, op4.apply(f),
-                                   rtol=1e-14, atol=0.0)
-        assert op4.matrix is op4.matrix
-
     def test_no_dense_allocation(self):
         # assembly and one apply at N=2048 stay far below the 34 MB of a
         # count x count matrix (measured peak 4.0 MB)
@@ -493,6 +501,15 @@ class TestMatrixFreeApply:
         finally:
             tracemalloc.stop()
         assert peak < grid.count * grid.count * 8 / 4
+
+
+def dilated(grid, lam):
+    """``grid`` with every node and edge multiplied by ``lam``: the same
+    node ratios and log step, with the weights of the new edges."""
+    edges = grid.edges * lam
+    return replace(grid, r_min=grid.r_min * lam, r_max=grid.r_max * lam,
+                   nodes=grid.nodes * lam, edges=edges,
+                   weights=_cell_weights(edges, grid.n))
 
 
 class TestPowerLawAccuracy:
@@ -522,7 +539,7 @@ class TestPowerLawAccuracy:
     def test_scaling_covariance(self, op5):
         # the potential of r^-b on a dilated grid is the dilated potential
         grid = op5.grid
-        scaled = grid.scaled(3.0)
+        scaled = dilated(grid, 3.0)
         op_scaled = assemble(scaled, 5, 2.0)
         beta = 3.0
         out = apply_extended(op5, grid.nodes ** -beta, beta)
@@ -762,8 +779,6 @@ class TestRadialField:
             RadialField(grid, np.ones(31))
         with pytest.raises(ValidationError):
             RadialField(grid, -np.ones(32))
-        with pytest.raises(ValidationError):
-            RadialField(grid, np.ones(32), tail_log_power=2)
         # a NaN tail exponent gave a NaN field integral
         for tau in (math.nan, math.inf):
             with pytest.raises(ValidationError):
