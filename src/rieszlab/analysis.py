@@ -50,6 +50,8 @@ def default_window(radii):
     horizon) where truncation effects concentrate.
     """
     radii = np.asarray(radii, dtype=float)
+    if not np.all(np.isfinite(radii)):
+        raise ValidationError("default_window needs finite radii")
     hi = int(math.floor(radii.size * 0.9))
     lo = int(np.searchsorted(radii, radii[-1] / 10.0))
     lo = min(lo, hi - 10)
@@ -168,8 +170,8 @@ def integrability_predicate(decay_exponent, power, n):
     Strict inequality: ``power * decay_exponent > n`` (against the
     ``s^{n-1}`` radial measure at infinity).
     """
-    if not (power > 0.0 and n > 0) or math.isnan(decay_exponent):
-        raise ValidationError("need power > 0, n > 0 and no NaN")
+    if not (0.0 < power < math.inf and n > 0) or math.isnan(decay_exponent):
+        raise ValidationError("need 0 < power < inf, n > 0 and no NaN")
     return bool(power * decay_exponent > n)
 
 

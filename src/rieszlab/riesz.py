@@ -141,7 +141,9 @@ _UNIFORM_PANELS = np.linspace(0.0, 1.0, 7)
 
 
 def sphere_area(n):
-    """Surface measure of the unit sphere in R^n."""
+    """Surface measure of the unit sphere in R^n, for whole ``n >= 1``."""
+    if whole_number(n, "n") < 1:
+        raise ValidationError("need dimension n >= 1, got %r" % (n,))
     return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
 
 

@@ -17,21 +17,21 @@ the search takes the Pegasus regula falsi step on it, signed by the
 crossing outcome, and the midpoint where that step cannot be taken.
 
 Numerics: the first step leaves the coordinate singularity at the
-origin on the exact quadratic Taylor profile.  Each shot then runs a
-crossing scan: scipy's compiled DOP853 (``integrate.ode``, local error
-target 1e-10 relative, 1e-14 absolute, at most ``SCAN_STEPS`` steps)
-whose step callback stops the run at the first step end where ``u`` or
-``v`` is no longer positive.  A short ``solve_ivp`` DOP853 run with
-zero-crossing events, from the last positive step end to that one,
-refines the crossing radius inside the step.  A scan that reaches
-``r_end`` without a crossing hands the shot to the sampled path: one
-``solve_ivp`` DOP853 run over the whole range with the same tolerances
-and events, recorded at ``SAMPLE_COUNT`` log-spaced radii, whose last
-decade decides between decaying and inconclusive.  A crossing shot
-runs that sampled path only when its ``samples`` are first read, so a
-search integrates them for the shot it returns at most.  Component
-powers are clamped at zero so fractional exponents stay real on the
-overshoot of the final internal step.
+origin on the exact quadratic Taylor profile.  Each shot is integrated
+once, by a crossing scan on scipy's compiled DOP853 (``integrate.ode``,
+local error target 1e-10 relative, 1e-14 absolute, at most
+``SCAN_STEPS`` steps) whose step callback keeps every step end and stops
+the run at the first where ``u`` or ``v`` is not positive; a scan that
+fails before ``r_end`` raises :class:`IntegrationError`.  A short
+``solve_ivp`` DOP853 run with zero-crossing events refines the crossing
+radius inside the last step.  Each of the ``SAMPLE_COUNT`` log-spaced
+samples is one DOP853 step, vectorised over all radii, from the last
+step end at or below its radius: shorter than a step the scan accepted
+there, so at least as accurate.  A shot that reaches ``r_end`` is
+sampled at once and classified by its last decade; a crossing shot is
+sampled, up to its crossing radius, when its ``samples`` are first read.
+Component powers are clamped at zero so fractional exponents stay real
+on the overshoot of the final internal step.
 
 The scan reuses one integrator for the whole process, because scipy's
 wrapper keeps every integrator it has run alive; :func:`shoot` is
@@ -49,6 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate, optimize
 from scipy.integrate import solve_ivp
+from scipy.integrate._ivp import dop853_coefficients
 
 from .errors import (BracketError, IntegrationError, ValidationError,
                      whole_number)
@@ -59,6 +60,11 @@ SAMPLE_COUNT = 2048
 #: Step budget of one crossing scan (the canonical shots take about 190).
 SCAN_STEPS = 100_000
 _TOLERANCES = {"rtol": 1e-10, "atol": 1e-14}
+# DOP853's twelve stages; the thirteenth only estimates the error
+_STAGES = dop853_coefficients.N_STAGES
+_A = dop853_coefficients.A[:_STAGES, :_STAGES]
+_B = dop853_coefficients.B
+_C = dop853_coefficients.C[:_STAGES]
 
 
 class Outcome(str, enum.Enum):
@@ -97,11 +103,13 @@ class ShotConfig:
 class Trajectory:
     """One integrated shot.
 
-    ``samples`` has columns ``(r, u, du, v, dv)`` at log-spaced radii
-    (truncated at the crossing when one occurred).  A trajectory built
+    ``samples`` has columns ``(r, u, du, v, dv)`` at log-spaced radii,
+    truncated at the crossing when one occurred.  A trajectory built
     with a ``sampler`` instead of ``samples`` calls it on the first read
     of ``samples`` and keeps the result.  ``rhs_evals`` counts the
-    right-hand-side evaluations that classified the shot.
+    right-hand-side evaluations that classified the shot: the scan's,
+    the refinement's, and 12 for a shot that reaches ``r_end``, one per
+    DOP853 stage of its sampling over all radii.
     """
 
     def __init__(self, samples=None, outcome=Outcome.INCONCLUSIVE,
@@ -201,50 +209,26 @@ for _event in (_u_zero, _v_zero):
     _event.direction = -1.0
 
 
-def _first_crossing(sol):
-    """``(radius, outcome)`` of the earliest event of ``sol``, or None."""
-    crossings = [(float(t[0]), outcome) for t, outcome in
-                 zip(sol.t_events, (Outcome.U_CROSSED, Outcome.V_CROSSED))
-                 if t.size]
-    return min(crossings) if crossings else None
-
-
-def _sampled_shot(params, config, s):
-    """The sampled path: ``solve_ivp`` over the whole range, recording
-    ``SAMPLE_COUNT`` samples, and the last-decade decay test."""
-    t_eval = np.geomspace(config.r_start, config.r_end, SAMPLE_COUNT)
+def _sample(coefficients, ends, config, top):
+    """Samples ``(r, u, du, v, dv)`` at the ``SAMPLE_COUNT`` log-spaced
+    radii of ``config`` up to ``top``, each by one DOP853 step from the
+    last of the step ends ``ends`` (rows ``(r, u, du, v, dv)``, radii
+    increasing) at or below it."""
+    n, p, q, s = coefficients
+    radii = np.geomspace(config.r_start, config.r_end, SAMPLE_COUNT)
+    radii = radii[radii <= top]
+    ends = np.array(ends)
+    base = ends[np.searchsorted(ends[:, 0], radii, side="right") - 1]
+    r0, y0, h = base[:, 0], base[:, 1:].T, radii - base[:, 0]
+    stages = np.empty((_STAGES,) + y0.shape)
     with np.errstate(over="ignore", invalid="ignore"):
-        sol = solve_ivp(_rhs([params.n, params.p, params.q, s]),
-                        (config.r_start, config.r_end),
-                        _taylor_start(params, config, s), method="DOP853",
-                        t_eval=t_eval, events=(_u_zero, _v_zero),
-                        **_TOLERANCES)
-    if sol.status == -1:
-        last = float(sol.t[-1]) if len(sol.t) else config.r_start
-        raise IntegrationError(
-            "adaptive integration failed at r=%g: %s" % (last, sol.message),
-            last_radius=last)
-
-    samples = np.column_stack((sol.t, sol.y[0], sol.y[1], sol.y[2],
-                               sol.y[3]))
-    crossing = _first_crossing(sol)
-    if crossing is not None:
-        return Trajectory(samples=samples, outcome=crossing[1],
-                          crossing_radius=crossing[0], rhs_evals=sol.nfev)
-
-    # Reached the far boundary with both components positive: decaying
-    # if both fall off meaningfully through the final decade (a flat
-    # profile fits a noise-level slope, which must not count).
-    outer = samples[:, 0] >= config.r_end / 10.0
-    outcome = Outcome.INCONCLUSIVE
-    if np.count_nonzero(outer) >= 8:
-        lr = np.log(samples[outer, 0])
-        with np.errstate(divide="ignore"):
-            su_fit = np.polyfit(lr, np.log(samples[outer, 1]), 1)[0]
-            sv_fit = np.polyfit(lr, np.log(samples[outer, 3]), 1)[0]
-        if su_fit < -0.05 and sv_fit < -0.05:
-            outcome = Outcome.DECAYING
-    return Trajectory(samples=samples, outcome=outcome, rhs_evals=sol.nfev)
+        for i in range(_STAGES):
+            u, du, v, dv = y0 + h * np.tensordot(_A[i, :i], stages[:i], 1)
+            drag = -(n - 1.0) / (r0 + _C[i] * h)
+            stages[i] = (du, drag * du - s * np.maximum(v, 0.0) ** q,
+                         dv, drag * dv - s * np.maximum(u, 0.0) ** p)
+        y = y0 + h * np.tensordot(_B, stages, 1)
+    return np.column_stack((radii, y.T))
 
 
 _scanner = None
@@ -253,11 +237,12 @@ _scanner = None
 def _scan_integrator():
     """The one compiled DOP853 of the process, built on first use.
 
-    Its step callback stops the run at the first step end where ``u`` or
-    ``v`` is not positive and keeps the last step end before it in
-    ``last``.  Its right-hand side reads the current shot's
-    ``coefficients``: scipy's wrapper keeps a reference to every function
-    it has called back, so one function serves every shot.
+    Its step callback appends each step end ``[r, u, du, v, dv]`` to the
+    list ``ends`` (at most ``SCAN_STEPS`` of them) and stops the run at
+    the first where ``u`` or ``v`` is not positive.  Its right-hand side
+    reads the current shot's ``coefficients``: scipy's wrapper keeps a
+    reference to every function it has called back, so one function
+    serves every shot.
     """
     global _scanner
     if _scanner is None:
@@ -269,7 +254,7 @@ def _scan_integrator():
         def stop_at_crossing(r, y):
             if y[0] <= 0.0 or y[2] <= 0.0:
                 return -1
-            ode.last = (r, y.copy())
+            ode.ends.append([r, *y.tolist()])
             return 0
 
         ode.set_solout(stop_at_crossing)
@@ -284,35 +269,39 @@ def _scan_integrator():
 def _scan(coefficients, start, config):
     """Crossing scan of one shot.
 
-    Returns ``(crossing, rhs_evals)``: ``crossing`` is ``(radius,
+    Returns ``(crossing, ends, rhs_evals)``: ``crossing`` is ``(radius,
     outcome)`` of the first zero crossing, or None when the scan reached
-    ``r_end`` without one or failed in a way other than running out of
-    steps, which raises :class:`IntegrationError`.
+    ``r_end``; ``ends`` holds the positive step ends.  A failed scan
+    raises :class:`IntegrationError` at its last step end.
     """
     ode = _scan_integrator()
     ode.coefficients[:] = coefficients
-    ode.last = (config.r_start, start)
+    ode.ends = ends = []
     ode.set_initial_value(start, config.r_start)
     with warnings.catch_warnings():
         # a failed run is read from the return code below
         warnings.filterwarnings("ignore", "dop853", UserWarning)
         ode.integrate(config.r_end)
     code = ode.get_return_code()
-    if code == -2:
-        raise IntegrationError(
-            "crossing scan ran out of steps at r=%g" % ode.t,
-            last_radius=float(ode.t))
+    if code < 0:
+        last = ends[-1][0] if ends else config.r_start
+        reason = ode._integrator.messages.get(code, "return code %d" % code)
+        raise IntegrationError("crossing scan failed at r=%g: %s"
+                               % (last, reason), last_radius=last)
     # IWORK(17) of DOP853 counts the right-hand-side evaluations
     evals = int(ode._integrator.iwork[16])
-    r0, y0 = ode.last
     if code != 2:
-        # no crossing by r_end, or a failure the sampled path may get past
-        return None, evals
+        return None, ends, evals
     # refine the crossing inside the step (r0, ode.t]
+    r0, *y0 = ends[-1]
     with np.errstate(over="ignore", invalid="ignore"):
         sol = solve_ivp(ode.f, (r0, ode.t), y0, method="DOP853",
                         events=(_u_zero, _v_zero), **_TOLERANCES)
-    return _first_crossing(sol), evals + sol.nfev
+    # the earliest event, or the step end should the refinement not cross
+    crossings = [(float(t[0]), outcome) for t, outcome in zip(
+        sol.t_events, (Outcome.U_CROSSED, Outcome.V_CROSSED)) if t.size]
+    late = Outcome.U_CROSSED if ode.y[0] <= 0.0 else Outcome.V_CROSSED
+    return min(crossings, default=(float(ode.t), late)), ends, evals + sol.nfev
 
 
 def shoot(params, config=None, source_strength=1.0):
@@ -339,8 +328,9 @@ def shoot(params, config=None, source_strength=1.0):
         ``r_start``, with that source strength, overflows or is not
         positive.
     IntegrationError
-        If the integration fails (a source too strong for any step at
-        ``r_start``, among others); carries ``last_radius``.
+        If the crossing scan fails before ``r_end`` (a source too strong
+        for any step at ``r_start``, or more than ``SCAN_STEPS`` steps,
+        among others); carries ``last_radius``, its last step end.
     """
     if params.alpha != 2.0:
         raise ValidationError(
@@ -351,15 +341,29 @@ def shoot(params, config=None, source_strength=1.0):
                               "nonnegative; got %r" % (source_strength,))
     config = config or ShotConfig()
     s = source_strength
-    crossing, evals = _scan([params.n, params.p, params.q, s],
-                            _taylor_start(params, config, s), config)
-    if crossing is None:
-        traj = _sampled_shot(params, config, s)
-        traj.rhs_evals += evals
-        return traj
-    return Trajectory(outcome=crossing[1], crossing_radius=crossing[0],
-                      rhs_evals=evals,
-                      sampler=lambda: _sampled_shot(params, config, s).samples)
+    coefficients = [params.n, params.p, params.q, s]
+    crossing, ends, evals = _scan(coefficients,
+                                  _taylor_start(params, config, s), config)
+    if crossing is not None:
+        return Trajectory(
+            outcome=crossing[1], crossing_radius=crossing[0], rhs_evals=evals,
+            sampler=lambda: _sample(coefficients, ends, config, crossing[0]))
+
+    # Reached the far boundary with both components positive: decaying
+    # if both fall off meaningfully through the final decade (a flat
+    # profile fits a noise-level slope, which must not count).
+    samples = _sample(coefficients, ends, config, config.r_end)
+    outer = samples[:, 0] >= config.r_end / 10.0
+    outcome = Outcome.INCONCLUSIVE
+    if np.count_nonzero(outer) >= 8:
+        lr = np.log(samples[outer, 0])
+        with np.errstate(divide="ignore"):
+            su_fit = np.polyfit(lr, np.log(samples[outer, 1]), 1)[0]
+            sv_fit = np.polyfit(lr, np.log(samples[outer, 3]), 1)[0]
+        if su_fit < -0.05 and sv_fit < -0.05:
+            outcome = Outcome.DECAYING
+    return Trajectory(samples=samples, outcome=outcome,
+                      rhs_evals=evals + _STAGES)
 
 
 def _crossing_rate(params):

@@ -105,6 +105,12 @@ class TestFitTail:
         assert hi <= int(512 * 0.9) + 1
         assert hi - lo >= 10
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_default_window_needs_finite_radii(self, bad):
+        # [nan] * 20 gave the window (0, 18)
+        with pytest.raises(ValidationError, match="finite"):
+            default_window([bad] * 20)
+
 
 class TestMonotonicity:
     def test_nonincreasing_profile(self):
@@ -138,7 +144,7 @@ class TestIntegrability:
     def test_validation(self):
         # a NaN exponent read as "not integrable"
         for args in ((math.nan, 2.0, 3), (1.0, math.nan, 3),
-                     (1.0, 0.0, 3), (1.0, 2.0, 0)):
+                     (1.0, 0.0, 3), (1.0, 2.0, 0), (1.0, math.inf, 3)):
             with pytest.raises(ValidationError):
                 integrability_predicate(*args)
 

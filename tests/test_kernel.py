@@ -53,6 +53,12 @@ class TestConstants:
         assert sphere_area(5) == pytest.approx(8.0 * math.pi ** 2 / 3.0,
                                                rel=1e-15)
 
+    @pytest.mark.parametrize("bad", [math.nan, 2.5, math.inf, 0, True])
+    def test_sphere_area_needs_a_dimension(self, bad):
+        # NaN gave NaN and 2.5 the area of no sphere (9.23)
+        with pytest.raises(ValidationError, match="n (must|>=)"):
+            sphere_area(bad)
+
     def test_normalization_values(self):
         assert riesz_normalization(5, 2.0) == pytest.approx(
             8.0 * math.pi ** 2, rel=1e-14)

@@ -1,5 +1,6 @@
 """Deterministic serialization: 17-digit floats, hashes, CSV round trips."""
 
+import csv
 import json
 import math
 import platform
@@ -135,6 +136,22 @@ class TestCsv:
         write_trajectory_csv(path, samples)
         back = read_trajectory_csv(path)
         assert np.array_equal(back, samples)
+
+    def test_bytes_match_csv_module(self, tmp_path):
+        # the writer formats whole rows at once; it must emit what a csv
+        # writer of format_float cells does, for every kind of double
+        samples = np.array([
+            [1e-6, -0.0, 0.0, 5e-324, -2.2250738585072014e-308],
+            [1.0, 1e308, -1e308, math.nan, -1.5e-310],
+            [1e3, -1.0 / 3.0, math.inf, -math.inf, 123456789.125]])
+        path = tmp_path / "trajectory.csv"
+        write_trajectory_csv(path, samples)
+        with (tmp_path / "oracle.csv").open("w", newline="") as handle:
+            writer = csv.writer(handle, lineterminator="\n")
+            writer.writerow(["r", "u", "du", "v", "dv"])
+            for row in samples:
+                writer.writerow([format_float(x) for x in row])
+        assert path.read_bytes() == (tmp_path / "oracle.csv").read_bytes()
 
     def test_write_json_output(self, tmp_path):
         path = write_json(tmp_path / "report.json", {"value": 1.0 / 3.0})

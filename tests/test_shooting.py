@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 from scipy.integrate._ode import dop853
 
 from rieszlab import shooting
@@ -13,12 +14,35 @@ from rieszlab.analysis import fit_tail
 from rieszlab.errors import BracketError, IntegrationError, ValidationError
 from rieszlab.exponents import Params
 from rieszlab.shooting import (Outcome, ShotConfig, ShotRecord, Trajectory,
-                               _crossing_rate, _sampled_shot,
-                               bisect_ground_state, shoot)
+                               _crossing_rate, bisect_ground_state, shoot)
 
 PARAMS = Params(5, 2.0, 3.0, 3.0)
 #: Critical (1/(p+1) + 1/(q+1) = (n-2)/n); its ground state has xi ~ 1.128.
 CRITICAL = Params(4, 2.0, 1.5, 9.0)
+
+
+def sampled_shot(params, config, radii=None, rtol=1e-10, atol=1e-14):
+    """Independent oracle: one ``solve_ivp`` DOP853 run with zero-crossing
+    events, recorded at ``radii`` (default the ``SAMPLE_COUNT`` log-spaced
+    radii of ``config``) and run to the last of them.  Returns
+    ``(samples, outcome, crossing_radius)``; both are None for a run
+    that crosses nowhere."""
+    if radii is None:
+        radii = np.geomspace(config.r_start, config.r_end,
+                             shooting.SAMPLE_COUNT)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sol = solve_ivp(
+            shooting._rhs([params.n, params.p, params.q, 1.0]),
+            (config.r_start, radii[-1]),
+            shooting._taylor_start(params, config, 1.0), method="DOP853",
+            t_eval=radii, events=(shooting._u_zero, shooting._v_zero),
+            rtol=rtol, atol=atol)
+    assert sol.status != -1, sol.message
+    samples = np.column_stack((sol.t, sol.y.T))
+    crossings = [(float(t[0]), outcome) for t, outcome in zip(
+        sol.t_events, (Outcome.U_CROSSED, Outcome.V_CROSSED)) if t.size]
+    radius, outcome = min(crossings, default=(None, None))
+    return samples, outcome, radius
 
 
 def fake_shot(outcome, crossing_radius=None):
@@ -147,20 +171,33 @@ class TestShoot:
         assert traj.outcome is Outcome.U_CROSSED
         assert 1e-6 < traj.crossing_radius < 1.1e-6
 
-    def test_failed_scan_falls_back(self, monkeypatch):
+    def test_failed_scan_raises(self, monkeypatch):
         # DOP853 refuses a safety factor of 1 or more, so the compiled scan
-        # fails before its first step; the sampled path classifies the
-        # shot as the scan does
-        config = ShotConfig(xi=1.25, r_end=1e5)
-        scanned = shoot(PARAMS, config)
+        # fails before its first step; no second integration stands in
         integrator = shooting._scan_integrator()._integrator
         monkeypatch.setattr(integrator, "safety", 2.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            traj = shoot(PARAMS, config)
-        assert traj.outcome is Outcome.U_CROSSED
-        assert traj.crossing_radius == pytest.approx(
-            scanned.crossing_radius, rel=1e-6)
+            with pytest.raises(IntegrationError, match="scan failed") \
+                    as info:
+                shoot(PARAMS, ShotConfig(xi=1.25, r_end=1e5))
+        assert info.value.last_radius == 1e-6
+
+    def test_refinement_short_of_zero_keeps_the_step_end(self, monkeypatch):
+        # a refinement that finds no zero inside the crossing step leaves
+        # the scan's step end, where v is already not positive
+        config = ShotConfig(xi=0.8, r_end=1e4)
+        refined = shoot(PARAMS, config)
+
+        def without_events(*args, **kwargs):
+            return solve_ivp(*args, **dict(kwargs, events=()))
+
+        monkeypatch.setattr(shooting, "solve_ivp", without_events)
+        traj = shoot(PARAMS, config)
+        assert traj.outcome is Outcome.V_CROSSED
+        assert (refined.crossing_radius < traj.crossing_radius
+                < 1.1 * refined.crossing_radius)
+        assert traj.radii[-1] <= traj.crossing_radius
 
     def test_scan_step_budget(self, monkeypatch):
         integrator = shooting._scan_integrator()._integrator
@@ -173,39 +210,38 @@ class TestShoot:
 
 
 class TestCrossingScan:
-    """The crossing scan against the sampled path it stands in for."""
+    """The crossing scan against an independent whole-range integration."""
 
     @staticmethod
     def _agree(params, xi, r_end):
         config = ShotConfig(xi=xi, r_end=r_end)
         scanned = shoot(params, config)
-        sampled = _sampled_shot(params, config, 1.0)
-        assert scanned.outcome is sampled.outcome
-        return scanned, sampled
+        _, outcome, radius = sampled_shot(params, config)
+        assert scanned.outcome is outcome
+        return scanned, radius
 
     @pytest.mark.parametrize("xi", [0.5, 2.0] + [
         1.0 + sign * 10.0 ** -k for k in range(1, 10) for sign in (-1, 1)])
     def test_ground_state_family(self, xi):
-        scanned, sampled = self._agree(PARAMS, xi, 1e5)
+        scanned, radius = self._agree(PARAMS, xi, 1e5)
         assert scanned.crossing_radius is not None
         if abs(xi - 1.0) >= 1e-6:
-            assert scanned.crossing_radius == pytest.approx(
-                sampled.crossing_radius, rel=1e-6)
+            assert scanned.crossing_radius == pytest.approx(radius, rel=1e-6)
 
     @pytest.mark.parametrize("xi", np.geomspace(0.1, 10.0, 21).tolist())
     def test_critical_family(self, xi):
-        scanned, sampled = self._agree(CRITICAL, xi, 1e4)
-        assert scanned.crossing_radius == pytest.approx(
-            sampled.crossing_radius, rel=1e-6)
+        scanned, radius = self._agree(CRITICAL, xi, 1e4)
+        assert scanned.crossing_radius == pytest.approx(radius, rel=1e-6)
 
-    def test_samples_integrated_once_on_first_read(self, monkeypatch):
+    def test_samples_built_once_on_first_read(self, monkeypatch):
         calls = []
+        build = shooting._sample
 
-        def counting(params, config, s):
+        def counting(coefficients, ends, config, top):
             calls.append(config.xi)
-            return _sampled_shot(params, config, s)
+            return build(coefficients, ends, config, top)
 
-        monkeypatch.setattr(shooting, "_sampled_shot", counting)
+        monkeypatch.setattr(shooting, "_sample", counting)
         config = ShotConfig(xi=0.8, r_end=1e4)
         traj = shoot(PARAMS, config)
         assert traj.outcome is Outcome.V_CROSSED
@@ -213,8 +249,12 @@ class TestCrossingScan:
         first = traj.samples
         assert calls == [0.8]
         assert traj.samples is first and traj.u.size and calls == [0.8]
-        again = _sampled_shot(PARAMS, config, 1.0)
+        again = shoot(PARAMS, config)
         assert np.array_equal(first, again.samples)
+        # a shot that reaches r_end is sampled at once, to classify it
+        decaying = shoot(PARAMS, ShotConfig(r_end=1e3))
+        assert decaying.outcome is Outcome.DECAYING
+        assert calls == [0.8, 0.8, 1.0]
 
     def test_trajectory_needs_samples_or_sampler(self):
         with pytest.raises(ValidationError):
@@ -233,6 +273,40 @@ class TestCrossingScan:
         assert len(alive) <= 1
         # nothing a shot hands the compiled wrapper may pile up either
         assert len(gc.get_objects()) - before < 25
+
+
+class TestSamples:
+    """Samples taken from the scan's step ends, against a tight
+    whole-range integration."""
+
+    @pytest.mark.parametrize("xi", [1.0, 0.8, 1.25, 1.0 - 1e-6])
+    def test_against_tight_reference(self, xi):
+        config = ShotConfig(xi=xi, r_end=1e5)
+        traj = shoot(PARAMS, config)
+        radii = np.geomspace(config.r_start, config.r_end,
+                             shooting.SAMPLE_COUNT)
+        if xi == 1.0:
+            assert traj.outcome is Outcome.DECAYING
+            assert np.array_equal(traj.radii, radii)
+        else:
+            assert traj.outcome in (Outcome.U_CROSSED, Outcome.V_CROSSED)
+            assert np.array_equal(traj.radii,
+                                  radii[radii <= traj.crossing_radius])
+        near = traj.samples[traj.radii <= 1e3]
+        reference, _, _ = sampled_shot(PARAMS, config, near[:, 0],
+                                       rtol=1e-13, atol=1e-16)
+        assert np.array_equal(reference[:, 0], near[:, 0])
+        assert np.max(np.abs(near[:, 1:] / reference[:, 1:] - 1.0)) <= 1e-7
+
+    def test_decaying_shot_integrated_once(self):
+        config = ShotConfig(r_end=1e5)
+        traj = shoot(PARAMS, config)
+        assert traj.outcome is Outcome.DECAYING
+        coefficients = [PARAMS.n, PARAMS.p, PARAMS.q, 1.0]
+        _, _, scan_evals = shooting._scan(
+            coefficients, shooting._taylor_start(PARAMS, config, 1.0), config)
+        # the whole-range second integration took 5074 on top of the scan
+        assert scan_evals < traj.rhs_evals < 1.2 * scan_evals
 
 
 class TestCrossingRate:
