@@ -206,10 +206,10 @@ def run_recursion(b0, alpha, p, q):
     stops at the first negative rate, on overflow past 1e100, or after
     64 steps.
     """
-    if not (p > 0.0 and q > 0.0 and p * q > 1.0):
-        raise ValidationError("need p, q > 0 with p*q > 1")
-    if not alpha > 0.0 or not math.isfinite(b0):
-        raise ValidationError("need alpha > 0 and a finite b0")
+    if not (0.0 < p < math.inf and 0.0 < q < math.inf and p * q > 1.0):
+        raise ValidationError("need finite p, q > 0 with p*q > 1")
+    if not (0.0 < alpha < math.inf and math.isfinite(b0)):
+        raise ValidationError("need a finite alpha > 0 and a finite b0")
     a_seq = []
     b_seq = []
     blowup = None

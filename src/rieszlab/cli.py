@@ -289,16 +289,30 @@ def _cmd_bisect(args):
 # analyze
 
 
+def _manifest_numbers(spec, keys, where):
+    """The entries ``keys`` of the manifest object ``spec`` as floats;
+    :class:`ValidationError` unless each is a finite JSON number (not a
+    bool, and no integer past the double range)."""
+    values = []
+    for key in keys:
+        value = spec.get(key) if isinstance(spec, dict) else None
+        if isinstance(value, bool) or not (
+                isinstance(value, (int, float))
+                and abs(value) <= sys.float_info.max):
+            raise ValidationError("%s needs a finite number %s, got %r"
+                                  % (where, key, value))
+        values.append(float(value))
+    return values
+
+
 def _load_run(rundir):
     """Read a run directory back: params, kind and (r, u, v) samples."""
     manifest = runio.read_manifest(rundir)
-    raw = manifest.get("params") or {}
-    try:
-        params = Params(n=int(raw["n"]), alpha=float(raw["alpha"]),
-                        p=float(raw["p"]), q=float(raw["q"]))
-    except KeyError as exc:
-        raise ValidationError(
-            "manifest in %s lacks parameter %s" % (rundir, exc)) from exc
+    n, alpha, p, q = _manifest_numbers(
+        manifest.get("params") or {}, ("n", "alpha", "p", "q"),
+        "the manifest in %s" % rundir)
+    # Params reads n through whole_number: 5.5 is refused, not cut to 5
+    params = Params(n=n, alpha=alpha, p=p, q=q)
     outputs = manifest.get("outputs") or []
     field_path = Path(rundir) / runio.FIELD_CSV_NAME
     traj_path = Path(rundir) / runio.TRAJECTORY_CSV_NAME
@@ -368,11 +382,14 @@ def _claim_fast_limits(ctx):
     if ctx["kind"] != "field" or ctx["grid_spec"] is None:
         raise ValidationError(
             "the fast-limits claim needs a field run on a stored grid")
-    spec = ctx["grid_spec"]
+    r_min, r_max, count = _manifest_numbers(
+        ctx["grid_spec"], ("rMin", "rMax", "count"), "the manifest gridSpec")
     params = ctx["params"]
-    grid = make_grid(r_min=float(spec["rMin"]), r_max=float(spec["rMax"]),
-                     count=int(spec["count"]), n=params.n)
-    if not np.allclose(grid.nodes, ctx["radii"], rtol=1e-12, atol=0.0):
+    # a count off the samples' is refused before any grid is built
+    grid = (make_grid(r_min, r_max, count, params.n)
+            if count == ctx["radii"].size else None)
+    if grid is None or not np.allclose(grid.nodes, ctx["radii"], rtol=1e-12,
+                                       atol=0.0):
         raise ValidationError("stored samples do not sit on the manifest grid")
     fu, fv = ctx["fit_u"], ctx["fit_v"]
     pair = SolutionPair(

@@ -111,7 +111,7 @@ class Params:
     @classmethod
     def from_order_k(cls, n, k, p, q):
         """Build Params from the polyharmonic order ``k`` (``alpha = 2k``)."""
-        if k <= 0:
+        if whole_number(k, "polyharmonic order k") <= 0:
             raise ValidationError("polyharmonic order k must be positive")
         return cls(n=n, alpha=2.0 * k, p=p, q=q)
 
@@ -218,6 +218,7 @@ def critical_q(n, alpha, p):
     or raises :class:`ValidationError` when no positive solution exists.
     Useful for constructing exactly-critical parameter sets.
     """
+    n = whole_number(n, "dimension n")
     rest = (n - alpha) / n - 1.0 / (p + 1.0)
     if rest <= 0.0:
         raise ValidationError(

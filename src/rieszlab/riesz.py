@@ -553,18 +553,18 @@ class KernelOperator:
     """
 
     grid: RadialGrid
-    alpha: float = 0.0
-    n: int = 0
-    boundary: np.ndarray = field(repr=False, default=None)
-    base: np.ndarray = field(repr=False, default=None)
-    band: np.ndarray = field(repr=False, default=None)
-    far_gather: np.ndarray = field(repr=False, default=None)
-    far_scatter: np.ndarray = field(repr=False, default=None)
-    far_carry: np.ndarray = field(repr=False, default=None)
-    head_response: np.ndarray = field(repr=False, default=None)
-    tail_series: np.ndarray = field(repr=False, default=None)
-    tail_kernel: np.ndarray = field(repr=False, default=None)
-    tail_end: np.ndarray = field(repr=False, default=None)
+    alpha: float
+    n: int
+    boundary: np.ndarray = field(repr=False)
+    base: np.ndarray = field(repr=False)
+    band: np.ndarray = field(repr=False)
+    far_gather: np.ndarray = field(repr=False)
+    far_scatter: np.ndarray = field(repr=False)
+    far_carry: np.ndarray = field(repr=False)
+    head_response: np.ndarray = field(repr=False)
+    tail_series: np.ndarray = field(repr=False)
+    tail_kernel: np.ndarray = field(repr=False)
+    tail_end: np.ndarray = field(repr=False)
 
     @property
     def normalization(self):

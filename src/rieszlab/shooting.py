@@ -5,9 +5,12 @@ potential pair for ``alpha = 2``,
 
     u'' + (n-1)/r u' = -v^q,    v'' + (n-1)/r v' = -u^p,
 
-outward from near the origin with ``u(0) = u0``, ``v(0) = xi`` and zero
-slopes, classifying each shot by whether a component crosses zero or
-both decay through the far boundary.  A bracketing secant search on
+with the paper's unit coefficients, outward from near the origin with
+``u(0) = u0``, ``v(0) = xi`` and zero slopes.  A coefficient ``s > 0``
+on both couplings is covered too: ``(s^((q+1)/(pq-1)) u, s^((p+1)/(pq-1))
+v)`` then solves the unit system, so ``u0`` and ``xi`` carry the scaling.
+Each shot is classified by whether a component crosses zero or both
+decay through the far boundary.  A bracketing secant search on
 ``xi`` locates the ground-state separatrix between the two crossing
 outcomes.  The ground state runs along the singular pair ``A r^-th1``,
 ``B r^-th2``, and a shot off it by ``xi - xi*`` leaves that pair like
@@ -41,10 +44,12 @@ therefore not thread-safe.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 from scipy import integrate, optimize
@@ -95,43 +100,27 @@ class ShotConfig:
         if not 0.0 < self.r_start < self.r_end < math.inf:
             raise ValidationError("need 0 < r_start < r_end < inf")
 
-    def with_xi(self, xi):
-        return ShotConfig(u0=self.u0, xi=xi, r_start=self.r_start,
-                          r_end=self.r_end)
 
-
+@dataclass(frozen=True)
 class Trajectory:
     """One integrated shot.
 
     ``samples`` has columns ``(r, u, du, v, dv)`` at log-spaced radii,
-    truncated at the crossing when one occurred.  A trajectory built
-    with a ``sampler`` instead of ``samples`` calls it on the first read
-    of ``samples`` and keeps the result.  ``rhs_evals`` counts the
+    truncated at the crossing when one occurred: ``sampler`` builds them
+    on their first read, and they are kept.  ``rhs_evals`` counts the
     right-hand-side evaluations that classified the shot: the scan's,
     the refinement's, and 12 for a shot that reaches ``r_end``, one per
     DOP853 stage of its sampling over all radii.
     """
 
-    def __init__(self, samples=None, outcome=Outcome.INCONCLUSIVE,
-                 crossing_radius=None, rhs_evals=0, sampler=None):
-        if (samples is None) == (sampler is None):
-            raise ValidationError("a trajectory takes samples or a sampler")
-        self._samples = samples
-        self._sampler = sampler
-        self.outcome = outcome
-        self.crossing_radius = crossing_radius
-        self.rhs_evals = rhs_evals
+    outcome: Outcome
+    crossing_radius: float | None
+    rhs_evals: int
+    sampler: Callable[[], np.ndarray] = field(repr=False)
 
-    def __repr__(self):
-        return "Trajectory(outcome=%r, crossing_radius=%r)" % (
-            self.outcome, self.crossing_radius)
-
-    @property
+    @functools.cached_property
     def samples(self):
-        if self._samples is None:
-            self._samples = self._sampler()
-            self._sampler = None
-        return self._samples
+        return self.sampler()
 
     @property
     def radii(self):
@@ -146,11 +135,10 @@ class Trajectory:
         return self.samples[:, 3]
 
 
-def _taylor_start(params, config, s):
-    """Exact quadratic origin profile at ``r_start``, for source strength
-    ``s``.
+def _taylor_start(params, config):
+    """Exact quadratic origin profile at ``r_start``.
 
-    Near the origin ``u = u0 - s xi^q r^2/(2n) + O(r^4)`` (and
+    Near the origin ``u = u0 - xi^q r^2/(2n) + O(r^4)`` (and
     symmetrically for ``v``), which steps over the coordinate singularity
     of the radial Laplacian.  A start that overflows, or where ``u`` or
     ``v`` is already not positive, raises :class:`ValidationError`.
@@ -158,8 +146,8 @@ def _taylor_start(params, config, s):
     n = params.n
     r = config.r_start
     try:
-        su = s * config.xi ** params.q
-        sv = s * config.u0 ** params.p
+        su = config.xi ** params.q
+        sv = config.u0 ** params.p
     except OverflowError:
         su = sv = math.inf
     start = np.array([
@@ -179,16 +167,16 @@ def _taylor_start(params, config, s):
 def _rhs(coefficients):
     """Right-hand side of the first-order system in ``(u, u', v, v')``.
 
-    ``coefficients`` is the list ``[n, p, q, s]``, read on every call.
+    ``coefficients`` is the list ``[n, p, q]``, read on every call.
     """
 
     def rhs(r, y):
-        n, p, q, s = coefficients
+        n, p, q = coefficients
         # Python floats: four times faster than the array's numpy scalars
         u, du, v, dv = y.tolist()
         try:
-            fv = s * (0.0 if v < 0.0 else v) ** q
-            fu = s * (0.0 if u < 0.0 else u) ** p
+            fv = (0.0 if v < 0.0 else v) ** q
+            fu = (0.0 if u < 0.0 else u) ** p
         except OverflowError:       # where a numpy power would give inf
             fv = fu = math.inf
         return (du, -(n - 1.0) / r * du - fv, dv, -(n - 1.0) / r * dv - fu)
@@ -214,7 +202,7 @@ def _sample(coefficients, ends, config, top):
     radii of ``config`` up to ``top``, each by one DOP853 step from the
     last of the step ends ``ends`` (rows ``(r, u, du, v, dv)``, radii
     increasing) at or below it."""
-    n, p, q, s = coefficients
+    n, p, q = coefficients
     radii = np.geomspace(config.r_start, config.r_end, SAMPLE_COUNT)
     radii = radii[radii <= top]
     ends = np.array(ends)
@@ -225,8 +213,8 @@ def _sample(coefficients, ends, config, top):
         for i in range(_STAGES):
             u, du, v, dv = y0 + h * np.tensordot(_A[i, :i], stages[:i], 1)
             drag = -(n - 1.0) / (r0 + _C[i] * h)
-            stages[i] = (du, drag * du - s * np.maximum(v, 0.0) ** q,
-                         dv, drag * dv - s * np.maximum(u, 0.0) ** p)
+            stages[i] = (du, drag * du - np.maximum(v, 0.0) ** q,
+                         dv, drag * dv - np.maximum(u, 0.0) ** p)
         y = y0 + h * np.tensordot(_B, stages, 1)
     return np.column_stack((radii, y.T))
 
@@ -248,7 +236,7 @@ def _scan_integrator():
     if _scanner is None:
         ode = integrate.ode(None).set_integrator(
             "dop853", nsteps=SCAN_STEPS, **_TOLERANCES)
-        ode.coefficients = [0.0] * 4
+        ode.coefficients = [0.0] * 3
         ode.f = _rhs(ode.coefficients)
 
         def stop_at_crossing(r, y):
@@ -304,7 +292,7 @@ def _scan(coefficients, start, config):
     return min(crossings, default=(float(ode.t), late)), ends, evals + sol.nfev
 
 
-def shoot(params, config=None, source_strength=1.0):
+def shoot(params, config=None):
     """Integrate one shot and classify its outcome.
 
     A crossing shot computes its samples on first read (see the module
@@ -315,39 +303,29 @@ def shoot(params, config=None, source_strength=1.0):
     params : Params
         Must have ``alpha == 2`` (the differential form of the system).
     config : ShotConfig, optional
-    source_strength : float
-        Scales the nonlinear couplings; 0 integrates the homogeneous
-        radial Laplace equation (useful for validating the integration
-        plumbing against closed forms).
 
     Raises
     ------
     ValidationError
-        For ``alpha != 2``, a negative or non-finite
-        ``source_strength``, or origin values whose Taylor start at
-        ``r_start``, with that source strength, overflows or is not
-        positive.
+        For ``alpha != 2``, or origin values whose Taylor start at
+        ``r_start`` overflows or is not positive.
     IntegrationError
-        If the crossing scan fails before ``r_end`` (a source too strong
-        for any step at ``r_start``, or more than ``SCAN_STEPS`` steps,
-        among others); carries ``last_radius``, its last step end.
+        If the crossing scan fails before ``r_end`` (more than
+        ``SCAN_STEPS`` steps, among others); carries ``last_radius``,
+        its last step end.
     """
     if params.alpha != 2.0:
         raise ValidationError(
             "shooting integrates the differential form, which needs "
             "alpha = 2; got alpha=%r" % (params.alpha,))
-    if not 0.0 <= source_strength < math.inf:
-        raise ValidationError("source_strength must be finite and "
-                              "nonnegative; got %r" % (source_strength,))
     config = config or ShotConfig()
-    s = source_strength
-    coefficients = [params.n, params.p, params.q, s]
-    crossing, ends, evals = _scan(coefficients,
-                                  _taylor_start(params, config, s), config)
+    coefficients = [params.n, params.p, params.q]
+    crossing, ends, evals = _scan(coefficients, _taylor_start(params, config),
+                                  config)
     if crossing is not None:
-        return Trajectory(
-            outcome=crossing[1], crossing_radius=crossing[0], rhs_evals=evals,
-            sampler=lambda: _sample(coefficients, ends, config, crossing[0]))
+        radius, outcome = crossing
+        return Trajectory(outcome, radius, evals, lambda: _sample(
+            coefficients, ends, config, radius))
 
     # Reached the far boundary with both components positive: decaying
     # if both fall off meaningfully through the final decade (a flat
@@ -362,8 +340,7 @@ def shoot(params, config=None, source_strength=1.0):
             sv_fit = np.polyfit(lr, np.log(samples[outer, 3]), 1)[0]
         if su_fit < -0.05 and sv_fit < -0.05:
             outcome = Outcome.DECAYING
-    return Trajectory(samples=samples, outcome=outcome,
-                      rhs_evals=evals + _STAGES)
+    return Trajectory(outcome, None, evals + _STAGES, lambda: samples)
 
 
 def _crossing_rate(params):
@@ -469,7 +446,7 @@ def bisect_ground_state(params, lo, hi, config=None, iters=60,
 
     def fire(xi):
         began = time.perf_counter()
-        traj = shooter(params, config.with_xi(xi))
+        traj = shooter(params, replace(config, xi=xi))
         shots.append(ShotRecord(xi, traj.outcome, traj.crossing_radius,
                                 traj.rhs_evals, time.perf_counter() - began))
         return traj

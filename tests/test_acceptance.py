@@ -16,7 +16,7 @@ def workspace():
 
 
 def _check(key, workspace):
-    result = run_one(key, seed=0, workspace=workspace)
+    result = run_one(key, workspace)
     print(format_row(result))
     assert result.passed, (
         f"{key}: measured {result.measured} vs tolerance {result.tolerance}")

@@ -216,6 +216,14 @@ class TestRecursion:
             with pytest.raises(ValidationError):
                 run_recursion(*args)
 
+    @pytest.mark.parametrize("args", [(1.0, math.inf, 2.0, 2.0),
+                                      (1.0, 2.0, math.inf, 2.0),
+                                      (1.0, 2.0, 2.0, math.inf)])
+    def test_infinite_parameters_refused(self, args):
+        # an infinite alpha gave b_1 = -inf with blow-up index 1
+        with pytest.raises(ValidationError):
+            run_recursion(*args)
+
 
 class TestEnvelope:
     def test_inside_band(self):

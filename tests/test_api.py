@@ -19,7 +19,8 @@ def test_all_has_no_duplicates():
 
 
 def test_deleted_names_are_gone():
-    from rieszlab import analysis, errors, exponents, grid, riesz, solver
+    from rieszlab import (acceptance, analysis, errors, exponents, grid,
+                          riesz, shooting, solver)
 
     gone = {rieszlab: ("apply_with_tail", "integrability_thresholds",
                        "slow_exponents", "AssemblyError",
@@ -47,8 +48,17 @@ def test_deleted_names_are_gone():
     for func, name in ((analysis.fit_tail, "min_points"),
                        (analysis.run_recursion, "max_steps"),
                        (analysis.envelope_bands, "slack"),
-                       (analysis.envelope_check, "slack")):
+                       (analysis.envelope_check, "slack"),
+                       (shooting.shoot, "source_strength"),
+                       (acceptance.run_one, "seed")):
         assert name not in inspect.signature(func).parameters
+    assert not hasattr(shooting.ShotConfig, "with_xi")
+    # one way to build a shot: its outcome, radius, count and sampler
+    assert [f.name for f in dataclasses.fields(shooting.Trajectory)] == [
+        "outcome", "crossing_radius", "rhs_evals", "sampler"]
+    # assemble sets every operator table; none has a default to miss
+    assert all(f.default is dataclasses.MISSING
+               for f in dataclasses.fields(riesz.KernelOperator))
 
 
 def test_no_unused_imports():

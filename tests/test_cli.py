@@ -129,6 +129,34 @@ class TestSingular:
         code, _, _ = run(capsys, ["analyze", str(tmp_path / "nope")])
         assert code == 2
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("params", "n", "abc"), ("params", "n", None),
+        ("params", None, [1, 2]), ("params", "n", 5.5),
+        ("params", "alpha", 10 ** 400), ("gridSpec", "rMin", "x"),
+        ("gridSpec", "count", 300), ("gridSpec", "count", 10 ** 12)],
+        ids=["n-string", "n-null", "params-list", "n-fraction", "alpha-huge",
+             "rMin-string", "count-off", "count-huge"])
+    def test_analyze_malformed_manifest_exits_2(self, tmp_path, capsys,
+                                                section, key, value):
+        # a string and a null n raised a raw ValueError and TypeError, a
+        # list of params a TypeError, an alpha past the double range an
+        # OverflowError, and n = 5.5 was read as 5; a string rMin raised
+        # a ValueError, a count off the samples' a broadcast ValueError,
+        # and 10^12 asked for a grid of 10^12 nodes before any check
+        out_dir = tmp_path / "run1"
+        run(capsys, SING + ["--out", str(out_dir)])
+        path = out_dir / "manifest.json"
+        manifest = json.loads(path.read_text())
+        if key is None:
+            manifest[section] = value
+        else:
+            manifest[section][key] = value
+        path.write_text(json.dumps(manifest))
+        code, _, err = run(capsys, ["analyze", str(out_dir), "--claim",
+                                    "fast-limits"])
+        assert code == 2
+        assert err.startswith("error:") and "Traceback" not in err
+
 
 class TestSolve:
     def test_zero_budget_exits_1(self, capsys):

@@ -60,6 +60,12 @@ class TestValidation:
         with pytest.raises(ValidationError):
             Params.from_order_k(n=5, k=0, p=3.0, q=3.0)
 
+    def test_from_order_k_needs_a_whole_order(self):
+        # k = 1.5 built alpha = 3, an order no polyharmonic operator has
+        for k in (1.5, math.nan, math.inf, "1", True):
+            with pytest.raises(ValidationError):
+                Params.from_order_k(6, k, 2.0, 2.0)
+
 
 class TestCanonicalOrientation:
     def test_swap_stores_both_exponents(self):
@@ -119,6 +125,12 @@ class TestIdentities:
     def test_critical_q_no_solution(self):
         with pytest.raises(ValidationError):
             critical_q(4, 2.0, 0.5)
+
+    @pytest.mark.parametrize("n", [3.5, "3"])
+    def test_critical_q_needs_a_whole_dimension(self, n):
+        # 3.5 gave q = 1.625, and "3" raised a raw TypeError
+        with pytest.raises(ValidationError):
+            critical_q(n, 1.0, 2.0)
 
 
 class TestClassification:

@@ -71,6 +71,12 @@ class TestAssembly:
         with pytest.raises(ValidationError):
             assemble("grid", 3, 1.0)
 
+    def test_operator_needs_every_table(self):
+        # with field defaults this built an operator whose apply died
+        # with an AttributeError
+        with pytest.raises(TypeError):
+            riesz.KernelOperator(make_grid(1e-2, 1e2, 32, 3))
+
     def test_dense_count_guard(self):
         # the guard reads the count alone: the small arrays behind this
         # grid would break any step that ran before it
