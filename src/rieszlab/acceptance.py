@@ -73,12 +73,6 @@ class CriterionResult:
     seconds: float
 
 
-def format_row(result: CriterionResult) -> str:
-    return "%-22s %-4s  expected %s | measured %s | tolerance %s | %.1fs" % (
-        result.key, "PASS" if result.passed else "FAIL", result.expected,
-        result.measured, result.tolerance, result.seconds)
-
-
 class Workspace:
     """Shared, lazily-built heavy artifacts for the criteria."""
 

@@ -86,14 +86,7 @@ class Params:
             raise ValidationError(
                 "dimension must be an integer n >= 3, got n=%r" % (self.n,))
         object.__setattr__(self, "n", int(self.n))
-        if not (0.0 < self.alpha < self.n):
-            raise ValidationError(
-                "operator order must satisfy 0 < alpha < n, got alpha=%r, n=%d"
-                % (self.alpha, self.n))
-        if not (0.0 < self.p < math.inf and 0.0 < self.q < math.inf):
-            raise ValidationError(
-                "exponents must be positive and finite, got p=%r, q=%r"
-                % (self.p, self.q))
+        _check_ranges(self.n, self.alpha, p=self.p, q=self.q)
         if not 1.0 < self.p * self.q < math.inf:
             raise ValidationError(
                 "exponent product must satisfy 1 < p*q < inf, got p*q=%r"
@@ -114,6 +107,26 @@ class Params:
         if whole_number(k, "polyharmonic order k") <= 0:
             raise ValidationError("polyharmonic order k must be positive")
         return cls(n=n, alpha=2.0 * k, p=p, q=q)
+
+
+def _check_ranges(n, alpha, **exponents):
+    """The range checks of :class:`Params` on the order and the
+    exponents: :class:`ValidationError` unless ``0 < alpha < n`` and
+    every exponent is positive and finite.  A string or NaN fails them."""
+    def within(value, hi):
+        try:
+            return 0.0 < value < hi
+        except TypeError:
+            return False
+
+    if not within(alpha, n):
+        raise ValidationError(
+            "operator order must satisfy 0 < alpha < n, got alpha=%r, n=%d"
+            % (alpha, n))
+    if not all(within(e, math.inf) for e in exponents.values()):
+        raise ValidationError(
+            "exponents must be positive and finite, got %s"
+            % ", ".join("%s=%r" % item for item in exponents.items()))
 
 
 @dataclass(frozen=True)
@@ -215,10 +228,12 @@ def critical_q(n, alpha, p):
     """Solve the critical condition for ``q`` given ``(n, alpha, p)``.
 
     Returns the unique ``q`` with ``1/(p+1) + 1/(q+1) = (n-alpha)/n``,
-    or raises :class:`ValidationError` when no positive solution exists.
+    or raises :class:`ValidationError` when no positive solution exists
+    or when ``alpha`` or ``p`` fails the range checks of :class:`Params`.
     Useful for constructing exactly-critical parameter sets.
     """
     n = whole_number(n, "dimension n")
+    _check_ranges(n, alpha, p=p)
     rest = (n - alpha) / n - 1.0 / (p + 1.0)
     if rest <= 0.0:
         raise ValidationError(

@@ -44,18 +44,18 @@ series ``|S^{n-1}| r_>^{alpha-n} sum_l c_l (r_</r_>)^{2l}``
 27 for ``alpha < 2``, each a product of a power of ``r_<`` and one of
 ``r_>``.  Cell pairs that far apart are J-term sums of closed-form cell
 moments, with no kernel samples.  The near band, about ``ln 2 / h``
-offsets and strip pairs, is integrated on fixed Gauss panels, all of
-it in a few batched :func:`kernel_ratio` calls; the three windows that
-end at the cusp (offset 1 and the two touching boundary pairs) take one
-more call on panels graded toward it.  The three pairs whose window
-straddles the cusp (offset 0 and the two boundary cells with
-themselves) take one fixed rule in one more call (:func:`_cusp_rule`):
-48 halvings toward the cusp, Gauss-Legendre panels, and a Gauss-Jacobi
-innermost panel of weight ``|z|^{alpha-1}``.  Its kernel samples are
-formed from the log-ratio ``z`` (:func:`_log_kernel`), since ``e^z``
-rounds to 1 on the innermost panels.  No adaptive quadrature is left.
-For even ``alpha`` every pair of distinct cells takes the series
-(:func:`_series_ratio`), and only the three cusp pairs are sampled.
+offsets and strip pairs, is integrated on fixed rules, its kernel
+samples formed from the log-ratio ``z`` (:func:`_log_kernel`), since
+``e^z`` rounds to 1 near the cusp.  A window off the cusp takes six
+Gauss panels, in a few batched calls.  The six windows that meet the
+cusp take one fixed rule in one more call (:func:`_cusp_rule`): 48
+halvings toward the cusp, Gauss-Legendre panels, and a Gauss-Jacobi
+innermost panel of weight ``|z|^{alpha-1}``.  Three straddle it
+(offset 0 and the two boundary cells with themselves), three end at it
+(offset 1 and the two touching boundary pairs).  No adaptive quadrature
+is left.  For even ``alpha`` every pair of distinct cells takes the
+series (:func:`_series_ratio`), and only the three cells taken with
+themselves are sampled.
 
 No ``count x count`` array is formed.  The interior pairs below the
 first far offset D, about ``ln 2 / h`` (D = 1 for even ``alpha``), are
@@ -81,7 +81,7 @@ lam^(alpha-n) K(r, s)`` and ``K(1/r, 1/s) = (rs)^(n-alpha) K(r, s)``,
 the head at ``r_i`` is ``(r_min/r_i)^(n-alpha)`` times the tail at ``tau
 = n + alpha`` of the grid mirrored about ``r_min``: one table builder
 and one response serve both ends.  An assembly on 4096 nodes over eight
-decades samples the kernel about 85k times at ``alpha = 0.8`` and 1764
+decades samples the kernel about 86k times at ``alpha = 0.8`` and 1764
 times at ``alpha = 2``, where sampling every pair, head and tail row
 would take 3.2M.
 """
@@ -525,11 +525,16 @@ class RadialField:
 class KernelOperator:
     """Bare-kernel discretization on one grid, kept matrix-free.
 
-    :meth:`apply` maps node values to bare integral values,
-    ``apply(f)[i] ~ int_{rMin}^{rMax} K(r_i, s) f(s) s^{n-1} ds``, in
-    O(count (D + J)) work from O(count J) numbers, with no dense array
-    ``M`` ever formed.  With ``w`` the cell weights, the symmetric pair
-    integrals ``w_i M[i][j]`` are:
+    :meth:`apply` maps node values to bare integral values in O(count
+    (D + J)) work from O(count J) numbers, with no dense array ``M``
+    ever formed.  At an interior node, ``apply(f)[i]`` is ``int_{rMin}^
+    {rMax} K(r_i, s) f(s) s^{n-1} ds`` to second order in the log mesh
+    width ``h``.  The end nodes deliver less, as measured with
+    :func:`apply_extended` on the exact HLS extremal: node count-1 is
+    first order in ``h`` at every ``alpha``, and node 0 is of order
+    about ``alpha`` below ``alpha = 1`` (second order from there on).
+    With ``w`` the cell weights, the symmetric pair integrals ``w_i
+    M[i][j]`` are:
 
     - rows (and columns) 0 and count-1: the two rows of ``boundary``;
     - interior pairs ``0 < i, j < count-1`` closer than ``D =
@@ -638,28 +643,23 @@ def _gauss_panels(breaks):
     breaks = np.asarray(breaks, dtype=float)
     mid = 0.5 * (breaks[..., 1:] + breaks[..., :-1])
     half = 0.5 * (breaks[..., 1:] - breaks[..., :-1])
-    shape = breaks.shape[:-1] + (-1,)
+    shape = breaks.shape[:-1] + (half.shape[-1] * _GAUSS_X.size,)
     nodes = (mid[..., None] + half[..., None] * _GAUSS_X).reshape(shape)
     weights = (half[..., None] * _GAUSS_W).reshape(shape)
     return nodes, weights
 
 
-def _graded_breaks(lo, hi, toward_lo, levels=12):
-    """Panel breakpoints of [lo, hi] halving ``levels`` times toward one end."""
-    span = hi - lo
-    steps = span * 0.5 ** np.arange(levels, 0, -1)
-    if toward_lo:
-        pts = lo + np.concatenate((steps, [span]))
-        return np.concatenate(([lo], pts))
-    pts = hi - np.concatenate((steps, [span]))[::-1]
-    return np.concatenate((pts, [hi]))
+def _graded_breaks(span, levels=12):
+    """Panel breakpoints of [0, span] halving ``levels`` times toward 0."""
+    return np.concatenate(
+        ([0.0], span * 0.5 ** np.arange(levels, 0, -1), [span]))
 
 
 #: Mesh of the sampled stretch beyond a domain end, in ``y = ln(s/r_end)``
 #: over ``[0, ln(1/FAR_RATIO)]``: 13 panels halving toward the kernel cusp
 #: at ``y = 0``, 156 nodes.
 _END_NODES, _END_WEIGHTS = _gauss_panels(
-    _graded_breaks(0.0, -math.log(FAR_RATIO), True))
+    _graded_breaks(-math.log(FAR_RATIO)))
 
 
 def _overlap_weight(z, la, lb, lc, ld, npa):
@@ -680,7 +680,7 @@ def _overlap_weight(z, la, lb, lc, ld, npa):
 
 def _pair_integrand(z, la, lb, lc, ld, n, alpha):
     """Integrand of the double-cell integral reduced to the log-ratio ``z``."""
-    return (kernel_ratio(np.exp(z), n, alpha) * np.exp(n * z)
+    return (_log_kernel(z, n, alpha) * np.exp(n * z)
             * _overlap_weight(z, la, lb, lc, ld, n + alpha))
 
 
@@ -704,6 +704,7 @@ def _gauss_jacobi(b):
     return x, 2.0 ** (b + 1.0) / (b + 1.0) * np.square(vec[0])
 
 
+@lru_cache(maxsize=16)
 def _cusp_rule(alpha):
     """Fixed rule for ``int_0^1 f(u) du`` with ``f ~ u^{alpha-1}`` at 0.
 
@@ -712,70 +713,82 @@ def _cusp_rule(alpha):
     = 2^-_CUSP_LEVELS``, which takes the 12-point Gauss-Jacobi rule of
     weight ``u^{alpha-1}``; its weights are divided by ``u^{alpha-1}`` at
     the nodes, so the rule is applied to ``f`` itself.  Returns the nodes
-    and weights, innermost first.
+    and weights, innermost first, read-only: the last few ``alpha`` are
+    kept, since the pairs at the cusp and the end node of every tail
+    response take the same rule, the latter scaled to the end stretch
+    ``[0, ln(1/FAR_RATIO)]``.
     """
     nodes, weights = _gauss_panels(
-        _graded_breaks(0.0, 1.0, True, levels=_CUSP_LEVELS)[1:])
+        _graded_breaks(1.0, levels=_CUSP_LEVELS)[1:])
     x, wx = _gauss_jacobi(alpha - 1.0)
     half = 0.5 ** (_CUSP_LEVELS + 1)
-    return (np.concatenate((half * (1.0 + x), nodes)),
-            np.concatenate((half * wx * (1.0 + x) ** (1.0 - alpha), weights)))
-
-
-@lru_cache(maxsize=16)
-def _end_cusp_rule(alpha):
-    """:func:`_cusp_rule` on the end stretch ``[0, ln(1/FAR_RATIO)]``,
-    for the node at the domain end.  Read-only: the last few ``alpha``
-    are kept, since every :func:`_end_response` call with a sampled end
-    node needs the nodes."""
-    u, wu = _cusp_rule(alpha)
-    y, wy = -math.log(FAR_RATIO) * u, -math.log(FAR_RATIO) * wu
-    y.flags.writeable = wy.flags.writeable = False
-    return y, wy
+    u = np.concatenate((half * (1.0 + x), nodes))
+    wu = np.concatenate((half * wx * (1.0 + x) ** (1.0 - alpha), weights))
+    u.flags.writeable = wu.flags.writeable = False
+    return u, wu
 
 
 def _cusp_pairs(cells, n, alpha):
-    """Double-cell integrals of cells with themselves, across the cusp.
+    """Double-cell integrals of cell pairs whose window meets the cusp.
 
-    ``cells`` is the ``4 x P`` array of log-cells ``(la, lb, la, lb)``,
-    whose log-ratio window ``(-w, w)``, ``w = lb - la``, holds the kernel
-    cusp at ``z = 0`` and the overlap weight's only kink.  The integrand
-    is even in ``z``: ``K(1, e^{-z}) = e^{(n-alpha) z} K(1, e^z)`` and
-    ``W(-z) = e^{(n+alpha) z} W(z)`` for the overlap weight ``W``.  So
-    each pair is twice its half ``(0, w)`` on :func:`_cusp_rule`, all
-    pairs in one :func:`_log_kernel` call.
+    ``cells`` is the ``4 x P`` array of log-cells ``(la, lb, lc, ld)``
+    whose log-ratio window ``[lc - lb, ld - la]`` holds the kernel cusp
+    ``z = 0``: at one end for two touching cells, inside for a cell with
+    itself.  From the cusp to the nearer kink of the overlap weight,
+    ``lc - la`` or ``ld - lb``, a pair takes :func:`_cusp_rule`, and one
+    Gauss panel on each stretch beyond, to the other kink and from there
+    to the window's end.  A cell with itself has both kinks at the cusp,
+    and its integrand is even in ``z``: ``K(1, e^{-z}) = e^{(n-alpha) z}
+    K(1, e^z)`` and ``W(-z) = e^{(n+alpha) z} W(z)`` for the overlap
+    weight ``W``.  So it is twice its half ``[0, w]``, ``w = lb - la``,
+    on the cusp rule alone.  All pairs are sampled in one
+    :func:`_pair_integrand` call.
     """
     u, wu = _cusp_rule(alpha)
-    width = (cells[1] - cells[0])[:, None]
-    z = width * u
-    vals = (_log_kernel(z, n, alpha) * np.exp(n * z)
-            * _overlap_weight(z, *cells[:, :, None], n + alpha))
-    return 2.0 * width[:, 0] * (vals @ wu)
+    la, lb, lc, ld = cells
+    zlo, zhi = lc - lb, ld - la
+    fold = (zlo < 0.0) & (zhi > 0.0)
+    rim = ~fold
+    side = np.where(zhi > 0.0, 1.0, -1.0)
+    # distances from the cusp of the two kinks and of the far end of a
+    # touching window (zlo or zhi, the other is 0); a folded pair's
+    # kinks sit on the cusp, and its rule spans its half
+    near, far, end = np.sort(np.abs(np.where(
+        fold, zhi, (lc - la, ld - lb, zlo + zhi))), axis=0)
+    t, wt = _gauss_panels(np.stack((near, far, end), axis=1)[rim])
+    rows = np.arange(near.size)
+    owner = np.concatenate((np.repeat(rows, u.size),
+                            np.repeat(rows[rim], t.shape[1])))
+    vals = _pair_integrand(np.concatenate(
+        ((side * near)[:, None] * u, side[rim, None] * t), axis=None),
+        *cells[:, owner], n, alpha)
+    cut = near.size * u.size
+    out = np.where(fold, 2.0, 1.0) * near * (
+        vals[:cut].reshape(near.size, u.size) @ wu)
+    out[rim] += np.sum(vals[cut:].reshape(t.shape) * wt, axis=-1)
+    return out
 
 
 def _near_pairs(cells, n, alpha):
-    """Double-cell integrals of near cell pairs off the cusp, on fixed
-    Gauss panels.
+    """Double-cell integrals of near cell pairs, on fixed rules.
 
     ``cells`` is the ``4 x P`` array of log-cells ``(la, lb, lc, ld)``.
-    A window ``[lc - lb, ld - la]`` that ends at the cusp ``z = 0``
-    takes panels graded toward it (:func:`_touching_breaks`), the others
-    six uniform panels.  Pairs are sampled ``_PAIR_BLOCK_ROWS`` at a
-    time.
+    A pair whose log-ratio window ``[lc - lb, ld - la]`` meets the cusp
+    ``z = 0`` takes :func:`_cusp_pairs`; every other one six uniform
+    Gauss panels, sampled ``_PAIR_BLOCK_ROWS`` pairs at a time.
     """
     zlo, zhi = cells[2] - cells[1], cells[3] - cells[0]
-    touch = (zlo == 0.0) | (zhi == 0.0)
+    cusp = (zlo <= 0.0) & (zhi >= 0.0)
     out = np.empty(zlo.size)
-    for part, breaks in (
-            (~touch, zlo[~touch, None]
-             + (zhi - zlo)[~touch, None] * _UNIFORM_PANELS),
-            (touch, [_touching_breaks(*c) for c in cells[:, touch].T])):
-        part = np.flatnonzero(part)
-        for lo in range(0, part.size, _PAIR_BLOCK_ROWS):
-            rows = part[lo:lo + _PAIR_BLOCK_ROWS]
-            z, wts = _gauss_panels(breaks[lo:lo + _PAIR_BLOCK_ROWS])
-            vals = _pair_integrand(z, *cells[:, rows, None], n, alpha)
-            out[rows] = np.sum(vals * wts, axis=-1)
+    out[cusp] = _cusp_pairs(cells[:, cusp], n, alpha)
+    rest = np.flatnonzero(~cusp)
+    for lo in range(0, rest.size, _PAIR_BLOCK_ROWS):
+        rows = rest[lo:lo + _PAIR_BLOCK_ROWS]
+        z, wts = _gauss_panels(zlo[rows, None]
+                               + (zhi - zlo)[rows, None] * _UNIFORM_PANELS)
+        out[rows] = np.sum(
+            _pair_integrand(z, *cells[:, rows, None], n, alpha) * wts,
+            axis=-1)
     return out
 
 
@@ -797,25 +810,6 @@ def _pair_cells(edges, i, js):
         rel[i - 1] = -np.log1p((lead - edges[i - 1]) / edges[i - 1])
     return np.array(np.broadcast_arrays(rel[i], rel[i + 1],
                                         rel[js], rel[js + 1]))
-
-
-def _touching_breaks(la, lb, lc, ld):
-    """Panel breaks of a cell pair whose window ends at the cusp.
-
-    The kinks of the overlap weight sit at ``lc - la`` and ``ld - lb``:
-    on the thirds of the window for a half-width boundary cell, both on
-    the middle for offset 1 (which leaves one empty panel there).  Grade
-    toward the cusp up to the nearer kink and break at the other.  The
-    16 levels take the integrand's ``|z|^alpha`` end to rounding
-    (1e-14 relative at alpha = 0.8, against 2e-12 with 12 levels).
-    """
-    zlo, zhi = lc - lb, ld - la
-    near, far = sorted((lc - la, ld - lb), key=abs)
-    if zlo == 0.0:
-        return np.concatenate((_graded_breaks(zlo, near, True, levels=16),
-                               [far, zhi]))
-    return np.concatenate(([zlo, far],
-                           _graded_breaks(near, zhi, False, levels=16)))
 
 
 def _far_pairs(b, wa, c, wc, n, alpha):
@@ -953,13 +947,13 @@ def assemble(grid, n, alpha):
     scale tables (:func:`_far_tables`), O(count J) numbers.  For even
     ``alpha`` the series is exact for any two distinct cells, so D = 1,
     the interior band is the diagonal alone and the strips take the
-    series throughout.  The off-cusp pairs of the near band, about ``3 ln
-    2 / h`` of them, are fixed Gauss-panel sums (:func:`_near_pairs`),
-    and the three pairs straddling the cusp take the fixed rule of
-    :func:`_cusp_pairs`.  Nothing of size ``count x count`` is
-    allocated.  The construction is symmetric in the pair of
-    cells, so the adjoint identity ``w_i M[i][j] = w_j M[j][i]`` holds to
-    rounding.
+    series throughout.  Every pair of the near band, about ``3 ln 2 /
+    h`` of them, the cells taken with themselves included, goes to one
+    :func:`_near_pairs` call: fixed Gauss-panel sums, and the fixed cusp
+    rule of :func:`_cusp_pairs` on the windows that meet the cusp.
+    Nothing of size ``count x count`` is allocated.  The construction
+    is symmetric in the pair of cells, so the adjoint identity ``w_i
+    M[i][j] = w_j M[j][i]`` holds to rounding.
 
     Raises
     ------
@@ -995,29 +989,27 @@ def assemble(grid, n, alpha):
 
     # Full-width interior cells i, i+d give sym(i, i+d) = r_i^{n+alpha}
     # * fam[d], with fam[d] the pair (-h/2, h/2) x (dh - h/2, dh + h/2).
-    # Pairs of distinct cells whose radii do not stay within the series
-    # ratio of each other form the near band: interior offsets 1 .. D-1
-    # and the strip pairs (0, j), j = 1 .. count-2, and (count-1, j), j
-    # = 0 .. count-2, that are near.  The rest take the series.  For
-    # alpha = 2k the series is the whole kernel and no pair is near: D =
-    # 1, and every strip pair takes the series.
+    # Pairs whose radii do not stay within the series ratio of each other
+    # form the near band: interior offsets 0 .. D-1 and the strip pairs
+    # (0, j), j = 0 .. count-2, and (count-1, j), j = 0 .. count-1, that
+    # are near.  The rest take the series.  For alpha = 2k the series is
+    # the whole kernel and only a cell with itself is near: D = 1, and
+    # every other strip pair takes the series.
     ratio = _series_ratio(alpha)
     width = 1 + np.count_nonzero(
         np.exp(-(np.arange(1, count - 2) - 1) * h) > ratio)
-    js0, jsl = np.arange(1, last), np.arange(last)
+    js0, jsl = np.arange(last), np.arange(count)
     near0 = edges[1] / edges[js0] > ratio
     nearl = edges[jsl + 1] / edges[last] > ratio
 
-    dh = np.arange(1, width) * h
+    dh = np.arange(width) * h
     cells = np.concatenate((np.array(np.broadcast_arrays(
         -0.5 * h, 0.5 * h, dh - 0.5 * h, dh + 0.5 * h)),
         _pair_cells(edges, 0, js0[near0]),
         _pair_cells(edges, last, jsl[nearl])), axis=1)
-    band = np.empty(width)
     strip0, stripl = np.empty(js0.size), np.empty(jsl.size)
-    band[1:], band0, bandl = np.split(
-        _near_pairs(cells, n, alpha),
-        [dh.size, dh.size + np.count_nonzero(near0)])
+    band, band0, bandl = np.split(_near_pairs(cells, n, alpha),
+                                  [width, width + np.count_nonzero(near0)])
     strip0[near0] = scale0 * band0
     stripl[nearl] = scalel * bandl
 
@@ -1040,19 +1032,12 @@ def assemble(grid, n, alpha):
     stripl[~nearl] = _far_pairs(edges[k + 1], widths[k], edges[last],
                                 widths[last], n, alpha)
 
-    # Windows straddling the cusp: the offset-0 pair and the two
-    # boundary cells with themselves, on the fixed cusp rule.
-    band[0], diag0, diagl = _cusp_pairs(np.stack(
-        ([-0.5 * h, 0.5 * h, -0.5 * h, 0.5 * h], _pair_cells(edges, 0, 0),
-         _pair_cells(edges, last, last)), axis=1), n, alpha)
-
     # Boundary rows; the corner pair is integrated once, as (count-1, 0).
-    rowl = np.append(stripl, scalel * diagl)
-    row0 = np.concatenate(([scale0 * diag0], strip0, rowl[:1]))
+    row0 = np.append(strip0, stripl[0])
     tail_series, tail_kernel, tail_end = _tail_tables(grid.nodes,
                                                       grid.r_max, n, alpha)
     return KernelOperator(grid=grid, alpha=alpha, n=n,
-                          boundary=np.array([row0, rowl]), base=base,
+                          boundary=np.array([row0, stripl]), base=base,
                           band=band, far_gather=far_gather,
                           far_scatter=far_scatter, far_carry=far_carry,
                           head_response=_head_response(grid, n, alpha),
@@ -1092,7 +1077,7 @@ def _tail_tables(nodes, r_end, n, alpha):
     r_i^{alpha-n} int K(1, r_end e^y/r_i) e^{(n-tau) y} dy``: ``kernel``
     holds the factor before the integral times the kernel and the weight
     on the end mesh, one row per near node but the last, and ``end`` the
-    same for the last node on :func:`_end_cusp_rule`, or None when no
+    same for the last node on :func:`_cusp_rule`, or None when no
     node is near (even ``alpha``).
     """
     near = np.count_nonzero(nodes / r_end > _series_ratio(alpha))
@@ -1115,7 +1100,8 @@ def _tail_tables(nodes, r_end, n, alpha):
                                         alpha) * _END_WEIGHTS)
     end = None
     if near:
-        y, wy = _end_cusp_rule(alpha)
+        u, wu = _cusp_rule(alpha)
+        y, wy = -math.log(FAR_RATIO) * u, -math.log(FAR_RATIO) * wu
         end = r_end ** alpha * _log_kernel(y, n, alpha) * wy
     return series, kernel, end
 
@@ -1130,7 +1116,8 @@ def _end_response(tables, tau, n, alpha):
         near = kernel.shape[0] + 1
         out[-near:] *= FAR_RATIO ** tau
         out[-near:-1] += kernel @ np.exp((n - tau) * _END_NODES)
-        out[-1] += end @ np.exp((n - tau) * _end_cusp_rule(alpha)[0])
+        out[-1] += end @ np.exp(
+            (n - tau) * (-math.log(FAR_RATIO) * _cusp_rule(alpha)[0]))
     return out
 
 

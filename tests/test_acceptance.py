@@ -2,12 +2,12 @@
 
 Each test runs one criterion of the ``verify-all`` battery through the
 same code path the CLI uses (shared workspace, stated tolerances, time
-budgets included) and prints its official result row.
+budgets included).
 """
 
 import pytest
 
-from rieszlab.acceptance import CRITERIA, Workspace, format_row, run_one
+from rieszlab.acceptance import CRITERIA, Workspace, run_one
 
 
 @pytest.fixture(scope="module")
@@ -17,7 +17,6 @@ def workspace():
 
 def _check(key, workspace):
     result = run_one(key, workspace)
-    print(format_row(result))
     assert result.passed, (
         f"{key}: measured {result.measured} vs tolerance {result.tolerance}")
     return result

@@ -28,7 +28,9 @@ def test_deleted_names_are_gone():
             errors: ("AssemblyError", "CollapseError"),
             riesz: ("apply_with_tail", "_pair_cell_quadrature",
                     "_ADAPTIVE_BUDGET", "TAIL_RANGE_CAP",
-                    "_terminating_kernel", "TAIL_REMAINDER"),
+                    "_terminating_kernel", "TAIL_REMAINDER",
+                    "_touching_breaks", "_end_cusp_rule"),
+            acceptance: ("format_row",),
             exponents: ("integrability_thresholds",),
             solver: ("slow_exponents", "CollapseError", "COLLAPSE_FLOOR",
                      "_origin_gap")}

@@ -66,6 +66,12 @@ class TestValidation:
             with pytest.raises(ValidationError):
                 Params.from_order_k(6, k, 2.0, 2.0)
 
+    @pytest.mark.parametrize("alpha, p", [("2", 2.0), (2.0, "2")])
+    def test_string_order_or_exponent_refused(self, alpha, p):
+        # a raw TypeError from the comparison
+        with pytest.raises(ValidationError):
+            Params(n=4, alpha=alpha, p=p, q=3.0)
+
 
 class TestCanonicalOrientation:
     def test_swap_stores_both_exponents(self):
@@ -131,6 +137,14 @@ class TestIdentities:
         # 3.5 gave q = 1.625, and "3" raised a raw TypeError
         with pytest.raises(ValidationError):
             critical_q(n, 1.0, 2.0)
+
+    @pytest.mark.parametrize("alpha, p", [(2.0, math.inf), (-1.0, 2.0),
+                                          (2.0, "2")])
+    def test_critical_q_checks_params_ranges(self, alpha, p):
+        # an infinite p gave q = 1, a negative alpha q = 0.0909 and a
+        # string p a raw TypeError
+        with pytest.raises(ValidationError):
+            critical_q(4, alpha, p)
 
 
 class TestClassification:

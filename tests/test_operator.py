@@ -15,7 +15,7 @@ from rieszlab.grid import _cell_weights, make_grid
 from rieszlab.riesz import (_END_NODES, _END_WEIGHTS, _TAIL_BUILD_ROWS,
                             FAR_RATIO, MAX_DENSE_COUNT, RadialField,
                             _cusp_rule, _far_pairs, _head_response,
-                            _log_kernel, _pair_cells, _pair_integrand,
+                            _log_kernel, _overlap_weight, _pair_cells,
                             _series_coefficients, apply_extended, assemble,
                             field_integral, kernel_ratio, power_law_constant,
                             sphere_area, tail_response)
@@ -94,6 +94,14 @@ class TestAssembly:
             assemble(grid, n, alpha)
 
 
+def sampled_integrand(z, la, lb, lc, ld, n, alpha):
+    """The reduced double-cell integrand at one log-ratio ``z``, its
+    kernel sampled as ``kernel_ratio(e^z)``, so the oracles share no
+    code with the operator's log-ratio sampler ``_log_kernel``."""
+    return float(kernel_ratio(np.exp(z), n, alpha) * np.exp(n * z)
+                 * _overlap_weight(z, la, lb, lc, ld, n + alpha))
+
+
 def pair_oracle(grid, n, alpha, i, j):
     """Double-cell integral of cells ``i`` and ``j``, pair by pair.
 
@@ -105,8 +113,8 @@ def pair_oracle(grid, n, alpha, i, j):
     zlo, zhi = lc - lb, ld - la
     points = sorted({z for z in (0.0, lc - la, ld - lb) if zlo < z < zhi})
     val, _ = integrate.quad(
-        lambda z: float(_pair_integrand(z, la, lb, lc, ld, n, alpha)),
-        zlo, zhi, points=points or None, epsabs=0.0, epsrel=1e-13, limit=200)
+        sampled_integrand, zlo, zhi, args=(la, lb, lc, ld, n, alpha),
+        points=points or None, epsabs=0.0, epsrel=1e-13, limit=200)
     return val
 
 
@@ -140,8 +148,8 @@ def cusp_pair_quadrature(cells, n, alpha):
     there at ``epsrel`` 1e-11: an oracle apart from the fixed cusp rule."""
     la, lb, lc, ld = cells
     val, _ = integrate.quad(
-        lambda z: float(_pair_integrand(z, la, lb, lc, ld, n, alpha)),
-        lc - lb, ld - la, points=[0.0], epsabs=0.0, epsrel=1e-11, limit=400)
+        sampled_integrand, lc - lb, ld - la, args=(la, lb, lc, ld, n, alpha),
+        points=[0.0], epsabs=0.0, epsrel=1e-11, limit=400)
     return val
 
 
@@ -172,6 +180,22 @@ CUSP_PAIR_MPMATH = {(0.55, 64): 4.12301720766866972816177637617,
                     (0.3, 4096): 0.0408159235888059578423287766583}
 
 
+#: The two pairs of touching cells that end at the cusp on
+#: ``make_grid(1e-4, 1e4, 512, 3)``, keyed by alpha: ``op.band[1]``,
+#: offset 1 on the cells ``(-h/2, h/2)`` and ``(h/2, 3h/2)``, and
+#: ``op.boundary[0, 1]``, the half-width first cell with the next one.
+#: Made offline with mpmath at 110 digits: tanh-sinh ``mp.quad`` on each
+#: piece of the window between the cusp and the kinks of the overlap
+#: weight, split at ``2^-k`` of the piece toward the cusp, with the
+#: ``z < 2^-60`` of a piece left out.  Graded Gauss panels on double
+#: ``rho = e^z``, which rounds ``1 - rho`` near the cusp, miss the
+#: alpha = 0.3 pair values by 7.0e-11 and 4.5e-11.
+TOUCHING_PAIR_MPMATH = {0.3: (0.14262765946413200415,
+                              5.7206938233313021798e-15),
+                        0.8: (0.049424668802717496814,
+                              1.7578571340049287294e-17)}
+
+
 class TestCuspPairs:
     @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
     @pytest.mark.parametrize("n, alpha, count", [
@@ -189,6 +213,14 @@ class TestCuspPairs:
         op = assemble(make_grid(1e-4, 1e4, count, 3), 3, alpha)
         assert op.band[0] == pytest.approx(CUSP_PAIR_MPMATH[alpha, count],
                                            rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("alpha", sorted(TOUCHING_PAIR_MPMATH))
+    def test_touching_pairs_against_mpmath(self, alpha):
+        op = assemble(make_grid(1e-4, 1e4, 512, 3), 3, alpha)
+        offset_one, first_pair = TOUCHING_PAIR_MPMATH[alpha]
+        assert op.band[1] == pytest.approx(offset_one, rel=1e-14, abs=0.0)
+        assert op.boundary[0, 1] == pytest.approx(first_pair, rel=1e-14,
+                                                  abs=0.0)
 
     def test_domain_edge(self):
         # alpha = 0.3: the cusp ~ |z|^-0.7 holds a share ~ eps^0.3 of a
