@@ -227,6 +227,42 @@ class TestAnderson:
         np.testing.assert_allclose(step, plain, rtol=1e-15)
 
 
+def hls_extremal(n, alpha, r):
+    """The HLS extremal with value 1 at the origin, ``(lam^2/(lam^2 +
+    r^2))^((n-alpha)/2)``: on the critical diagonal ``p = q = (n+alpha)
+    /(n-alpha)`` it solves ``u = I_alpha[u^p]`` (Lieb, Ann. Math. 1983;
+    Chen, Li and Ou, CPAM 2006) when ``lam^alpha = 2^alpha
+    Gamma((n+alpha)/2) / Gamma((n-alpha)/2)``."""
+    lam2 = (2.0 ** alpha * math.gamma(0.5 * (n + alpha))
+            / math.gamma(0.5 * (n - alpha))) ** (2.0 / alpha)
+    return (lam2 / (lam2 + r * r)) ** (0.5 * (n - alpha))
+
+
+#: Max ``|u/exact - 1|`` on [1e-3, 1e3] of the tol 1e-9 solve at N =
+#: 512 and 1024, as measured, for the non-even orders of the extremal.
+HLS_DISTANCES = {(5, 2.5): (8.79e-4, 2.19e-4),
+                 (4, 1.5): (1.42e-3, 3.54e-4),
+                 (3, 0.8): (1.74e-3, 4.46e-4)}
+
+
+class TestHLSExtremal:
+    @pytest.mark.parametrize("n, alpha", sorted(HLS_DISTANCES))
+    def test_against_closed_form(self, n, alpha):
+        p = (n + alpha) / (n - alpha)
+        dist = []
+        for count, measured in zip((512, 1024), HLS_DISTANCES[n, alpha]):
+            grid = make_grid(1e-4, 1e4, count, n)
+            pair = solve_picard(Params(n, alpha, p, p), grid,
+                                SolveConfig(tol=1e-9))
+            sl = (grid.nodes >= 1e-3) & (grid.nodes <= 1e3)
+            exact = hls_extremal(n, alpha, grid.nodes[sl])
+            dist.append(max(np.max(np.abs(f.values[sl] / exact - 1.0))
+                            for f in (pair.u, pair.v)))
+            assert dist[-1] <= 1.1 * measured
+        # the step halves between the two grids
+        assert math.log2(dist[0] / dist[1]) >= 1.9
+
+
 class TestSolverHelpers:
     def test_log_dilate_matches_scalar_loop(self, bubble_pair):
         grid = bubble_pair.u.grid
