@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 
 from .errors import ValidationError, whole_number
@@ -112,12 +113,11 @@ class Params:
 def _check_ranges(n, alpha, **exponents):
     """The range checks of :class:`Params` on the order and the
     exponents: :class:`ValidationError` unless ``0 < alpha < n`` and
-    every exponent is positive and finite.  A string or NaN fails them."""
+    every exponent is positive and finite, each a real scalar.  A bool,
+    a string, an array or NaN fails them."""
     def within(value, hi):
-        try:
-            return 0.0 < value < hi
-        except TypeError:
-            return False
+        return (isinstance(value, numbers.Real)
+                and not isinstance(value, bool) and 0.0 < value < hi)
 
     if not within(alpha, n):
         raise ValidationError(

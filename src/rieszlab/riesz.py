@@ -837,13 +837,37 @@ def _far_pairs(b, wa, c, wc, n, alpha):
 
 def _far_terms(b, wa, c, wc, n, alpha):
     """The J terms of :func:`_far_pairs` before the sum, one row per
-    term, without the common factor ``|S^{n-1}| b^n``."""
+    term, without the common factor ``|S^{n-1}| b^n``.
+
+    The powers ``(b/x)^{2l} x^alpha`` take the end ``x`` of the upper
+    cell where ``s^{alpha-2l}`` is largest.  For the rising terms,
+    ``alpha - 2l > 0``, that is ``x = c e^{wc}``, one pow each (every
+    term of an even ``alpha``).  For the falling ones it is ``x = c``:
+    one ``c^alpha`` times powers of ``(b/c)^2``, which are products
+    filled by doubling the rows already done, a few calls for all J.
+    No power of ``b/c`` underflows before ``c^alpha`` scales it.
+    """
     coef = _series_coefficients(n, alpha)[:, None]
     l2 = 2.0 * np.arange(coef.size)[:, None]
     upper_exp = alpha - l2
-    top = np.where(upper_exp > 0.0, c * np.exp(wc), c)
-    return (coef * (b / top) ** l2 * top ** alpha
-            * wa * special.exprel(-(l2 + n) * wa)
+    rise = min(math.ceil(0.5 * alpha), coef.size)
+    # the far ends as a full array, a row per rising term: numpy's pow
+    # can round differently on a broadcast base
+    top = np.where(upper_exp[:rise] > 0.0, c * np.exp(wc), c)
+    terms = coef[:rise] * (b / top) ** l2[:rise] * top ** alpha
+    if rise < coef.size:
+        ratio2 = np.square(b / c)
+        fall = np.empty((coef.size - rise,) + terms.shape[1:])
+        fall[0] = c ** alpha * ratio2 ** rise
+        done = 1
+        while done < fall.shape[0]:
+            more = min(done, fall.shape[0] - done)
+            np.multiply(fall[:more], ratio2, out=fall[done:done + more])
+            ratio2 = np.square(ratio2)
+            done += more
+        fall *= coef[rise:]
+        terms = np.concatenate((terms, fall))
+    return (terms * wa * special.exprel(-(l2 + n) * wa)
             * wc * special.exprel(-np.abs(upper_exp) * wc))
 
 
@@ -917,9 +941,12 @@ def _far_sweeps(gather, scatter, carry, values, far, shift):
     nodes ``.. far - 1``.  Each sweep (see :func:`_far_tables`) takes
     the prefix sums of ``gather[l] * values`` within each block, adds
     the sum of the blocks before it moved by ``carry``, and contracts
-    them with ``scatter`` over the J terms.  A far pair within one
-    block is the product of the same two table entries in both sweeps,
-    so the operator stays symmetric there to the last bit.
+    them with ``scatter`` over the J terms.  All of it runs in one
+    ``2 x J x count`` work array: the product is formed into it, and
+    the prefix sums, carries and ``scatter`` factors are taken in place.
+    A far pair within one block is the product of the same two table
+    entries in both sweeps, so the operator stays symmetric there to
+    the last bit.
     """
     blocks, length = gather.shape[2:]
     # scaled to at most 1 by a power of two, so no partial sum overflows
@@ -927,11 +954,12 @@ def _far_sweeps(gather, scatter, carry, values, far, shift):
     lined[0, :far] = values[:far]
     lined[1, lined.shape[1] - far:] = values[:values.size - far - 1:-1]
     lined = np.ldexp(lined, -shift)
-    sums = np.add.accumulate(gather * lined.reshape(2, 1, blocks, length),
-                             axis=3)
+    sums = gather * lined.reshape(2, 1, blocks, length)
+    np.add.accumulate(sums, axis=3, out=sums)
     for k in range(1, blocks):
         sums[:, :, k] += carry[:, :, k - 1, None] * sums[:, :, k - 1, -1:]
-    out = np.ldexp((scatter * sums).sum(axis=1).reshape(2, -1), shift)
+    sums *= scatter
+    out = np.ldexp(sums.sum(axis=1).reshape(2, -1), shift)
     return out[0, :far], out[1, ::-1][:far]
 
 
@@ -1036,13 +1064,19 @@ def assemble(grid, n, alpha):
     row0 = np.append(strip0, stripl[0])
     tail_series, tail_kernel, tail_end = _tail_tables(grid.nodes,
                                                       grid.r_max, n, alpha)
-    return KernelOperator(grid=grid, alpha=alpha, n=n,
-                          boundary=np.array([row0, stripl]), base=base,
-                          band=band, far_gather=far_gather,
-                          far_scatter=far_scatter, far_carry=far_carry,
-                          head_response=_head_response(grid, n, alpha),
-                          tail_series=tail_series, tail_kernel=tail_kernel,
-                          tail_end=tail_end)
+    op = KernelOperator(grid=grid, alpha=alpha, n=n,
+                        boundary=np.array([row0, stripl]), base=base,
+                        band=band, far_gather=far_gather,
+                        far_scatter=far_scatter, far_carry=far_carry,
+                        head_response=_head_response(grid, n, alpha),
+                        tail_series=tail_series, tail_kernel=tail_kernel,
+                        tail_end=tail_end)
+    # an operator is shared by every solve on its grid: a write into one
+    # of its tables raises instead of changing them all
+    for table in vars(op).values():
+        if isinstance(table, np.ndarray):
+            table.flags.writeable = False
+    return op
 
 
 def _head_response(grid, n, alpha):
@@ -1090,6 +1124,10 @@ def _tail_tables(nodes, r_end, n, alpha):
     series *= coef
     series[nodes.size - near:] *= FAR_RATIO ** (
         2.0 * np.arange(coef.size) - alpha)
+    # a row's first term is at least sqrt of the smallest normal double
+    # (r^(n+alpha) is normal and alpha < n), so its subnormal terms are
+    # far below its rounding; as 0 they do not slow the products
+    series[np.abs(series) < np.finfo(float).tiny] = 0.0
     rows = nodes[nodes.size - near:-1]
     kernel = np.empty((rows.size, _END_NODES.size))
     s = r_end * np.exp(_END_NODES)

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -53,6 +54,22 @@ class TestValidation:
             Params(n=4, alpha=2.0, p=1e200, q=1e200)
         with pytest.raises(ValidationError):
             Params(n=4, alpha=2.0, p=1e-300, q=1.7e308)
+
+    @pytest.mark.parametrize("field", ["alpha", "p", "q"])
+    @pytest.mark.parametrize("bad", [True, np.bool_(True), np.array(2.0),
+                                     np.array([2.0]), np.array([2.0, 2.0])])
+    def test_real_scalars_only(self, field, bad):
+        # a bool alpha was taken as 1.0, a one-element p raised a raw
+        # TypeError and a two-element alpha a numpy ValueError
+        args = dict(n=4, alpha=2.0, p=2.0, q=3.0)
+        args[field] = bad
+        with pytest.raises(ValidationError):
+            Params(**args)
+
+    def test_numpy_scalars_pass(self):
+        params = Params(n=np.int64(4), alpha=np.float64(2.0),
+                        p=np.float32(2.0), q=np.int64(3))
+        assert (params.alpha, params.p, params.q) == (2.0, 2.0, 3.0)
 
     def test_from_order_k(self):
         params = Params.from_order_k(n=5, k=1, p=3.0, q=3.0)
@@ -138,11 +155,13 @@ class TestIdentities:
         with pytest.raises(ValidationError):
             critical_q(n, 1.0, 2.0)
 
-    @pytest.mark.parametrize("alpha, p", [(2.0, math.inf), (-1.0, 2.0),
-                                          (2.0, "2")])
+    @pytest.mark.parametrize("alpha, p", [
+        (2.0, math.inf), (-1.0, 2.0), (2.0, "2"), (True, 2.0), (2.0, True),
+        (np.array([2.0]), 2.0), (2.0, np.array([2.0, 3.0]))])
     def test_critical_q_checks_params_ranges(self, alpha, p):
-        # an infinite p gave q = 1, a negative alpha q = 0.0909 and a
-        # string p a raw TypeError
+        # an infinite p gave q = 1, a negative alpha q = 0.0909, a
+        # string p a raw TypeError, a bool alpha q = 1.4 and an array
+        # a raw TypeError or ValueError
         with pytest.raises(ValidationError):
             critical_q(4, alpha, p)
 

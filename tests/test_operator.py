@@ -541,6 +541,117 @@ class TestMatrixFreeApply:
         assert peak < grid.count * grid.count * 8 / 4
 
 
+def far_sweeps_allocating(gather, scatter, carry, values, far, shift):
+    """:func:`riesz._far_sweeps` with a fresh array for the product, the
+    prefix sums and the contraction, the oracle of the in-place one."""
+    blocks, length = gather.shape[2:]
+    lined = np.zeros((2, blocks * length))
+    lined[0, :far] = values[:far]
+    lined[1, lined.shape[1] - far:] = values[:values.size - far - 1:-1]
+    lined = np.ldexp(lined, -shift)
+    sums = np.add.accumulate(gather * lined.reshape(2, 1, blocks, length),
+                             axis=3)
+    for k in range(1, blocks):
+        sums[:, :, k] += carry[:, :, k - 1, None] * sums[:, :, k - 1, -1:]
+    out = np.ldexp((scatter * sums).sum(axis=1).reshape(2, -1), shift)
+    return out[0, :far], out[1, ::-1][:far]
+
+
+def far_terms_pow(b, wa, c, wc, n, alpha):
+    """:func:`riesz._far_terms` with one pow per term and pair, the
+    oracle of its products by doubling."""
+    coef = _series_coefficients(n, alpha)[:, None]
+    l2 = 2.0 * np.arange(coef.size)[:, None]
+    upper_exp = alpha - l2
+    top = np.where(upper_exp > 0.0, c * np.exp(wc), c)
+    return (coef * (b / top) ** l2 * top ** alpha
+            * wa * special.exprel(-(l2 + n) * wa)
+            * wc * special.exprel(-np.abs(upper_exp) * wc))
+
+
+def far_term_args(op):
+    """The ``(b, wa, c, wc)`` of the three :func:`riesz._far_terms` calls
+    of :func:`assemble`: the interior pair at the first far offset D
+    and the far pairs of boundary rows 0 and count-1."""
+    edges, h, last = op.grid.edges, op.grid.log_step, op.grid.count - 1
+    widths = np.log1p(np.diff(edges) / edges[:-1])
+    ratio = riesz._series_ratio(op.alpha)
+    j = np.flatnonzero(edges[1] / edges[:last] <= ratio)
+    k = np.flatnonzero(edges[1:] / edges[last] <= ratio)
+    return ((math.exp(0.5 * h), h, math.exp((op.band.size - 0.5) * h), h),
+            (edges[1], widths[0], edges[j], widths[j]),
+            (edges[k + 1], widths[k], edges[last], widths[last]))
+
+
+#: ``(r_min, r_max, count, n, alpha)``: the non-even operators the far
+#: field is checked on to rounding, the two wide grids with their sweeps
+#: in blocks among them, and the even ones it is checked on to the bit.
+FAR_NON_EVEN = [(1e-4, 1e4, 4096, 3, 0.8), (1e-4, 1e4, 2048, 5, 2.5),
+                (1e-40, 1e40, 512, 3, 0.8), (1e-60, 1e60, 400, 3, 1.5)]
+FAR_EVEN = [(1e-4, 1e4, 1024, 4, 2.0), (1e-4, 1e4, 1024, 5, 2.0)]
+
+
+def far_case_id(case):
+    return "%g-%g-%d-%d-%g" % case
+
+
+class TestFarFieldKernels:
+    @pytest.mark.parametrize("case", FAR_NON_EVEN + FAR_EVEN, ids=far_case_id)
+    def test_sweeps_against_allocating_copy(self, case):
+        r_min, r_max, count, n, alpha = case
+        grid = make_grid(r_min, r_max, count, n)
+        op = assemble(grid, n, alpha)
+        if r_min < 1e-10:
+            assert op.far_gather.shape[2] > 1
+        rng = np.random.default_rng(count)
+        for f in (grid.nodes ** -2.5, rng.random(count)):
+            inner = f[1:-1]
+            args = (op.far_gather, op.far_scatter, op.far_carry, inner,
+                    inner.size - op.band.size, math.frexp(f.max())[1])
+            got, want = riesz._far_sweeps(*args), far_sweeps_allocating(*args)
+            for g, w in zip(got, want):
+                if case in FAR_EVEN:
+                    assert np.array_equal(g, w)
+                else:
+                    np.testing.assert_allclose(g, w, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("case", FAR_NON_EVEN + FAR_EVEN, ids=far_case_id)
+    def test_terms_against_one_pow_each(self, case):
+        # the pow form loses digits where (b/c)^(2l) leaves the normal
+        # range before c^alpha scales it back (40% on a term of the
+        # 1e-40 grid that mpmath gives to 1e-15), so each term is held
+        # to the size of its pair's sum
+        r_min, r_max, count, n, alpha = case
+        op = assemble(make_grid(r_min, r_max, count, n), n, alpha)
+        for args in far_term_args(op):
+            got = riesz._far_terms(*args, n, alpha)
+            want = far_terms_pow(*args, n, alpha)
+            if case in FAR_EVEN:
+                assert np.array_equal(got, want)
+                continue
+            np.testing.assert_allclose(got.sum(axis=0), want.sum(axis=0),
+                                       rtol=1e-14, atol=0.0)
+            assert np.all(np.abs(got - want)
+                          <= 1e-14 * np.abs(want).max(axis=0))
+
+    @pytest.mark.parametrize("alpha", [0.8, 2.0])
+    def test_tables_read_only(self, alpha):
+        # an operator serves every solve on its grid, so a write into a
+        # table raises instead of changing them all
+        grid = make_grid(1e-4, 1e4, 256, 3)
+        op = assemble(grid, 3, alpha)
+        tables = {name: value.copy() for name, value in vars(op).items()
+                  if isinstance(value, np.ndarray)}
+        assert len(tables) == 10 - (alpha == 2.0)
+        f = grid.nodes ** -2.5
+        first = apply_extended(op, f, 3.5)
+        assert np.array_equal(apply_extended(op, f, 3.5), first)
+        for name, table in tables.items():
+            assert np.array_equal(getattr(op, name), table)
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(op, name)[...] = 0.0
+
+
 def dilated(grid, lam):
     """``grid`` with every node and edge multiplied by ``lam``: the same
     node ratios and log step, with the weights of the new edges."""
