@@ -554,7 +554,8 @@ class KernelOperator:
     nodes within ``1/FAR_RATIO`` of ``rMax`` on the end mesh, the last
     node excepted; and ``tail_end``, the last node's samples on the cusp
     rule (None, and ``tail_kernel`` empty, for even ``alpha``).  The
-    classical normalization is applied by :func:`apply_extended`.
+    classical normalization is applied by :func:`apply_extended`.  The
+    tables :func:`assemble` stores are read-only.
     """
 
     grid: RadialGrid
@@ -843,9 +844,10 @@ def _far_terms(b, wa, c, wc, n, alpha):
     cell where ``s^{alpha-2l}`` is largest.  For the rising terms,
     ``alpha - 2l > 0``, that is ``x = c e^{wc}``, one pow each (every
     term of an even ``alpha``).  For the falling ones it is ``x = c``:
-    one ``c^alpha`` times powers of ``(b/c)^2``, which are products
-    filled by doubling the rows already done, a few calls for all J.
-    No power of ``b/c`` underflows before ``c^alpha`` scales it.
+    one ``c^alpha`` times powers of ``(b/c)^2``, products filled by
+    doubling the rows already done, a few calls for all J.  The width
+    factors are taken in place, so the only ``J x P`` arrays are the
+    result and one exprel argument at a time.
     """
     coef = _series_coefficients(n, alpha)[:, None]
     l2 = 2.0 * np.arange(coef.size)[:, None]
@@ -856,8 +858,9 @@ def _far_terms(b, wa, c, wc, n, alpha):
     top = np.where(upper_exp[:rise] > 0.0, c * np.exp(wc), c)
     terms = coef[:rise] * (b / top) ** l2[:rise] * top ** alpha
     if rise < coef.size:
-        ratio2 = np.square(b / c)
-        fall = np.empty((coef.size - rise,) + terms.shape[1:])
+        rising, terms = terms, np.empty((coef.size,) + terms.shape[1:])
+        terms[:rise] = rising
+        fall, ratio2 = terms[rise:], np.square(b / c)
         fall[0] = c ** alpha * ratio2 ** rise
         done = 1
         while done < fall.shape[0]:
@@ -866,9 +869,12 @@ def _far_terms(b, wa, c, wc, n, alpha):
             ratio2 = np.square(ratio2)
             done += more
         fall *= coef[rise:]
-        terms = np.concatenate((terms, fall))
-    return (terms * wa * special.exprel(-(l2 + n) * wa)
-            * wc * special.exprel(-np.abs(upper_exp) * wc))
+    # the cell widths and their exprel factors, in place
+    for width, rate in ((wa, l2 + n), (wc, np.abs(upper_exp))):
+        terms *= width
+        arg = -rate * width
+        terms *= special.exprel(arg, out=arg)
+    return terms
 
 
 def _far_tables(top, lam, base, grow):
