@@ -418,6 +418,7 @@ def _lgamma_slope(z, d):
     return taylor - np.sum(_log_slope(z + np.arange(8.0), d))
 
 
+@lru_cache(maxsize=16)
 def _series_coefficients(n, alpha, ratio=FAR_RATIO):
     """Coefficients ``c_l`` of the kernel's series in ``t = (r_</r_>)^2``.
 
@@ -429,7 +430,9 @@ def _series_coefficients(n, alpha, ratio=FAR_RATIO):
     too (20 to 27 terms for ``alpha < 2``, n = 3..7 and the default
     ``ratio = FAR_RATIO``).  For even ``alpha = 2k`` that first ``l`` is
     k, where the series stops by itself, ``c_k = 0``: the k terms are
-    the whole kernel.
+    the whole kernel.  The array is read-only: the last few ``(n,
+    alpha, ratio)`` are kept, since one assembly asks for the same ones
+    at least six times.
     """
     a, b, c = 0.5 * (n - alpha), 1.0 - 0.5 * alpha, 0.5 * n
     coef = [1.0]
@@ -439,7 +442,9 @@ def _series_coefficients(n, alpha, ratio=FAR_RATIO):
         j += 1
         below = abs(nxt) * ratio ** (2 * j) < _SERIES_CUT
         if nxt == 0.0 or (j > -b and below):
-            return np.array(coef)
+            coef = np.array(coef)
+            coef.flags.writeable = False
+            return coef
         coef.append(nxt)
 
 
