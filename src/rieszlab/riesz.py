@@ -857,7 +857,7 @@ def _far_terms(b, wa, c, wc, n, alpha):
     coef = _series_coefficients(n, alpha)[:, None]
     l2 = 2.0 * np.arange(coef.size)[:, None]
     upper_exp = alpha - l2
-    rise = min(math.ceil(0.5 * alpha), coef.size)
+    rise = math.ceil(0.5 * alpha)
     # the far ends as a full array, a row per rising term: numpy's pow
     # can round differently on a broadcast base
     top = np.where(upper_exp[:rise] > 0.0, c * np.exp(wc), c)

@@ -618,9 +618,9 @@ class TestFarFieldKernels:
     @pytest.mark.parametrize("case", FAR_NON_EVEN + FAR_EVEN, ids=far_case_id)
     def test_terms_against_one_pow_each(self, case):
         # the pow form loses digits where (b/c)^(2l) leaves the normal
-        # range before c^alpha scales it back (40% on a term of the
-        # 1e-40 grid that mpmath gives to 1e-15), so each term is held
-        # to the size of its pair's sum
+        # range before c^alpha scales it back (one term of the 1e-40
+        # grid is 66% off mpmath, the doubled products 1e-15), so each
+        # term is held to the size of its pair's sum
         r_min, r_max, count, n, alpha = case
         op = assemble(make_grid(r_min, r_max, count, n), n, alpha)
         for args in far_term_args(op):
