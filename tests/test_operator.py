@@ -619,8 +619,9 @@ class TestFarFieldKernels:
     def test_terms_against_one_pow_each(self, case):
         # the pow form loses digits where (b/c)^(2l) leaves the normal
         # range before c^alpha scales it back (one term of the 1e-40
-        # grid is 66% off mpmath, the doubled products 1e-15), so each
-        # term is held to the size of its pair's sum
+        # grid is 66% off mpmath, the doubled products 1e-15): there,
+        # and where the term itself is not normal, it is held to the
+        # size of its pair's sum
         r_min, r_max, count, n, alpha = case
         op = assemble(make_grid(r_min, r_max, count, n), n, alpha)
         for args in far_term_args(op):
@@ -630,6 +631,11 @@ class TestFarFieldKernels:
                 assert np.array_equal(got, want)
                 continue
             np.testing.assert_allclose(got.sum(axis=0), want.sum(axis=0),
+                                       rtol=1e-14, atol=0.0)
+            normal = (np.abs(args[0] / args[2]) ** (
+                2.0 * np.arange(got.shape[0]))[:, None] > 1e-300) & (
+                    np.abs(want) > 1e-300)
+            np.testing.assert_allclose(got[normal], want[normal],
                                        rtol=1e-14, atol=0.0)
             assert np.all(np.abs(got - want)
                           <= 1e-14 * np.abs(want).max(axis=0))
