@@ -41,8 +41,7 @@ from .analysis import (DecayFit, FastLimitReport, RecursionTrace,
                        amplitude_b0, check_fast_limits, default_window,
                        envelope_bands, envelope_check, fit_tail,
                        integrability_predicate, monotonicity_criterion,
-                       run_recursion, v_limit_pure, v_limit_log_corrected,
-                       v_limit_weakened)
+                       run_recursion)
 from .runio import (RunManifest, config_hash, dumps_json, make_manifest,
                     read_field_csv, read_manifest, read_trajectory_csv,
                     write_field_csv, write_json, write_trajectory_csv)
@@ -67,7 +66,5 @@ __all__ = [
     "power_law_constant", "read_field_csv", "read_manifest",
     "read_trajectory_csv", "riesz_normalization", "run_recursion", "shoot",
     "singular_amplitudes", "singular_solution", "solve_picard", "sphere_area",
-    "tail_response", "v_limit_log_corrected", "v_limit_pure",
-    "v_limit_weakened", "write_field_csv", "write_json",
-    "write_trajectory_csv",
+    "tail_response", "write_field_csv", "write_json", "write_trajectory_csv",
 ]

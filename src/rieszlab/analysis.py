@@ -330,82 +330,45 @@ def _window_amplitude(field, exponent, log_power=0):
     return float(np.median(comp))
 
 
-def _require_case(pair, wanted):
-    report = classify(pair.params)
-    if report.v_fast_case is not wanted:
-        raise PreconditionError(
-            "fast-limit branch %s does not apply: parameters classify as "
-            "%s" % (wanted.value, report.v_fast_case.value))
-    return report
-
-
-def v_limit_pure(pair):
-    """Predicted/measured fast amplitude of ``v`` in the pure branch.
-
-    Applies when ``p*(n-alpha) > n`` (``u^p`` integrable): the limit of
-    ``v r^{n-alpha}`` is the full mass of ``u^p``.
-    Returns ``(predicted, measured)``.
-    """
-    params = pair.params
-    _require_case(pair, VFastCase.PURE)
-    predicted = _fast_limit(params, pair.u, params.p, "u^p")
-    measured = _window_amplitude(pair.v, params.n - params.alpha)
-    return predicted, measured
-
-
-def v_limit_log_corrected(pair):
-    """Fast amplitude of ``v`` in the log-corrected branch.
-
-    Applies on the borderline ``p*(n-alpha) = n``, where ``u^p`` decays
-    exactly like ``s^-n`` and the potential picks up a logarithm:
-    ``v r^{n-alpha}/ln r -> (|S^{n-1}|/gamma) * b0^p``.
-    Returns ``(predicted, measured)``.
-    """
-    params = pair.params
-    _require_case(pair, VFastCase.LOG_CORRECTED)
-    b0 = amplitude_b0(pair)
-    predicted = _fast_limit(params) * b0 ** params.p
-    measured = _window_amplitude(pair.v, params.n - params.alpha,
-                                 log_power=1)
-    return predicted, measured
-
-
-def v_limit_weakened(pair):
-    """Fast amplitude of ``v`` in the weakened branch.
-
-    Applies when ``p*(n-alpha) < n``: ``u^p`` is non-integrable, and
-    ``v`` inherits the slower rate ``p*n - (p+1)*alpha`` through the
-    power-law identity, with amplitude ``b0^p * c(n, alpha, p*(n-alpha))``.
-    Returns ``(predicted, measured)``.
-    """
+def _v_limit(pair, case, b0):
+    """Predicted and measured fast amplitude of ``v`` in the branch
+    ``case`` of :func:`check_fast_limits`, given ``b0``."""
     params = pair.params
     n, alpha, p = params.n, params.alpha, params.p
-    _require_case(pair, VFastCase.WEAKENED)
-    b0 = amplitude_b0(pair)
-    predicted = b0 ** p * power_law_constant(n, alpha, p * (n - alpha))
-    measured = _window_amplitude(pair.v, p * n - (p + 1.0) * alpha)
-    return predicted, measured
-
-
-_V_BRANCHES = {
-    VFastCase.PURE: v_limit_pure,
-    VFastCase.LOG_CORRECTED: v_limit_log_corrected,
-    VFastCase.WEAKENED: v_limit_weakened,
-}
+    if case is VFastCase.PURE:
+        return (_fast_limit(params, pair.u, p, "u^p"),
+                _window_amplitude(pair.v, n - alpha))
+    if case is VFastCase.LOG_CORRECTED:
+        return (_fast_limit(params) * b0 ** p,
+                _window_amplitude(pair.v, n - alpha, log_power=1))
+    return (b0 ** p * power_law_constant(n, alpha, p * (n - alpha)),
+            _window_amplitude(pair.v, p * n - (p + 1.0) * alpha))
 
 
 def check_fast_limits(pair):
     """Verify both fast-decay amplitude limits on a solution pair.
 
     Checks that ``u``'s tail runs at the fast rate with the amplitude
-    predicted by the mass of ``v^q``, then dispatches ``v`` to whichever
-    of the three branch limits applies (exactly one does).
+    ``b0`` of :func:`amplitude_b0`, then compares ``v``'s tail with the
+    one of three branch limits its parameters classify into:
+
+    * pure, ``p*(n-alpha) > n``: ``u^p`` is integrable and ``v
+      r^{n-alpha}`` tends to ``|S^{n-1}|/gamma`` times its full mass;
+    * log-corrected, ``p*(n-alpha) = n``: ``u^p`` decays exactly like
+      ``s^-n``, the potential picks up a logarithm, and ``v r^{n-alpha}
+      / ln r -> (|S^{n-1}|/gamma) * b0^p``;
+    * weakened, ``p*(n-alpha) < n``: ``u^p`` is not integrable, and
+      ``v`` inherits the slower rate ``p*n - (p+1)*alpha`` through the
+      power-law identity, with amplitude ``b0^p * c(n, alpha,
+      p*(n-alpha))``.
 
     Raises
     ------
     PreconditionError
         When ``u``'s fitted tail is not within 10% of the fast rate
         (the limits only describe fast-decaying profiles).
+    DivergentTailError
+        When ``v^q``, or in the pure branch ``u^p``, is not integrable.
     """
     params = pair.params
     report = classify(params)
@@ -418,7 +381,7 @@ def check_fast_limits(pair):
             % (fit_u.exponent, fast_u))
     b0 = amplitude_b0(pair)
     u_amp = _window_amplitude(pair.u, fast_u)
-    v_pred, v_amp = _V_BRANCHES[report.v_fast_case](pair)
+    v_pred, v_amp = _v_limit(pair, report.v_fast_case, b0)
     return FastLimitReport(
         case=report.v_fast_case, b0=b0, u_amplitude=u_amp,
         u_deviation=abs(u_amp / b0 - 1.0),

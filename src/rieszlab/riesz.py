@@ -90,7 +90,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -98,6 +98,7 @@ from scipy import integrate, special
 
 from .errors import (DivergentTailError, SingularKernelError, ValidationError,
                      whole_number)
+from .exponents import _check_ranges
 from .grid import RadialGrid
 
 #: Largest ratio ``r_</r_>`` of two radii at which the kernel is taken
@@ -140,11 +141,36 @@ _GAUSS_X, _GAUSS_W = leggauss(12)
 _UNIFORM_PANELS = np.linspace(0.0, 1.0, 7)
 
 
+def _whole_order(n, alpha, **exponents):
+    """``n`` as an ``int`` once it is whole, ``alpha`` is a real scalar
+    in ``(0, n)`` and the ``exponents`` are positive and finite;
+    :class:`ValidationError` otherwise."""
+    n = whole_number(n, "dimension n")
+    _check_ranges(n, alpha, **exponents)
+    return n
+
+
+def _gamma_form(form, n):
+    """``form()``, a closed form in Gamma functions of the dimension
+    ``n``; :class:`ValidationError` naming ``n`` when it leaves the
+    double range (``math.gamma`` overflows past 171.6)."""
+    try:
+        value = form()
+    except OverflowError:
+        value = math.inf
+    if not 0.0 < value < math.inf:
+        raise ValidationError(
+            "dimension n=%d is too large: its Gamma-function constants "
+            "leave the double range" % n)
+    return value
+
+
 def sphere_area(n):
     """Surface measure of the unit sphere in R^n, for whole ``n >= 1``."""
     if whole_number(n, "n") < 1:
         raise ValidationError("need dimension n >= 1, got %r" % (n,))
-    return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
+    return _gamma_form(lambda: 2.0 * math.pi ** (n / 2.0)
+                       / math.gamma(n / 2.0), n)
 
 
 def riesz_normalization(n, alpha):
@@ -152,29 +178,32 @@ def riesz_normalization(n, alpha):
 
     ``I_alpha`` with this normalization inverts the fractional Laplacian:
     ``gamma(n, alpha) = pi^{n/2} 2^alpha Gamma(alpha/2)/Gamma((n-alpha)/2)``.
+    Needs a whole ``n`` and ``0 < alpha < n``.
     """
-    if not 0.0 < alpha < n:
-        raise ValidationError("need 0 < alpha < n for the Riesz potential")
-    return (math.pi ** (n / 2.0) * 2.0 ** alpha * math.gamma(alpha / 2.0)
-            / math.gamma((n - alpha) / 2.0))
+    n = _whole_order(n, alpha)
+    return _gamma_form(lambda: math.pi ** (n / 2.0) * 2.0 ** alpha
+                       * math.gamma(alpha / 2.0)
+                       / math.gamma((n - alpha) / 2.0), n)
 
 
 def power_law_constant(n, alpha, beta):
     """Constant ``c`` in ``I_alpha[s^{-beta}] = c * r^{alpha-beta}``.
 
-    Valid for ``alpha < beta < n``, where the integral converges at both
-    the origin and infinity:
+    Valid for a whole ``n`` and ``0 < alpha < beta < n``, where the
+    integral converges at both the origin and infinity:
 
         c(n, alpha, beta) = Gamma((n-beta)/2) Gamma((beta-alpha)/2)
                             / (2^alpha Gamma(beta/2) Gamma((n+alpha-beta)/2)).
     """
+    n = _whole_order(n, alpha, beta=beta)
     if not (alpha < beta < n):
         raise ValidationError(
             "power-law identity needs alpha < beta < n, got "
             "alpha=%r, beta=%r, n=%r" % (alpha, beta, n))
-    return (math.gamma((n - beta) / 2.0) * math.gamma((beta - alpha) / 2.0)
-            / (2.0 ** alpha * math.gamma(beta / 2.0)
-               * math.gamma((n + alpha - beta) / 2.0)))
+    return _gamma_form(lambda: math.gamma((n - beta) / 2.0)
+                       * math.gamma((beta - alpha) / 2.0)
+                       / (2.0 ** alpha * math.gamma(beta / 2.0)
+                          * math.gamma((n + alpha - beta) / 2.0)), n)
 
 
 def kernel_ratio(rho, n, alpha):
@@ -212,9 +241,7 @@ def kernel_ratio(rho, n, alpha):
     ValidationError
         Unless ``n`` is whole, ``0 < alpha < n`` and every ``rho >= 0``.
     """
-    n = whole_number(n, "dimension")
-    if not 0.0 < alpha < n:
-        raise ValidationError("need 0 < alpha < n for the Riesz kernel")
+    n = _whole_order(n, alpha)
     rho = np.asarray(rho, dtype=float)
     if not np.all(rho >= 0.0):
         raise ValidationError("kernel ratios must be >= 0 and not NaN")
@@ -458,15 +485,17 @@ def angular_kernel(r, s, n, alpha):
     Raises
     ------
     ValidationError
-        Unless ``r`` and ``s`` are finite, nonnegative and not both 0.
+        Unless ``r`` and ``s`` are finite, nonnegative and not both 0,
+        ``n >= 3`` is whole and ``0 < alpha < n``.
     SingularKernelError
         For ``r == s`` with ``alpha <= 1`` (the pointwise kernel is
         infinite there; cell-averaged assembly must be used instead).
     """
     if not (0.0 <= r < math.inf and 0.0 <= s < math.inf) or r == s == 0.0:
         raise ValidationError("need finite r, s >= 0, not both zero")
-    if n < 3 or not (0.0 < alpha < n):
-        raise ValidationError("need n >= 3 and 0 < alpha < n")
+    n = _whole_order(n, alpha)
+    if n < 3:
+        raise ValidationError("need n >= 3, got %r" % (n,))
     if r == 0.0 or s == 0.0:
         return sphere_area(n) * max(r, s) ** (alpha - n)
     if alpha <= 1.0 and abs(r - s) <= 1e-12 * max(r, s):
@@ -510,7 +539,7 @@ class RadialField:
 
     grid: RadialGrid
     values: np.ndarray = field(repr=False)
-    tail_exponent: float = 0.0
+    tail_exponent: float
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -577,7 +606,7 @@ class KernelOperator:
     tail_kernel: np.ndarray = field(repr=False)
     tail_end: np.ndarray = field(repr=False)
 
-    @property
+    @cached_property
     def normalization(self):
         return riesz_normalization(self.n, self.alpha)
 
@@ -1004,8 +1033,7 @@ def assemble(grid, n, alpha):
     """
     if not isinstance(grid, RadialGrid):
         raise ValidationError("assemble needs a RadialGrid")
-    if not (0.0 < alpha < n):
-        raise ValidationError("need 0 < alpha < n")
+    n = _whole_order(n, alpha)
     if grid.n != n:
         raise ValidationError(
             "grid was built for dimension %d, not %d" % (grid.n, n))

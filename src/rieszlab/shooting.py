@@ -46,6 +46,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import numbers
 import time
 import warnings
 from dataclasses import dataclass, field, replace
@@ -94,6 +95,11 @@ class ShotConfig:
     r_end: float = 1e6
 
     def __post_init__(self):
+        for name in ("u0", "xi", "r_start", "r_end"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValidationError("%s must be a number, got %r"
+                                      % (name, value))
         if not (0.0 < self.u0 < math.inf and 0.0 < self.xi < math.inf):
             raise ValidationError(
                 "origin values u0, xi must be positive and finite")
@@ -401,7 +407,7 @@ class BisectionResult:
     trajectory: Trajectory
     lo: float
     hi: float
-    shots: tuple = ()
+    shots: tuple
 
 
 def bisect_ground_state(params, lo, hi, config=None, iters=60,

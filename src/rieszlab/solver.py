@@ -6,10 +6,10 @@ log grid.  Two branches:
 * :func:`solve_picard` — Picard sweeps for the regular decaying
   (bubble) profile in the critical regime, accelerated by type-II
   Anderson mixing (Walker & Ni, SIAM J. Numer. Anal. 49, 2011) on the
-  log fields over the last ``ANDERSON_DEPTH`` sweeps.  The plain
-  iteration has two quasi-null directions inherited from the scaling
-  family (overall amplitude and dilation); the iteration removes both
-  by renormalizing each field to 1 at the first node every sweep, and
+  log fields over the last ``ANDERSON_DEPTH`` sweeps.  The Picard map
+  has two quasi-null directions inherited from the scaling family
+  (overall amplitude and dilation); the iteration removes both by
+  renormalizing each field to 1 at the first node every sweep, and
   restores the physical amplitudes afterwards from the measured
   proportionality constants.
 * :func:`singular_solution` — the exact singular pair
@@ -44,8 +44,7 @@ from .exponents import Params, Regime, classify
 from .grid import make_grid
 from .riesz import RadialField, apply_extended, assemble, power_law_constant
 
-#: Iterate/residual pairs kept by the Anderson step; 0 gives plain
-#: damped Picard.
+#: Iterate/residual pairs kept by the Anderson step; at least 1.
 ANDERSON_DEPTH = 5
 #: Presentation dilations tried before giving up on the residual.
 PRESENTATION_CYCLES = 3
@@ -67,9 +66,7 @@ class SolveConfig:
     damping : float
         Anderson mixing ``b`` in (0, 1]: the step is ``x + b f`` minus
         the history correction, where ``x`` is the log fields and ``f``
-        the log change of a fresh sweep.  With ``ANDERSON_DEPTH = 0`` it
-        is the fraction of the fresh sweep mixed linearly into the
-        iterate.
+        the log change of a fresh sweep.
     max_iters : int
         Sweep budget (>= 0; a zero budget always fails to converge).
     tol : float
@@ -259,7 +256,7 @@ def _residuals(op, params, u, v, tau_u, tau_v):
     return res_u, res_v
 
 
-def solve_picard(params, grid=None, config=None, init=None, monitor=None,
+def solve_picard(params, grid=None, config=None, monitor=None,
                  operator=None):
     """Anderson-accelerated Picard solve for the regular decaying pair.
 
@@ -267,6 +264,7 @@ def solve_picard(params, grid=None, config=None, init=None, monitor=None,
     removes the amplitude and dilation freedom of the scaling family;
     the converged pair is then given its physical amplitudes and
     presented as the family member with ``u = 1`` at the first node.
+    The iteration starts from :func:`default_init`.
 
     Parameters
     ----------
@@ -277,9 +275,6 @@ def solve_picard(params, grid=None, config=None, init=None, monitor=None,
         Defaults to the operator's grid, or to the 512-node grid of
         ``make_grid``.
     config : SolveConfig, optional
-    init : (RadialField, RadialField), optional
-        Starting pair on the solve's grid; defaults to
-        :func:`default_init`.
     monitor : callable, optional
         Called as ``monitor(iteration, delta, spread_u, spread_v)``
         after each sweep.
@@ -289,9 +284,8 @@ def solve_picard(params, grid=None, config=None, init=None, monitor=None,
     Raises
     ------
     ValidationError
-        For non-critical parameters, an ``operator`` assembled on
-        another grid or for another ``alpha``, or an ``init`` field on
-        another grid.
+        For non-critical parameters, or an ``operator`` assembled on
+        another grid or for another ``alpha``.
     NonConvergenceError
         When the sweep budget ends before both the update size and the
         interior proportionality spread drop below ``config.tol``, when
@@ -309,18 +303,8 @@ def solve_picard(params, grid=None, config=None, init=None, monitor=None,
             "parameters classify as %s" % report.regime.value)
     grid, op = _grid_operator(params, grid, operator)
     n, alpha, p, q = params.n, params.alpha, params.p, params.q
-    if init is None:
-        fu, fv = default_init(params, grid)
-    else:
-        fu, fv = init
-        want = (grid.r_min, grid.r_max, grid.count, grid.n)
-        for name, f in (("u", fu), ("v", fv)):
-            have = (f.grid.r_min, f.grid.r_max, f.grid.count, f.grid.n)
-            if have != want:
-                raise ValidationError(
-                    "init field %s lives on (r_min, r_max, count, n) = %r, "
-                    "not the solve's %r" % (name, have, want))
-    u, v = fu.values.copy(), fv.values.copy()
+    fu, fv = default_init(params, grid)
+    u, v = fu.values, fv.values
     window = _tail_window(grid)
     tau_u, tau_v = fu.tail_exponent, fv.tail_exponent
     sl = grid.interior_slice()
@@ -350,16 +334,10 @@ def solve_picard(params, grid=None, config=None, init=None, monitor=None,
             tv = apply_extended(op, u ** p, max(p * tau_u, floor))
             cu, spread_u = _proportionality(tu, u, sl)
             cv, spread_v = _proportionality(tv, v, sl)
-            if ANDERSON_DEPTH:
-                x = np.log(np.concatenate((u, v)))
-                image = np.log(np.concatenate((tu / tu[0], tv / tv[0])))
-                fields = _anderson_step(history, x, image - x, omega)
-                nu, nv = fields[:u.size], fields[u.size:]
-            else:
-                nu = (1.0 - omega) * u + omega * tu / tu[0]
-                nv = (1.0 - omega) * v + omega * tv / tv[0]
-                nu /= nu[0]
-                nv /= nv[0]
+            x = np.log(np.concatenate((u, v)))
+            image = np.log(np.concatenate((tu / tu[0], tv / tv[0])))
+            fields = _anderson_step(history, x, image - x, omega)
+            nu, nv = fields[:u.size], fields[u.size:]
             with np.errstate(divide="ignore", invalid="ignore"):
                 delta = max(
                     float(np.max(np.abs(nu - u) / np.maximum(u, 1e-300))),
@@ -375,8 +353,7 @@ def solve_picard(params, grid=None, config=None, init=None, monitor=None,
                 break
             if spread < best:
                 best, best_at = spread, iterations
-            elif (ANDERSON_DEPTH
-                  and iterations - best_at == 2 * ANDERSON_DEPTH):
+            elif iterations - best_at == 2 * ANDERSON_DEPTH:
                 limit = ("the accelerated iteration stagnated: the interior "
                          "spread made no new low below %.3g in %d sweeps"
                          % (best, 2 * ANDERSON_DEPTH))

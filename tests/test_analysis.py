@@ -10,9 +10,7 @@ from hypothesis import strategies as st
 from rieszlab.analysis import (amplitude_b0, check_fast_limits,
                                default_window, envelope_check, fit_tail,
                                integrability_predicate,
-                               monotonicity_criterion, run_recursion,
-                               v_limit_log_corrected, v_limit_pure,
-                               v_limit_weakened)
+                               monotonicity_criterion, run_recursion)
 from rieszlab.errors import (DegenerateFitError, DivergentTailError,
                              PreconditionError, ValidationError)
 from rieszlab.exponents import Params, VFastCase
@@ -262,17 +260,6 @@ class TestFastLimits:
         assert report.b0 == pytest.approx(2.0 * math.sqrt(2.0), rel=5e-3)
         assert report.u_deviation <= 5e-3
         assert report.v_deviation <= 5e-3
-
-    def test_branch_exclusivity(self):
-        prof = lambda r: (1.0 + r ** 2) ** -1.0
-        pair_log = make_pair(4, 2.0, 2.0, 5.0, prof, prof, 2.0, 2.0)
-        with pytest.raises(PreconditionError):
-            v_limit_pure(pair_log)
-        with pytest.raises(PreconditionError):
-            v_limit_weakened(pair_log)
-        pair_pure = make_pair(4, 2.0, 3.0, 3.0, prof, prof, 2.0, 2.0)
-        with pytest.raises(PreconditionError):
-            v_limit_log_corrected(pair_pure)
 
     def test_slow_pair_rejected(self):
         # fields at the slow rate do not satisfy the fast-decay limits

@@ -33,7 +33,9 @@ def test_deleted_names_are_gone():
             acceptance: ("format_row",),
             exponents: ("integrability_thresholds",),
             solver: ("slow_exponents", "CollapseError", "COLLAPSE_FLOOR",
-                     "_origin_gap")}
+                     "_origin_gap"),
+            analysis: ("v_limit_pure", "v_limit_log_corrected",
+                       "v_limit_weakened", "_V_BRANCHES", "_require_case")}
     for module, names in gone.items():
         for name in names:
             assert not hasattr(module, name), (module.__name__, name)
@@ -52,8 +54,15 @@ def test_deleted_names_are_gone():
                        (analysis.envelope_bands, "slack"),
                        (analysis.envelope_check, "slack"),
                        (shooting.shoot, "source_strength"),
-                       (acceptance.run_one, "seed")):
+                       (acceptance.run_one, "seed"),
+                       (solver.solve_picard, "init")):
         assert name not in inspect.signature(func).parameters
+    # no default a valid caller could take: every tail needs its
+    # exponent, every bisection its shots
+    for cls, name in ((riesz.RadialField, "tail_exponent"),
+                      (shooting.BisectionResult, "shots")):
+        field, = (f for f in dataclasses.fields(cls) if f.name == name)
+        assert field.default is dataclasses.MISSING, (cls, name)
     assert not hasattr(shooting.ShotConfig, "with_xi")
     # one way to build a shot: its outcome, radius, count and sampler
     assert [f.name for f in dataclasses.fields(shooting.Trajectory)] == [
@@ -109,3 +118,44 @@ def test_no_orphaned_private_helpers():
         and not any(stmt.name in names
                     for _, other, names in statements if other is not stmt)]
     assert orphans == []
+
+
+def test_every_default_is_passed_somewhere():
+    # a defaulted parameter of an exported function is passed by some
+    # call in the package or the benchmark, by keyword, by position or
+    # through * or **; one that only tests pass is surface to delete
+    allowed = {
+        # the seam tests/test_shooting.py fakes shots through; the
+        # benchmark's tracer swaps the default in place instead
+        ("bisect_ground_state", "shooter"),
+    }
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    paths = (sorted(Path(rieszlab.__file__).parent.glob("*.py"))
+             + sorted(bench.glob("*.py")))
+    calls = {}
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call):
+                callee = getattr(node.func, "id",
+                                 getattr(node.func, "attr", None))
+                calls.setdefault(callee, []).append(node)
+    untaken = []
+    for name in rieszlab.__all__:
+        func = getattr(rieszlab, name)
+        if not inspect.isfunction(func):
+            continue
+        params = inspect.signature(func).parameters.values()
+        positional = [p.name for p in params
+                      if p.kind in (p.POSITIONAL_ONLY,
+                                    p.POSITIONAL_OR_KEYWORD)]
+        passed = set()
+        for call in calls.get(name, ()):
+            if (any(isinstance(arg, ast.Starred) for arg in call.args)
+                    or any(kw.arg is None for kw in call.keywords)):
+                passed.update(p.name for p in params)
+            passed.update(positional[:len(call.args)])
+            passed.update(kw.arg for kw in call.keywords)
+        untaken += [(name, p.name) for p in params
+                    if p.default is not p.empty and p.name not in passed
+                    and (name, p.name) not in allowed]
+    assert untaken == []

@@ -166,6 +166,17 @@ class TestSolve:
         assert code == 1
         assert err != ""
 
+    @pytest.mark.parametrize("argv", [
+        ["singular", "--n", "400", "--alpha", "2", "--p", "1.5", "--q",
+         "1.5", "--grid", "0.5:2:64"],
+        ["solve", "--n", "400", "--alpha", "2", "--p", "1.0050505050505051",
+         "--q", "1.0150749942897748", "--grid", "0.5:2:64"]])
+    def test_dimension_past_the_gamma_range_exits_2(self, capsys, argv):
+        # both ended in a traceback from math.gamma's OverflowError
+        code, _, err = run(capsys, argv)
+        assert code == 2
+        assert "n=400" in err
+
     def test_bad_grid_string(self, capsys):
         code, _, _ = run(capsys, ["solve", "--n", "4", "--alpha", "2",
                                   "--p", "3", "--q", "3", "--grid", "oops"])

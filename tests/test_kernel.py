@@ -84,6 +84,39 @@ class TestConstants:
         with pytest.raises(ValidationError):
             power_law_constant(5, 2.0, 5.0)   # beta must stay below n
 
+    @pytest.mark.parametrize("func, args", [
+        # a string dimension raised a raw TypeError
+        (riesz_normalization, ("4", 2.0)),
+        (angular_kernel, (1.0, 2.0, "4", 2.0)),
+        # 57.99, the constant of no dimension
+        (riesz_normalization, (4.5, 2.0)),
+        # NaN, from Gamma(inf) / Gamma(inf)
+        (power_law_constant, (math.inf, 2.0, 3.0)),
+        # a bool order ran as 1
+        (riesz_normalization, (4, True)),
+        (angular_kernel, (1.0, 2.0, 4, True)),
+        (power_law_constant, (4, True, 3.0))],
+        ids=["normalization-str-n", "angular-str-n", "normalization-4.5",
+             "power-law-inf-n", "normalization-bool", "angular-bool",
+             "power-law-bool"])
+    def test_malformed_scalars_refused(self, func, args):
+        with pytest.raises(ValidationError):
+            func(*args)
+
+    @pytest.mark.parametrize("func, args", [
+        (sphere_area, (344,)), (riesz_normalization, (346, 2.0)),
+        (power_law_constant, (400, 2.0, 3.0))])
+    def test_dimension_past_the_gamma_range(self, func, args):
+        # math.gamma raised a raw OverflowError
+        with pytest.raises(ValidationError, match="n=%d" % args[0]):
+            func(*args)
+
+    def test_last_dimensions_in_range_unchanged(self):
+        assert sphere_area(343) == (2.0 * math.pi ** 171.5
+                                    / math.gamma(171.5))
+        assert riesz_normalization(345, 2.0) == (
+            math.pi ** 172.5 * 4.0 * math.gamma(1.0) / math.gamma(171.5))
+
 
 class TestKernelValues:
     @pytest.mark.parametrize("r,s,n,alpha", [

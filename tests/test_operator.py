@@ -77,6 +77,17 @@ class TestAssembly:
         with pytest.raises(TypeError):
             riesz.KernelOperator(make_grid(1e-2, 1e2, 32, 3))
 
+    @pytest.mark.parametrize("alpha", [True, "2"])
+    def test_malformed_order_refused(self, alpha):
+        # True built an operator with alpha=True; "2" raised a TypeError
+        with pytest.raises(ValidationError, match="alpha"):
+            assemble(make_grid(1e-2, 1e2, 32, 4), 4, alpha)
+
+    def test_whole_float_dimension_stored_as_int(self):
+        # n = 4.0 was stored as given, a float
+        op = assemble(make_grid(1e-2, 1e2, 32, 4), 4.0, 2.0)
+        assert type(op.n) is int and op.n == 4
+
     def test_dense_count_guard(self):
         # the guard reads the count alone: the small arrays behind this
         # grid would break any step that ran before it
@@ -931,9 +942,9 @@ class TestRadialField:
     def test_validation(self):
         grid = make_grid(1e-2, 1e2, 32, 5)
         with pytest.raises(ValidationError):
-            RadialField(grid, np.ones(31))
+            RadialField(grid, np.ones(31), tail_exponent=2.0)
         with pytest.raises(ValidationError):
-            RadialField(grid, -np.ones(32))
+            RadialField(grid, -np.ones(32), tail_exponent=2.0)
         # a NaN tail exponent gave a NaN field integral
         for tau in (math.nan, math.inf):
             with pytest.raises(ValidationError):

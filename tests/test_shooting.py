@@ -64,6 +64,13 @@ class TestShotConfig:
             with pytest.raises(ValidationError):
                 ShotConfig(**bad)
 
+    @pytest.mark.parametrize("name", ["u0", "xi", "r_start", "r_end"])
+    @pytest.mark.parametrize("bad", ["1", True, None])
+    def test_real_numbers_only(self, name, bad):
+        # a string raised a raw TypeError, and True ran as 1
+        with pytest.raises(ValidationError, match=name):
+            ShotConfig(**{name: bad})
+
 
 class TestShoot:
     def test_second_order_only(self):
