@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, runio
-from .errors import RieszLabError, ValidationError
+from .errors import RieszLabError, ValidationError, real_number
 from .exponents import Params, classify
 from .grid import make_grid
 from .shooting import ShotConfig, bisect_ground_state, shoot
@@ -293,16 +293,8 @@ def _manifest_numbers(spec, keys, where):
     """The entries ``keys`` of the manifest object ``spec`` as floats;
     :class:`ValidationError` unless each is a finite JSON number (not a
     bool, and no integer past the double range)."""
-    values = []
-    for key in keys:
-        value = spec.get(key) if isinstance(spec, dict) else None
-        if isinstance(value, bool) or not (
-                isinstance(value, (int, float))
-                and abs(value) <= sys.float_info.max):
-            raise ValidationError("%s needs a finite number %s, got %r"
-                                  % (where, key, value))
-        values.append(float(value))
-    return values
+    return [real_number(spec.get(key) if isinstance(spec, dict) else None,
+                        "%s: %s" % (where, key)) for key in keys]
 
 
 def _load_run(rundir):

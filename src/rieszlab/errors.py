@@ -11,6 +11,9 @@ Two families matter to callers (and to the CLI exit-code mapping):
 
 from __future__ import annotations
 
+import math
+import numbers
+
 
 class RieszLabError(Exception):
     """Base class for all package-specific errors."""
@@ -97,3 +100,20 @@ def whole_number(value, name):
     except (TypeError, ValueError, OverflowError):
         pass
     raise ValidationError("%s must be a whole number, got %r" % (name, value))
+
+
+def real_number(value, name):
+    """``value`` as a ``float``; :class:`ValidationError` unless it is a
+    finite real scalar: not NaN, inf, a bool, a string, an array or an
+    integer past the double range (numpy scalars pass)."""
+    # float first: it takes numpy's float64 too, and costs a tenth of
+    # the ABC check on the floats of the hot paths
+    real = isinstance(value, float) or (
+        isinstance(value, numbers.Real) and not isinstance(value, bool))
+    try:
+        if real and math.isfinite(value):
+            return float(value)
+    except OverflowError:
+        pass
+    raise ValidationError("%s must be a finite real number, got %r"
+                          % (name, value))

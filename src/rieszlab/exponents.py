@@ -29,10 +29,9 @@ from __future__ import annotations
 
 import enum
 import math
-import numbers
 from dataclasses import dataclass
 
-from .errors import ValidationError, whole_number
+from .errors import ValidationError, real_number, whole_number
 
 #: Relative tolerance used to detect equality in the critical condition.
 CRITICAL_RTOL = 1e-12
@@ -116,8 +115,10 @@ def _check_ranges(n, alpha, **exponents):
     every exponent is positive and finite, each a real scalar.  A bool,
     a string, an array or NaN fails them."""
     def within(value, hi):
-        return (isinstance(value, numbers.Real)
-                and not isinstance(value, bool) and 0.0 < value < hi)
+        try:
+            return 0.0 < real_number(value, "") < hi
+        except ValidationError:
+            return False
 
     if not within(alpha, n):
         raise ValidationError(

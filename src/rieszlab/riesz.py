@@ -43,7 +43,9 @@ series ``|S^{n-1}| r_>^{alpha-n} sum_l c_l (r_</r_>)^{2l}``
 (:func:`_series_coefficients`): J terms, k for ``alpha = 2k`` and 20 to
 27 for ``alpha < 2``, each a product of a power of ``r_<`` and one of
 ``r_>``.  Cell pairs that far apart are J-term sums of closed-form cell
-moments, with no kernel samples.  The near band, about ``ln 2 / h``
+moments, with no kernel samples.  At ratio 1/4 or less, the deep cut
+``FAR_RATIO^2``, they take only the terms above rounding there: 11 to
+14 for ``alpha < 2``.  The near band, about ``ln 2 / h``
 offsets and strip pairs, is integrated on fixed rules, its kernel
 samples formed from the log-ratio ``z`` (:func:`_log_kernel`), since
 ``e^z`` rounds to 1 near the cusp.  A window off the cusp takes six
@@ -58,15 +60,21 @@ series (:func:`_series_ratio`), and only the three cells taken with
 themselves are sampled.
 
 No ``count x count`` array is formed.  The interior pairs below the
-first far offset D, about ``ln 2 / h`` (D = 1 for even ``alpha``), are
-``r_<^{n+alpha}`` times one value per offset, applied as a direct band
-convolution; the interior pairs beyond are J products of a power of
-``r_<`` and one of ``r_>``, applied as J forward and J backward prefix
-sums over scale tables; the two boundary rows are stored.  One
+first far offset D, the first past the deep cut, about ``2 ln 2 / h``
+(D = 1 for even ``alpha``), are ``r_<^{n+alpha}`` times one value per
+offset, applied as a direct band convolution: the first ``ln 2 / h``
+values sampled, the rest one series sum each.  The interior pairs
+beyond are the J products of the deep cut's series, a power of ``r_<``
+times one of ``r_>``, applied as J forward and J backward prefix sums
+over scale tables; the two boundary rows are stored.  One
 :meth:`KernelOperator.apply` is O(count (D + J)) work on O(count J)
 stored numbers, where a dense product is O(count^2) on a matrix of 134
-MB at 4096 nodes.  Grids above ``MAX_DENSE_COUNT`` nodes are refused
-before anything is allocated.
+MB at 4096 nodes.  The deep cut trades band for terms: the sweeps make
+several passes over their ``2 x J x count`` products, the convolution
+one over ``count x D``, so halving J pays for doubling D up to a few
+thousand nodes; at ``MAX_DENSE_COUNT`` nodes the two about balance.
+Grids above ``MAX_DENSE_COUNT`` nodes are refused before anything is
+allocated.
 
 The responses to the power-law tail beyond ``r_max`` and to the
 constant head below ``r_min`` are one computation.  The series
@@ -97,7 +105,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy import integrate, special
 
 from .errors import (DivergentTailError, SingularKernelError, ValidationError,
-                     whole_number)
+                     real_number, whole_number)
 from .exponents import _check_ranges
 from .grid import RadialGrid
 
@@ -455,9 +463,10 @@ def _series_coefficients(n, alpha, ratio=FAR_RATIO):
     ``t = ratio^2``, looked for only from ``l > alpha/2 - 1`` on, where
     ``|c_l|`` no longer grows, so the terms cut off sum to about rounding
     too (20 to 27 terms for ``alpha < 2``, n = 3..7 and the default
-    ``ratio = FAR_RATIO``).  For even ``alpha = 2k`` that first ``l`` is
-    k, where the series stops by itself, ``c_k = 0``: the k terms are
-    the whole kernel.  The array is read-only: the last few ``(n,
+    ``ratio = FAR_RATIO``, 11 to 14 at ``ratio = 1/4``).  For even
+    ``alpha = 2k`` that first ``l`` is k, where the series stops by
+    itself, ``c_k = 0``: the k terms are the whole kernel, and ``ratio``
+    may be 1; for any other ``alpha`` it must stay below 1.  The array is read-only: the last few ``(n,
     alpha, ratio)`` are kept, since one assembly asks for the same ones
     at least six times.
     """
@@ -532,9 +541,10 @@ class RadialField:
     values : ndarray
         Nonnegative node values.
     tail_exponent : float
-        Decay exponent ``tau``: beyond ``r_max`` the profile is modeled
-        as the pure power law ``values[-1] * (s/r_max)^{-tau}``, by
-        :func:`apply_extended` and :func:`field_integral` alike.
+        Decay exponent ``tau``, a finite real number: beyond ``r_max``
+        the profile is modeled as the pure power law ``values[-1] *
+        (s/r_max)^{-tau}``, by :func:`apply_extended` and
+        :func:`field_integral` alike.
     """
 
     grid: RadialGrid
@@ -549,9 +559,7 @@ class RadialField:
                 % (vals.shape, self.grid.count))
         if np.any(vals < 0.0) or not np.all(np.isfinite(vals)):
             raise ValidationError("field values must be finite and >= 0")
-        if not math.isfinite(self.tail_exponent):
-            raise ValidationError("tail_exponent must be finite, got %r"
-                                  % (self.tail_exponent,))
+        real_number(self.tail_exponent, "tail_exponent")
         object.__setattr__(self, "values", vals)
 
 
@@ -561,7 +569,9 @@ class KernelOperator:
 
     :meth:`apply` maps node values to bare integral values in O(count
     (D + J)) work from O(count J) numbers, with no dense array ``M``
-    ever formed.  At an interior node, ``apply(f)[i]`` is ``int_{rMin}^
+    ever formed: D about ``2 ln 2 / h`` and J the 11 to 14 terms of the
+    series at ratio 1/4 for ``alpha < 2``; D = 1 and J = k for ``alpha
+    = 2k``.  At an interior node, ``apply(f)[i]`` is ``int_{rMin}^
     {rMax} K(r_i, s) f(s) s^{n-1} ds`` to second order in the log mesh
     width ``h``.  The end nodes deliver less, as measured with
     :func:`apply_extended` on the exact HLS extremal: node count-1 is
@@ -572,8 +582,9 @@ class KernelOperator:
 
     - rows (and columns) 0 and count-1: the two rows of ``boundary``;
     - interior pairs ``0 < i, j < count-1`` closer than ``D =
-      band.size`` offsets: ``base[min(i, j) - 1] * band[|i - j|]``,
-      with ``base = r^{n+alpha}`` at the interior nodes;
+      band.size`` offsets, the first past ratio 1/4:
+      ``base[min(i, j) - 1] * band[|i - j|]``, with ``base =
+      r^{n+alpha}`` at the interior nodes;
     - interior pairs ``D`` or more offsets apart: a J-term sum of
       products of a power of the inner and one of the outer radius,
       held in ``far_gather``, ``far_scatter`` and ``far_carry`` (see
@@ -847,14 +858,17 @@ def _pair_cells(edges, i, js):
                                         rel[js], rel[js + 1]))
 
 
-def _far_pairs(b, wa, c, wc, n, alpha):
+def _far_pairs(b, wa, c, wc, n, alpha, ratio):
     """Double-cell integrals of cell pairs far apart, by the series.
 
     The lower cells end at ``b`` and the upper cells start at ``c``
-    (arrays), with log widths ``wa`` and ``wc`` and ``b/c <=
-    FAR_RATIO``.  With ``s < t`` the kernel is ``|S^{n-1}| sum_l c_l
-    s^{2l} t^{alpha-n-2l}``, so the pair integral is a sum of products
-    of cell moments ``m(p) = int s^{p-1} ds``:
+    (arrays), with log widths ``wa`` and ``wc`` and ``b/c <= ratio``,
+    at most ``FAR_RATIO``.  The series takes the J terms of
+    :func:`_series_coefficients` at ``ratio``: 20 to 27 at ``FAR_RATIO``
+    and 11 to 14 at 1/4 for ``alpha < 2`` (n = 3..7), k for ``alpha =
+    2k``.  With ``s < t`` the kernel is ``|S^{n-1}| sum_l c_l s^{2l}
+    t^{alpha-n-2l}``, so the pair integral is a sum of products of cell
+    moments ``m(p) = int s^{p-1} ds``:
 
         |S^{n-1}| sum_l c_l m_lower(2l+n) m_upper(alpha-2l).
 
@@ -867,12 +881,13 @@ def _far_pairs(b, wa, c, wc, n, alpha):
     r = 1 would lose digits in proportion to ``|ln r|/h``.
     """
     return sphere_area(n) * b ** n * np.sum(
-        _far_terms(b, wa, c, wc, n, alpha), axis=0)
+        _far_terms(b, wa, c, wc, n, alpha, ratio), axis=0)
 
 
-def _far_terms(b, wa, c, wc, n, alpha):
+def _far_terms(b, wa, c, wc, n, alpha, ratio):
     """The J terms of :func:`_far_pairs` before the sum, one row per
-    term, without the common factor ``|S^{n-1}| b^n``.
+    term, without the common factor ``|S^{n-1}| b^n``; J is the length
+    of :func:`_series_coefficients` at ``ratio``, the largest ``b/c``.
 
     The powers ``(b/x)^{2l} x^alpha`` take the end ``x`` of the upper
     cell where ``s^{alpha-2l}`` is largest.  For the rising terms,
@@ -883,7 +898,7 @@ def _far_terms(b, wa, c, wc, n, alpha):
     factors are taken in place, so the only ``J x P`` arrays are the
     result and one exprel argument at a time.
     """
-    coef = _series_coefficients(n, alpha)[:, None]
+    coef = _series_coefficients(n, alpha, ratio)[:, None]
     l2 = 2.0 * np.arange(coef.size)[:, None]
     upper_exp = alpha - l2
     rise = math.ceil(0.5 * alpha)
@@ -933,7 +948,7 @@ def _far_tables(top, lam, base, grow):
     one of outer values from block k+1 to block k units.  The integer
     ``e`` gives both tables the same size at the block centre; blocks
     are as long as keeps every entry within ``e^{+-_SCALE_LOG_LIMIT}``,
-    one block on ordinary grids (eight decades, J up to 27).
+    one block on ordinary grids (eight decades, J up to 14).
 
     Returns ``(gather, scatter, carry)`` for the two sweeps of
     :func:`_far_sweeps`, shaped ``(2, J, nb, B)`` twice and ``(2, J,
@@ -1010,8 +1025,11 @@ def assemble(grid, n, alpha):
     pairs involving the two clipped boundary cells are integrated
     individually, into the two ``boundary`` rows.  Pairs whose
     radii stay within ``FAR_RATIO`` across both cells are closed-form
-    sums of cell moments (:func:`_far_pairs`): for the interior ones the
-    operator keeps only the J terms at the first far offset D and their
+    sums of cell moments (:func:`_far_pairs`), with the terms the ratio
+    needs: all J of ``FAR_RATIO`` down to ratio 1/4, the deep cut, and
+    about half as many past it.  The band runs to the first interior
+    offset D past the deep cut, about ``2 ln 2 / h``; past it the
+    operator keeps only the deep cut's J terms at offset D and their
     scale tables (:func:`_far_tables`), O(count J) numbers.  For even
     ``alpha`` the series is exact for any two distinct cells, so D = 1,
     the interior band is the diagonal alone and the strips take the
@@ -1056,48 +1074,64 @@ def assemble(grid, n, alpha):
 
     # Full-width interior cells i, i+d give sym(i, i+d) = r_i^{n+alpha}
     # * fam[d], with fam[d] the pair (-h/2, h/2) x (dh - h/2, dh + h/2).
-    # Pairs whose radii do not stay within the series ratio of each other
-    # form the near band: interior offsets 0 .. D-1 and the strip pairs
-    # (0, j), j = 0 .. count-2, and (count-1, j), j = 0 .. count-1, that
-    # are near.  The rest take the series.  For alpha = 2k the series is
-    # the whole kernel and only a cell with itself is near: D = 1, and
-    # every other strip pair takes the series.
+    # A pair is placed by the ratio b/c of the inner cell's top edge to
+    # the outer cell's bottom one.  Above the series ratio it is near and
+    # sampled: interior offsets 0 .. S-1 and the near strip pairs (0, j),
+    # j = 0 .. count-2, and (count-1, j), j = 0 .. count-1.  Down to the
+    # deep cut, ratio^2, it takes the full series, and past that the
+    # short one, with about half the terms.  The band is offsets 0 ..
+    # D-1, D the first past the deep cut; the rest are far.  For alpha =
+    # 2k the series is the whole kernel at any ratio, so ratio and cut
+    # are 1: only a cell with itself is near, D = S = 1, and every other
+    # strip pair takes the k-term series.
     ratio = _series_ratio(alpha)
-    width = 1 + np.count_nonzero(
-        np.exp(-(np.arange(1, count - 2) - 1) * h) > ratio)
+    deep = ratio * ratio
+    gap = np.exp(-np.arange(count - 3) * h)  # b/c at offsets 1 .. count-3
+    sampled = 1 + np.count_nonzero(gap > ratio)
+    width = 1 + np.count_nonzero(gap > deep)
     js0, jsl = np.arange(last), np.arange(count)
-    near0 = edges[1] / edges[js0] > ratio
-    nearl = edges[jsl + 1] / edges[last] > ratio
+    gap0, gapl = edges[1] / edges[js0], edges[jsl + 1] / edges[last]
+    near0, nearl = gap0 > ratio, gapl > ratio
 
-    dh = np.arange(width) * h
+    dh = np.arange(sampled) * h
     cells = np.concatenate((np.array(np.broadcast_arrays(
         -0.5 * h, 0.5 * h, dh - 0.5 * h, dh + 0.5 * h)),
         _pair_cells(edges, 0, js0[near0]),
         _pair_cells(edges, last, jsl[nearl])), axis=1)
     strip0, stripl = np.empty(js0.size), np.empty(jsl.size)
-    band, band0, bandl = np.split(_near_pairs(cells, n, alpha),
-                                  [width, width + np.count_nonzero(near0)])
+    near, band0, bandl = np.split(_near_pairs(cells, n, alpha),
+                                  [sampled, sampled + np.count_nonzero(near0)])
     strip0[near0] = scale0 * band0
     stripl[nearl] = scalel * bandl
 
     # Far pairs: closed-form cell moments, the interior ones on the same
-    # ideal cells as the near band, the strips on the grid's cells.
-    # Interior pairs keep the J terms at offset D, less those below
-    # rounding there (a term's share only falls with the offset).
+    # ideal cells as the near band, the strips on the grid's cells.  The
+    # band offsets S .. D-1 are one series sum each.  Interior pairs past
+    # the band keep the J terms of the short series at offset D, less
+    # those below rounding there (a term's share only falls with the
+    # offset).
     b = math.exp(0.5 * h)
-    top = (sphere_area(n) * b ** n
-           * _far_terms(b, h, math.exp((width - 0.5) * h), h, n, alpha)[:, 0])
+    band = near
+    if width > sampled:
+        band = np.concatenate((near, _far_pairs(
+            b, h, np.exp((np.arange(sampled, width) - 0.5) * h), h, n,
+            alpha, ratio)))
+    top = (sphere_area(n) * b ** n * _far_terms(
+        b, h, math.exp((width - 0.5) * h), h, n, alpha, deep)[:, 0])
     keep = np.abs(top) > _SERIES_CUT ** 2 * abs(top[0])
     lam = (alpha - 2.0 * np.arange(top.size)) * h
     far_gather, far_scatter, far_carry = _far_tables(
         top[keep], lam[keep], base[:max(count - 2 - width, 0)],
         (n + alpha) * h)
-    j, k = js0[~near0], jsl[~nearl]
     widths = np.log1p(np.diff(edges) / edges[:-1])
-    strip0[~near0] = _far_pairs(edges[1], widths[0], edges[j], widths[j],
-                                n, alpha)
-    stripl[~nearl] = _far_pairs(edges[k + 1], widths[k], edges[last],
-                                widths[last], n, alpha)
+    cuts = sorted({ratio, deep, 0.0}, reverse=True)  # 1, 0 for even alpha
+    for upper, lower in zip(cuts, cuts[1:]):
+        j = js0[(gap0 <= upper) & (gap0 > lower)]
+        k = jsl[(gapl <= upper) & (gapl > lower)]
+        strip0[j] = _far_pairs(edges[1], widths[0], edges[j], widths[j],
+                               n, alpha, upper)
+        stripl[k] = _far_pairs(edges[k + 1], widths[k], edges[last],
+                               widths[last], n, alpha, upper)
 
     # Boundary rows; the corner pair is integrated once, as (count-1, 0).
     row0 = np.append(strip0, stripl[0])
@@ -1209,13 +1243,11 @@ def tail_response(op, tail_exponent):
     Raises
     ------
     ValidationError
-        For a non-finite ``tail_exponent``.
+        Unless ``tail_exponent`` is a finite real number.
     DivergentTailError
         For ``tail_exponent <= alpha``.
     """
-    if not math.isfinite(tail_exponent):
-        raise ValidationError(
-            "tail exponent must be finite, got %r" % (tail_exponent,))
+    real_number(tail_exponent, "tail exponent")
     if tail_exponent <= op.alpha:
         raise DivergentTailError(
             "tail extension diverges: tail exponent %r <= alpha %r"
@@ -1238,8 +1270,11 @@ def apply_extended(op, values, tail_exponent):
     Raises
     ------
     ValidationError
-        Unless ``values`` holds one finite value per node.
+        Unless ``values`` holds one finite value per node and
+        ``tail_exponent`` is a finite real number, whether the tail is
+        used or not.
     """
+    real_number(tail_exponent, "tail exponent")
     values = np.asarray(values, dtype=float)
     out = op.apply(values)
     if values[0] != 0.0:
@@ -1260,12 +1295,12 @@ def field_integral(f, power=1.0):
     Raises
     ------
     ValidationError
-        Unless ``power`` is finite and positive.
+        Unless ``power`` is a finite, positive real number.
     DivergentTailError
         When the powered tail is not integrable, ``power*tau <= n``.
     """
-    if not 0.0 < power < math.inf:
-        raise ValidationError("power must be finite and > 0, not %r" % power)
+    if not real_number(power, "power") > 0.0:
+        raise ValidationError("power must be > 0, not %r" % (power,))
     grid = f.grid
     n = float(grid.n)
     vals = f.values ** power

@@ -46,7 +46,6 @@ from __future__ import annotations
 import enum
 import functools
 import math
-import numbers
 import time
 import warnings
 from dataclasses import dataclass, field, replace
@@ -58,7 +57,7 @@ from scipy.integrate import solve_ivp
 from scipy.integrate._ivp import dop853_coefficients
 
 from .errors import (BracketError, IntegrationError, ValidationError,
-                     whole_number)
+                     real_number, whole_number)
 from .exponents import classify
 
 #: Samples recorded along a trajectory (log-spaced in radius).
@@ -96,15 +95,11 @@ class ShotConfig:
 
     def __post_init__(self):
         for name in ("u0", "xi", "r_start", "r_end"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValidationError("%s must be a number, got %r"
-                                      % (name, value))
-        if not (0.0 < self.u0 < math.inf and 0.0 < self.xi < math.inf):
-            raise ValidationError(
-                "origin values u0, xi must be positive and finite")
-        if not 0.0 < self.r_start < self.r_end < math.inf:
-            raise ValidationError("need 0 < r_start < r_end < inf")
+            real_number(getattr(self, name), name)
+        if not (self.u0 > 0.0 and self.xi > 0.0):
+            raise ValidationError("origin values u0, xi must be positive")
+        if not 0.0 < self.r_start < self.r_end:
+            raise ValidationError("need 0 < r_start < r_end")
 
 
 @dataclass(frozen=True)

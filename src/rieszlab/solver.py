@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import enum
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +38,7 @@ from scipy import optimize
 
 from .analysis import default_window
 from .errors import (NonConvergenceError, PreconditionError,
-                     ValidationError, whole_number)
+                     ValidationError, real_number, whole_number)
 from .exponents import Params, Regime, classify
 from .grid import make_grid
 from .riesz import RadialField, apply_extended, assemble, power_law_constant
@@ -83,10 +82,7 @@ class SolveConfig:
 
     def __post_init__(self):
         for name in ("damping", "tol"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValidationError("%s must be a number, got %r"
-                                      % (name, value))
+            real_number(getattr(self, name), name)
         if not 0.0 < self.damping <= 1.0:
             raise ValidationError(
                 "damping must be in (0, 1], got %r" % (self.damping,))
@@ -94,7 +90,7 @@ class SolveConfig:
             raise ValidationError(
                 "max_iters must be a nonnegative integer, got %r"
                 % (self.max_iters,))
-        if not (self.tol > 0.0 and math.isfinite(self.tol)):
+        if not self.tol > 0.0:
             raise ValidationError("tol must be positive, got %r"
                                   % (self.tol,))
         object.__setattr__(self, "max_iters", int(self.max_iters))
@@ -315,7 +311,6 @@ def solve_picard(params, grid=None, config=None, monitor=None,
     floor = alpha + 0.05  # powered-tail clamp while iterating
     iterations = 0
     spread_u = spread_v = delta = math.inf
-    res_u = res_v = math.inf
     limit = ("the re-measured residual stayed above tol=%g after %d "
              "presentation cycles; the achievable floor is set by the grid "
              "resolution" % (config.tol, PRESENTATION_CYCLES))
@@ -363,7 +358,7 @@ def solve_picard(params, grid=None, config=None, monitor=None,
                      % (config.tol, config.max_iters))
         # the error reports the residual measured last: this interior
         # spread, or the re-measure below once the cycles run out
-        measured = (spread_u, spread_v)
+        measure, measured = "interior spread", (spread_u, spread_v)
         if not converged:
             break
 
@@ -398,6 +393,7 @@ def solve_picard(params, grid=None, config=None, monitor=None,
 
         tau_u = _tail_slope(window, uu, alpha, n)
         tau_v = _tail_slope(window, vv, alpha, n)
+        measure = "re-measured residual"
         res_u, res_v = measured = _residuals(op, params, uu, vv,
                                              tau_u, tau_v)
         if max(res_u, res_v) <= config.tol:
@@ -409,9 +405,8 @@ def solve_picard(params, grid=None, config=None, monitor=None,
         u, v = uu, vv
 
     raise NonConvergenceError(
-        "Picard iteration stopped after %d sweeps: %s (update %.3g, "
-        "interior spread %.3g/%.3g, residual %.3g/%.3g)" % (
-            iterations, limit, delta, spread_u, spread_v, res_u, res_v),
+        "Picard iteration stopped after %d sweeps: %s (update %.3g, %s "
+        "%.3g/%.3g)" % ((iterations, limit, delta, measure) + measured),
         iterations=iterations, residual_u=measured[0],
         residual_v=measured[1], last_delta=delta)
 

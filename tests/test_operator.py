@@ -456,6 +456,60 @@ class TestFarField:
                                        rtol=1e-14, atol=0.0)
 
 
+#: ``(n, alpha, count)`` on ``make_grid(1e-4, 1e4, count, n)``: non-even
+#: operators whose series band and short-series pairs are checked.
+DEEP_CASES = [(3, 0.8, 4096), (5, 2.5, 2048), (4, 1.5, 512), (7, 3.5, 1024)]
+
+
+class TestDeepCut:
+    @pytest.mark.parametrize("n, alpha, count", DEEP_CASES)
+    def test_series_band_against_sampled_pairs(self, n, alpha, count):
+        # the band runs to the first offset past ratio 1/4; its offsets
+        # past FAR_RATIO are series sums, and sampled on six Gauss
+        # panels they agree to rounding (worst 6.1e-14 at (3, 0.8))
+        grid = make_grid(1e-4, 1e4, count, n)
+        op = assemble(grid, n, alpha)
+        h, width = grid.log_step, op.band.size
+        assert math.exp(-(width - 1) * h) <= FAR_RATIO ** 2
+        assert math.exp(-(width - 2) * h) > FAR_RATIO ** 2
+        d = np.arange(1, width)
+        d = d[np.exp(-(d - 1) * h) <= FAR_RATIO]
+        assert d.size > 0.4 * width
+        cells = np.array(np.broadcast_arrays(-0.5 * h, 0.5 * h,
+                                             (d - 0.5) * h, (d + 0.5) * h))
+        np.testing.assert_allclose(op.band[d],
+                                   riesz._near_pairs(cells, n, alpha),
+                                   rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("n, alpha, count", DEEP_CASES)
+    def test_short_strip_pairs_against_full_series(self, n, alpha, count):
+        # strip pairs at ratio 1/4 or less drop the series terms below
+        # rounding there, and nothing more
+        grid = make_grid(1e-4, 1e4, count, n)
+        op = assemble(grid, n, alpha)
+        e, last = grid.edges, count - 1
+        widths = np.log1p(np.diff(e) / e[:-1])
+        j = np.flatnonzero(e[1] / e[:last] <= FAR_RATIO ** 2)
+        k = np.flatnonzero(e[1:] / e[last] <= FAR_RATIO ** 2)
+        assert j.size > count // 2 and k.size > count // 2
+        np.testing.assert_allclose(
+            op.boundary[0, j], _far_pairs(e[1], widths[0], e[j], widths[j],
+                                          n, alpha, FAR_RATIO),
+            rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(
+            op.boundary[1, k], _far_pairs(e[k + 1], widths[k], e[last],
+                                          widths[last], n, alpha, FAR_RATIO),
+            rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("n, alpha, terms",
+                             [(3, 0.8, 13), (5, 2.5, 11), (7, 3.5, 11)])
+    def test_far_tables_hold_the_short_series(self, n, alpha, terms):
+        # about half of the 25, 21 and 19 terms sized for ratio 1/2
+        op = assemble(make_grid(1e-4, 1e4, 1024, n), n, alpha)
+        assert op.far_gather.shape[1] == terms
+        assert _series_coefficients(n, alpha).size > 1.7 * terms
+
+
 def dense_reference(op):
     """The dense operator filled entry by entry from the pair integrals
     the operator holds: the stored boundary rows, ``base[min(i, j)] *
@@ -464,7 +518,8 @@ def dense_reference(op):
     grid, h, inner = op.grid, op.grid.log_step, op.grid.count - 2
     d = np.arange(op.band.size, inner)
     fam = np.concatenate((op.band, _far_pairs(
-        math.exp(0.5 * h), h, np.exp((d - 0.5) * h), h, op.n, op.alpha)))
+        math.exp(0.5 * h), h, np.exp((d - 0.5) * h), h, op.n, op.alpha,
+        FAR_RATIO)))
     i = np.arange(inner)
     sym = np.empty((grid.count, grid.count))
     sym[1:-1, 1:-1] = (op.base[np.minimum.outer(i, i)]
@@ -568,10 +623,10 @@ def far_sweeps_allocating(gather, scatter, carry, values, far, shift):
     return out[0, :far], out[1, ::-1][:far]
 
 
-def far_terms_pow(b, wa, c, wc, n, alpha):
+def far_terms_pow(b, wa, c, wc, n, alpha, ratio):
     """:func:`riesz._far_terms` with one pow per term and pair, the
     oracle of its products by doubling."""
-    coef = _series_coefficients(n, alpha)[:, None]
+    coef = _series_coefficients(n, alpha, ratio)[:, None]
     l2 = 2.0 * np.arange(coef.size)[:, None]
     upper_exp = alpha - l2
     top = np.where(upper_exp > 0.0, c * np.exp(wc), c)
@@ -581,17 +636,28 @@ def far_terms_pow(b, wa, c, wc, n, alpha):
 
 
 def far_term_args(op):
-    """The ``(b, wa, c, wc)`` of the three :func:`riesz._far_terms` calls
-    of :func:`assemble`: the interior pair at the first far offset D
-    and the far pairs of boundary rows 0 and count-1."""
+    """The ``(b, wa, c, wc)`` and the ``ratio`` of the
+    :func:`riesz._far_terms` calls of :func:`assemble` that hold pairs:
+    the band offsets past the sampled ones on the full series, the
+    interior pair at the first far offset D on the short one, and the
+    far pairs of boundary rows 0 and count-1 on each."""
     edges, h, last = op.grid.edges, op.grid.log_step, op.grid.count - 1
     widths = np.log1p(np.diff(edges) / edges[:-1])
     ratio = riesz._series_ratio(op.alpha)
-    j = np.flatnonzero(edges[1] / edges[:last] <= ratio)
-    k = np.flatnonzero(edges[1:] / edges[last] <= ratio)
-    return ((math.exp(0.5 * h), h, math.exp((op.band.size - 0.5) * h), h),
-            (edges[1], widths[0], edges[j], widths[j]),
-            (edges[k + 1], widths[k], edges[last], widths[last]))
+    deep = ratio * ratio
+    d = np.arange(1, op.band.size)
+    d = d[np.exp(-(d - 1) * h) <= ratio]
+    b = math.exp(0.5 * h)
+    calls = [((b, h, np.exp((d - 0.5) * h), h), ratio),
+             ((b, h, math.exp((op.band.size - 0.5) * h), h), deep)]
+    gap0, gapl = edges[1] / edges[:last], edges[1:] / edges[last]
+    for upper, lower in ((ratio, deep), (deep, 0.0)):
+        j = np.flatnonzero((gap0 <= upper) & (gap0 > lower))
+        k = np.flatnonzero((gapl <= upper) & (gapl > lower))
+        calls += [((edges[1], widths[0], edges[j], widths[j]), upper),
+                  ((edges[k + 1], widths[k], edges[last], widths[last]),
+                   upper)]
+    return [(args, cut) for args, cut in calls if np.size(args[2])]
 
 
 #: ``(r_min, r_max, count, n, alpha)``: the non-even operators the far
@@ -635,9 +701,9 @@ class TestFarFieldKernels:
         # size of its pair's sum
         r_min, r_max, count, n, alpha = case
         op = assemble(make_grid(r_min, r_max, count, n), n, alpha)
-        for args in far_term_args(op):
-            got = riesz._far_terms(*args, n, alpha)
-            want = far_terms_pow(*args, n, alpha)
+        for args, ratio in far_term_args(op):
+            got = riesz._far_terms(*args, n, alpha, ratio)
+            want = far_terms_pow(*args, n, alpha, ratio)
             if case in FAR_EVEN:
                 assert np.array_equal(got, want)
                 continue
@@ -949,3 +1015,52 @@ class TestRadialField:
         for tau in (math.nan, math.inf):
             with pytest.raises(ValidationError):
                 RadialField(grid, np.ones(32), tail_exponent=tau)
+
+
+class TestMalformedExponents:
+    """A tail exponent or a power that is not a finite real scalar is
+    refused with ValidationError wherever it enters."""
+
+    @pytest.fixture(scope="class")
+    def op3(self):
+        return assemble(make_grid(1e-2, 1e2, 64, 3), 3, 0.8)
+
+    @pytest.mark.parametrize("tau", ["3", np.array([3.0]),
+                                     np.array([3.0, 4.0]), True])
+    def test_tail_response(self, op3, tau):
+        # a string or an array raised a raw TypeError; True ran as 1.0
+        with pytest.raises(ValidationError, match="tail exponent"):
+            tail_response(op3, tau)
+
+    @pytest.mark.parametrize("tau", ["5", True, np.array([5.0])])
+    def test_field(self, tau):
+        # "5" raised a raw TypeError; True was kept as the exponent 1
+        grid = make_grid(1e-2, 1e2, 32, 5)
+        with pytest.raises(ValidationError, match="tail_exponent"):
+            RadialField(grid, np.ones(32), tail_exponent=tau)
+
+    @pytest.mark.parametrize("last", [0.0, 1.0])
+    @pytest.mark.parametrize("tau", [True, math.nan, "3"])
+    def test_apply_extended(self, op3, tau, last):
+        # with no tail (last node 0) NaN was never read and values came
+        # back; with one, True ran as the exponent 1.0
+        f = np.ones(op3.grid.count)
+        f[-1] = last
+        with pytest.raises(ValidationError, match="tail exponent"):
+            apply_extended(op3, f, tau)
+
+    @pytest.mark.parametrize("power", [True, "2", np.array([2.0])])
+    def test_field_integral_power(self, power):
+        # True was taken as the power 1.0
+        grid = make_grid(1e-1, 1e5, 128, 5)
+        f = RadialField(grid, grid.nodes ** -2.0, tail_exponent=6.0)
+        with pytest.raises(ValidationError, match="power"):
+            field_integral(f, power=power)
+
+    def test_numpy_scalars_pass(self, op3):
+        f = op3.grid.nodes ** -2.5
+        assert np.array_equal(apply_extended(op3, f, np.float64(2.5)),
+                              apply_extended(op3, f, 2.5))
+        field = RadialField(op3.grid, f, tail_exponent=np.float64(2.5))
+        assert field_integral(field, power=np.int64(2)) == field_integral(
+            field, power=2.0)

@@ -146,7 +146,20 @@ class TestPicard:
         # prints it, not the smaller spread of the unpresented iterate
         res = (err.value.residual_u, err.value.residual_v)
         assert max(res) > 1e-6
-        assert "residual %.3g/%.3g)" % res in message
+        assert "re-measured residual %.3g/%.3g)" % res in message
+
+    def test_stop_message_prints_the_measured_pair(self, grid512):
+        # a stagnation stop in the second presentation cycle: the message
+        # printed the first cycle's re-measure (4.24e-4/2.06e-4) next to
+        # this cycle's spreads, which the attributes carry
+        with pytest.raises(NonConvergenceError) as err:
+            _solve(grid512, (4, 2.0, 2.0, 5.0), 1e-9)
+        message = str(err.value)
+        assert "stagnated" in message
+        res = (err.value.residual_u, err.value.residual_v)
+        assert max(res) < 1e-8
+        assert message.endswith("interior spread %.3g/%.3g)" % res)
+        assert "re-measured" not in message.split("(")[-1]
 
     def test_stagnation_stops_early(self):
         # near the 256-node grid's residual floor the accelerated
