@@ -42,9 +42,9 @@ from .analysis import (DecayFit, FastLimitReport, RecursionTrace,
                        envelope_bands, envelope_check, fit_tail,
                        integrability_predicate, monotonicity_criterion,
                        run_recursion)
-from .runio import (RunManifest, config_hash, dumps_json, make_manifest,
-                    read_field_csv, read_manifest, read_trajectory_csv,
-                    write_field_csv, write_json, write_trajectory_csv)
+from .runio import (config_hash, dumps_json, make_manifest, read_field_csv,
+                    read_manifest, read_trajectory_csv, write_field_csv,
+                    write_json, write_trajectory_csv)
 
 __version__ = "0.1.0"
 
@@ -54,7 +54,7 @@ __all__ = [
     "FastLimitReport", "IntegrationError", "KernelOperator",
     "NonConvergenceError", "NumericalError", "Outcome", "Params",
     "PreconditionError", "RadialField", "RadialGrid", "RecursionTrace",
-    "Regime", "RegimeReport", "RieszLabError", "RunManifest", "ShotConfig",
+    "Regime", "RegimeReport", "RieszLabError", "ShotConfig",
     "ShotRecord", "SingularKernelError", "SolutionPair", "SolveConfig",
     "Trajectory", "VFastCase", "ValidationError",
     "amplitude_b0",

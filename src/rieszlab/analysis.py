@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (DegenerateFitError, DivergentTailError,
-                     PreconditionError, ValidationError)
+                     PreconditionError, ValidationError, real_number)
 from .exponents import VFastCase, classify
 from .riesz import (field_integral, power_law_constant,
                     riesz_normalization, sphere_area)
@@ -168,10 +168,13 @@ def integrability_predicate(decay_exponent, power, n):
     """Whether ``f^power`` with ``f ~ r^-decay_exponent`` is integrable.
 
     Strict inequality: ``power * decay_exponent > n`` (against the
-    ``s^{n-1}`` radial measure at infinity).
+    ``s^{n-1}`` radial measure at infinity); :class:`ValidationError`
+    unless all three are finite real numbers, ``power > 0`` and ``n > 0``.
     """
-    if not (0.0 < power < math.inf and n > 0) or math.isnan(decay_exponent):
-        raise ValidationError("need 0 < power < inf, n > 0 and no NaN")
+    decay_exponent = real_number(decay_exponent, "decay_exponent")
+    power, n = real_number(power, "power"), real_number(n, "n")
+    if not (power > 0.0 and n > 0.0):
+        raise ValidationError("need power > 0 and n > 0")
     return bool(power * decay_exponent > n)
 
 
@@ -206,14 +209,14 @@ def run_recursion(b0, alpha, p, q):
     stops at the first negative rate, on overflow past 1e100, or after
     64 steps.
     """
-    if not (0.0 < p < math.inf and 0.0 < q < math.inf and p * q > 1.0):
-        raise ValidationError("need finite p, q > 0 with p*q > 1")
-    if not (0.0 < alpha < math.inf and math.isfinite(b0)):
-        raise ValidationError("need a finite alpha > 0 and a finite b0")
+    b0, alpha = real_number(b0, "b0"), real_number(alpha, "alpha")
+    p, q = real_number(p, "p"), real_number(q, "q")
+    if not (alpha > 0.0 and p > 0.0 and q > 0.0 and p * q > 1.0):
+        raise ValidationError("need alpha, p, q > 0 with p*q > 1")
     a_seq = []
     b_seq = []
     blowup = None
-    b = float(b0)
+    b = b0
     for j in range(1, 65):
         a = p * b - alpha
         b = q * a - alpha
@@ -224,8 +227,7 @@ def run_recursion(b0, alpha, p, q):
             break
         if abs(b) > 1e100:
             break
-    return RecursionTrace(b0=float(b0), alpha=float(alpha), p=float(p),
-                          q=float(q), a_seq=tuple(a_seq),
+    return RecursionTrace(b0=b0, alpha=alpha, p=p, q=q, a_seq=tuple(a_seq),
                           b_seq=tuple(b_seq), blowup_index=blowup)
 
 
@@ -250,8 +252,8 @@ def envelope_check(params, exponent_u, exponent_v):
     ValidationError
         Unless both exponents are finite.
     """
-    if not (math.isfinite(exponent_u) and math.isfinite(exponent_v)):
-        raise ValidationError("decay exponents must be finite")
+    exponent_u = real_number(exponent_u, "exponent_u")
+    exponent_v = real_number(exponent_v, "exponent_v")
     bands = envelope_bands(classify(params))
     return all(lo <= measured <= hi for (lo, hi), measured
                in zip(bands, (exponent_u, exponent_v)))

@@ -14,9 +14,10 @@ Subcommands
 Exit codes: 0 success; 1 numerical failure (non-convergence, invalid
 bracket, inapplicable regime); 2 validation failure (malformed request).
 
-Every run with ``--out DIR`` drops full-precision CSV output, a
-``report.json`` and a ``manifest.json`` whose ``configHash`` identifies
-the inputs; reruns with the same hash produce byte-identical CSVs.
+Every command with ``--out DIR`` writes its ``report.json`` there.  The
+five run commands add a ``manifest.json`` whose ``configHash``
+identifies the inputs, and all but ``exponents`` a full-precision CSV;
+reruns with the same hash produce byte-identical CSVs.
 """
 
 from __future__ import annotations
@@ -91,11 +92,6 @@ def _resolve_grid(args, params):
     return make_grid(r_min=r_min, r_max=r_max, count=count, n=params.n)
 
 
-def _params_dict(params):
-    return {"n": params.n, "alpha": params.alpha, "p": params.p,
-            "q": params.q, "swapped": params.swapped}
-
-
 def _fit_dict(fit):
     return {"exponent": fit.exponent, "logPower": fit.log_power,
             "amplitude": fit.amplitude, "windowLo": fit.window_lo,
@@ -106,25 +102,33 @@ def _print_json(payload):
     sys.stdout.write(runio.dumps_json(payload) + "\n")
 
 
-def _emit_run(args, command, params, grid, settings, report, csv_writer=None):
-    """Write CSV/report/manifest into ``--out`` when requested."""
+def _write_report(args, report):
+    """Write ``report.json`` into ``--out``; the directory, or None
+    without ``--out``."""
     if args.out is None:
-        return
+        return None
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    outputs = []
-    if csv_writer is not None:
-        outputs.append(csv_writer(outdir))
     runio.write_json(outdir / runio.REPORT_NAME, report)
-    outputs.append(runio.REPORT_NAME)
-    manifest = runio.make_manifest(
-        command,
-        _params_dict(params) if params is not None else {},
+    return outdir
+
+
+def _emit_run(args, command, params, grid, settings, report, csv=None):
+    """Write the report, the CSV and the manifest into ``--out`` when
+    requested.  ``csv`` is ``(name, writer, columns)``: the file name,
+    the :mod:`runio` writer and the arrays it takes after the path."""
+    outdir = _write_report(args, report)
+    if outdir is None:
+        return
+    outputs = [runio.REPORT_NAME]
+    if csv is not None:
+        name, writer, columns = csv
+        writer(outdir / name, *columns)
+        outputs.insert(0, name)
+    runio.write_json(outdir / runio.MANIFEST_NAME, runio.make_manifest(
+        command, dataclasses.asdict(params),
         grid_spec=None if grid is None else runio.grid_spec_of(grid),
-        settings=settings,
-        outputs=outputs,
-    )
-    manifest.write(outdir)
+        settings=settings, outputs=outputs))
 
 
 # ---------------------------------------------------------------------------
@@ -182,14 +186,6 @@ def _solution_report(pair: SolutionPair):
     return report
 
 
-def _field_csv_writer(pair):
-    def writer(outdir):
-        runio.write_field_csv(outdir / runio.FIELD_CSV_NAME,
-                              pair.u.grid.nodes, pair.u.values, pair.v.values)
-        return runio.FIELD_CSV_NAME
-    return writer
-
-
 def _cmd_solve(args):
     params = _resolve_params(args)
     grid = _resolve_grid(args, params)
@@ -200,7 +196,8 @@ def _cmd_solve(args):
     report = _solution_report(pair)
     _print_json(report)
     _emit_run(args, "solve", params, grid, settings, report,
-              _field_csv_writer(pair))
+              (runio.FIELD_CSV_NAME, runio.write_field_csv,
+               (pair.u.grid.nodes, pair.u.values, pair.v.values)))
     return 0
 
 
@@ -222,7 +219,8 @@ def _cmd_singular(args):
     }
     _print_json(report)
     _emit_run(args, "singular", params, grid, {}, report,
-              _field_csv_writer(pair))
+              (runio.FIELD_CSV_NAME, runio.write_field_csv,
+               (pair.u.grid.nodes, pair.u.values, pair.v.values)))
     return 0
 
 
@@ -243,14 +241,6 @@ def _trajectory_report(traj, extra=None):
     return report
 
 
-def _trajectory_csv_writer(traj):
-    def writer(outdir):
-        runio.write_trajectory_csv(outdir / runio.TRAJECTORY_CSV_NAME,
-                                   traj.samples)
-        return runio.TRAJECTORY_CSV_NAME
-    return writer
-
-
 def _cmd_shoot(args):
     params = _resolve_params(args)
     config = ShotConfig(u0=args.u0, xi=args.xi, r_start=args.r_start,
@@ -259,7 +249,8 @@ def _cmd_shoot(args):
     report = _trajectory_report(traj)
     _print_json(report)
     _emit_run(args, "shoot", params, None, _shot_settings(args, args.xi),
-              report, _trajectory_csv_writer(traj))
+              report, (runio.TRAJECTORY_CSV_NAME, runio.write_trajectory_csv,
+                       (traj.samples,)))
     return 0
 
 
@@ -281,7 +272,8 @@ def _cmd_bisect(args):
     settings = _shot_settings(args, result.xi)
     settings.update({"lo": args.lo, "hi": args.hi, "iters": args.iters})
     _emit_run(args, "bisect", params, None, settings, report,
-              _trajectory_csv_writer(traj))
+              (runio.TRAJECTORY_CSV_NAME, runio.write_trajectory_csv,
+               (traj.samples,)))
     return 0
 
 
@@ -451,7 +443,7 @@ def _cmd_analyze(args):
     report = {
         "source": str(args.rundir),
         "kind": kind,
-        "params": _params_dict(params),
+        "params": dataclasses.asdict(params),
         "regime": rep.to_dict(),
         "fits": {"u": _fit_dict(fit_u), "v": _fit_dict(fit_v)},
         "epsilon0": {"u": eps_u, "v": eps_v},
@@ -477,10 +469,7 @@ def _cmd_analyze(args):
         report["claim"] = {"key": args.claim, "confirmed": confirmed,
                            "verdict": verdict, "details": details}
     _print_json(report)
-    if args.out is not None:
-        outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
-        runio.write_json(outdir / runio.REPORT_NAME, report)
+    _write_report(args, report)
     return 0
 
 
@@ -507,21 +496,17 @@ def _cmd_verify_all(args):
     print("%d/%d criteria passed in %.1fs"
           % (sum(r.passed for r in results), len(results),
              time.monotonic() - started))
-    if args.out is not None:
-        outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
-        payload = {
-            "allPassed": all_passed,
-            "seed": args.seed,
-            "results": [
-                {"key": r.key, "description": r.description,
-                 "expected": r.expected, "measured": r.measured,
-                 "tolerance": r.tolerance, "passed": r.passed,
-                 "seconds": r.seconds}
-                for r in results
-            ],
-        }
-        runio.write_json(outdir / runio.REPORT_NAME, payload)
+    _write_report(args, {
+        "allPassed": all_passed,
+        "seed": args.seed,
+        "results": [
+            {"key": r.key, "description": r.description,
+             "expected": r.expected, "measured": r.measured,
+             "tolerance": r.tolerance, "passed": r.passed,
+             "seconds": r.seconds}
+            for r in results
+        ],
+    })
     return 0 if all_passed else 1
 
 

@@ -10,12 +10,11 @@ that cell.  The weighted sum of node values is therefore exact for
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError, whole_number
+from .errors import ValidationError, real_number, whole_number
 
 
 @dataclass(frozen=True)
@@ -92,12 +91,14 @@ def make_grid(r_min=1e-4, r_max=1e4, count=512, n=3):
     Raises
     ------
     ValidationError
-        For endpoints out of order or not finite, for a ``count`` or
-        ``n`` that is not a whole number, and for too few nodes.
+        For endpoints that are not finite real numbers or out of order,
+        for a ``count`` or ``n`` that is not a whole number, and for too
+        few nodes.
     """
-    if not (0.0 < r_min < r_max < math.inf):
+    r_min, r_max = real_number(r_min, "r_min"), real_number(r_max, "r_max")
+    if not 0.0 < r_min < r_max:
         raise ValidationError(
-            "need 0 < r_min < r_max < inf, got r_min=%r, r_max=%r"
+            "need 0 < r_min < r_max, got r_min=%r, r_max=%r"
             % (r_min, r_max))
     count, n = whole_number(count, "count"), whole_number(n, "dimension")
     if count < 16:
@@ -112,5 +113,5 @@ def make_grid(r_min=1e-4, r_max=1e4, count=512, n=3):
         mids = np.sqrt(nodes[:-1] * nodes[1:])
     edges = np.concatenate(([r_min], mids, [r_max]))
     weights = _cell_weights(edges, n)
-    return RadialGrid(r_min=float(r_min), r_max=float(r_max), count=count,
-                      n=n, nodes=nodes, edges=edges, weights=weights)
+    return RadialGrid(r_min=r_min, r_max=r_max, count=count, n=n,
+                      nodes=nodes, edges=edges, weights=weights)

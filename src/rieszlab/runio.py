@@ -20,7 +20,6 @@ import hashlib
 import json
 import json.encoder
 import platform
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Mapping, Sequence
@@ -123,42 +122,6 @@ def grid_spec_of(grid: RadialGrid) -> dict[str, Any]:
     return {"rMin": float(grid.r_min), "rMax": float(grid.r_max), "count": int(grid.count)}
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Reproducibility record written next to every run's outputs.
-
-    ``config_hash`` is derived from the command, parameters, grid and
-    settings only; two manifests with equal hashes describe runs whose
-    CSV outputs are byte-identical.  The timestamp and the ``versions``
-    of the package, Python, numpy and scipy are informational and
-    excluded from the hash.
-    """
-
-    command: str
-    params: Mapping[str, Any]
-    grid_spec: Mapping[str, Any] | None
-    settings: Mapping[str, Any]
-    outputs: tuple[str, ...]
-    config_hash: str
-    timestamp: str
-    versions: Mapping[str, str]
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "command": self.command,
-            "params": dict(self.params),
-            "gridSpec": None if self.grid_spec is None else dict(self.grid_spec),
-            "settings": dict(self.settings),
-            "outputs": list(self.outputs),
-            "configHash": self.config_hash,
-            "timestamp": self.timestamp,
-            "versions": dict(self.versions),
-        }
-
-    def write(self, directory: Path | str) -> Path:
-        return write_json(Path(directory) / MANIFEST_NAME, self.to_dict())
-
-
 def _runtime_versions() -> dict[str, str]:
     """Versions of rieszlab, Python, numpy and scipy, as the manifest
     records them: the ``__version__`` attributes and the running
@@ -176,23 +139,23 @@ def make_manifest(
     grid_spec: Mapping[str, Any] | None = None,
     settings: Mapping[str, Any] | None = None,
     outputs: Sequence[str] = (),
-) -> RunManifest:
-    params = _plain(params)
-    grid_spec = None if grid_spec is None else _plain(grid_spec)
-    settings = _plain(settings or {})
-    digest = config_hash(
-        {"command": command, "params": params, "gridSpec": grid_spec, "settings": settings}
-    )
-    return RunManifest(
-        command=command,
-        params=params,
-        grid_spec=grid_spec,
-        settings=settings,
-        outputs=tuple(str(o) for o in outputs),
-        config_hash=digest,
-        timestamp=datetime.now(timezone.utc).isoformat(),
-        versions=_runtime_versions(),
-    )
+) -> dict[str, Any]:
+    """Reproducibility record written next to every run's outputs, as
+    the ``manifest.json`` object :func:`read_manifest` gives back.
+
+    ``configHash`` is derived from the command, parameters, grid and
+    settings only; two manifests with equal hashes describe runs whose
+    CSV outputs are byte-identical.  The timestamp and the ``versions``
+    of the package, Python, numpy and scipy are informational and
+    excluded from the hash.
+    """
+    inputs = {"command": command, "params": _plain(params),
+              "gridSpec": None if grid_spec is None else _plain(grid_spec),
+              "settings": _plain(settings or {})}
+    return {**inputs, "outputs": [str(o) for o in outputs],
+            "configHash": config_hash(inputs),
+            "timestamp": datetime.now(timezone.utc).isoformat(),
+            "versions": _runtime_versions()}
 
 
 def read_manifest(directory: Path | str) -> dict[str, Any]:

@@ -438,6 +438,7 @@ def bisect_ground_state(params, lo, hi, config=None, iters=60,
         When the endpoints do not classify as two distinct crossing
         outcomes.
     """
+    lo, hi = real_number(lo, "lo"), real_number(hi, "hi")
     if not 0.0 < lo < hi:
         raise ValidationError("need 0 < lo < hi for the bisection bracket")
     if whole_number(iters, "iters") < 0:

@@ -145,6 +145,11 @@ class TestIntegrability:
                      (1.0, 0.0, 3), (1.0, 2.0, 0), (1.0, math.inf, 3)):
             with pytest.raises(ValidationError):
                 integrability_predicate(*args)
+        # a string raised a raw TypeError, a bool exponent read as 1
+        for args in (("2", 1.0, 3), (2.0, "1", 3), (2.0, 1.0, "3"),
+                     (True, 1.0, 3)):
+            with pytest.raises(ValidationError, match="finite real number"):
+                integrability_predicate(*args)
 
     @given(st.floats(min_value=0.1, max_value=10.0),
            st.floats(min_value=0.1, max_value=10.0),
@@ -213,6 +218,12 @@ class TestRecursion:
                      (1.0, 2.0, math.nan, 3.0), (1.0, 2.0, 3.0, math.nan)):
             with pytest.raises(ValidationError):
                 run_recursion(*args)
+        # a string raised a raw TypeError, a bool b0 ran from 1
+        for args in (("1", 2.0, 3.0, 3.0), (1.0, "2", 3.0, 3.0),
+                     (1.0, 2.0, "3", 3.0), (1.0, 2.0, 3.0, "3"),
+                     (True, 2.0, 3.0, 3.0)):
+            with pytest.raises(ValidationError, match="finite real number"):
+                run_recursion(*args)
 
     @pytest.mark.parametrize("args", [(1.0, math.inf, 2.0, 2.0),
                                       (1.0, 2.0, math.inf, 2.0),
@@ -246,6 +257,10 @@ class TestEnvelope:
         for args in ((math.nan, 1.0), (2.0, math.nan), (math.inf, 2.0),
                      (2.0, -math.inf)):
             with pytest.raises(ValidationError, match="finite"):
+                envelope_check(params, *args)
+        # a string raised a raw TypeError
+        for args in (("1", 2.0), (1.0, "2"), (True, 2.0)):
+            with pytest.raises(ValidationError, match="finite real number"):
                 envelope_check(params, *args)
 
 

@@ -19,12 +19,12 @@ def test_all_has_no_duplicates():
 
 
 def test_deleted_names_are_gone():
-    from rieszlab import (acceptance, analysis, errors, exponents, grid,
-                          riesz, shooting, solver)
+    from rieszlab import (acceptance, analysis, cli, errors, exponents, grid,
+                          riesz, runio, shooting, solver)
 
     gone = {rieszlab: ("apply_with_tail", "integrability_thresholds",
                        "slow_exponents", "AssemblyError",
-                       "TruncationWarning", "CollapseError"),
+                       "TruncationWarning", "CollapseError", "RunManifest"),
             errors: ("AssemblyError", "CollapseError"),
             riesz: ("apply_with_tail", "_pair_cell_quadrature",
                     "_ADAPTIVE_BUDGET", "TAIL_RANGE_CAP",
@@ -35,7 +35,10 @@ def test_deleted_names_are_gone():
             solver: ("slow_exponents", "CollapseError", "COLLAPSE_FLOOR",
                      "_origin_gap"),
             analysis: ("v_limit_pure", "v_limit_log_corrected",
-                       "v_limit_weakened", "_V_BRANCHES", "_require_case")}
+                       "v_limit_weakened", "_V_BRANCHES", "_require_case"),
+            runio: ("RunManifest",),
+            cli: ("_params_dict", "_field_csv_writer",
+                  "_trajectory_csv_writer")}
     for module, names in gone.items():
         for name in names:
             assert not hasattr(module, name), (module.__name__, name)
@@ -70,6 +73,23 @@ def test_deleted_names_are_gone():
     # assemble sets every operator table; none has a default to miss
     assert all(f.default is dataclasses.MISSING
                for f in dataclasses.fields(riesz.KernelOperator))
+
+
+def test_run_directory_has_one_writer():
+    # inside cli only _write_report makes the --out directory, and only
+    # it and _emit_run write JSON into it
+    path = Path(rieszlab.__file__).parent / "cli.py"
+    callers = {}
+    for func in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(func, ast.FunctionDef):
+            for node in ast.walk(func):
+                if (isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Attribute)):
+                    callers.setdefault(ast.unparse(node.func),
+                                       set()).add(func.name)
+    assert set().union(*(names for call, names in callers.items()
+                         if call.endswith(".mkdir"))) == {"_write_report"}
+    assert callers["runio.write_json"] == {"_write_report", "_emit_run"}
 
 
 def test_no_unused_imports():

@@ -9,21 +9,46 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rieszlab.analysis import amplitude_b0, envelope_bands, envelope_check
+from rieszlab.analysis import (amplitude_b0, envelope_bands, envelope_check,
+                               fit_tail)
 from rieszlab.cli import main
 from rieszlab.exponents import Params, classify
 from rieszlab.grid import make_grid
 from rieszlab.riesz import MAX_DENSE_COUNT
+from rieszlab.runio import read_trajectory_csv
 from rieszlab.solver import SolveConfig, solve_picard
 
 SING = ["singular", "--n", "5", "--alpha", "2", "--p", "3", "--q", "3",
         "--grid", "1e-4:1e4:256"]
+SOLVE = ["solve", "--n", "4", "--alpha", "2", "--p", "3", "--q", "3",
+         "--grid", "1e-4:1e4:128", "--tol", "5e-6"]
+BISECT = ["bisect", "--n", "5", "--alpha", "2", "--p", "3", "--q", "3",
+          "--lo", "0.5", "--hi", "2.0", "--iters", "20", "--r-end", "1e4"]
 
 
 def run(capsys, argv):
     code = main(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def _run_dir(tmp_path_factory, argv):
+    """The ``--out`` directory of one run of ``argv``, shared by the
+    tests of a module."""
+    out_dir = tmp_path_factory.mktemp("runs") / argv[0]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv + ["--out", str(out_dir)]) == 0
+    return out_dir
+
+
+@pytest.fixture(scope="module")
+def solve_run(tmp_path_factory):
+    return _run_dir(tmp_path_factory, SOLVE)
+
+
+@pytest.fixture(scope="module")
+def bisect_run(tmp_path_factory):
+    return _run_dir(tmp_path_factory, BISECT)
 
 
 class TestExponents:
@@ -215,6 +240,35 @@ class TestSolve:
         if "normalizeAtOrigin" in config:
             assert "known keys: ['damping', 'maxIters', 'tol']" in err
 
+    def test_damping_flag_overrides_the_config(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text('{"damping": 0.3}')
+        out_dir = tmp_path / "damped"
+        code, _, _ = run(capsys, SOLVE + ["--config", str(path), "--damping",
+                                          "0.8", "--out", str(out_dir)])
+        assert code == 0
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert manifest["settings"] == {"damping": 0.8, "maxIters": 400,
+                                        "tol": 5e-6}
+        report = json.loads((out_dir / "report.json").read_text())
+        pair = solve_picard(Params(4, 2.0, 3.0, 3.0),
+                            make_grid(1e-4, 1e4, 128, 4),
+                            SolveConfig(tol=5e-6, damping=0.8))
+        assert report["iterations"] == pair.iterations
+
+    @pytest.mark.parametrize("text, message", [
+        (None, "config file not found"), ("{", "malformed config"),
+        ("[0.5]", "must hold a JSON object")],
+        ids=["missing", "malformed", "not-an-object"])
+    def test_unreadable_config_exits_2(self, tmp_path, capsys, text,
+                                       message):
+        path = tmp_path / "config.json"
+        if text is not None:
+            path.write_text(text)
+        code, _, err = run(capsys, SOLVE + ["--config", str(path)])
+        assert code == 2
+        assert err.startswith("error:") and message in err
+
     def test_solve_writes_fields(self, tmp_path, capsys):
         out_dir = tmp_path / "solved"
         code, _, _ = run(capsys, ["solve", "--n", "4", "--alpha", "2",
@@ -248,6 +302,57 @@ class TestSolve:
                             SolveConfig(tol=1e-5))
         assert data["claim"]["details"]["b0"] == pytest.approx(
             amplitude_b0(pair), rel=1e-12, abs=0.0)
+
+
+class TestAnalyzeRuns:
+    @pytest.mark.parametrize("claim, confirmed, verdict", [
+        ("slow-decay", True, "slow rates confirmed"),
+        ("fast-decay", False, "fast rates not confirmed"),
+        ("envelope", True, "decay envelope confirmed"),
+        ("blowup-recursion", True, "decay below the slow rate: recursion "
+         "exponent turns negative at step 2")])
+    def test_claims_on_a_trajectory_run(self, bisect_run, capsys, claim,
+                                        confirmed, verdict):
+        code, out, _ = run(capsys, ["analyze", str(bisect_run), "--claim",
+                                    claim])
+        assert code == 0
+        data = json.loads(out)
+        assert data["kind"] == "trajectory"
+        assert data["claim"]["confirmed"] is confirmed
+        assert data["claim"]["verdict"] == verdict
+        # u and v are the trajectory's columns 1 and 3
+        samples = read_trajectory_csv(bisect_run / "trajectory.csv")
+        assert data["fits"]["u"]["exponent"] == fit_tail(
+            samples[:, 0], samples[:, 1]).exponent
+        assert data["fits"]["v"]["exponent"] == fit_tail(
+            samples[:, 0], samples[:, 3]).exponent
+
+    def test_fast_limits_needs_a_field_run(self, bisect_run, capsys):
+        code, _, err = run(capsys, ["analyze", str(bisect_run), "--claim",
+                                    "fast-limits"])
+        assert code == 2
+        assert "needs a field run" in err
+
+    @pytest.mark.parametrize("claim, verdict", [
+        ("fast-decay", "fast rates confirmed"),
+        ("blowup-recursion", "decay at or above the slow rate: recursion "
+         "stays positive")])
+    def test_claims_on_a_field_run(self, solve_run, capsys, claim, verdict):
+        code, out, _ = run(capsys, ["analyze", str(solve_run), "--claim",
+                                    claim])
+        assert code == 0
+        data = json.loads(out)
+        assert data["kind"] == "field"
+        assert data["claim"]["confirmed"] is True
+        assert data["claim"]["verdict"] == verdict
+
+    def test_writes_the_printed_report(self, solve_run, tmp_path, capsys):
+        out_dir = tmp_path / "analysis"
+        code, out, _ = run(capsys, ["analyze", str(solve_run), "--claim",
+                                    "fast-decay", "--out", str(out_dir)])
+        assert code == 0
+        assert sorted(p.name for p in out_dir.iterdir()) == ["report.json"]
+        assert (out_dir / "report.json").read_text() == out
 
 
 class TestShoot:
@@ -309,6 +414,7 @@ class TestVerifyAll:
         code, _, _ = run(capsys, ["verify-all", "--only", "exponent-algebra",
                                   "--seed", "3", "--out", str(out_dir)])
         assert code == 0
+        assert sorted(p.name for p in out_dir.iterdir()) == ["report.json"]
         report = json.loads((out_dir / "report.json").read_text())
         assert report["allPassed"] is True
         assert report["seed"] == 3

@@ -49,6 +49,14 @@ class TestConstruction:
         with pytest.raises(ValidationError, match="whole number"):
             make_grid(1e-4, 1e4, 20.5, 3)
 
+    @pytest.mark.parametrize("r_min, r_max", [("1e-4", 1e4), (True, 1e4),
+                                              (1e-4, "1e4"),
+                                              (1e-4, np.array([1e4]))])
+    def test_malformed_endpoint_rejected(self, r_min, r_max):
+        # a string raised a raw TypeError; True built a grid from 1.0
+        with pytest.raises(ValidationError, match="finite real number"):
+            make_grid(r_min, r_max, 64, 3)
+
     def test_infinite_endpoint_rejected(self):
         # an infinite r_max would put NaN into the log-spaced nodes
         with pytest.raises(ValidationError):

@@ -95,10 +95,15 @@ class TestConstants:
         # a bool order ran as 1
         (riesz_normalization, (4, True)),
         (angular_kernel, (1.0, 2.0, 4, True)),
-        (power_law_constant, (4, True, 3.0))],
+        (power_law_constant, (4, True, 3.0)),
+        # a string radius raised a raw TypeError, a bool one ran as 1
+        (angular_kernel, ("1", 2.0, 3, 0.8)),
+        (angular_kernel, (1.0, "2", 3, 0.8)),
+        (angular_kernel, (True, 2.0, 3, 0.8))],
         ids=["normalization-str-n", "angular-str-n", "normalization-4.5",
              "power-law-inf-n", "normalization-bool", "angular-bool",
-             "power-law-bool"])
+             "power-law-bool", "angular-str-r", "angular-str-s",
+             "angular-bool-r"])
     def test_malformed_scalars_refused(self, func, args):
         with pytest.raises(ValidationError):
             func(*args)
@@ -351,6 +356,16 @@ class TestSeriesCoefficients:
                     for k in range(coef.size)]
         np.testing.assert_allclose(coef, [float(c) for c in want],
                                    rtol=1e-15, atol=0.0)
+        # ratio 1 takes the same k terms
+        assert np.array_equal(_series_coefficients(n, alpha, 1.0), coef)
+
+    @pytest.mark.parametrize("n, alpha", [(3, 0.8), (4, 1.5), (5, 2.5)])
+    @pytest.mark.parametrize("ratio", [1.0, 2.0])
+    def test_refuses_ratio_one_unless_even(self, n, alpha, ratio):
+        # the loop waited for a term below rounding at t >= 1 and never
+        # returned
+        with pytest.raises(ValidationError, match="ratio < 1"):
+            _series_coefficients(n, alpha, ratio)
 
 
 class TestKernelStructure:

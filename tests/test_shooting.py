@@ -317,6 +317,11 @@ class TestBisection:
         for iters in (-1, math.nan, math.inf):
             with pytest.raises(ValidationError):
                 bisect_ground_state(PARAMS, 0.5, 2.0, iters=iters)
+        # a string endpoint raised a raw TypeError
+        for lo, hi in (("0.5", 2.0), (0.5, "2"), (True, 2.0),
+                       (0.5, math.inf), (math.nan, 2.0)):
+            with pytest.raises(ValidationError, match="finite real number"):
+                bisect_ground_state(PARAMS, lo, hi)
 
     def test_zero_iters_keeps_endpoints(self):
         calls = []

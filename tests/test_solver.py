@@ -161,6 +161,25 @@ class TestPicard:
         assert message.endswith("interior spread %.3g/%.3g)" % res)
         assert "re-measured" not in message.split("(")[-1]
 
+    def test_no_dilation_root_stops_with_the_spread(self, monkeypatch):
+        # a gap of one sign has no root to present the converged pair
+        # at: the solve stops after the first cycle, on its last spreads
+        sweeps = []
+        monkeypatch.setattr(solver, "_log_dilate",
+                            lambda log_lam, *args: np.ones_like(log_lam))
+        with pytest.raises(NonConvergenceError) as err:
+            solve_picard(Params(4, 2.0, 3.0, 3.0),
+                         make_grid(1e-4, 1e4, 128, 4), SolveConfig(tol=5e-6),
+                         monitor=lambda *row: sweeps.append(row))
+        message = str(err.value)
+        assert "no root of the presentation dilation within 8 log units" \
+            in message
+        assert err.value.iterations == len(sweeps) == sweeps[-1][0]
+        res = (err.value.residual_u, err.value.residual_v)
+        assert res == sweeps[-1][2:]
+        assert max(res) < 0.9 * 5e-6
+        assert message.endswith("interior spread %.3g/%.3g)" % res)
+
     def test_stagnation_stops_early(self):
         # near the 256-node grid's residual floor the accelerated
         # iterate keeps moving by more than tol; without the stop it ran
