@@ -45,9 +45,9 @@ from .solver import (SolveConfig, singular_amplitudes, singular_solution,
                      solve_picard)
 
 #: Parameter sets exercising the three fast-decay branches for ``v``
-#: (criterion 4).  The weakened set's sweep tolerance stays at 1e-5: its
-#: update and spread stall near 2.5e-6 at 512 nodes, a floor the tail
-#: extension does not set, so no tolerance below that is reached.
+#: (criterion 4).  The weakened set keeps its sweep tolerance of 1e-5.
+#: The floor near 2.5e-6 at 512 nodes that once set it came from the
+#: half-width last cell; on full end cells the set reaches 1e-7 there.
 FAST_LIMIT_SETS = {
     "pure": (Params(n=4, alpha=2.0, p=3.0, q=3.0), 1e-6),
     "log": (Params(n=4, alpha=2.0, p=2.0, q=5.0), 1e-6),

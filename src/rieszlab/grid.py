@@ -1,11 +1,12 @@
 """Logarithmic radial grids with exact power-moment quadrature weights.
 
-Radial integrals ``int_0^inf g(s) s^{n-1} ds`` restricted to
-``[rMin, rMax]`` are discretized by cell quadrature: each node owns the
-cell between the geometric midpoints to its neighbours (clipped at the
-domain ends), and its weight is the exact integral of ``s^{n-1}`` over
-that cell.  The weighted sum of node values is therefore exact for
-``g = const`` and second-order accurate for smooth ``g`` in log space.
+Radial integrals ``int_0^inf g(s) s^{n-1} ds`` are discretized by cell
+quadrature: each node ``r`` owns the log cell ``[r e^{-h/2}, r e^{h/2}]``
+of the log step ``h``, the end nodes included, so the cells cover
+``[rMin e^{-h/2}, rMax e^{h/2}]``.  A node's weight is the exact
+integral of ``s^{n-1}`` over its cell, ``r^n 2 sinh(n h/2)/n``.  The
+weighted sum of node values is therefore exact for ``g = const`` and
+second-order accurate for smooth ``g`` in log space.
 """
 
 from __future__ import annotations
@@ -34,10 +35,12 @@ class RadialGrid:
         Strictly increasing radii; ``nodes[0] == r_min`` and
         ``nodes[-1] == r_max`` exactly.
     edges : ndarray
-        ``count + 1`` cell boundaries (geometric midpoints, clipped).
+        ``count + 1`` cell boundaries, ``nodes e^{-h/2}`` and ``r_max
+        e^{h/2}``: the geometric midpoints between nodes and, half a log
+        step beyond the end nodes, the outer edges.
     weights : ndarray
-        ``weights[j] = (edges[j+1]^n - edges[j]^n)/n``, the exact cell
-        integral of ``s^{n-1}``.
+        ``weights[j] = nodes[j]^n 2 sinh(n h/2)/n``, the exact integral
+        of ``s^{n-1}`` over cell ``j``.
     """
 
     r_min: float
@@ -63,16 +66,18 @@ class RadialGrid:
         return slice(lo, self.count - lo)
 
 
-def _cell_weights(edges, n):
-    """Exact cell moments of ``s^{n-1}``, rejected unless all are finite
-    and positive (``edges^n`` must stay inside the double range)."""
+def _cell_weights(nodes, n, h):
+    """Exact moments of ``s^{n-1}`` over the log cells of width ``h``
+    centred on ``nodes``, ``r^n 2 sinh(n h/2)/n``, rejected unless all
+    are finite and positive (``r^n`` must stay inside the double
+    range)."""
     with np.errstate(over="ignore", invalid="ignore"):
-        weights = (edges[1:] ** n - edges[:-1] ** n) / n
+        weights = nodes ** n * (2.0 * np.sinh(0.5 * n * h) / n)
     if not np.all((weights > 0.0) & np.isfinite(weights)):
         raise ValidationError(
             "cell weights leave the double range: r^%d must stay finite "
             "and nonzero on [%r, %r]"
-            % (n, float(edges[0]), float(edges[-1])))
+            % (n, float(nodes[0]), float(nodes[-1])))
     return weights
 
 
@@ -109,9 +114,9 @@ def make_grid(r_min=1e-4, r_max=1e4, count=512, n=3):
     nodes = np.geomspace(r_min, r_max, count)
     nodes[0] = r_min
     nodes[-1] = r_max
-    with np.errstate(over="ignore"):
-        mids = np.sqrt(nodes[:-1] * nodes[1:])
-    edges = np.concatenate(([r_min], mids, [r_max]))
-    weights = _cell_weights(edges, n)
+    h = np.log(r_max / r_min) / (count - 1)  # RadialGrid.log_step
+    half = np.exp(0.5 * h)
+    edges = np.append(nodes / half, r_max * half)
+    weights = _cell_weights(nodes, n, h)
     return RadialGrid(r_min=r_min, r_max=r_max, count=count, n=n,
                       nodes=nodes, edges=edges, weights=weights)

@@ -33,10 +33,10 @@ The operator's matrix is made of exact double-cell integrals
 
 which makes the discrete operator exactly self-adjoint with respect to
 the cell weights (``w_i M[i][j] == w_j M[j][i]`` to rounding) and
-second-order accurate in the log mesh width.  On the log grid all
-interior cell pairs with the same index offset share one reduced 1D
-integral, so assembly needs O(count) reduced integrals: one per offset
-and one per pair in the two boundary strips (cells 0 and count-1).
+second-order accurate in the log mesh width.  Every cell, the two end
+cells included, is the log cell of width h centred on its node
+(:mod:`rieszlab.grid`), so all cell pairs with the same index offset
+share one reduced 1D integral: assembly needs one per offset.
 
 Where two radii stay at ``r_</r_> <= FAR_RATIO`` (1/2), ``K`` is its
 series ``|S^{n-1}| r_>^{alpha-n} sum_l c_l (r_</r_>)^{2l}``
@@ -45,53 +45,53 @@ series ``|S^{n-1}| r_>^{alpha-n} sum_l c_l (r_</r_>)^{2l}``
 ``r_>``.  Cell pairs that far apart are J-term sums of closed-form cell
 moments, with no kernel samples.  At ratio 1/4 or less, the deep cut
 ``FAR_RATIO^2``, they take only the terms above rounding there: 11 to
-14 for ``alpha < 2``.  The near band, about ``ln 2 / h``
-offsets and strip pairs, is integrated on fixed rules, its kernel
-samples formed from the log-ratio ``z`` (:func:`_log_kernel`), since
-``e^z`` rounds to 1 near the cusp.  A window off the cusp takes six
-Gauss panels, in a few batched calls.  The six windows that meet the
-cusp take one fixed rule in one more call (:func:`_cusp_rule`): 48
-halvings toward the cusp, Gauss-Legendre panels, and a Gauss-Jacobi
-innermost panel of weight ``|z|^{alpha-1}``.  Three straddle it
-(offset 0 and the two boundary cells with themselves), three end at it
-(offset 1 and the two touching boundary pairs).  No adaptive quadrature
-is left.  For even ``alpha`` every pair of distinct cells takes the
-series (:func:`_series_ratio`), and only the three cells taken with
-themselves are sampled.
+14 for ``alpha < 2``.  The near band, about ``ln 2 / h`` offsets, is
+integrated on fixed rules, its kernel samples formed from the log-ratio
+``z`` (:func:`_log_kernel`), since ``e^z`` rounds to 1 near the cusp.
+A window off the cusp takes six Gauss panels, in a few batched calls.
+The two windows that meet the cusp take one fixed rule in one more call
+(:func:`_cusp_rule`): 48 halvings toward the cusp, Gauss-Legendre
+panels, and a Gauss-Jacobi innermost panel of weight ``|z|^{alpha-1}``.
+Offset 0 straddles the cusp and offset 1 ends at it.  No adaptive
+quadrature is left.  For even ``alpha`` every pair of distinct cells
+takes the series (:func:`_series_ratio`), and only offset 0 is
+sampled.
 
-No ``count x count`` array is formed.  The interior pairs below the
-first far offset D, the first past the deep cut, about ``2 ln 2 / h``
-(D = 1 for even ``alpha``), are ``r_<^{n+alpha}`` times one value per
-offset, applied as a direct band convolution: the first ``ln 2 / h``
-values sampled, the rest one series sum each.  The interior pairs
-beyond are the J products of the deep cut's series, a power of ``r_<``
-times one of ``r_>``, applied as J forward and J backward prefix sums
-over scale tables; the two boundary rows are stored.  One
-:meth:`KernelOperator.apply` is O(count (D + J)) work on O(count J)
-stored numbers, where a dense product is O(count^2) on a matrix of 134
-MB at 4096 nodes.  The deep cut trades band for terms: the sweeps make
-several passes over their ``2 x J x count`` products, the convolution
-one over ``count x D``, so halving J pays for doubling D up to a few
-thousand nodes; at ``MAX_DENSE_COUNT`` nodes the two about balance.
-Grids above ``MAX_DENSE_COUNT`` nodes are refused before anything is
-allocated.
+No ``count x count`` array is formed.  The pairs below the first far
+offset D, the first past the deep cut, about ``2 ln 2 / h`` (D = 1 for
+even ``alpha``), are ``r_<^{n+alpha}`` times one value per offset,
+applied as a direct band convolution: the first ``ln 2 / h`` values
+sampled, the rest one series sum each.  The pairs beyond are the J
+products of the deep cut's series, a power of ``r_<`` times one of
+``r_>``, applied as J forward and J backward prefix sums over scale
+tables.  One :meth:`KernelOperator.apply` is O(count (D + J)) work on
+O(count J) stored numbers, where a dense product is O(count^2) on a
+matrix of 134 MB at 4096 nodes.  The deep cut trades band for terms:
+the sweeps make several passes over their ``2 x J x count`` products,
+the convolution one over ``count x D``, so halving J pays for doubling
+D up to a few thousand nodes; at ``MAX_DENSE_COUNT`` nodes the two
+about balance.  Grids above ``MAX_DENSE_COUNT`` nodes are refused
+before anything is allocated.
 
-The responses to the power-law tail beyond ``r_max`` and to the
-constant head below ``r_min`` are one computation.  The series
-integrates the tail in closed form where ``r_</r_> <= FAR_RATIO``: all
-of it for a node more than a factor 2 below ``r_max``, from ``2 r_max``
-on for the nodes within it, which add the factor-2 stretch on one mesh
-graded toward the end (``_END_NODES``, Q = 156), the end node on the
-cusp rule; for even ``alpha`` nothing is sampled.  A tail of any decay
-exponent costs ``O(count J + Q ln 2 / h)``, with no state kept per call.
-By the inversion ``s -> r_min^2/s``, with ``K(lam r, lam s) =
-lam^(alpha-n) K(r, s)`` and ``K(1/r, 1/s) = (rs)^(n-alpha) K(r, s)``,
-the head at ``r_i`` is ``(r_min/r_i)^(n-alpha)`` times the tail at ``tau
-= n + alpha`` of the grid mirrored about ``r_min``: one table builder
-and one response serve both ends.  An assembly on 4096 nodes over eight
-decades samples the kernel about 86k times at ``alpha = 0.8`` and 1764
-times at ``alpha = 2``, where sampling every pair, head and tail row
-would take 3.2M.
+The responses to the power-law tail beyond the outer edge ``r_end =
+rMax e^{h/2}`` and to the constant head below the inner edge ``rMin
+e^{-h/2}`` are one computation.  The series integrates the tail in
+closed form where ``r_</r_> <= FAR_RATIO``: all of it for a node more
+than a factor 2 below ``r_end``, from ``2 r_end`` on for the nodes
+within it, which add the factor-2 stretch on one mesh graded toward the
+end (``_END_NODES``, Q = 156); for even ``alpha`` nothing is sampled.
+The last node sits half a cell below ``r_end``, off the kernel cusp.  A
+tail of any decay exponent costs ``O(count J + Q ln 2 / h)``, with no
+state kept per call.  By the inversion ``s -> e^2/s`` about the inner
+edge ``e``, with ``K(lam r, lam s) = lam^(alpha-n) K(r, s)`` and
+``K(1/r, 1/s) = (rs)^(n-alpha) K(r, s)``, the head at ``r_i`` is
+``(e/r_i)^(n-alpha)`` times the tail at ``tau = n + alpha`` of the grid
+mirrored about ``e``: one table builder and one response serve both
+ends.  The head and tail responses are taken at the nodes, while the
+rows are cell averages.  An assembly on 4096 nodes over eight decades
+samples the kernel about 60k times at ``alpha = 0.8`` and 588 times at
+``alpha = 2``, where sampling every pair, head and tail row would take
+3.2M.
 """
 
 from __future__ import annotations
@@ -144,8 +144,8 @@ _SCALE_LOG_LIMIT = 680.0
 #: quadrature of this module.
 _GAUSS_X, _GAUSS_W = leggauss(12)
 #: Panel breaks of an off-cusp window, as fractions of its width: six
-#: uniform panels put a break on each kink of the overlap weight, at the
-#: middle (equal cells) or the thirds (a half-width boundary cell).
+#: uniform panels, with a break on the kink of the overlap weight at the
+#: middle.
 _UNIFORM_PANELS = np.linspace(0.0, 1.0, 7)
 
 
@@ -547,10 +547,10 @@ class RadialField:
     values : ndarray
         Nonnegative node values.
     tail_exponent : float
-        Decay exponent ``tau``, a finite real number: beyond ``r_max``
-        the profile is modeled as the pure power law ``values[-1] *
-        (s/r_max)^{-tau}``, by :func:`apply_extended` and
-        :func:`field_integral` alike.
+        Decay exponent ``tau``, a finite real number: beyond the outer
+        edge of the last cell, ``r_max e^{h/2}``, the profile is modeled
+        as the pure power law ``values[-1] * (s/r_max)^{-tau}``, by
+        :func:`apply_extended` and :func:`field_integral` alike.
     """
 
     grid: RadialGrid
@@ -577,42 +577,36 @@ class KernelOperator:
     (D + J)) work from O(count J) numbers, with no dense array ``M``
     ever formed: D about ``2 ln 2 / h`` and J the 11 to 14 terms of the
     series at ratio 1/4 for ``alpha < 2``; D = 1 and J = k for ``alpha
-    = 2k``.  At an interior node, ``apply(f)[i]`` is ``int_{rMin}^
-    {rMax} K(r_i, s) f(s) s^{n-1} ds`` to second order in the log mesh
-    width ``h``.  The end nodes deliver less, as measured with
-    :func:`apply_extended` on the exact HLS extremal: node count-1 is
-    first order in ``h`` at every ``alpha``, and node 0 is of order
-    about ``alpha`` below ``alpha = 1`` (second order from there on).
-    With ``w`` the cell weights, the symmetric pair integrals ``w_i
-    M[i][j]`` are:
+    = 2k``.  At every node, ``apply(f)[i]`` is ``int K(r_i, s) f(s)
+    s^{n-1} ds`` over the cells, ``[rMin e^{-h/2}, rMax e^{h/2}]``, to
+    second order in the log mesh width ``h``.  Every cell is centred on
+    its node, so with ``w`` the cell weights the symmetric pair
+    integrals ``w_i M[i][j]`` are:
 
-    - rows (and columns) 0 and count-1: the two rows of ``boundary``;
-    - interior pairs ``0 < i, j < count-1`` closer than ``D =
-      band.size`` offsets, the first past ratio 1/4:
-      ``base[min(i, j) - 1] * band[|i - j|]``, with ``base =
-      r^{n+alpha}`` at the interior nodes;
-    - interior pairs ``D`` or more offsets apart: a J-term sum of
-      products of a power of the inner and one of the outer radius,
-      held in ``far_gather``, ``far_scatter`` and ``far_carry`` (see
+    - pairs closer than ``D = band.size`` offsets, the first past ratio
+      1/4: ``base[min(i, j)] * band[|i - j|]``, with ``base =
+      r^{n+alpha}`` at the nodes;
+    - pairs ``D`` or more offsets apart: a J-term sum of products of a
+      power of the inner and one of the outer radius, held in
+      ``far_gather``, ``far_scatter`` and ``far_carry`` (see
       :func:`_far_tables`).
 
-    ``head_response`` is the bare response to the unit profile below
-    ``rMin``: ``(rMin/r_i)^{n-alpha}`` times the tail response at ``tau =
-    n + alpha`` of the grid mirrored about ``rMin`` (:func:`_head_response`).
-    :func:`tail_response` reads the tables :func:`_tail_tables` builds for
-    the grid itself: ``tail_series``, the closed-form series part of every
-    node (``count x J``); ``tail_kernel``, the scaled kernel samples of the
-    nodes within ``1/FAR_RATIO`` of ``rMax`` on the end mesh, the last
-    node excepted; and ``tail_end``, the last node's samples on the cusp
-    rule (None, and ``tail_kernel`` empty, for even ``alpha``).  The
-    classical normalization is applied by :func:`apply_extended`.  The
-    tables :func:`assemble` stores are read-only.
+    ``head_response`` is the bare response to the unit profile below the
+    inner edge ``e = rMin e^{-h/2}``: ``(e/r_i)^{n-alpha}`` times the tail
+    response at ``tau = n + alpha`` of the grid mirrored about ``e``
+    (:func:`_head_response`).  :func:`tail_response` reads the tables
+    :func:`_tail_tables` builds beyond the outer edge: ``tail_series``,
+    the closed-form series part of every node (``count x J``), and
+    ``tail_kernel``, the scaled kernel samples of the nodes within
+    ``1/FAR_RATIO`` of the edge on the end mesh (empty for even
+    ``alpha``).  The classical normalization is applied by
+    :func:`apply_extended`.  The tables :func:`assemble` stores are
+    read-only.
     """
 
     grid: RadialGrid
     alpha: float
     n: int
-    boundary: np.ndarray = field(repr=False)
     base: np.ndarray = field(repr=False)
     band: np.ndarray = field(repr=False)
     far_gather: np.ndarray = field(repr=False)
@@ -621,7 +615,6 @@ class KernelOperator:
     head_response: np.ndarray = field(repr=False)
     tail_series: np.ndarray = field(repr=False)
     tail_kernel: np.ndarray = field(repr=False)
-    tail_end: np.ndarray = field(repr=False)
 
     @cached_property
     def normalization(self):
@@ -630,10 +623,9 @@ class KernelOperator:
     def apply(self, values):
         """Bare operator action on node values: ``M @ values``.
 
-        A direct band convolution over the near interior pairs, two
-        blocked prefix sums per series term over the far ones (see
-        :func:`_far_tables`), and the boundary rows as dot products,
-        divided by the cell weights.
+        A direct band convolution over the near pairs and two blocked
+        prefix sums per series term over the far ones (see
+        :func:`_far_tables`), divided by the cell weights.
 
         Raises
         ------
@@ -649,25 +641,20 @@ class KernelOperator:
         peak = max(f.max(), -f.min())
         if not math.isfinite(peak):
             raise ValidationError("operator input must be finite")
-        inner = f[1:-1]
-        base, band, m, d = self.base, self.band, inner.size, self.band.size
+        base, band, d = self.base, self.band, self.band.size
         # One convolution gives the band pairs j <= i and, on the
         # reversed values past a gap, those j >= i; each side takes
         # half of the diagonal.
         kernel = np.concatenate(([0.5 * band[0]], band[1:]))
         sums = np.convolve(np.concatenate(
-            (base * inner, np.zeros(d - 1), inner[::-1])), kernel)
-        mid = sums[:m] + base * sums[2 * m + d - 2:m + d - 2:-1]
-        if m > d:
+            (base * f, np.zeros(d - 1), f[::-1])), kernel)
+        out = sums[:count] + base * sums[2 * count + d - 2:count + d - 2:-1]
+        if count > d:
             lower, upper = _far_sweeps(self.far_gather, self.far_scatter,
-                                       self.far_carry, inner, m - d,
+                                       self.far_carry, f, count - d,
                                        math.frexp(peak)[1])
-            mid[d:] += lower
-            mid[:m - d] += upper
-        out = np.empty(count)
-        out[0], out[-1] = self.boundary @ f
-        out[1:-1] = (mid + self.boundary[0, 1:-1] * f[0]
-                     + self.boundary[1, 1:-1] * f[-1])
+            out[d:] += lower
+            out[:count - d] += upper
         return out / self.grid.weights
 
 
@@ -721,8 +708,8 @@ def _overlap_weight(z, la, lb, lc, ld, npa):
     log-ratio ``z = tau - sigma``, integrates ``e^{(n+alpha) sigma}`` over
     the admissible overlap of ``sigma`` ranges.  The difference of the
     two exponentials is formed with ``expm1``, so it is accurate to the
-    rounding of ``s2 - s1``: in coordinates where ``sigma`` stays near 0
-    (see :func:`_pair_cells`) that is relative to the cell width.
+    rounding of ``s2 - s1``: in the coordinates of :func:`assemble`,
+    where ``sigma`` stays near 0, that is relative to the cell width.
     """
     s1 = np.maximum(la, lc - z)
     s2 = np.minimum(lb, ld - z)
@@ -766,9 +753,7 @@ def _cusp_rule(alpha):
     weight ``u^{alpha-1}``; its weights are divided by ``u^{alpha-1}`` at
     the nodes, so the rule is applied to ``f`` itself.  Returns the nodes
     and weights, innermost first, read-only: the last few ``alpha`` are
-    kept, since the pairs at the cusp and the end node of every tail
-    response take the same rule, the latter scaled to the end stretch
-    ``[0, ln(1/FAR_RATIO)]``.
+    kept, since every assembly of one ``alpha`` takes the same rule.
     """
     nodes, weights = _gauss_panels(
         _graded_breaks(1.0, levels=_CUSP_LEVELS)[1:])
@@ -844,32 +829,12 @@ def _near_pairs(cells, n, alpha):
     return out
 
 
-def _pair_cells(edges, i, js):
-    """Log-cells ``(la, lb, lc, ld)`` of the cell pairs ``(i, j)`` for
-    ``j`` in ``js``, stacked as a ``4 x len(js)`` array.
-
-    The coordinates are ``ln(r/edges[i])``, so cell ``i`` is ``[0, w]``
-    and its pair integrals scale back by ``edges[i]^(n+alpha)``.  The
-    widths of cell ``i`` and its lower neighbour come from ``log1p``
-    (accurate to the rounding of the width, not of ``|ln r|``), and
-    the edges a touching pair shares are the same float on both sides,
-    so its window ends at exactly 0.
-    """
-    lead = edges[i]
-    rel = np.log(edges / lead)
-    rel[i + 1] = np.log1p((edges[i + 1] - lead) / lead)
-    if i > 0:
-        rel[i - 1] = -np.log1p((lead - edges[i - 1]) / edges[i - 1])
-    return np.array(np.broadcast_arrays(rel[i], rel[i + 1],
-                                        rel[js], rel[js + 1]))
-
-
-def _far_pairs(b, wa, c, wc, n, alpha, ratio):
+def _far_pairs(b, c, h, n, alpha, ratio):
     """Double-cell integrals of cell pairs far apart, by the series.
 
     The lower cells end at ``b`` and the upper cells start at ``c``
-    (arrays), with log widths ``wa`` and ``wc`` and ``b/c <= ratio``,
-    at most ``FAR_RATIO``.  The series takes the J terms of
+    (arrays), both of log width ``h``, with ``b/c <= ratio``, at most
+    ``FAR_RATIO``.  The series takes the J terms of
     :func:`_series_coefficients` at ``ratio``: 20 to 27 at ``FAR_RATIO``
     and 11 to 14 at 1/4 for ``alpha < 2`` (n = 3..7), k for ``alpha =
     2k``.  With ``s < t`` the kernel is ``|S^{n-1}| sum_l c_l s^{2l}
@@ -881,28 +846,28 @@ def _far_pairs(b, wa, c, wc, n, alpha, ratio):
     Each moment is taken from the end ``x`` of its cell where ``s^p``
     is largest, ``x^p w exprel(-|p| w)``: nothing cancels, and the
     powers combine to ``b^n x^alpha (b/x)^{2l}`` with ``x`` an end of
-    the upper cell, which stays in the double range.  The widths are
-    passed, not taken from the edges: for the ideal interior cells they
-    are exactly ``h``, and the difference of two rounded edges far from
-    r = 1 would lose digits in proportion to ``|ln r|/h``.
+    the upper cell, which stays in the double range.  The width is
+    passed, not taken from the edges: the difference of two rounded
+    edges far from r = 1 would lose digits in proportion to ``|ln
+    r|/h``.
     """
     return sphere_area(n) * b ** n * np.sum(
-        _far_terms(b, wa, c, wc, n, alpha, ratio), axis=0)
+        _far_terms(b, c, h, n, alpha, ratio), axis=0)
 
 
-def _far_terms(b, wa, c, wc, n, alpha, ratio):
+def _far_terms(b, c, h, n, alpha, ratio):
     """The J terms of :func:`_far_pairs` before the sum, one row per
     term, without the common factor ``|S^{n-1}| b^n``; J is the length
     of :func:`_series_coefficients` at ``ratio``, the largest ``b/c``.
 
     The powers ``(b/x)^{2l} x^alpha`` take the end ``x`` of the upper
     cell where ``s^{alpha-2l}`` is largest.  For the rising terms,
-    ``alpha - 2l > 0``, that is ``x = c e^{wc}``, one pow each (every
+    ``alpha - 2l > 0``, that is ``x = c e^h``, one pow each (every
     term of an even ``alpha``).  For the falling ones it is ``x = c``:
     one ``c^alpha`` times powers of ``(b/c)^2``, products filled by
     doubling the rows already done, a few calls for all J.  The width
-    factors are taken in place, so the only ``J x P`` arrays are the
-    result and one exprel argument at a time.
+    factors, one per term, are taken in place, so the only ``J x P``
+    array is the result.
     """
     coef = _series_coefficients(n, alpha, ratio)[:, None]
     l2 = 2.0 * np.arange(coef.size)[:, None]
@@ -910,7 +875,7 @@ def _far_terms(b, wa, c, wc, n, alpha, ratio):
     rise = math.ceil(0.5 * alpha)
     # the far ends as a full array, a row per rising term: numpy's pow
     # can round differently on a broadcast base
-    top = np.where(upper_exp[:rise] > 0.0, c * np.exp(wc), c)
+    top = np.where(upper_exp[:rise] > 0.0, c * np.exp(h), c)
     terms = coef[:rise] * (b / top) ** l2[:rise] * top ** alpha
     if rise < coef.size:
         rising, terms = terms, np.empty((coef.size,) + terms.shape[1:])
@@ -925,23 +890,23 @@ def _far_terms(b, wa, c, wc, n, alpha, ratio):
             done += more
         fall *= coef[rise:]
     # the cell widths and their exprel factors, in place
-    for width, rate in ((wa, l2 + n), (wc, np.abs(upper_exp))):
-        terms *= width
-        arg = -rate * width
+    for rate in (l2 + n, np.abs(upper_exp)):
+        terms *= h
+        arg = -rate * h
         terms *= special.exprel(arg, out=arg)
     return terms
 
 
 def _far_tables(top, lam, base, grow):
-    """Scale tables of the interior pairs at least D offsets apart.
+    """Scale tables of the cell pairs at least D offsets apart.
 
     With ``top[l]`` the l-th series term of the pair integral at offset
     D (``base`` excluded) and ``lam[l] = (alpha - 2l) h``, the pair of
-    interior nodes t and ``u + D``, ``t <= u``, integrates to
+    nodes t and ``u + D``, ``t <= u``, integrates to
     ``base[t] sum_l top[l] e^{lam[l] (u - t)}``: a power ``r_t^{n+2l}``
     of the inner radius times a power ``r^{alpha-2l}`` of the outer one.
     ``base`` holds ``r^{n+alpha}`` at the first ``F = base.size``
-    interior nodes, ``grow = (n + alpha) h`` is its log step, and ``u``
+    nodes, ``grow = (n + alpha) h`` is its log step, and ``u``
     runs over the same F positions.  They are cut into nb blocks of B,
     ``t = kB + s``, each with its own centre ``c``:
 
@@ -994,9 +959,9 @@ def _far_tables(top, lam, base, grow):
 
 
 def _far_sweeps(gather, scatter, carry, values, far, shift):
-    """The far interior pairs of :meth:`KernelOperator.apply`.
+    """The far pairs of :meth:`KernelOperator.apply`.
 
-    ``values`` are the interior node values, at most ``2^shift`` in
+    ``values`` are the node values, at most ``2^shift`` in
     size; returns the sums over the pairs at least ``D = values.size -
     far`` offsets apart, at the upper nodes ``D ..`` and at the lower
     nodes ``.. far - 1``.  Each sweep (see :func:`_far_tables`) takes
@@ -1027,24 +992,22 @@ def _far_sweeps(gather, scatter, carry, values, far, shift):
 def assemble(grid, n, alpha):
     """Assemble the bare-kernel operator on ``grid``, matrix-free.
 
-    Interior cell pairs form a one-parameter family in the index offset;
-    pairs involving the two clipped boundary cells are integrated
-    individually, into the two ``boundary`` rows.  Pairs whose
-    radii stay within ``FAR_RATIO`` across both cells are closed-form
-    sums of cell moments (:func:`_far_pairs`), with the terms the ratio
-    needs: all J of ``FAR_RATIO`` down to ratio 1/4, the deep cut, and
-    about half as many past it.  The band runs to the first interior
-    offset D past the deep cut, about ``2 ln 2 / h``; past it the
+    Every cell is the log cell of width h centred on its node, so the
+    cell pairs form a one-parameter family in the index offset.  Pairs
+    whose radii stay within ``FAR_RATIO`` across both cells are
+    closed-form sums of cell moments (:func:`_far_pairs`), with the
+    terms the ratio needs: all J of ``FAR_RATIO`` down to ratio 1/4, the
+    deep cut, and about half as many past it.  The band runs to the
+    first offset D past the deep cut, about ``2 ln 2 / h``; past it the
     operator keeps only the deep cut's J terms at offset D and their
     scale tables (:func:`_far_tables`), O(count J) numbers.  For even
-    ``alpha`` the series is exact for any two distinct cells, so D = 1,
-    the interior band is the diagonal alone and the strips take the
-    series throughout.  Every pair of the near band, about ``3 ln 2 /
-    h`` of them, the cells taken with themselves included, goes to one
-    :func:`_near_pairs` call: fixed Gauss-panel sums, and the fixed cusp
-    rule of :func:`_cusp_pairs` on the windows that meet the cusp.
-    Nothing of size ``count x count`` is allocated.  The construction
-    is symmetric in the pair of cells, so the adjoint identity ``w_i
+    ``alpha`` the series is exact for any two distinct cells, so D = 1
+    and the band is the diagonal alone.  The sampled offsets, about ``ln
+    2 / h`` of them, offset 0 included, go to one :func:`_near_pairs`
+    call: fixed Gauss-panel sums, and the fixed cusp rule of
+    :func:`_cusp_pairs` on the two windows that meet the cusp.  Nothing
+    of size ``count x count`` is allocated.  The construction is
+    symmetric in the pair of cells, so the adjoint identity ``w_i
     M[i][j] = w_j M[j][i]`` holds to rounding.
 
     Raises
@@ -1065,91 +1028,58 @@ def assemble(grid, n, alpha):
     check_dense_count(count)
 
     h = grid.log_step
-    edges = grid.edges
-    last = count - 1
     with np.errstate(over="ignore", under="ignore"):
-        powers = np.concatenate((edges ** (n + alpha),
+        powers = np.concatenate((grid.edges[[0, -1]] ** (n + alpha),
                                  np.exp((n + alpha) * np.log(grid.nodes))))
     if not np.all((powers >= np.finfo(float).tiny) & (powers < math.inf)):
         raise ValidationError(
             "r^(n+alpha) = r^%g leaves the double range on [%r, %r]"
             % (n + alpha, grid.r_min, grid.r_max))
-    # boundary-row integrals come relative to the row cell's left edge
-    scale0, scalel = powers[[0, last]]
-    base = powers[count + 2:-1]
+    base = powers[2:]
 
-    # Full-width interior cells i, i+d give sym(i, i+d) = r_i^{n+alpha}
-    # * fam[d], with fam[d] the pair (-h/2, h/2) x (dh - h/2, dh + h/2).
-    # A pair is placed by the ratio b/c of the inner cell's top edge to
-    # the outer cell's bottom one.  Above the series ratio it is near and
-    # sampled: interior offsets 0 .. S-1 and the near strip pairs (0, j),
-    # j = 0 .. count-2, and (count-1, j), j = 0 .. count-1.  Down to the
-    # deep cut, ratio^2, it takes the full series, and past that the
-    # short one, with about half the terms.  The band is offsets 0 ..
-    # D-1, D the first past the deep cut; the rest are far.  For alpha =
-    # 2k the series is the whole kernel at any ratio, so ratio and cut
-    # are 1: only a cell with itself is near, D = S = 1, and every other
-    # strip pair takes the k-term series.
+    # Cells i, i+d give sym(i, i+d) = r_i^{n+alpha} * band[d], with
+    # band[d] the pair (-h/2, h/2) x (dh - h/2, dh + h/2).  A pair is
+    # placed by the ratio b/c of the inner cell's top edge to the outer
+    # cell's bottom one.  Above the series ratio it is near and sampled:
+    # offsets 0 .. S-1.  Down to the deep cut, ratio^2, it takes the full
+    # series, and past that the short one, with about half the terms.
+    # The band is offsets 0 .. D-1, D the first past the deep cut; the
+    # rest are far.  For alpha = 2k the series is the whole kernel at any
+    # ratio, so ratio and cut are 1: only a cell with itself is near, and
+    # D = S = 1.
     ratio = _series_ratio(alpha)
     deep = ratio * ratio
-    gap = np.exp(-np.arange(count - 3) * h)  # b/c at offsets 1 .. count-3
+    gap = np.exp(-np.arange(count - 1) * h)  # b/c at offsets 1 .. count-1
     sampled = 1 + np.count_nonzero(gap > ratio)
     width = 1 + np.count_nonzero(gap > deep)
-    js0, jsl = np.arange(last), np.arange(count)
-    gap0, gapl = edges[1] / edges[js0], edges[jsl + 1] / edges[last]
-    near0, nearl = gap0 > ratio, gapl > ratio
-
     dh = np.arange(sampled) * h
-    cells = np.concatenate((np.array(np.broadcast_arrays(
-        -0.5 * h, 0.5 * h, dh - 0.5 * h, dh + 0.5 * h)),
-        _pair_cells(edges, 0, js0[near0]),
-        _pair_cells(edges, last, jsl[nearl])), axis=1)
-    strip0, stripl = np.empty(js0.size), np.empty(jsl.size)
-    near, band0, bandl = np.split(_near_pairs(cells, n, alpha),
-                                  [sampled, sampled + np.count_nonzero(near0)])
-    strip0[near0] = scale0 * band0
-    stripl[nearl] = scalel * bandl
+    band = _near_pairs(np.array(np.broadcast_arrays(
+        -0.5 * h, 0.5 * h, dh - 0.5 * h, dh + 0.5 * h)), n, alpha)
 
-    # Far pairs: closed-form cell moments, the interior ones on the same
-    # ideal cells as the near band, the strips on the grid's cells.  The
-    # band offsets S .. D-1 are one series sum each.  Interior pairs past
-    # the band keep the J terms of the short series at offset D, less
-    # those below rounding there (a term's share only falls with the
-    # offset).
+    # Far pairs: closed-form cell moments on the same cells as the near
+    # band.  The band offsets S .. D-1 are one series sum each.  Pairs
+    # past the band keep the J terms of the short series at offset D,
+    # less those below rounding there (a term's share only falls with
+    # the offset).
     b = math.exp(0.5 * h)
-    band = near
     if width > sampled:
-        band = np.concatenate((near, _far_pairs(
-            b, h, np.exp((np.arange(sampled, width) - 0.5) * h), h, n,
-            alpha, ratio)))
+        band = np.concatenate((band, _far_pairs(
+            b, np.exp((np.arange(sampled, width) - 0.5) * h), h, n, alpha,
+            ratio)))
     top = (sphere_area(n) * b ** n * _far_terms(
-        b, h, math.exp((width - 0.5) * h), h, n, alpha, deep)[:, 0])
+        b, math.exp((width - 0.5) * h), h, n, alpha, deep)[:, 0])
     keep = np.abs(top) > _SERIES_CUT ** 2 * abs(top[0])
     lam = (alpha - 2.0 * np.arange(top.size)) * h
     far_gather, far_scatter, far_carry = _far_tables(
-        top[keep], lam[keep], base[:max(count - 2 - width, 0)],
-        (n + alpha) * h)
-    widths = np.log1p(np.diff(edges) / edges[:-1])
-    cuts = sorted({ratio, deep, 0.0}, reverse=True)  # 1, 0 for even alpha
-    for upper, lower in zip(cuts, cuts[1:]):
-        j = js0[(gap0 <= upper) & (gap0 > lower)]
-        k = jsl[(gapl <= upper) & (gapl > lower)]
-        strip0[j] = _far_pairs(edges[1], widths[0], edges[j], widths[j],
-                               n, alpha, upper)
-        stripl[k] = _far_pairs(edges[k + 1], widths[k], edges[last],
-                               widths[last], n, alpha, upper)
+        top[keep], lam[keep], base[:max(count - width, 0)], (n + alpha) * h)
 
-    # Boundary rows; the corner pair is integrated once, as (count-1, 0).
-    row0 = np.append(strip0, stripl[0])
-    tail_series, tail_kernel, tail_end = _tail_tables(grid.nodes,
-                                                      grid.r_max, n, alpha)
-    op = KernelOperator(grid=grid, alpha=alpha, n=n,
-                        boundary=np.array([row0, stripl]), base=base,
-                        band=band, far_gather=far_gather,
-                        far_scatter=far_scatter, far_carry=far_carry,
+    tail_series, tail_kernel = _tail_tables(grid.nodes, grid.edges[-1], n,
+                                            alpha)
+    op = KernelOperator(grid=grid, alpha=alpha, n=n, base=base, band=band,
+                        far_gather=far_gather, far_scatter=far_scatter,
+                        far_carry=far_carry,
                         head_response=_head_response(grid, n, alpha),
-                        tail_series=tail_series, tail_kernel=tail_kernel,
-                        tail_end=tail_end)
+                        tail_series=tail_series, tail_kernel=tail_kernel)
     # an operator is shared by every solve on its grid: a write into one
     # of its tables raises instead of changing them all
     for table in vars(op).values():
@@ -1159,23 +1089,25 @@ def assemble(grid, n, alpha):
 
 
 def _head_response(grid, n, alpha):
-    """Response at each node to the constant unit profile on (0, rMin).
+    """Response at each node to the constant unit profile below the
+    inner edge ``e = rMin e^{-h/2}``.
 
-    ``H_i = int_0^{rMin} K(r_i, s) s^{n-1} ds``, bare: by the inversion
-    ``s -> rMin^2/s`` (module docstring), ``(rMin/r_i)^{n-alpha}`` times
-    the :func:`_end_response` at ``tau = n + alpha`` of the grid mirrored
-    about ``rMin``, the nodes ``rMin^2/r_i`` reversed, ending at ``rMin``.
+    ``H_i = int_0^e K(r_i, s) s^{n-1} ds``, bare: by the inversion ``s
+    -> e^2/s`` (module docstring), ``(e/r_i)^{n-alpha}`` times the
+    :func:`_end_response` at ``tau = n + alpha`` of the grid mirrored
+    about ``e``, the nodes ``e^2/r_i`` reversed, ending half a cell
+    below ``e``.
     """
-    nodes, r_min = grid.nodes, grid.r_min
-    mirrored = (r_min * (r_min / nodes))[::-1]
-    tail = _end_response(_tail_tables(mirrored, r_min, n, alpha), n + alpha,
+    nodes, edge = grid.nodes, grid.edges[0]
+    mirrored = (edge * (edge / nodes))[::-1]
+    tail = _end_response(_tail_tables(mirrored, edge, n, alpha), n + alpha,
                          n, alpha)
-    return (r_min / nodes) ** (n - alpha) * tail[::-1]
+    return (edge / nodes) ** (n - alpha) * tail[::-1]
 
 
 def _tail_tables(nodes, r_end, n, alpha):
-    """The tables of :func:`_end_response` beyond ``r_end``, the last of
-    the increasing ``nodes``: ``(series, kernel, end)``.
+    """The tables of :func:`_end_response` beyond ``r_end``, above the
+    increasing ``nodes``: ``(series, kernel)``.
 
     Above ``k r_end`` the kernel is its series at every node, and the
     tail ``(s/r_end)^{-tau}`` integrates term by term to
@@ -1189,9 +1121,7 @@ def _tail_tables(nodes, r_end, n, alpha):
     ``l``.  The near nodes add ``[r_end, k r_end]``, ``r_end^n
     r_i^{alpha-n} int K(1, r_end e^y/r_i) e^{(n-tau) y} dy``: ``kernel``
     holds the factor before the integral times the kernel and the weight
-    on the end mesh, one row per near node but the last, and ``end`` the
-    same for the last node on :func:`_cusp_rule`, or None when no
-    node is near (even ``alpha``).
+    on the end mesh, one row per near node, none for even ``alpha``.
     """
     near = np.count_nonzero(nodes / r_end > _series_ratio(alpha))
     coef = _series_coefficients(n, alpha)
@@ -1207,7 +1137,7 @@ def _tail_tables(nodes, r_end, n, alpha):
     # (r^(n+alpha) is normal and alpha < n), so its subnormal terms are
     # far below its rounding; as 0 they do not slow the products
     series[np.abs(series) < np.finfo(float).tiny] = 0.0
-    rows = nodes[nodes.size - near:-1]
+    rows = nodes[nodes.size - near:]
     kernel = np.empty((rows.size, _END_NODES.size))
     s = r_end * np.exp(_END_NODES)
     for lo in range(0, rows.size, _TAIL_BUILD_ROWS):
@@ -1215,35 +1145,30 @@ def _tail_tables(nodes, r_end, n, alpha):
         kernel[block] = (rows[block, None] ** (alpha - n) * r_end ** n
                          * kernel_ratio(s[None, :] / rows[block, None], n,
                                         alpha) * _END_WEIGHTS)
-    end = None
-    if near:
-        u, wu = _cusp_rule(alpha)
-        y, wy = -math.log(FAR_RATIO) * u, -math.log(FAR_RATIO) * wu
-        end = r_end ** alpha * _log_kernel(y, n, alpha) * wy
-    return series, kernel, end
+    return series, kernel
 
 
 def _end_response(tables, tau, n, alpha):
     """Response to the unit tail ``(s/r_end)^{-tau}`` from the tables of
     :func:`_tail_tables`: the series times ``1/(tau - alpha + 2l)``, and
     ``FAR_RATIO^tau`` and the sampled stretch at the near nodes."""
-    series, kernel, end = tables
+    series, kernel = tables
     out = series @ (1.0 / (tau - alpha + 2.0 * np.arange(series.shape[1])))
-    if end is not None:
-        near = kernel.shape[0] + 1
+    near = kernel.shape[0]
+    if near:
         out[-near:] *= FAR_RATIO ** tau
-        out[-near:-1] += kernel @ np.exp((n - tau) * _END_NODES)
-        out[-1] += end @ np.exp(
-            (n - tau) * (-math.log(FAR_RATIO) * _cusp_rule(alpha)[0]))
+        out[-near:] += kernel @ np.exp((n - tau) * _END_NODES)
     return out
 
 
 def tail_response(op, tail_exponent):
-    """Response at each node to the unit tail profile beyond ``r_max``.
+    """Response at each node to the unit tail profile beyond the outer
+    edge.
 
-    The tail model is ``(s/r_max)^{-tau}`` for ``s > r_max``; the caller
-    scales by the boundary value.  It is :func:`_end_response` on the
-    operator's tables of :func:`_tail_tables`: a few small matrix-vector
+    The tail model is ``(s/r_max)^{-tau}`` for ``s > r_max e^{h/2}``,
+    the outer edge of the last cell; the caller scales by the last node
+    value.  It is :func:`_end_response` on the operator's tables of
+    :func:`_tail_tables`, taken from the edge: a few small matrix-vector
     products a call, with no state kept per ``tau``.
 
     Raises
@@ -1258,17 +1183,19 @@ def tail_response(op, tail_exponent):
         raise DivergentTailError(
             "tail extension diverges: tail exponent %r <= alpha %r"
             % (tail_exponent, op.alpha))
-    return _end_response((op.tail_series, op.tail_kernel, op.tail_end),
-                         tail_exponent, op.n, op.alpha)
+    # (s/r_max)^-tau = e^{-tau h/2} (s/r_end)^-tau, r_end = r_max e^{h/2}
+    return math.exp(-0.5 * tail_exponent * op.grid.log_step) * _end_response(
+        (op.tail_series, op.tail_kernel), tail_exponent, op.n, op.alpha)
 
 
 def apply_extended(op, values, tail_exponent):
     """Normalized operator action on raw node values with extensions.
 
     Computes ``(op.apply(values) + head + tail) / gamma(n, alpha)``
-    where the head extends the profile as the constant ``values[0]`` on
-    ``(0, rMin)`` and the tail as the power law ``values[-1] *
-    (s/rMax)^{-tail_exponent}`` out to infinity.  The cost is that of
+    where the head extends the profile as the constant ``values[0]``
+    below the cells, on ``(0, rMin e^{-h/2})``, and the tail as the power
+    law ``values[-1] * (s/rMax)^{-tail_exponent}`` from ``rMax e^{h/2}``
+    out to infinity.  The cost is that of
     :meth:`KernelOperator.apply`, O(count (D + J)), plus a
     :func:`tail_response` when ``values[-1]`` is not 0; no dense matrix
     is used.
@@ -1294,9 +1221,9 @@ def field_integral(f, power=1.0):
     """Full-line radial integral of a powered field.
 
     Computes ``int_0^inf f(s)^power s^{n-1} ds`` using the grid
-    quadrature on ``[rMin, rMax]``, the constant extension of ``f`` below
-    ``rMin`` and its pure power-law tail above ``rMax``, each in closed
-    form.
+    quadrature over the cells, ``[rMin e^{-h/2}, rMax e^{h/2}]``, the
+    constant extension of ``f`` below them and its pure power-law tail
+    ``(s/rMax)^{-tau}`` above them, each in closed form.
 
     Raises
     ------
@@ -1311,7 +1238,7 @@ def field_integral(f, power=1.0):
     n = float(grid.n)
     vals = f.values ** power
     core = float(np.dot(grid.weights, vals))
-    head = vals[0] * grid.r_min ** n / n
+    head = vals[0] * grid.edges[0] ** n / n
 
     tail = 0.0
     if vals[-1] != 0.0:
@@ -1320,5 +1247,8 @@ def field_integral(f, power=1.0):
             raise DivergentTailError(
                 "tail integral diverges: tail exponent*power %r <= %r"
                 % (tau_eff, n))
-        tail = vals[-1] * grid.r_max ** n / (tau_eff - n)
+        # r_max^tau (r_max e^{h/2})^(n - tau) / (tau - n)
+        tail = (vals[-1] * grid.r_max ** n
+                * math.exp(0.5 * (n - tau_eff) * grid.log_step)
+                / (tau_eff - n))
     return core + head + tail

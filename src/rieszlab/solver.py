@@ -8,10 +8,12 @@ log grid.  Two branches:
   Anderson mixing (Walker & Ni, SIAM J. Numer. Anal. 49, 2011) on the
   log fields over the last ``ANDERSON_DEPTH`` sweeps.  The Picard map
   has two quasi-null directions inherited from the scaling family
-  (overall amplitude and dilation); the iteration removes both by
-  renormalizing each field to 1 at the first node every sweep, and
-  restores the physical amplitudes afterwards from the measured
-  proportionality constants.
+  (overall amplitude and dilation).  Renormalizing each field to 1 at
+  the first node every sweep removes the amplitude, which is restored
+  afterwards from the measured proportionality constants.  It does not
+  remove the dilation: the value at the first node pins it only through
+  the curvature of the plateau at ``r_min``, so the iterate can drift
+  along the family while the interior spread stays put.
 * :func:`singular_solution` — the exact singular pair
   ``A r^{-theta1}, B r^{-theta2}`` with amplitudes solved in closed form
   from the power-law identity of the potential.
@@ -21,15 +23,17 @@ satisfy the discrete equations proportionally on the interior half of
 the grid to the requested tolerance, and the reported residuals are
 re-measured on the final returned fields.  An accelerated cycle whose
 interior spread makes no new low for ``2 * ANDERSON_DEPTH`` sweeps is
-stopped as stagnant.  Residuals gauge how well the discrete system is
-solved; the distance to the continuum profile is a separate (second
-order in the log mesh width) discretization question, observable by
-solving on a doubled grid.
+stopped as stagnant, and the presentation is repeated only while each
+repeat at least halves the re-measured residual.  Residuals gauge how
+well the discrete system is solved; the distance to the continuum
+profile is a separate (second order in the log mesh width)
+discretization question, observable by solving on a doubled grid.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -45,8 +49,6 @@ from .riesz import RadialField, apply_extended, assemble, power_law_constant
 
 #: Iterate/residual pairs kept by the Anderson step; at least 1.
 ANDERSON_DEPTH = 5
-#: Presentation dilations tried before giving up on the residual.
-PRESENTATION_CYCLES = 3
 
 
 class Branch(str, enum.Enum):
@@ -257,10 +259,13 @@ def solve_picard(params, grid=None, config=None, monitor=None,
     """Anderson-accelerated Picard solve for the regular decaying pair.
 
     Every sweep renormalizes both fields to 1 at the first node, which
-    removes the amplitude and dilation freedom of the scaling family;
-    the converged pair is then given its physical amplitudes and
-    presented as the family member with ``u = 1`` at the first node.
-    The iteration starts from :func:`default_init`.
+    removes the amplitude freedom of the scaling family; the converged
+    pair is then given its physical amplitudes and presented as the
+    family member with ``u = 1`` at the first node.  The presentation
+    resamples the fields, so the pair is swept and presented again
+    while the re-measured residual is above ``config.tol`` and at most
+    half the one before.  The iteration starts from
+    :func:`default_init`.
 
     Parameters
     ----------
@@ -286,10 +291,10 @@ def solve_picard(params, grid=None, config=None, monitor=None,
         When the sweep budget ends before both the update size and the
         interior proportionality spread drop below ``config.tol``, when
         an accelerated cycle stagnates (no new low of the interior
-        spread for ``2 * ANDERSON_DEPTH`` sweeps), when the re-measured
-        residual stays above ``config.tol`` after
-        ``PRESENTATION_CYCLES`` presentation dilations, or when the
-        dilation root cannot be bracketed; the message names which.
+        spread for ``2 * ANDERSON_DEPTH`` sweeps), when a presentation
+        leaves the re-measured residual above ``config.tol`` and above
+        half the previous presentation's, or when the dilation root
+        cannot be bracketed; the message names which.
     """
     config = config or SolveConfig()
     report = classify(params)
@@ -311,14 +316,12 @@ def solve_picard(params, grid=None, config=None, monitor=None,
     floor = alpha + 0.05  # powered-tail clamp while iterating
     iterations = 0
     spread_u = spread_v = delta = math.inf
-    limit = ("the re-measured residual stayed above tol=%g after %d "
-             "presentation cycles; the achievable floor is set by the grid "
-             "resolution" % (config.tol, PRESENTATION_CYCLES))
+    previous = math.inf  # the last presentation's re-measured residual
 
     # The presentation dilation resamples the fields, which adds a small
     # interpolation error to the residual; re-entering the sweep loop
     # from the transformed pair removes it (the follow-up shift is tiny).
-    for _cycle in range(PRESENTATION_CYCLES):
+    for cycle in itertools.count(1):
         converged = False
         cu = cv = 1.0
         history = ([], [])  # Anderson iterates and residuals, this cycle
@@ -357,7 +360,7 @@ def solve_picard(params, grid=None, config=None, monitor=None,
             limit = ("did not reach tol=%g within %d sweeps"
                      % (config.tol, config.max_iters))
         # the error reports the residual measured last: this interior
-        # spread, or the re-measure below once the cycles run out
+        # spread, or the re-measure below once it stops the cycles
         measure, measured = "interior spread", (spread_u, spread_v)
         if not converged:
             break
@@ -396,12 +399,20 @@ def solve_picard(params, grid=None, config=None, monitor=None,
         measure = "re-measured residual"
         res_u, res_v = measured = _residuals(op, params, uu, vv,
                                              tau_u, tau_v)
-        if max(res_u, res_v) <= config.tol:
+        worst = max(measured)
+        if worst <= config.tol:
             return SolutionPair(
                 u=RadialField(grid, uu, tail_exponent=tau_u),
                 v=RadialField(grid, vv, tail_exponent=tau_v),
                 params=params, iterations=iterations,
                 residual_u=res_u, residual_v=res_v, branch=Branch.PICARD)
+        if worst > 0.5 * previous:
+            limit = ("the re-measured residual stayed above tol=%g after %d "
+                     "presentation cycles, the last of which did not halve "
+                     "it; the achievable floor is set by the grid "
+                     "resolution" % (config.tol, cycle))
+            break
+        previous = worst
         u, v = uu, vv
 
     raise NonConvergenceError(

@@ -29,11 +29,11 @@ def test_deleted_names_are_gone():
             riesz: ("apply_with_tail", "_pair_cell_quadrature",
                     "_ADAPTIVE_BUDGET", "TAIL_RANGE_CAP",
                     "_terminating_kernel", "TAIL_REMAINDER",
-                    "_touching_breaks", "_end_cusp_rule"),
+                    "_touching_breaks", "_end_cusp_rule", "_pair_cells"),
             acceptance: ("format_row",),
             exponents: ("integrability_thresholds",),
             solver: ("slow_exponents", "CollapseError", "COLLAPSE_FLOOR",
-                     "_origin_gap"),
+                     "_origin_gap", "PRESENTATION_CYCLES"),
             analysis: ("v_limit_pure", "v_limit_log_corrected",
                        "v_limit_weakened", "_V_BRANCHES", "_require_case"),
             runio: ("RunManifest",),
@@ -46,7 +46,7 @@ def test_deleted_names_are_gone():
     assert not hasattr(riesz.RadialField, "with_values")
     assert not hasattr(riesz.KernelOperator, "matrix")
     assert not hasattr(grid.RadialGrid, "scaled")
-    assert "tail_moments" not in {
+    assert not {"tail_moments", "boundary", "tail_end"} & {
         f.name for f in dataclasses.fields(riesz.KernelOperator)}
     assert [f.name for f in dataclasses.fields(riesz.RadialField)] == [
         "grid", "values", "tail_exponent"]

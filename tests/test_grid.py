@@ -1,5 +1,6 @@
 """Log-radial grids: node placement, exact moment weights, scaling."""
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -24,14 +25,20 @@ class TestConstruction:
         assert g.log_step == pytest.approx(np.log(1e6) / 47, rel=1e-13)
 
     def test_edges_bracket_nodes(self):
-        # boundary edges are clipped to the domain ends, so the first and
-        # last nodes sit on their outer edges; interior edges separate
-        # consecutive nodes strictly
+        # every cell, the two end cells too, is the log cell of width h
+        # centred on its node: the outer edges lie half a step beyond
+        # the domain ends, and interior edges separate consecutive nodes
+        # strictly
         g = make_grid(1e-2, 1e2, 32, 3)
-        assert g.edges[0] == g.r_min == g.nodes[0]
-        assert g.edges[-1] == g.r_max == g.nodes[-1]
-        assert np.all(g.edges[1:-1] > g.nodes[:-1])
-        assert np.all(g.edges[1:-1] < g.nodes[1:])
+        half = np.exp(0.5 * g.log_step)
+        assert g.edges[0] == pytest.approx(g.r_min / half, rel=1e-15)
+        assert g.edges[-1] == pytest.approx(g.r_max * half, rel=1e-15)
+        assert np.all(g.edges[:-1] < g.nodes)
+        assert np.all(g.edges[1:] > g.nodes)
+        # the nodes of geomspace and the edges of exp((j - 1/2) h)
+        # round apart by a few ulps of |ln r|
+        np.testing.assert_allclose(np.sqrt(g.edges[:-1] * g.edges[1:]),
+                                   g.nodes, rtol=1e-14, atol=0.0)
 
     def test_validation(self):
         with pytest.raises(ValidationError):
@@ -71,23 +78,31 @@ class TestConstruction:
 
 class TestWeights:
     def test_weights_are_exact_cell_moments(self):
-        g = make_grid(1e-2, 1e2, 32, 5)
-        want = (g.edges[1:] ** 5 - g.edges[:-1] ** 5) / 5.0
-        assert np.allclose(g.weights, want, rtol=1e-14)
+        # the closed form r^n 2 sinh(n h/2)/n of the cells centred on the
+        # float nodes; a difference of rounded edge powers was 1.3e-13
+        # off here
+        g = make_grid(1e-4, 1e4, 4096, 5)
+        with mp.workdps(30):
+            h = mp.log(mp.mpf(g.r_max) / mp.mpf(g.r_min)) / (g.count - 1)
+            scale = 2 * mp.sinh(5 * h / 2) / 5
+            want = np.array([float(mp.mpf(r) ** 5 * scale)
+                             for r in g.nodes])
+        np.testing.assert_allclose(g.weights, want, rtol=1e-14, atol=0.0)
 
     def test_constant_integrand_exact(self):
-        # sum of weights = integral of s^(n-1) over [rMin, rMax]
+        # sum of weights = integral of s^(n-1) over the cells
         g = make_grid(1e-2, 1e2, 200, 4)
         total = g.weights.sum()
-        exact = (g.r_max ** 4 - g.r_min ** 4) / 4.0
+        exact = (g.edges[-1] ** 4 - g.edges[0] ** 4) / 4.0
         assert total == pytest.approx(exact, rel=1e-13)
 
     def test_smooth_integrand_second_order(self):
-        # integral of r^(-2) s^3 ds over [1e-1, 1e1] in n=4
-        exact = (10.0 ** 2 - 0.1 ** 2) / 2.0
+        # integral of r^(-2) s^3 ds over the cells, [1e-1, 1e1] and half
+        # a log step beyond each end, in n=4
         errs = []
         for count in (64, 128):
             g = make_grid(1e-1, 1e1, count, 4)
+            exact = (g.edges[-1] ** 2 - g.edges[0] ** 2) / 2.0
             approx = float(np.dot(g.weights, g.nodes ** -2.0))
             errs.append(abs(approx / exact - 1.0))
         # roughly quartering with doubled resolution
