@@ -8,12 +8,12 @@ log grid.  Two branches:
   Anderson mixing (Walker & Ni, SIAM J. Numer. Anal. 49, 2011) on the
   log fields over the last ``ANDERSON_DEPTH`` sweeps.  The Picard map
   has two quasi-null directions inherited from the scaling family
-  (overall amplitude and dilation).  Renormalizing each field to 1 at
-  the first node every sweep removes the amplitude, which is restored
-  afterwards from the measured proportionality constants.  It does not
-  remove the dilation: the value at the first node pins it only through
-  the curvature of the plateau at ``r_min``, so the iterate can drift
-  along the family while the interior spread stays put.
+  (overall amplitude and dilation ``lam^theta u(lam r)``).  Each sweep
+  renormalizes both fields to 1 at the first node, which removes the
+  amplitude, and shifts its image along the dilation to the family
+  member whose restored ``u`` is 1 there (a phase condition, as in
+  freezing: Beyn & Thuemmler, SIAM J. Appl. Dyn. Syst. 3, 2004), which
+  removes the dilation.  The fixed point is then the presented pair.
 * :func:`singular_solution` — the exact singular pair
   ``A r^{-theta1}, B r^{-theta2}`` with amplitudes solved in closed form
   from the power-law identity of the potential.
@@ -21,24 +21,21 @@ log grid.  Two branches:
 Stopping is honest: the iteration must both stall (small update) and
 satisfy the discrete equations proportionally on the interior half of
 the grid to the requested tolerance, and the reported residuals are
-re-measured on the final returned fields.  An accelerated cycle whose
-interior spread makes no new low for ``2 * ANDERSON_DEPTH`` sweeps is
-stopped as stagnant, and the presentation is repeated only while each
-repeat at least halves the re-measured residual.  Residuals gauge how
-well the discrete system is solved; the distance to the continuum
-profile is a separate (second order in the log mesh width)
-discretization question, observable by solving on a doubled grid.
+re-measured on the final returned fields.  An iteration whose interior
+spread makes no new low for ``2 * ANDERSON_DEPTH`` sweeps is stopped as
+stagnant.  Residuals gauge how well the discrete system is solved; the
+distance to the continuum profile is a separate (second order in the log
+mesh width) discretization question, observable by solving on a doubled
+grid.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .analysis import default_window
 from .errors import (NonConvergenceError, PreconditionError,
@@ -208,16 +205,15 @@ def _origin_normalized(logs):
         return np.exp(np.concatenate((lu - lu[0], lv - lv[0])))
 
 
-def _log_dilate(log_lam, lr, rate, lnodes, lv, tau):
-    """Log of the scaling-family member ``lam^rate f(lam r)`` at ``ln r =
-    lr``, for a scalar or an array of ``log_lam`` or ``lr``.
+def _log_dilate(log_lam, rate, lnodes, lv, tau):
+    """Log of the scaling-family member ``lam^rate f(lam r)`` at the log
+    nodes ``lnodes``, for a scalar ``log_lam``.
 
-    ``f`` has log values ``lv`` on the log nodes ``lnodes``; it is
-    interpolated log-log inside the grid, constant below ``r_min``
-    (profiles are flat at the origin) and the power-law tail ``tau``
-    above ``r_max``.
+    ``f`` has log values ``lv`` on ``lnodes``; it is interpolated log-log
+    inside the grid, constant below ``r_min`` (profiles are flat at the
+    origin) and the power-law tail ``tau`` above ``r_max``.
     """
-    lq = lr + log_lam
+    lq = lnodes + log_lam
     inside = np.interp(lq, lnodes, lv, left=lv[0])
     return rate * log_lam + np.where(lq <= lnodes[-1], inside,
                                      lv[-1] - tau * (lq - lnodes[-1]))
@@ -254,17 +250,28 @@ def _residuals(op, params, u, v, tau_u, tau_v):
     return res_u, res_v
 
 
+def _stop(iterations, limit, delta, measure, res_u, res_v):
+    """The :class:`NonConvergenceError` of a Picard solve that ended on
+    ``limit``, carrying the measured pair it prints."""
+    return NonConvergenceError(
+        "Picard iteration stopped after %d sweeps: %s (update %.3g, %s "
+        "%.3g/%.3g)" % (iterations, limit, delta, measure, res_u, res_v),
+        iterations=iterations, residual_u=res_u, residual_v=res_v,
+        last_delta=delta)
+
+
 def solve_picard(params, grid=None, config=None, monitor=None,
                  operator=None):
     """Anderson-accelerated Picard solve for the regular decaying pair.
 
-    Every sweep renormalizes both fields to 1 at the first node, which
-    removes the amplitude freedom of the scaling family; the converged
-    pair is then given its physical amplitudes and presented as the
-    family member with ``u = 1`` at the first node.  The presentation
-    resamples the fields, so the pair is swept and presented again
-    while the re-measured residual is above ``config.tol`` and at most
-    half the one before.  The iteration starts from
+    Every sweep renormalizes both fields to 1 at the first node and
+    shifts its image along the dilation so that the physical amplitude
+    of ``u`` is 1 there; the fixed point is the family member with ``u =
+    1`` at the first node.  Once both the update size and the interior
+    spread are below ``config.tol``, the pair just measured is given its
+    physical amplitudes, dilated by the remaining shift (of the order of
+    ``config.tol``) and set to ``u = 1`` at the first node, and its
+    residuals are re-measured.  The iteration starts from
     :func:`default_init`.
 
     Parameters
@@ -290,11 +297,10 @@ def solve_picard(params, grid=None, config=None, monitor=None,
     NonConvergenceError
         When the sweep budget ends before both the update size and the
         interior proportionality spread drop below ``config.tol``, when
-        an accelerated cycle stagnates (no new low of the interior
-        spread for ``2 * ANDERSON_DEPTH`` sweeps), when a presentation
-        leaves the re-measured residual above ``config.tol`` and above
-        half the previous presentation's, or when the dilation root
-        cannot be bracketed; the message names which.
+        the iteration stagnates (no new low of the interior spread for
+        ``2 * ANDERSON_DEPTH`` sweeps), or when the re-measured residual
+        of the presented pair is above ``config.tol``.  The message names
+        which, and the error carries the pair it measured last.
     """
     config = config or SolveConfig()
     report = classify(params)
@@ -316,110 +322,72 @@ def solve_picard(params, grid=None, config=None, monitor=None,
     floor = alpha + 0.05  # powered-tail clamp while iterating
     iterations = 0
     spread_u = spread_v = delta = math.inf
-    previous = math.inf  # the last presentation's re-measured residual
+    history = ([], [])  # Anderson iterates and residuals
+    best, best_at = math.inf, 0  # lowest interior spread so far
+    while iterations < config.max_iters:
+        iterations += 1
+        tu = apply_extended(op, v ** q, max(q * tau_v, floor))
+        tv = apply_extended(op, u ** p, max(p * tau_u, floor))
+        cu, spread_u = _proportionality(tu, u, sl)
+        cv, spread_v = _proportionality(tv, v, sl)
+        # Freeze the dilation: take the image to the family member whose
+        # restored u is 1 at the first node, so that the map's fixed
+        # point is the presented pair and the orbit is no longer neutral.
+        log_lam = ((math.log(tu[0]) + q * math.log(tv[0]))
+                   / ((p * q - 1.0) * th1))
+        image = np.concatenate([li - li[0] for li in (
+            _log_dilate(log_lam, 0.0, lnodes, np.log(tu), tau_u),
+            _log_dilate(log_lam, 0.0, lnodes, np.log(tv), tau_v))])
+        fields = np.concatenate((u, v))
+        x = np.log(fields)
+        step = _anderson_step(history, x, image - x, omega)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            delta = float(np.max(np.abs(step - fields)
+                                 / np.maximum(fields, 1e-300)))
+        if monitor is not None:
+            monitor(iterations, delta, spread_u, spread_v)
+        spread = max(spread_u, spread_v)
+        if delta < config.tol and spread < 0.9 * config.tol:
+            break  # present the pair whose spread and cu, cv were measured
+        u, v = step[:u.size], step[u.size:]
+        tau_u = _tail_slope(window, u, alpha, n)
+        tau_v = _tail_slope(window, v, alpha, n)
+        if spread < best:
+            best, best_at = spread, iterations
+        elif iterations - best_at == 2 * ANDERSON_DEPTH:
+            raise _stop(iterations, "the accelerated iteration stagnated: "
+                         "the interior spread made no new low below %.3g in "
+                         "%d sweeps" % (best, 2 * ANDERSON_DEPTH), delta,
+                         "interior spread", spread_u, spread_v)
+    else:
+        raise _stop(iterations, "did not reach tol=%g within %d sweeps"
+                     % (config.tol, config.max_iters), delta,
+                     "interior spread", spread_u, spread_v)
 
-    # The presentation dilation resamples the fields, which adds a small
-    # interpolation error to the residual; re-entering the sweep loop
-    # from the transformed pair removes it (the follow-up shift is tiny).
-    for cycle in itertools.count(1):
-        converged = False
-        cu = cv = 1.0
-        history = ([], [])  # Anderson iterates and residuals, this cycle
-        best, best_at = math.inf, iterations  # lowest spread this cycle
-        while iterations < config.max_iters:
-            iterations += 1
-            tu = apply_extended(op, v ** q, max(q * tau_v, floor))
-            tv = apply_extended(op, u ** p, max(p * tau_u, floor))
-            cu, spread_u = _proportionality(tu, u, sl)
-            cv, spread_v = _proportionality(tv, v, sl)
-            x = np.log(np.concatenate((u, v)))
-            image = np.log(np.concatenate((tu / tu[0], tv / tv[0])))
-            fields = _anderson_step(history, x, image - x, omega)
-            nu, nv = fields[:u.size], fields[u.size:]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                delta = max(
-                    float(np.max(np.abs(nu - u) / np.maximum(u, 1e-300))),
-                    float(np.max(np.abs(nv - v) / np.maximum(v, 1e-300))))
-            u, v = nu, nv
-            tau_u = _tail_slope(window, u, alpha, n)
-            tau_v = _tail_slope(window, v, alpha, n)
-            if monitor is not None:
-                monitor(iterations, delta, spread_u, spread_v)
-            spread = max(spread_u, spread_v)
-            if delta < config.tol and spread < 0.9 * config.tol:
-                converged = True
-                break
-            if spread < best:
-                best, best_at = spread, iterations
-            elif iterations - best_at == 2 * ANDERSON_DEPTH:
-                limit = ("the accelerated iteration stagnated: the interior "
-                         "spread made no new low below %.3g in %d sweeps"
-                         % (best, 2 * ANDERSON_DEPTH))
-                break
-        else:
-            limit = ("did not reach tol=%g within %d sweeps"
-                     % (config.tol, config.max_iters))
-        # the error reports the residual measured last: this interior
-        # spread, or the re-measure below once it stops the cycles
-        measure, measured = "interior spread", (spread_u, spread_v)
-        if not converged:
-            break
-
-        # Restore physical amplitudes: with U = e*u, V = f*v the pair
-        # solves the system exactly when e = cu*f^q and f = cv*e^p.
-        expo = -1.0 / (p * q - 1.0)
-        e = (cu * cv ** q) ** expo
-        f = (cv * cu ** p) ** expo
-
-        # Present the scaling-family member with u = 1 at the first
-        # node; dilation ``lam^theta f(lam r)`` is an exact symmetry of
-        # the system.  The gap vanishes on the origin plateau (near
-        # -ln u(rMin) / th1) and possibly again out on the tail; bracket
-        # the plateau root by scanning around its flat-profile estimate.
-        lu = np.log(e * u)
-        gap_args = (lnodes[0], th1, lnodes, lu, tau_u)
-        guess = -lu[0] / th1
-        span = np.linspace(guess - 8.0, guess + 8.0, 257)
-        gap = _log_dilate(span, *gap_args)
-        change = np.nonzero(np.diff(np.signbit(gap)))[0]
-        if change.size == 0:
-            limit = ("no root of the presentation dilation within 8 "
-                     "log units of its estimate %.3g" % guess)
-            break
-        pick = change[np.argmin(np.abs(span[change] - guess))]
-        log_lam = optimize.brentq(_log_dilate, span[pick], span[pick + 1],
-                                  args=gap_args, xtol=1e-14)
-        uu = np.exp(_log_dilate(log_lam, lnodes, th1, lnodes, lu, tau_u))
-        vv = np.exp(_log_dilate(log_lam, lnodes, th2, lnodes,
-                                np.log(f * v), tau_v))
-        uu /= uu[0]
-
-        tau_u = _tail_slope(window, uu, alpha, n)
-        tau_v = _tail_slope(window, vv, alpha, n)
-        measure = "re-measured residual"
-        res_u, res_v = measured = _residuals(op, params, uu, vv,
-                                             tau_u, tau_v)
-        worst = max(measured)
-        if worst <= config.tol:
-            return SolutionPair(
-                u=RadialField(grid, uu, tail_exponent=tau_u),
-                v=RadialField(grid, vv, tail_exponent=tau_v),
-                params=params, iterations=iterations,
-                residual_u=res_u, residual_v=res_v, branch=Branch.PICARD)
-        if worst > 0.5 * previous:
-            limit = ("the re-measured residual stayed above tol=%g after %d "
-                     "presentation cycles, the last of which did not halve "
-                     "it; the achievable floor is set by the grid "
-                     "resolution" % (config.tol, cycle))
-            break
-        previous = worst
-        u, v = uu, vv
-
-    raise NonConvergenceError(
-        "Picard iteration stopped after %d sweeps: %s (update %.3g, %s "
-        "%.3g/%.3g)" % ((iterations, limit, delta, measure) + measured),
-        iterations=iterations, residual_u=measured[0],
-        residual_v=measured[1], last_delta=delta)
+    # Restore physical amplitudes: with U = e*u, V = f*v the pair solves
+    # the system exactly when e = cu*f^q and f = cv*e^p.  The frozen map
+    # leaves e within about tol of 1, so the dilation ``lam^theta
+    # f(lam r)`` that brings U to 1 at the first node is as small.
+    expo = -1.0 / (p * q - 1.0)
+    e = (cu * cv ** q) ** expo
+    f = (cv * cu ** p) ** expo
+    log_lam = -math.log(e) / th1
+    u = np.exp(_log_dilate(log_lam, th1, lnodes, np.log(e * u), tau_u))
+    v = np.exp(_log_dilate(log_lam, th2, lnodes, np.log(f * v), tau_v))
+    u[0] = 1.0
+    tau_u = _tail_slope(window, u, alpha, n)
+    tau_v = _tail_slope(window, v, alpha, n)
+    res_u, res_v = _residuals(op, params, u, v, tau_u, tau_v)
+    if max(res_u, res_v) > config.tol:
+        raise _stop(iterations, "the re-measured residual stayed above "
+                     "tol=%g; the achievable floor is set by the grid "
+                     "resolution" % config.tol, delta,
+                     "re-measured residual", res_u, res_v)
+    return SolutionPair(
+        u=RadialField(grid, u, tail_exponent=tau_u),
+        v=RadialField(grid, v, tail_exponent=tau_v),
+        params=params, iterations=iterations,
+        residual_u=res_u, residual_v=res_v, branch=Branch.PICARD)
 
 
 def singular_amplitudes(params):

@@ -33,7 +33,8 @@ def test_deleted_names_are_gone():
             acceptance: ("format_row",),
             exponents: ("integrability_thresholds",),
             solver: ("slow_exponents", "CollapseError", "COLLAPSE_FLOOR",
-                     "_origin_gap", "PRESENTATION_CYCLES"),
+                     "_origin_gap", "PRESENTATION_CYCLES", "optimize",
+                     "itertools"),
             analysis: ("v_limit_pure", "v_limit_log_corrected",
                        "v_limit_weakened", "_V_BRANCHES", "_require_case"),
             runio: ("RunManifest",),
