@@ -102,6 +102,16 @@ def whole_number(value, name):
     raise ValidationError("%s must be a whole number, got %r" % (name, value))
 
 
+def instance(value, cls, name, default=None):
+    """``value``, or ``default`` for None; :class:`ValidationError`
+    unless that is a ``cls`` (a ``Params``, a config class)."""
+    value = default if value is None else value
+    if not isinstance(value, cls):
+        raise ValidationError("%s must be a %s, got %r"
+                              % (name, cls.__name__, value))
+    return value
+
+
 def real_number(value, name):
     """``value`` as a ``float``; :class:`ValidationError` unless it is a
     finite real scalar: not NaN, inf, a bool, a string, an array or an

@@ -31,7 +31,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .errors import ValidationError, real_number, whole_number
+from .errors import ValidationError, instance, real_number, whole_number
 
 #: Relative tolerance used to detect equality in the critical condition.
 CRITICAL_RTOL = 1e-12
@@ -180,10 +180,8 @@ def classify(params):
     -------
     RegimeReport
     """
-    n = params.n
-    alpha = params.alpha
-    p = params.p
-    q = params.q
+    instance(params, Params, "params")
+    n, alpha, p, q = params.n, params.alpha, params.p, params.q
 
     s_sum = 1.0 / (p + 1.0) + 1.0 / (q + 1.0)
     target = (n - alpha) / n

@@ -11,13 +11,8 @@ on both couplings is covered too: ``(s^((q+1)/(pq-1)) u, s^((p+1)/(pq-1))
 v)`` then solves the unit system, so ``u0`` and ``xi`` carry the scaling.
 Each shot is classified by whether a component crosses zero or both
 decay through the far boundary.  A bracketing secant search on
-``xi`` locates the ground-state separatrix between the two crossing
-outcomes.  The ground state runs along the singular pair ``A r^-th1``,
-``B r^-th2``, and a shot off it by ``xi - xi*`` leaves that pair like
-``|xi - xi*| r^kappa`` (:func:`_crossing_rate` solves for ``kappa``), so
-its crossing radius ``R`` makes ``R^-kappa`` nearly linear in ``xi``:
-the search takes the Pegasus regula falsi step on it, signed by the
-crossing outcome, and the midpoint where that step cannot be taken.
+``xi`` (:func:`bisect_ground_state`) locates the ground-state
+separatrix between the two crossing outcomes.
 
 Numerics: the first step leaves the coordinate singularity at the
 origin on the exact quadratic Taylor profile.  Each shot is integrated
@@ -25,16 +20,17 @@ once, by a crossing scan on scipy's compiled DOP853 (``integrate.ode``,
 local error target 1e-10 relative, 1e-14 absolute, at most
 ``SCAN_STEPS`` steps) whose step callback keeps every step end and stops
 the run at the first where ``u`` or ``v`` is not positive; a scan that
-fails before ``r_end`` raises :class:`IntegrationError`.  A short
-``solve_ivp`` DOP853 run with zero-crossing events refines the crossing
-radius inside the last step.  Each of the ``SAMPLE_COUNT`` log-spaced
-samples is one DOP853 step, vectorised over all radii, from the last
-step end at or below its radius: shorter than a step the scan accepted
-there, so at least as accurate.  A shot that reaches ``r_end`` is
-sampled at once and classified by its last decade; a crossing shot is
-sampled, up to its crossing radius, when its ``samples`` are first read.
-Component powers are clamped at zero so fractional exponents stay real
-on the overshoot of the final internal step.
+fails before ``r_end`` raises :class:`IntegrationError`.  The rest is
+DOP853 steps of the module's own tableau (:func:`_step`) from a step
+end.  The crossing radius is the root, by Newton, of the crossed
+component at the end of the scan's last step, shortened.  Each of the
+``SAMPLE_COUNT`` log-spaced samples is one step, vectorised over all
+radii, from the last step end at or below its radius: shorter than a
+step the scan accepted there, so at least as accurate.  A shot that
+reaches ``r_end`` is sampled at once and classified by its last decade;
+a crossing shot is sampled, up to its crossing radius, when its
+``samples`` are first read.  Component powers are clamped at zero so
+fractional exponents stay real on the overshoot of a step.
 
 The scan reuses one integrator for the whole process, because scipy's
 wrapper keeps every integrator it has run alive; :func:`shoot` is
@@ -52,19 +48,17 @@ from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
-from scipy import integrate, optimize
-from scipy.integrate import solve_ivp
+from scipy import integrate
 from scipy.integrate._ivp import dop853_coefficients
 
 from .errors import (BracketError, IntegrationError, ValidationError,
-                     real_number, whole_number)
-from .exponents import classify
+                     instance, real_number, whole_number)
+from .exponents import Params, classify
 
 #: Samples recorded along a trajectory (log-spaced in radius).
 SAMPLE_COUNT = 2048
 #: Step budget of one crossing scan (the canonical shots take about 190).
 SCAN_STEPS = 100_000
-_TOLERANCES = {"rtol": 1e-10, "atol": 1e-14}
 # DOP853's twelve stages; the thirteenth only estimates the error
 _STAGES = dop853_coefficients.N_STAGES
 _A = dop853_coefficients.A[:_STAGES, :_STAGES]
@@ -110,8 +104,8 @@ class Trajectory:
     truncated at the crossing when one occurred: ``sampler`` builds them
     on their first read, and they are kept.  ``rhs_evals`` counts the
     right-hand-side evaluations that classified the shot: the scan's,
-    the refinement's, and 12 for a shot that reaches ``r_end``, one per
-    DOP853 stage of its sampling over all radii.
+    and 12, one per DOP853 stage, for each Newton step on the crossing
+    or for the sampling over all radii of a shot that reaches ``r_end``.
     """
 
     outcome: Outcome
@@ -185,17 +179,21 @@ def _rhs(coefficients):
     return rhs
 
 
-def _u_zero(r, y):
-    return y[0]
-
-
-def _v_zero(r, y):
-    return y[2]
-
-
-for _event in (_u_zero, _v_zero):
-    _event.terminal = True
-    _event.direction = -1.0
+def _step(coefficients, r0, y0, h):
+    """One DOP853 step of length ``h`` from the state ``y0 = (u, du, v,
+    dv)`` at ``r0``; with arrays ``r0`` and ``h``, one step per radius,
+    ``y0`` holding one column each.  Returns the state at ``r0 + h``."""
+    n, p, q = coefficients
+    y0 = np.asarray(y0, dtype=float)
+    stages = np.empty((_STAGES,) + y0.shape)
+    flat = stages.reshape(_STAGES, -1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(_STAGES):
+            u, du, v, dv = y0 + h * (_A[i, :i] @ flat[:i]).reshape(y0.shape)
+            drag = -(n - 1.0) / (r0 + _C[i] * h)
+            stages[i] = (du, drag * du - np.maximum(v, 0.0) ** q,
+                         dv, drag * dv - np.maximum(u, 0.0) ** p)
+        return y0 + h * (_B @ flat).reshape(y0.shape)
 
 
 def _sample(coefficients, ends, config, top):
@@ -203,26 +201,15 @@ def _sample(coefficients, ends, config, top):
     radii of ``config`` up to ``top``, each by one DOP853 step from the
     last of the step ends ``ends`` (rows ``(r, u, du, v, dv)``, radii
     increasing) at or below it."""
-    n, p, q = coefficients
     radii = np.geomspace(config.r_start, config.r_end, SAMPLE_COUNT)
     radii = radii[radii <= top]
     ends = np.array(ends)
     base = ends[np.searchsorted(ends[:, 0], radii, side="right") - 1]
-    r0, y0, h = base[:, 0], base[:, 1:].T, radii - base[:, 0]
-    stages = np.empty((_STAGES,) + y0.shape)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(_STAGES):
-            u, du, v, dv = y0 + h * np.tensordot(_A[i, :i], stages[:i], 1)
-            drag = -(n - 1.0) / (r0 + _C[i] * h)
-            stages[i] = (du, drag * du - np.maximum(v, 0.0) ** q,
-                         dv, drag * dv - np.maximum(u, 0.0) ** p)
-        y = y0 + h * np.tensordot(_B, stages, 1)
+    y = _step(coefficients, base[:, 0], base[:, 1:].T, radii - base[:, 0])
     return np.column_stack((radii, y.T))
 
 
-_scanner = None
-
-
+@functools.cache
 def _scan_integrator():
     """The one compiled DOP853 of the process, built on first use.
 
@@ -233,26 +220,23 @@ def _scan_integrator():
     reference to every function it has called back, so one function
     serves every shot.
     """
-    global _scanner
-    if _scanner is None:
-        ode = integrate.ode(None).set_integrator(
-            "dop853", nsteps=SCAN_STEPS, **_TOLERANCES)
-        ode.coefficients = [0.0] * 3
-        ode.f = _rhs(ode.coefficients)
+    ode = integrate.ode(None).set_integrator(
+        "dop853", nsteps=SCAN_STEPS, rtol=1e-10, atol=1e-14)
+    ode.coefficients = [0.0] * 3
+    ode.f = _rhs(ode.coefficients)
 
-        def stop_at_crossing(r, y):
-            if y[0] <= 0.0 or y[2] <= 0.0:
-                return -1
-            ode.ends.append([r, *y.tolist()])
-            return 0
+    def stop_at_crossing(r, y):
+        if y[0] <= 0.0 or y[2] <= 0.0:
+            return -1
+        ode.ends.append([r, *y.tolist()])
+        return 0
 
-        ode.set_solout(stop_at_crossing)
-        # each set_initial_value would pass the wrapper a freshly bound
-        # _solout, which it keeps: bind it once
-        integrator = ode._integrator
-        integrator._solout = integrator._solout
-        _scanner = ode
-    return _scanner
+    ode.set_solout(stop_at_crossing)
+    # each set_initial_value would pass the wrapper a freshly bound
+    # _solout, which it keeps: bind it once
+    integrator = ode._integrator
+    integrator._solout = integrator._solout
+    return ode
 
 
 def _scan(coefficients, start, config):
@@ -281,16 +265,24 @@ def _scan(coefficients, start, config):
     evals = int(ode._integrator.iwork[16])
     if code != 2:
         return None, ends, evals
-    # refine the crossing inside the step (r0, ode.t]
+    # Newton on each crossed component over the step (r0, ode.t], shortened
+    # to end at r, with the step's own derivative as the slope: from the
+    # chord, clamped to the step, until the updates stop shrinking
     r0, *y0 = ends[-1]
-    with np.errstate(over="ignore", invalid="ignore"):
-        sol = solve_ivp(ode.f, (r0, ode.t), y0, method="DOP853",
-                        events=(_u_zero, _v_zero), **_TOLERANCES)
-    # the earliest event, or the step end should the refinement not cross
-    crossings = [(float(t[0]), outcome) for t, outcome in zip(
-        sol.t_events, (Outcome.U_CROSSED, Outcome.V_CROSSED)) if t.size]
-    late = Outcome.U_CROSSED if ode.y[0] <= 0.0 else Outcome.V_CROSSED
-    return min(crossings, default=(float(ode.t), late)), ends, evals + sol.nfev
+    crossings = []
+    for k, outcome in ((0, Outcome.U_CROSSED), (2, Outcome.V_CROSSED)):
+        if ode.y[k] > 0.0:
+            continue
+        r, update = r0 + (ode.t - r0) * y0[k] / (y0[k] - ode.y[k]), math.inf
+        while True:
+            y = _step(coefficients, r0, y0, r - r0)
+            evals += _STAGES
+            new = min(ode.t, max(r0, float(r - y[k] / y[k + 1])))
+            if not 0.0 < abs(new - r) < update:
+                break
+            r, update = new, abs(new - r)
+        crossings.append((r, outcome))
+    return min(crossings), ends, evals
 
 
 def shoot(params, config=None):
@@ -308,18 +300,19 @@ def shoot(params, config=None):
     Raises
     ------
     ValidationError
-        For ``alpha != 2``, or origin values whose Taylor start at
-        ``r_start`` overflows or is not positive.
+        For a ``params`` or ``config`` of another class, ``alpha != 2``,
+        or origin values whose Taylor start at ``r_start`` overflows or
+        is not positive.
     IntegrationError
         If the crossing scan fails before ``r_end`` (more than
         ``SCAN_STEPS`` steps, among others); carries ``last_radius``,
         its last step end.
     """
-    if params.alpha != 2.0:
+    if instance(params, Params, "params").alpha != 2.0:
         raise ValidationError(
             "shooting integrates the differential form, which needs "
             "alpha = 2; got alpha=%r" % (params.alpha,))
-    config = config or ShotConfig()
+    config = instance(config, ShotConfig, "config", ShotConfig())
     coefficients = [params.n, params.p, params.q]
     crossing, ends, evals = _scan(coefficients, _taylor_start(params, config),
                                   config)
@@ -335,11 +328,10 @@ def shoot(params, config=None):
     outer = samples[:, 0] >= config.r_end / 10.0
     outcome = Outcome.INCONCLUSIVE
     if np.count_nonzero(outer) >= 8:
-        lr = np.log(samples[outer, 0])
         with np.errstate(divide="ignore"):
-            su_fit = np.polyfit(lr, np.log(samples[outer, 1]), 1)[0]
-            sv_fit = np.polyfit(lr, np.log(samples[outer, 3]), 1)[0]
-        if su_fit < -0.05 and sv_fit < -0.05:
+            slopes = np.polyfit(np.log(samples[outer, 0]),
+                                np.log(samples[outer][:, [1, 3]]), 1)[0]
+        if np.all(slopes < -0.05):
             outcome = Outcome.DECAYING
     return Trajectory(outcome, None, evals + _STAGES, lambda: samples)
 
@@ -351,14 +343,18 @@ def _crossing_rate(params):
     ``B r^-th2`` (the slow rates of :func:`~rieszlab.exponents.classify`)
     gives perturbations ``r^(kappa - th1)``, ``r^(kappa - th2)`` with
 
-        (th1-k)(n-2-th1+k)(th2-k)(n-2-th2+k) = pq th1(n-2-th1) th2(n-2-th2).
+        (th1-k)(m-th1+k)(th2-k)(m-th2+k) = T = pq th1(m-th1) th2(m-th2),
 
-    For ``k > max(th1, th2)`` both factor pairs are negative and
-    decreasing, so the left side rises from 0 to infinity and the
-    growing rate ``kappa`` is its one root there; a shot with origin
-    ratio ``xi`` then crosses zero near ``|xi - xi*|^(-1/kappa)``.  None
-    when a slow rate lies outside ``(0, n-2)``, where no such root
-    exists.
+    ``m = n-2``.  With ``z = k - c + m/2``, ``c = (th1+th2)/2`` and ``d =
+    (th1-th2)/2`` the left side is ``((z-d)^2 - m^2/4)((z+d)^2 - m^2/4) =
+    (z^2 - d^2 - m^2/4)^2 - d^2 m^2``, a quadratic in ``z^2`` whose larger
+    root gives the growing rate
+
+        kappa = c - m/2 + sqrt(d^2 + m^2/4 + sqrt(d^2 m^2 + T)),
+
+    the one root above ``max(th1, th2)``; a shot with origin ratio ``xi``
+    then crosses zero near ``|xi - xi*|^(-1/kappa)``.  None when a slow
+    rate lies outside ``(0, n-2)``, where no such root exists.
     """
     report = classify(params)
     th1, th2 = report.slow_rate_u, report.slow_rate_v
@@ -366,13 +362,9 @@ def _crossing_rate(params):
     if not (0.0 < th1 < m and 0.0 < th2 < m):
         return None
     target = params.p * params.q * th1 * (m - th1) * th2 * (m - th2)
-
-    def excess(k):
-        return (th1 - k) * (m - th1 + k) * (th2 - k) * (m - th2 + k) - target
-
-    top = max(th1, th2)
-    # above top each factor pair is at least (k - top)^2
-    return optimize.brentq(excess, top, top + target ** 0.25, xtol=1e-15)
+    c, d = 0.5 * (th1 + th2), 0.5 * (th1 - th2)
+    return c - 0.5 * m + math.sqrt(
+        d * d + 0.25 * m * m + math.sqrt(d * d * m * m + target))
 
 
 @dataclass(frozen=True)
@@ -418,13 +410,12 @@ def bisect_ground_state(params, lo, hi, config=None, iters=60,
     the next shot is the Pegasus regula falsi point of the bracket: an
     endpoint kept twice in a row has its value scaled by ``g1 / (g1 +
     g2)``, ``g1`` and ``g2`` the last two values on the other side.
-    The crossing radii swing a few per cent about the ``|xi -
-    xi*|^(-1/kappa)`` law, so no step is exact; on brackets a few per
-    cent apart the canonical search takes 12 or 13 shots with this
-    scaling and 11 to 14 with plain halving (Illinois).  A secant point
-    outside the open bracket, or a bracket with no ``kappa`` or no
-    crossing radius at an end, takes the midpoint instead.  Each step
-    keeps the endpoint whose outcome differs from the new shot's.
+    The radii swing a few per cent about the power law, so no step is
+    exact: this takes 12 or 13 shots on brackets a few per cent apart,
+    plain halving (Illinois) 11 to 14.  A secant point outside the open
+    bracket, or a bracket with no ``kappa`` or no crossing radius at an
+    end, takes the midpoint instead.  Each step keeps the endpoint whose
+    outcome differs from the new shot's.
 
     ``iters`` is the budget of shots inside the bracket.  A shot that
     does not cross (decaying or inconclusive) ends the search: it is
@@ -443,7 +434,8 @@ def bisect_ground_state(params, lo, hi, config=None, iters=60,
         raise ValidationError("need 0 < lo < hi for the bisection bracket")
     if whole_number(iters, "iters") < 0:
         raise ValidationError("iters must be a nonnegative integer")
-    config = config or ShotConfig()
+    instance(params, Params, "params")
+    config = instance(config, ShotConfig, "config", ShotConfig())
     shots = []
 
     def fire(xi):

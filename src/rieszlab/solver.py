@@ -39,7 +39,7 @@ import numpy as np
 
 from .analysis import default_window
 from .errors import (NonConvergenceError, PreconditionError,
-                     ValidationError, real_number, whole_number)
+                     ValidationError, instance, real_number, whole_number)
 from .exponents import Params, Regime, classify
 from .grid import make_grid
 from .riesz import RadialField, apply_extended, assemble, power_law_constant
@@ -292,8 +292,8 @@ def solve_picard(params, grid=None, config=None, monitor=None,
     Raises
     ------
     ValidationError
-        For non-critical parameters, or an ``operator`` assembled on
-        another grid or for another ``alpha``.
+        For a ``params`` or ``config`` of another class, non-critical
+        parameters, or an ``operator`` built for another grid or ``alpha``.
     NonConvergenceError
         When the sweep budget ends before both the update size and the
         interior proportionality spread drop below ``config.tol``, when
@@ -302,7 +302,7 @@ def solve_picard(params, grid=None, config=None, monitor=None,
         of the presented pair is above ``config.tol``.  The message names
         which, and the error carries the pair it measured last.
     """
-    config = config or SolveConfig()
+    config = instance(config, SolveConfig, "config", SolveConfig())
     report = classify(params)
     if report.regime is not Regime.CRITICAL:
         raise ValidationError(
@@ -403,8 +403,8 @@ def singular_amplitudes(params):
         When a powered profile leaves the window ``(alpha, n)`` and the
         corresponding potential diverges.
     """
-    n, alpha, p, q = params.n, params.alpha, params.p, params.q
     report = classify(params)
+    n, alpha, p, q = params.n, params.alpha, params.p, params.q
     th1, th2 = report.slow_rate_u, report.slow_rate_v
     for label, beta in (("q*theta2", q * th2), ("p*theta1", p * th1)):
         if not (alpha < beta < n):

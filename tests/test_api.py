@@ -39,7 +39,8 @@ def test_deleted_names_are_gone():
                        "v_limit_weakened", "_V_BRANCHES", "_require_case"),
             runio: ("RunManifest",),
             cli: ("_params_dict", "_field_csv_writer",
-                  "_trajectory_csv_writer")}
+                  "_trajectory_csv_writer"),
+            shooting: ("_u_zero", "_v_zero", "solve_ivp", "optimize")}
     for module, names in gone.items():
         for name in names:
             assert not hasattr(module, name), (module.__name__, name)

@@ -22,6 +22,14 @@ PARAMS = Params(5, 2.0, 3.0, 3.0)
 CRITICAL = Params(4, 2.0, 1.5, 9.0)
 
 
+def zero_events():
+    """Terminal ``solve_ivp`` events at the zeros of ``u`` and ``v``."""
+    events = (lambda r, y: y[0]), (lambda r, y: y[2])
+    for event in events:
+        event.terminal, event.direction = True, -1.0
+    return events
+
+
 def sampled_shot(params, config, radii=None, rtol=1e-10, atol=1e-14):
     """Independent oracle: one ``solve_ivp`` DOP853 run with zero-crossing
     events, recorded at ``radii`` (default the ``SAMPLE_COUNT`` log-spaced
@@ -36,8 +44,7 @@ def sampled_shot(params, config, radii=None, rtol=1e-10, atol=1e-14):
             shooting._rhs([params.n, params.p, params.q]),
             (config.r_start, radii[-1]),
             shooting._taylor_start(params, config), method="DOP853",
-            t_eval=radii, events=(shooting._u_zero, shooting._v_zero),
-            rtol=rtol, atol=atol)
+            t_eval=radii, events=zero_events(), rtol=rtol, atol=atol)
     assert sol.status != -1, sol.message
     samples = np.column_stack((sol.t, sol.y.T))
     crossings = [(float(t[0]), outcome) for t, outcome in zip(
@@ -76,6 +83,13 @@ class TestShoot:
     def test_second_order_only(self):
         with pytest.raises(ValidationError):
             shoot(Params(5, 1.5, 3.0, 3.0))
+
+    def test_refuses_other_classes(self):
+        # the string, None and the tuple raised a raw AttributeError; a
+        # config of 0 ran on the default config
+        for args in ((PARAMS, "x"), (PARAMS, 0), (None,), ((5, 2, 3, 3),)):
+            with pytest.raises(ValidationError, match="must be a"):
+                shoot(*args)
 
     def test_overflowing_origin_profile(self):
         # xi^q overflows a double; so does xi^q r_start^2 at a far start
@@ -161,17 +175,22 @@ class TestShoot:
         assert info.value.last_radius == 1e-6
 
     def test_refinement_short_of_zero_keeps_the_step_end(self, monkeypatch):
-        # a refinement that finds no zero inside the crossing step leaves
-        # the scan's step end, where v is already not positive
+        # a tableau that keeps u and v positive over the whole crossing
+        # step: Newton runs to the step's end and keeps the scan's step
+        # end, where v is already not positive
         config = ShotConfig(xi=0.8, r_end=1e4)
         refined = shoot(PARAMS, config)
+        step = shooting._step
 
-        def without_events(*args, **kwargs):
-            return solve_ivp(*args, **dict(kwargs, events=()))
+        def short_of_zero(coefficients, r0, y0, h):
+            # u and v raised by 1, far above their size near the crossing
+            y = step(coefficients, r0, y0, h)
+            return (y.T + [1.0, 0.0, 1.0, 0.0]).T
 
-        monkeypatch.setattr(shooting, "solve_ivp", without_events)
+        monkeypatch.setattr(shooting, "_step", short_of_zero)
         traj = shoot(PARAMS, config)
         assert traj.outcome is Outcome.V_CROSSED
+        assert traj.crossing_radius == shooting._scan_integrator().t
         assert (refined.crossing_radius < traj.crossing_radius
                 < 1.1 * refined.crossing_radius)
         assert traj.radii[-1] <= traj.crossing_radius
@@ -209,6 +228,27 @@ class TestCrossingScan:
     def test_critical_family(self, xi):
         scanned, radius = self._agree(CRITICAL, xi, 1e4)
         assert scanned.crossing_radius == pytest.approx(radius, rel=1e-6)
+
+    @pytest.mark.parametrize("params, xi", [
+        (PARAMS, xi) for xi in (0.5, 0.8, 1.25, 2.0)] + [
+        (CRITICAL, xi) for xi in np.geomspace(0.1, 10.0, 21).tolist()])
+    def test_refinement_matches_events_on_the_last_step(self, params, xi):
+        # the Newton root on the scan's last step against a solve_ivp
+        # event run over that same step, from the same step end
+        config = ShotConfig(xi=xi, r_end=1e4)
+        coefficients = [params.n, params.p, params.q]
+        (radius, outcome), ends, _ = shooting._scan(
+            coefficients, shooting._taylor_start(params, config), config)
+        r0, *y0 = ends[-1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            sol = solve_ivp(shooting._rhs(coefficients),
+                            (r0, shooting._scan_integrator().t), y0,
+                            method="DOP853", events=zero_events(),
+                            rtol=1e-10, atol=1e-14)
+        crossings = [(float(t[0]), found) for t, found in zip(
+            sol.t_events, (Outcome.U_CROSSED, Outcome.V_CROSSED)) if t.size]
+        first, found = min(crossings)
+        assert found is outcome and abs(first / radius - 1.0) <= 1e-11
 
     def test_samples_built_once_on_first_read(self, monkeypatch):
         calls = []
@@ -286,8 +326,17 @@ class TestCrossingRate:
         assert abs(_crossing_rate(PARAMS) - (math.sqrt(33.0) - 1.0) / 2.0) \
             <= 1e-14
 
-    def test_largest_root_of_the_quartic(self):
-        params = Params(5, 2.0, 2.0, 5.0)
+    # th1 != th2, with slow rates from near 0 to near n - 2; each pinned
+    # value is the bracketing root finder's that the closed form replaced
+    @pytest.mark.parametrize("n, p, q, pinned", [
+        (5, 2.0, 5.0, 2.3853066003320764),
+        (6, 1.5, 4.0, 3.1010828770081575),
+        (7, 1.2, 9.0, 3.114619051369962),
+        (5, 1.5, 2.2, 3.0864971572755997),
+        (4, 20.0, 30.0, 1.321224554924266)],
+        ids=["5,2,2,5", "6,2,1.5,4", "7,2,1.2,9", "5,2,1.5,2.2", "4,2,20,30"])
+    def test_largest_root_of_the_quartic(self, n, p, q, pinned):
+        params = Params(n, 2.0, p, q)
         m = params.n - 2.0
         th1 = 2.0 * (params.q + 1.0) / (params.p * params.q - 1.0)
         th2 = 2.0 * (params.p + 1.0) / (params.p * params.q - 1.0)
@@ -302,6 +351,7 @@ class TestCrossingRate:
         roots = np.roots(quartic)
         real = roots[np.abs(roots.imag) < 1e-9].real
         assert kappa == pytest.approx(real.max(), rel=1e-12)
+        assert abs(kappa / pinned - 1.0) <= 1e-14
 
 
 class TestBisection:
@@ -322,6 +372,11 @@ class TestBisection:
                        (0.5, math.inf), (math.nan, 2.0)):
             with pytest.raises(ValidationError, match="finite real number"):
                 bisect_ground_state(PARAMS, lo, hi)
+        # a raw TypeError from dataclasses.replace, and an AttributeError
+        with pytest.raises(ValidationError, match="config must be a"):
+            bisect_ground_state(PARAMS, 0.5, 2.0, config="x")
+        with pytest.raises(ValidationError, match="params must be a"):
+            bisect_ground_state((5, 2, 3, 3), 0.5, 2.0)
 
     def test_zero_iters_keeps_endpoints(self):
         calls = []

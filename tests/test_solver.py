@@ -88,6 +88,15 @@ class TestSolveConfig:
         with pytest.raises(ValidationError):
             SolveConfig(tol=True)
 
+    def test_entry_points_refuse_other_classes(self):
+        # each raised a raw AttributeError
+        with pytest.raises(ValidationError, match="config must be a"):
+            solve_picard(Params(4, 2.0, 3.0, 3.0), config="x")
+        for params in ("x", None, (4, 2, 3, 3)):
+            for solve in (solve_picard, singular_solution):
+                with pytest.raises(ValidationError, match="params must be a"):
+                    solve(params)
+
     def test_three_fields(self):
         # origin normalization is how the iteration works, not an option
         assert [f.name for f in dataclasses.fields(SolveConfig)] == [
