@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (DegenerateFitError, DivergentTailError,
-                     PreconditionError, ValidationError, real_number)
+                     PreconditionError, ValidationError, instance, real_number)
 from .exponents import VFastCase, classify
 from .riesz import (field_integral, power_law_constant,
                     riesz_normalization, sphere_area)
@@ -366,13 +366,16 @@ def check_fast_limits(pair):
 
     Raises
     ------
+    ValidationError
+        Unless ``pair`` is a :class:`~rieszlab.solver.SolutionPair`.
     PreconditionError
         When ``u``'s fitted tail is not within 10% of the fast rate
         (the limits only describe fast-decaying profiles).
     DivergentTailError
         When ``v^q``, or in the pure branch ``u^p``, is not integrable.
     """
-    params = pair.params
+    from .solver import SolutionPair  # the solver imports this module
+    params = instance(pair, SolutionPair, "pair").params
     report = classify(params)
     fast_u = report.fast_rate_u
     fit_u = fit_tail(pair.u.grid.nodes, pair.u.values)

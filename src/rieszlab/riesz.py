@@ -85,13 +85,13 @@ tail of any decay exponent costs ``O(count J + Q ln 2 / h)``, with no
 state kept per call.  By the inversion ``s -> e^2/s`` about the inner
 edge ``e``, with ``K(lam r, lam s) = lam^(alpha-n) K(r, s)`` and
 ``K(1/r, 1/s) = (rs)^(n-alpha) K(r, s)``, the head at ``r_i`` is
-``(e/r_i)^(n-alpha)`` times the tail at ``tau = n + alpha`` of the grid
-mirrored about ``e``: one table builder and one response serve both
-ends.  The head and tail responses are taken at the nodes, while the
-rows are cell averages.  An assembly on 4096 nodes over eight decades
-samples the kernel about 60k times at ``alpha = 0.8`` and 588 times at
-``alpha = 2``, where sampling every pair, head and tail row would take
-3.2M.
+``(e/r_i)^(n-alpha)`` times the tail at ``tau = n + alpha`` of the node
+``e^2/r_i``, which sits where node ``count-1-i`` does below ``r_end``:
+the tail's own tables, scaled by ``(e/r_end)^alpha``, serve both ends.
+The head and tail responses are taken at the nodes, while the rows are
+cell averages.  An assembly on 4096 nodes over eight decades samples
+the kernel about 36k times at ``alpha = 0.8`` and 588 times at ``alpha
+= 2``, where sampling every pair, head and tail row would take 3.2M.
 """
 
 from __future__ import annotations
@@ -105,7 +105,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy import integrate, special
 
 from .errors import (DivergentTailError, SingularKernelError, ValidationError,
-                     real_number, whole_number)
+                     instance, real_number, whole_number)
 from .exponents import _check_ranges
 from .grid import RadialGrid
 
@@ -558,6 +558,7 @@ class RadialField:
     tail_exponent: float
 
     def __post_init__(self):
+        instance(self.grid, RadialGrid, "grid")
         vals = np.asarray(self.values, dtype=float)
         if vals.shape != (self.grid.count,):
             raise ValidationError(
@@ -592,10 +593,10 @@ class KernelOperator:
       :func:`_far_tables`).
 
     ``head_response`` is the bare response to the unit profile below the
-    inner edge ``e = rMin e^{-h/2}``: ``(e/r_i)^{n-alpha}`` times the tail
-    response at ``tau = n + alpha`` of the grid mirrored about ``e``
-    (:func:`_head_response`).  :func:`tail_response` reads the tables
-    :func:`_tail_tables` builds beyond the outer edge: ``tail_series``,
+    inner edge ``e = rMin e^{-h/2}``, read from the tail's own tables,
+    scaled by ``(e/r_end)^alpha`` (:func:`_head_response`).
+    :func:`tail_response` reads the tables :func:`_tail_tables` builds
+    beyond the outer edge ``r_end = rMax e^{h/2}``: ``tail_series``,
     the closed-form series part of every node (``count x J``), and
     ``tail_kernel``, the scaled kernel samples of the nodes within
     ``1/FAR_RATIO`` of the edge on the end mesh (empty for even
@@ -633,11 +634,11 @@ class KernelOperator:
             Unless ``values`` holds one finite value per node.
         """
         count = self.grid.count
-        f = np.asarray(values, dtype=float)
-        if f.shape != (count,):
-            raise ValidationError(
-                "operator input must be %d node values, got shape %r"
-                % (count, f.shape))
+        f = np.asarray(values)
+        if f.shape != (count,) or f.dtype.kind not in "biuf":
+            raise ValidationError("operator input must be %d real values, "
+                                  "got %s %r" % (count, f.dtype, f.shape))
+        f = f.astype(float, copy=False)
         peak = max(f.max(), -f.min())
         if not math.isfinite(peak):
             raise ValidationError("operator input must be finite")
@@ -939,23 +940,24 @@ def _far_tables(top, lam, base, grow):
     room = max(_SCALE_LOG_LIMIT - centre, 0.0)
     blocks = -(-size // max(int(2.0 * room / rate), 1))
     length = -(-size // blocks)
-    t = np.arange(blocks * length)
-    s = (t % length - 0.5 * (length - 1))[None, :]
+    s = np.arange(length) - 0.5 * (length - 1)
     mid = np.minimum(np.arange(blocks) * length + length // 2, size - 1)
     e = np.rint(0.5 * (np.log2(base[mid])[None, :]
                        - log_top[:, None] / math.log(2.0))).astype(int)
-    shift = e[:, t // length]
-    padded = np.zeros(t.size)
-    padded[:size] = base
-    inner = np.ldexp(padded, -shift) * np.exp(-lam[:, None] * s)
-    outer = np.ldexp(top[:, None], shift) * np.exp(lam[:, None] * s)
-    outer[:, size:] = 0.0
+    padded = np.zeros((blocks, length))
+    padded.flat[:size] = base
+    # row 0 of each table written in place, row 1 the other's reversed
+    gather, scatter = np.empty((2, 2, top.size, blocks, length))
+    inner, outer = gather[0], scatter[0]
+    np.ldexp(padded, -e[:, :, None], out=inner)
+    inner *= np.exp(-lam[:, None] * s)[:, None, :]
+    np.multiply(np.ldexp(top[:, None, None], e[:, :, None]),
+                np.exp(lam[:, None] * s)[:, None, :], out=outer)
+    outer.reshape(top.size, -1)[:, size:] = 0.0
+    gather[1], scatter[1] = outer[:, ::-1, ::-1], inner[:, ::-1, ::-1]
     half = np.exp(0.5 * length * lam)[:, None]
     carry = np.ldexp(half, e[:, :-1] - e[:, 1:]) * half
-    shape = (2, top.size, blocks, length)
-    return (np.stack((inner, outer[:, ::-1])).reshape(shape),
-            np.stack((outer, inner[:, ::-1])).reshape(shape),
-            np.stack((carry, carry[:, ::-1])))
+    return gather, scatter, np.stack((carry, carry[:, ::-1]))
 
 
 def _far_sweeps(gather, scatter, carry, values, far, shift):
@@ -1018,8 +1020,7 @@ def assemble(grid, n, alpha):
         before anything is allocated, for more than ``MAX_DENSE_COUNT``
         nodes.
     """
-    if not isinstance(grid, RadialGrid):
-        raise ValidationError("assemble needs a RadialGrid")
+    instance(grid, RadialGrid, "grid")
     n = _whole_order(n, alpha)
     if grid.n != n:
         raise ValidationError(
@@ -1073,13 +1074,12 @@ def assemble(grid, n, alpha):
     far_gather, far_scatter, far_carry = _far_tables(
         top[keep], lam[keep], base[:max(count - width, 0)], (n + alpha) * h)
 
-    tail_series, tail_kernel = _tail_tables(grid.nodes, grid.edges[-1], n,
-                                            alpha)
+    tail = _tail_tables(grid.nodes, grid.edges[-1], n, alpha)
     op = KernelOperator(grid=grid, alpha=alpha, n=n, base=base, band=band,
                         far_gather=far_gather, far_scatter=far_scatter,
                         far_carry=far_carry,
-                        head_response=_head_response(grid, n, alpha),
-                        tail_series=tail_series, tail_kernel=tail_kernel)
+                        head_response=_head_response(grid, tail, n, alpha),
+                        tail_series=tail[0], tail_kernel=tail[1])
     # an operator is shared by every solve on its grid: a write into one
     # of its tables raises instead of changing them all
     for table in vars(op).values():
@@ -1088,26 +1088,21 @@ def assemble(grid, n, alpha):
     return op
 
 
-def _head_response(grid, n, alpha):
-    """Response at each node to the constant unit profile below the
-    inner edge ``e = rMin e^{-h/2}``.
-
-    ``H_i = int_0^e K(r_i, s) s^{n-1} ds``, bare: by the inversion ``s
-    -> e^2/s`` (module docstring), ``(e/r_i)^{n-alpha}`` times the
-    :func:`_end_response` at ``tau = n + alpha`` of the grid mirrored
-    about ``e``, the nodes ``e^2/r_i`` reversed, ending half a cell
-    below ``e``.
-    """
-    nodes, edge = grid.nodes, grid.edges[0]
-    mirrored = (edge * (edge / nodes))[::-1]
-    tail = _end_response(_tail_tables(mirrored, edge, n, alpha), n + alpha,
-                         n, alpha)
-    return (edge / nodes) ** (n - alpha) * tail[::-1]
+def _head_response(grid, tail, n, alpha):
+    """``int_0^e K(r_i, s) s^{n-1} ds`` below the inner edge ``e``, bare,
+    from the ``tail`` tables on ``grid`` by the inversion of the module
+    docstring.  Node ``count-1-i`` sits at ``e^{-(i+1/2)h}`` of ``r_end``
+    as ``e^2/r_i`` does of ``e``, to the rounding of the nodes."""
+    e, r_end = grid.edges[[0, -1]]
+    # scaled first: (e/r_i)^(n-alpha) (e/r_end)^alpha alone can underflow
+    scaled = (e / r_end) ** alpha * _end_response(tail, n + alpha, n, alpha)
+    return (e / grid.nodes) ** (n - alpha) * scaled[::-1]
 
 
 def _tail_tables(nodes, r_end, n, alpha):
     """The tables of :func:`_end_response` beyond ``r_end``, above the
-    increasing ``nodes``: ``(series, kernel)``.
+    increasing ``nodes``: ``(series, kernel)``, ``r_end^alpha`` times a
+    function of ``nodes/r_end`` alone, read by :func:`_head_response` too.
 
     Above ``k r_end`` the kernel is its series at every node, and the
     tail ``(s/r_end)^{-tau}`` integrates term by term to
@@ -1174,12 +1169,12 @@ def tail_response(op, tail_exponent):
     Raises
     ------
     ValidationError
-        Unless ``tail_exponent`` is a finite real number.
+        For an ``op`` of another class or a malformed ``tail_exponent``.
     DivergentTailError
         For ``tail_exponent <= alpha``.
     """
     real_number(tail_exponent, "tail exponent")
-    if tail_exponent <= op.alpha:
+    if tail_exponent <= instance(op, KernelOperator, "operator").alpha:
         raise DivergentTailError(
             "tail extension diverges: tail exponent %r <= alpha %r"
             % (tail_exponent, op.alpha))
@@ -1203,13 +1198,13 @@ def apply_extended(op, values, tail_exponent):
     Raises
     ------
     ValidationError
-        Unless ``values`` holds one finite value per node and
-        ``tail_exponent`` is a finite real number, whether the tail is
-        used or not.
+        Unless ``op`` is a :class:`KernelOperator`, ``values`` holds one
+        finite value per node and ``tail_exponent`` is a finite real
+        number, whether the tail is used or not.
     """
     real_number(tail_exponent, "tail exponent")
+    out = instance(op, KernelOperator, "operator").apply(values)
     values = np.asarray(values, dtype=float)
-    out = op.apply(values)
     if values[0] != 0.0:
         out = out + values[0] * op.head_response
     if values[-1] != 0.0:
@@ -1228,13 +1223,13 @@ def field_integral(f, power=1.0):
     Raises
     ------
     ValidationError
-        Unless ``power`` is a finite, positive real number.
+        Unless ``f`` is a field and ``power`` a finite real number > 0.
     DivergentTailError
         When the powered tail is not integrable, ``power*tau <= n``.
     """
     if not real_number(power, "power") > 0.0:
         raise ValidationError("power must be > 0, not %r" % (power,))
-    grid = f.grid
+    grid = instance(f, RadialField, "field").grid
     n = float(grid.n)
     vals = f.values ** power
     core = float(np.dot(grid.weights, vals))

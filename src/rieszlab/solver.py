@@ -42,7 +42,8 @@ from .errors import (NonConvergenceError, PreconditionError,
                      ValidationError, instance, real_number, whole_number)
 from .exponents import Params, Regime, classify
 from .grid import make_grid
-from .riesz import RadialField, apply_extended, assemble, power_law_constant
+from .riesz import (KernelOperator, RadialField, apply_extended, assemble,
+                    power_law_constant)
 
 #: Iterate/residual pairs kept by the Anderson step; at least 1.
 ANDERSON_DEPTH = 5
@@ -224,12 +225,12 @@ def _grid_operator(params, grid, operator):
     unless ``grid`` is given, else one assembled on ``grid`` (default:
     the 512-node ``make_grid``).  :class:`ValidationError` when
     ``operator`` was built for another ``(r_min, r_max, count, n)`` or
-    ``alpha``."""
+    ``alpha``, or is not a :class:`KernelOperator`."""
     if operator is None:
         grid = grid if grid is not None else make_grid(n=params.n)
         return grid, assemble(grid, params.n, params.alpha)
-    grid = grid if grid is not None else operator.grid
-    built = operator.grid
+    built = instance(operator, KernelOperator, "operator").grid
+    grid = grid if grid is not None else built
     have = (built.r_min, built.r_max, built.count, built.n, operator.alpha)
     want = (grid.r_min, grid.r_max, grid.count, params.n, params.alpha)
     if have != want:
@@ -292,8 +293,8 @@ def solve_picard(params, grid=None, config=None, monitor=None,
     Raises
     ------
     ValidationError
-        For a ``params`` or ``config`` of another class, non-critical
-        parameters, or an ``operator`` built for another grid or ``alpha``.
+        For a ``params``, ``config`` or ``operator`` of another class,
+        non-critical parameters, or an operator for another grid or alpha.
     NonConvergenceError
         When the sweep budget ends before both the update size and the
         interior proportionality spread drop below ``config.tol``, when

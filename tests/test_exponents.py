@@ -118,8 +118,10 @@ class TestIdentities:
     @settings(max_examples=300, deadline=None)
     def test_integrability_times_slow_rate_is_dimension(self, params):
         rep = classify(params)
-        assert rep.r0 * rep.slow_rate_u == pytest.approx(params.n, rel=1e-13)
-        assert rep.s0 * rep.slow_rate_v == pytest.approx(params.n, rel=1e-13)
+        assert rep.r0 * rep.slow_rate_u == pytest.approx(params.n, rel=1e-13,
+                                                         abs=0.0)
+        assert rep.s0 * rep.slow_rate_v == pytest.approx(params.n, rel=1e-13,
+                                                         abs=0.0)
 
     @given(st.integers(min_value=4, max_value=12),
            st.floats(min_value=0.2, max_value=0.8),

@@ -31,8 +31,8 @@ class TestConstruction:
         # strictly
         g = make_grid(1e-2, 1e2, 32, 3)
         half = np.exp(0.5 * g.log_step)
-        assert g.edges[0] == pytest.approx(g.r_min / half, rel=1e-15)
-        assert g.edges[-1] == pytest.approx(g.r_max * half, rel=1e-15)
+        assert g.edges[0] == pytest.approx(g.r_min / half, rel=1e-15, abs=0.0)
+        assert g.edges[-1] == pytest.approx(g.r_max * half, rel=1e-15, abs=0.0)
         assert np.all(g.edges[:-1] < g.nodes)
         assert np.all(g.edges[1:] > g.nodes)
         # the nodes of geomspace and the edges of exp((j - 1/2) h)
@@ -94,7 +94,7 @@ class TestWeights:
         g = make_grid(1e-2, 1e2, 200, 4)
         total = g.weights.sum()
         exact = (g.edges[-1] ** 4 - g.edges[0] ** 4) / 4.0
-        assert total == pytest.approx(exact, rel=1e-13)
+        assert total == pytest.approx(exact, rel=1e-13, abs=0.0)
 
     def test_smooth_integrand_second_order(self):
         # integral of r^(-2) s^3 ds over the cells, [1e-1, 1e1] and half

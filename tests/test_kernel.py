@@ -48,10 +48,12 @@ def closed_form_oracle(r, s, n, alpha, dps=50):
 
 class TestConstants:
     def test_sphere_areas(self):
-        assert sphere_area(3) == pytest.approx(4.0 * math.pi, rel=1e-15)
-        assert sphere_area(4) == pytest.approx(2.0 * math.pi ** 2, rel=1e-15)
+        assert sphere_area(3) == pytest.approx(4.0 * math.pi, rel=1e-15,
+                                               abs=0.0)
+        assert sphere_area(4) == pytest.approx(2.0 * math.pi ** 2, rel=1e-15,
+                                               abs=0.0)
         assert sphere_area(5) == pytest.approx(8.0 * math.pi ** 2 / 3.0,
-                                               rel=1e-15)
+                                               rel=1e-15, abs=0.0)
 
     @pytest.mark.parametrize("bad", [math.nan, 2.5, math.inf, 0, True])
     def test_sphere_area_needs_a_dimension(self, bad):

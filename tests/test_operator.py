@@ -10,14 +10,17 @@ import pytest
 from scipy import integrate, special
 
 from rieszlab import riesz
+from rieszlab.analysis import check_fast_limits
 from rieszlab.errors import DivergentTailError, ValidationError
+from rieszlab.exponents import Params
 from rieszlab.grid import _cell_weights, make_grid
 from rieszlab.riesz import (_END_NODES, _END_WEIGHTS, _TAIL_BUILD_ROWS,
                             FAR_RATIO, MAX_DENSE_COUNT, RadialField,
-                            _far_pairs, _head_response, _overlap_weight,
-                            _series_coefficients, apply_extended, assemble,
-                            field_integral, kernel_ratio, power_law_constant,
-                            sphere_area, tail_response)
+                            _far_pairs, _overlap_weight, _series_coefficients,
+                            apply_extended, assemble, field_integral,
+                            kernel_ratio, power_law_constant, sphere_area,
+                            tail_response)
+from rieszlab.solver import singular_solution, solve_picard
 
 
 def dense(op):
@@ -346,7 +349,7 @@ class TestFarField:
         # inner edge e = r_min e^{-h/2}
         grid = make_grid(1e-4, 1e4, 512, 5)
         want = sphere_area(5) * grid.nodes ** -3.0 * grid.edges[0] ** 5 / 5.0
-        np.testing.assert_allclose(_head_response(grid, 5, 2.0), want,
+        np.testing.assert_allclose(assemble(grid, 5, 2.0).head_response, want,
                                    rtol=2e-15, atol=0.0)
 
     @pytest.mark.parametrize("n, alpha", [(3, 0.8), (4, 2.0), (5, 2.5)])
@@ -783,6 +786,17 @@ def head_oracle(grid, n, alpha, i):
     return val
 
 
+def mirrored_head(grid, n, alpha):
+    """The bare head response from end tables built on the grid mirrored
+    about the inner edge ``e``, nodes ``e^2/r_i``: ``(e/r_i)^(n-alpha)``
+    times their tail response at ``tau = n + alpha``."""
+    nodes, edge = grid.nodes, grid.edges[0]
+    mirrored = (edge * (edge / nodes))[::-1]
+    tail = riesz._end_response(riesz._tail_tables(mirrored, edge, n, alpha),
+                               n + alpha, n, alpha)
+    return (edge / nodes) ** (n - alpha) * tail[::-1]
+
+
 class TestHeadResponse:
     @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
     @pytest.mark.parametrize("i", [0, 1, 32, 63])
@@ -790,9 +804,36 @@ class TestHeadResponse:
     def test_against_adaptive_quadrature(self, n, alpha, i):
         # node 0 sits half a cell above the end of the head
         grid = make_grid(1e-4, 1e4, 64, n)
-        got = _head_response(grid, n, alpha)[i]
+        got = assemble(grid, n, alpha).head_response[i]
         want = head_oracle(grid, n, alpha, i)
         assert got == pytest.approx(want, rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("n, alpha", [
+        (3, 0.3), (3, 0.6), (3, 0.8), (4, 1.5), (5, 2.5), (7, 3.5),
+        (4, 2.0), (5, 2.0), (6, 4.0)])
+    def test_against_mirrored_grid_tables(self, n, alpha):
+        # the head read from the tail's tables against its tables built
+        # anew on the grid mirrored about the inner edge e, nodes
+        # e^2/r_i: the two differ by rounding alone
+        for lo, hi in ((1e-4, 1e4), (1e-6, 1e2)):
+            for count in (64, 512, 4096):
+                grid = make_grid(lo, hi, count, n)
+                np.testing.assert_allclose(
+                    assemble(grid, n, alpha).head_response,
+                    mirrored_head(grid, n, alpha), rtol=2e-14, atol=0.0)
+
+    def test_one_table_build_per_assembly(self, monkeypatch):
+        # the head reads the tail's tables: no second build for it
+        builds = []
+        build = riesz._tail_tables
+
+        def counted(*args):
+            builds.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(riesz, "_tail_tables", counted)
+        assemble(make_grid(1e-4, 1e4, 256, 3), 3, 0.8)
+        assert len(builds) == 1
 
 
 def check_tail_oracle(op, tau):
@@ -822,8 +863,8 @@ class TestTailResponse:
     def test_build_block_seam_at_both_ends(self):
         # 616 near nodes per end take their kernel rows in blocks of
         # _TAIL_BUILD_ROWS; check the two nodes either side of the first
-        # seam.  The head's rows are those of the mirrored grid, which
-        # run from node near-1 down, so its seam is at nodes seam-1, seam
+        # seam.  The head reads the same rows in reverse, node i from
+        # row count-1-i, so its seam is at nodes seam-1, seam
         n, alpha = 3, 0.8
         op = assemble(make_grid(1.0, 10.0, 2048, n), n, alpha)
         count, near = op.grid.count, op.tail_kernel.shape[0]
@@ -869,7 +910,7 @@ class TestFieldIntegral:
         got = field_integral(f, power=3.0)
         edge = grid.edges[-1]
         want = 8.0 * (edge ** 5 / 5.0 + grid.r_max ** 6 / edge)
-        assert got == pytest.approx(want, rel=1e-13)
+        assert got == pytest.approx(want, rel=1e-13, abs=0.0)
 
     def test_power_law_closed_form_converges(self):
         # int_0^inf f(s)^4 s^4 ds with f = r^-2 and the constant head
@@ -973,3 +1014,26 @@ class TestMalformedExponents:
         field = RadialField(op3.grid, f, tail_exponent=np.float64(2.5))
         assert field_integral(field, power=np.int64(2)) == field_integral(
             field, power=2.0)
+
+
+#: Calls into the operator layer with an argument of the wrong class, or
+#: values that are not numbers: each raised a raw AttributeError or
+#: ValueError.  Each takes the 256-node (5, 2) operator and node values.
+WRONG_CLASS = {
+    "tail_response": lambda op, f: tail_response("x", 3.0),
+    "apply_extended_operator": lambda op, f: apply_extended(None, f, 3.0),
+    "apply_extended_values": lambda op, f: apply_extended(op, "x", 3.0),
+    "field_grid": lambda op, f: RadialField(1.0, f, 3.0),
+    "field_integral": lambda op, f: field_integral(None),
+    "solve_picard": lambda op, f: solve_picard(Params(4, 2.0, 3.0, 3.0),
+                                               operator="x"),
+    "singular_solution": lambda op, f: singular_solution(
+        Params(4, 2.0, 3.0, 3.0), operator="x"),
+    "check_fast_limits": lambda op, f: check_fast_limits("x"),
+}
+
+
+@pytest.mark.parametrize("call", sorted(WRONG_CLASS))
+def test_wrong_class_refused(op5, call):
+    with pytest.raises(ValidationError, match="must be"):
+        WRONG_CLASS[call](op5, np.ones(op5.grid.count))

@@ -157,7 +157,7 @@ class TestShoot:
         start = shooting._taylor_start(PARAMS, config)
         assert start[0] == pytest.approx(0.1, rel=1e-12)
         # xi^3 carries the rounding of the cube root, a few ulps
-        assert start[1] == pytest.approx(-1.8e6, rel=1e-14)
+        assert start[1] == pytest.approx(-1.8e6, rel=1e-14, abs=0.0)
         traj = shoot(PARAMS, config)
         assert traj.outcome is Outcome.U_CROSSED
         assert 1e-6 < traj.crossing_radius < 1.1e-6
