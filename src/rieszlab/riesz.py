@@ -70,28 +70,25 @@ matrix of 134 MB at 4096 nodes.  The deep cut trades band for terms:
 the sweeps make several passes over their ``2 x J x count`` products,
 the convolution one over ``count x D``, so halving J pays for doubling
 D up to a few thousand nodes; at ``MAX_DENSE_COUNT`` nodes the two
-about balance.  Grids above ``MAX_DENSE_COUNT`` nodes are refused
-before anything is allocated.
+about balance.  Grids above ``MAX_DENSE_COUNT`` nodes, or with a band
+of more offsets, are refused before anything is allocated.
 
-The responses to the power-law tail beyond the outer edge ``r_end =
-rMax e^{h/2}`` and to the constant head below the inner edge ``rMin
-e^{-h/2}`` are one computation.  The series integrates the tail in
-closed form where ``r_</r_> <= FAR_RATIO``: all of it for a node more
-than a factor 2 below ``r_end``, from ``2 r_end`` on for the nodes
-within it, which add the factor-2 stretch on one mesh graded toward the
-end (``_END_NODES``, Q = 156); for even ``alpha`` nothing is sampled.
-The last node sits half a cell below ``r_end``, off the kernel cusp.  A
-tail of any decay exponent costs ``O(count J + Q ln 2 / h)``, with no
-state kept per call.  By the inversion ``s -> e^2/s`` about the inner
-edge ``e``, with ``K(lam r, lam s) = lam^(alpha-n) K(r, s)`` and
-``K(1/r, 1/s) = (rs)^(n-alpha) K(r, s)``, the head at ``r_i`` is
-``(e/r_i)^(n-alpha)`` times the tail at ``tau = n + alpha`` of the node
-``e^2/r_i``, which sits where node ``count-1-i`` does below ``r_end``:
-the tail's own tables, scaled by ``(e/r_end)^alpha``, serve both ends.
-The head and tail responses are taken at the nodes, while the rows are
-cell averages.  An assembly on 4096 nodes over eight decades samples
-the kernel about 36k times at ``alpha = 0.8`` and 588 times at ``alpha
-= 2``, where sampling every pair, head and tail row would take 3.2M.
+The responses to the constant head below the inner edge ``rMin
+e^{-h/2}`` and to the power-law tail beyond the outer edge ``r_end =
+rMax e^{h/2}`` are cell averages like every row.  Both extensions are
+virtual log cells that continue the grid, ``r_j = rMin e^{jh}`` for
+``j < 0`` and ``j >= count``, and a node's response is the sum of its
+pairs with them.  The at most D - 1 virtual cells inside a node's band
+carry the profile's node values, 1 for the head and ``(r_j/rMax)^-tau``
+for the tail, and take ``band``; past them the deep cut's series
+integrates the rest of the extension term by term in closed form from
+the cut edge, which for even ``alpha`` (D = 1) is all of it.  The head
+is one vector fixed at assembly; a tail of any decay exponent costs one
+``count x J`` product and one suffix sum of ``band`` against ``e^{-tau
+k h}``, with no state kept per call.  An assembly on 4096 nodes over eight
+decades samples the kernel about 12k times at ``alpha = 0.8`` and 588
+times at ``alpha = 2``, all of it on the band, where sampling every
+pair, head and tail row would take 3.2M.
 """
 
 from __future__ import annotations
@@ -122,10 +119,6 @@ _NEAR_TERMS = 64
 #: Size of a series term, relative to the first, below which the sum
 #: stops: half an ulp of 1.
 _SERIES_CUT = 0.5 * np.finfo(float).eps
-#: Grid nodes whose tail kernel rows are sampled in one ``kernel_ratio``
-#: call; bounds the transient arrays of the build to a few hundred kB
-#: each.
-_TAIL_BUILD_ROWS = 256
 #: Cell pairs integrated in one ``kernel_ratio`` call by
 #: :func:`_near_pairs`; at 72 samples a pair, under a MB per array.
 _PAIR_BLOCK_ROWS = 1024
@@ -549,8 +542,11 @@ class RadialField:
     tail_exponent : float
         Decay exponent ``tau``, a finite real number: beyond the outer
         edge of the last cell, ``r_max e^{h/2}``, the profile is modeled
-        as the pure power law ``values[-1] * (s/r_max)^{-tau}``, by
-        :func:`apply_extended` and :func:`field_integral` alike.
+        as the pure power law ``values[-1] * (s/r_max)^{-tau}``.
+        :func:`field_integral` integrates it as it is;
+        :func:`apply_extended` takes its node values on the cells that
+        continue the grid inside a node's band and integrates it exactly
+        beyond them (:func:`tail_response`).
     """
 
     grid: RadialGrid
@@ -593,16 +589,15 @@ class KernelOperator:
       :func:`_far_tables`).
 
     ``head_response`` is the bare response to the unit profile below the
-    inner edge ``e = rMin e^{-h/2}``, read from the tail's own tables,
-    scaled by ``(e/r_end)^alpha`` (:func:`_head_response`).
-    :func:`tail_response` reads the tables :func:`_tail_tables` builds
-    beyond the outer edge ``r_end = rMax e^{h/2}``: ``tail_series``,
-    the closed-form series part of every node (``count x J``), and
-    ``tail_kernel``, the scaled kernel samples of the nodes within
-    ``1/FAR_RATIO`` of the edge on the end mesh (empty for even
-    ``alpha``).  The classical normalization is applied by
-    :func:`apply_extended`.  The tables :func:`assemble` stores are
-    read-only.
+    inner edge ``rMin e^{-h/2}``, and :func:`tail_response` the one to
+    the power law beyond the outer edge ``rMax e^{h/2}``, both cell
+    averages like the rows.  Each extension is discretized as virtual
+    cells continuing the grid: those inside a node's band take the
+    profile's node values and ``band``, and beyond them the profile is
+    integrated exactly by the deep cut's series (:func:`_end_tables`).
+    ``tail_series`` holds that series part of the tail, ``count x J``.
+    The classical normalization is applied by :func:`apply_extended`.
+    The tables :func:`assemble` stores are read-only.
     """
 
     grid: RadialGrid
@@ -615,7 +610,6 @@ class KernelOperator:
     far_carry: np.ndarray = field(repr=False)
     head_response: np.ndarray = field(repr=False)
     tail_series: np.ndarray = field(repr=False)
-    tail_kernel: np.ndarray = field(repr=False)
 
     @cached_property
     def normalization(self):
@@ -689,19 +683,6 @@ def _gauss_panels(breaks):
     return nodes, weights
 
 
-def _graded_breaks(span, levels=12):
-    """Panel breakpoints of [0, span] halving ``levels`` times toward 0."""
-    return np.concatenate(
-        ([0.0], span * 0.5 ** np.arange(levels, 0, -1), [span]))
-
-
-#: Mesh of the sampled stretch beyond a domain end, in ``y = ln(s/r_end)``
-#: over ``[0, ln(1/FAR_RATIO)]``: 13 panels halving toward the kernel cusp
-#: at ``y = 0``, 156 nodes.
-_END_NODES, _END_WEIGHTS = _gauss_panels(
-    _graded_breaks(-math.log(FAR_RATIO)))
-
-
 def _overlap_weight(z, la, lb, lc, ld, npa):
     """Closed-form sigma integral of the double-cell reduction.
 
@@ -748,7 +729,7 @@ def _gauss_jacobi(b):
 def _cusp_rule(alpha):
     """Fixed rule for ``int_0^1 f(u) du`` with ``f ~ u^{alpha-1}`` at 0.
 
-    ``_CUSP_LEVELS`` halvings toward 0 (:func:`_graded_breaks`), 12-point
+    Panels halving ``_CUSP_LEVELS`` times toward 0, 12-point
     Gauss-Legendre on every panel but the innermost, ``[0, d]`` with ``d
     = 2^-_CUSP_LEVELS``, which takes the 12-point Gauss-Jacobi rule of
     weight ``u^{alpha-1}``; its weights are divided by ``u^{alpha-1}`` at
@@ -757,7 +738,7 @@ def _cusp_rule(alpha):
     kept, since every assembly of one ``alpha`` takes the same rule.
     """
     nodes, weights = _gauss_panels(
-        _graded_breaks(1.0, levels=_CUSP_LEVELS)[1:])
+        np.append(0.5 ** np.arange(_CUSP_LEVELS, 0, -1), 1.0))
     x, wx = _gauss_jacobi(alpha - 1.0)
     half = 0.5 ** (_CUSP_LEVELS + 1)
     u = np.concatenate((half * (1.0 + x), nodes))
@@ -830,45 +811,30 @@ def _near_pairs(cells, n, alpha):
     return out
 
 
-def _far_pairs(b, c, h, n, alpha, ratio):
-    """Double-cell integrals of cell pairs far apart, by the series.
+def _far_terms(b, c, h, n, alpha, ratio):
+    """Double-cell integrals of cell pairs far apart by the series: the
+    J terms before the sum, one row per term, without the common factor
+    ``|S^{n-1}| b^n``.
 
     The lower cells end at ``b`` and the upper cells start at ``c``
     (arrays), both of log width ``h``, with ``b/c <= ratio``, at most
-    ``FAR_RATIO``.  The series takes the J terms of
-    :func:`_series_coefficients` at ``ratio``: 20 to 27 at ``FAR_RATIO``
-    and 11 to 14 at 1/4 for ``alpha < 2`` (n = 3..7), k for ``alpha =
-    2k``.  With ``s < t`` the kernel is ``|S^{n-1}| sum_l c_l s^{2l}
-    t^{alpha-n-2l}``, so the pair integral is a sum of products of cell
-    moments ``m(p) = int s^{p-1} ds``:
+    ``FAR_RATIO``; J is the length of :func:`_series_coefficients` at
+    ``ratio``: 20 to 27 at ``FAR_RATIO`` and 11 to 14 at 1/4 for ``alpha
+    < 2`` (n = 3..7), k for ``alpha = 2k``.  With ``s < t`` the kernel
+    is ``|S^{n-1}| sum_l c_l s^{2l} t^{alpha-n-2l}``, so a pair integral
+    is ``|S^{n-1}| sum_l c_l m_lower(2l+n) m_upper(alpha-2l)`` in the
+    cell moments ``m(p) = int s^{p-1} ds``.
 
-        |S^{n-1}| sum_l c_l m_lower(2l+n) m_upper(alpha-2l).
-
-    Each moment is taken from the end ``x`` of its cell where ``s^p``
-    is largest, ``x^p w exprel(-|p| w)``: nothing cancels, and the
-    powers combine to ``b^n x^alpha (b/x)^{2l}`` with ``x`` an end of
-    the upper cell, which stays in the double range.  The width is
-    passed, not taken from the edges: the difference of two rounded
-    edges far from r = 1 would lose digits in proportion to ``|ln
-    r|/h``.
-    """
-    return sphere_area(n) * b ** n * np.sum(
-        _far_terms(b, c, h, n, alpha, ratio), axis=0)
-
-
-def _far_terms(b, c, h, n, alpha, ratio):
-    """The J terms of :func:`_far_pairs` before the sum, one row per
-    term, without the common factor ``|S^{n-1}| b^n``; J is the length
-    of :func:`_series_coefficients` at ``ratio``, the largest ``b/c``.
-
-    The powers ``(b/x)^{2l} x^alpha`` take the end ``x`` of the upper
-    cell where ``s^{alpha-2l}`` is largest.  For the rising terms,
-    ``alpha - 2l > 0``, that is ``x = c e^h``, one pow each (every
-    term of an even ``alpha``).  For the falling ones it is ``x = c``:
-    one ``c^alpha`` times powers of ``(b/c)^2``, products filled by
-    doubling the rows already done, a few calls for all J.  The width
-    factors, one per term, are taken in place, so the only ``J x P``
-    array is the result.
+    Each moment is taken from the end ``x`` of its cell where ``s^p`` is
+    largest, ``x^p w exprel(-|p| w)``, so nothing cancels; the width is
+    passed, since two rounded edges far from r = 1 would lose digits in
+    proportion to ``|ln r|/h``.  The powers combine to ``b^n (b/x)^{2l}
+    x^alpha``, ``x`` an end of the upper cell: ``c e^h`` for the rising
+    terms, ``alpha - 2l > 0``, one pow each (every term of an even
+    ``alpha``); ``c`` for the falling ones, one ``c^alpha`` times powers
+    of ``(b/c)^2`` filled by doubling the rows already done.  The width
+    factors are taken in place, so the only ``J x P`` array is the
+    result.
     """
     coef = _series_coefficients(n, alpha, ratio)[:, None]
     l2 = 2.0 * np.arange(coef.size)[:, None]
@@ -997,7 +963,7 @@ def assemble(grid, n, alpha):
     Every cell is the log cell of width h centred on its node, so the
     cell pairs form a one-parameter family in the index offset.  Pairs
     whose radii stay within ``FAR_RATIO`` across both cells are
-    closed-form sums of cell moments (:func:`_far_pairs`), with the
+    closed-form sums of cell moments (:func:`_far_terms`), with the
     terms the ratio needs: all J of ``FAR_RATIO`` down to ratio 1/4, the
     deep cut, and about half as many past it.  The band runs to the
     first offset D past the deep cut, about ``2 ln 2 / h``; past it the
@@ -1007,18 +973,21 @@ def assemble(grid, n, alpha):
     and the band is the diagonal alone.  The sampled offsets, about ``ln
     2 / h`` of them, offset 0 included, go to one :func:`_near_pairs`
     call: fixed Gauss-panel sums, and the fixed cusp rule of
-    :func:`_cusp_pairs` on the two windows that meet the cusp.  Nothing
-    of size ``count x count`` is allocated.  The construction is
-    symmetric in the pair of cells, so the adjoint identity ``w_i
-    M[i][j] = w_j M[j][i]`` holds to rounding.
+    :func:`_cusp_pairs` on the two windows that meet the cusp.  They are
+    the only kernel samples: the head and tail take the band and the
+    series (:func:`_end_tables`).  Nothing of size ``count x count`` is
+    allocated.  The construction is symmetric in the pair of cells, so
+    the adjoint identity ``w_i M[i][j] = w_j M[j][i]`` holds to
+    rounding.
 
     Raises
     ------
     ValidationError
         For a bad grid or order, for ``r^{n+alpha}`` out of the normal
-        double range at a node or edge, and, by :func:`check_dense_count`
-        before anything is allocated, for more than ``MAX_DENSE_COUNT``
-        nodes.
+        double range at a node or edge, and, before anything is
+        allocated, for more than ``MAX_DENSE_COUNT`` nodes (by
+        :func:`check_dense_count`) or band offsets, which a non-even
+        ``alpha`` takes on a log step below ``ln 4 / MAX_DENSE_COUNT``.
     """
     instance(grid, RadialGrid, "grid")
     n = _whole_order(n, alpha)
@@ -1038,48 +1007,29 @@ def assemble(grid, n, alpha):
             % (n + alpha, grid.r_min, grid.r_max))
     base = powers[2:]
 
-    # Cells i, i+d give sym(i, i+d) = r_i^{n+alpha} * band[d], with
-    # band[d] the pair (-h/2, h/2) x (dh - h/2, dh + h/2).  A pair is
-    # placed by the ratio b/c of the inner cell's top edge to the outer
-    # cell's bottom one.  Above the series ratio it is near and sampled:
-    # offsets 0 .. S-1.  Down to the deep cut, ratio^2, it takes the full
-    # series, and past that the short one, with about half the terms.
-    # The band is offsets 0 .. D-1, D the first past the deep cut; the
-    # rest are far.  For alpha = 2k the series is the whole kernel at any
-    # ratio, so ratio and cut are 1: only a cell with itself is near, and
-    # D = S = 1.
-    ratio = _series_ratio(alpha)
-    deep = ratio * ratio
-    gap = np.exp(-np.arange(count - 1) * h)  # b/c at offsets 1 .. count-1
-    sampled = 1 + np.count_nonzero(gap > ratio)
-    width = 1 + np.count_nonzero(gap > deep)
-    dh = np.arange(sampled) * h
-    band = _near_pairs(np.array(np.broadcast_arrays(
-        -0.5 * h, 0.5 * h, dh - 0.5 * h, dh + 0.5 * h)), n, alpha)
+    if -2.0 * math.log(_series_ratio(alpha)) > MAX_DENSE_COUNT * h:
+        raise ValidationError("log step %g is too fine: the band would "
+                              "pass %d offsets" % (h, MAX_DENSE_COUNT))
+    band = _band(h, n, alpha)
 
-    # Far pairs: closed-form cell moments on the same cells as the near
-    # band.  The band offsets S .. D-1 are one series sum each.  Pairs
-    # past the band keep the J terms of the short series at offset D,
-    # less those below rounding there (a term's share only falls with
+    # Pairs past the band keep the J terms of the short series at offset
+    # D, less those below rounding there (a term's share only falls with
     # the offset).
     b = math.exp(0.5 * h)
-    if width > sampled:
-        band = np.concatenate((band, _far_pairs(
-            b, np.exp((np.arange(sampled, width) - 0.5) * h), h, n, alpha,
-            ratio)))
     top = (sphere_area(n) * b ** n * _far_terms(
-        b, math.exp((width - 0.5) * h), h, n, alpha, deep)[:, 0])
+        b, math.exp((band.size - 0.5) * h), h, n, alpha,
+        _series_ratio(alpha) ** 2)[:, 0])
     keep = np.abs(top) > _SERIES_CUT ** 2 * abs(top[0])
     lam = (alpha - 2.0 * np.arange(top.size)) * h
     far_gather, far_scatter, far_carry = _far_tables(
-        top[keep], lam[keep], base[:max(count - width, 0)], (n + alpha) * h)
+        top[keep], lam[keep], base[:max(count - band.size, 0)],
+        (n + alpha) * h)
 
-    tail = _tail_tables(grid.nodes, grid.edges[-1], n, alpha)
-    op = KernelOperator(grid=grid, alpha=alpha, n=n, base=base, band=band,
-                        far_gather=far_gather, far_scatter=far_scatter,
-                        far_carry=far_carry,
-                        head_response=_head_response(grid, tail, n, alpha),
-                        tail_series=tail[0], tail_kernel=tail[1])
+    head_response, tail_series = _end_tables(grid, band, n, alpha)
+    op = KernelOperator(grid=grid, alpha=alpha, n=n, base=base,
+                        band=band[:count], far_gather=far_gather,
+                        far_scatter=far_scatter, far_carry=far_carry,
+                        head_response=head_response, tail_series=tail_series)
     # an operator is shared by every solve on its grid: a write into one
     # of its tables raises instead of changing them all
     for table in vars(op).values():
@@ -1088,72 +1038,102 @@ def assemble(grid, n, alpha):
     return op
 
 
-def _head_response(grid, tail, n, alpha):
-    """``int_0^e K(r_i, s) s^{n-1} ds`` below the inner edge ``e``, bare,
-    from the ``tail`` tables on ``grid`` by the inversion of the module
-    docstring.  Node ``count-1-i`` sits at ``e^{-(i+1/2)h}`` of ``r_end``
-    as ``e^2/r_i`` does of ``e``, to the rounding of the nodes."""
-    e, r_end = grid.edges[[0, -1]]
-    # scaled first: (e/r_i)^(n-alpha) (e/r_end)^alpha alone can underflow
-    scaled = (e / r_end) ** alpha * _end_response(tail, n + alpha, n, alpha)
-    return (e / grid.nodes) ** (n - alpha) * scaled[::-1]
+def _band(h, n, alpha):
+    """``band[d]``, the pair integrals of the cells ``(-h/2, h/2)`` and
+    ``(dh - h/2, dh + h/2)`` for d below D, the first offset past the
+    deep cut, whatever the count: the virtual end cells take them all.
+    A pair is placed by the ratio of the inner cell's top edge to the
+    outer cell's bottom one: sampled above the series ratio (offsets
+    below S), one full-series sum (:func:`_far_terms`) down to the deep
+    cut, its square.  For alpha = 2k both are 1, and D = S = 1."""
+    ratio = _series_ratio(alpha)
+    deep = ratio * ratio
+    # b/c at offsets 1, 2, .. to two past the deep cut
+    gap = np.exp(-np.arange(int(-math.log(deep) / h) + 3) * h)
+    sampled = 1 + np.count_nonzero(gap > ratio)
+    width = 1 + np.count_nonzero(gap > deep)
+    dh = np.arange(sampled) * h
+    band = _near_pairs(np.array(np.broadcast_arrays(
+        -0.5 * h, 0.5 * h, dh - 0.5 * h, dh + 0.5 * h)), n, alpha)
+    if width > sampled:
+        b = math.exp(0.5 * h)
+        band = np.concatenate((band, sphere_area(n) * b ** n * np.sum(
+            _far_terms(b, np.exp((np.arange(sampled, width) - 0.5) * h), h,
+                       n, alpha, ratio), axis=0)))
+    return band
 
 
-def _tail_tables(nodes, r_end, n, alpha):
-    """The tables of :func:`_end_response` beyond ``r_end``, above the
-    increasing ``nodes``: ``(series, kernel)``, ``r_end^alpha`` times a
-    function of ``nodes/r_end`` alone, read by :func:`_head_response` too.
+def _cell_moment(p, h):
+    """``int s^{p-1} ds`` over the log cell of width ``h`` about 1; the
+    cell about r takes ``r^p`` times it."""
+    return 2.0 * np.sinh(0.5 * p * h) / p
 
-    Above ``k r_end`` the kernel is its series at every node, and the
-    tail ``(s/r_end)^{-tau}`` integrates term by term to
 
-        |S^{n-1}| r_end^alpha sum_l c_l (r_i/r_end)^{2l}
-                  k^{alpha-2l-tau} / (tau - alpha + 2l),
+def _band_sums(band, rate, rows):
+    """``sum_k band[m + k] e^{-rate k}``, k = 1 .. D-1-m, for the first
+    ``rows`` m: the band part of the end response of the node m in from
+    an end whose virtual cell k carries ``e^{-rate k}``; and those
+    weights.  Each sum is ``e^{-rate}`` times ``band[m + 1]`` plus the
+    next, so a suffix sum of ``band[d] e^{-rate d}`` over ``e^{-rate
+    m}``: one ``cumsum``, in blocks that keep those powers in range, each
+    adding the first sum of the block after it."""
+    size = band.size - 1
+    decay = np.exp(np.arange(1, band.size) * -rate)
+    sums = np.empty(size)
+    block = max(int(600.0 / rate), 1)
+    for hi in range(size, 0, -block):
+        lo = max(hi - block, 0)
+        power = decay[:hi - lo]
+        np.cumsum((band[lo + 1:hi + 1] * power)[::-1],
+                  out=sums[lo:hi][::-1])
+        sums[lo + 1:hi] /= power[:-1]
+        if hi < size:
+            sums[lo:hi] += power[::-1] * sums[hi]
+    return sums[:rows], decay
 
-    ``k = 1`` for ``r_i/r_end <= FAR_RATIO`` and ``k = 1/FAR_RATIO`` for
-    the last ``near`` nodes.  ``series`` holds the terms without
-    ``k^-tau``, ``count x J`` in column order, one running product over
-    ``l``.  The near nodes add ``[r_end, k r_end]``, ``r_end^n
-    r_i^{alpha-n} int K(1, r_end e^y/r_i) e^{(n-tau) y} dy``: ``kernel``
-    holds the factor before the integral times the kernel and the weight
-    on the end mesh, one row per near node, none for even ``alpha``.
-    """
-    near = np.count_nonzero(nodes / r_end > _series_ratio(alpha))
-    coef = _series_coefficients(n, alpha)
-    series = np.empty((nodes.size, coef.size), order="F")
-    series[:, 0] = sphere_area(n) * r_end ** alpha
-    ratio2 = np.square(nodes / r_end)
+
+def _end_tables(grid, band, n, alpha):
+    """``(head_response, tail_series)`` on ``grid`` from the full ``band``
+    (:func:`_band`).  Node i's pairs with the virtual end cells inside
+    its band are ``base x band``; past them the deep cut's series splits
+    each pair into cell moments ``m_i(p) = r_i^p m(p)``
+    (:func:`_cell_moment`), and the extension beyond the cut edge ``e``
+    into a power of ``e``, the head covering ``(0, e)``, the tail ``(e,
+    inf)``:
+
+        head  |S^{n-1}| sum_l c_l e^{n+2l}/(n+2l) m_i(alpha-2l) / w_i,
+        tail  |S^{n-1}| sum_l c_l m_i(n+2l)/w_i e^{alpha-2l}
+                            (rMax/e)^tau / (tau - alpha + 2l).
+
+    ``e`` is the grid's edge, or ``r_i e^{-+(D-1/2)h}`` for the D - 1
+    nodes nearest it; its powers are formed from node ratios.
+    ``tail_series`` holds the tail's terms without ``(rMax/e)^tau/(tau -
+    alpha + 2l)``, ``count x J`` in column order."""
+    h, nodes, weights = grid.log_step, grid.nodes, grid.weights
+    coef = _series_coefficients(n, alpha, _series_ratio(alpha) ** 2)
+    l2 = 2.0 * np.arange(coef.size)
+    reach = math.exp((band.size - 0.5) * h)
+
+    edge = np.minimum(grid.edges[0], nodes / reach)
+    head = sphere_area(n) * edge ** n * nodes ** alpha / weights * _horner(
+        np.square(edge / nodes), coef * _cell_moment(alpha - l2, h) / (n + l2))
+    if band.size > 1:
+        near = _band_sums(band, (n + alpha) * h, grid.count)[0]
+        head[:near.size] += (nodes[0] ** alpha * nodes[0] ** n
+                             / weights[:near.size] * near)
+
+    edge = np.maximum(grid.edges[-1], nodes * reach)
+    series = np.empty((grid.count, coef.size), order="F")
+    series[:, 0] = sphere_area(n) * edge ** alpha
+    ratio2 = np.square(nodes / edge)
     for l in range(1, coef.size):
         np.multiply(series[:, l - 1], ratio2, out=series[:, l])
-    series *= coef
-    series[nodes.size - near:] *= FAR_RATIO ** (
-        2.0 * np.arange(coef.size) - alpha)
+    series *= coef * _cell_moment(n + l2, h) / _cell_moment(n, h)
     # a row's first term is at least sqrt of the smallest normal double
     # (r^(n+alpha) is normal and alpha < n), so its subnormal terms are
     # far below its rounding; as 0 they do not slow the products
     series[np.abs(series) < np.finfo(float).tiny] = 0.0
-    rows = nodes[nodes.size - near:]
-    kernel = np.empty((rows.size, _END_NODES.size))
-    s = r_end * np.exp(_END_NODES)
-    for lo in range(0, rows.size, _TAIL_BUILD_ROWS):
-        block = slice(lo, lo + _TAIL_BUILD_ROWS)
-        kernel[block] = (rows[block, None] ** (alpha - n) * r_end ** n
-                         * kernel_ratio(s[None, :] / rows[block, None], n,
-                                        alpha) * _END_WEIGHTS)
-    return series, kernel
-
-
-def _end_response(tables, tau, n, alpha):
-    """Response to the unit tail ``(s/r_end)^{-tau}`` from the tables of
-    :func:`_tail_tables`: the series times ``1/(tau - alpha + 2l)``, and
-    ``FAR_RATIO^tau`` and the sampled stretch at the near nodes."""
-    series, kernel = tables
-    out = series @ (1.0 / (tau - alpha + 2.0 * np.arange(series.shape[1])))
-    near = kernel.shape[0]
-    if near:
-        out[-near:] *= FAR_RATIO ** tau
-        out[-near:] += kernel @ np.exp((n - tau) * _END_NODES)
-    return out
+    return head, series
 
 
 def tail_response(op, tail_exponent):
@@ -1162,9 +1142,12 @@ def tail_response(op, tail_exponent):
 
     The tail model is ``(s/r_max)^{-tau}`` for ``s > r_max e^{h/2}``,
     the outer edge of the last cell; the caller scales by the last node
-    value.  It is :func:`_end_response` on the operator's tables of
-    :func:`_tail_tables`, taken from the edge: a few small matrix-vector
-    products a call, with no state kept per ``tau``.
+    value.  On the virtual cells of the module docstring, those inside a
+    node's band take ``band`` and the law's node values ``e^{-tau k h}``,
+    k cells past the end, and the law beyond them is integrated exactly
+    (``op.tail_series``): one ``count x J`` product and one suffix sum
+    (:func:`_band_sums`) a call, with no state kept per ``tau``.  A grid
+    no longer than its band, a factor of about 4, rebuilds it each call.
 
     Raises
     ------
@@ -1173,14 +1156,25 @@ def tail_response(op, tail_exponent):
     DivergentTailError
         For ``tail_exponent <= alpha``.
     """
-    real_number(tail_exponent, "tail exponent")
-    if tail_exponent <= instance(op, KernelOperator, "operator").alpha:
+    tau = real_number(tail_exponent, "tail exponent")
+    if tau <= instance(op, KernelOperator, "operator").alpha:
         raise DivergentTailError(
             "tail extension diverges: tail exponent %r <= alpha %r"
             % (tail_exponent, op.alpha))
-    # (s/r_max)^-tau = e^{-tau h/2} (s/r_end)^-tau, r_end = r_max e^{h/2}
-    return math.exp(-0.5 * tail_exponent * op.grid.log_step) * _end_response(
-        (op.tail_series, op.tail_kernel), tail_exponent, op.n, op.alpha)
+    grid, h, series = op.grid, op.grid.log_step, op.tail_series
+    # (r_max/e)^tau = e^{-tau (k + 1/2) h} past the cut edge e = r_end e^{kh}
+    out = series @ (math.exp(-0.5 * tau * h)
+                    / (tau - op.alpha + 2.0 * np.arange(series.shape[1])))
+    band = (op.band if op.band.size < grid.count
+            else _band(h, op.n, op.alpha))
+    if band.size > 1:
+        near, decay = _band_sums(band, tau * h, grid.count)
+        rows = near.size
+        out[-rows:] *= decay[-rows:]
+        # r_i^{n+alpha}/w_i, the scale of node i's pairs over its weight
+        out[-rows:] += (grid.nodes[-rows:] ** op.alpha
+                        / _cell_moment(op.n, h) * near[::-1])
+    return out
 
 
 def apply_extended(op, values, tail_exponent):
@@ -1190,7 +1184,10 @@ def apply_extended(op, values, tail_exponent):
     where the head extends the profile as the constant ``values[0]``
     below the cells, on ``(0, rMin e^{-h/2})``, and the tail as the power
     law ``values[-1] * (s/rMax)^{-tail_exponent}`` from ``rMax e^{h/2}``
-    out to infinity.  The cost is that of
+    out to infinity, both averaged over each node's cell like the rows:
+    on the cells continuing the grid they take their node values inside
+    a node's band and are integrated exactly beyond (:func:`tail_response`).
+    The cost is that of
     :meth:`KernelOperator.apply`, O(count (D + J)), plus a
     :func:`tail_response` when ``values[-1]`` is not 0; no dense matrix
     is used.

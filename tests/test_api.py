@@ -29,7 +29,10 @@ def test_deleted_names_are_gone():
             riesz: ("apply_with_tail", "_pair_cell_quadrature",
                     "_ADAPTIVE_BUDGET", "TAIL_RANGE_CAP",
                     "_terminating_kernel", "TAIL_REMAINDER",
-                    "_touching_breaks", "_end_cusp_rule", "_pair_cells"),
+                    "_touching_breaks", "_end_cusp_rule", "_pair_cells",
+                    "_tail_tables", "_end_response", "_head_response",
+                    "_END_NODES", "_END_WEIGHTS", "_TAIL_BUILD_ROWS",
+                    "_far_pairs", "_graded_breaks"),
             acceptance: ("format_row",),
             exponents: ("integrability_thresholds",),
             solver: ("slow_exponents", "CollapseError", "COLLAPSE_FLOOR",
@@ -48,7 +51,7 @@ def test_deleted_names_are_gone():
     assert not hasattr(riesz.RadialField, "with_values")
     assert not hasattr(riesz.KernelOperator, "matrix")
     assert not hasattr(grid.RadialGrid, "scaled")
-    assert not {"tail_moments", "boundary", "tail_end"} & {
+    assert not {"tail_moments", "boundary", "tail_end", "tail_kernel"} & {
         f.name for f in dataclasses.fields(riesz.KernelOperator)}
     assert [f.name for f in dataclasses.fields(riesz.RadialField)] == [
         "grid", "values", "tail_exponent"]

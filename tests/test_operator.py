@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 from dataclasses import replace
+from functools import lru_cache
 
 import mpmath as mp
 import numpy as np
@@ -14,9 +15,8 @@ from rieszlab.analysis import check_fast_limits
 from rieszlab.errors import DivergentTailError, ValidationError
 from rieszlab.exponents import Params
 from rieszlab.grid import _cell_weights, make_grid
-from rieszlab.riesz import (_END_NODES, _END_WEIGHTS, _TAIL_BUILD_ROWS,
-                            FAR_RATIO, MAX_DENSE_COUNT, RadialField,
-                            _far_pairs, _overlap_weight, _series_coefficients,
+from rieszlab.riesz import (FAR_RATIO, MAX_DENSE_COUNT, RadialField,
+                            _overlap_weight, _series_coefficients,
                             apply_extended, assemble, field_integral,
                             kernel_ratio, power_law_constant, sphere_area,
                             tail_response)
@@ -116,13 +116,17 @@ def sampled_integrand(z, la, lb, lc, ld, n, alpha):
 
 
 def pair_oracle(grid, n, alpha, i, j):
-    """Double-cell integral of cells ``i`` and ``j``, pair by pair.
-
-    ``quad`` over the log-ratio window, split at the kernel cusp ``z = 0``
-    and at the kinks of the overlap weight where they fall inside it.
-    """
+    """Double-cell integral of cells ``i`` and ``j``, pair by pair (see
+    :func:`log_cell_pair`)."""
     le = np.log(grid.edges)
-    la, lb, lc, ld = le[i], le[i + 1], le[j], le[j + 1]
+    return log_cell_pair(le[i], le[i + 1], le[j], le[j + 1], n, alpha)
+
+
+def log_cell_pair(la, lb, lc, ld, n, alpha):
+    """Double-cell integral of the log cells ``(la, lb)`` and ``(lc,
+    ld)``, by ``quad`` over the log-ratio window, split at the kernel
+    cusp ``z = 0`` and at the kinks of the overlap weight where they
+    fall inside it."""
     zlo, zhi = lc - lb, ld - la
     points = sorted({z for z in (0.0, lc - la, ld - lb) if zlo < z < zhi})
     val, _ = integrate.quad(
@@ -345,34 +349,15 @@ class TestFarField:
                       <= 2.0 * np.spacing(np.maximum(m, m.T)))
 
     def test_head_newton_every_node(self):
-        # alpha = 2: int_0^e |S| max(r_i, s)^(2-n) s^(n-1) ds below the
-        # inner edge e = r_min e^{-h/2}
+        # alpha = 2: K(s, t) = |S| t^(2-n) for s below the inner edge
+        # e = r_min e^{-h/2} <= t (Newton's shell theorem), so the head
+        # averaged over cell i is |S| e^n/n int_cell t dt / w_i, with
+        # int_cell t dt = r_i^2 sinh(h)
         grid = make_grid(1e-4, 1e4, 512, 5)
-        want = sphere_area(5) * grid.nodes ** -3.0 * grid.edges[0] ** 5 / 5.0
+        want = (sphere_area(5) * grid.edges[0] ** 5 / 5.0 * grid.nodes ** 2
+                * math.sinh(grid.log_step) / grid.weights)
         np.testing.assert_allclose(assemble(grid, 5, 2.0).head_response, want,
                                    rtol=2e-15, atol=0.0)
-
-    @pytest.mark.parametrize("n, alpha", [(3, 0.8), (4, 2.0), (5, 2.5)])
-    def test_tail_against_full_table(self, n, alpha):
-        # every node, the far ones too: the count x Q kernel table of
-        # the end mesh on [e, 2 e] beyond the outer edge e = r_max e^{h/2},
-        # plus the series from 2 e on, summed term by term
-        grid = make_grid(1e-4, 1e4, 256, n)
-        op = assemble(grid, n, alpha)
-        r, edge = grid.nodes, grid.edges[-1]
-        s = edge * np.exp(_END_NODES)
-        table = kernel_ratio(s[None, :] / r[:, None], n, alpha) * _END_WEIGHTS
-        coef = _series_coefficients(n, alpha)
-        l2 = 2.0 * np.arange(coef.size)
-        for tau in (alpha + 0.3, 2.0 * alpha, 6.0, 18.0):
-            sampled = table @ np.exp((n - tau) * _END_NODES)
-            series = sphere_area(n) * edge ** alpha * (
-                (r[:, None] / edge) ** l2 * 2.0 ** (alpha - l2 - tau)
-                / (tau - alpha + l2)) @ coef
-            want = (grid.r_max / edge) ** tau * (
-                r ** (alpha - n) * sampled * edge ** n + series)
-            np.testing.assert_allclose(tail_response(op, tau), want,
-                                       rtol=1e-14, atol=0.0)
 
 
 #: ``(n, alpha, count)`` on ``make_grid(1e-4, 1e4, count, n)``: non-even
@@ -412,13 +397,14 @@ class TestDeepCut:
 def dense_reference(op):
     """The dense operator filled entry by entry from the pair integrals
     the operator holds: ``base[min(i, j)] * fam[|i - j|]``, with ``fam``
-    the stored band and, past it, one :func:`_far_pairs` sum per offset,
-    divided by the weights."""
+    the stored band and, past it, one sum of :func:`riesz._far_terms`
+    per offset, divided by the weights."""
     grid, h, count = op.grid, op.grid.log_step, op.grid.count
     d = np.arange(op.band.size, count)
-    fam = np.concatenate((op.band, _far_pairs(
-        math.exp(0.5 * h), np.exp((d - 0.5) * h), h, op.n, op.alpha,
-        FAR_RATIO)))
+    b = math.exp(0.5 * h)
+    fam = np.concatenate((op.band, sphere_area(op.n) * b ** op.n * np.sum(
+        riesz._far_terms(b, np.exp((d - 0.5) * h), h, op.n, op.alpha,
+                         FAR_RATIO), axis=0)))
     i = np.arange(count)
     sym = (op.base[np.minimum.outer(i, i)]
            * fam[np.abs(np.subtract.outer(i, i))])
@@ -599,7 +585,7 @@ class TestFarFieldKernels:
         op = assemble(grid, 3, alpha)
         tables = {name: value.copy() for name, value in vars(op).items()
                   if isinstance(value, np.ndarray)}
-        assert len(tables) == 8
+        assert len(tables) == 7
         f = grid.nodes ** -2.5
         first = apply_extended(op, f, 3.5)
         assert np.array_equal(apply_extended(op, f, 3.5), first)
@@ -635,23 +621,20 @@ def end_node_errors(n, alpha, count):
 
 
 class TestEndNodes:
-    """Both end cells are full cells centred on their nodes, so the end
-    rows converge like the interior ones.  With a half last cell node
-    count-1 was first order, 2.0e-2 off at 512 nodes and (3, 0.8)."""
+    """Both end cells are full cells centred on their nodes, and the
+    head and tail are cell averages over them, so the end rows converge
+    like the interior ones.  With a half last cell node count-1 was
+    first order, 2.0e-2 off at 512 nodes and (3, 0.8); with the head and
+    tail taken at the nodes both ends stalled below alpha = 1, at 3.3e-4
+    and 5.1e-4 at (3, 0.3) and 4096 nodes."""
 
-    @pytest.mark.parametrize("n, alpha",
-                             [(3, 0.8), (4, 1.5), (4, 2.0), (5, 2.5)])
+    @pytest.mark.parametrize("n, alpha", [(3, 0.3), (3, 0.6), (3, 0.8),
+                                          (4, 1.5), (4, 2.0), (5, 2.5)])
     def test_second_order_against_hls_extremal(self, n, alpha):
         errs = [end_node_errors(n, alpha, count)
-                for count in (512, 1024, 2048)]
+                for count in (512, 1024, 2048, 4096)]
         for coarse, fine in zip(errs, errs[1:]):
             assert np.all(np.log2(coarse / fine) >= 1.9)
-
-    def test_bounded_below_alpha_one(self):
-        # at (3, 0.6) the pointwise head and tail against the cell
-        # averages of the rows leave a plateau of 5e-6 to 2e-5
-        for count in (512, 1024, 2048, 4096):
-            assert np.all(end_node_errors(3, 0.6, count) <= 3e-5)
 
 
 class TestPowerLawAccuracy:
@@ -739,62 +722,95 @@ class TestExtensions:
             assert out[i] == pytest.approx(want[i], rel=1e-6, abs=0.0)
 
 
-def tail_oracle(op, i, tau):
-    """Adaptive quadrature of the bare tail response at node ``i``.
+def deep_band_width(h, alpha):
+    """D, the first offset whose pair ratio ``e^{-(d-1)h}`` is past the
+    deep cut ``FAR_RATIO^2``; 1 for even alpha, whose series is the
+    whole kernel at every offset."""
+    d = 1
+    while alpha % 2.0 and math.exp(-(d - 1) * h) > FAR_RATIO ** 2:
+        d += 1
+    return d
 
-    ``int_e^inf K(r_i, s) (s/r_max)^-tau s^(n-1) ds`` from the outer edge
-    ``e = r_max e^{h/2}``, in ``y = ln(s/e)``, where it is ``(r_max/e)^tau
-    e^alpha g(rho) e^{(alpha-tau) y}`` with ``rho = s/r_i`` and ``g(rho) =
-    rho^(n-alpha) K(1, rho)``: split at ``ln 2``, so the kernel peak near
-    ``y = 0`` is resolved apart, and at ``ln 1e6``, with the last piece
-    running to infinity.  For ``rho >= 2``, ``g`` is ``|S|
-    2F1((n-alpha)/2, 1-alpha/2; n/2; rho^-2)``, which stays finite where
-    ``rho^(n-alpha)`` overflows.
+
+@lru_cache(maxsize=None)
+def virtual_pairs(r_min, r_max, count, n, alpha, i, tail):
+    """Double-cell integrals of node ``i``'s cell on ``make_grid(r_min,
+    r_max, count, n)`` with the virtual cells k = 1, 2, .. beyond the
+    inner (head) or outer (tail) end that lie inside its band, offsets
+    below D: :func:`log_cell_pair` on the virtual edges, cells of width
+    h about ``r_min e^{-kh}`` or ``r_max e^{kh}``.  Kept, since every
+    tail exponent takes the same ones."""
+    grid = make_grid(r_min, r_max, count, n)
+    h = grid.log_step
+    half = np.array([-0.5, 0.5]) * h
+    own = math.log(grid.nodes[i]) + half
+    m = count - 1 - i if tail else i
+    pairs = []
+    for k in range(1, deep_band_width(h, alpha) - m):
+        # (k +- 1/2) h, so that a cell touching node i's shares its edge
+        cell = (math.log(r_max) + (k + half / h) * h if tail
+                else math.log(r_min) + (half / h - k) * h)
+        lower, upper = (own, cell) if tail else (cell, own)
+        pairs.append(log_cell_pair(*lower, *upper, n, alpha))
+    return tuple(pairs)
+
+
+def end_oracle(op, i, tau=None, same_band=False):
+    """Bare head (``tau`` None) or tail response at node ``i`` of ``op``,
+    in 40 digits: the sum of node i's cell pairs with the virtual cells
+    beyond the end, divided by its weight.
+
+    The virtual cell k = 1, 2, .. sits at ``r_min e^{-kh}`` or ``r_max
+    e^{kh}``.  Inside node i's band, offset below D, a pair takes the
+    profile's node value, 1 or ``e^{-tau k h}``, and its integral from
+    :func:`virtual_pairs`, or with ``same_band`` from the operator's
+    own band, ``r_<^{n+alpha} band[offset]``.  Past the band, the
+    extension beyond the cut edge ``e``, the edge of the first cell D
+    offsets away, takes the kernel's series term by term in closed
+    form, as in :func:`series_pair`: for the head on ``(0, e)``, ``|S|
+    sum_l c_l e^{n+2l}/(n+2l) int_cell t^{alpha-2l-1} dt``; for the tail
+    on ``(e, inf)``, ``|S| sum_l c_l int_cell t^{n+2l-1} dt r_max^tau
+    e^{alpha-2l-tau}/(tau-alpha+2l)``.
     """
     grid, n, alpha = op.grid, op.n, op.alpha
-    edge = grid.edges[-1]
-    lead = edge / grid.nodes[i]
-
-    def integrand(y):
-        rho = lead * math.exp(y) if y < 700.0 else math.inf
-        if rho < 2.0:
-            g = float(kernel_ratio(rho, n, alpha)) * rho ** (n - alpha)
+    tail = tau is not None
+    count, h = grid.count, grid.log_step
+    m = count - 1 - i if tail else i
+    width = deep_band_width(h, alpha)
+    with mp.workdps(40):
+        hh, al, r = mp.mpf(h), mp.mpf(alpha), mp.mpf(grid.nodes[i])
+        end = mp.mpf(grid.r_max if tail else grid.r_min)
+        step = mp.exp(hh if tail else -hh)
+        value = (lambda k: mp.exp(-mp.mpf(tau) * k * hh)) if tail else (
+            lambda k: 1)
+        if same_band:
+            pairs = [(r if tail else end * step ** k) ** (n + al)
+                     * mp.mpf(op.band[m + k]) for k in range(1, width - m)]
         else:
-            g = sphere_area(n) * special.hyp2f1(
-                0.5 * (n - alpha), 1.0 - 0.5 * alpha, 0.5 * n, rho ** -2.0)
-        return edge ** alpha * g * math.exp((alpha - tau) * y)
-
-    cap = math.log(1e6)
-    pieces = ((0.0, math.log(2.0)), (math.log(2.0), cap), (cap, math.inf))
-    return (grid.r_max / edge) ** tau * sum(
-        integrate.quad(integrand, lo, hi, epsabs=0.0, epsrel=1e-12,
-                       limit=400)[0] for lo, hi in pieces)
-
-
-def head_oracle(grid, n, alpha, i):
-    """Adaptive quadrature of the bare head response at node ``i``,
-    ``int_0^e K(r_i, s) s^(n-1) ds`` below the inner edge ``e = r_min
-    e^{-h/2}``."""
-    r_i = grid.nodes[i]
-
-    def integrand(s):
-        return (r_i ** (alpha - n) * float(kernel_ratio(s / r_i, n, alpha))
-                * s ** (n - 1))
-
-    val, _ = integrate.quad(integrand, 0.0, grid.edges[0], epsabs=0.0,
-                            epsrel=1e-13, limit=400)
-    return val
-
-
-def mirrored_head(grid, n, alpha):
-    """The bare head response from end tables built on the grid mirrored
-    about the inner edge ``e``, nodes ``e^2/r_i``: ``(e/r_i)^(n-alpha)``
-    times their tail response at ``tau = n + alpha``."""
-    nodes, edge = grid.nodes, grid.edges[0]
-    mirrored = (edge * (edge / nodes))[::-1]
-    tail = riesz._end_response(riesz._tail_tables(mirrored, edge, n, alpha),
-                               n + alpha, n, alpha)
-    return (edge / nodes) ** (n - alpha) * tail[::-1]
+            pairs = virtual_pairs(grid.r_min, grid.r_max, count, n, alpha, i,
+                                  tail)
+        total = mp.fsum(mp.mpf(p) * value(k) for k, p in enumerate(pairs, 1))
+        e = end * step ** (max(width - 1 - m, 0) + mp.mpf(0.5))
+        lo, hi = r * mp.exp(-hh / 2), r * mp.exp(hh / 2)
+        far = mp.mpf(0)
+        for k in range(2000):
+            coef = (mp.rf((n - al) / 2, k) * mp.rf(1 - al / 2, k)
+                    / (mp.rf(mp.mpf(n) / 2, k) * mp.factorial(k)))
+            if coef == 0:
+                break
+            p, q = 2 * k + n, al - 2 * k
+            if tail:
+                t = mp.mpf(tau)
+                term = ((hi ** p - lo ** p) / p * grid.r_max ** t
+                        * e ** (q - t) / (t - q))
+            else:
+                term = e ** p / p * (hi ** q - lo ** q) / q
+            far += coef * term
+            if abs(term) < mp.mpf(10) ** -36 * abs(far):
+                break
+        area = 2 * mp.pi ** (mp.mpf(n) / 2) / mp.gamma(mp.mpf(n) / 2)
+        weight = r ** n * 2 * mp.sinh(n * hh / 2) / n
+        return float((total + area * far) / weight)
 
 
 class TestHeadResponse:
@@ -802,44 +818,19 @@ class TestHeadResponse:
     @pytest.mark.parametrize("i", [0, 1, 32, 63])
     @pytest.mark.parametrize("n, alpha", [(3, 0.8), (4, 1.5), (5, 2.0)])
     def test_against_adaptive_quadrature(self, n, alpha, i):
-        # node 0 sits half a cell above the end of the head
+        # node 0 sits half a cell above the end of the head, and nodes 0
+        # to 4 reach virtual cells inside their band
         grid = make_grid(1e-4, 1e4, 64, n)
-        got = assemble(grid, n, alpha).head_response[i]
-        want = head_oracle(grid, n, alpha, i)
-        assert got == pytest.approx(want, rel=1e-10, abs=0.0)
-
-    @pytest.mark.parametrize("n, alpha", [
-        (3, 0.3), (3, 0.6), (3, 0.8), (4, 1.5), (5, 2.5), (7, 3.5),
-        (4, 2.0), (5, 2.0), (6, 4.0)])
-    def test_against_mirrored_grid_tables(self, n, alpha):
-        # the head read from the tail's tables against its tables built
-        # anew on the grid mirrored about the inner edge e, nodes
-        # e^2/r_i: the two differ by rounding alone
-        for lo, hi in ((1e-4, 1e4), (1e-6, 1e2)):
-            for count in (64, 512, 4096):
-                grid = make_grid(lo, hi, count, n)
-                np.testing.assert_allclose(
-                    assemble(grid, n, alpha).head_response,
-                    mirrored_head(grid, n, alpha), rtol=2e-14, atol=0.0)
-
-    def test_one_table_build_per_assembly(self, monkeypatch):
-        # the head reads the tail's tables: no second build for it
-        builds = []
-        build = riesz._tail_tables
-
-        def counted(*args):
-            builds.append(args)
-            return build(*args)
-
-        monkeypatch.setattr(riesz, "_tail_tables", counted)
-        assemble(make_grid(1e-4, 1e4, 256, 3), 3, 0.8)
-        assert len(builds) == 1
+        op = assemble(grid, n, alpha)
+        assert op.band.size == deep_band_width(grid.log_step, alpha)
+        assert op.head_response[i] == pytest.approx(end_oracle(op, i),
+                                                    rel=1e-12, abs=0.0)
 
 
 def check_tail_oracle(op, tau):
     got = tail_response(op, tau)
     for i in (0, op.grid.count // 2, op.grid.count - 2, op.grid.count - 1):
-        assert got[i] == pytest.approx(tail_oracle(op, i, tau), rel=1e-12,
+        assert got[i] == pytest.approx(end_oracle(op, i, tau), rel=1e-12,
                                        abs=0.0)
 
 
@@ -850,39 +841,19 @@ class TestTailResponse:
         # the tail's weight lies past the range cap
         check_tail_oracle(op4, tau)
 
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
     @pytest.mark.parametrize("tau", [2.55, 4.0, 6.0, 18.0])
     def test_non_even_alpha_against_adaptive_quadrature(self, tau):
-        # at alpha = 0.8 the last node sees the infinite kernel cusp at
-        # s = r_max, half a cell below the start of the tail
+        # at alpha = 0.8 the last node's cell touches the first virtual
+        # cell, across the infinite kernel cusp at its outer edge
         for n, alpha in ((5, 2.5), (3, 0.8)):
             check_tail_oracle(
                 assemble(make_grid(1e-4, 1e4, 256, n), n, alpha), tau)
 
-    @pytest.mark.filterwarnings(
-        "ignore::scipy.integrate.IntegrationWarning")
-    def test_build_block_seam_at_both_ends(self):
-        # 616 near nodes per end take their kernel rows in blocks of
-        # _TAIL_BUILD_ROWS; check the two nodes either side of the first
-        # seam.  The head reads the same rows in reverse, node i from
-        # row count-1-i, so its seam is at nodes seam-1, seam
-        n, alpha = 3, 0.8
-        op = assemble(make_grid(1.0, 10.0, 2048, n), n, alpha)
-        count, near = op.grid.count, op.tail_kernel.shape[0]
-        assert near == 616 and near > _TAIL_BUILD_ROWS
-        seam = near - _TAIL_BUILD_ROWS
-        tail = tail_response(op, 3.0)
-        for i in (count - seam - 1, count - seam):
-            assert tail[i] == pytest.approx(tail_oracle(op, i, 3.0),
-                                            rel=1e-12, abs=0.0)
-        for i in (seam - 1, seam):
-            assert op.head_response[i] == pytest.approx(
-                head_oracle(op.grid, n, alpha, i), rel=1e-10, abs=0.0)
-
     def test_operator_state_bounded(self, op4):
         # every call uses the tables built at assembly; nothing is
-        # cached per tail exponent, and only the nodes within FAR_RATIO
-        # of r_max, about ln 2 / h of them, keep kernel samples: none
-        # for even alpha
+        # cached per tail exponent, and the series table holds the J
+        # terms of the deep cut for every node
         op3 = assemble(make_grid(1e-4, 1e4, 256, 3), 3, 0.8)
         for op in (op4, op3):
             def state():
@@ -890,14 +861,84 @@ class TestTailResponse:
                         for k, v in vars(op).items()}
 
             before = state()
-            for tau in np.linspace(op.alpha + 0.05, 20.0, 200):
-                tail_response(op, float(tau))
+            for tau in np.linspace(op.alpha + 0.05, 1000.0, 200):
+                got = tail_response(op, float(tau))
+                assert np.all(np.isfinite(got)) and np.all(got >= 0.0)
             assert state() == before
-            near = op.tail_kernel.shape[0]
-            assert near <= math.log(1.0 / FAR_RATIO) / op.grid.log_step + 1.0
-            assert op.tail_series.shape[0] == op.grid.count
-        assert op4.tail_kernel.shape[0] == 0
-        assert op3.tail_kernel.shape[0] > 0
+            terms = _series_coefficients(op.n, op.alpha,
+                                         riesz._series_ratio(op.alpha) ** 2)
+            assert op.tail_series.shape == (op.grid.count, terms.size)
+
+
+#: ``(r_min, r_max, count, n, alpha)``: grids of 80 and 120 decades,
+#: where ``|ln r|`` reaches 92 and 138.
+WIDE_END_CASES = [(1e-40, 1e40, 512, 3, 0.8), (1e-60, 1e60, 400, 3, 1.5)]
+
+
+class TestEndCells:
+    @pytest.mark.parametrize("case", WIDE_END_CASES, ids=far_case_id)
+    def test_wide_grids_against_mpmath(self, case):
+        # the powers of the end tables are formed from node ratios, so
+        # the rounding of the exponents is not multiplied by |ln r|
+        r_min, r_max, count, n, alpha = case
+        op = assemble(make_grid(r_min, r_max, count, n), n, alpha)
+        head, tail = op.head_response, tail_response(op, 3.0)
+        assert np.all(np.isfinite(head)) and np.all(np.isfinite(tail))
+        for i in (0, 1, count // 2, count - 2, count - 1):
+            assert head[i] == pytest.approx(
+                end_oracle(op, i, same_band=True), rel=1e-13, abs=0.0)
+            assert tail[i] == pytest.approx(
+                end_oracle(op, i, 3.0, same_band=True), rel=1e-13, abs=0.0)
+
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    def test_narrow_grid_against_quadrature(self):
+        # one factor 2 end to end: the band, D = 31 offsets, is longer
+        # than the grid, so the virtual cells take offsets it lacks
+        op = assemble(make_grid(1.0, 2.0, 16, 3), 3, 0.8)
+        assert op.band.size == 16
+        assert deep_band_width(op.grid.log_step, 0.8) == 31
+        tail = tail_response(op, 3.0)
+        assert np.all(np.isfinite(tail)) and np.all(tail > 0.0)
+        assert np.all(np.isfinite(op.head_response))
+        assert op.head_response[0] == pytest.approx(end_oracle(op, 0),
+                                                    rel=1e-12, abs=0.0)
+        assert tail[-1] == pytest.approx(end_oracle(op, 15, 3.0), rel=1e-12,
+                                         abs=0.0)
+
+    def test_only_the_band_is_sampled(self, monkeypatch):
+        # the head and tail take the band and the series: no kernel_ratio
+        # point, and the band's 12,288 log-ratio samples, where the end
+        # tables sampled 24,024 more
+        points = {"kernel_ratio": 0, "_log_kernel": 0}
+        for name in points:
+            def counted(z, n, alpha, _name=name, _inner=getattr(riesz, name)):
+                points[_name] += np.size(z)
+                return _inner(z, n, alpha)
+            monkeypatch.setattr(riesz, name, counted)
+        assemble(make_grid(1e-4, 1e4, 4096, 3), 3, 0.8)
+        assert points == {"kernel_ratio": 0, "_log_kernel": 12288}
+
+    @pytest.mark.parametrize("rate", [0.01, 50.0, 700.0])
+    def test_band_sums_against_direct_sums(self, rate):
+        # past rate 600/(D-1) the suffix sums run in blocks, each taking
+        # the first sum of the one after it
+        band = assemble(make_grid(1e-4, 1e4, 256, 3), 3, 0.8).band
+        sums, decay = riesz._band_sums(band, rate, 256)
+        k = np.arange(1, band.size)
+        np.testing.assert_allclose(decay, np.exp(-rate * k), rtol=1e-15,
+                                   atol=0.0)
+        want = [np.dot(band[m + 1:], np.exp(-rate * k[:band.size - 1 - m]))
+                for m in range(band.size - 1)]
+        np.testing.assert_allclose(sums, want, rtol=1e-14, atol=0.0)
+
+    def test_band_past_the_count_cap_refused(self):
+        # a log step below ln 4/MAX_DENSE_COUNT gives a non-even band of
+        # more offsets than the largest grid has nodes; even alpha has
+        # none past offset 0
+        grid = make_grid(1.0, 1.001, 16, 3)
+        with pytest.raises(ValidationError, match="too fine"):
+            assemble(grid, 3, 0.8)
+        assert assemble(grid, 3, 2.0).band.size == 1
 
 
 class TestFieldIntegral:
