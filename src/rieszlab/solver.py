@@ -3,17 +3,20 @@
 Solves the radial system ``u = I_alpha[v^q]``, ``v = I_alpha[u^p]`` on a
 log grid.  Two branches:
 
-* :func:`solve_picard` — Picard sweeps for the regular decaying
-  (bubble) profile in the critical regime, accelerated by type-II
-  Anderson mixing (Walker & Ni, SIAM J. Numer. Anal. 49, 2011) on the
-  log fields over the last ``ANDERSON_DEPTH`` sweeps.  The Picard map
-  has two quasi-null directions inherited from the scaling family
-  (overall amplitude and dilation ``lam^theta u(lam r)``).  Each sweep
-  renormalizes both fields to 1 at the first node, which removes the
-  amplitude, and shifts its image along the dilation to the family
-  member whose restored ``u`` is 1 there (a phase condition, as in
-  freezing: Beyn & Thuemmler, SIAM J. Appl. Dyn. Syst. 3, 2004), which
-  removes the dilation.  The fixed point is then the presented pair.
+* :func:`solve_picard` — Gauss-Seidel Picard sweeps for the regular
+  decaying (bubble) profile in the critical regime: each sweep forms
+  ``v = I_alpha[u^p]`` from the current ``u`` and iterates ``u`` alone
+  through the composed map ``u -> I_alpha[(I_alpha[u^p])^q]``,
+  accelerated by type-II Anderson mixing (Walker & Ni, SIAM J. Numer.
+  Anal. 49, 2011) on ``ln u`` over the last ``ANDERSON_DEPTH`` sweeps.
+  The map has two quasi-null directions inherited from the scaling
+  family (overall amplitude, of exponent ``pq``, and dilation
+  ``lam^theta u(lam r)``).  Each sweep renormalizes ``u`` to 1 at the
+  first node, which removes the amplitude, and shifts its image along
+  the dilation to the family member whose restored ``u`` is 1 there (a
+  phase condition, as in freezing: Beyn & Thuemmler, SIAM J. Appl.
+  Dyn. Syst. 3, 2004), which removes the dilation.  The fixed point is
+  then the presented pair.
 * :func:`singular_solution` — the exact singular pair
   ``A r^{-theta1}, B r^{-theta2}`` with amplitudes solved in closed form
   from the power-law identity of the potential.
@@ -21,9 +24,14 @@ log grid.  Two branches:
 Stopping is honest: the iteration must both stall (small update) and
 satisfy the discrete equations proportionally on the interior half of
 the grid to the requested tolerance, and the reported residuals are
-re-measured on the final returned fields.  An iteration whose interior
-spread makes no new low for ``2 * ANDERSON_DEPTH`` sweeps is stopped as
-stagnant.  Residuals gauge how well the discrete system is solved; the
+re-measured on the final returned fields.  Since ``v`` is exact by
+construction, the whole interior spread of the composed map sits on
+the ``u`` equation; the presentation moves ``u`` the share ``1/(1+p)``
+of the way to its image, which leaves about ``p/(1+p)`` of that spread
+on each equation, and that predicted share is what the stop compares
+with the tolerance.  An iteration whose predicted spread makes no new
+low for ``2 * ANDERSON_DEPTH`` sweeps is stopped as stagnant.
+Residuals gauge how well the discrete system is solved; the
 distance to the continuum profile is a separate (second order in the log
 mesh width) discretization question, observable by solving on a doubled
 grid.
@@ -167,18 +175,17 @@ def _proportionality(image, values, sl):
 
 
 def _anderson_step(history, x, f, mixing):
-    """Next pair of type-II Anderson mixing (Walker & Ni 2011).
+    """Next iterate of type-II Anderson mixing (Walker & Ni 2011).
 
-    ``x`` is ``[ln u, ln v]`` and ``f = G(x) - x`` its Picard residual;
+    ``x`` is ``ln u`` and ``f = G(x) - x`` its Picard residual;
     ``history`` holds this cycle's ``x`` and ``f`` and is updated in
     place, keeping the last ``ANDERSON_DEPTH + 1``.  The step is
     ``x + mixing f - (dX + mixing dF) gamma`` with ``gamma`` the
     least-squares solution of ``dF gamma = f`` over the history
     differences.  The correction is dropped, leaving the damped log
     step, while the history is short or rank-deficient (singular values
-    below 1e-10 of the largest), or when the corrected fields are not
-    finite.  Returns ``u`` and ``v`` concatenated, each renormalized to
-    1 at its first node.
+    below 1e-10 of the largest), or when the corrected field is not
+    finite.  Returns ``u`` renormalized to 1 at its first node.
     """
     xs, fs = history
     xs.append(x)
@@ -190,20 +197,17 @@ def _anderson_step(history, x, f, mixing):
         df = np.diff(fs, axis=0).T
         gamma, _, rank, _ = np.linalg.lstsq(df, f, rcond=1e-10)
         if rank == df.shape[1]:
-            fields = _origin_normalized(step - (dx + mixing * df) @ gamma)
-            if np.all(np.isfinite(fields)):
-                return fields
+            field = _origin_normalized(step - (dx + mixing * df) @ gamma)
+            if np.all(np.isfinite(field)):
+                return field
     return _origin_normalized(step)
 
 
 def _origin_normalized(logs):
-    """Exponentiate the two concatenated log fields, each divided by its
-    value at the first node; overflow gives inf, for the caller to test.
-    """
-    half = logs.size // 2
-    lu, lv = logs[:half], logs[half:]
+    """Exponentiate a log field divided by its value at the first node;
+    overflow gives inf, for the caller to test."""
     with np.errstate(over="ignore"):
-        return np.exp(np.concatenate((lu - lu[0], lv - lv[0])))
+        return np.exp(logs - logs[0])
 
 
 def _log_dilate(log_lam, rate, lnodes, lv, tau):
@@ -265,14 +269,16 @@ def solve_picard(params, grid=None, config=None, monitor=None,
                  operator=None):
     """Anderson-accelerated Picard solve for the regular decaying pair.
 
-    Every sweep renormalizes both fields to 1 at the first node and
-    shifts its image along the dilation so that the physical amplitude
-    of ``u`` is 1 there; the fixed point is the family member with ``u =
-    1`` at the first node.  Once both the update size and the interior
-    spread are below ``config.tol``, the pair just measured is given its
+    Every sweep forms ``v = I_alpha[u^p]`` and the image ``I_alpha[v^q]``
+    of ``u``, renormalizes ``u`` to 1 at the first node and shifts its
+    image along the dilation so that the physical amplitude of ``u`` is
+    1 there; the fixed point is the family member with ``u = 1`` at the
+    first node.  Once both the update size and the predicted interior
+    spread are below ``config.tol``, the ``u`` just measured is moved
+    the share ``1/(1+p)`` of the way to its image, the pair is given its
     physical amplitudes, dilated by the remaining shift (of the order of
     ``config.tol``) and set to ``u = 1`` at the first node, and its
-    residuals are re-measured.  The iteration starts from
+    residuals are re-measured.  The iteration starts from the ``u`` of
     :func:`default_init`.
 
     Parameters
@@ -286,7 +292,11 @@ def solve_picard(params, grid=None, config=None, monitor=None,
     config : SolveConfig, optional
     monitor : callable, optional
         Called as ``monitor(iteration, delta, spread_u, spread_v)``
-        after each sweep.
+        after each sweep, with ``delta`` the relative update of ``u``.
+        Both spreads are the share ``p/(1+p)`` of the interior spread of
+        ``I_alpha[v^q]/u`` that the presentation would leave on each
+        equation, so they are equal; ``v = I_alpha[u^p]`` has no spread
+        of its own.
     operator : KernelOperator, optional
         Reuse a previously assembled operator on ``grid``.
 
@@ -296,12 +306,13 @@ def solve_picard(params, grid=None, config=None, monitor=None,
         For a ``params``, ``config`` or ``operator`` of another class,
         non-critical parameters, or an operator for another grid or alpha.
     NonConvergenceError
-        When the sweep budget ends before both the update size and the
-        interior proportionality spread drop below ``config.tol``, when
-        the iteration stagnates (no new low of the interior spread for
-        ``2 * ANDERSON_DEPTH`` sweeps), or when the re-measured residual
-        of the presented pair is above ``config.tol``.  The message names
-        which, and the error carries the pair it measured last.
+        When the sweep budget ends before the update size drops below
+        ``config.tol`` and the predicted spread below ``0.9 config.tol``,
+        when the iteration stagnates (no new low of the interior spread
+        for ``2 * ANDERSON_DEPTH`` sweeps), or when the re-measured
+        residual of the presented pair is above ``config.tol``.  The
+        message names which, and the error carries the pair it measured
+        last.
     """
     config = instance(config, SolveConfig, "config", SolveConfig())
     report = classify(params)
@@ -311,50 +322,44 @@ def solve_picard(params, grid=None, config=None, monitor=None,
             "parameters classify as %s" % report.regime.value)
     grid, op = _grid_operator(params, grid, operator)
     n, alpha, p, q = params.n, params.alpha, params.p, params.q
-    fu, fv = default_init(params, grid)
-    u, v = fu.values, fv.values
+    fu = default_init(params, grid)[0]
+    u, tau_u = fu.values, fu.tail_exponent
     window = _tail_window(grid)
-    tau_u, tau_v = fu.tail_exponent, fv.tail_exponent
     sl = grid.interior_slice()
     omega = config.damping
 
     th1, th2 = report.slow_rate_u, report.slow_rate_v
     lnodes = np.log(grid.nodes)
     floor = alpha + 0.05  # powered-tail clamp while iterating
+    share = p / (1.0 + p)  # of the u floor left on each equation, presented
     iterations = 0
     spread_u = spread_v = delta = math.inf
     history = ([], [])  # Anderson iterates and residuals
     best, best_at = math.inf, 0  # lowest interior spread so far
     while iterations < config.max_iters:
         iterations += 1
+        v = apply_extended(op, u ** p, max(p * tau_u, floor))
+        tau_v = _tail_slope(window, v, alpha, n)
         tu = apply_extended(op, v ** q, max(q * tau_v, floor))
-        tv = apply_extended(op, u ** p, max(p * tau_u, floor))
-        cu, spread_u = _proportionality(tu, u, sl)
-        cv, spread_v = _proportionality(tv, v, sl)
+        cu, spread = _proportionality(tu, u, sl)
+        spread_u = spread_v = share * spread
         # Freeze the dilation: take the image to the family member whose
         # restored u is 1 at the first node, so that the map's fixed
         # point is the presented pair and the orbit is no longer neutral.
-        log_lam = ((math.log(tu[0]) + q * math.log(tv[0]))
-                   / ((p * q - 1.0) * th1))
-        image = np.concatenate([li - li[0] for li in (
-            _log_dilate(log_lam, 0.0, lnodes, np.log(tu), tau_u),
-            _log_dilate(log_lam, 0.0, lnodes, np.log(tv), tau_v))])
-        fields = np.concatenate((u, v))
-        x = np.log(fields)
-        step = _anderson_step(history, x, image - x, omega)
+        log_lam = math.log(tu[0]) / ((p * q - 1.0) * th1)
+        image = _log_dilate(log_lam, 0.0, lnodes, np.log(tu), tau_u)
+        x = np.log(u)
+        step = _anderson_step(history, x, image - image[0] - x, omega)
         with np.errstate(divide="ignore", invalid="ignore"):
-            delta = float(np.max(np.abs(step - fields)
-                                 / np.maximum(fields, 1e-300)))
+            delta = float(np.max(np.abs(step - u) / np.maximum(u, 1e-300)))
         if monitor is not None:
             monitor(iterations, delta, spread_u, spread_v)
-        spread = max(spread_u, spread_v)
-        if delta < config.tol and spread < 0.9 * config.tol:
-            break  # present the pair whose spread and cu, cv were measured
-        u, v = step[:u.size], step[u.size:]
+        if delta < config.tol and spread_u < 0.9 * config.tol:
+            break  # present the pair whose spread and cu were measured
+        u = step
         tau_u = _tail_slope(window, u, alpha, n)
-        tau_v = _tail_slope(window, v, alpha, n)
-        if spread < best:
-            best, best_at = spread, iterations
+        if spread_u < best:
+            best, best_at = spread_u, iterations
         elif iterations - best_at == 2 * ANDERSON_DEPTH:
             raise _stop(iterations, "the accelerated iteration stagnated: "
                          "the interior spread made no new low below %.3g in "
@@ -365,16 +370,18 @@ def solve_picard(params, grid=None, config=None, monitor=None,
                      % (config.tol, config.max_iters), delta,
                      "interior spread", spread_u, spread_v)
 
-    # Restore physical amplitudes: with U = e*u, V = f*v the pair solves
-    # the system exactly when e = cu*f^q and f = cv*e^p.  The frozen map
-    # leaves e within about tol of 1, so the dilation ``lam^theta
-    # f(lam r)`` that brings U to 1 at the first node is as small.
-    expo = -1.0 / (p * q - 1.0)
-    e = (cu * cv ** q) ** expo
-    f = (cv * cu ** p) ** expo
+    # v = I[u^p] is exact, so the u equation carries the whole floor:
+    # moving u the share 1/(1+p) of the way to its image leaves about
+    # p/(1+p) of it on each equation.  Then restore physical amplitudes:
+    # U = e*u solves the composed map when e = cu*e^(pq), and V = e^p v.
+    # The frozen map leaves e within about tol of 1, so the dilation
+    # ``lam^theta f(lam r)`` that brings U to 1 at the first node is as
+    # small.
+    u = u * (tu / (cu * u)) ** (1.0 / (1.0 + p))
+    e = cu ** (-1.0 / (p * q - 1.0))
     log_lam = -math.log(e) / th1
     u = np.exp(_log_dilate(log_lam, th1, lnodes, np.log(e * u), tau_u))
-    v = np.exp(_log_dilate(log_lam, th2, lnodes, np.log(f * v), tau_v))
+    v = np.exp(_log_dilate(log_lam, th2, lnodes, np.log(e ** p * v), tau_v))
     u[0] = 1.0
     tau_u = _tail_slope(window, u, alpha, n)
     tau_v = _tail_slope(window, v, alpha, n)
