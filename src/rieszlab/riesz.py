@@ -119,7 +119,7 @@ _NEAR_TERMS = 64
 #: Size of a series term, relative to the first, below which the sum
 #: stops: half an ulp of 1.
 _SERIES_CUT = 0.5 * np.finfo(float).eps
-#: Cell pairs integrated in one ``kernel_ratio`` call by
+#: Cell pairs integrated in one :func:`_log_kernel` call by
 #: :func:`_near_pairs`; at 72 samples a pair, under a MB per array.
 _PAIR_BLOCK_ROWS = 1024
 #: Halvings toward the cusp of :func:`_cusp_rule`: its innermost panel
@@ -487,7 +487,8 @@ def angular_kernel(r, s, n, alpha):
 
     Integrates ``|S^{n-2}| (r^2 + s^2 - 2 r s cos(t))^{(alpha-n)/2}
     sin^{n-2}(t)`` over ``t`` in ``(0, pi)``.  This is the reference
-    implementation; assembly uses the closed form :func:`kernel_ratio`.
+    implementation; assembly samples the kernel from the log-ratio by
+    :func:`_log_kernel`.
 
     Raises
     ------
@@ -582,7 +583,9 @@ class KernelOperator:
 
     - pairs closer than ``D = band.size`` offsets, the first past ratio
       1/4: ``base[min(i, j)] * band[|i - j|]``, with ``base =
-      r^{n+alpha}`` at the nodes;
+      r^{n+alpha}`` at the nodes.  ``band`` holds all D offsets on every
+      grid: on one shorter than its band, a factor of about 4, the
+      offsets past the count serve only the virtual end cells;
     - pairs ``D`` or more offsets apart: a J-term sum of products of a
       power of the inner and one of the outer radius, held in
       ``far_gather``, ``far_scatter`` and ``far_carry`` (see
@@ -636,7 +639,8 @@ class KernelOperator:
         peak = max(f.max(), -f.min())
         if not math.isfinite(peak):
             raise ValidationError("operator input must be finite")
-        base, band, d = self.base, self.band, self.band.size
+        base, band = self.base, self.band[:count]
+        d = band.size
         # One convolution gives the band pairs j <= i and, on the
         # reversed values past a gap, those j >= i; each side takes
         # half of the diagonal.
@@ -811,57 +815,35 @@ def _near_pairs(cells, n, alpha):
     return out
 
 
-def _far_terms(b, c, h, n, alpha, ratio):
-    """Double-cell integrals of cell pairs far apart by the series: the
-    J terms before the sum, one row per term, without the common factor
-    ``|S^{n-1}| b^n``.
+def _cell_moment(p, h):
+    """``int s^{p-1} ds`` over the log cell of width ``h`` about 1; the
+    cell about r takes ``r^p`` times it."""
+    return 2.0 * np.sinh(0.5 * p * h) / p
 
-    The lower cells end at ``b`` and the upper cells start at ``c``
-    (arrays), both of log width ``h``, with ``b/c <= ratio``, at most
-    ``FAR_RATIO``; J is the length of :func:`_series_coefficients` at
-    ``ratio``: 20 to 27 at ``FAR_RATIO`` and 11 to 14 at 1/4 for ``alpha
-    < 2`` (n = 3..7), k for ``alpha = 2k``.  With ``s < t`` the kernel
-    is ``|S^{n-1}| sum_l c_l s^{2l} t^{alpha-n-2l}``, so a pair integral
-    is ``|S^{n-1}| sum_l c_l m_lower(2l+n) m_upper(alpha-2l)`` in the
-    cell moments ``m(p) = int s^{p-1} ds``.
 
-    Each moment is taken from the end ``x`` of its cell where ``s^p`` is
-    largest, ``x^p w exprel(-|p| w)``, so nothing cancels; the width is
-    passed, since two rounded edges far from r = 1 would lose digits in
-    proportion to ``|ln r|/h``.  The powers combine to ``b^n (b/x)^{2l}
-    x^alpha``, ``x`` an end of the upper cell: ``c e^h`` for the rising
-    terms, ``alpha - 2l > 0``, one pow each (every term of an even
-    ``alpha``); ``c`` for the falling ones, one ``c^alpha`` times powers
-    of ``(b/c)^2`` filled by doubling the rows already done.  The width
-    factors are taken in place, so the only ``J x P`` array is the
-    result.
+def _series_pairs(d, h, n, alpha, ratio):
+    """The series terms of the pair integrals of the log cell of width
+    ``h`` about 1 with the cells ``d`` offsets up: one row per offset,
+    one column per term, one row for a scalar ``d``.
+
+    With ``s < t`` the kernel is ``|S^{n-1}| sum_l c_l s^{2l}
+    t^{alpha-n-2l}``, the ``c_l`` of :func:`_series_coefficients` at
+    ``ratio``, so term l of a pair is ``|S^{n-1}| c_l m(n+2l)
+    m(alpha-2l) e^{(alpha-2l) d h}`` in the cell moments ``m`` of
+    :func:`_cell_moment`.  The terms sum to the pair where its radii
+    stay within ``ratio``, ``e^{-(d-1)h} <= ratio``; J, their number,
+    is 20 to 27 at ``FAR_RATIO`` and 11 to 14 at 1/4 for ``alpha < 2``
+    (n = 3..7), k for ``alpha = 2k``.  The offset factor is ``e^{alpha
+    d h}`` times the l-th power of ``e^{-2dh}``, whose rounding grows
+    like l; in one exp it would grow like ``(2l - alpha) d h``, up to
+    1.1e-14 at l = 25.
     """
-    coef = _series_coefficients(n, alpha, ratio)[:, None]
-    l2 = 2.0 * np.arange(coef.size)[:, None]
-    upper_exp = alpha - l2
-    rise = math.ceil(0.5 * alpha)
-    # the far ends as a full array, a row per rising term: numpy's pow
-    # can round differently on a broadcast base
-    top = np.where(upper_exp[:rise] > 0.0, c * np.exp(h), c)
-    terms = coef[:rise] * (b / top) ** l2[:rise] * top ** alpha
-    if rise < coef.size:
-        rising, terms = terms, np.empty((coef.size,) + terms.shape[1:])
-        terms[:rise] = rising
-        fall, ratio2 = terms[rise:], np.square(b / c)
-        fall[0] = c ** alpha * ratio2 ** rise
-        done = 1
-        while done < fall.shape[0]:
-            more = min(done, fall.shape[0] - done)
-            np.multiply(fall[:more], ratio2, out=fall[done:done + more])
-            ratio2 = np.square(ratio2)
-            done += more
-        fall *= coef[rise:]
-    # the cell widths and their exprel factors, in place
-    for rate in (l2 + n, np.abs(upper_exp)):
-        terms *= h
-        arg = -rate * h
-        terms *= special.exprel(arg, out=arg)
-    return terms
+    coef = _series_coefficients(n, alpha, ratio)
+    l = np.arange(coef.size)
+    dh = np.expand_dims(np.multiply(d, h), -1)
+    return (sphere_area(n) * coef * _cell_moment(n + 2.0 * l, h)
+            * _cell_moment(alpha - 2.0 * l, h)
+            * np.exp(alpha * dh) * np.exp(-2.0 * dh) ** l)
 
 
 def _far_tables(top, lam, base, grow):
@@ -963,22 +945,23 @@ def assemble(grid, n, alpha):
     Every cell is the log cell of width h centred on its node, so the
     cell pairs form a one-parameter family in the index offset.  Pairs
     whose radii stay within ``FAR_RATIO`` across both cells are
-    closed-form sums of cell moments (:func:`_far_terms`), with the
+    closed-form sums of cell moments (:func:`_series_pairs`), with the
     terms the ratio needs: all J of ``FAR_RATIO`` down to ratio 1/4, the
     deep cut, and about half as many past it.  The band runs to the
-    first offset D past the deep cut, about ``2 ln 2 / h``; past it the
-    operator keeps only the deep cut's J terms at offset D and their
-    scale tables (:func:`_far_tables`), O(count J) numbers.  For even
-    ``alpha`` the series is exact for any two distinct cells, so D = 1
-    and the band is the diagonal alone.  The sampled offsets, about ``ln
-    2 / h`` of them, offset 0 included, go to one :func:`_near_pairs`
-    call: fixed Gauss-panel sums, and the fixed cusp rule of
-    :func:`_cusp_pairs` on the two windows that meet the cusp.  They are
-    the only kernel samples: the head and tail take the band and the
-    series (:func:`_end_tables`).  Nothing of size ``count x count`` is
-    allocated.  The construction is symmetric in the pair of cells, so
-    the adjoint identity ``w_i M[i][j] = w_j M[j][i]`` holds to
-    rounding.
+    first offset D past the deep cut, about ``2 ln 2 / h``, and the
+    operator keeps all of it, past the count too on a grid shorter than
+    its band; past it the operator keeps only the deep cut's J terms at
+    offset D and their scale tables (:func:`_far_tables`), O(count J)
+    numbers.  For even ``alpha`` the series is exact for any two
+    distinct cells, so D = 1 and the band is the diagonal alone.  The
+    sampled offsets, about ``ln 2 / h`` of them, offset 0 included, go
+    to one :func:`_near_pairs` call: fixed Gauss-panel sums, and the
+    fixed cusp rule of :func:`_cusp_pairs` on the two windows that meet
+    the cusp.  They are the only kernel samples: the head and tail take
+    the band and the series (:func:`_end_tables`).  Nothing of size
+    ``count x count`` is allocated.  The construction is symmetric in
+    the pair of cells, so the adjoint identity ``w_i M[i][j] = w_j
+    M[j][i]`` holds to rounding.
 
     Raises
     ------
@@ -998,9 +981,11 @@ def assemble(grid, n, alpha):
     check_dense_count(count)
 
     h = grid.log_step
+    # r^alpha r^n, each pow correctly rounded: exp((n+alpha) ln r) would
+    # carry the rounding of ln r
     with np.errstate(over="ignore", under="ignore"):
         powers = np.concatenate((grid.edges[[0, -1]] ** (n + alpha),
-                                 np.exp((n + alpha) * np.log(grid.nodes))))
+                                 grid.nodes ** alpha * grid.nodes ** n))
     if not np.all((powers >= np.finfo(float).tiny) & (powers < math.inf)):
         raise ValidationError(
             "r^(n+alpha) = r^%g leaves the double range on [%r, %r]"
@@ -1015,10 +1000,7 @@ def assemble(grid, n, alpha):
     # Pairs past the band keep the J terms of the short series at offset
     # D, less those below rounding there (a term's share only falls with
     # the offset).
-    b = math.exp(0.5 * h)
-    top = (sphere_area(n) * b ** n * _far_terms(
-        b, math.exp((band.size - 0.5) * h), h, n, alpha,
-        _series_ratio(alpha) ** 2)[:, 0])
+    top = _series_pairs(band.size, h, n, alpha, _series_ratio(alpha) ** 2)
     keep = np.abs(top) > _SERIES_CUT ** 2 * abs(top[0])
     lam = (alpha - 2.0 * np.arange(top.size)) * h
     far_gather, far_scatter, far_carry = _far_tables(
@@ -1027,7 +1009,7 @@ def assemble(grid, n, alpha):
 
     head_response, tail_series = _end_tables(grid, band, n, alpha)
     op = KernelOperator(grid=grid, alpha=alpha, n=n, base=base,
-                        band=band[:count], far_gather=far_gather,
+                        band=band, far_gather=far_gather,
                         far_scatter=far_scatter, far_carry=far_carry,
                         head_response=head_response, tail_series=tail_series)
     # an operator is shared by every solve on its grid: a write into one
@@ -1044,8 +1026,8 @@ def _band(h, n, alpha):
     deep cut, whatever the count: the virtual end cells take them all.
     A pair is placed by the ratio of the inner cell's top edge to the
     outer cell's bottom one: sampled above the series ratio (offsets
-    below S), one full-series sum (:func:`_far_terms`) down to the deep
-    cut, its square.  For alpha = 2k both are 1, and D = S = 1."""
+    below S), one full-series sum (:func:`_series_pairs`) down to the
+    deep cut, its square.  For alpha = 2k both are 1, and D = S = 1."""
     ratio = _series_ratio(alpha)
     deep = ratio * ratio
     # b/c at offsets 1, 2, .. to two past the deep cut
@@ -1055,18 +1037,8 @@ def _band(h, n, alpha):
     dh = np.arange(sampled) * h
     band = _near_pairs(np.array(np.broadcast_arrays(
         -0.5 * h, 0.5 * h, dh - 0.5 * h, dh + 0.5 * h)), n, alpha)
-    if width > sampled:
-        b = math.exp(0.5 * h)
-        band = np.concatenate((band, sphere_area(n) * b ** n * np.sum(
-            _far_terms(b, np.exp((np.arange(sampled, width) - 0.5) * h), h,
-                       n, alpha, ratio), axis=0)))
-    return band
-
-
-def _cell_moment(p, h):
-    """``int s^{p-1} ds`` over the log cell of width ``h`` about 1; the
-    cell about r takes ``r^p`` times it."""
-    return 2.0 * np.sinh(0.5 * p * h) / p
+    return np.concatenate((band, _series_pairs(
+        np.arange(sampled, width), h, n, alpha, ratio).sum(axis=1)))
 
 
 def _band_sums(band, rate, rows):
@@ -1146,8 +1118,7 @@ def tail_response(op, tail_exponent):
     node's band take ``band`` and the law's node values ``e^{-tau k h}``,
     k cells past the end, and the law beyond them is integrated exactly
     (``op.tail_series``): one ``count x J`` product and one suffix sum
-    (:func:`_band_sums`) a call, with no state kept per ``tau``.  A grid
-    no longer than its band, a factor of about 4, rebuilds it each call.
+    (:func:`_band_sums`) a call, with no state kept per ``tau``.
 
     Raises
     ------
@@ -1165,10 +1136,8 @@ def tail_response(op, tail_exponent):
     # (r_max/e)^tau = e^{-tau (k + 1/2) h} past the cut edge e = r_end e^{kh}
     out = series @ (math.exp(-0.5 * tau * h)
                     / (tau - op.alpha + 2.0 * np.arange(series.shape[1])))
-    band = (op.band if op.band.size < grid.count
-            else _band(h, op.n, op.alpha))
-    if band.size > 1:
-        near, decay = _band_sums(band, tau * h, grid.count)
+    if op.band.size > 1:
+        near, decay = _band_sums(op.band, tau * h, grid.count)
         rows = near.size
         out[-rows:] *= decay[-rows:]
         # r_i^{n+alpha}/w_i, the scale of node i's pairs over its weight

@@ -32,7 +32,7 @@ def test_deleted_names_are_gone():
                     "_touching_breaks", "_end_cusp_rule", "_pair_cells",
                     "_tail_tables", "_end_response", "_head_response",
                     "_END_NODES", "_END_WEIGHTS", "_TAIL_BUILD_ROWS",
-                    "_far_pairs", "_graded_breaks"),
+                    "_far_pairs", "_graded_breaks", "_far_terms"),
             acceptance: ("format_row",),
             exponents: ("integrability_thresholds",),
             solver: ("slow_exponents", "CollapseError", "COLLAPSE_FLOOR",

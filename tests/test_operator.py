@@ -8,7 +8,7 @@ from functools import lru_cache
 import mpmath as mp
 import numpy as np
 import pytest
-from scipy import integrate, special
+from scipy import integrate
 
 from rieszlab import riesz
 from rieszlab.analysis import check_fast_limits
@@ -109,8 +109,12 @@ class TestAssembly:
 
 def sampled_integrand(z, la, lb, lc, ld, n, alpha):
     """The reduced double-cell integrand at one log-ratio ``z``, its
-    kernel sampled as ``kernel_ratio(e^z)``, so the oracles share no
-    code with the operator's log-ratio sampler ``_log_kernel``."""
+    kernel sampled as ``kernel_ratio(e^z)``.  The kernel's zone sums
+    (``_far_kernel``, ``_near_kernel``, ``_near_2f1``) are those of the
+    operator's ``_log_kernel``; what is independent here is the zone
+    split, the mapping to ``rho`` and the quadrature.  The mpmath
+    ``closed_form_oracle`` of ``test_kernel.py`` pins the kernel
+    itself."""
     return float(kernel_ratio(np.exp(z), n, alpha) * np.exp(n * z)
                  * _overlap_weight(z, la, lb, lc, ld, n + alpha))
 
@@ -397,14 +401,12 @@ class TestDeepCut:
 def dense_reference(op):
     """The dense operator filled entry by entry from the pair integrals
     the operator holds: ``base[min(i, j)] * fam[|i - j|]``, with ``fam``
-    the stored band and, past it, one sum of :func:`riesz._far_terms`
+    the stored band and, past it, one sum of :func:`riesz._series_pairs`
     per offset, divided by the weights."""
-    grid, h, count = op.grid, op.grid.log_step, op.grid.count
-    d = np.arange(op.band.size, count)
-    b = math.exp(0.5 * h)
-    fam = np.concatenate((op.band, sphere_area(op.n) * b ** op.n * np.sum(
-        riesz._far_terms(b, np.exp((d - 0.5) * h), h, op.n, op.alpha,
-                         FAR_RATIO), axis=0)))
+    grid, count = op.grid, op.grid.count
+    fam = np.concatenate((op.band, riesz._series_pairs(
+        np.arange(op.band.size, count), grid.log_step, op.n, op.alpha,
+        FAR_RATIO).sum(axis=1)))
     i = np.arange(count)
     sym = (op.base[np.minimum.outer(i, i)]
            * fam[np.abs(np.subtract.outer(i, i))])
@@ -460,10 +462,23 @@ class TestMatrixFreeApply:
         grid = make_grid(1.0, r_max, count, 3)
         op = assemble(grid, 3, 0.8)
         if r_max == 2.0:
-            assert op.band.size == count
+            assert op.band.size == deep_band_width(grid.log_step, 0.8)
         for f in (grid.nodes ** -2.5, np.ones(count)):
             out = op.apply(f)
             assert np.all(np.isfinite(out)) and np.all(out > 0.0)
+
+    @pytest.mark.parametrize("r_min, r_max, count, n, alpha",
+                             [(1e-40, 1e40, 512, 3, 0.8),
+                              (1e-60, 1e60, 400, 3, 1.5)])
+    def test_base_against_mpmath(self, r_min, r_max, count, n, alpha):
+        # r^alpha r^n, each pow correctly rounded; exp((n+alpha) ln r)
+        # carried the rounding of ln r, 6.9e-14 and 9.7e-14 off here
+        grid = make_grid(r_min, r_max, count, n)
+        with mp.workdps(40):
+            want = [float(mp.mpf(r) ** (n + mp.mpf(alpha)))
+                    for r in grid.nodes]
+        np.testing.assert_allclose(assemble(grid, n, alpha).base, want,
+                                   rtol=1e-15, atol=0.0)
 
     def test_rejects_malformed_values(self, op5):
         count = op5.grid.count
@@ -505,31 +520,27 @@ def far_sweeps_allocating(gather, scatter, carry, values, far, shift):
     return out[0, :far], out[1, ::-1][:far]
 
 
-def far_terms_pow(b, c, h, n, alpha, ratio):
-    """:func:`riesz._far_terms` with one pow per term and pair, the
-    oracle of its products by doubling."""
-    coef = _series_coefficients(n, alpha, ratio)[:, None]
-    l2 = 2.0 * np.arange(coef.size)[:, None]
-    upper_exp = alpha - l2
-    top = np.where(upper_exp > 0.0, c * np.exp(h), c)
-    return (coef * (b / top) ** l2 * top ** alpha
-            * h * special.exprel(-(l2 + n) * h)
-            * h * special.exprel(-np.abs(upper_exp) * h))
-
-
-def far_term_args(op):
-    """The ``(b, c, h)`` and the ``ratio`` of the
-    :func:`riesz._far_terms` calls of :func:`assemble` that hold pairs:
-    the band offsets past the sampled ones on the full series, and the
-    pair at the first far offset D on the short one."""
-    h = op.grid.log_step
-    ratio = riesz._series_ratio(op.alpha)
-    d = np.arange(1, op.band.size)
-    d = d[np.exp(-(d - 1) * h) <= ratio]
-    b = math.exp(0.5 * h)
-    calls = [((b, np.exp((d - 0.5) * h), h), ratio),
-             ((b, math.exp((op.band.size - 0.5) * h), h), ratio * ratio)]
-    return [(args, cut) for args, cut in calls if np.size(args[1])]
+def series_terms(d, h, n, alpha, terms):
+    """The first ``terms`` series terms of the pair integrals of the cell
+    of width h about 1 with the cells ``d`` offsets up, one row per
+    offset, in 40 digits: ``|S| c_l (b^p - a^p)/p (t^q - s^q)/q`` for
+    the cells ``(a, b)`` and ``(s, t)``, ``p = 2l + n`` and ``q = alpha
+    - 2l``, as in :func:`series_pair`."""
+    with mp.workdps(40):
+        hh, al = mp.mpf(h), mp.mpf(alpha)
+        area = 2 * mp.pi ** (mp.mpf(n) / 2) / mp.gamma(mp.mpf(n) / 2)
+        a, b = mp.exp(-hh / 2), mp.exp(hh / 2)
+        out = np.empty((len(d), terms))
+        for l in range(terms):
+            coef = (mp.rf((n - al) / 2, l) * mp.rf(1 - al / 2, l)
+                    / (mp.rf(mp.mpf(n) / 2, l) * mp.factorial(l)))
+            p, q = 2 * l + n, al - 2 * l
+            lower = area * coef * (b ** p - a ** p) / p
+            for row, k in enumerate(d):
+                upper = (mp.exp(q * (k + mp.mpf(0.5)) * hh)
+                         - mp.exp(q * (k - mp.mpf(0.5)) * hh)) / q
+                out[row, l] = float(lower * upper)
+    return out
 
 
 #: ``(r_min, r_max, count, n, alpha)``: the non-even operators the far
@@ -564,18 +575,20 @@ class TestFarFieldKernels:
                     np.testing.assert_allclose(g, w, rtol=1e-14, atol=0.0)
 
     @pytest.mark.parametrize("case", FAR_NON_EVEN + FAR_EVEN, ids=far_case_id)
-    def test_terms_against_one_pow_each(self, case):
-        # every pair sits on cells near r = 1, so no power leaves the
-        # normal range: each term to rounding, to the bit for even alpha
+    def test_series_pairs_against_mpmath(self, case):
+        # each term of the band's series offsets, on the full series, and
+        # of the pair at the first far offset D, on the short one
         r_min, r_max, count, n, alpha = case
         op = assemble(make_grid(r_min, r_max, count, n), n, alpha)
-        for args, ratio in far_term_args(op):
-            got = riesz._far_terms(*args, n, alpha, ratio)
-            want = far_terms_pow(*args, n, alpha, ratio)
-            if case in FAR_EVEN:
-                assert np.array_equal(got, want)
-            else:
-                np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+        h, width = op.grid.log_step, op.band.size
+        ratio = riesz._series_ratio(alpha)
+        d = np.arange(1, width)
+        d = d[np.exp(-(d - 1) * h) <= ratio]
+        for offsets, cut in ((d, ratio), ([width], ratio * ratio)):
+            got = riesz._series_pairs(offsets, h, n, alpha, cut)
+            np.testing.assert_allclose(
+                got, series_terms(offsets, h, n, alpha, got.shape[1]),
+                rtol=1e-14, atol=0.0)
 
     @pytest.mark.parametrize("alpha", [0.8, 2.0])
     def test_tables_read_only(self, alpha):
@@ -893,9 +906,9 @@ class TestEndCells:
     @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
     def test_narrow_grid_against_quadrature(self):
         # one factor 2 end to end: the band, D = 31 offsets, is longer
-        # than the grid, so the virtual cells take offsets it lacks
+        # than the grid, so the virtual cells take offsets past the count
         op = assemble(make_grid(1.0, 2.0, 16, 3), 3, 0.8)
-        assert op.band.size == 16
+        assert op.band.size == 31
         assert deep_band_width(op.grid.log_step, 0.8) == 31
         tail = tail_response(op, 3.0)
         assert np.all(np.isfinite(tail)) and np.all(tail > 0.0)
@@ -917,6 +930,17 @@ class TestEndCells:
             monkeypatch.setattr(riesz, name, counted)
         assemble(make_grid(1e-4, 1e4, 4096, 3), 3, 0.8)
         assert points == {"kernel_ratio": 0, "_log_kernel": 12288}
+
+    def test_narrow_grid_tail_samples_nothing(self, monkeypatch):
+        # the operator keeps the offsets past the count that the tail's
+        # virtual cells take; a whole band was sampled on every call
+        op = assemble(make_grid(1.0, 2.0, 16, 3), 3, 0.8)
+        points = []
+        inner = riesz._log_kernel
+        monkeypatch.setattr(riesz, "_log_kernel", lambda z, n, alpha: (
+            points.append(np.size(z)) or inner(z, n, alpha)))
+        tail_response(op, 3.0)
+        assert sum(points) == 0
 
     @pytest.mark.parametrize("rate", [0.01, 50.0, 700.0])
     def test_band_sums_against_direct_sums(self, rate):

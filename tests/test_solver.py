@@ -25,9 +25,9 @@ CANONICAL_SETS = (((4, 2.0, 3.0, 3.0), 1e-6),
                   ((4, 2.0, 1.5, 9.0), 1e-5))
 #: Plain damped Picard (:func:`plain_step`, damping 0.5) on the N=512
 #: grid: sweeps and ``float.hex`` of the residuals.
-PLAIN_512 = ((33, "0x1.4b65f64000000p-23", "0x1.0b2866b800000p-23"),
-             (33, "0x1.40ee23c400000p-23", "0x1.3f37bb9000000p-24"),
-             (27, "0x1.6d81792100000p-19", "0x1.356641bc00000p-21"))
+PLAIN_512 = ((33, "0x1.4b65f64800000p-23", "0x1.0b2866a800000p-23"),
+             (33, "0x1.40ee23c000000p-23", "0x1.3f37bbb000000p-24"),
+             (27, "0x1.6d817920c0000p-19", "0x1.356641ba00000p-21"))
 #: Anderson sweeps (damping 0.5) of the same solves; their sum is the
 #: bench's picard-fast-limits ``engine_steps``.
 ANDERSON_512 = (11, 12, 11)
