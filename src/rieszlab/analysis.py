@@ -58,6 +58,16 @@ def default_window(radii):
     return max(lo, 0), hi
 
 
+def _median(values):
+    """``np.median`` of a 1-D float array to the bit, from one partition:
+    the middle one or two values summed as ``np.mean`` sums, or the NaN
+    partitioned last."""
+    k = values.size // 2
+    part = np.partition(values, (k - 1, k, -1))
+    mid = part[k - 1 + values.size % 2:k + 1]  # the middle one or two
+    return np.add.reduce(mid) / mid.size if part[-1] == part[-1] else part[-1]
+
+
 def fit_tail(radii, values, window=None, log_power=None):
     """Fit a decaying power law, choosing the log correction by evidence.
 
@@ -329,7 +339,7 @@ def _window_amplitude(field, exponent, log_power=0):
     comp = field.values[lo_i:hi_i] * r ** exponent
     if log_power:
         return float(np.polyfit(np.log(r), comp, 1)[0])
-    return float(np.median(comp))
+    return float(_median(comp))
 
 
 def _v_limit(pair, case, b0):

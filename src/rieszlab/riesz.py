@@ -636,7 +636,7 @@ class KernelOperator:
             raise ValidationError("operator input must be %d real values, "
                                   "got %s %r" % (count, f.dtype, f.shape))
         f = f.astype(float, copy=False)
-        peak = max(f.max(), -f.min())
+        peak = np.abs(f).max()
         if not math.isfinite(peak):
             raise ValidationError("operator input must be finite")
         base, band = self.base, self.band[:count]
@@ -654,7 +654,7 @@ class KernelOperator:
                                        math.frexp(peak)[1])
             out[d:] += lower
             out[:count - d] += upper
-        return out / self.grid.weights
+        return np.divide(out, self.grid.weights, out=out)
 
 
 def check_dense_count(count):
@@ -1134,8 +1134,8 @@ def tail_response(op, tail_exponent):
             % (tail_exponent, op.alpha))
     grid, h, series = op.grid, op.grid.log_step, op.tail_series
     # (r_max/e)^tau = e^{-tau (k + 1/2) h} past the cut edge e = r_end e^{kh}
-    out = series @ (math.exp(-0.5 * tau * h)
-                    / (tau - op.alpha + 2.0 * np.arange(series.shape[1])))
+    out = series.dot(math.exp(-0.5 * tau * h)
+                     / (tau - op.alpha + 2.0 * np.arange(series.shape[1])))
     if op.band.size > 1:
         near, decay = _band_sums(op.band, tau * h, grid.count)
         rows = near.size
@@ -1172,10 +1172,10 @@ def apply_extended(op, values, tail_exponent):
     out = instance(op, KernelOperator, "operator").apply(values)
     values = np.asarray(values, dtype=float)
     if values[0] != 0.0:
-        out = out + values[0] * op.head_response
+        out += values[0] * op.head_response
     if values[-1] != 0.0:
-        out = out + values[-1] * tail_response(op, tail_exponent)
-    return out / op.normalization
+        out += values[-1] * tail_response(op, tail_exponent)
+    return np.divide(out, op.normalization, out=out)
 
 
 def field_integral(f, power=1.0):

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import default_window
+from .analysis import _median, default_window
 from .errors import (NonConvergenceError, PreconditionError,
                      ValidationError, instance, real_number, whole_number)
 from .exponents import Params, Regime, classify
@@ -159,46 +159,54 @@ def _tail_slope(window, values, alpha, n):
     """Refit a power-law tail exponent from the outer-decade data."""
     sl, weights = window
     vals = values[sl]
-    if np.any(vals <= 0.0):
+    if vals.min() <= 0.0:
         return alpha + 1.0
     lv = np.log(vals)
-    slope = weights @ (lv - lv.mean())
-    return float(min(max(-slope, 0.05), 3.0 * n))
+    lv -= np.add.reduce(lv) / lv.size  # the mean, as ndarray.mean sums
+    return float(min(max(-weights.dot(lv), 0.05), 3.0 * n))
 
 
 def _proportionality(image, values, sl):
     """Median ratio and relative spread of image/values on a slice."""
     ratio = image[sl] / values[sl]
-    med = float(np.median(ratio))
-    spread = float(np.max(np.abs(ratio / med - 1.0)))
-    return med, spread
+    med = float(_median(ratio))
+    return med, float(np.abs(ratio / med - 1.0).max())
 
 
 def _anderson_step(history, x, f, mixing):
     """Next iterate of type-II Anderson mixing (Walker & Ni 2011).
 
-    ``x`` is ``ln u`` and ``f = G(x) - x`` its Picard residual;
-    ``history`` holds this cycle's ``x`` and ``f`` and is updated in
-    place, keeping the last ``ANDERSON_DEPTH + 1``.  The step is
-    ``x + mixing f - (dX + mixing dF) gamma`` with ``gamma`` the
-    least-squares solution of ``dF gamma = f`` over the history
-    differences.  The correction is dropped, leaving the damped log
-    step, while the history is short or rank-deficient (singular values
-    below 1e-10 of the largest), or when the corrected field is not
-    finite.  Returns ``u`` renormalized to 1 at its first node.
+    ``x`` is ``ln u`` and ``f = G(x) - x`` its Picard residual.  The
+    step is ``x + mixing f - (dX + mixing dF) gamma`` with ``gamma`` the
+    least-squares solution of ``dF gamma = f``.  The columns of ``dX``
+    and ``dF`` are the differences of consecutive ``x`` and ``f`` over
+    this cycle's last ``ANDERSON_DEPTH + 1`` sweeps, oldest first, held
+    in ``history = [rows, table]`` (first ``[0, np.empty((2,
+    ANDERSON_DEPTH + 1, count))]``): ``table[0]`` (``table[1]``) has the
+    columns of ``dX`` (``dF``) as rows, then the last ``x`` (``f``),
+    which the next call turns into a difference, so each column is
+    formed once.  The correction is dropped, leaving the damped log
+    step, while the history is short or ``dF`` is rank-deficient by
+    ``lstsq``'s rule (singular values below 1e-10 of the largest), or
+    when the corrected field is not finite.  Returns ``u`` renormalized
+    to 1 at its first node.
     """
-    xs, fs = history
-    xs.append(x)
-    fs.append(f)
-    del xs[:-ANDERSON_DEPTH - 1], fs[:-ANDERSON_DEPTH - 1]
+    rows, table = history
+    if rows > ANDERSON_DEPTH:
+        table[:, :-1] = table[:, 1:]  # drop the oldest difference
+        rows -= 1
+    if rows:
+        np.subtract((x, f), table[:, rows - 1], out=table[:, rows - 1])
+    table[0, rows], table[1, rows] = x, f
+    history[0] = rows + 1
     step = x + mixing * f
-    if len(xs) > 1:
-        dx = np.diff(xs, axis=0).T
-        df = np.diff(fs, axis=0).T
+    if rows:
+        dx, df = table[0, :rows].T, table[1, :rows].T
         gamma, _, rank, _ = np.linalg.lstsq(df, f, rcond=1e-10)
-        if rank == df.shape[1]:
-            field = _origin_normalized(step - (dx + mixing * df) @ gamma)
-            if np.all(np.isfinite(field)):
+        if rank == rows:
+            field = _origin_normalized(step - (dx + mixing * df).dot(gamma))
+            # exp gives no negative value: a NaN or inf shows in the max
+            if field.max() < math.inf:
                 return field
     return _origin_normalized(step)
 
@@ -219,9 +227,10 @@ def _log_dilate(log_lam, rate, lnodes, lv, tau):
     origin) and the power-law tail ``tau`` above ``r_max``.
     """
     lq = lnodes + log_lam
-    inside = np.interp(lq, lnodes, lv, left=lv[0])
-    return rate * log_lam + np.where(lq <= lnodes[-1], inside,
-                                     lv[-1] - tau * (lq - lnodes[-1]))
+    out = np.interp(lq, lnodes, lv, left=lv[0])
+    past = lq.searchsorted(lnodes[-1], "right")  # lq increases: a suffix
+    out[past:] = lv[-1] - tau * (lq[past:] - lnodes[-1])
+    return np.add(out, rate * log_lam, out=out)
 
 
 def _grid_operator(params, grid, operator):
@@ -334,7 +343,7 @@ def solve_picard(params, grid=None, config=None, monitor=None,
     share = p / (1.0 + p)  # of the u floor left on each equation, presented
     iterations = 0
     spread_u = spread_v = delta = math.inf
-    history = ([], [])  # Anderson iterates and residuals
+    history = [0, np.empty((2, ANDERSON_DEPTH + 1, grid.count))]
     best, best_at = math.inf, 0  # lowest interior spread so far
     while iterations < config.max_iters:
         iterations += 1
@@ -351,7 +360,7 @@ def solve_picard(params, grid=None, config=None, monitor=None,
         x = np.log(u)
         step = _anderson_step(history, x, image - image[0] - x, omega)
         with np.errstate(divide="ignore", invalid="ignore"):
-            delta = float(np.max(np.abs(step - u) / np.maximum(u, 1e-300)))
+            delta = float((np.abs(step - u) / np.maximum(u, 1e-300)).max())
         if monitor is not None:
             monitor(iterations, delta, spread_u, spread_v)
         if delta < config.tol and spread_u < 0.9 * config.tol:

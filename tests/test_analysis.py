@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rieszlab.analysis import (amplitude_b0, check_fast_limits,
+from rieszlab.analysis import (_median, amplitude_b0, check_fast_limits,
                                default_window, envelope_check, fit_tail,
                                integrability_predicate,
                                monotonicity_criterion, run_recursion)
@@ -108,6 +108,21 @@ class TestFitTail:
         # [nan] * 20 gave the window (0, 18)
         with pytest.raises(ValidationError, match="finite"):
             default_window([bad] * 20)
+
+
+class TestMedian:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(-1e300, 1e300) | st.sampled_from(
+        [0.0, -0.0, 5e-324, -5e-324]), min_size=1, max_size=300))
+    def test_matches_np_median_to_the_bit(self, values):
+        values = np.array(values)
+        assert _median(values.copy()).hex() == np.median(values).hex()
+
+    @pytest.mark.parametrize("size", [1, 2, 15, 16])
+    def test_nan_as_np_median(self, size):
+        values = np.arange(size, dtype=float)
+        values[size // 2] = np.nan
+        assert math.isnan(_median(values)) and math.isnan(np.median(values))
 
 
 class TestMonotonicity:

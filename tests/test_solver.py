@@ -12,7 +12,7 @@ from rieszlab.errors import (NonConvergenceError, PreconditionError,
                              ValidationError)
 from rieszlab.exponents import Params, classify
 from rieszlab.grid import make_grid
-from rieszlab.riesz import assemble, power_law_constant
+from rieszlab.riesz import apply_extended, assemble, power_law_constant
 from rieszlab.shooting import ShotConfig, bisect_ground_state
 from rieszlab.solver import (Branch, SolveConfig, default_init,
                              singular_amplitudes, singular_solution,
@@ -28,9 +28,11 @@ CANONICAL_SETS = (((4, 2.0, 3.0, 3.0), 1e-6),
 PLAIN_512 = ((33, "0x1.4b65f64800000p-23", "0x1.0b2866a800000p-23"),
              (33, "0x1.40ee23c000000p-23", "0x1.3f37bbb000000p-24"),
              (27, "0x1.6d817920c0000p-19", "0x1.356641ba00000p-21"))
-#: Anderson sweeps (damping 0.5) of the same solves; their sum is the
-#: bench's picard-fast-limits ``engine_steps``.
-ANDERSON_512 = (11, 12, 11)
+#: Anderson (damping 0.5) on the same solves, in the same form; the sum
+#: of the sweeps is the bench's picard-fast-limits ``engine_steps``.
+ANDERSON_512 = ((11, "0x1.3d1a59c400000p-21", "0x1.0a1ec8fc00000p-22"),
+                (12, "0x1.7e5518d000000p-24", "0x1.a767d26000000p-25"),
+                (11, "0x1.a872de9a00000p-21", "0x1.1cd5f0c200000p-22"))
 
 
 def plain_step(history, x, f, mixing):
@@ -39,6 +41,39 @@ def plain_step(history, x, f, mixing):
     renormalized to 1 at its first node."""
     field = (1.0 - mixing) * np.exp(x) + mixing * np.exp(x + f)
     return field / field[0]
+
+
+def empty_history(count):
+    """The history ``solve_picard`` starts ``_anderson_step`` with."""
+    return [0, np.empty((2, solver.ANDERSON_DEPTH + 1, count))]
+
+
+def list_anderson_step(history, x, f, mixing):
+    """``solver._anderson_step`` as it was written on lists of past
+    iterates and residuals, differenced by ``np.diff`` every sweep: the
+    reference whose bits the difference-column history must keep."""
+    xs, fs = history
+    xs.append(x)
+    fs.append(f)
+    del xs[:-solver.ANDERSON_DEPTH - 1], fs[:-solver.ANDERSON_DEPTH - 1]
+    step = x + mixing * f
+    if len(xs) > 1:
+        dx = np.diff(xs, axis=0).T
+        df = np.diff(fs, axis=0).T
+        gamma, _, rank, _ = np.linalg.lstsq(df, f, rcond=1e-10)
+        if rank == df.shape[1]:
+            field = solver._origin_normalized(
+                step - (dx + mixing * df) @ gamma)
+            if np.all(np.isfinite(field)):
+                return field
+    return solver._origin_normalized(step)
+
+
+def median_proportionality(image, values, sl):
+    """``solver._proportionality`` as it was written on ``np.median``."""
+    ratio = image[sl] / values[sl]
+    med = float(np.median(ratio))
+    return med, float(np.max(np.abs(ratio / med - 1.0)))
 
 
 @pytest.fixture(scope="module")
@@ -248,7 +283,8 @@ class TestAnderson:
     def test_halves_the_sweeps(self, grid512, index):
         params, tol = CANONICAL_SETS[index]
         pair = _solve(grid512, params, tol)
-        assert pair.iterations == ANDERSON_512[index]
+        assert (pair.iterations, pair.residual_u.hex(),
+                pair.residual_v.hex()) == ANDERSON_512[index]
         assert pair.iterations <= PLAIN_512[index][0] // 2
         assert max(pair.residual_u, pair.residual_v) <= tol
         if params == (4, 2.0, 3.0, 3.0):
@@ -273,18 +309,58 @@ class TestAnderson:
         f = np.array([0.0, -0.1, -0.2, 0.0, -0.05, -0.1])
         d = np.array([0.0, 0.02, 0.01, 0.0, 0.03, 0.01])
         plain = np.exp(x + 0.5 * f)
-        history = ([x - 3.0 * d, x - d], [0.0 * f, 0.5 * f])
+        history = empty_history(x.size)
+        for past in ((x - 3.0 * d, 0.0 * f), (x - d, 0.5 * f)):
+            solver._anderson_step(history, *past, 0.5)
         step = solver._anderson_step(history, x, f, 0.5)
         np.testing.assert_allclose(step, plain, rtol=1e-15)
-        assert len(history[0]) == 3
+        assert history[0] == 3
+        np.testing.assert_array_equal(history[1][:, :2], [
+            [(x - d) - (x - 3.0 * d), x - (x - d)], [0.5 * f, 0.5 * f]])
         # gamma = 1 with dX = -1e3 at node 1: the corrected u would be
         # e^1e3 there, which overflows, so the damped log step is taken
         jump = np.array([0.0, -1e3, 0.0, 0.0, 0.0, 0.0])
-        history = ([x - jump], [np.zeros_like(f)])
+        history = empty_history(x.size)
+        solver._anderson_step(history, x - jump, np.zeros_like(f), 0.5)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             step = solver._anderson_step(history, x, f, 0.5)
         np.testing.assert_allclose(step, plain, rtol=1e-15)
+
+    def test_matches_list_history(self):
+        # twelve sweeps of a random history: past ANDERSON_DEPTH + 1 the
+        # oldest difference is dropped, and the steps keep their bits
+        rng = np.random.default_rng(7)
+        x0 = np.log(np.linspace(1.0, 0.01, 64))
+        table, lists = empty_history(64), ([], [])
+        for sweep in range(12):
+            x = x0 + 0.1 * rng.standard_normal(64)
+            f = 0.05 * rng.standard_normal(64)
+            step = solver._anderson_step(table, x, f, 0.5)
+            assert step.tobytes() == list_anderson_step(
+                lists, x, f, 0.5).tobytes()
+            assert table[0] == len(lists[0]) == min(
+                sweep + 1, solver.ANDERSON_DEPTH + 1)
+
+    @pytest.mark.parametrize("case", ["rank", "overflow"])
+    def test_safeguards_match_list_history(self, case):
+        # the same drops as the list form: a repeated dF column, and a
+        # correction whose exp overflows
+        x = np.log(np.linspace(1.0, 0.1, 16))
+        f = np.linspace(0.0, -0.3, 16)
+        if case == "rank":
+            sweeps = [(x - 0.1, f), (x - 0.05, 0.5 * f), (x, f), (x, f)]
+        else:
+            sweeps = [(x + np.linspace(0.0, 1e3, 16), 0.0 * f), (x, f)]
+        table, lists = empty_history(x.size), ([], [])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for xs, fs in sweeps:
+                step = solver._anderson_step(table, xs, fs, 0.5)
+                assert step.tobytes() == list_anderson_step(
+                    lists, xs, fs, 0.5).tobytes()
+        assert step.tobytes() == solver._origin_normalized(
+            x + 0.5 * f).tobytes()
 
 
 def hls_extremal(n, alpha, r):
@@ -317,7 +393,9 @@ HLS_DISTANCES = {(5, 2.5): (8.79e-4, 2.19e-4),
                  (4, 1.5): (1.42e-3, 3.54e-4),
                  (3, 0.8): (1.74e-3, 4.46e-4)}
 #: Picard sweeps of the same sets at tol 1e-6 on N = 512, as measured.
-HLS_SWEEPS_512 = {(5, 2.5): 13, (4, 1.5): 13, (3, 0.8): 16}
+#: (7, 3.5) took 15 before the Gauss-Seidel map (the CHANGES.md FOUND
+#: line on its 15 -> 18); the pin keeps it from rising again.
+HLS_SWEEPS_512 = {(5, 2.5): 13, (4, 1.5): 13, (3, 0.8): 16, (7, 3.5): 18}
 
 
 class TestHLSExtremal:
@@ -393,6 +471,24 @@ class TestSolverHelpers:
             assert 0 < outside.sum() < lnodes.size
             assert got.tobytes() == reference.tobytes()
 
+    def test_proportionality_matches_np_median(self, grid512):
+        grid, op = grid512
+        u = default_init(Params(4, 2.0, 3.0, 3.0), grid)[0].values
+        tu = apply_extended(op, apply_extended(op, u ** 3, 5.0) ** 3, 5.0)
+        cases = [(tu, u, grid.interior_slice())]  # 256 nodes
+        rng = np.random.default_rng(5)
+        for counts in ((7, 8, 7), (7, 9, 7), (8, 0, 8), (7, 0, 8)):
+            # odd and even sizes, ties, and ties across the middle pair
+            ties = np.repeat([0.7, 1.1, 1.3], counts)
+            cases.append((rng.permutation(ties), np.ones(ties.size),
+                          slice(None)))
+            cases.append((rng.uniform(0.5, 2.0, ties.size),
+                          rng.uniform(0.5, 2.0, ties.size), slice(None)))
+        for image, values, sl in cases:
+            got = solver._proportionality(image, values, sl)
+            want = median_proportionality(image, values, sl)
+            assert [v.hex() for v in got] == [v.hex() for v in want]
+
     @pytest.mark.parametrize("count", [64, 256, 512, 2048])
     def test_tail_slope_matches_polyfit(self, count):
         grid = make_grid(1e-4, 1e4, count, 4)
@@ -405,6 +501,9 @@ class TestSolverHelpers:
             expected = -np.polyfit(np.log(r[sl]), np.log(values[sl]), 1)[0]
             got = solver._tail_slope(window, values, 2.0, 4)
             assert got == pytest.approx(expected, rel=1e-13, abs=0.0)
+            # to the bit, the fit as written on ndarray.mean and @
+            lv = np.log(values[sl])
+            assert got == -(window[1] @ (lv - lv.mean()))
             # an exact power law is fitted to rounding
             exact = solver._tail_slope(window, 5.0 * r ** -rate, 2.0, 4)
             assert exact == pytest.approx(rate, rel=1e-14, abs=0.0)
