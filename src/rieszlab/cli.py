@@ -16,8 +16,8 @@ bracket, inapplicable regime); 2 validation failure (malformed request).
 
 Every command with ``--out DIR`` writes its ``report.json`` there.  The
 five run commands add a ``manifest.json`` whose ``configHash``
-identifies the inputs, and all but ``exponents`` a full-precision CSV;
-reruns with the same hash produce byte-identical CSVs.
+identifies the inputs, and all but ``exponents`` a full-precision CSV,
+byte-identical across reruns with one hash on one host and numpy build.
 """
 
 from __future__ import annotations

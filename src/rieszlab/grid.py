@@ -11,6 +11,7 @@ second-order accurate for smooth ``g`` in log space.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,9 +52,9 @@ class RadialGrid:
     edges: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
 
-    @property
+    @functools.cached_property
     def log_step(self):
-        """Uniform node spacing in log space."""
+        """Uniform node spacing in log space, computed on the first read."""
         return np.log(self.r_max / self.r_min) / (self.count - 1)
 
     def interior_slice(self):

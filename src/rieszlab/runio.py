@@ -3,9 +3,11 @@
 Every float written by this package — CSV cells and JSON numbers alike —
 is formatted with 17 significant digits (``%.17g``), enough to round-trip
 an IEEE-754 double exactly.  Runs are therefore reproducible at the bit
-level: the same command with the same inputs produces byte-identical CSV
-files, and the manifest's ``configHash`` (a SHA-256 over the canonical
-JSON of all inputs, timestamp excluded) identifies the run.
+level on one host and numpy build (numpy's SIMD array power and BLAS
+round differently elsewhere): the same command with the same inputs
+produces byte-identical CSV files, and the manifest's ``configHash`` (a
+SHA-256 over the canonical JSON of all inputs, timestamp excluded)
+identifies the run.
 
 CSV schemas
 -----------
@@ -144,10 +146,10 @@ def make_manifest(
     the ``manifest.json`` object :func:`read_manifest` gives back.
 
     ``configHash`` is derived from the command, parameters, grid and
-    settings only; two manifests with equal hashes describe runs whose
-    CSV outputs are byte-identical.  The timestamp and the ``versions``
-    of the package, Python, numpy and scipy are informational and
-    excluded from the hash.
+    settings only; two manifests with equal hashes from one host and
+    numpy build describe runs whose CSV outputs are byte-identical.  The
+    timestamp and the ``versions`` of the package, Python, numpy and
+    scipy are informational and excluded from the hash.
     """
     inputs = {"command": command, "params": _plain(params),
               "gridSpec": None if grid_spec is None else _plain(grid_spec),

@@ -23,7 +23,9 @@ the run at the first where ``u`` or ``v`` is not positive; a scan that
 fails before ``r_end`` raises :class:`IntegrationError`.  The rest is
 DOP853 steps of the module's own tableau (:func:`_step`) from a step
 end.  The crossing radius is the root, by Newton, of the crossed
-component at the end of the scan's last step, shortened.  Each of the
+component at the end of the scan's last step, shortened, by steps on
+Python floats (:func:`_scalar_step`) at a third of the cost on numpy
+scalars: the same bits, as the BLAS stage sums stay numpy's.  Each of the
 ``SAMPLE_COUNT`` log-spaced samples is one step, vectorised over all
 radii, from the last step end at or below its radius: shorter than a
 step the scan accepted there, so at least as accurate.  A shot that
@@ -63,7 +65,7 @@ SCAN_STEPS = 100_000
 _STAGES = dop853_coefficients.N_STAGES
 _A = dop853_coefficients.A[:_STAGES, :_STAGES]
 _B = dop853_coefficients.B
-_C = dop853_coefficients.C[:_STAGES]
+_C = dop853_coefficients.C[:_STAGES].tolist()
 
 
 class Outcome(str, enum.Enum):
@@ -174,7 +176,8 @@ def _rhs(coefficients):
             fu = (0.0 if u < 0.0 else u) ** p
         except OverflowError:       # where a numpy power would give inf
             fv = fu = math.inf
-        return (du, -(n - 1.0) / r * du - fv, dv, -(n - 1.0) / r * dv - fu)
+        drag = -(n - 1.0) / r
+        return (du, drag * du - fv, dv, drag * dv - fu)
 
     return rhs
 
@@ -194,6 +197,31 @@ def _step(coefficients, r0, y0, h):
             stages[i] = (du, drag * du - np.maximum(v, 0.0) ** q,
                          dv, drag * dv - np.maximum(u, 0.0) ** p)
         return y0 + h * (_B @ flat).reshape(y0.shape)
+
+
+def _power(x, e):
+    """``max(x, 0) ** e`` by libm's ``pow``, inf where it overflows."""
+    try:
+        return (0.0 if x < 0.0 else x) ** e
+    except OverflowError:
+        return math.inf
+
+
+def _scalar_step(coefficients, r0, y0, h):
+    """:func:`_step` for float ``r0``, ``h`` and a 4-sequence ``y0``, to
+    the bit: the stage sums stay the gemv that ``@`` calls there (as does
+    ``np.dot``, at less overhead), whose order of terms Python cannot
+    repeat, and the rest runs on Python floats."""
+    n, p, q = coefficients
+    stages = np.empty((_STAGES, 4))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(_STAGES):
+            u, du, v, dv = [y + h * k for y, k in zip(
+                y0, np.dot(_A[i, :i], stages[:i]).tolist())]
+            drag = -(n - 1.0) / (r0 + _C[i] * h)
+            stages[i] = (du, drag * du - _power(v, q),
+                         dv, drag * dv - _power(u, p))
+        return np.array(y0, dtype=float) + h * np.dot(_B, stages)
 
 
 def _sample(coefficients, ends, config, top):
@@ -232,10 +260,9 @@ def _scan_integrator():
         return 0
 
     ode.set_solout(stop_at_crossing)
-    # each set_initial_value would pass the wrapper a freshly bound
-    # _solout, which it keeps: bind it once
-    integrator = ode._integrator
-    integrator._solout = integrator._solout
+    # the compiled run calls _solout, a method that only forwards to the
+    # callback and is bound anew, and kept, at each set_initial_value
+    ode._integrator._solout = stop_at_crossing
     return ode
 
 
@@ -275,7 +302,7 @@ def _scan(coefficients, start, config):
             continue
         r, update = r0 + (ode.t - r0) * y0[k] / (y0[k] - ode.y[k]), math.inf
         while True:
-            y = _step(coefficients, r0, y0, r - r0)
+            y = _scalar_step(coefficients, r0, y0, float(r - r0))
             evals += _STAGES
             new = min(ode.t, max(r0, float(r - y[k] / y[k + 1])))
             if not 0.0 < abs(new - r) < update:

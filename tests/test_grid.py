@@ -24,6 +24,13 @@ class TestConstruction:
         assert np.allclose(ratios, ratios[0], rtol=1e-12)
         assert g.log_step == pytest.approx(np.log(1e6) / 47, rel=1e-13)
 
+    def test_log_step_computed_once(self):
+        g = make_grid(1e-4, 1e4, 512, 4)
+        first = g.log_step
+        assert g.log_step is first
+        assert first.hex() == (np.log(g.r_max / g.r_min)
+                               / (g.count - 1)).hex()
+
     def test_edges_bracket_nodes(self):
         # every cell, the two end cells too, is the log cell of width h
         # centred on its node: the outer edges lie half a step beyond

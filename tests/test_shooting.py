@@ -20,6 +20,31 @@ from rieszlab.shooting import (Outcome, ShotConfig, ShotRecord, Trajectory,
 PARAMS = Params(5, 2.0, 3.0, 3.0)
 #: Critical (1/(p+1) + 1/(q+1) = (n-2)/n); its ground state has xi ~ 1.128.
 CRITICAL = Params(4, 2.0, 1.5, 9.0)
+#: ``(n, p, q)`` at alpha = 2 with th1 != th2, and the crossing rate of
+#: each by the bracketing root finder that the closed form replaced.
+CROSSING_RATE_SETS = ((5, 2.0, 5.0, 2.3853066003320764),
+                      (6, 1.5, 4.0, 3.1010828770081575),
+                      (7, 1.2, 9.0, 3.114619051369962),
+                      (5, 1.5, 2.2, 3.0864971572755997),
+                      (4, 20.0, 30.0, 1.321224554924266))
+#: The canonical search, (5,2,3,3) from (0.5, 2) with r_end 1e5: each
+#: shot's ``xi.hex()``, outcome initial, ``crossing_radius.hex()`` and
+#: ``rhs_evals``.  Like the solver's ``ANDERSON_512`` these pins are
+#: host-specific: another libm, BLAS or numpy build may move last bits.
+CANONICAL_SHOTS = (
+    ("0x1.0000000000000p-1", "V", "0x1.242ef13e51a94p+1", 871),
+    ("0x1.0000000000000p+1", "U", "0x1.242ef13e51a2ep+0", 826),
+    ("0x1.7c51fe0805844p-1", "V", "0x1.87d1ea598cd93p+1", 814),
+    ("0x1.b4dae09836dd6p-1", "V", "0x1.dc42f2a94ce9ap+1", 827),
+    ("0x1.e99f92f7a8cbbp-1", "V", "0x1.6464db1c1a601p+2", 876),
+    ("0x1.0224ca9ec6ae3p+0", "U", "0x1.410d6b3707d51p+3", 959),
+    ("0x1.feff9946cc9c3p-1", "V", "0x1.2a8c43faca684p+4", 1101),
+    ("0x1.fffc51549de15p-1", "V", "0x1.e293156d4ae65p+6", 1390),
+    ("0x1.ffff5cdcef2eap-1", "V", "0x1.ece5bcf99e404p+7", 1474),
+    ("0x1.0000031fa9b0ep+0", "U", "0x1.ece4f3e33565bp+9", 1667),
+    ("0x1.00000013f63cdp+0", "U", "0x1.238f3bc09dc6dp+12", 1895),
+    ("0x1.fffffffff1a12p-1", "V", "0x1.22885e15c197cp+16", 2278),
+    ("0x1.fffffffffff89p-1", "D", None, 2267))
 
 
 def zero_events():
@@ -180,14 +205,13 @@ class TestShoot:
         # end, where v is already not positive
         config = ShotConfig(xi=0.8, r_end=1e4)
         refined = shoot(PARAMS, config)
-        step = shooting._step
+        step = shooting._scalar_step
 
         def short_of_zero(coefficients, r0, y0, h):
             # u and v raised by 1, far above their size near the crossing
-            y = step(coefficients, r0, y0, h)
-            return (y.T + [1.0, 0.0, 1.0, 0.0]).T
+            return step(coefficients, r0, y0, h) + [1.0, 0.0, 1.0, 0.0]
 
-        monkeypatch.setattr(shooting, "_step", short_of_zero)
+        monkeypatch.setattr(shooting, "_scalar_step", short_of_zero)
         traj = shoot(PARAMS, config)
         assert traj.outcome is Outcome.V_CROSSED
         assert traj.crossing_radius == shooting._scan_integrator().t
@@ -203,6 +227,41 @@ class TestShoot:
             with pytest.raises(IntegrationError, match="steps") as info:
                 shoot(PARAMS, ShotConfig(xi=0.9, r_end=1e5))
         assert 1e-6 < info.value.last_radius < 4.0
+
+
+class TestScalarStep:
+    """The refinement's Python-float step against the vectorised one."""
+
+    def test_equals_the_vectorised_step(self):
+        # float.hex spells every NaN "nan": numpy's 0-d power turns a
+        # negative NaN positive, CPython's keeps it, and no caller reads
+        # the sign of a NaN
+        rng = np.random.default_rng(34)
+        sets = [(PARAMS.n, PARAMS.p, PARAMS.q), (CRITICAL.n, CRITICAL.p,
+                                                 CRITICAL.q)]
+        sets += [(n, p, q) for n, p, q, _ in CROSSING_RATE_SETS]
+        seen = set()
+        for index in range(2000):
+            coefficients = list(sets[index % len(sets)])
+            r0 = 10.0 ** rng.uniform(-6.0, 5.0)
+            h = r0 * 10.0 ** rng.uniform(-6.0, 1.0)
+            y0 = (rng.standard_normal(4)
+                  * 10.0 ** rng.uniform(-3.0, 1.0, 4)).tolist()
+            if index % 5 == 1:
+                y0[rng.integers(4)] = math.nan
+            elif index % 5 == 2:
+                # u^p or v^q overflows to inf at the first stage
+                y0[2 * rng.integers(2)] = 1e300
+            with np.errstate(over="ignore", invalid="ignore"):
+                want = shooting._step(coefficients, r0, y0, h)
+            got = shooting._scalar_step(coefficients, r0, y0, h)
+            assert [x.hex() for x in got.tolist()] \
+                == [x.hex() for x in want.tolist()]
+            seen.add((min(y0[0], y0[2]) < 0.0, np.isnan(want).any(),
+                      np.isinf(want).any()))
+        # clamped, NaN and infinite states all occurred
+        assert {(True, False, False), (False, True, False),
+                (False, False, True)} <= seen
 
 
 class TestCrossingScan:
@@ -328,12 +387,7 @@ class TestCrossingRate:
 
     # th1 != th2, with slow rates from near 0 to near n - 2; each pinned
     # value is the bracketing root finder's that the closed form replaced
-    @pytest.mark.parametrize("n, p, q, pinned", [
-        (5, 2.0, 5.0, 2.3853066003320764),
-        (6, 1.5, 4.0, 3.1010828770081575),
-        (7, 1.2, 9.0, 3.114619051369962),
-        (5, 1.5, 2.2, 3.0864971572755997),
-        (4, 20.0, 30.0, 1.321224554924266)],
+    @pytest.mark.parametrize("n, p, q, pinned", CROSSING_RATE_SETS,
         ids=["5,2,2,5", "6,2,1.5,4", "7,2,1.2,9", "5,2,1.5,2.2", "4,2,20,30"])
     def test_largest_root_of_the_quartic(self, n, p, q, pinned):
         params = Params(n, 2.0, p, q)
@@ -478,6 +532,17 @@ class TestBisection:
         assert all(shot.crossing_radius > 0.0 for shot in res.shots[:-1])
         assert res.shots[-1].crossing_radius is None
         assert all(shot.rhs_evals > 0 for shot in res.shots)
+
+    def test_canonical_search_bit_for_bit(self):
+        res = bisect_ground_state(PARAMS, 0.5, 2.0,
+                                  config=ShotConfig(r_end=1e5), iters=60)
+        assert tuple(
+            (shot.xi.hex(), shot.outcome.name[0],
+             None if shot.crossing_radius is None
+             else shot.crossing_radius.hex(), shot.rhs_evals)
+            for shot in res.shots) == CANONICAL_SHOTS
+        assert sum(shot.rhs_evals for shot in res.shots) == 17245
+        assert res.xi.hex() == "0x1.fffffffffff89p-1"
 
     def test_shot_count_steady_across_brackets(self):
         # brackets (1 - c/2, 1 + c) a few per cent apart: the crossing
