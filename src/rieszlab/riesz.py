@@ -15,9 +15,10 @@ order ``alpha`` (so for ``alpha = 2``, ``I_2 f`` solves ``-Delta u = f``).
 The kernel operator and :func:`angular_kernel` are kept bare; the
 normalization is applied by :func:`apply_extended`, so power-law and
 closed-form solution identities hold with their classical constants.
-:func:`kernel_ratio` evaluates ``K`` as one of two fixed polynomial
-sums, with no 2F1 routine.  Where ``r_</r_>`` is at most ``max(FAR_RATIO,
-1 - 1.5/n)`` it is the series in ``(r_</r_>)^2`` described below.
+``K`` is one of two fixed polynomial sums, no 2F1 routine: of the
+log-ratio in :func:`_log_kernel`, which assembly samples, and of the
+ratio in :func:`kernel_ratio`.  Up to ``r_</r_> = max(FAR_RATIO, 1 -
+1.5/n)`` it is the series in ``(r_</r_>)^2`` described below.
 Nearer the diagonal it is the w -> 1 connection formula of its
 hypergeometric closed form: two polynomials in ``1 - w`` and one power
 of it, with the terms that cancel near odd ``alpha`` paired.  That covers
@@ -48,14 +49,14 @@ moments, with no kernel samples.  At ratio 1/4 or less, the deep cut
 14 for ``alpha < 2``.  The near band, about ``ln 2 / h`` offsets, is
 integrated on fixed rules, its kernel samples formed from the log-ratio
 ``z`` (:func:`_log_kernel`), since ``e^z`` rounds to 1 near the cusp.
-A window off the cusp takes six Gauss panels, in a few batched calls.
-The two windows that meet the cusp take one fixed rule in one more call
-(:func:`_cusp_rule`): 48 halvings toward the cusp, Gauss-Legendre
-panels, and a Gauss-Jacobi innermost panel of weight ``|z|^{alpha-1}``.
-Offset 0 straddles the cusp and offset 1 ends at it.  No adaptive
-quadrature is left.  For even ``alpha`` every pair of distinct cells
-takes the series (:func:`_series_ratio`), and only offset 0 is
-sampled.
+Windows off the cusp take six Gauss panels of width h/3 each, on one
+shared lattice of samples (:func:`_lattice_pairs`); the two that meet
+the cusp take one fixed rule (:func:`_cusp_rule`): 48 halvings toward
+the cusp, Gauss-Legendre panels, and a Gauss-Jacobi innermost panel of
+weight ``|z|^{alpha-1}``.  Offset 0 straddles the cusp and offset 1
+ends at it.  No adaptive quadrature is left.  For even ``alpha`` every
+pair of distinct cells takes the series (:func:`_series_ratio`), and
+only offset 0 is sampled.
 
 No ``count x count`` array is formed.  The pairs below the first far
 offset D, the first past the deep cut, about ``2 ln 2 / h`` (D = 1 for
@@ -66,12 +67,10 @@ products of the deep cut's series, a power of ``r_<`` times one of
 ``r_>``, applied as J forward and J backward prefix sums over scale
 tables.  One :meth:`KernelOperator.apply` is O(count (D + J)) work on
 O(count J) stored numbers, where a dense product is O(count^2) on a
-matrix of 134 MB at 4096 nodes.  The deep cut trades band for terms:
-the sweeps make several passes over their ``2 x J x count`` products,
-the convolution one over ``count x D``, so halving J pays for doubling
-D up to a few thousand nodes; at ``MAX_DENSE_COUNT`` nodes the two
-about balance.  Grids above ``MAX_DENSE_COUNT`` nodes, or with a band
-of more offsets, are refused before anything is allocated.
+matrix of 134 MB at 4096 nodes.  The deep cut trades terms, several
+passes of the sweeps each, for band offsets, one pass each.  Grids above
+``MAX_DENSE_COUNT`` nodes, or with a band of more offsets, are refused
+before anything is allocated.
 
 The responses to the constant head below the inner edge ``rMin
 e^{-h/2}`` and to the power-law tail beyond the outer edge ``r_end =
@@ -85,10 +84,10 @@ integrates the rest of the extension term by term in closed form from
 the cut edge, which for even ``alpha`` (D = 1) is all of it.  The head
 is one vector fixed at assembly; a tail of any decay exponent costs one
 ``count x J`` product and one suffix sum of ``band`` against ``e^{-tau
-k h}``, with no state kept per call.  An assembly on 4096 nodes over eight
-decades samples the kernel about 12k times at ``alpha = 0.8`` and 588
-times at ``alpha = 2``, all of it on the band, where sampling every
-pair, head and tail row would take 3.2M.
+k h}``, with no state kept per call.  An assembly on 4096 nodes over
+eight decades samples the kernel 6,780 times at ``alpha = 0.8`` (36 a
+lattice cell) and 588 at ``alpha = 2``, all on the band, where sampling
+every pair, head and tail row would take 3.2M.
 """
 
 from __future__ import annotations
@@ -110,8 +109,8 @@ from .grid import RadialGrid
 #: from its series (:func:`_series_coefficients`) instead of sampled:
 #: there ``t = (r_</r_>)^2 <= 1/4`` and the series converges like 4^-l.
 FAR_RATIO = 0.5
-#: Width of the near zone of :func:`kernel_ratio` in dimension n: there
-#: ``r_</r_> > max(FAR_RATIO, 1 - _NEAR_WIDTH/n)`` (:func:`_near_seam`).
+#: Width of the near zone of :func:`_log_kernel` and :func:`kernel_ratio`
+#: in dimension n: ``r_</r_>`` above :func:`_near_seam`.
 _NEAR_WIDTH = 1.5
 #: Terms of the near-zone series generated before the trim to rounding at
 #: the seam (:func:`_near_coefficients`); at most 36 are kept.
@@ -119,9 +118,9 @@ _NEAR_TERMS = 64
 #: Size of a series term, relative to the first, below which the sum
 #: stops: half an ulp of 1.
 _SERIES_CUT = 0.5 * np.finfo(float).eps
-#: Cell pairs integrated in one :func:`_log_kernel` call by
-#: :func:`_near_pairs`; at 72 samples a pair, under a MB per array.
-_PAIR_BLOCK_ROWS = 1024
+#: Lattice cells of :func:`_lattice_pairs` sampled in one
+#: :func:`_log_kernel` call; at 36 samples a cell, under a MB per array.
+_LATTICE_BLOCK_ROWS = 2048
 #: Halvings toward the cusp of :func:`_cusp_rule`: its innermost panel
 #: is 3.6e-15 of the interval, and 64 levels move no cusp pair by more
 #: than 7e-16 (n = 3..7, alpha = 0.3..6.5, 64 to 4096 nodes).
@@ -136,10 +135,6 @@ _SCALE_LOG_LIMIT = 680.0
 #: The 12-point Gauss-Legendre rule on [-1, 1] used by every panel
 #: quadrature of this module.
 _GAUSS_X, _GAUSS_W = leggauss(12)
-#: Panel breaks of an off-cusp window, as fractions of its width: six
-#: uniform panels, with a break on the kink of the overlap weight at the
-#: middle.
-_UNIFORM_PANELS = np.linspace(0.0, 1.0, 7)
 
 
 def _whole_order(n, alpha, **exponents):
@@ -294,8 +289,8 @@ def _series_ratio(alpha):
 
 
 def _near_seam(n):
-    """Ratio ``r_</r_>`` where :func:`kernel_ratio` turns from the far
-    series to the near zone: ``max(FAR_RATIO, 1 - _NEAR_WIDTH/n)``.
+    """Where :func:`_log_kernel` and :func:`kernel_ratio` turn from the far
+    series to the near zone: ``r_</r_> = max(FAR_RATIO, 1 - _NEAR_WIDTH/n)``.
 
     The two terms of the near-zone formula each grow like ``e^{n x/2}``
     and cancel, so the zone narrows like ``1/n``: ``x = 1 - w`` reaches
@@ -703,12 +698,6 @@ def _overlap_weight(z, la, lb, lc, ld, npa):
                     np.exp(npa * s1) * np.expm1(npa * (s2 - s1)) / npa, 0.0)
 
 
-def _pair_integrand(z, la, lb, lc, ld, n, alpha):
-    """Integrand of the double-cell integral reduced to the log-ratio ``z``."""
-    return (_log_kernel(z, n, alpha) * np.exp(n * z)
-            * _overlap_weight(z, la, lb, lc, ld, n + alpha))
-
-
 def _gauss_jacobi(b):
     """12-point Gauss rule of weight ``(1 + x)^b`` on [-1, 1], ``b > -1``.
 
@@ -764,8 +753,7 @@ def _cusp_pairs(cells, n, alpha):
     and its integrand is even in ``z``: ``K(1, e^{-z}) = e^{(n-alpha) z}
     K(1, e^z)`` and ``W(-z) = e^{(n+alpha) z} W(z)`` for the overlap
     weight ``W``.  So it is twice its half ``[0, w]``, ``w = lb - la``,
-    on the cusp rule alone.  All pairs are sampled in one
-    :func:`_pair_integrand` call.
+    on the cusp rule alone.  All pairs are sampled in one call.
     """
     u, wu = _cusp_rule(alpha)
     la, lb, lc, ld = cells
@@ -782,36 +770,13 @@ def _cusp_pairs(cells, n, alpha):
     rows = np.arange(near.size)
     owner = np.concatenate((np.repeat(rows, u.size),
                             np.repeat(rows[rim], t.shape[1])))
-    vals = _pair_integrand(np.concatenate(
-        ((side * near)[:, None] * u, side[rim, None] * t), axis=None),
-        *cells[:, owner], n, alpha)
+    z = np.concatenate(((side * near)[:, None] * u, side[rim, None] * t), None)
+    vals = (_log_kernel(z, n, alpha) * np.exp(n * z)
+            * _overlap_weight(z, *cells[:, owner], n + alpha))
     cut = near.size * u.size
     out = np.where(fold, 2.0, 1.0) * near * (
         vals[:cut].reshape(near.size, u.size) @ wu)
     out[rim] += np.sum(vals[cut:].reshape(t.shape) * wt, axis=-1)
-    return out
-
-
-def _near_pairs(cells, n, alpha):
-    """Double-cell integrals of near cell pairs, on fixed rules.
-
-    ``cells`` is the ``4 x P`` array of log-cells ``(la, lb, lc, ld)``.
-    A pair whose log-ratio window ``[lc - lb, ld - la]`` meets the cusp
-    ``z = 0`` takes :func:`_cusp_pairs`; every other one six uniform
-    Gauss panels, sampled ``_PAIR_BLOCK_ROWS`` pairs at a time.
-    """
-    zlo, zhi = cells[2] - cells[1], cells[3] - cells[0]
-    cusp = (zlo <= 0.0) & (zhi >= 0.0)
-    out = np.empty(zlo.size)
-    out[cusp] = _cusp_pairs(cells[:, cusp], n, alpha)
-    rest = np.flatnonzero(~cusp)
-    for lo in range(0, rest.size, _PAIR_BLOCK_ROWS):
-        rows = rest[lo:lo + _PAIR_BLOCK_ROWS]
-        z, wts = _gauss_panels(zlo[rows, None]
-                               + (zhi - zlo)[rows, None] * _UNIFORM_PANELS)
-        out[rows] = np.sum(
-            _pair_integrand(z, *cells[:, rows, None], n, alpha) * wts,
-            axis=-1)
     return out
 
 
@@ -897,10 +862,14 @@ def _far_tables(top, lam, base, grow):
     # row 0 of each table written in place, row 1 the other's reversed
     gather, scatter = np.empty((2, 2, top.size, blocks, length))
     inner, outer = gather[0], scatter[0]
-    np.ldexp(padded, -e[:, :, None], out=inner)
-    inner *= np.exp(-lam[:, None] * s)[:, None, :]
-    np.multiply(np.ldexp(top[:, None, None], e[:, :, None]),
-                np.exp(lam[:, None] * s)[:, None, :], out=outer)
+    # exact, as ldexp: 2^-e is normal (-e <= 1023 as base >= 2^-1022 and
+    # |top| < 2^1024, -e >= -1001 as base < 2^1024 and a kept |top| >
+    # 2^-106 |S^{n-1}| h^2 > 2^-977 for n <= 343, h > 2^-66); and as
+    # s[::-1] == -s, e^{-lam s} is e^{lam s} reversed to the bit
+    ramp = np.exp(lam[:, None] * s)[:, None, :]
+    np.multiply(padded, np.ldexp(1.0, -e)[:, :, None], out=inner)
+    inner *= ramp[..., ::-1]
+    np.multiply(np.ldexp(top[:, None, None], e[:, :, None]), ramp, out=outer)
     outer.reshape(top.size, -1)[:, size:] = 0.0
     gather[1], scatter[1] = outer[:, ::-1, ::-1], inner[:, ::-1, ::-1]
     half = np.exp(0.5 * length * lam)[:, None]
@@ -954,11 +923,9 @@ def assemble(grid, n, alpha):
     offset D and their scale tables (:func:`_far_tables`), O(count J)
     numbers.  For even ``alpha`` the series is exact for any two
     distinct cells, so D = 1 and the band is the diagonal alone.  The
-    sampled offsets, about ``ln 2 / h`` of them, offset 0 included, go
-    to one :func:`_near_pairs` call: fixed Gauss-panel sums, and the
-    fixed cusp rule of :func:`_cusp_pairs` on the two windows that meet
-    the cusp.  They are the only kernel samples: the head and tail take
-    the band and the series (:func:`_end_tables`).  Nothing of size
+    band's first ``ln 2 / h`` offsets, sampled on fixed rules
+    (:func:`_band`), take the only kernel samples: the head and tail
+    take the band and the series (:func:`_end_tables`).  Nothing of size
     ``count x count`` is allocated.  The construction is symmetric in
     the pair of cells, so the adjoint identity ``w_i M[i][j] = w_j
     M[j][i]`` holds to rounding.
@@ -984,8 +951,9 @@ def assemble(grid, n, alpha):
     # r^alpha r^n, each pow correctly rounded: exp((n+alpha) ln r) would
     # carry the rounding of ln r
     with np.errstate(over="ignore", under="ignore"):
+        r_alpha = grid.nodes ** alpha
         powers = np.concatenate((grid.edges[[0, -1]] ** (n + alpha),
-                                 grid.nodes ** alpha * grid.nodes ** n))
+                                 r_alpha * grid.nodes ** n))
     if not np.all((powers >= np.finfo(float).tiny) & (powers < math.inf)):
         raise ValidationError(
             "r^(n+alpha) = r^%g leaves the double range on [%r, %r]"
@@ -1007,7 +975,7 @@ def assemble(grid, n, alpha):
         top[keep], lam[keep], base[:max(count - band.size, 0)],
         (n + alpha) * h)
 
-    head_response, tail_series = _end_tables(grid, band, n, alpha)
+    head_response, tail_series = _end_tables(grid, band, n, alpha, r_alpha)
     op = KernelOperator(grid=grid, alpha=alpha, n=n, base=base,
                         band=band, far_gather=far_gather,
                         far_scatter=far_scatter, far_carry=far_carry,
@@ -1027,18 +995,46 @@ def _band(h, n, alpha):
     A pair is placed by the ratio of the inner cell's top edge to the
     outer cell's bottom one: sampled above the series ratio (offsets
     below S), one full-series sum (:func:`_series_pairs`) down to the
-    deep cut, its square.  For alpha = 2k both are 1, and D = S = 1."""
+    deep cut, its square (both 1 for alpha = 2k, where D = S = 1).
+    Sampled offsets 0 and 1 take the cusp rule (:func:`_cusp_pairs`),
+    the rest one lattice (:func:`_lattice_pairs`)."""
     ratio = _series_ratio(alpha)
     deep = ratio * ratio
     # b/c at offsets 1, 2, .. to two past the deep cut
     gap = np.exp(-np.arange(int(-math.log(deep) / h) + 3) * h)
     sampled = 1 + np.count_nonzero(gap > ratio)
     width = 1 + np.count_nonzero(gap > deep)
-    dh = np.arange(sampled) * h
-    band = _near_pairs(np.array(np.broadcast_arrays(
+    dh = np.arange(min(sampled, 2)) * h
+    cusp = _cusp_pairs(np.array(np.broadcast_arrays(
         -0.5 * h, 0.5 * h, dh - 0.5 * h, dh + 0.5 * h)), n, alpha)
-    return np.concatenate((band, _series_pairs(
-        np.arange(sampled, width), h, n, alpha, ratio).sum(axis=1)))
+    return np.concatenate((cusp, _lattice_pairs(sampled, h, n, alpha),
+                           _series_pairs(np.arange(sampled, width), h, n,
+                                         alpha, ratio).sum(axis=1)))
+
+
+def _lattice_pairs(stop, h, n, alpha):
+    """The pair integrals of :func:`_band` at the offsets ``2 .. stop -
+    1``, whose log-ratio windows ``[(d-1)h, (d+1)h]`` miss the cusp.
+
+    Each window takes six Gauss panels of width h/3, one break on the
+    kink of the overlap weight ``W`` (:func:`_overlap_weight`) at its
+    middle, so windows d and d + 1 share the three on ``[dh, (d+1)h]``.
+    ``K(1, e^z) e^{nz}`` is sampled once on each such cell, the upper
+    half of one window and the lower of the next, and ``W``, a function
+    of ``z - dh`` alone, once on the two halves of one window.
+    """
+    if stop < 3:
+        return np.empty(0)
+    t, wt = _gauss_panels(np.arange(4) * (h / 3.0))
+    w = np.stack((wt, wt), axis=1) * _overlap_weight(np.stack(
+        (t - h, t), axis=1), -0.5 * h, 0.5 * h, -0.5 * h, 0.5 * h, n + alpha)
+    cells = np.arange(1, stop) * h
+    halves = np.empty((cells.size, 2))
+    for lo in range(0, cells.size, _LATTICE_BLOCK_ROWS):
+        z = np.add.outer(cells[lo:lo + _LATTICE_BLOCK_ROWS], t)
+        halves[lo:lo + z.shape[0]] = (_log_kernel(z, n, alpha)
+                                      * np.exp(n * z)) @ w
+    return halves[:-1, 0] + halves[1:, 1]
 
 
 def _band_sums(band, rate, rows):
@@ -1064,14 +1060,14 @@ def _band_sums(band, rate, rows):
     return sums[:rows], decay
 
 
-def _end_tables(grid, band, n, alpha):
+def _end_tables(grid, band, n, alpha, r_alpha):
     """``(head_response, tail_series)`` on ``grid`` from the full ``band``
-    (:func:`_band`).  Node i's pairs with the virtual end cells inside
-    its band are ``base x band``; past them the deep cut's series splits
-    each pair into cell moments ``m_i(p) = r_i^p m(p)``
-    (:func:`_cell_moment`), and the extension beyond the cut edge ``e``
-    into a power of ``e``, the head covering ``(0, e)``, the tail ``(e,
-    inf)``:
+    (:func:`_band`) and ``r_alpha``, the nodes to the power alpha.
+    Node i's pairs with the virtual end cells inside its band are ``base
+    x band``; past them the deep cut's series splits each pair into cell
+    moments ``m_i(p) = r_i^p m(p)`` (:func:`_cell_moment`), and the
+    extension beyond the cut edge ``e`` into a power of ``e``, the head
+    covering ``(0, e)``, the tail ``(e, inf)``:
 
         head  |S^{n-1}| sum_l c_l e^{n+2l}/(n+2l) m_i(alpha-2l) / w_i,
         tail  |S^{n-1}| sum_l c_l m_i(n+2l)/w_i e^{alpha-2l}
@@ -1087,7 +1083,7 @@ def _end_tables(grid, band, n, alpha):
     reach = math.exp((band.size - 0.5) * h)
 
     edge = np.minimum(grid.edges[0], nodes / reach)
-    head = sphere_area(n) * edge ** n * nodes ** alpha / weights * _horner(
+    head = sphere_area(n) * edge ** n * r_alpha / weights * _horner(
         np.square(edge / nodes), coef * _cell_moment(alpha - l2, h) / (n + l2))
     if band.size > 1:
         near = _band_sums(band, (n + alpha) * h, grid.count)[0]

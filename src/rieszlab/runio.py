@@ -39,6 +39,8 @@ MANIFEST_NAME = "manifest.json"
 FIELD_CSV_NAME = "solution.csv"
 TRAJECTORY_CSV_NAME = "trajectory.csv"
 REPORT_NAME = "report.json"
+#: numpy's SIMD target, read once per process: its array ``**`` rounds by it.
+_NUMPY_SIMD = np.show_config(mode="dicts")["SIMD Extensions"]
 
 
 def format_float(value: float) -> str:
@@ -124,14 +126,15 @@ def grid_spec_of(grid: RadialGrid) -> dict[str, Any]:
     return {"rMin": float(grid.r_min), "rMax": float(grid.r_max), "count": int(grid.count)}
 
 
-def _runtime_versions() -> dict[str, str]:
+def _runtime_versions() -> dict[str, Any]:
     """Versions of rieszlab, Python, numpy and scipy, as the manifest
-    records them: the ``__version__`` attributes and the running
-    interpreter's version."""
+    records them, with numpy's SIMD baseline and the SIMD extensions it
+    found (and did not find) on this CPU."""
     from . import __version__
 
     return {"rieszlab": __version__, "python": platform.python_version(),
-            "numpy": np.__version__, "scipy": scipy.__version__}
+            "numpy": np.__version__, "scipy": scipy.__version__,
+            "numpySimd": {k: list(v) for k, v in _NUMPY_SIMD.items()}}
 
 
 def make_manifest(
@@ -148,8 +151,8 @@ def make_manifest(
     ``configHash`` is derived from the command, parameters, grid and
     settings only; two manifests with equal hashes from one host and
     numpy build describe runs whose CSV outputs are byte-identical.  The
-    timestamp and the ``versions`` of the package, Python, numpy and
-    scipy are informational and excluded from the hash.
+    timestamp and the ``versions`` (package, Python, numpy, scipy and
+    numpy's SIMD target) are informational and excluded from the hash.
     """
     inputs = {"command": command, "params": _plain(params),
               "gridSpec": None if grid_spec is None else _plain(grid_spec),

@@ -368,13 +368,44 @@ class TestFarField:
 #: operators whose series band and short-series pairs are checked.
 DEEP_CASES = [(3, 0.8, 4096), (5, 2.5, 2048), (4, 1.5, 512), (7, 3.5, 1024)]
 
+#: Panel breaks of a window off the cusp, as fractions of its width: six
+#: uniform panels, with a break on the kink of the overlap weight.
+UNIFORM_PANELS = np.linspace(0.0, 1.0, 7)
+
+
+def band_per_pair(h, n, alpha):
+    """:func:`riesz._band` with every window off the cusp sampled on its
+    own six Gauss panels, the oracle of the shared lattice: the cusp
+    rule on offsets 0 and 1, one panel sum per pair on the rest of the
+    sampled offsets, and the series sums past them."""
+    ratio = riesz._series_ratio(alpha)
+    gap = np.exp(-np.arange(int(-math.log(ratio * ratio) / h) + 3) * h)
+    sampled = 1 + np.count_nonzero(gap > ratio)
+    width = 1 + np.count_nonzero(gap > ratio * ratio)
+    dh = np.arange(sampled) * h
+    cells = np.array(np.broadcast_arrays(-0.5 * h, 0.5 * h, dh - 0.5 * h,
+                                         dh + 0.5 * h))
+    zlo, zhi = cells[2] - cells[1], cells[3] - cells[0]
+    cusp = (zlo <= 0.0) & (zhi >= 0.0)
+    out = np.empty(sampled)
+    out[cusp] = riesz._cusp_pairs(cells[:, cusp], n, alpha)
+    rest = ~cusp
+    z, wts = riesz._gauss_panels(zlo[rest, None]
+                                 + (zhi - zlo)[rest, None] * UNIFORM_PANELS)
+    out[rest] = np.sum(riesz._log_kernel(z, n, alpha) * np.exp(n * z)
+                       * _overlap_weight(z, *cells[:, rest, None], n + alpha)
+                       * wts, axis=-1)
+    return np.concatenate((out, riesz._series_pairs(
+        np.arange(sampled, width), h, n, alpha, ratio).sum(axis=1)))
+
 
 class TestDeepCut:
     @pytest.mark.parametrize("n, alpha, count", DEEP_CASES)
     def test_series_band_against_sampled_pairs(self, n, alpha, count):
         # the band runs to the first offset past ratio 1/4; its offsets
-        # past FAR_RATIO are series sums, and sampled on six Gauss
-        # panels they agree to rounding (worst 6.1e-14 at (3, 0.8))
+        # past FAR_RATIO are series sums, and sampled on the lattice of
+        # the offsets before them they agree to rounding (worst 8.7e-16,
+        # at (3, 0.8) and (7, 3.5))
         grid = make_grid(1e-4, 1e4, count, n)
         op = assemble(grid, n, alpha)
         h, width = grid.log_step, op.band.size
@@ -383,11 +414,25 @@ class TestDeepCut:
         d = np.arange(1, width)
         d = d[np.exp(-(d - 1) * h) <= FAR_RATIO]
         assert d.size > 0.4 * width
-        cells = np.array(np.broadcast_arrays(-0.5 * h, 0.5 * h,
-                                             (d - 0.5) * h, (d + 0.5) * h))
-        np.testing.assert_allclose(op.band[d],
-                                   riesz._near_pairs(cells, n, alpha),
-                                   rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(
+            op.band[d], riesz._lattice_pairs(width, h, n, alpha)[d - 2],
+            rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("n, alpha, count",
+                             [(3, 0.8, 4096), (3, 0.3, 4096), (5, 2.5, 2048),
+                              (4, 2.0, 1024), (5, 2.0, 4096)])
+    def test_lattice_against_windows_sampled_alone(self, n, alpha, count):
+        # the windows off the cusp share one lattice of samples, each
+        # formerly its own six panels: no offset moves by more than
+        # 5e-14 (worst 1.2e-14, at (3, 0.8) and (3, 0.3)); the cusp
+        # windows, offsets 0 and 1, and so every even-alpha band, keep
+        # their bits
+        h = make_grid(1e-4, 1e4, count, n).log_step
+        got, want = riesz._band(h, n, alpha), band_per_pair(h, n, alpha)
+        assert np.array_equal(got[:2], want[:2])
+        if alpha % 2.0 == 0.0:
+            assert got.size == 1 and np.array_equal(got, want)
+        np.testing.assert_allclose(got, want, rtol=5e-14, atol=0.0)
 
     @pytest.mark.parametrize("n, alpha, terms",
                              [(3, 0.8, 13), (5, 2.5, 11), (7, 3.5, 11)])
@@ -520,6 +565,36 @@ def far_sweeps_allocating(gather, scatter, carry, values, far, shift):
     return out[0, :far], out[1, ::-1][:far]
 
 
+def far_tables_ldexp(top, lam, base, grow):
+    """:func:`riesz._far_tables` with the inner table scaled entry by
+    entry by ``ldexp`` and ``e^{-lam s}`` taken by its own ``exp``, the
+    oracle of the product by ``2^-e`` and the reversed ``e^{lam s}``."""
+    size = base.size
+    log_top = np.log(np.abs(top))
+    centre = 0.5 * np.max(np.abs(log_top[:, None]
+                                 + np.log(base[[0, -1]])[None, :]))
+    rate = np.max(np.maximum(np.abs(lam), grow - lam))
+    room = max(riesz._SCALE_LOG_LIMIT - centre, 0.0)
+    blocks = -(-size // max(int(2.0 * room / rate), 1))
+    length = -(-size // blocks)
+    s = np.arange(length) - 0.5 * (length - 1)
+    mid = np.minimum(np.arange(blocks) * length + length // 2, size - 1)
+    e = np.rint(0.5 * (np.log2(base[mid])[None, :]
+                       - log_top[:, None] / math.log(2.0))).astype(int)
+    padded = np.zeros((blocks, length))
+    padded.flat[:size] = base
+    inner = (np.ldexp(padded, -e[:, :, None])
+             * np.exp(-lam[:, None] * s)[:, None, :])
+    outer = (np.ldexp(top[:, None, None], e[:, :, None])
+             * np.exp(lam[:, None] * s)[:, None, :])
+    outer.reshape(top.size, -1)[:, size:] = 0.0
+    half = np.exp(0.5 * length * lam)[:, None]
+    carry = np.ldexp(half, e[:, :-1] - e[:, 1:]) * half
+    return (np.stack((inner, outer[:, ::-1, ::-1])),
+            np.stack((outer, inner[:, ::-1, ::-1])),
+            np.stack((carry, carry[:, ::-1])))
+
+
 def series_terms(d, h, n, alpha, terms):
     """The first ``terms`` series terms of the pair integrals of the cell
     of width h about 1 with the cells ``d`` offsets up, one row per
@@ -573,6 +648,25 @@ class TestFarFieldKernels:
                     assert np.array_equal(g, w)
                 else:
                     np.testing.assert_allclose(g, w, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("case", FAR_NON_EVEN + FAR_EVEN, ids=far_case_id)
+    def test_tables_against_per_entry_ldexp(self, case):
+        # a product by the normal double 2^-e rounds as ldexp does, and
+        # e^{-lam s} is e^{lam s} reversed: the tables keep their bits
+        r_min, r_max, count, n, alpha = case
+        op = assemble(make_grid(r_min, r_max, count, n), n, alpha)
+        h, width = op.grid.log_step, op.band.size
+        top = riesz._series_pairs(width, h, n, alpha,
+                                  riesz._series_ratio(alpha) ** 2)
+        keep = np.abs(top) > riesz._SERIES_CUT ** 2 * abs(top[0])
+        lam = (alpha - 2.0 * np.arange(top.size)) * h
+        want = far_tables_ldexp(top[keep], lam[keep], op.base[:count - width],
+                                (n + alpha) * h)
+        if r_min < 1e-10:
+            assert want[0].shape[2] > 1
+        for got, expected in zip(
+                (op.far_gather, op.far_scatter, op.far_carry), want):
+            assert np.array_equal(got, expected)
 
     @pytest.mark.parametrize("case", FAR_NON_EVEN + FAR_EVEN, ids=far_case_id)
     def test_series_pairs_against_mpmath(self, case):
@@ -920,16 +1014,22 @@ class TestEndCells:
 
     def test_only_the_band_is_sampled(self, monkeypatch):
         # the head and tail take the band and the series: no kernel_ratio
-        # point, and the band's 12,288 log-ratio samples, where the end
-        # tables sampled 24,024 more
+        # point, and the band's log-ratio samples, where the end tables
+        # sampled 24,024 more.  At alpha = 0.8 that is 1,200 on the two
+        # cusp windows and 36 for each of the 155 lattice cells past
+        # them (12,288 when each window took its own 72); at alpha = 2
+        # the cusp rule's 588 on offset 0
+        grid = make_grid(1e-4, 1e4, 4096, 3)
         points = {"kernel_ratio": 0, "_log_kernel": 0}
         for name in points:
             def counted(z, n, alpha, _name=name, _inner=getattr(riesz, name)):
                 points[_name] += np.size(z)
                 return _inner(z, n, alpha)
             monkeypatch.setattr(riesz, name, counted)
-        assemble(make_grid(1e-4, 1e4, 4096, 3), 3, 0.8)
-        assert points == {"kernel_ratio": 0, "_log_kernel": 12288}
+        assemble(grid, 3, 0.8)
+        assert points == {"kernel_ratio": 0, "_log_kernel": 6780}
+        assemble(grid, 3, 2.0)
+        assert points == {"kernel_ratio": 0, "_log_kernel": 6780 + 588}
 
     def test_narrow_grid_tail_samples_nothing(self, monkeypatch):
         # the operator keeps the offsets past the count that the tail's

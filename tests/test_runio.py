@@ -74,10 +74,17 @@ class TestConfigHash:
     def test_manifest_records_versions_outside_the_hash(self):
         params = {"n": 4, "alpha": 2.0}
         m = make_manifest("solve", params, settings={"tol": 1e-6})
+        simd = np.show_config(mode="dicts")["SIMD Extensions"]
         assert m["versions"] == {
             "rieszlab": rieszlab.__version__,
             "python": platform.python_version(),
-            "numpy": np.__version__, "scipy": scipy.__version__}
+            "numpy": np.__version__, "scipy": scipy.__version__,
+            "numpySimd": simd}
+        assert simd["baseline"] and "found" in simd
+        # read once per process, and each manifest gets its own lists
+        m["versions"]["numpySimd"]["found"].append("changed")
+        again = make_manifest("solve", params, settings={"tol": 1e-6})
+        assert again["versions"]["numpySimd"]["found"] == simd["found"]
         assert m["configHash"] == config_hash(
             {"command": "solve", "params": params, "gridSpec": None,
              "settings": {"tol": 1e-6}})
