@@ -249,31 +249,33 @@ def _c_singular_amplitude(ws):
 
 def _c_fast_limits(ws):
     parts = []
-    worst = 0.0
+    passed = True
     for key in ("pure", "log", "weakened"):
         report = ws.fast_report(key, 512)
-        worst = max(worst, report.u_deviation, report.v_deviation)
+        passed &= analysis.fast_limits_claim(report)[0]
         parts.append("%s u %.1e v %.1e"
                      % (key, report.u_deviation, report.v_deviation))
     return ("u r^(n-a) -> B0 and the branch v-limit on solved pairs "
             "(pure/log/weakened)",
             "; ".join(parts),
             "5% rel; <2min",
-            worst <= 0.05)
+            passed)
 
 
 def _c_slow_decay(ws):
     result = ws.ground_state()
     traj = result.trajectory
     window = (1e3, 1e4)
+    # on this one decade the evidence-based fit takes the log model and
+    # reads 1.127; the power law is known here, so it is forced
     fit_u = analysis.fit_tail(traj.radii, traj.u, window=window, log_power=0)
     fit_v = analysis.fit_tail(traj.radii, traj.v, window=window, log_power=0)
-    rep = classify(Params(n=5, alpha=2.0, p=3.0, q=3.0))
-    dev_u = abs(fit_u.exponent - rep.slow_rate_u) / rep.slow_rate_u
-    dev_v = abs(fit_v.exponent - rep.slow_rate_v) / rep.slow_rate_v
+    params = Params(n=5, alpha=2.0, p=3.0, q=3.0)
+    rep = classify(params)
     pred_u = analysis.integrability_predicate(rep.slow_rate_u, rep.r0, 5)
     pred_v = analysis.integrability_predicate(rep.slow_rate_v, rep.s0, 5)
-    passed = dev_u <= 0.05 and dev_v <= 0.05 and not pred_u and not pred_v
+    slow, _, _ = analysis.rate_claim(params, fit_u, fit_v, None, fast=False)
+    passed = slow and not pred_u and not pred_v
     return ("bisected (5,2,3,3) tail slopes = slow rates (1,1); "
             "slow pair not integrable",
             "slopes (%.4f, %.4f); integrable (%s, %s)"
@@ -307,6 +309,10 @@ def _envelope_sets(ws):
 
 
 def _c_envelope_positivity(ws):
+    """Unlike :func:`analysis.envelope_claim`, this also needs every tail
+    times ``r^fast_rate`` positive on the fit window, and holds a pair to
+    the lower band only where eps0 >= 0.1 there: a profile with a deep
+    dip may not have reached its slow rate yet."""
     count = 0
     min_weighted = math.inf
     worst_upper = 0.0  # max fitted/fast ratio
@@ -350,32 +356,24 @@ def _c_envelope_positivity(ws):
 def _c_blowup_recursion(ws):
     rng = ws.rng
     worst_closed = 0.0
-    below_ok = above_ok = 0
+    confirmed = [0, 0]  # draws below and above the fixed point
     for _ in range(1000):
         alpha = float(rng.uniform(0.2, 6.0))
         p = float(rng.uniform(0.2, 6.0))
         q_lo = max(0.2, 1.2 / p)
         q = float(rng.uniform(q_lo, q_lo + 5.0))
         theta = alpha * (q + 1.0) / (p * q - 1.0)
-
-        b0 = theta * float(rng.uniform(0.01, 0.95))
-        trace = analysis.run_recursion(b0, alpha, p, q)
-        if trace.blowup_index is not None:
-            below_ok += 1
-        worst_closed = max(worst_closed,
-                           _closed_form_dev(trace, theta))
-
-        b0 = theta * (1.0 + float(rng.uniform(0.05, 3.0)))
-        trace = analysis.run_recursion(b0, alpha, p, q)
-        if trace.blowup_index is None:
-            above_ok += 1
-        worst_closed = max(worst_closed,
-                           _closed_form_dev(trace, theta))
-    passed = below_ok == 1000 and above_ok == 1000 and worst_closed <= 1e-12
+        for side, (shift, lo, hi) in enumerate(((0.0, 0.01, 0.95),
+                                                (1.0, 0.05, 3.0))):
+            b0 = theta * (shift + float(rng.uniform(lo, hi)))
+            trace = analysis.run_recursion(b0, alpha, p, q)
+            confirmed[side] += analysis.recursion_claim(trace, theta)[0]
+            worst_closed = max(worst_closed, _closed_form_dev(trace, theta))
+    passed = confirmed == [1000, 1000] and worst_closed <= 1e-12
     return ("b0 below fixed point: finite blow-up index; at/above: none; "
             "closed form matches",
             "blow-up %d/1000; none %d/1000; closed-form dev %.1e"
-            % (below_ok, above_ok, worst_closed),
+            % (*confirmed, worst_closed),
             "1e-12 rel; <1s",
             passed)
 

@@ -2,10 +2,10 @@
 
 Tools to measure and cross-check the far-field behavior of solution
 pairs: power-law (optionally log-corrected) tail fits, the fast-decay
-amplitude limits implied by the integral identities, decay-envelope
-verification against the regime classification, integrability
-predicates, and the exponent recursion that rules out intermediate
-decay rates.
+amplitude limits implied by the integral identities, decay envelopes,
+integrability predicates, the exponent recursion that rules out
+intermediate decay rates, and one verdict for each decay claim that
+``analyze`` and ``verify-all`` check.
 """
 
 from __future__ import annotations
@@ -25,6 +25,8 @@ from .riesz import (field_integral, power_law_constant,
 LOG_MODEL_GAIN = 0.05
 #: Relative widening of the decay envelope beyond the slow and fast rates.
 ENVELOPE_SLACK = 0.05
+#: Relative tolerance of the rate and amplitude claims.
+CLAIM_TOLERANCE = 0.05
 
 
 @dataclass(frozen=True)
@@ -48,6 +50,12 @@ def default_window(radii):
 
     The last samples sit against the domain boundary (or the shooting
     horizon) where truncation effects concentrate.
+
+    When the last 10% of samples is the whole outer decade, the window
+    falls back to the 10 samples below the dropped ones, however little
+    of a decade they span.  On 2048 log-spaced samples over 1e-6 to 1e4
+    (README's ``bisect`` run) that is r = 900.7 to 996.6, 0.044 of a
+    decade, and ``analyze``'s rate and recursion verdicts rest on it.
     """
     radii = np.asarray(radii, dtype=float)
     if not np.all(np.isfinite(radii)):
@@ -402,3 +410,70 @@ def check_fast_limits(pair):
         u_deviation=abs(u_amp / b0 - 1.0),
         v_prediction=v_pred, v_amplitude=v_amp,
         v_deviation=abs(v_amp / v_pred - 1.0))
+
+
+# ---------------------------------------------------------------------------
+# claims: each returns ``(confirmed, verdict, details)`` as ``analyze
+# --claim`` prints them; the acceptance criteria decide by the same
+
+
+def rate_claim(params, fit_u, fit_v, integrable, fast):
+    """Whether both fitted exponents lie within ``CLAIM_TOLERANCE`` of the
+    slow rates, relative, or (``fast``) of the fast rates with both of
+    ``integrable``, the :func:`integrability_predicate` of ``u^r0`` and
+    ``v^s0`` at the fits, true.  The slow claim ignores ``integrable``:
+    ``r0 * slow_rate_u = n``, so a fit at the slow rate sits on it."""
+    rep = classify(params)
+    name, expected = (("fast", [rep.fast_rate_u, rep.fast_rate_v]) if fast
+                      else ("slow", [rep.slow_rate_u, rep.slow_rate_v]))
+    fitted = [fit_u.exponent, fit_v.exponent]
+    deviation = [abs(got - want) / want for got, want in zip(fitted, expected)]
+    confirmed = (max(deviation) <= CLAIM_TOLERANCE
+                 and (not fast or all(integrable)))
+    details = {"expected": expected, "fitted": fitted,
+               "relativeDeviation": deviation}
+    if fast:
+        details["integrable"] = list(integrable)
+    return confirmed, "%s rates %sconfirmed" % (
+        name, "" if confirmed else "not "), details
+
+
+def envelope_claim(params, fit_u, fit_v, eps):
+    """Whether both fitted exponents sit inside :func:`envelope_bands`
+    and the pair's :func:`monotonicity_criterion` values ``eps`` are
+    positive (a dip deeper than 323 decades rounds one to 0)."""
+    band_u, band_v = envelope_bands(classify(params))
+    confirmed = (envelope_check(params, fit_u.exponent, fit_v.exponent)
+                 and min(eps) > 0.0)
+    return confirmed, "decay envelope %s" % (
+        "confirmed" if confirmed else "violated"), {
+        "bandsU": list(band_u), "bandsV": list(band_v),
+        "fitted": [fit_u.exponent, fit_v.exponent], "epsilon0": list(eps)}
+
+
+def fast_limits_claim(limits):
+    """Whether both amplitudes of the :class:`FastLimitReport` ``limits``
+    match their predictions within ``CLAIM_TOLERANCE``, relative."""
+    confirmed = max(limits.u_deviation, limits.v_deviation) <= CLAIM_TOLERANCE
+    return confirmed, "fast-limit amplitudes %sconfirmed" % (
+        "" if confirmed else "not "), {
+        "case": limits.case.value, "b0": limits.b0,
+        "uAmplitude": limits.u_amplitude, "uDeviation": limits.u_deviation,
+        "vPrediction": limits.v_prediction, "vAmplitude": limits.v_amplitude,
+        "vDeviation": limits.v_deviation}
+
+
+def recursion_claim(trace, slow_rate):
+    """Whether the :class:`RecursionTrace` ``trace`` blows up exactly when
+    its ``b0`` is below ``slow_rate``, the recursion's fixed point; within
+    1e-10 of it, relative, the rounding of ``b0`` picks the side, and
+    either outcome is confirmed."""
+    blew_up = trace.blowup_index is not None
+    confirmed = (abs(trace.b0 - slow_rate) <= 1e-10 * slow_rate
+                 or blew_up == (trace.b0 < slow_rate))
+    verdict = ("decay below the slow rate: recursion exponent turns negative "
+               "at step %d" % trace.blowup_index if blew_up else
+               "decay at or above the slow rate: recursion stays positive")
+    return confirmed, verdict, {
+        "b0": trace.b0, "slowRateU": slow_rate,
+        "blowupIndex": trace.blowup_index, "bSeq": list(trace.b_seq[:8])}

@@ -314,116 +314,32 @@ def _load_run(rundir):
     return manifest, params, kind, radii, u, v
 
 
-def _claim_slow_decay(ctx):
-    rep = ctx["regime"]
-    fu, fv = ctx["fit_u"], ctx["fit_v"]
-    dev_u = abs(fu.exponent - rep.slow_rate_u) / rep.slow_rate_u
-    dev_v = abs(fv.exponent - rep.slow_rate_v) / rep.slow_rate_v
-    confirmed = max(dev_u, dev_v) <= 0.05
-    return confirmed, ("slow rates confirmed" if confirmed
-                       else "slow rates not confirmed"), {
-        "expected": [rep.slow_rate_u, rep.slow_rate_v],
-        "fitted": [fu.exponent, fv.exponent],
-        "relativeDeviation": [dev_u, dev_v],
-    }
+#: The keys of ``analyze --claim``; :mod:`rieszlab.analysis` decides each.
+_CLAIM_KEYS = ("blowup-recursion", "envelope", "fast-decay", "fast-limits",
+               "slow-decay")
 
 
-def _claim_fast_decay(ctx):
-    rep = ctx["regime"]
-    fu, fv = ctx["fit_u"], ctx["fit_v"]
-    dev_u = abs(fu.exponent - rep.fast_rate_u) / rep.fast_rate_u
-    dev_v = abs(fv.exponent - rep.fast_rate_v) / rep.fast_rate_v
-    integrable_u = analysis.integrability_predicate(fu.exponent, rep.r0,
-                                                    ctx["params"].n)
-    integrable_v = analysis.integrability_predicate(fv.exponent, rep.s0,
-                                                    ctx["params"].n)
-    confirmed = (max(dev_u, dev_v) <= 0.05 and integrable_u and integrable_v)
-    return confirmed, ("fast rates confirmed" if confirmed
-                       else "fast rates not confirmed"), {
-        "expected": [rep.fast_rate_u, rep.fast_rate_v],
-        "fitted": [fu.exponent, fv.exponent],
-        "relativeDeviation": [dev_u, dev_v],
-        "integrable": [integrable_u, integrable_v],
-    }
-
-
-def _claim_envelope(ctx):
-    fu, fv = ctx["fit_u"], ctx["fit_v"]
-    inside = analysis.envelope_check(ctx["params"], fu.exponent, fv.exponent)
-    band_u, band_v = analysis.envelope_bands(ctx["regime"])
-    eps = [ctx["eps_u"], ctx["eps_v"]]
-    confirmed = inside and min(eps) > 0.0
-    return confirmed, ("decay envelope confirmed" if confirmed
-                       else "decay envelope violated"), {
-        "bandsU": list(band_u),
-        "bandsV": list(band_v),
-        "fitted": [fu.exponent, fv.exponent],
-        "epsilon0": eps,
-    }
-
-
-def _claim_fast_limits(ctx):
-    if ctx["kind"] != "field" or ctx["grid_spec"] is None:
+def _stored_pair(manifest, kind, params, radii, u, v, fit_u, fit_v):
+    """A field run as a :class:`SolutionPair` on its manifest grid, the
+    fits' exponents as its tails; :class:`ValidationError` unless the
+    samples sit on that grid."""
+    grid_spec = manifest.get("gridSpec")
+    if kind != "field" or grid_spec is None:
         raise ValidationError(
             "the fast-limits claim needs a field run on a stored grid")
     r_min, r_max, count = _manifest_numbers(
-        ctx["grid_spec"], ("rMin", "rMax", "count"), "the manifest gridSpec")
-    params = ctx["params"]
+        grid_spec, ("rMin", "rMax", "count"), "the manifest gridSpec")
     # a count off the samples' is refused before any grid is built
     grid = (make_grid(r_min, r_max, count, params.n)
-            if count == ctx["radii"].size else None)
-    if grid is None or not np.allclose(grid.nodes, ctx["radii"], rtol=1e-12,
+            if count == radii.size else None)
+    if grid is None or not np.allclose(grid.nodes, radii, rtol=1e-12,
                                        atol=0.0):
         raise ValidationError("stored samples do not sit on the manifest grid")
-    fu, fv = ctx["fit_u"], ctx["fit_v"]
-    pair = SolutionPair(
-        u=RadialField(grid, ctx["u"], tail_exponent=fu.exponent),
-        v=RadialField(grid, ctx["v"], tail_exponent=fv.exponent),
+    return SolutionPair(
+        u=RadialField(grid, u, tail_exponent=fit_u.exponent),
+        v=RadialField(grid, v, tail_exponent=fit_v.exponent),
         params=params, iterations=0, residual_u=0.0, residual_v=0.0,
         branch=Branch.PICARD)
-    limits = analysis.check_fast_limits(pair)
-    confirmed = max(limits.u_deviation, limits.v_deviation) <= 0.05
-    return confirmed, ("fast-limit amplitudes confirmed" if confirmed
-                       else "fast-limit amplitudes not confirmed"), {
-        "case": limits.case.value,
-        "b0": limits.b0,
-        "uAmplitude": limits.u_amplitude,
-        "uDeviation": limits.u_deviation,
-        "vPrediction": limits.v_prediction,
-        "vAmplitude": limits.v_amplitude,
-        "vDeviation": limits.v_deviation,
-    }
-
-
-def _claim_blowup_recursion(ctx):
-    params = ctx["params"]
-    rep = ctx["regime"]
-    b0 = ctx["fit_u"].exponent
-    trace = analysis.run_recursion(b0, params.alpha, params.p, params.q)
-    blew_up = trace.blowup_index is not None
-    below = b0 < rep.slow_rate_u
-    boundary = abs(b0 - rep.slow_rate_u) <= 1e-10 * rep.slow_rate_u
-    confirmed = boundary or (blew_up == below)
-    if blew_up:
-        verdict = ("decay below the slow rate: recursion exponent turns "
-                   "negative at step %d" % trace.blowup_index)
-    else:
-        verdict = "decay at or above the slow rate: recursion stays positive"
-    return confirmed, verdict, {
-        "b0": b0,
-        "slowRateU": rep.slow_rate_u,
-        "blowupIndex": trace.blowup_index,
-        "bSeq": list(trace.b_seq[:8]),
-    }
-
-
-_CLAIMS = {
-    "slow-decay": _claim_slow_decay,
-    "fast-decay": _claim_fast_decay,
-    "envelope": _claim_envelope,
-    "fast-limits": _claim_fast_limits,
-    "blowup-recursion": _claim_blowup_recursion,
-}
 
 
 def _cmd_analyze(args):
@@ -431,8 +347,11 @@ def _cmd_analyze(args):
     rep = classify(params)
     fit_u = analysis.fit_tail(radii, u)
     fit_v = analysis.fit_tail(radii, v)
-    eps_u = analysis.monotonicity_criterion(u)
-    eps_v = analysis.monotonicity_criterion(v)
+    eps = [analysis.monotonicity_criterion(u),
+           analysis.monotonicity_criterion(v)]
+    integrable = [analysis.integrability_predicate(fit.exponent, power,
+                                                   params.n)
+                  for fit, power in ((fit_u, rep.r0), (fit_v, rep.s0))]
     notes = []
     for label, fit in (("u", fit_u), ("v", fit_v)):
         if fit.r2 < 0.99:
@@ -446,27 +365,30 @@ def _cmd_analyze(args):
         "params": dataclasses.asdict(params),
         "regime": rep.to_dict(),
         "fits": {"u": _fit_dict(fit_u), "v": _fit_dict(fit_v)},
-        "epsilon0": {"u": eps_u, "v": eps_v},
-        "integrable": {
-            "u": analysis.integrability_predicate(fit_u.exponent, rep.r0,
-                                                  params.n),
-            "v": analysis.integrability_predicate(fit_v.exponent, rep.s0,
-                                                  params.n),
-        },
+        "epsilon0": {"u": eps[0], "v": eps[1]},
+        "integrable": {"u": integrable[0], "v": integrable[1]},
         "notes": notes,
     }
-    if args.claim is not None:
-        checker = _CLAIMS.get(args.claim)
-        if checker is None:
-            raise ValidationError(
-                "unknown claim %r; known claims: %s"
-                % (args.claim, sorted(_CLAIMS)))
-        ctx = {"params": params, "regime": rep, "kind": kind,
-               "grid_spec": manifest.get("gridSpec"), "radii": radii,
-               "u": u, "v": v, "fit_u": fit_u, "fit_v": fit_v,
-               "eps_u": eps_u, "eps_v": eps_v}
-        confirmed, verdict, details = checker(ctx)
-        report["claim"] = {"key": args.claim, "confirmed": confirmed,
+    key = args.claim
+    if key is not None:
+        if key not in _CLAIM_KEYS:
+            raise ValidationError("unknown claim %r; known claims: %s"
+                                  % (key, list(_CLAIM_KEYS)))
+        if key in ("slow-decay", "fast-decay"):
+            claim = analysis.rate_claim(params, fit_u, fit_v, integrable,
+                                        fast=key == "fast-decay")
+        elif key == "envelope":
+            claim = analysis.envelope_claim(params, fit_u, fit_v, eps)
+        elif key == "fast-limits":
+            claim = analysis.fast_limits_claim(analysis.check_fast_limits(
+                _stored_pair(manifest, kind, params, radii, u, v, fit_u,
+                             fit_v)))
+        else:
+            claim = analysis.recursion_claim(analysis.run_recursion(
+                fit_u.exponent, params.alpha, params.p, params.q),
+                rep.slow_rate_u)
+        confirmed, verdict, details = claim
+        report["claim"] = {"key": key, "confirmed": confirmed,
                            "verdict": verdict, "details": details}
     _print_json(report)
     _write_report(args, report)
@@ -567,7 +489,7 @@ def build_parser():
     p_ana = sub.add_parser("analyze", help="fit tails on a finished run")
     p_ana.add_argument("rundir", help="directory holding manifest.json + CSV")
     p_ana.add_argument("--claim", default=None,
-                       help="check one claim: %s" % ", ".join(sorted(_CLAIMS)))
+                       help="check one claim: %s" % ", ".join(_CLAIM_KEYS))
     p_ana.add_argument("--out", default=None, metavar="DIR")
     p_ana.set_defaults(func=_cmd_analyze)
 

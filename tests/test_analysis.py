@@ -1,5 +1,6 @@
 """Tail fitting, envelopes, integrability, recursion, fast limits."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,15 +8,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rieszlab.analysis import (_median, amplitude_b0, check_fast_limits,
-                               default_window, envelope_check, fit_tail,
+from rieszlab.analysis import (CLAIM_TOLERANCE, DecayFit, _median,
+                               amplitude_b0, check_fast_limits,
+                               default_window, envelope_check,
+                               envelope_claim, fast_limits_claim, fit_tail,
                                integrability_predicate,
-                               monotonicity_criterion, run_recursion)
+                               monotonicity_criterion, rate_claim,
+                               recursion_claim, run_recursion)
 from rieszlab.errors import (DegenerateFitError, DivergentTailError,
                              PreconditionError, ValidationError)
 from rieszlab.exponents import Params, VFastCase
 from rieszlab.grid import make_grid
 from rieszlab.riesz import RadialField
+from rieszlab.shooting import ShotConfig, shoot
 from rieszlab.solver import Branch, SolutionPair
 
 
@@ -303,3 +308,104 @@ class TestFastLimits:
         pair = make_pair(4, 2.0, 3.0, 3.0, prof, prof, 1.2, 1.2)
         with pytest.raises(DivergentTailError):
             amplitude_b0(pair)
+
+
+def decay_fit(exponent):
+    return DecayFit(exponent=exponent, log_power=0, amplitude=1.0,
+                    window_lo=1e3, window_hi=1e4, r2=1.0)
+
+
+class TestClaims:
+    def test_slow_rates_not_confirmed(self):
+        # the exact 6d bubble decays at its fast rate 4, twice the slow 2
+        params = Params(6, 2.0, 2.0, 2.0)
+        nodes = make_grid(1e-4, 1e4, 512, 6).nodes
+        bubble = 24.0 / (1.0 + nodes ** 2) ** 2
+        fit = fit_tail(nodes, bubble)
+        integrable = [integrability_predicate(fit.exponent, 3.0, 6)] * 2
+        confirmed, verdict, details = rate_claim(params, fit, fit,
+                                                 integrable, fast=False)
+        assert (confirmed, verdict) == (False, "slow rates not confirmed")
+        assert details["expected"] == [2.0, 2.0]
+        assert details["relativeDeviation"][0] == pytest.approx(1.0,
+                                                                rel=1e-4)
+        assert "integrable" not in details
+        confirmed, verdict, details = rate_claim(params, fit, fit,
+                                                 integrable, fast=True)
+        assert (confirmed, verdict) == (True, "fast rates confirmed")
+        assert details["integrable"] == [True, True]
+
+    def test_rate_tolerance(self):
+        # (5, 2, 3, 3): slow rates 1, fast rates 3
+        params = Params(5, 2.0, 3.0, 3.0)
+        assert CLAIM_TOLERANCE == 0.05
+        for slow, fast, confirmed in ((1.04, 2.88, True),
+                                      (1.06, 3.18, False)):
+            assert rate_claim(params, decay_fit(slow), decay_fit(1.0), None,
+                              fast=False)[0] is confirmed
+            assert rate_claim(params, decay_fit(3.0), decay_fit(fast),
+                              (True, True), fast=True)[0] is confirmed
+        # the fast rates alone are not enough: both powers must integrate
+        confirmed, verdict, _ = rate_claim(params, decay_fit(3.0),
+                                           decay_fit(3.0), (True, False),
+                                           fast=True)
+        assert (confirmed, verdict) == (False, "fast rates not confirmed")
+
+    def test_decay_envelope_violated_on_a_crossing_shot(self):
+        # the shot at xi = 0.8 crosses zero in v; its tails stay flat
+        params = Params(5, 2.0, 3.0, 3.0)
+        traj = shoot(params, ShotConfig(u0=1.0, xi=0.8, r_start=1e-6,
+                                        r_end=1e4))
+        fit_u = fit_tail(traj.radii, traj.u)
+        fit_v = fit_tail(traj.radii, traj.v)
+        eps = [monotonicity_criterion(traj.u), monotonicity_criterion(traj.v)]
+        confirmed, verdict, details = envelope_claim(params, fit_u, fit_v,
+                                                     eps)
+        assert (confirmed, verdict) == (False, "decay envelope violated")
+        assert details["fitted"] == [fit_u.exponent, fit_v.exponent]
+        assert max(details["fitted"]) < details["bandsU"][0] == 0.95
+        assert envelope_claim(params, decay_fit(1.0), decay_fit(3.0),
+                              eps)[:2] == (True, "decay envelope confirmed")
+        # a ratio past the double range rounds to 0: not a positive pair
+        dip = monotonicity_criterion(np.array([1e-300, 1e-320, 1e300]))
+        assert envelope_claim(params, decay_fit(1.0), decay_fit(3.0),
+                              [dip, 1.0])[0] is False
+
+    def test_fast_limit_amplitudes_not_confirmed(self):
+        # u scaled by 1.1 off the exact bubble pair: u misses b0 by 10%
+        grid = make_grid(1e-4, 1e4, 512, 4)
+        prof = lambda r: 2.0 * math.sqrt(2.0) / (1.0 + r ** 2)
+        pair = make_pair(4, 2.0, 3.0, 3.0, lambda r: 1.1 * prof(r), prof,
+                         2.0, 2.0, grid=grid)
+        limits = check_fast_limits(pair)
+        confirmed, verdict, details = fast_limits_claim(limits)
+        assert (confirmed, verdict) == (
+            False, "fast-limit amplitudes not confirmed")
+        assert details["case"] == "Pure"
+        assert details["uDeviation"] == pytest.approx(0.1, abs=5e-3)
+        within = dataclasses.replace(limits, u_deviation=0.04,
+                                     v_deviation=0.04)
+        assert fast_limits_claim(within)[:2] == (
+            True, "fast-limit amplitudes confirmed")
+
+    @pytest.mark.parametrize("factor", [1.0 - 5e-11, 1.0 + 5e-11])
+    def test_start_at_the_slow_rate_confirmed_either_way(self, factor):
+        # (alpha, p, q) = (2, 2, 2) has the fixed point 2; within 1e-10
+        # of it the rounding of b0 picks the side, so either outcome holds
+        trace = run_recursion(2.0 * factor, 2.0, 2.0, 2.0)
+        assert (trace.blowup_index is None) is (factor > 1.0)
+        for index in (None, 18):
+            confirmed, _, details = recursion_claim(
+                dataclasses.replace(trace, blowup_index=index), 2.0)
+            assert confirmed is True
+            assert details["slowRateU"] == 2.0
+        # 1e-9 below it, a start that does not blow up contradicts the rule
+        trace = run_recursion(2.0 * (1.0 - 1e-9), 2.0, 2.0, 2.0)
+        assert recursion_claim(trace, 2.0)[:2] == (
+            True, "decay below the slow rate: recursion exponent turns "
+            "negative at step 15")
+        confirmed, verdict, _ = recursion_claim(
+            dataclasses.replace(trace, blowup_index=None), 2.0)
+        assert confirmed is False
+        assert verdict == ("decay at or above the slow rate: recursion "
+                           "stays positive")

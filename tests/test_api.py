@@ -42,7 +42,10 @@ def test_deleted_names_are_gone():
                        "v_limit_weakened", "_V_BRANCHES", "_require_case"),
             runio: ("RunManifest",),
             cli: ("_params_dict", "_field_csv_writer",
-                  "_trajectory_csv_writer"),
+                  "_trajectory_csv_writer", "_claim_slow_decay",
+                  "_claim_fast_decay", "_claim_envelope",
+                  "_claim_fast_limits", "_claim_blowup_recursion",
+                  "_CLAIMS"),
             shooting: ("_u_zero", "_v_zero", "solve_ivp", "optimize")}
     for module, names in gone.items():
         for name in names:
