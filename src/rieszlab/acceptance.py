@@ -262,6 +262,19 @@ def _c_fast_limits(ws):
             passed)
 
 
+def _decade_mass_ratio(radii, f, power, n):
+    """Mass of ``f^power`` on the decade (1e3, 1e4) over that on (1e2,
+    1e3), the mass ``int f^power r^n d ln r`` by the trapezoid rule on
+    the samples: 1 for ``f ~ r^(-n/power)``, whose mass per decade holds,
+    and ``10^(-n e)`` for a tail ``e`` steeper in relative terms."""
+    def mass(lo, hi):
+        keep = (radii >= lo) & (radii <= hi)
+        return np.trapezoid(f[keep] ** power * radii[keep] ** n,
+                            np.log(radii[keep]))
+
+    return mass(1e3, 1e4) / mass(1e2, 1e3)
+
+
 def _c_slow_decay(ws):
     result = ws.ground_state()
     traj = result.trajectory
@@ -272,14 +285,18 @@ def _c_slow_decay(ws):
     fit_v = analysis.fit_tail(traj.radii, traj.v, window=window, log_power=0)
     params = Params(n=5, alpha=2.0, p=3.0, q=3.0)
     rep = classify(params)
-    pred_u = analysis.integrability_predicate(rep.slow_rate_u, rep.r0, 5)
-    pred_v = analysis.integrability_predicate(rep.slow_rate_v, rep.s0, 5)
+    # not integrable: the mass of u^r0 (v^s0) per decade does not fall
+    # faster than a tail CLAIM_TOLERANCE steeper than the slow rate's
+    floor = 10.0 ** (-params.n * analysis.CLAIM_TOLERANCE)
+    mass_u = _decade_mass_ratio(traj.radii, traj.u, rep.r0, params.n)
+    mass_v = _decade_mass_ratio(traj.radii, traj.v, rep.s0, params.n)
     slow, _, _ = analysis.rate_claim(params, fit_u, fit_v, None, fast=False)
-    passed = slow and not pred_u and not pred_v
+    passed = slow and mass_u >= floor and mass_v >= floor
     return ("bisected (5,2,3,3) tail slopes = slow rates (1,1); "
-            "slow pair not integrable",
-            "slopes (%.4f, %.4f); integrable (%s, %s)"
-            % (fit_u.exponent, fit_v.exponent, pred_u, pred_v),
+            "slow pair not integrable: u^r0, v^s0 mass per decade "
+            "ratio >= %.2f" % floor,
+            "slopes (%.4f, %.4f); mass ratios (%.4f, %.4f)"
+            % (fit_u.exponent, fit_v.exponent, mass_u, mass_v),
             "5% rel; <1min",
             passed)
 

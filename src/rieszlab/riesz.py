@@ -49,14 +49,16 @@ moments, with no kernel samples.  At ratio 1/4 or less, the deep cut
 14 for ``alpha < 2``.  The near band, about ``ln 2 / h`` offsets, is
 integrated on fixed rules, its kernel samples formed from the log-ratio
 ``z`` (:func:`_log_kernel`), since ``e^z`` rounds to 1 near the cusp.
-Windows off the cusp take six Gauss panels of width h/3 each, on one
-shared lattice of samples (:func:`_lattice_pairs`); the two that meet
-the cusp take one fixed rule (:func:`_cusp_rule`): 48 halvings toward
-the cusp, Gauss-Legendre panels, and a Gauss-Jacobi innermost panel of
-weight ``|z|^{alpha-1}``.  Offset 0 straddles the cusp and offset 1
-ends at it.  No adaptive quadrature is left.  For even ``alpha`` every
-pair of distinct cells takes the series (:func:`_series_ratio`), and
-only offset 0 is sampled.
+The window of offset d, ``[(d-1)h, (d+1)h]``, spans the log-ratio
+cells ``[(d-1)h, dh]`` and ``[dh, (d+1)h]``, each shared with the next
+window (window 0 is twice its half on ``[0, h]``), so the band is
+sampled once on one lattice of such cells (:func:`_lattice_pairs`).
+The cusp cell ``[0, h]`` takes one fixed rule (:func:`_cusp_rule`): 48
+halvings toward the cusp, Gauss-Legendre panels, and a Gauss-Jacobi
+innermost panel of weight ``|z|^{alpha-1}``; the rest take three Gauss
+panels of width h/3.  No adaptive quadrature is left.  For even
+``alpha`` every pair of distinct cells takes the series
+(:func:`_series_ratio`), and only offset 0 is sampled.
 
 No ``count x count`` array is formed.  The pairs below the first far
 offset D, the first past the deep cut, about ``2 ln 2 / h`` (D = 1 for
@@ -85,9 +87,10 @@ the cut edge, which for even ``alpha`` (D = 1) is all of it.  The head
 is one vector fixed at assembly; a tail of any decay exponent costs one
 ``count x J`` product and one suffix sum of ``band`` against ``e^{-tau
 k h}``, with no state kept per call.  An assembly on 4096 nodes over
-eight decades samples the kernel 6,780 times at ``alpha = 0.8`` (36 a
-lattice cell) and 588 at ``alpha = 2``, all on the band, where sampling
-every pair, head and tail row would take 3.2M.
+eight decades samples the kernel 6,168 times at ``alpha = 0.8`` (588 on
+the cusp cell, 36 on each other lattice cell) and 588 at ``alpha = 2``,
+all on the band, where sampling every pair, head and tail row would
+take 3.2M.
 """
 
 from __future__ import annotations
@@ -740,46 +743,6 @@ def _cusp_rule(alpha):
     return u, wu
 
 
-def _cusp_pairs(cells, n, alpha):
-    """Double-cell integrals of cell pairs whose window meets the cusp.
-
-    ``cells`` is the ``4 x P`` array of log-cells ``(la, lb, lc, ld)``
-    whose log-ratio window ``[lc - lb, ld - la]`` holds the kernel cusp
-    ``z = 0``: at one end for two touching cells, inside for a cell with
-    itself.  From the cusp to the nearer kink of the overlap weight,
-    ``lc - la`` or ``ld - lb``, a pair takes :func:`_cusp_rule`, and one
-    Gauss panel on each stretch beyond, to the other kink and from there
-    to the window's end.  A cell with itself has both kinks at the cusp,
-    and its integrand is even in ``z``: ``K(1, e^{-z}) = e^{(n-alpha) z}
-    K(1, e^z)`` and ``W(-z) = e^{(n+alpha) z} W(z)`` for the overlap
-    weight ``W``.  So it is twice its half ``[0, w]``, ``w = lb - la``,
-    on the cusp rule alone.  All pairs are sampled in one call.
-    """
-    u, wu = _cusp_rule(alpha)
-    la, lb, lc, ld = cells
-    zlo, zhi = lc - lb, ld - la
-    fold = (zlo < 0.0) & (zhi > 0.0)
-    rim = ~fold
-    side = np.where(zhi > 0.0, 1.0, -1.0)
-    # distances from the cusp of the two kinks and of the far end of a
-    # touching window (zlo or zhi, the other is 0); a folded pair's
-    # kinks sit on the cusp, and its rule spans its half
-    near, far, end = np.sort(np.abs(np.where(
-        fold, zhi, (lc - la, ld - lb, zlo + zhi))), axis=0)
-    t, wt = _gauss_panels(np.stack((near, far, end), axis=1)[rim])
-    rows = np.arange(near.size)
-    owner = np.concatenate((np.repeat(rows, u.size),
-                            np.repeat(rows[rim], t.shape[1])))
-    z = np.concatenate(((side * near)[:, None] * u, side[rim, None] * t), None)
-    vals = (_log_kernel(z, n, alpha) * np.exp(n * z)
-            * _overlap_weight(z, *cells[:, owner], n + alpha))
-    cut = near.size * u.size
-    out = np.where(fold, 2.0, 1.0) * near * (
-        vals[:cut].reshape(near.size, u.size) @ wu)
-    out[rim] += np.sum(vals[cut:].reshape(t.shape) * wt, axis=-1)
-    return out
-
-
 def _cell_moment(p, h):
     """``int s^{p-1} ds`` over the log cell of width ``h`` about 1; the
     cell about r takes ``r^p`` times it."""
@@ -923,12 +886,12 @@ def assemble(grid, n, alpha):
     offset D and their scale tables (:func:`_far_tables`), O(count J)
     numbers.  For even ``alpha`` the series is exact for any two
     distinct cells, so D = 1 and the band is the diagonal alone.  The
-    band's first ``ln 2 / h`` offsets, sampled on fixed rules
-    (:func:`_band`), take the only kernel samples: the head and tail
-    take the band and the series (:func:`_end_tables`).  Nothing of size
-    ``count x count`` is allocated.  The construction is symmetric in
-    the pair of cells, so the adjoint identity ``w_i M[i][j] = w_j
-    M[j][i]`` holds to rounding.
+    band's first ``ln 2 / h`` offsets, sampled on one lattice of
+    log-ratio cells (:func:`_lattice_pairs`), take the only kernel
+    samples: the head and tail take the band and the series
+    (:func:`_end_tables`).  Nothing of size ``count x count`` is
+    allocated.  The construction is symmetric in the pair of cells, so
+    the adjoint identity ``w_i M[i][j] = w_j M[j][i]`` holds to rounding.
 
     Raises
     ------
@@ -994,47 +957,53 @@ def _band(h, n, alpha):
     deep cut, whatever the count: the virtual end cells take them all.
     A pair is placed by the ratio of the inner cell's top edge to the
     outer cell's bottom one: sampled above the series ratio (offsets
-    below S), one full-series sum (:func:`_series_pairs`) down to the
-    deep cut, its square (both 1 for alpha = 2k, where D = S = 1).
-    Sampled offsets 0 and 1 take the cusp rule (:func:`_cusp_pairs`),
-    the rest one lattice (:func:`_lattice_pairs`)."""
+    below S, :func:`_lattice_pairs`), one full-series sum
+    (:func:`_series_pairs`) down to the deep cut, its square (both 1 for
+    alpha = 2k, where D = S = 1)."""
     ratio = _series_ratio(alpha)
     deep = ratio * ratio
     # b/c at offsets 1, 2, .. to two past the deep cut
     gap = np.exp(-np.arange(int(-math.log(deep) / h) + 3) * h)
     sampled = 1 + np.count_nonzero(gap > ratio)
     width = 1 + np.count_nonzero(gap > deep)
-    dh = np.arange(min(sampled, 2)) * h
-    cusp = _cusp_pairs(np.array(np.broadcast_arrays(
-        -0.5 * h, 0.5 * h, dh - 0.5 * h, dh + 0.5 * h)), n, alpha)
-    return np.concatenate((cusp, _lattice_pairs(sampled, h, n, alpha),
+    return np.concatenate((_lattice_pairs(sampled, h, n, alpha),
                            _series_pairs(np.arange(sampled, width), h, n,
                                          alpha, ratio).sum(axis=1)))
 
 
 def _lattice_pairs(stop, h, n, alpha):
-    """The pair integrals of :func:`_band` at the offsets ``2 .. stop -
-    1``, whose log-ratio windows ``[(d-1)h, (d+1)h]`` miss the cusp.
+    """The pair integrals of :func:`_band` at the offsets ``0 .. stop -
+    1``, on one lattice of log-ratio cells ``[ch, (c+1)h]``.
 
-    Each window takes six Gauss panels of width h/3, one break on the
-    kink of the overlap weight ``W`` (:func:`_overlap_weight`) at its
-    middle, so windows d and d + 1 share the three on ``[dh, (d+1)h]``.
-    ``K(1, e^z) e^{nz}`` is sampled once on each such cell, the upper
-    half of one window and the lower of the next, and ``W``, a function
-    of ``z - dh`` alone, once on the two halves of one window.
+    The window of offset d, ``[(d-1)h, (d+1)h]``, has the kink of the
+    overlap weight ``W`` (:func:`_overlap_weight`) at its middle, so its
+    lower half is cell d - 1 and its upper half cell d.  ``K(1, e^z)
+    e^{nz}`` is sampled once on each cell, and ``W``, a function of ``z
+    - dh`` alone, once per rule on a lower and an upper half.  Cell 0
+    holds the cusp ``z = 0`` and takes :func:`_cusp_rule`; the rest take
+    three Gauss panels of width h/3.  Window 0 is even in ``z``: ``K(1,
+    e^{-z}) = e^{(n-alpha) z} K(1, e^z)`` and ``W(-z) = e^{(n+alpha) z}
+    W(z)``, so it is twice its upper half.
     """
-    if stop < 3:
-        return np.empty(0)
+    u, wu = _cusp_rule(alpha)
+    z = h * u
+    lower, upper = _overlap_weight(np.stack((z - h, z)), -0.5 * h, 0.5 * h,
+                                   -0.5 * h, 0.5 * h, n + alpha)
+    cusp = _log_kernel(z, n, alpha) * np.exp(n * z)
+    halves = np.empty((stop, 2))
+    # a dot product per half: the even-alpha band, and the solver
+    # counts pinned on it, keep their bits
+    halves[0] = h * ((cusp * lower) @ wu), h * ((cusp * upper) @ wu)
     t, wt = _gauss_panels(np.arange(4) * (h / 3.0))
     w = np.stack((wt, wt), axis=1) * _overlap_weight(np.stack(
         (t - h, t), axis=1), -0.5 * h, 0.5 * h, -0.5 * h, 0.5 * h, n + alpha)
-    cells = np.arange(1, stop) * h
-    halves = np.empty((cells.size, 2))
-    for lo in range(0, cells.size, _LATTICE_BLOCK_ROWS):
-        z = np.add.outer(cells[lo:lo + _LATTICE_BLOCK_ROWS], t)
+    for lo in range(1, stop, _LATTICE_BLOCK_ROWS):
+        z = np.add.outer(np.arange(lo, min(lo + _LATTICE_BLOCK_ROWS, stop))
+                         * h, t)
         halves[lo:lo + z.shape[0]] = (_log_kernel(z, n, alpha)
                                       * np.exp(n * z)) @ w
-    return halves[:-1, 0] + halves[1:, 1]
+    return np.concatenate(([2.0 * halves[0, 1]],
+                           halves[:-1, 0] + halves[1:, 1]))
 
 
 def _band_sums(band, rate, rows):
@@ -1137,8 +1106,8 @@ def tail_response(op, tail_exponent):
         rows = near.size
         out[-rows:] *= decay[-rows:]
         # r_i^{n+alpha}/w_i, the scale of node i's pairs over its weight
-        out[-rows:] += (grid.nodes[-rows:] ** op.alpha
-                        / _cell_moment(op.n, h) * near[::-1])
+        out[-rows:] += (op.base[-rows:] / grid.weights[-rows:]
+                        * near[::-1])
     return out
 
 

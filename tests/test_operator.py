@@ -164,15 +164,17 @@ CUSP_PAIR_MPMATH = {(0.55, 64): 4.12301720766866972816177637617,
 
 
 #: The pair of touching cells that ends at the cusp on ``make_grid(1e-4,
-#: 1e4, 512, 3)``, keyed by alpha: ``op.band[1]``, offset 1 on the cells
-#: ``(-h/2, h/2)`` and ``(h/2, 3h/2)``.  Made offline with mpmath at 110
-#: digits: tanh-sinh ``mp.quad`` on each piece of the window between the
-#: cusp and the kinks of the overlap weight, split at ``2^-k`` of the
-#: piece toward the cusp, with the ``z < 2^-60`` of a piece left out.
-#: Graded Gauss panels on double ``rho = e^z``, which rounds ``1 - rho``
-#: near the cusp, miss the alpha = 0.3 value by 7.0e-11.
-TOUCHING_PAIR_MPMATH = {0.3: 0.14262765946413200415,
-                        0.8: 0.049424668802717496814}
+#: 1e4, count, 3)``, keyed by ``(alpha, count)``: ``op.band[1]``, offset
+#: 1 on the cells ``(-h/2, h/2)`` and ``(h/2, 3h/2)``.  Made offline with
+#: mpmath at 110 digits: tanh-sinh ``mp.quad`` on each piece of the window
+#: between the cusp and the kinks of the overlap weight, split at ``2^-k``
+#: of the piece toward the cusp, with the ``z < 2^-60`` of a piece left
+#: out.  Graded Gauss panels on double ``rho = e^z``, which rounds ``1 -
+#: rho`` near the cusp, miss the (0.3, 512) value by 7.0e-11.
+TOUCHING_PAIR_MPMATH = {(0.3, 512): 0.14262765946413200415,
+                        (0.8, 512): 0.049424668802717496814,
+                        (0.3, 4096): 0.0094180194031838842859,
+                        (0.8, 4096): 0.0013867591369127472359}
 
 
 class TestCuspPairs:
@@ -195,11 +197,14 @@ class TestCuspPairs:
         assert op.band[0] == pytest.approx(CUSP_PAIR_MPMATH[alpha, count],
                                            rel=1e-14, abs=0.0)
 
-    @pytest.mark.parametrize("alpha", sorted(TOUCHING_PAIR_MPMATH))
-    def test_touching_pairs_against_mpmath(self, alpha):
-        op = assemble(make_grid(1e-4, 1e4, 512, 3), 3, alpha)
-        assert op.band[1] == pytest.approx(TOUCHING_PAIR_MPMATH[alpha],
-                                           rel=1e-14, abs=0.0)
+    @pytest.mark.parametrize(
+        "alpha, count", sorted(TOUCHING_PAIR_MPMATH),
+        ids=["%g" % a if c == 512 else "%g-%d" % (a, c)
+             for a, c in sorted(TOUCHING_PAIR_MPMATH)])
+    def test_touching_pairs_against_mpmath(self, alpha, count):
+        op = assemble(make_grid(1e-4, 1e4, count, 3), 3, alpha)
+        assert op.band[1] == pytest.approx(
+            TOUCHING_PAIR_MPMATH[alpha, count], rel=1e-14, abs=0.0)
 
     def test_domain_edge(self):
         # alpha = 0.3: the cusp ~ |z|^-0.7 holds a share ~ eps^0.3 of a
@@ -373,11 +378,43 @@ DEEP_CASES = [(3, 0.8, 4096), (5, 2.5, 2048), (4, 1.5, 512), (7, 3.5, 1024)]
 UNIFORM_PANELS = np.linspace(0.0, 1.0, 7)
 
 
+def cusp_pairs(cells, n, alpha):
+    """Double-cell integrals of the pairs whose log-ratio window ``[lc -
+    lb, ld - la]`` meets the cusp ``z = 0``, for the ``4 x P`` array of
+    log-cells ``(la, lb, lc, ld)``: the rule the operator took for
+    offsets 0 and 1 before the cusp cell joined its lattice.  From the
+    cusp to the nearer kink of the overlap weight a pair takes the cusp
+    rule, and one Gauss panel on each stretch beyond; a cell with itself
+    is twice its half ``[0, lb - la]`` on the cusp rule alone, its
+    integrand being even in ``z``."""
+    u, wu = riesz._cusp_rule(alpha)
+    la, lb, lc, ld = cells
+    zlo, zhi = lc - lb, ld - la
+    fold = (zlo < 0.0) & (zhi > 0.0)
+    rim = ~fold
+    side = np.where(zhi > 0.0, 1.0, -1.0)
+    near, far, end = np.sort(np.abs(np.where(
+        fold, zhi, (lc - la, ld - lb, zlo + zhi))), axis=0)
+    t, wt = riesz._gauss_panels(np.stack((near, far, end), axis=1)[rim])
+    rows = np.arange(near.size)
+    owner = np.concatenate((np.repeat(rows, u.size),
+                            np.repeat(rows[rim], t.shape[1])))
+    z = np.concatenate(((side * near)[:, None] * u, side[rim, None] * t), None)
+    vals = (riesz._log_kernel(z, n, alpha) * np.exp(n * z)
+            * _overlap_weight(z, *cells[:, owner], n + alpha))
+    cut = near.size * u.size
+    out = np.where(fold, 2.0, 1.0) * near * (
+        vals[:cut].reshape(near.size, u.size) @ wu)
+    out[rim] += np.sum(vals[cut:].reshape(t.shape) * wt, axis=-1)
+    return out
+
+
 def band_per_pair(h, n, alpha):
     """:func:`riesz._band` with every window off the cusp sampled on its
     own six Gauss panels, the oracle of the shared lattice: the cusp
-    rule on offsets 0 and 1, one panel sum per pair on the rest of the
-    sampled offsets, and the series sums past them."""
+    rule of :func:`cusp_pairs` on offsets 0 and 1, one panel sum per
+    pair on the rest of the sampled offsets, and the series sums past
+    them."""
     ratio = riesz._series_ratio(alpha)
     gap = np.exp(-np.arange(int(-math.log(ratio * ratio) / h) + 3) * h)
     sampled = 1 + np.count_nonzero(gap > ratio)
@@ -388,7 +425,7 @@ def band_per_pair(h, n, alpha):
     zlo, zhi = cells[2] - cells[1], cells[3] - cells[0]
     cusp = (zlo <= 0.0) & (zhi >= 0.0)
     out = np.empty(sampled)
-    out[cusp] = riesz._cusp_pairs(cells[:, cusp], n, alpha)
+    out[cusp] = cusp_pairs(cells[:, cusp], n, alpha)
     rest = ~cusp
     z, wts = riesz._gauss_panels(zlo[rest, None]
                                  + (zhi - zlo)[rest, None] * UNIFORM_PANELS)
@@ -415,7 +452,7 @@ class TestDeepCut:
         d = d[np.exp(-(d - 1) * h) <= FAR_RATIO]
         assert d.size > 0.4 * width
         np.testing.assert_allclose(
-            op.band[d], riesz._lattice_pairs(width, h, n, alpha)[d - 2],
+            op.band[d], riesz._lattice_pairs(width, h, n, alpha)[d],
             rtol=1e-13, atol=0.0)
 
     @pytest.mark.parametrize("n, alpha, count",
@@ -424,14 +461,20 @@ class TestDeepCut:
     def test_lattice_against_windows_sampled_alone(self, n, alpha, count):
         # the windows off the cusp share one lattice of samples, each
         # formerly its own six panels: no offset moves by more than
-        # 5e-14 (worst 1.2e-14, at (3, 0.8) and (3, 0.3)); the cusp
-        # windows, offsets 0 and 1, and so every even-alpha band, keep
-        # their bits
+        # 5e-14 (worst 1.2e-14, at (3, 0.8) and (3, 0.3)).  The cusp
+        # cell [0, h] is the lattice's first cell, sampled once for
+        # offsets 0 and 1, and band[:2] moves by rounding (worst
+        # 1.8e-16 here): offset 1's upper half takes three panels of
+        # width h/3 where the old rule took one of width h, and each
+        # half of the cusp cell is its own dot product where the old
+        # rule contracted both cusp pairs in one matrix product.  An
+        # even-alpha band, offset 0 alone, was one dot then too and
+        # keeps its bits
         h = make_grid(1e-4, 1e4, count, n).log_step
         got, want = riesz._band(h, n, alpha), band_per_pair(h, n, alpha)
-        assert np.array_equal(got[:2], want[:2])
         if alpha % 2.0 == 0.0:
             assert got.size == 1 and np.array_equal(got, want)
+        np.testing.assert_allclose(got[:2], want[:2], rtol=2e-15, atol=0.0)
         np.testing.assert_allclose(got, want, rtol=5e-14, atol=0.0)
 
     @pytest.mark.parametrize("n, alpha, terms",
@@ -1015,10 +1058,11 @@ class TestEndCells:
     def test_only_the_band_is_sampled(self, monkeypatch):
         # the head and tail take the band and the series: no kernel_ratio
         # point, and the band's log-ratio samples, where the end tables
-        # sampled 24,024 more.  At alpha = 0.8 that is 1,200 on the two
-        # cusp windows and 36 for each of the 155 lattice cells past
-        # them (12,288 when each window took its own 72); at alpha = 2
-        # the cusp rule's 588 on offset 0
+        # sampled 24,024 more.  At alpha = 0.8 that is 6,168: the cusp
+        # rule's 588 on the cusp cell [0, h] plus 36 for each of the 155
+        # lattice cells past it (6,780 when offsets 0 and 1 each took
+        # the cusp rule, 12,288 when each window took its own 72); at
+        # alpha = 2 the cusp rule's 588 on offset 0
         grid = make_grid(1e-4, 1e4, 4096, 3)
         points = {"kernel_ratio": 0, "_log_kernel": 0}
         for name in points:
@@ -1027,9 +1071,9 @@ class TestEndCells:
                 return _inner(z, n, alpha)
             monkeypatch.setattr(riesz, name, counted)
         assemble(grid, 3, 0.8)
-        assert points == {"kernel_ratio": 0, "_log_kernel": 6780}
+        assert points == {"kernel_ratio": 0, "_log_kernel": 6168}
         assemble(grid, 3, 2.0)
-        assert points == {"kernel_ratio": 0, "_log_kernel": 6780 + 588}
+        assert points == {"kernel_ratio": 0, "_log_kernel": 6168 + 588}
 
     def test_narrow_grid_tail_samples_nothing(self, monkeypatch):
         # the operator keeps the offsets past the count that the tail's
