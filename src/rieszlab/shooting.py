@@ -14,25 +14,29 @@ decay through the far boundary.  A bracketing secant search on
 ``xi`` (:func:`bisect_ground_state`) locates the ground-state
 separatrix between the two crossing outcomes.
 
-Numerics: the first step leaves the coordinate singularity at the
-origin on the exact quadratic Taylor profile.  Each shot is integrated
-once, by a crossing scan on scipy's compiled DOP853 (``integrate.ode``,
-local error target 1e-10 relative, 1e-14 absolute, at most
-``SCAN_STEPS`` steps) whose step callback keeps every step end and stops
-the run at the first where ``u`` or ``v`` is not positive; a scan that
-fails before ``r_end`` raises :class:`IntegrationError`.  The rest is
-DOP853 steps of the module's own tableau (:func:`_step`) from a step
-end.  The crossing radius is the root, by Newton, of the crossed
-component at the end of the scan's last step, shortened, by steps on
-Python floats (:func:`_scalar_step`) at a third of the cost on numpy
-scalars: the same bits, as the BLAS stage sums stay numpy's.  Each of the
-``SAMPLE_COUNT`` log-spaced samples is one step, vectorised over all
-radii, from the last step end at or below its radius: shorter than a
-step the scan accepted there, so at least as accurate.  A shot that
-reaches ``r_end`` is sampled at once and classified by its last decade;
-a crossing shot is sampled, up to its crossing radius, when its
-``samples`` are first read.  Component powers are clamped at zero so
-fractional exponents stay real on the overshoot of a step.
+Numerics: near the origin, where the radial Laplacian has its
+coordinate singularity, both components are their power series in
+``r^2`` (:func:`_origin_series`, ``SERIES_TERMS`` terms each), exact to
+rounding up to a handoff radius, 0.26 to 0.52 over the canonical search.
+From there each shot is integrated once, by a crossing scan on scipy's
+compiled DOP853 (``integrate.ode``, local error target 1e-10 relative,
+1e-14 absolute, at most ``SCAN_STEPS`` steps) whose step callback keeps
+every step end and stops the run at the first where ``u`` or ``v`` is
+not positive; a scan that fails before ``r_end`` raises
+:class:`IntegrationError`.  The rest is DOP853 steps of the module's own
+tableau (:func:`_step`) from a step end.  The crossing radius is the
+root, by Newton, of the crossed component at the end of the scan's last
+step, shortened, by steps on Python floats (:func:`_scalar_step`) at a
+third of the cost on numpy scalars: the same bits, as the BLAS stage
+sums stay numpy's.  Of the ``SAMPLE_COUNT`` log-spaced samples, those
+below the handoff are read from the series, and each of the others is
+one step, vectorised over all radii, from the last step end at or below
+its radius: shorter than a step the scan accepted there, so at least as
+accurate.  A shot that reaches ``r_end`` is sampled at once and
+classified by its last decade; a crossing shot is sampled, up to its
+crossing radius, when its ``samples`` are first read.  Component powers
+are clamped at zero so fractional exponents stay real on the overshoot
+of a step.
 
 The scan reuses one integrator for the whole process, because scipy's
 wrapper keeps every integrator it has run alive; :func:`shoot` is
@@ -59,8 +63,12 @@ from .exponents import Params, classify
 
 #: Samples recorded along a trajectory (log-spaced in radius).
 SAMPLE_COUNT = 2048
-#: Step budget of one crossing scan (the canonical shots take about 190).
+#: Step budget of one crossing scan (the canonical shots take about 150).
 SCAN_STEPS = 100_000
+#: Terms kept of each component's origin series in ``r^2``.
+SERIES_TERMS = 12
+# unit roundoff: a term below it times the leading one leaves a sum as is
+_ROUNDOFF = 2.0 ** -53
 # DOP853's twelve stages; the thirteenth only estimates the error
 _STAGES = dop853_coefficients.N_STAGES
 _A = dop853_coefficients.A[:_STAGES, :_STAGES]
@@ -106,8 +114,9 @@ class Trajectory:
     truncated at the crossing when one occurred: ``sampler`` builds them
     on their first read, and they are kept.  ``rhs_evals`` counts the
     right-hand-side evaluations that classified the shot: the scan's,
-    and 12, one per DOP853 stage, for each Newton step on the crossing
-    or for the sampling over all radii of a shot that reaches ``r_end``.
+    from the handoff of the origin series (which costs none), and 12, one
+    per DOP853 stage, for each Newton step on the crossing or for the
+    sampling over all radii of a shot that reaches ``r_end``.
     """
 
     outcome: Outcome
@@ -132,33 +141,128 @@ class Trajectory:
         return self.samples[:, 3]
 
 
-def _taylor_start(params, config):
-    """Exact quadratic origin profile at ``r_start``.
+def _horner(terms, x2):
+    """``sum_k terms[k] x2^k`` for a float or an array ``x2``."""
+    total = terms[-1]
+    for term in terms[-2::-1]:
+        total = total * x2 + term
+    return total
 
-    Near the origin ``u = u0 - xi^q r^2/(2n) + O(r^4)`` (and
-    symmetrically for ``v``), which steps over the coordinate singularity
-    of the radial Laplacian.  A start that overflows, or where ``u`` or
-    ``v`` is already not positive, raises :class:`ValidationError`.
+
+@dataclass(frozen=True)
+class _OriginSeries:
+    """The origin series of one shot, exact to rounding up to ``handoff``.
+
+    With ``x = r / scale``, ``u = sum_k values[0][k] x^(2k)`` and ``u' = r
+    sum_k slopes[0][k] x^(2k)``; ``values[1]`` and ``slopes[1]`` are
+    ``v``'s.
     """
-    n = params.n
-    r = config.r_start
-    try:
-        su = config.xi ** params.q
-        sv = config.u0 ** params.p
-    except OverflowError:
-        su = sv = math.inf
-    start = np.array([
-        config.u0 - su * r * r / (2.0 * n), -su * r / n,
-        config.xi - sv * r * r / (2.0 * n), -sv * r / n])
-    if not np.all(np.isfinite(start)):
+
+    scale: float
+    values: tuple
+    slopes: tuple
+    handoff: float
+
+    def state(self, radii):
+        """``[u, du, v, dv]`` at ``radii``, a float or an array."""
+        x = radii / self.scale
+        x2 = x * x
+        u, v = (_horner(terms, x2) for terms in self.values)
+        du, dv = (radii * _horner(terms, x2) for terms in self.slopes)
+        return [u, du, v, dv]
+
+    @functools.cached_property
+    def start(self):
+        """``[u, du, v, dv]`` at ``handoff``, where the crossing scan
+        begins."""
+        return self.state(self.handoff)
+
+
+def _refuse_start(state, config):
+    """Raise :class:`ValidationError` on a start ``(u, du, v, dv)`` that
+    overflows or where ``u`` or ``v`` is not positive."""
+    if not all(map(math.isfinite, state)):
         raise ValidationError(
             "the origin profile overflows at r_start=%r for u0=%r, xi=%r"
-            % (r, config.u0, config.xi))
-    if not (start[0] > 0.0 and start[2] > 0.0):
+            % (config.r_start, config.u0, config.xi))
+    if not (state[0] > 0.0 and state[2] > 0.0):
         raise ValidationError(
             "the origin profile is not positive at r_start=%r for u0=%r, "
-            "xi=%r; start nearer the origin" % (r, config.u0, config.xi))
-    return start
+            "xi=%r; start nearer the origin"
+            % (config.r_start, config.u0, config.xi))
+
+
+def _origin_series(params, config):
+    """The origin series of a shot (see :class:`_OriginSeries`).
+
+    Both components are power series in ``r^2``: ``u = sum a_k r^(2k)``
+    with ``a_0 = u0`` and ``a_(k+1) = -[v^q]_k / (2(k+1)(2k+n))``, and
+    ``v`` likewise from ``u^p``, the coefficients of the powers by
+    Miller's recurrence; ``SERIES_TERMS`` of each are kept.  They are
+    formed in the shot's own radius scale ``s``, the power of two that
+    puts the larger of ``s^2 xi^q / u0`` and ``s^2 u0^p / xi`` in (1/4,
+    2), so that no coefficient overflows.
+
+    The scan takes over at ``handoff``, the largest radius where the last
+    kept term of each slope is below rounding of its leading term (which
+    puts the last term of each value below rounding too), capped where
+    the quadratic term reaches a quarter of either origin value and at
+    ``r_end``, and never below ``r_start``.
+
+    The start is refused with :class:`ValidationError` when the
+    quadratic profile ``u0 - xi^q r^2/(2n)``, ``xi - u0^p r^2/(2n)`` at
+    ``r_start`` (a lower bound on each component while both are
+    positive) overflows or is not positive, and likewise when the series
+    at ``handoff`` does.
+    """
+    n, p, q = params.n, params.p, params.q
+    u0, xi, r = config.u0, config.xi, config.r_start
+    try:
+        su, sv = xi ** q, u0 ** p
+    except OverflowError:
+        su = sv = math.inf
+    _refuse_start((u0 - su * r * r / (2.0 * n), -su * r / n,
+                   xi - sv * r * r / (2.0 * n), -sv * r / n), config)
+
+    # with both sources below the double range, a scale past r_end
+    e = max((math.frexp(source)[1] - math.frexp(origin)[1]
+             for source, origin in ((su, u0), (sv, xi)) if source),
+            default=-2 * math.frexp(config.r_end)[1])
+    e += e & 1      # even: s = 2^(-e/2)
+    scale = math.ldexp(1.0, -e // 2)
+    alpha, beta = math.ldexp(su, -e) / u0, math.ldexp(sv, -e) / xi
+    # u/u0, v/xi, (u/u0)^p and (v/xi)^q
+    a, b, fu, fv = [1.0], [1.0], [1.0], [1.0]
+    for k in range(SERIES_TERMS - 1):
+        if k:
+            # Miller's recurrence for a power of a series led by 1
+            tu = tv = 0.0
+            for j in range(1, k + 1):
+                tu += ((p + 1.0) * j - k) * a[j] * fu[k - j]
+                tv += ((q + 1.0) * j - k) * b[j] * fv[k - j]
+            fu.append(tu / k)
+            fv.append(tv / k)
+        size = 2.0 * (k + 1) * (2 * k + n)
+        a.append(-alpha * fv[k] / size)
+        b.append(-beta * fu[k] / size)
+
+    x2 = math.inf
+    for c in (a, b):
+        if c[1]:
+            x2 = min(x2, 0.25 / abs(c[1]))
+            tail = (SERIES_TERMS - 1) * abs(c[-1])
+            if tail:
+                x2 = min(x2, (_ROUNDOFF * abs(c[1]) / tail)
+                         ** (1.0 / (SERIES_TERMS - 2)))
+    handoff = min(max(r, scale * math.sqrt(x2)), config.r_end)
+    # the slope of (r/s)^(2k) over r is 2k (r/s)^(2k-2) / s^2
+    series = _OriginSeries(
+        scale, ([u0 * c for c in a], [xi * c for c in b]),
+        tuple([2.0 * k * origin * c[k] / scale / scale
+               for k in range(1, SERIES_TERMS)]
+              for origin, c in ((u0, a), (xi, b))), handoff)
+    _refuse_start(series.start, config)
+    return series
 
 
 def _rhs(coefficients):
@@ -224,17 +328,21 @@ def _scalar_step(coefficients, r0, y0, h):
         return np.array(y0, dtype=float) + h * np.dot(_B, stages)
 
 
-def _sample(coefficients, ends, config, top):
+def _sample(coefficients, series, ends, config, top):
     """Samples ``(r, u, du, v, dv)`` at the ``SAMPLE_COUNT`` log-spaced
-    radii of ``config`` up to ``top``, each by one DOP853 step from the
-    last of the step ends ``ends`` (rows ``(r, u, du, v, dv)``, radii
-    increasing) at or below it."""
+    radii of ``config`` up to ``top``: from ``series`` below its handoff,
+    and above it each by one DOP853 step from the last of the step ends
+    ``ends`` (rows ``(r, u, du, v, dv)``, radii increasing) at or below
+    it."""
     radii = np.geomspace(config.r_start, config.r_end, SAMPLE_COUNT)
     radii = radii[radii <= top]
+    cut = np.searchsorted(radii, series.handoff)
+    far = radii[cut:]
     ends = np.array(ends)
-    base = ends[np.searchsorted(ends[:, 0], radii, side="right") - 1]
-    y = _step(coefficients, base[:, 0], base[:, 1:].T, radii - base[:, 0])
-    return np.column_stack((radii, y.T))
+    base = ends[np.searchsorted(ends[:, 0], far, side="right") - 1]
+    y = _step(coefficients, base[:, 0], base[:, 1:].T, far - base[:, 0])
+    near = np.array(series.state(radii[:cut]))
+    return np.column_stack((radii, np.hstack((near, y)).T))
 
 
 @functools.cache
@@ -254,9 +362,10 @@ def _scan_integrator():
     ode.f = _rhs(ode.coefficients)
 
     def stop_at_crossing(r, y):
+        y = y.tolist()
         if y[0] <= 0.0 or y[2] <= 0.0:
             return -1
-        ode.ends.append([r, *y.tolist()])
+        ode.ends.append([r, *y])
         return 0
 
     ode.set_solout(stop_at_crossing)
@@ -266,25 +375,29 @@ def _scan_integrator():
     return ode
 
 
-def _scan(coefficients, start, config):
-    """Crossing scan of one shot.
+def _scan(coefficients, series, config):
+    """Crossing scan of one shot, from the handoff of its origin
+    ``series``.
 
     Returns ``(crossing, ends, rhs_evals)``: ``crossing`` is ``(radius,
     outcome)`` of the first zero crossing, or None when the scan reached
-    ``r_end``; ``ends`` holds the positive step ends.  A failed scan
-    raises :class:`IntegrationError` at its last step end.
+    ``r_end``; ``ends`` holds the positive step ends, the handoff first.
+    A failed scan raises :class:`IntegrationError` at its last step end.
     """
+    if series.handoff == config.r_end:
+        # the series is exact over the whole range: nothing to scan
+        return None, [[config.r_end, *series.start]], 0
     ode = _scan_integrator()
     ode.coefficients[:] = coefficients
     ode.ends = ends = []
-    ode.set_initial_value(start, config.r_start)
+    ode.set_initial_value(series.start, series.handoff)
     with warnings.catch_warnings():
         # a failed run is read from the return code below
         warnings.filterwarnings("ignore", "dop853", UserWarning)
         ode.integrate(config.r_end)
     code = ode.get_return_code()
     if code < 0:
-        last = ends[-1][0] if ends else config.r_start
+        last = ends[-1][0] if ends else series.handoff
         reason = ode._integrator.messages.get(code, "return code %d" % code)
         raise IntegrationError("crossing scan failed at r=%g: %s"
                                % (last, reason), last_radius=last)
@@ -328,12 +441,12 @@ def shoot(params, config=None):
     ------
     ValidationError
         For a ``params`` or ``config`` of another class, ``alpha != 2``,
-        or origin values whose Taylor start at ``r_start`` overflows or
-        is not positive.
+        or origin values whose quadratic profile at ``r_start``, or whose
+        origin series at its handoff, overflows or is not positive.
     IntegrationError
         If the crossing scan fails before ``r_end`` (more than
         ``SCAN_STEPS`` steps, among others); carries ``last_radius``,
-        its last step end.
+        its last step end, or the handoff when it failed before a step.
     """
     if instance(params, Params, "params").alpha != 2.0:
         raise ValidationError(
@@ -341,17 +454,17 @@ def shoot(params, config=None):
             "alpha = 2; got alpha=%r" % (params.alpha,))
     config = instance(config, ShotConfig, "config", ShotConfig())
     coefficients = [params.n, params.p, params.q]
-    crossing, ends, evals = _scan(coefficients, _taylor_start(params, config),
-                                  config)
+    series = _origin_series(params, config)
+    crossing, ends, evals = _scan(coefficients, series, config)
     if crossing is not None:
         radius, outcome = crossing
         return Trajectory(outcome, radius, evals, lambda: _sample(
-            coefficients, ends, config, radius))
+            coefficients, series, ends, config, radius))
 
     # Reached the far boundary with both components positive: decaying
     # if both fall off meaningfully through the final decade (a flat
     # profile fits a noise-level slope, which must not count).
-    samples = _sample(coefficients, ends, config, config.r_end)
+    samples = _sample(coefficients, series, ends, config, config.r_end)
     outer = samples[:, 0] >= config.r_end / 10.0
     outcome = Outcome.INCONCLUSIVE
     if np.count_nonzero(outer) >= 8:

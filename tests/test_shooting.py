@@ -32,19 +32,19 @@ CROSSING_RATE_SETS = ((5, 2.0, 5.0, 2.3853066003320764),
 #: ``rhs_evals``.  Like the solver's ``ANDERSON_512`` these pins are
 #: host-specific: another libm, BLAS or numpy build may move last bits.
 CANONICAL_SHOTS = (
-    ("0x1.0000000000000p-1", "V", "0x1.242ef13e51a94p+1", 871),
-    ("0x1.0000000000000p+1", "U", "0x1.242ef13e51a2ep+0", 826),
-    ("0x1.7c51fe0805844p-1", "V", "0x1.87d1ea598cd93p+1", 814),
-    ("0x1.b4dae09836dd6p-1", "V", "0x1.dc42f2a94ce9ap+1", 827),
-    ("0x1.e99f92f7a8cbbp-1", "V", "0x1.6464db1c1a601p+2", 876),
-    ("0x1.0224ca9ec6ae3p+0", "U", "0x1.410d6b3707d51p+3", 959),
-    ("0x1.feff9946cc9c3p-1", "V", "0x1.2a8c43faca684p+4", 1101),
-    ("0x1.fffc51549de15p-1", "V", "0x1.e293156d4ae65p+6", 1390),
-    ("0x1.ffff5cdcef2eap-1", "V", "0x1.ece5bcf99e404p+7", 1474),
-    ("0x1.0000031fa9b0ep+0", "U", "0x1.ece4f3e33565bp+9", 1667),
-    ("0x1.00000013f63cdp+0", "U", "0x1.238f3bc09dc6dp+12", 1895),
-    ("0x1.fffffffff1a12p-1", "V", "0x1.22885e15c197cp+16", 2278),
-    ("0x1.fffffffffff89p-1", "D", None, 2267))
+    ("0x1.0000000000000p-1", "V", "0x1.242ef13e51a81p+1", 288),
+    ("0x1.0000000000000p+1", "U", "0x1.242ef13e51a29p+0", 311),
+    ("0x1.7c51fe0805850p-1", "V", "0x1.87d1ea598cdebp+1", 324),
+    ("0x1.b4dae09836dc4p-1", "V", "0x1.dc42f2a94cebdp+1", 325),
+    ("0x1.e99f92f7a8ca7p-1", "V", "0x1.6464db1c1a5e0p+2", 385),
+    ("0x1.0224ca9ec6adfp+0", "U", "0x1.410d6b37081e1p+3", 446),
+    ("0x1.feff9946cc9dfp-1", "V", "0x1.2a8c43fac541cp+4", 599),
+    ("0x1.fffc51549deb7p-1", "V", "0x1.e293156f56cf1p+6", 899),
+    ("0x1.ffff5cdcef30dp-1", "V", "0x1.ece5bcfbf56d4p+7", 984),
+    ("0x1.0000031fa9b0fp+0", "U", "0x1.ece4f3e809f6ep+9", 1188),
+    ("0x1.00000013f63d0p+0", "U", "0x1.238f3a8b148ddp+12", 1381),
+    ("0x1.fffffffff1a12p-1", "V", "0x1.228842b198aeep+16", 1799),
+    ("0x1.fffffffffff89p-1", "D", None, 1765))
 
 
 def zero_events():
@@ -55,27 +55,56 @@ def zero_events():
     return events
 
 
+def quadratic_start(params, config):
+    """``(u, du, v, dv)`` at ``r_start`` on the quadratic origin profile
+    ``u0 - xi^q r^2/(2n)``, ``xi - u0^p r^2/(2n)``: exact to O(r^4), about
+    1e-24 relative at ``r_start = 1e-6`` and unit origin values."""
+    n, r = params.n, config.r_start
+    su, sv = config.xi ** params.q, config.u0 ** params.p
+    return [config.u0 - su * r * r / (2.0 * n), -su * r / n,
+            config.xi - sv * r * r / (2.0 * n), -sv * r / n]
+
+
 def sampled_shot(params, config, radii=None, rtol=1e-10, atol=1e-14):
     """Independent oracle: one ``solve_ivp`` DOP853 run with zero-crossing
-    events, recorded at ``radii`` (default the ``SAMPLE_COUNT`` log-spaced
-    radii of ``config``) and run to the last of them.  Returns
-    ``(samples, outcome, crossing_radius)``; both are None for a run
-    that crosses nowhere."""
+    events from the quadratic start at ``r_start``, recorded at ``radii``
+    (default the ``SAMPLE_COUNT`` log-spaced radii of ``config``) and run
+    to the last of them.  Returns ``(samples, outcome, crossing_radius)``;
+    both are None for a run that crosses nowhere."""
     if radii is None:
         radii = np.geomspace(config.r_start, config.r_end,
                              shooting.SAMPLE_COUNT)
     with np.errstate(over="ignore", invalid="ignore"):
         sol = solve_ivp(
             shooting._rhs([params.n, params.p, params.q]),
-            (config.r_start, radii[-1]),
-            shooting._taylor_start(params, config), method="DOP853",
-            t_eval=radii, events=zero_events(), rtol=rtol, atol=atol)
+            (config.r_start, radii[-1]), quadratic_start(params, config),
+            method="DOP853", t_eval=radii, events=zero_events(), rtol=rtol,
+            atol=atol)
     assert sol.status != -1, sol.message
     samples = np.column_stack((sol.t, sol.y.T))
     crossings = [(float(t[0]), outcome) for t, outcome in zip(
         sol.t_events, (Outcome.U_CROSSED, Outcome.V_CROSSED)) if t.size]
     radius, outcome = min(crossings, default=(None, None))
     return samples, outcome, radius
+
+
+def tight_states(params, config, radii):
+    """``(u, du, v, dv)`` at ``radii``, one column each, by one DOP853
+    ``solve_ivp`` run from the quadratic start at r = 1e-9, at rtol
+    1e-13."""
+    config = replace(config, r_start=1e-9)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sol = solve_ivp(shooting._rhs([params.n, params.p, params.q]),
+                        (config.r_start, radii[-1]),
+                        quadratic_start(params, config), method="DOP853",
+                        t_eval=radii, rtol=1e-13, atol=1e-300)
+    assert sol.status == 0, sol.message
+    return sol.y
+
+
+def tight_state(params, config, radius):
+    """:func:`tight_states` at the one ``radius``."""
+    return tight_states(params, config, [radius])[:, 0]
 
 
 def fake_shot(outcome, crossing_radius=None):
@@ -130,6 +159,10 @@ class TestShoot:
             warnings.simplefilter("error")
             with pytest.raises(ValidationError, match="r_start=1.0"):
                 shoot(PARAMS, ShotConfig(u0=1e-3, xi=10.0, r_start=1.0))
+        # v = 0.1 - r^2/10 is 0 at r_start = 1: refused on the quadratic
+        # profile, a lower bound, where the series start is still positive
+        with pytest.raises(ValidationError, match="not positive"):
+            shoot(PARAMS, ShotConfig(xi=0.1, r_start=1.0, r_end=10.0))
 
     def test_small_xi_crosses_v(self):
         traj = shoot(PARAMS, ShotConfig(xi=0.8, r_end=1e4))
@@ -150,11 +183,17 @@ class TestShoot:
         assert np.all(s[both_positive, 4] <= 0.0)
 
     def test_series_handoff_insensitive_to_start(self):
-        # halving the handoff radius must not move the solution
-        t1 = shoot(PARAMS, ShotConfig(xi=0.8, r_start=1e-6, r_end=1.0))
-        t2 = shoot(PARAMS, ShotConfig(xi=0.8, r_start=5e-7, r_end=1.0))
-        assert t1.u[-1] == pytest.approx(t2.u[-1], rel=1e-8)
-        assert t1.v[-1] == pytest.approx(t2.v[-1], rel=1e-8)
+        # halving r_start moves neither the handoff nor the solution, and
+        # the handoff state is the tight integration's
+        configs = [ShotConfig(xi=0.8, r_start=r, r_end=1.0)
+                   for r in (1e-6, 5e-7)]
+        series = [shooting._origin_series(PARAMS, c) for c in configs]
+        assert series[0].handoff == series[1].handoff > 1e-6
+        assert series[0].start == series[1].start
+        t1, t2 = (shoot(PARAMS, c) for c in configs)
+        assert t1.samples[-1].tolist() == t2.samples[-1].tolist()
+        assert np.max(np.abs(np.divide(series[0].start, tight_state(
+            PARAMS, configs[0], series[0].handoff)) - 1.0)) <= 1e-12
 
     def test_origin_values(self):
         traj = shoot(PARAMS, ShotConfig(u0=2.0, xi=1.5, r_end=1.0))
@@ -177,9 +216,12 @@ class TestShoot:
     def test_source_strength_scales_the_start(self):
         # the system has unit coefficients; the source xi^q of u is set by
         # the origin value: u = u0 - xi^q r^2/(2n) with xi^3 = 9e12 leaves
-        # 1 - 0.9 at r_start = 1e-6 (n = 5), and u crosses just past it
+        # 1 - 0.9 at r_start = 1e-6 (n = 5), past the quarter cap, so the
+        # scan starts there, and u crosses just past it
         config = ShotConfig(xi=9e12 ** (1.0 / 3.0), r_end=1e5)
-        start = shooting._taylor_start(PARAMS, config)
+        series = shooting._origin_series(PARAMS, config)
+        assert series.handoff == config.r_start
+        start = series.start
         assert start[0] == pytest.approx(0.1, rel=1e-12)
         # xi^3 carries the rounding of the cube root, a few ulps
         assert start[1] == pytest.approx(-1.8e6, rel=1e-14, abs=0.0)
@@ -197,7 +239,10 @@ class TestShoot:
             with pytest.raises(IntegrationError, match="scan failed") \
                     as info:
                 shoot(PARAMS, ShotConfig(xi=1.25, r_end=1e5))
-        assert info.value.last_radius == 1e-6
+        # nothing was stepped: the scan failed at the series handoff
+        handoff = shooting._origin_series(
+            PARAMS, ShotConfig(xi=1.25, r_end=1e5)).handoff
+        assert 0.3 < info.value.last_radius == handoff < 0.4
 
     def test_refinement_short_of_zero_keeps_the_step_end(self, monkeypatch):
         # a tableau that keeps u and v positive over the whole crossing
@@ -226,7 +271,85 @@ class TestShoot:
             warnings.simplefilter("error")
             with pytest.raises(IntegrationError, match="steps") as info:
                 shoot(PARAMS, ShotConfig(xi=0.9, r_end=1e5))
-        assert 1e-6 < info.value.last_radius < 4.0
+        # 20 steps from the handoff at 0.45
+        assert 0.45 < info.value.last_radius < 4.0
+
+
+class TestOriginSeries:
+    """The origin series against a tight integration from nearer the
+    origin."""
+
+    @pytest.mark.parametrize("u0", [1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize("xi", [0.1, 1.0, 10.0])
+    @pytest.mark.parametrize("params", [PARAMS, CRITICAL],
+                             ids=["5,2,3,3", "4,2,1.5,9"])
+    def test_handoff_state_against_tight_integration(self, params, xi, u0):
+        # the quarter cap keeps the handoff short of a zero: without it,
+        # (5,2,3,3) at u0 = 1e-3 handed off past u's zero and was refused
+        config = ShotConfig(u0=u0, xi=xi, r_end=1e4)
+        series = shooting._origin_series(params, config)
+        assert config.r_start <= series.handoff < config.r_end
+        reference = tight_state(params, config, series.handoff)
+        assert np.max(np.abs(np.divide(series.start, reference) - 1.0)) \
+            <= 1e-12
+
+    def test_handoff_short_of_a_near_zero(self):
+        # CRITICAL's v at xi = 0.1 is nearly 0.1 - r^2/8, zero near 0.894
+        config = ShotConfig(xi=0.1, r_end=1e4)
+        series = shooting._origin_series(CRITICAL, config)
+        traj = shoot(CRITICAL, config)
+        assert traj.outcome is Outcome.V_CROSSED
+        assert series.handoff < 0.5 < 0.89 < traj.crossing_radius < 0.9
+        assert series.start[2] > 0.75 * config.xi
+
+    @pytest.mark.parametrize("params", [PARAMS, CRITICAL],
+                             ids=["5,2,3,3", "4,2,1.5,9"])
+    @pytest.mark.parametrize("u0, xi", [(1.0, 0.8), (1.0, 1.25),
+                                        (1e-3, 1.0), (1e3, 0.1)])
+    def test_samples_at_r_start(self, params, u0, xi):
+        # the first sample is the origin profile at r_start: u and v as
+        # its quadratic profile, exact there to well below rounding, and
+        # the slopes as the tight integration's
+        config = ShotConfig(u0=u0, xi=xi, r_end=1e4)
+        first = shoot(params, config).samples[0]
+        want = quadratic_start(params, config)
+        assert first[0] == config.r_start
+        assert abs(first[1] / want[0] - 1.0) <= 1e-15
+        assert abs(first[3] / want[2] - 1.0) <= 1e-15
+        reference = tight_state(params, config, config.r_start)
+        assert np.max(np.abs(first[1:] / reference - 1.0)) <= 1e-12
+
+    def test_series_alone_up_to_r_end(self):
+        # weak sources: the series is exact past r_end, so nothing is
+        # scanned and the shot is its series
+        config = ShotConfig(u0=1e-3, xi=1e-3, r_end=10.0)
+        series = shooting._origin_series(PARAMS, config)
+        assert series.handoff == config.r_end
+        traj = shoot(PARAMS, config)
+        assert traj.outcome is Outcome.INCONCLUSIVE
+        assert traj.radii[-1] == config.r_end
+        reference = tight_state(PARAMS, config, config.r_end)
+        assert np.max(np.abs(traj.samples[-1, 1:] / reference - 1.0)) \
+            <= 1e-12
+        # sources below the double range: a flat shot to r_end = 1e200
+        flat = shoot(PARAMS, ShotConfig(u0=1e-300, xi=1e-300, r_start=1.0,
+                                        r_end=1e200))
+        assert flat.outcome is Outcome.INCONCLUSIVE
+        assert flat.samples[-1].tolist() == [1e200, 1e-300, 0.0, 1e-300, 0.0]
+
+    @pytest.mark.parametrize("k", [100, 300])
+    def test_formed_in_the_shots_radius_scale(self, k):
+        # (u, v) -> (lam u(lam r), lam v(lam r)) maps solutions of
+        # (5,2,3,3) to solutions; at lam = 2^k a coefficient of the series
+        # in r itself overflows a double
+        lam = 2.0 ** k
+        base = shoot(PARAMS, ShotConfig(xi=0.8, r_end=1e4))
+        scaled = shoot(PARAMS, ShotConfig(u0=lam, xi=0.8 * lam,
+                                          r_start=1e-6 / lam,
+                                          r_end=1e4 / lam))
+        assert scaled.outcome is base.outcome is Outcome.V_CROSSED
+        assert scaled.crossing_radius * lam == pytest.approx(
+            base.crossing_radius, rel=1e-9)
 
 
 class TestScalarStep:
@@ -297,7 +420,7 @@ class TestCrossingScan:
         config = ShotConfig(xi=xi, r_end=1e4)
         coefficients = [params.n, params.p, params.q]
         (radius, outcome), ends, _ = shooting._scan(
-            coefficients, shooting._taylor_start(params, config), config)
+            coefficients, shooting._origin_series(params, config), config)
         r0, *y0 = ends[-1]
         with np.errstate(over="ignore", invalid="ignore"):
             sol = solve_ivp(shooting._rhs(coefficients),
@@ -313,9 +436,9 @@ class TestCrossingScan:
         calls = []
         build = shooting._sample
 
-        def counting(coefficients, ends, config, top):
+        def counting(coefficients, series, ends, config, top):
             calls.append(config.xi)
-            return build(coefficients, ends, config, top)
+            return build(coefficients, series, ends, config, top)
 
         monkeypatch.setattr(shooting, "_sample", counting)
         config = ShotConfig(xi=0.8, r_end=1e4)
@@ -368,13 +491,23 @@ class TestSamples:
         assert np.array_equal(reference[:, 0], near[:, 0])
         assert np.max(np.abs(near[:, 1:] / reference[:, 1:] - 1.0)) <= 1e-7
 
+    @pytest.mark.parametrize("xi", [0.8, 1.0, 1.25, float.fromhex(
+        CANONICAL_SHOTS[-1][0])])
+    def test_against_the_origin_oracle(self, xi):
+        # against an integration from nearer the origin, at rtol 1e-13
+        config = ShotConfig(xi=xi, r_end=1e5)
+        near = shoot(PARAMS, config).samples
+        near = near[near[:, 0] <= 1e3]
+        reference = tight_states(PARAMS, config, near[:, 0])
+        assert np.max(np.abs(near[:, 1:] / reference.T - 1.0)) <= 2.5e-9
+
     def test_decaying_shot_integrated_once(self):
         config = ShotConfig(r_end=1e5)
         traj = shoot(PARAMS, config)
         assert traj.outcome is Outcome.DECAYING
         coefficients = [PARAMS.n, PARAMS.p, PARAMS.q]
         _, _, scan_evals = shooting._scan(
-            coefficients, shooting._taylor_start(PARAMS, config), config)
+            coefficients, shooting._origin_series(PARAMS, config), config)
         # the whole-range second integration took 5074 on top of the scan
         assert scan_evals < traj.rhs_evals < 1.2 * scan_evals
 
@@ -541,7 +674,7 @@ class TestBisection:
              None if shot.crossing_radius is None
              else shot.crossing_radius.hex(), shot.rhs_evals)
             for shot in res.shots) == CANONICAL_SHOTS
-        assert sum(shot.rhs_evals for shot in res.shots) == 17245
+        assert sum(shot.rhs_evals for shot in res.shots) == 10694
         assert res.xi.hex() == "0x1.fffffffffff89p-1"
 
     def test_shot_count_steady_across_brackets(self):
